@@ -80,14 +80,32 @@ def _load_experiment(args) -> dict:
         if m not in MODES:
             raise ValueError(f"unknown mode {m!r}; choose from {MODES}")
     cfg["modes"] = modes
+    # Reject unknown keys and bad values before any world or cell is written.
+    if "world_file" not in cfg:
+        _build_config(WorldSpec, cfg.get("world", {})).validate()
+    for mode in modes:
+        for c in _cell_configs(cfg, mode, cfg["seeds"][0]):
+            c.validate()
     return cfg
 
 
+def _build_config(cls, fields: dict, **fixed):
+    try:
+        return cls(**fixed, **fields)
+    except TypeError as exc:  # unknown or duplicated key
+        raise ValueError(f"bad config key: {exc}") from None
+
+
+def _cell_configs(cfg, mode: str, seed: int):
+    return (
+        _build_config(DriftConfig, cfg.get("drift", {}), rng_seed=seed),
+        _build_config(ObservationConfig, cfg.get("observation", {}), rng_seed=seed + OBS_SEED_OFFSET),
+        _build_config(ScheduleConfig, cfg.get("schedule", {}), mode=mode),
+    )
+
+
 def _run_cell(world, cfg, mode: str, seed: int):
-    drift = DriftConfig(rng_seed=seed, **cfg.get("drift", {}))
-    obs = ObservationConfig(rng_seed=seed + OBS_SEED_OFFSET, **cfg.get("observation", {}))
-    schedule = ScheduleConfig(mode=mode, **cfg.get("schedule", {}))
-    return run_pipeline(world, drift, obs, schedule)
+    return run_pipeline(world, *_cell_configs(cfg, mode, seed))
 
 
 def cmd_run(args) -> int:
@@ -98,7 +116,7 @@ def cmd_run(args) -> int:
     if "world_file" in cfg:
         world = world_from_file(cfg["world_file"])
     else:
-        world = generate_corridor(WorldSpec(**cfg.get("world", {})))
+        world = generate_corridor(_build_config(WorldSpec, cfg.get("world", {})))
     world_to_file(world, out_dir / "world.json")
 
     mcfg = cfg.get("metrics", {})

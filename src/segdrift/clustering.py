@@ -37,23 +37,27 @@ class Cluster:
         return len(self.members)
 
 
+MEMBER_COLUMNS = ("obs", "frame", "cluster", "p1", "p2", "sign")
+OBS, FRAME, CLUSTER, P1, P2, SIGN = range(len(MEMBER_COLUMNS))
+
+
 class ClusterStore:
     """Id-indexed clusters plus an observation -> (cluster, sign) index.
 
     Cluster ids are dense and allocated in creation order, so the center
     matrix row i belongs to cluster id i; the linear scan over that matrix
-    is what keeps incremental assignment cheap.
+    is what keeps incremental assignment cheap. Every member is also a row
+    of one int64 table (columns MEMBER_COLUMNS, assignment order), which the
+    center recomputation and the solve-problem builder read as arrays.
     """
 
     def __init__(self):
         self.clusters: dict[int, Cluster] = {}
         self.membership: dict[int, tuple[int, int]] = {}  # obs index -> (cluster id, sign)
         self._centers = np.empty((0, 3))
-        # flat member arrays, parallel to assignment order
-        self._m_cid: list[int] = []
-        self._m_sign: list[int] = []
-        self._m_p1: list[int] = []
-        self._m_p2: list[int] = []
+        # one row per member in assignment order; columns are MEMBER_COLUMNS
+        self._table = np.empty((0, len(MEMBER_COLUMNS)), dtype=np.int64)
+        self._n_members = 0
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -114,20 +118,33 @@ class ClusterStore:
             cluster.members.append((obs_index, sign))
             self._centers[cid] = cluster.center
         self.membership[obs_index] = (cid, sign)
-        self._m_cid.append(cid)
-        self._m_sign.append(sign)
-        self._m_p1.append(obs.p1_id)
-        self._m_p2.append(obs.p2_id)
+        if self._n_members == len(self._table):
+            grown = np.empty((max(64, 2 * len(self._table)), len(MEMBER_COLUMNS)), dtype=np.int64)
+            grown[: self._n_members] = self._table
+            self._table = grown
+        self._table[self._n_members] = (obs_index, obs.frame, cid, obs.p1_id, obs.p2_id, sign)
+        self._n_members += 1
         return cid
+
+    @property
+    def member_table(self) -> np.ndarray:
+        """(members, 6) int64 rows, columns MEMBER_COLUMNS, assignment order."""
+        return self._table[: self._n_members]
+
+    @property
+    def centers(self) -> np.ndarray:
+        """(clusters, 3) centers; row i belongs to cluster id i."""
+        return self._centers[: len(self.clusters)]
 
     def recompute_centers(self, emap: EstimatedMap) -> None:
         """Replace every center by the exact mean of current member vectors."""
         if not self.clusters:
             return
         pos = emap.position_array()
-        cids = np.asarray(self._m_cid)
-        signs = np.asarray(self._m_sign, dtype=float)
-        vs = signs[:, None] * (pos[np.asarray(self._m_p2)] - pos[np.asarray(self._m_p1)])
+        table = self.member_table
+        cids = table[:, CLUSTER]
+        signs = table[:, SIGN].astype(float)
+        vs = signs[:, None] * (pos[table[:, P2]] - pos[table[:, P1]])
         n = len(self.clusters)
         sums = np.zeros((n, 3))
         np.add.at(sums, cids, vs)

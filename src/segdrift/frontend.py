@@ -10,6 +10,7 @@ plus optional endpoint noise at creation time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,9 @@ class DriftConfig:
     rng_seed: int = 0
 
     def validate(self) -> None:
-        if min(self.scale_sigma, self.rot_sigma, self.trans_sigma) < 0:
-            raise ValueError("drift sigmas must be non-negative")
+        for name in ("scale_sigma", "rot_sigma", "trans_sigma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,11 @@ class ObservationConfig:
     def validate(self) -> None:
         if not 0.0 <= self.detect_prob <= 1.0:
             raise ValueError("detect_prob must be in [0, 1]")
-        if self.endpoint_noise_sigma < 0:
-            raise ValueError("endpoint_noise_sigma must be non-negative")
-        if self.max_range <= 0:
-            raise ValueError("max_range must be positive")
+        for name in ("endpoint_noise_sigma", "min_segment_length"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        if not 0 < self.max_range < math.inf:
+            raise ValueError("max_range must be finite and positive")
 
 
 class DriftState:

@@ -10,6 +10,7 @@ and applied to the pose, with interpolation between keyframes.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +40,13 @@ class ScheduleConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.keyframe_interval < 1 or self.local_window < 1:
-            raise ValueError("keyframe_interval and local_window must be >= 1")
+        for name in ("keyframe_interval", "local_window", "iteration_cap"):
+            if not 1 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 1")
+        if not 0 < self.rel_threshold < math.inf:
+            raise ValueError("rel_threshold must be finite and positive")
+        if not 0 <= self.anchor_weight < math.inf:
+            raise ValueError("anchor_weight must be finite and non-negative")
 
 
 @dataclass

@@ -9,6 +9,7 @@ Generation is a pure function of the WorldSpec: same seed, same world.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,12 +65,15 @@ class WorldSpec:
 
     def validate(self) -> None:
         for name in ("corridor_length", "door_spacing", "door_height", "door_width"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.door_spacing >= self.corridor_length:
             raise ValueError("door_spacing must be smaller than corridor_length")
-        if self.n_turns < 0 or self.extra_unique_segments < 0:
-            raise ValueError("counts must be non-negative")
+        if not math.isfinite(self.turn_angle):
+            raise ValueError("turn_angle must be finite")
+        for name in ("n_turns", "extra_unique_segments"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)

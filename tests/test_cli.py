@@ -108,6 +108,48 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "warp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, fields, named",
+        [
+            ("drift", {"scale_sigmaa": 1e-3}, "scale_sigmaa"),
+            ("observation", {"detect_probability": 0.9}, "detect_probability"),
+            ("schedule", {"window": 5}, "window"),
+            ("world", {"length": 12}, "length"),
+        ],
+    )
+    def test_unknown_config_key_exits_1_before_any_output(
+        self, tmp_path, capsys, section, fields, named
+    ):
+        cfg = small_config(tmp_path, **{section: fields})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, fields, named",
+        [
+            ("drift", {"scale_sigma": float("nan")}, "scale_sigma"),
+            ("observation", {"endpoint_noise_sigma": float("nan")}, "endpoint_noise_sigma"),
+            ("schedule", {"rel_threshold": -1}, "rel_threshold"),
+            ("schedule", {"iteration_cap": -3}, "iteration_cap"),
+            ("world", {"door_width": float("inf")}, "door_width"),
+        ],
+    )
+    def test_bad_config_value_exits_1_before_any_output(
+        self, tmp_path, capsys, section, fields, named
+    ):
+        cfg = small_config(tmp_path, **{section: fields})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_schedule_value_checked_for_every_mode(self, tmp_path, capsys):
+        # A baseline-only run never solves, yet its schedule is checked too.
+        cfg = small_config(tmp_path, modes=["baseline"], schedule={"anchor_weight": -1})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "anchor_weight" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_world_file_input(self, tmp_path, capsys):
         world_path = tmp_path / "world.json"
         assert main([

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from segdrift.clustering import (
+    CLUSTER,
+    MEMBER_COLUMNS,
+    OBS,
+    SIGN,
     ClusterStore,
     DegenerateSegmentError,
     assign_all,
@@ -147,6 +151,33 @@ class TestCenters:
         store = ClusterStore()
         store.recompute_centers(map_from_vectors([[1.0, 0.0, 0.0]]))
         assert len(store) == 0
+
+
+class TestMemberTable:
+    def test_rows_agree_with_members_and_membership(self):
+        emap = map_from_vectors(
+            [[0.0, 0.0, 2.0], [0.0, 0.0, -2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.004], [1.0, 0.0, 0.0]]
+        )
+        emap.observations = [
+            SegmentObservation(o.p1_id, o.p2_id, 7 - i, o.world_segment_index)
+            for i, o in enumerate(emap.observations)
+        ]
+        store = ClusterStore()
+        order = [3, 0, 4, 1, 2]
+        assign_all(store, emap, order)
+
+        table = store.member_table
+        assert table.dtype == np.int64
+        assert table.shape == (len(order), len(MEMBER_COLUMNS))
+        assert table[:, OBS].tolist() == order
+        for obs_index, frame, cid, p1, p2, sign in table.tolist():
+            obs = emap.observations[obs_index]
+            assert (frame, p1, p2) == (obs.frame, obs.p1_id, obs.p2_id)
+            assert store.membership[obs_index] == (cid, sign)
+        for cid, cluster in store.clusters.items():
+            rows = table[table[:, CLUSTER] == cid]
+            assert list(zip(rows[:, OBS].tolist(), rows[:, SIGN].tolist())) == cluster.members
+        assert np.array_equal(store.centers, [c.center for c in store.clusters.values()])
 
 
 class TestSerialization:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segdrift.clustering import ClusterStore, assign_all
 from segdrift.clusteropt import (
@@ -11,7 +13,8 @@ from segdrift.clusteropt import (
     evaluate_objective,
     solve,
 )
-from segdrift.geometry import quat_from_axis_angle, quat_rotate
+from segdrift.frontend import EstimatedMap, MapPoint, SegmentObservation
+from segdrift.geometry import PoseSE3, quat_from_axis_angle, quat_rotate
 
 from test_clustering import map_from_vectors
 
@@ -67,6 +70,11 @@ class TestObjective:
     def test_negative_anchor_weight_rejected(self):
         with pytest.raises(ValueError):
             OptProblem([0], np.zeros((1, 3)), [], anchor_weight=-1.0)
+
+    def test_non_finite_anchor_weight_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="anchor_weight"):
+                OptProblem([0], np.zeros((1, 3)), [], anchor_weight=bad)
 
 
 class TestSolverOracle:
@@ -254,3 +262,97 @@ class TestSolve:
         out = report.to_json()
         assert out["iterations"] == report.iterations
         assert out["objective_trace"] == report.objective_trace
+
+
+ARCHETYPES = ([0.0, 0.0, 2.0], [0.9, 0.0, 0.0], [0.0, 0.4, 0.0])
+
+
+@st.composite
+def reobserved_maps(draw):
+    """An EstimatedMap whose segments are each observed several times.
+
+    Re-observations reuse the segment's two point ids, in either endpoint
+    order, so many observations share one (cluster, p1, p2, sign) key.
+    """
+    n_segments = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = {}
+    for i in range(n_segments):
+        v = np.array(ARCHETYPES[draw(st.integers(0, len(ARCHETYPES) - 1))])
+        base = rng.uniform(-3, 3, size=3)
+        points[2 * i] = MapPoint(2 * i, base, 0)
+        points[2 * i + 1] = MapPoint(2 * i + 1, base + v * (1 + rng.uniform(-2e-3, 2e-3)), 0)
+    seen = draw(st.lists(
+        st.tuples(st.integers(0, n_segments - 1), st.booleans(), st.integers(0, 4)),
+        min_size=1, max_size=25,
+    ))
+    observations = [
+        SegmentObservation(2 * i + flip, 2 * i + 1 - flip, frame, i) for i, flip, frame in seen
+    ]
+    emap = EstimatedMap(points, observations, np.zeros(5), [PoseSE3.identity()] * 5)
+    frames = draw(st.none() | st.sets(st.integers(0, 4), min_size=1))
+    anchor_weight = draw(st.sampled_from([0.0, 1e-3, 1e-1]))
+    return emap, frames, anchor_weight
+
+
+def expanded_problem(store, emap, weighted, frames):
+    """The same problem with one weight-1 edge per in-scope observation."""
+    edges = [
+        ClusterEdge(cid, obs_index, emap.observations[obs_index].p1_id,
+                    emap.observations[obs_index].p2_id, sign, cluster.center.copy())
+        for cid, cluster in sorted(store.clusters.items())
+        for obs_index, sign in cluster.members
+        if frames is None or emap.observations[obs_index].frame in frames
+    ]
+    return OptProblem(weighted.point_ids, weighted.initial, edges, weighted.anchor_weight)
+
+
+class TestWeightedUniqueEdges:
+    @settings(max_examples=60, deadline=None)
+    @given(reobserved_maps())
+    def test_matches_one_edge_per_observation(self, case):
+        emap, frames, anchor_weight = case
+        store = ClusterStore()
+        assign_all(store, emap, range(len(emap.observations)))
+        weighted = build_problem(store, emap, frames=frames, anchor_weight=anchor_weight)
+        expanded = expanded_problem(store, emap, weighted, frames)
+        assert sum(e.weight for e in weighted.edges) == len(expanded.edges)
+        assert len({(e.cluster_id, e.p1_id, e.p2_id, e.sign) for e in weighted.edges}) == len(
+            weighted.edges
+        )
+        if not weighted.edges:
+            return
+
+        rng = np.random.default_rng(0)
+        for positions in (
+            {pid: weighted.initial[i] for i, pid in enumerate(weighted.point_ids)},
+            {pid: rng.uniform(-3, 3, size=3) for pid in weighted.point_ids},
+        ):
+            f_w = evaluate_objective(weighted, positions)
+            f_e = evaluate_objective(expanded, positions)
+            assert abs(f_w - f_e) <= 1e-12 * max(1.0, f_e)
+
+        pos_w, report_w = solve(weighted)
+        pos_e, report_e = solve(expanded)
+        assert abs(report_w.final_objective - report_e.final_objective) <= 1e-12 * max(
+            1.0, report_e.final_objective
+        )
+        for pid in weighted.point_ids:
+            assert np.max(np.abs(pos_w[pid] - pos_e[pid])) <= 1e-12
+
+    def test_scope_counts_in_scope_observations_only(self):
+        # One segment observed in frames 0, 1 and 2 under the same point ids.
+        points = {0: MapPoint(0, np.zeros(3), 0), 1: MapPoint(1, np.array([0.0, 0.0, 2.0]), 0)}
+        observations = [SegmentObservation(0, 1, frame, 0) for frame in range(3)]
+        emap = EstimatedMap(points, observations, np.zeros(3), [PoseSE3.identity()] * 3)
+        store = ClusterStore()
+        assign_all(store, emap, range(3))
+
+        scoped = build_problem(store, emap, frames={0, 1})
+        assert [(e.obs_index, e.weight) for e in scoped.edges] == [(0, 2.0)]
+        assert scoped.point_ids == [0, 1]
+        late = build_problem(store, emap, frames={2})
+        assert [(e.obs_index, e.weight) for e in late.edges] == [(2, 1.0)]
+        full = build_problem(store, emap)
+        assert [(e.obs_index, e.weight) for e in full.edges] == [(0, 3.0)]
+        assert build_problem(store, emap, frames={5}).edges == []

@@ -54,6 +54,12 @@ class TestDriftRandomWalk:
         with pytest.raises(ValueError):
             DriftConfig(scale_sigma=-1.0).validate()
 
+    @pytest.mark.parametrize("name", ["scale_sigma", "rot_sigma", "trans_sigma"])
+    def test_non_finite_sigma_rejected(self, name):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                DriftConfig(**{name: bad}).validate()
+
 
 class TestSimulate:
     def test_zero_drift_zero_noise_exact(self):
@@ -157,3 +163,17 @@ class TestSimulate:
     def test_invalid_detect_prob_rejected(self):
         with pytest.raises(ValueError):
             ObservationConfig(detect_prob=1.5).validate()
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("detect_prob", [float("nan"), float("inf")]),
+            ("endpoint_noise_sigma", [float("nan"), float("inf"), -0.1]),
+            ("max_range", [float("nan"), float("inf"), 0.0]),
+            ("min_segment_length", [float("nan"), float("inf"), -0.1]),
+        ],
+    )
+    def test_non_finite_or_out_of_range_field_rejected(self, name, bad):
+        for value in bad:
+            with pytest.raises(ValueError, match=name):
+                ObservationConfig(**{name: value}).validate()

@@ -25,6 +25,25 @@ class TestScheduleConfig:
         with pytest.raises(ValueError):
             ScheduleConfig(keyframe_interval=0).validate()
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("keyframe_interval", [float("nan"), float("inf")]),
+            ("local_window", [0, float("nan")]),
+            ("iteration_cap", [-3, 0, float("nan"), float("inf")]),
+            ("rel_threshold", [-1.0, 0.0, float("nan"), float("inf")]),
+            ("anchor_weight", [-1e-3, float("nan"), float("inf")]),
+        ],
+    )
+    def test_non_finite_or_out_of_range_field_rejected(self, name, bad):
+        for value in bad:
+            with pytest.raises(ValueError, match=name):
+                ScheduleConfig(**{name: value}).validate()
+
+    def test_defaults_and_zero_anchor_accepted(self):
+        ScheduleConfig().validate()
+        ScheduleConfig(anchor_weight=0.0, iteration_cap=1).validate()
+
 
 class TestBaseline:
     def test_baseline_equals_raw_trajectory(self):

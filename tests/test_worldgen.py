@@ -36,6 +36,24 @@ class TestSpecValidation:
             WorldSpec(corridor_length=10, door_spacing=2, door_height=0).validate()
 
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("corridor_length", [float("nan"), float("inf")]),
+            ("door_spacing", [float("nan"), float("inf")]),
+            ("door_height", [float("nan"), float("inf")]),
+            ("door_width", [float("nan"), float("inf")]),
+            ("turn_angle", [float("nan"), float("inf")]),
+            ("n_turns", [-1, float("nan")]),
+            ("extra_unique_segments", [-1, float("nan")]),
+        ],
+    )
+    def test_non_finite_or_out_of_range_field_rejected(self, name, bad):
+        for value in bad:
+            with pytest.raises(ValueError, match=name):
+                WorldSpec(**{name: value}).validate()
+
+
 class TestCorridorStructure:
     def test_door_count_straight(self):
         w = generate_corridor(spec())
