@@ -13,7 +13,7 @@ from .frontend import (
     SegmentObservation,
     simulate,
 )
-from .clustering import Cluster, ClusterStore, DegenerateSegmentError
+from .clustering import ClusterStore, DegenerateSegmentError
 from .clusteropt import ClusterEdge, OptProblem, OptReport, build_problem, evaluate_objective, solve
 from .pipeline import RunResult, ScheduleConfig, propagate_to_poses, run
 from .metrics import MetricsReport, Trajectory, ate, rpe, spline_interpolate
@@ -34,7 +34,6 @@ __all__ = [
     "ObservationConfig",
     "SegmentObservation",
     "simulate",
-    "Cluster",
     "ClusterStore",
     "DegenerateSegmentError",
     "ClusterEdge",

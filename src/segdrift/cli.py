@@ -25,6 +25,10 @@ from .pipeline import MODES, ScheduleConfig, run as run_pipeline
 from .worldgen import WorldSpec, generate_corridor, world_from_file, world_to_file
 
 AGGREGATE_HEADER = ["mode", "seed", "ate_rmse", "rpe_rmse", "align_mode", "rpe_delta"]
+CONFIG_KEYS = (
+    "out_dir", "world", "world_file", "drift", "observation", "schedule", "modes", "seeds", "metrics"
+)
+METRICS_KEYS = ("align_mode", "rpe_delta")
 OBS_SEED_OFFSET = 1_000_000
 
 
@@ -69,6 +73,11 @@ def cmd_gen_world(args) -> int:
 def _load_experiment(args) -> dict:
     with open(args.config) as f:
         cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown}; choose from {CONFIG_KEYS}")
     if args.out is not None:
         cfg["out_dir"] = args.out
     if "out_dir" not in cfg:
@@ -86,7 +95,23 @@ def _load_experiment(args) -> dict:
     for mode in modes:
         for c in _cell_configs(cfg, mode, cfg["seeds"][0]):
             c.validate()
+    _metrics_settings(cfg)
     return cfg
+
+
+def _metrics_settings(cfg) -> tuple[str, int]:
+    """The run's (align_mode, rpe_delta), checked."""
+    mcfg = cfg.get("metrics", {})
+    unknown = sorted(set(mcfg) - set(METRICS_KEYS))
+    if unknown:
+        raise ValueError(f"unknown metrics key(s) {unknown}; choose from {METRICS_KEYS}")
+    align_mode = mcfg.get("align_mode", "similarity")
+    if align_mode not in met.ALIGN_MODES:
+        raise ValueError(f"metrics align_mode must be one of {met.ALIGN_MODES}, got {align_mode!r}")
+    rpe_delta = mcfg.get("rpe_delta", met.DEFAULT_RPE_DELTA)
+    if isinstance(rpe_delta, bool) or not isinstance(rpe_delta, int) or rpe_delta < 1:
+        raise ValueError(f"metrics rpe_delta must be an integer >= 1, got {rpe_delta!r}")
+    return align_mode, rpe_delta
 
 
 def _build_config(cls, fields: dict, **fixed):
@@ -119,9 +144,7 @@ def cmd_run(args) -> int:
         world = generate_corridor(_build_config(WorldSpec, cfg.get("world", {})))
     world_to_file(world, out_dir / "world.json")
 
-    mcfg = cfg.get("metrics", {})
-    align_mode = mcfg.get("align_mode", "similarity")
-    rpe_delta = int(mcfg.get("rpe_delta", met.DEFAULT_RPE_DELTA))
+    align_mode, rpe_delta = _metrics_settings(cfg)
 
     rows = []
     cell_errors = []
@@ -236,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score an estimated trajectory against ground truth")
     p.add_argument("est", help="estimated trajectory, TUM format")
     p.add_argument("gt", help="ground-truth trajectory, TUM format")
-    p.add_argument("--align", choices=["similarity", "rigid", "none"], default="similarity")
+    p.add_argument("--align", choices=met.ALIGN_MODES, default="similarity")
     p.add_argument("--rpe-delta", type=int, default=met.DEFAULT_RPE_DELTA)
     p.add_argument("--interpolate-gt", action="store_true", help="spline-interpolate sparse gt")
     p.add_argument("--out", default=None, help="write the metrics JSON here too")

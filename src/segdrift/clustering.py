@@ -5,13 +5,18 @@ within a relative threshold of the center length (strict inequality),
 trying both orientations of the segment vector; otherwise it seeds a new
 cluster. Centers are running means of the signed member vectors and can
 be recomputed exactly after the optimizer moves endpoints.
+
+Observations arrive in batches (one frame at a time in the pipeline). A
+batch is scanned against the centers once, as one distance matrix, and
+then walked in order; the result equals assigning its observations one
+at a time, bit for bit (see `ClusterStore.assign_batch`).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -21,50 +26,63 @@ log = logging.getLogger(__name__)
 
 DEFAULT_REL_THRESHOLD = 0.005
 
+MEMBER_COLUMNS = ("obs", "frame", "cluster", "p1", "p2", "sign")
+OBS, FRAME, CLUSTER, P1, P2, SIGN = range(len(MEMBER_COLUMNS))
+
+# Skipping a moved cluster for a row outside its near set rests on norms
+# carrying a few ulps of relative error. That holds while a norm's squares
+# stay normal floats; outside this band a moved cluster is recomputed for
+# every later row of its batch instead.
+_SAFE_NORMS = (2.0**-500, 2.0**500)
+
 
 class DegenerateSegmentError(ValueError):
     """Raised when a segment observation has coincident endpoints."""
 
 
-@dataclass
-class Cluster:
-    id: int
-    center: np.ndarray
-    members: list[tuple[int, int]] = field(default_factory=list)  # (obs index, sign)
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.members)
-
-
-MEMBER_COLUMNS = ("obs", "frame", "cluster", "p1", "p2", "sign")
-OBS, FRAME, CLUSTER, P1, P2, SIGN = range(len(MEMBER_COLUMNS))
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis. Every distance and limit goes
+    through this one expression, so a value computed in a batch matrix and
+    the same value computed for a few rows are the same float."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 class ClusterStore:
-    """Id-indexed clusters plus an observation -> (cluster, sign) index.
+    """Clusters as three arrays: a member table, a center matrix and
+    per-cluster member counts.
 
-    Cluster ids are dense and allocated in creation order, so the center
-    matrix row i belongs to cluster id i; the linear scan over that matrix
-    is what keeps incremental assignment cheap. Every member is also a row
-    of one int64 table (columns MEMBER_COLUMNS, assignment order), which the
-    center recomputation and the solve-problem builder read as arrays.
+    Cluster ids are dense and allocated in creation order, so row i of the
+    center matrix and entry i of the counts belong to cluster id i. Every
+    member is one row of an int64 table (columns MEMBER_COLUMNS, assignment
+    order), which center recomputation, serialization and the solve-problem
+    builder read as arrays.
     """
 
     def __init__(self):
-        self.clusters: dict[int, Cluster] = {}
-        self.membership: dict[int, tuple[int, int]] = {}  # obs index -> (cluster id, sign)
         self._centers = np.empty((0, 3))
-        # one row per member in assignment order; columns are MEMBER_COLUMNS
-        self._table = np.empty((0, len(MEMBER_COLUMNS)), dtype=np.int64)
+        self._counts = np.empty(0, dtype=np.int64)
+        self._n_clusters = 0
+        # column-major: each batch scans the obs column for repeats
+        self._table = np.empty((len(MEMBER_COLUMNS), 0), dtype=np.int64)
         self._n_members = 0
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return self._n_clusters
 
-    def signed_vector(self, obs_index: int, emap: EstimatedMap) -> np.ndarray:
-        obs = emap.observations[obs_index]
-        return emap.points[obs.p2_id].position - emap.points[obs.p1_id].position
+    @property
+    def member_table(self) -> np.ndarray:
+        """(members, 6) int64 rows, columns MEMBER_COLUMNS, assignment order."""
+        return self._table[:, : self._n_members].T
+
+    @property
+    def centers(self) -> np.ndarray:
+        """(clusters, 3) centers; row i belongs to cluster id i."""
+        return self._centers[: self._n_clusters]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(clusters,) int64 member counts; entry i belongs to cluster id i."""
+        return self._counts[: self._n_clusters]
 
     def assign(
         self,
@@ -74,95 +92,189 @@ class ClusterStore:
     ) -> int:
         """Place one observation into the store and return its cluster id.
 
-        The observation joins the cluster minimizing the two-sided distance
-        min(|v - c|, |-v - c|) among clusters with distance strictly below
-        rel_threshold * |c| (ties by lowest cluster id); otherwise a new
-        singleton cluster is created. The joining center is updated to the
-        incremental mean of the signed member vectors.
+        Raises DegenerateSegmentError if its endpoints coincide.
         """
-        if obs_index in self.membership:
-            raise ValueError(f"observation {obs_index} already assigned")
-        obs = emap.observations[obs_index]
-        v = self.signed_vector(obs_index, emap)
-        if np.linalg.norm(v) == 0.0:
+        if self.assign_batch([obs_index], emap, rel_threshold):
             raise DegenerateSegmentError(
                 f"observation {obs_index} has coincident endpoints; discarded"
             )
+        return int(self._table[CLUSTER, self._n_members - 1])
 
-        cid = sign = None
-        if len(self.clusters):
-            centers = self._centers[: len(self.clusters)]
-            d_pos = np.linalg.norm(centers - v, axis=1)
-            d_neg = np.linalg.norm(centers + v, axis=1)
-            signs = np.where(d_pos <= d_neg, 1, -1)
-            d = np.minimum(d_pos, d_neg)
-            limits = rel_threshold * np.linalg.norm(centers, axis=1)
-            d = np.where(d < limits, d, np.inf)
-            best = int(np.argmin(d))  # first minimum: lowest cluster id wins ties
-            if np.isfinite(d[best]):
-                cid, sign = best, int(signs[best])
+    def assign_batch(
+        self,
+        obs_indices,
+        emap: EstimatedMap,
+        rel_threshold: float = DEFAULT_REL_THRESHOLD,
+    ) -> list[int]:
+        """Assign observations in order; return those discarded as degenerate.
 
-        if cid is None:
-            cid = len(self.clusters)
-            sign = 1
-            self.clusters[cid] = Cluster(cid, v.copy(), [(obs_index, 1)])
-            if cid >= len(self._centers):
-                grown = np.empty((max(8, 2 * len(self._centers)), 3))
-                grown[: len(self._centers)] = self._centers
-                self._centers = grown
-            self._centers[cid] = v
-        else:
-            cluster = self.clusters[cid]
-            n = cluster.cardinality
-            cluster.center = (cluster.center * n + sign * v) / (n + 1)
-            cluster.members.append((obs_index, sign))
-            self._centers[cid] = cluster.center
-        self.membership[obs_index] = (cid, sign)
-        if self._n_members == len(self._table):
-            grown = np.empty((max(64, 2 * len(self._table)), len(MEMBER_COLUMNS)), dtype=np.int64)
-            grown[: self._n_members] = self._table
-            self._table = grown
-        self._table[self._n_members] = (obs_index, obs.frame, cid, obs.p1_id, obs.p2_id, sign)
-        self._n_members += 1
-        return cid
+        Each observation joins the cluster minimizing the two-sided distance
+        min(|c - v|, |c + v|) among clusters with distance strictly below
+        rel_threshold * |c| (ties by lowest cluster id; sign +1 when
+        |c - v| <= |c + v|); otherwise it seeds a new singleton cluster. The
+        joined center becomes the incremental mean of the signed member
+        vectors. Observations with coincident endpoints are discarded.
 
-    @property
-    def member_table(self) -> np.ndarray:
-        """(members, 6) int64 rows, columns MEMBER_COLUMNS, assignment order."""
-        return self._table[: self._n_members]
+        The batch is scanned once against the centers as they stand at its
+        start; each row keeps the clusters within twice their limit (its
+        near set). While walking the rows, only clusters whose center has
+        changed can differ from that scan, and they are recomputed with the
+        same expression: clusters created in this batch, changed clusters in
+        the row's near set, and changed clusters that moved by more than
+        lim0 / (2 (1 + rel_threshold)) since the batch started. A changed
+        cluster outside all three had distance >= 2 lim0 and moved by at
+        most delta <= lim0 / (2 (1 + rel)), so its distance is still
+        >= 2 lim0 - delta and its limit at most lim0 + rel delta, which is
+        smaller. Every other cluster keeps its scanned value, so the result
+        equals assigning the observations one at a time.
 
-    @property
-    def centers(self) -> np.ndarray:
-        """(clusters, 3) centers; row i belongs to cluster id i."""
-        return self._centers[: len(self.clusters)]
+        Raises ValueError, before changing the store, if the batch repeats
+        an observation or holds one that is already assigned.
+        """
+        batch = [int(i) for i in obs_indices]
+        if len(set(batch)) < len(batch):
+            raise ValueError("batch repeats an observation")
+        assigned = self._table[OBS, : self._n_members]
+        if batch and len(assigned) and min(batch) <= assigned.max():
+            again = np.intersect1d(batch, assigned)
+            if len(again):
+                raise ValueError(f"observation {again[0]} already assigned")
+        observations = [emap.observations[i] for i in batch]
+        if not batch:
+            return []
+        points = emap.points
+        vs = np.array([points[o.p2_id].position for o in observations]) - np.array(
+            [points[o.p1_id].position for o in observations]
+        )
+        degenerate = (_norms(vs) == 0.0).tolist()
+        discarded = [i for i, bad in zip(batch, degenerate) if bad]
+        if discarded:
+            keep = [j for j, bad in enumerate(degenerate) if not bad]
+            batch = [batch[j] for j in keep]
+            observations = [observations[j] for j in keep]
+            vs = vs[keep]
+        if batch:
+            self._walk(batch, observations, vs, rel_threshold)
+        return discarded
+
+    def _walk(self, batch, observations, vs, rel) -> None:
+        k = len(batch)
+        m0 = self._n_clusters
+        self._reserve(m0 + k, self._n_members + k)
+        centers, counts = self._centers, self._counts
+
+        c0 = centers[:m0]
+        d_pos = _norms(c0 - vs[:, None])
+        d_neg = _norms(c0 + vs[:, None])
+        norm0 = _norms(c0)
+        lim0 = rel * norm0
+        d = np.minimum(d_pos, d_neg)
+        rows, cols = np.nonzero(d < 2 * lim0)
+        near = [[] for _ in range(k)]  # per row: (cluster, scanned distance, sign)
+        for r, c, dc, pos in zip(
+            rows.tolist(), cols.tolist(), d[rows, cols].tolist(), (d_pos <= d_neg)[rows, cols].tolist()
+        ):
+            near[r].append((c, dc, 1 if pos else -1))
+        lo, hi = _SAFE_NORMS
+        skip_ok = ((np.minimum(norm0, lim0) >= lo) & (np.maximum(norm0, lim0) <= hi)).tolist()
+        lim0 = lim0.tolist()
+        moved_scale = 1.0 / (2.0 * (1.0 + rel))
+
+        start: dict[int, list[float]] = {}  # changed cluster -> its center at batch start
+        recompute: set[int] = set()  # clusters recomputed for every later row
+        cids, signs = [], []
+        for j, v in enumerate(vs.tolist()):
+            best, best_d, sign = -1, math.inf, 1
+            check = set(recompute)
+            for c, dc, s in near[j]:  # ascending cluster id
+                if c in start:
+                    check.add(c)
+                elif dc < lim0[c] and dc < best_d:
+                    best, best_d, sign = c, dc, s
+            if check:
+                ids = sorted(check)
+                sub = centers[ids]
+                d_pos = _norms(sub - vs[j]).tolist()
+                d_neg = _norms(sub + vs[j]).tolist()
+                lims = (rel * _norms(sub)).tolist()
+                for c, dp, dn, lim in zip(ids, d_pos, d_neg, lims):
+                    dc = min(dp, dn)
+                    if dc < lim and (dc < best_d or (dc == best_d and c < best)):
+                        best, best_d, sign = c, dc, 1 if dp <= dn else -1
+
+            if best < 0:
+                best, sign = self._n_clusters, 1
+                self._n_clusters += 1
+                centers[best] = v
+                counts[best] = 1
+                recompute.add(best)
+            else:
+                n = int(counts[best])
+                old = centers[best].tolist()
+                new = [(a * n + sign * b) / (n + 1) for a, b in zip(old, v)]
+                centers[best] = new
+                counts[best] = n + 1
+                if best not in recompute:
+                    first = start.setdefault(best, old)
+                    if not skip_ok[best] or math.dist(new, first) > lim0[best] * moved_scale:
+                        recompute.add(best)
+            cids.append(best)
+            signs.append(sign)
+
+        n = self._n_members
+        self._table[:, n : n + k] = np.array(
+            [
+                batch,
+                [o.frame for o in observations],
+                cids,
+                [o.p1_id for o in observations],
+                [o.p2_id for o in observations],
+                signs,
+            ],
+            dtype=np.int64,
+        )
+        self._n_members = n + k
+
+    def _reserve(self, n_clusters: int, n_members: int) -> None:
+        """Grow the buffers, doubling, to hold the given numbers of rows."""
+        if n_clusters > len(self._centers):
+            size = max(8, 2 * len(self._centers), n_clusters)
+            centers = np.empty((size, 3))
+            centers[: self._n_clusters] = self.centers
+            counts = np.zeros(size, dtype=np.int64)
+            counts[: self._n_clusters] = self.counts
+            self._centers, self._counts = centers, counts
+        if n_members > self._table.shape[1]:
+            size = max(64, 2 * self._table.shape[1], n_members)
+            table = np.empty((len(MEMBER_COLUMNS), size), dtype=np.int64)
+            table[:, : self._n_members] = self._table[:, : self._n_members]
+            self._table = table
 
     def recompute_centers(self, emap: EstimatedMap) -> None:
         """Replace every center by the exact mean of current member vectors."""
-        if not self.clusters:
+        n = self._n_clusters
+        if not n:
             return
         pos = emap.position_array()
         table = self.member_table
         cids = table[:, CLUSTER]
-        signs = table[:, SIGN].astype(float)
-        vs = signs[:, None] * (pos[table[:, P2]] - pos[table[:, P1]])
-        n = len(self.clusters)
-        sums = np.zeros((n, 3))
-        np.add.at(sums, cids, vs)
-        counts = np.bincount(cids, minlength=n).astype(float)
-        means = sums / counts[:, None]
-        for cid, cluster in self.clusters.items():
-            cluster.center = means[cid]
-        self._centers[:n] = means
+        vs = table[:, SIGN].astype(float)[:, None] * (pos[table[:, P2]] - pos[table[:, P1]])
+        # bincount adds in index order, one coordinate at a time
+        sums = np.column_stack([np.bincount(cids, weights=vs[:, a], minlength=n) for a in range(3)])
+        self._centers[:n] = sums / self.counts[:, None]
 
     def to_json(self) -> list[dict]:
+        table = self.member_table
+        by_cluster = table[np.argsort(table[:, CLUSTER], kind="stable")][:, [OBS, SIGN]]
+        members = np.split(by_cluster, np.cumsum(self.counts)[:-1])
         return [
             {
-                "id": c.id,
-                "center": list(c.center),
-                "cardinality": c.cardinality,
-                "members": [{"observation": i, "sign": s} for i, s in c.members],
+                "id": cid,
+                "center": center,
+                "cardinality": len(rows),
+                "members": [{"observation": i, "sign": s} for i, s in rows.tolist()],
             }
-            for c in self.clusters.values()
+            for cid, (center, rows) in enumerate(zip(self.centers.tolist(), members))
         ]
 
     def dump(self, path) -> None:
@@ -177,13 +289,9 @@ def assign_all(
     obs_indices,
     rel_threshold: float = DEFAULT_REL_THRESHOLD,
 ) -> int:
-    """Assign a batch of observations, discarding degenerate ones. Returns
-    the number discarded."""
-    discarded = 0
-    for i in obs_indices:
-        try:
-            store.assign(i, emap, rel_threshold)
-        except DegenerateSegmentError as exc:
-            log.warning("%s", exc)
-            discarded += 1
-    return discarded
+    """Assign a batch of observations in order, discarding (and logging)
+    degenerate ones. Returns the number discarded."""
+    discarded = store.assign_batch(obs_indices, emap, rel_threshold)
+    for i in discarded:
+        log.warning("observation %d has coincident endpoints; discarded", i)
+    return len(discarded)

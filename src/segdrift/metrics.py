@@ -12,6 +12,7 @@ from .geometry import PoseSE3, Sim3, quat_multiply, umeyama_alignment
 
 DEFAULT_MATCH_TOLERANCE_S = 0.01
 DEFAULT_RPE_DELTA = 30
+ALIGN_MODES = ("similarity", "rigid", "none")
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,8 @@ def align(
     tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
 ) -> Sim3:
     """Least-squares transform taking est positions onto gt positions."""
-    if mode not in ("similarity", "rigid", "none"):
-        raise ValueError(f"unknown alignment mode {mode!r}")
+    if mode not in ALIGN_MODES:
+        raise ValueError(f"unknown alignment mode {mode!r}; choose from {ALIGN_MODES}")
     if mode == "none":
         return Sim3.identity()
     pairs = associate(est, gt, tolerance)

@@ -9,20 +9,17 @@ and applied to the pose, with interpolation between keyframes.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterStore, DEFAULT_REL_THRESHOLD, DegenerateSegmentError
+from .clustering import ClusterStore, DEFAULT_REL_THRESHOLD, assign_all
 from .clusteropt import OptReport, build_problem, solve
 from .frontend import DriftConfig, EstimatedMap, ObservationConfig, simulate
 from .geometry import PoseSE3, Sim3, quat_multiply, quat_rotate, quat_slerp, umeyama_alignment
 from .metrics import Trajectory
 from .worldgen import World
-
-log = logging.getLogger(__name__)
 
 MODES = ("baseline", "seg", "segglobal")
 MOVED_TOLERANCE = 1e-9
@@ -221,12 +218,7 @@ def run(
 
     next_round = 0
     for frame in range(n_frames):
-        for obs_index in by_frame.get(frame, ()):
-            try:
-                store.assign(obs_index, emap, schedule.rel_threshold)
-            except DegenerateSegmentError as exc:
-                log.warning("%s", exc)
-                discarded += 1
+        discarded += assign_all(store, emap, by_frame.get(frame, ()), schedule.rel_threshold)
         if frame > 0 and frame % interval == 0 and frame not in keyframes_so_far:
             keyframes_so_far.append(frame)
         if next_round < len(round_frames) and frame == round_frames[next_round]:

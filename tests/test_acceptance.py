@@ -161,8 +161,8 @@ def test_criterion_6_clustering_oracle():
         emap = map_from_vectors(vectors)
         store = ClusterStore()
         assign_all(store, emap, range(len(vectors)))
-        for cid, cluster in store.clusters.items():
-            assert np.linalg.norm(cluster.center - batch_center(store, emap, cid)) < 1e-9
+        for cid, center in enumerate(store.centers):
+            assert np.linalg.norm(center - batch_center(store, emap, cid)) < 1e-9
 
     # boundary: dyadic values make the distance exactly tau * |center|
     tau = 2.0**-8

@@ -150,6 +150,34 @@ class TestRun:
         assert "anchor_weight" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"schedual": {"local_window": 5}}, "schedual"),
+            ({"metrics": {"align_mode": "affine"}}, "align_mode"),
+            ({"metrics": {"rpe_delta": 0}}, "rpe_delta"),
+            ({"metrics": {"rpe_delta": 2.5}}, "rpe_delta"),
+            ({"metrics": {"rpe_delta": "30"}}, "rpe_delta"),
+            ({"metrics": {"rpe_delta": True}}, "rpe_delta"),
+            ({"metrics": {"rpe_dleta": 30}}, "rpe_dleta"),
+        ],
+    )
+    def test_bad_top_level_or_metrics_exits_1_before_any_output(
+        self, tmp_path, capsys, overrides, named
+    ):
+        cfg = small_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_metrics_section_applied(self, tmp_path, capsys):
+        cfg = small_config(
+            tmp_path, modes=["baseline"], seeds=[0], metrics={"align_mode": "rigid", "rpe_delta": 5}
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        rows = (tmp_path / "out" / "aggregate.csv").read_text().splitlines()
+        assert rows[1].endswith(",rigid,5")
+
     def test_world_file_input(self, tmp_path, capsys):
         world_path = tmp_path / "world.json"
         assert main([
@@ -189,6 +217,12 @@ class TestEval:
         assert main(["eval", str(est), str(gt), "--align", "none"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["alignment"]["scale"] == 1.0
+
+    def test_eval_unknown_align_mode_exits_1(self, tmp_path, capsys):
+        est, gt = self.run_small(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(est), str(gt), "--align", "affine"])
+        assert exc.value.code == 1
 
     def test_eval_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "a.tum"), str(tmp_path / "b.tum")]) == 2

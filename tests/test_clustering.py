@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from segdrift.clustering import (
     CLUSTER,
+    FRAME,
     MEMBER_COLUMNS,
     OBS,
+    P1,
+    P2,
     SIGN,
     ClusterStore,
     DegenerateSegmentError,
@@ -28,9 +33,176 @@ def map_from_vectors(vectors):
     return EstimatedMap(points, observations, np.zeros(len(vectors)), [PoseSE3.identity()])
 
 
+def signed_vector(emap, obs_index):
+    obs = emap.observations[obs_index]
+    return emap.points[obs.p2_id].position - emap.points[obs.p1_id].position
+
+
 def batch_center(store, emap, cid):
-    vs = [s * store.signed_vector(i, emap) for i, s in store.clusters[cid].members]
-    return np.mean(vs, axis=0)
+    table = store.member_table
+    rows = table[table[:, CLUSTER] == cid]
+    return np.mean([s * signed_vector(emap, i) for i, s in rows[:, [OBS, SIGN]].tolist()], axis=0)
+
+
+class ReferenceStore:
+    """The per-observation scan: every observation is compared with every
+    center in one numpy pass, and the store is updated before the next one.
+    Centers are recomputed with np.add.at."""
+
+    def __init__(self):
+        self.centers = np.empty((0, 3))
+        self.counts = []
+        self.rows = []
+
+    @property
+    def table(self):
+        return np.array(self.rows, dtype=np.int64).reshape(-1, len(MEMBER_COLUMNS))
+
+    def assign(self, obs_index, emap, rel_threshold):
+        """Return the cluster id, or None if the observation is degenerate."""
+        obs = emap.observations[obs_index]
+        v = signed_vector(emap, obs_index)
+        if np.linalg.norm(v) == 0.0:
+            return None
+        cid = sign = None
+        if len(self.centers):
+            d_pos = np.linalg.norm(self.centers - v, axis=1)
+            d_neg = np.linalg.norm(self.centers + v, axis=1)
+            signs = np.where(d_pos <= d_neg, 1, -1)
+            d = np.minimum(d_pos, d_neg)
+            limits = rel_threshold * np.linalg.norm(self.centers, axis=1)
+            d = np.where(d < limits, d, np.inf)
+            best = int(np.argmin(d))
+            if np.isfinite(d[best]):
+                cid, sign = best, int(signs[best])
+        if cid is None:
+            cid, sign = len(self.centers), 1
+            self.centers = np.vstack([self.centers, v])
+            self.counts.append(1)
+        else:
+            n = self.counts[cid]
+            self.centers[cid] = (self.centers[cid] * n + sign * v) / (n + 1)
+            self.counts[cid] = n + 1
+        self.rows.append((obs_index, obs.frame, cid, obs.p1_id, obs.p2_id, sign))
+        return cid
+
+    def recompute_centers(self, emap):
+        if not len(self.centers):
+            return
+        pos = emap.position_array()
+        table = self.table
+        vs = table[:, SIGN].astype(float)[:, None] * (pos[table[:, P2]] - pos[table[:, P1]])
+        sums = np.zeros_like(self.centers)
+        np.add.at(sums, table[:, CLUSTER], vs)
+        self.centers = sums / np.array(self.counts, dtype=float)[:, None]
+
+
+REL_THRESHOLDS = (2.0**-8, 0.005, 0.5, 2.0)
+
+
+@st.composite
+def observation_streams(draw):
+    """(rel_threshold, frames, moves): frames are lists of observation specs,
+    ("vec", v) for a new segment or ("again", j, flip) re-observing
+    observation j's points, in either endpoint order; moves[f] is a noise
+    seed applied to every point after frame f, or None."""
+    rel = draw(st.sampled_from(REL_THRESHOLDS))
+    unit = st.floats(0.5, 3.0)
+    bases = draw(st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=4))
+    jitter = st.floats(-2 * min(rel, 0.5), 2 * min(rel, 0.5))
+    frames, moves, total = [], [], 0
+    for _ in range(draw(st.integers(1, 6))):
+        specs = []
+        for _ in range(draw(st.integers(0, 8))):
+            kind = draw(st.sampled_from(["near", "near", "again", "again", "zero", "subnormal", "tiny"]))
+            if kind == "again" and total:
+                specs.append(("again", draw(st.integers(0, total - 1)), draw(st.booleans())))
+            elif kind == "zero":
+                specs.append(("vec", (0.0, 0.0, 0.0)))
+            elif kind == "subnormal":
+                specs.append(("vec", tuple(5e-324 * draw(st.integers(-1000, 1000)) for _ in range(3))))
+            else:
+                base = draw(st.sampled_from(bases))
+                sign = draw(st.sampled_from([1.0, -1.0]))
+                scale = 1e-155 if kind == "tiny" else 1.0
+                specs.append(("vec", tuple(sign * scale * b * (1 + draw(jitter)) for b in base)))
+            total += 1
+        frames.append(specs)
+        moves.append(draw(st.none() | st.integers(0, 2**32 - 1)))
+    return rel, frames, moves
+
+
+def stream_map(frames):
+    """The EstimatedMap of a stream, and the observation indices of each frame."""
+    points, observations, batches = {}, [], []
+    for frame, specs in enumerate(frames):
+        batch = []
+        for spec in specs:
+            if spec[0] == "vec":
+                p1, p2 = len(points), len(points) + 1
+                points[p1] = MapPoint(p1, np.zeros(3), frame)
+                points[p2] = MapPoint(p2, np.array(spec[1]), frame)
+            else:
+                seen = observations[spec[1]]
+                p1, p2 = (seen.p2_id, seen.p1_id) if spec[2] else (seen.p1_id, seen.p2_id)
+            batch.append(len(observations))
+            observations.append(SegmentObservation(p1, p2, frame, len(observations)))
+        batches.append(batch)
+    n = len(frames)
+    return EstimatedMap(points, observations, np.zeros(n), [PoseSE3.identity()] * n), batches
+
+
+class TestBatchedAssignment:
+    @given(observation_streams())
+    # two clusters at exactly equal distance 2^-6: the lower id wins, in one
+    # batch, in separate batches, and when the lower id was just touched
+    @example((2.0**-6, [[("vec", (0, 0, 2.0)), ("vec", (0, 0, 2.0 + 2.0**-5)), ("vec", (0, 0, 2.0 + 2.0**-6))]], [None]))
+    @example((2.0**-6, [[("vec", (0, 0, 2.0))], [("vec", (0, 0, 2.0 + 2.0**-5))], [("vec", (0, 0, 2.0 + 2.0**-6))]], [None] * 3))
+    @example((2.0**-6, [[("vec", (0, 0, 2.0)), ("vec", (0, 0, 2.0 + 2.0**-5))], [("again", 0, False), ("vec", (0, 0, 2.0 + 2.0**-6))]], [None] * 2))
+    # the dyadic exact boundary: distance 2^-7 equals the limit, a new cluster
+    @example((2.0**-8, [[("vec", (0, 0, 2.0)), ("vec", (0, 0, 2.0 + 2.0**-7))]], [None]))
+    @example((2.0**-8, [[("vec", (0, 0, 2.0))], [("vec", (0, 0, 2.0 + 2.0**-7))]], [None] * 2))
+    # a cluster pulled along by three joins becomes joinable by a row that
+    # was outside its near set when the frame started
+    @example((0.5, [[("vec", (0, 0, 2.0))], [("vec", (0, 0, v)) for v in (2.9, 3.6, 3.9, 4.1)]], [None] * 2))
+    # norms near 1e-160 have squares deep in the subnormal range
+    @example((0.005, [
+        [("vec", (-6.4880789415947995e-161, -1.3729544630697643e-160, -1.3516330956912554e-160))],
+        [
+            ("vec", (6.491511101545974e-161, 1.3787383880667364e-160, 1.3517138377238164e-160)),
+            ("vec", (-6.518683862536226e-161, -1.3630673752756495e-160, -1.3457199633387534e-160)),
+            ("vec", (-6.421759677766131e-161, -1.3597818016996797e-160, -1.335606563951113e-160)),
+        ],
+    ], [None] * 2))
+    def test_matches_per_observation_reference(self, case):
+        rel, frames, moves = case
+        emap, batches = stream_map(frames)
+        store, single, ref = ClusterStore(), ClusterStore(), ReferenceStore()
+        for batch, move in zip(batches, moves):
+            expected = [ref.assign(i, emap, rel) for i in batch]
+            assert assign_all(store, emap, batch, rel) == expected.count(None)
+            for i, cid in zip(batch, expected):
+                if cid is None:
+                    with pytest.raises(DegenerateSegmentError):
+                        single.assign(i, emap, rel)
+                else:
+                    assert single.assign(i, emap, rel) == cid
+            if move is not None:
+                rng = np.random.default_rng(move)
+                for pt in emap.points.values():
+                    pt.position = pt.position + rng.normal(0, 1e-3, size=3)
+                for s in (store, single, ref):
+                    s.recompute_centers(emap)
+            for s in (store, single):
+                assert np.array_equal(s.member_table, ref.table)
+                assert np.array_equal(s.centers, ref.centers)
+                assert s.counts.tolist() == ref.counts
+
+    def test_equal_distance_lowest_id_wins(self):
+        emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 2.0**-5], [0.0, 0.0, 2.0 + 2.0**-6]])
+        store = ClusterStore()
+        assign_all(store, emap, range(3), rel_threshold=2.0**-6)
+        assert store.member_table[:, CLUSTER].tolist() == [0, 1, 0]
 
 
 class TestAssignment:
@@ -39,7 +211,8 @@ class TestAssignment:
         store = ClusterStore()
         assert store.assign(0, emap) == 0
         assert len(store) == 1
-        assert np.array_equal(store.clusters[0].center, [1.0, 0.0, 0.0])
+        assert np.array_equal(store.centers, [[1.0, 0.0, 0.0]])
+        assert store.counts.tolist() == [1]
 
     def test_identical_vectors_merge(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0]] * 5)
@@ -47,7 +220,7 @@ class TestAssignment:
         for i in range(5):
             store.assign(i, emap)
         assert len(store) == 1
-        assert store.clusters[0].cardinality == 5
+        assert store.counts.tolist() == [5]
 
     def test_opposite_orientation_merges_with_negative_sign(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0]])
@@ -55,8 +228,9 @@ class TestAssignment:
         store.assign(0, emap)
         cid = store.assign(1, emap)
         assert cid == 0
-        assert store.membership[1] == (0, -1)
-        assert np.allclose(store.clusters[0].center, [0.0, 0.0, 2.0])
+        table = store.member_table
+        assert table[:, [OBS, CLUSTER, SIGN]].tolist() == [[0, 0, 1], [1, 0, -1]]
+        assert np.allclose(store.centers, [[0.0, 0.0, 2.0]])
 
     def test_distinct_lengths_separate(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.5]])
@@ -99,6 +273,7 @@ class TestAssignment:
         store = ClusterStore()
         with pytest.raises(DegenerateSegmentError):
             store.assign(0, emap)
+        assert len(store.member_table) == 0
 
     def test_assign_all_discards_degenerate(self):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -106,7 +281,8 @@ class TestAssignment:
         discarded = assign_all(store, emap, range(3))
         assert discarded == 1
         assert len(store) == 1
-        assert store.clusters[0].cardinality == 2
+        assert store.counts.tolist() == [2]
+        assert store.member_table[:, OBS].tolist() == [0, 2]
 
     def test_double_assignment_rejected(self):
         emap = map_from_vectors([[1.0, 0.0, 0.0]])
@@ -114,6 +290,39 @@ class TestAssignment:
         store.assign(0, emap)
         with pytest.raises(ValueError):
             store.assign(0, emap)
+
+
+class TestBatchRejection:
+    @staticmethod
+    def snapshot(store):
+        return store.member_table.copy(), store.centers.copy(), store.counts.copy()
+
+    @pytest.mark.parametrize(
+        "first, batch",
+        [
+            ([], [0, 1, 0]),  # repeats an index
+            ([2], [0, 1, 2]),  # holds an assigned index
+            ([2], [3, 2]),
+            ([0, 1], [2, 3, 1]),
+        ],
+    )
+    def test_rejected_before_store_changes(self, first, batch):
+        emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        store = ClusterStore()
+        assign_all(store, emap, first)
+        before = self.snapshot(store)
+        with pytest.raises(ValueError):
+            assign_all(store, emap, batch)
+        for a, b in zip(before, self.snapshot(store)):
+            assert np.array_equal(a, b)
+
+    def test_unassigned_lower_index_accepted(self):
+        emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
+        store = ClusterStore()
+        assign_all(store, emap, [2])
+        assert assign_all(store, emap, [1, 0]) == 0
+        assert store.member_table[:, OBS].tolist() == [2, 1, 0]
+        assert store.counts.tolist() == [2, 1]
 
 
 class TestCenters:
@@ -132,8 +341,8 @@ class TestCenters:
             emap = map_from_vectors(vectors)
             store = ClusterStore()
             assign_all(store, emap, range(len(vectors)))
-            for cid, cluster in store.clusters.items():
-                assert np.linalg.norm(cluster.center - batch_center(store, emap, cid)) < 1e-9
+            for cid, center in enumerate(store.centers):
+                assert np.linalg.norm(center - batch_center(store, emap, cid)) < 1e-9
 
     def test_recompute_centers_exact_after_moving_points(self):
         rng = np.random.default_rng(7)
@@ -144,8 +353,8 @@ class TestCenters:
         for pt in emap.points.values():
             pt.position = pt.position + rng.normal(0, 0.1, size=3)
         store.recompute_centers(emap)
-        for cid, cluster in store.clusters.items():
-            assert np.linalg.norm(cluster.center - batch_center(store, emap, cid)) < 1e-12
+        for cid, center in enumerate(store.centers):
+            assert np.linalg.norm(center - batch_center(store, emap, cid)) < 1e-12
 
     def test_recompute_centers_empty_store(self):
         store = ClusterStore()
@@ -173,11 +382,13 @@ class TestMemberTable:
         for obs_index, frame, cid, p1, p2, sign in table.tolist():
             obs = emap.observations[obs_index]
             assert (frame, p1, p2) == (obs.frame, obs.p1_id, obs.p2_id)
-            assert store.membership[obs_index] == (cid, sign)
-        for cid, cluster in store.clusters.items():
-            rows = table[table[:, CLUSTER] == cid]
-            assert list(zip(rows[:, OBS].tolist(), rows[:, SIGN].tolist())) == cluster.members
-        assert np.array_equal(store.centers, [c.center for c in store.clusters.values()])
+        # obs 3 seeds cluster 0, obs 4 seeds cluster 1; 0 and 1 join cluster 0
+        # (1 reversed), 2 joins cluster 1
+        assert table[:, [CLUSTER, SIGN]].tolist() == [[0, 1], [0, 1], [1, 1], [0, -1], [1, 1]]
+        assert table[:, FRAME].tolist() == [4, 7, 3, 6, 5]
+        assert store.counts.tolist() == np.bincount(table[:, CLUSTER]).tolist() == [3, 2]
+        for cid, center in enumerate(store.centers):
+            assert np.linalg.norm(center - batch_center(store, emap, cid)) < 1e-12
 
 
 class TestSerialization:
@@ -187,10 +398,24 @@ class TestSerialization:
         assign_all(store, emap, range(2))
         out = store.to_json()
         assert len(out) == 1
+        assert out[0]["id"] == 0
+        assert out[0]["center"] == [0.0, 0.0, 2.0]
         assert out[0]["cardinality"] == 2
         assert out[0]["members"] == [
             {"observation": 0, "sign": 1},
             {"observation": 1, "sign": -1},
+        ]
+
+    def test_to_json_groups_members_by_cluster_in_assignment_order(self):
+        emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        store = ClusterStore()
+        assign_all(store, emap, [3, 0, 1, 2])
+        out = store.to_json()
+        assert [c["id"] for c in out] == [0, 1]
+        assert [c["cardinality"] for c in out] == [2, 2]
+        assert [[(m["observation"], m["sign"]) for m in c["members"]] for c in out] == [
+            [(3, 1), (1, 1)],
+            [(0, 1), (2, -1)],
         ]
 
     def test_dump_round_trips(self, tmp_path):

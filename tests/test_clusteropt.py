@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segdrift.clustering import ClusterStore, assign_all
+from segdrift.clustering import CLUSTER, ClusterStore, assign_all
 from segdrift.clusteropt import (
     ClusterEdge,
     OptProblem,
@@ -297,18 +297,18 @@ def reobserved_maps(draw):
 
 def expanded_problem(store, emap, weighted, frames):
     """The same problem with one weight-1 edge per in-scope observation."""
+    table = store.member_table
+    by_cluster = table[np.argsort(table[:, CLUSTER], kind="stable")]
     edges = [
-        ClusterEdge(cid, obs_index, emap.observations[obs_index].p1_id,
-                    emap.observations[obs_index].p2_id, sign, cluster.center.copy())
-        for cid, cluster in sorted(store.clusters.items())
-        for obs_index, sign in cluster.members
-        if frames is None or emap.observations[obs_index].frame in frames
+        ClusterEdge(cid, obs_index, p1, p2, sign, store.centers[cid].copy())
+        for obs_index, frame, cid, p1, p2, sign in by_cluster.tolist()
+        if frames is None or frame in frames
     ]
     return OptProblem(weighted.point_ids, weighted.initial, edges, weighted.anchor_weight)
 
 
 class TestWeightedUniqueEdges:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(reobserved_maps())
     def test_matches_one_edge_per_observation(self, case):
         emap, frames, anchor_weight = case

@@ -97,14 +97,14 @@ class TestSim3:
         p = np.array([1.0, 2.0, 3.0])
         assert np.allclose(Sim3.identity().apply(p), p)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(unit_vectors)
     def test_compose_matches_sequential_apply(self, p):
         a = Sim3(1.3, quat_from_axis_angle(np.array([1.0, 2.0, 0.5]), 0.7), np.array([1.0, -1.0, 2.0]))
         b = Sim3(0.8, quat_from_axis_angle(np.array([0.0, 1.0, 1.0]), -0.4), np.array([0.5, 0.0, -3.0]))
         assert np.allclose(a.compose(b).apply(p), a.apply(b.apply(p)), atol=1e-9)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(unit_vectors)
     def test_inverse_round_trip(self, p):
         t = Sim3(2.1, quat_from_axis_angle(np.array([1.0, 0.0, 3.0]), 1.1), np.array([4.0, 5.0, -6.0]))
@@ -138,7 +138,7 @@ class TestSegmentVector:
             np.array([3.0, -1.0, 1.0]),
         )
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(unit_vectors, unit_vectors, unit_vectors)
     def test_translation_invariance(self, p1, p2, t):
         # Shifting both endpoints cancels in the segment vector.
