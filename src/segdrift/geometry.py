@@ -4,11 +4,15 @@ Rotations are stored as unit quaternions in [w, x, y, z] order and
 converted to matrices on demand; quaternion composition stays numerically
 stable over long chains of small increments, which matters for the drift
 random walks simulated elsewhere.
+
+The quaternion helpers broadcast over leading axes (`q[..., k]`), so
+`PoseSE3` and `Sim3.apply` also work on stacks of poses and points with
+the same float operations, in the same order, as one at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,18 +21,43 @@ def quat_identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def _split(q: np.ndarray):
+    """The components along the last axis: numpy scalars for one vector
+    (the cheap case, taken thousands of times per run), arrays for a stack."""
+    return q if q.ndim == 1 else np.moveaxis(q, -1, 0)
+
+
+def _join(parts: list) -> np.ndarray:
+    """Inverse of `_split`: stack the components along a new last axis."""
+    return np.stack(parts, axis=-1) if isinstance(parts[0], np.ndarray) else np.array(parts)
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, equal bit for bit to
+    `np.linalg.norm` of each row: both reduce through a dot product.
+    (`einsum` or an explicit sum of squares round differently.)"""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        return np.sqrt(v.dot(v))
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0.0:
+    n = row_norms(q)
+    if q.ndim == 1:
+        if n == 0.0:
+            raise ValueError("cannot normalize zero quaternion")
+        return q / n
+    if not n.all():
         raise ValueError("cannot normalize zero quaternion")
-    return q / n
+    return q / n[..., None]
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
+    aw, ax, ay, az = _split(np.asarray(a, dtype=float))
+    bw, bx, by, bz = _split(np.asarray(b, dtype=float))
+    return _join(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
@@ -38,8 +67,11 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+_CONJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q, dtype=float) * _CONJUGATE_SIGNS
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -89,18 +121,18 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     # q v q* expanded; cheaper and as accurate as forming the matrix.
     # Cross products written out component-wise: np.cross dominates the
     # profile when this is called once per frame per correction round.
-    v = np.asarray(v, dtype=float)
-    w = q[0]
-    ux, uy, uz = q[1], q[2], q[3]
-    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    w, ux, uy, uz = _split(np.asarray(q, dtype=float))
+    vx, vy, vz = _split(np.asarray(v, dtype=float))
     ax = uy * vz - uz * vy + w * vx
     ay = uz * vx - ux * vz + w * vy
     az = ux * vy - uy * vx + w * vz
-    out = np.empty(np.shape(v), dtype=float)
-    out[..., 0] = vx + 2.0 * (uy * az - uz * ay)
-    out[..., 1] = vy + 2.0 * (uz * ax - ux * az)
-    out[..., 2] = vz + 2.0 * (ux * ay - uy * ax)
-    return out
+    return _join(
+        [
+            vx + 2.0 * (uy * az - uz * ay),
+            vy + 2.0 * (uz * ax - ux * az),
+            vz + 2.0 * (ux * ay - uy * ax),
+        ]
+    )
 
 
 def quat_slerp(a: np.ndarray, b: np.ndarray, u: float) -> np.ndarray:
@@ -163,7 +195,9 @@ class Sim3:
 
 @dataclass(frozen=True)
 class PoseSE3:
-    """Rigid camera pose: world point of a camera-frame point v is R v + t."""
+    """Rigid camera pose: world point of a camera-frame point v is R v + t.
+
+    A pose built from (n, 4) / (n, 3) arrays is a stack of n poses."""
 
     rotation: np.ndarray  # unit quaternion [w, x, y, z]
     translation: np.ndarray

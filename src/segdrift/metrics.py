@@ -8,18 +8,27 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .geometry import PoseSE3, Sim3, quat_multiply, umeyama_alignment
+from .geometry import PoseSE3, Sim3, quat_multiply, row_norms, umeyama_alignment
 
 DEFAULT_MATCH_TOLERANCE_S = 0.01
 DEFAULT_RPE_DELTA = 30
 ALIGN_MODES = ("similarity", "rigid", "none")
 
 
+class BadRowError(ValueError):
+    """A trajectory row failed an input check; `row` is its index."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"trajectory row {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class Trajectory:
     timestamps: np.ndarray  # (n,), seconds, strictly increasing
     positions: np.ndarray  # (n, 3)
-    quaternions: np.ndarray  # (n, 4), [w, x, y, z]
+    quaternions: np.ndarray  # (n, 4), [w, x, y, z], any nonzero norm
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=float)
@@ -27,6 +36,14 @@ class Trajectory:
         qs = np.asarray(self.quaternions, dtype=float).reshape(-1, 4)
         if not (len(ts) == len(ps) == len(qs)):
             raise ValueError("trajectory arrays must have matching lengths")
+        for name, values in (("timestamp", ts), ("position", ps), ("quaternion", qs)):
+            bad = ~np.isfinite(values)
+            if bad.any():
+                row = int(np.argmax(bad.reshape(len(values), -1).any(axis=1)))
+                raise BadRowError(row, f"non-finite {name}")
+        zero = row_norms(qs) == 0.0
+        if zero.any():
+            raise BadRowError(int(np.argmax(zero)), "zero-norm quaternion")
         if len(ts) > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("trajectory timestamps must be strictly increasing")
         object.__setattr__(self, "timestamps", ts)
@@ -36,7 +53,8 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def pose(self, i: int) -> PoseSE3:
+    def pose(self, i) -> PoseSE3:
+        """Pose i; an index array gives the stack of those poses."""
         return PoseSE3(self.quaternions[i], self.positions[i])
 
     @staticmethod
@@ -48,21 +66,23 @@ class Trajectory:
         )
 
     def transformed(self, t: Sim3) -> "Trajectory":
-        qs = np.array([quat_multiply(t.rotation, q) for q in self.quaternions]).reshape(-1, 4)
-        ps = np.array([t.apply(p) for p in self.positions]).reshape(-1, 3)
-        return Trajectory(self.timestamps.copy(), ps, qs)
+        qs = quat_multiply(t.rotation, self.quaternions)
+        return Trajectory(self.timestamps.copy(), t.apply(self.positions), qs)
+
+
+_TUM_ROW = "%.9g " * 7 + "%.9g\n"
 
 
 def write_tum(traj: Trajectory, path) -> None:
     """TUM format: `timestamp tx ty tz qx qy qz qw`, 9 significant digits."""
+    q = traj.quaternions
+    rows = np.column_stack([traj.timestamps, traj.positions, q[:, 1:], q[:, :1]]).tolist()
     with open(path, "w") as f:
-        for t, p, q in zip(traj.timestamps, traj.positions, traj.quaternions):
-            fields = [t, p[0], p[1], p[2], q[1], q[2], q[3], q[0]]
-            f.write(" ".join(f"{v:.9g}" for v in fields) + "\n")
+        f.write("".join(_TUM_ROW % tuple(r) for r in rows))
 
 
 def read_tum(path) -> Trajectory:
-    timestamps, positions, quaternions = [], [], []
+    timestamps, positions, quaternions, linenos = [], [], [], []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -82,26 +102,76 @@ def read_tum(path) -> Trajectory:
             positions.append(vals[1:4])
             qx, qy, qz, qw = vals[4:8]
             quaternions.append([qw, qx, qy, qz])
+            linenos.append(lineno)
     if not timestamps:
         raise ValueError(f"{path}: empty trajectory file")
-    return Trajectory(np.array(timestamps), np.array(positions), np.array(quaternions))
+    try:
+        return Trajectory(np.array(timestamps), np.array(positions), np.array(quaternions))
+    except BadRowError as exc:
+        raise ValueError(f"{path}:{linenos[exc.row]}: {exc.reason}") from None
 
 
 def associate(
     est: Trajectory, gt: Trajectory, tolerance: float = DEFAULT_MATCH_TOLERANCE_S
 ) -> list[tuple[int, int]]:
     """Greedy one-to-one nearest-timestamp matching in time order."""
+    gts = gt.timestamps.tolist()
     pairs: list[tuple[int, int]] = []
     j = 0
-    for i, t in enumerate(est.timestamps):
-        while j + 1 < len(gt) and abs(gt.timestamps[j + 1] - t) <= abs(gt.timestamps[j] - t):
+    for i, t in enumerate(est.timestamps.tolist()):
+        while j + 1 < len(gts) and abs(gts[j + 1] - t) <= abs(gts[j] - t):
             j += 1
-        if abs(gt.timestamps[j] - t) <= tolerance:
+        if abs(gts[j] - t) <= tolerance:
             pairs.append((i, j))
             j += 1
-            if j >= len(gt):
+            if j >= len(gts):
                 break
     return pairs
+
+
+# Scoring runs on matched index arrays: `ei[k]`, `gi[k]` are the est and gt
+# rows of the k-th associated pair. `evaluate` associates once and hands the
+# same arrays to all three helpers; the public `align`, `ate` and `rpe` are
+# thin wrappers that associate for themselves.
+
+
+def _pair_indices(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return idx[:, 0], idx[:, 1]
+
+
+def _align(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, mode: str) -> Sim3:
+    if mode not in ALIGN_MODES:
+        raise ValueError(f"unknown alignment mode {mode!r}; choose from {ALIGN_MODES}")
+    if mode == "none":
+        return Sim3.identity()
+    if len(ei) < 3:
+        raise ValueError(f"need at least 3 matched pose pairs to align, got {len(ei)}")
+    return umeyama_alignment(est.positions[ei], gt.positions[gi], with_scale=(mode == "similarity"))
+
+
+def _rmse(errs: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(np.square(errs))))
+
+
+def _ate(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, t: Sim3) -> float:
+    if not len(ei):
+        raise ValueError("no matched pose pairs")
+    return _rmse(row_norms(gt.positions[gi] - t.apply(est.positions[ei])))
+
+
+def _rpe(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, delta: int) -> float:
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
+    if len(ei) < 2:
+        raise ValueError(f"need at least 2 matched poses for RPE, got {len(ei)}")
+    if len(ei) <= delta:
+        raise ValueError(f"no index pairs at delta={delta}")
+    # Stacks of poses through the same PoseSE3 chain as one pair at a time.
+    rel_gt = gt.pose(gi[:-delta]).inverse().compose(gt.pose(gi[delta:]))
+    rel_est = est.pose(ei[:-delta]).inverse().compose(est.pose(ei[delta:]))
+    err = rel_gt.inverse().compose(rel_est)
+    return _rmse(row_norms(err.translation))
 
 
 def align(
@@ -111,16 +181,7 @@ def align(
     tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
 ) -> Sim3:
     """Least-squares transform taking est positions onto gt positions."""
-    if mode not in ALIGN_MODES:
-        raise ValueError(f"unknown alignment mode {mode!r}; choose from {ALIGN_MODES}")
-    if mode == "none":
-        return Sim3.identity()
-    pairs = associate(est, gt, tolerance)
-    if len(pairs) < 3:
-        raise ValueError(f"need at least 3 matched pose pairs to align, got {len(pairs)}")
-    ei = np.array([i for i, _ in pairs])
-    gi = np.array([j for _, j in pairs])
-    return umeyama_alignment(est.positions[ei], gt.positions[gi], with_scale=(mode == "similarity"))
+    return _align(est, gt, *_pair_indices(associate(est, gt, tolerance)), mode)
 
 
 def ate(
@@ -130,12 +191,8 @@ def ate(
     tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
 ) -> float:
     """RMSE of aligned position differences over matched pairs (meters)."""
-    t = align(est, gt, mode, tolerance)
-    pairs = associate(est, gt, tolerance)
-    if not pairs:
-        raise ValueError("no matched pose pairs")
-    errs = [np.linalg.norm(gt.positions[j] - t.apply(est.positions[i])) for i, j in pairs]
-    return float(np.sqrt(np.mean(np.square(errs))))
+    ei, gi = _pair_indices(associate(est, gt, tolerance))
+    return _ate(est, gt, ei, gi, _align(est, gt, ei, gi, mode))
 
 
 def rpe(
@@ -146,22 +203,7 @@ def rpe(
 ) -> float:
     """RMSE of the translational magnitude of relative-pose discrepancies
     over a fixed frame delta (meters)."""
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
-    pairs = associate(est, gt, tolerance)
-    if len(pairs) < 2:
-        raise ValueError(f"need at least 2 matched poses for RPE, got {len(pairs)}")
-    errs = []
-    for k in range(len(pairs) - delta):
-        i0, j0 = pairs[k]
-        i1, j1 = pairs[k + delta]
-        rel_gt = gt.pose(j0).inverse().compose(gt.pose(j1))
-        rel_est = est.pose(i0).inverse().compose(est.pose(i1))
-        err = rel_gt.inverse().compose(rel_est)
-        errs.append(np.linalg.norm(err.translation))
-    if not errs:
-        raise ValueError(f"no index pairs at delta={delta}")
-    return float(np.sqrt(np.mean(np.square(errs))))
+    return _rpe(est, gt, *_pair_indices(associate(est, gt, tolerance)), delta)
 
 
 def spline_interpolate(
@@ -217,12 +259,14 @@ def evaluate(
     delta: int = DEFAULT_RPE_DELTA,
     tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
 ) -> MetricsReport:
-    pairs = associate(est, gt, tolerance)
+    """ATE and RPE from one association and one alignment."""
+    ei, gi = _pair_indices(associate(est, gt, tolerance))
+    t = _align(est, gt, ei, gi, mode)
     return MetricsReport(
-        ate_rmse=ate(est, gt, mode, tolerance),
-        rpe_rmse=rpe(est, gt, delta, tolerance),
+        ate_rmse=_ate(est, gt, ei, gi, t),
+        rpe_rmse=_rpe(est, gt, ei, gi, delta),
         align_mode=mode,
         rpe_delta=delta,
-        n_matched=len(pairs),
-        alignment=align(est, gt, mode, tolerance),
+        n_matched=len(ei),
+        alignment=t,
     )

@@ -234,6 +234,23 @@ class TestEval:
         gt.write_text("0 0 0 0 0 0 0 1\n")
         assert main(["eval", str(bad), str(gt)]) == 1
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0 nan 0 0 0 0 1", "non-finite position"),
+            ("0 0 0 0 0 inf 1", "non-finite quaternion"),
+            ("0 0 0 0 0 0 0", "zero-norm quaternion"),
+        ],
+    )
+    def test_eval_bad_row_exits_1_naming_line(self, tmp_path, capsys, row, message):
+        est, gt = self.run_small(tmp_path)
+        lines = est.read_text().splitlines(keepends=True)
+        lines[1] = f"{lines[1].split()[0]} {row}\n"
+        est.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["eval", str(est), str(gt)]) == 1
+        assert f"corrected.tum:2: {message}" in capsys.readouterr().err
+
     def test_eval_interpolate_gt(self, tmp_path, capsys):
         est, gt = self.run_small(tmp_path)
         capsys.readouterr()

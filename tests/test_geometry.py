@@ -17,6 +17,7 @@ from segdrift.geometry import (
     quat_rotate,
     quat_slerp,
     quat_to_matrix,
+    row_norms,
     segment_vector,
     umeyama_alignment,
 )
@@ -90,6 +91,55 @@ class TestQuaternions:
         mid = quat_slerp(a, b, 0.5)
         expected = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.5)
         assert np.allclose(mid, expected, atol=1e-12)
+
+
+class TestBroadcasting:
+    """Stacked inputs give, row for row, the same bits as one at a time."""
+
+    def test_multiply_conjugate_normalize_rotate_rowwise(self):
+        a = rng.normal(size=(50, 4)) * rng.uniform(0.1, 10.0, size=(50, 1))
+        b = rng.normal(size=(50, 4))
+        v = rng.normal(size=(50, 3))
+        pairs = list(zip(a, b, v))
+        assert np.array_equal(quat_multiply(a, b), [quat_multiply(x, y) for x, y, _ in pairs])
+        assert np.array_equal(quat_multiply(a[0], b), [quat_multiply(a[0], y) for y in b])
+        assert np.array_equal(quat_conjugate(a), [quat_conjugate(x) for x in a])
+        assert np.array_equal(quat_normalize(a), [quat_normalize(x) for x in a])
+        assert np.array_equal(quat_rotate(a, v), [quat_rotate(x, w) for x, _, w in pairs])
+        assert np.array_equal(quat_rotate(a, v[0]), [quat_rotate(x, v[0]) for x in a])
+
+    def test_leading_axes_broadcast(self):
+        a = rng.normal(size=(3, 1, 4))
+        b = rng.normal(size=(5, 4))
+        out = quat_multiply(a, b)
+        assert out.shape == (3, 5, 4)
+        assert np.array_equal(out[2, 4], quat_multiply(a[2, 0], b[4]))
+        assert quat_rotate(a, rng.normal(size=(5, 3))).shape == (3, 5, 3)
+
+    def test_normalize_rejects_any_zero_row(self):
+        q = rng.normal(size=(4, 4))
+        q[2] = 0.0
+        with pytest.raises(ValueError, match="cannot normalize zero quaternion"):
+            quat_normalize(q)
+
+    def test_row_norms_equal_linalg_norm_rowwise(self):
+        # An einsum or an explicit sum of squares rounds differently from
+        # np.linalg.norm on a sizeable share of rows; this must fail then.
+        for k in (3, 4):
+            v = rng.normal(size=(20000, k)) * 10.0 ** rng.uniform(-6, 6, size=(20000, 1))
+            norms = row_norms(v)
+            assert np.array_equal(norms, [np.linalg.norm(x) for x in v])
+            assert np.array_equal(row_norms(v.reshape(40, 500, k)), norms.reshape(40, 500))
+            assert row_norms(v[7]) == np.linalg.norm(v[7])
+
+    def test_pose_stack_matches_single_poses(self):
+        q = rng.normal(size=(20, 4))
+        t = rng.normal(size=(20, 3))
+        stack = PoseSE3(q[:10], t[:10]).inverse().compose(PoseSE3(q[10:], t[10:]))
+        for k in range(10):
+            one = PoseSE3(q[k], t[k]).inverse().compose(PoseSE3(q[10 + k], t[10 + k]))
+            assert np.array_equal(stack.rotation[k], one.rotation)
+            assert np.array_equal(stack.translation[k], one.translation)
 
 
 class TestSim3:

@@ -1,14 +1,22 @@
 """Trajectory metrics: alignment, ATE, RPE, TUM I/O, spline interpolation."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import segdrift.metrics as metrics
 from segdrift.geometry import (
     Sim3,
     quat_from_axis_angle,
     umeyama_alignment,
 )
 from segdrift.metrics import (
+    ALIGN_MODES,
+    DEFAULT_MATCH_TOLERANCE_S,
     Trajectory,
     align,
     associate,
@@ -35,14 +43,134 @@ def random_sim3(rng):
     return Sim3(float(rng.uniform(0.3, 3.0)), q, rng.uniform(-5, 5, size=3))
 
 
+# The per-pair scoring loops the array implementation replaced. They are the
+# oracle: `ate`, `rpe` and `evaluate` must equal them bit for bit.
+
+
+def reference_associate(est, gt, tolerance=DEFAULT_MATCH_TOLERANCE_S):
+    pairs = []
+    j = 0
+    for i, t in enumerate(est.timestamps):
+        while j + 1 < len(gt) and abs(gt.timestamps[j + 1] - t) <= abs(gt.timestamps[j] - t):
+            j += 1
+        if abs(gt.timestamps[j] - t) <= tolerance:
+            pairs.append((i, j))
+            j += 1
+            if j >= len(gt):
+                break
+    return pairs
+
+
+def reference_align(est, gt, mode, tolerance=DEFAULT_MATCH_TOLERANCE_S):
+    if mode not in ALIGN_MODES:
+        raise ValueError(f"unknown alignment mode {mode!r}; choose from {ALIGN_MODES}")
+    if mode == "none":
+        return Sim3.identity()
+    pairs = reference_associate(est, gt, tolerance)
+    if len(pairs) < 3:
+        raise ValueError(f"need at least 3 matched pose pairs to align, got {len(pairs)}")
+    ei = np.array([i for i, _ in pairs])
+    gi = np.array([j for _, j in pairs])
+    return umeyama_alignment(est.positions[ei], gt.positions[gi], with_scale=(mode == "similarity"))
+
+
+def reference_ate(est, gt, mode="similarity", tolerance=DEFAULT_MATCH_TOLERANCE_S):
+    t = reference_align(est, gt, mode, tolerance)
+    pairs = reference_associate(est, gt, tolerance)
+    if not pairs:
+        raise ValueError("no matched pose pairs")
+    errs = [np.linalg.norm(gt.positions[j] - t.apply(est.positions[i])) for i, j in pairs]
+    return float(np.sqrt(np.mean(np.square(errs))))
+
+
+def reference_rpe(est, gt, delta=30, tolerance=DEFAULT_MATCH_TOLERANCE_S):
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
+    pairs = reference_associate(est, gt, tolerance)
+    if len(pairs) < 2:
+        raise ValueError(f"need at least 2 matched poses for RPE, got {len(pairs)}")
+    errs = []
+    for k in range(len(pairs) - delta):
+        i0, j0 = pairs[k]
+        i1, j1 = pairs[k + delta]
+        rel_gt = gt.pose(j0).inverse().compose(gt.pose(j1))
+        rel_est = est.pose(i0).inverse().compose(est.pose(i1))
+        err = rel_gt.inverse().compose(rel_est)
+        errs.append(np.linalg.norm(err.translation))
+    if not errs:
+        raise ValueError(f"no index pairs at delta={delta}")
+    return float(np.sqrt(np.mean(np.square(errs))))
+
+
+def outcome(f, *args):
+    """The value f returns, or the message of the ValueError it raises."""
+    try:
+        return ("value", f(*args))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def report_fields(rep):
+    a = rep.alignment
+    return (rep.ate_rmse, rep.rpe_rmse, rep.n_matched, a.scale, tuple(a.rotation),
+            tuple(a.translation))
+
+
+def reference_report_fields(est, gt, mode, delta, tolerance):
+    ate_rmse = reference_ate(est, gt, mode, tolerance)
+    rpe_rmse = reference_rpe(est, gt, delta, tolerance)
+    a = reference_align(est, gt, mode, tolerance)
+    return (ate_rmse, rpe_rmse, len(reference_associate(est, gt, tolerance)), a.scale,
+            tuple(a.rotation), tuple(a.translation))
+
+
+@st.composite
+def trajectory_pairs(draw):
+    """A gt trajectory and an estimate with non-unit quaternions, some gt
+    frames dropped and timestamps jittered, so association has gaps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    ts = np.cumsum(rng.uniform(0.02, 0.1, size=n))
+    gt_pos = np.cumsum(rng.normal(0.0, 1.0, size=(n, 3)), axis=0)
+    gt_q = rng.normal(size=(n, 4)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    gt = Trajectory(ts, gt_pos, gt_q)
+    keep = rng.uniform(size=n) >= draw(st.sampled_from([0.0, 0.1, 0.5]))
+    m = int(keep.sum())
+    jitter = draw(st.sampled_from([0.0, 0.004, 0.009]))
+    est_ts = ts[keep] + rng.uniform(-jitter, jitter, size=m)
+    est_pos = draw(st.floats(0.5, 2.0)) * gt_pos[keep] + rng.normal(0.0, 0.1, size=(m, 3))
+    est_q = gt_q[keep] + rng.normal(0.0, draw(st.sampled_from([0.0, 0.1, 1.0])), size=(m, 4))
+    est = Trajectory(est_ts, est_pos, est_q)
+    return est, gt
+
+
 class TestTrajectory:
+    @pytest.mark.parametrize(
+        "field, row, value, message",
+        [
+            ("timestamps", 3, np.nan, "row 3: non-finite timestamp"),
+            ("positions", 2, np.inf, "row 2: non-finite position"),
+            ("quaternions", 4, -np.inf, "row 4: non-finite quaternion"),
+            ("quaternions", 1, 0.0, "row 1: zero-norm quaternion"),
+        ],
+    )
+    def test_bad_row_rejected_and_named(self, field, row, value, message):
+        t = straight_trajectory(n=6)
+        arrays = {"timestamps": t.timestamps.copy(), "positions": t.positions.copy(),
+                  "quaternions": t.quaternions.copy()}
+        arrays[field][row] = value
+        with pytest.raises(ValueError, match=message):
+            Trajectory(**arrays)
+
     def test_non_increasing_timestamps_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)), np.zeros((2, 4)))
+        unit = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)), unit)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0]), np.zeros((2, 3)), np.zeros((2, 4)))
+        unit = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
+        with pytest.raises(ValueError, match="matching lengths"):
+            Trajectory(np.array([0.0]), np.zeros((2, 3)), unit)
 
 
 class TestAssociate:
@@ -96,6 +224,48 @@ class TestAlign:
         t = straight_trajectory()
         with pytest.raises(ValueError):
             align(t, t, mode="affine")
+
+
+class TestBatchedScoringEqualsReference:
+    """ATE, RPE and evaluate on index arrays equal the per-pair loops
+    bit for bit, errors included."""
+
+    @given(trajectory_pairs(), st.sampled_from(ALIGN_MODES),
+           st.one_of(st.integers(1, 8), st.integers(1, 64)), st.sampled_from([0.01, 0.005]))
+    def test_equal_to_per_pair_loops(self, pair, mode, delta, tolerance):
+        est, gt = pair
+        assert associate(est, gt, tolerance) == reference_associate(est, gt, tolerance)
+        assert outcome(ate, est, gt, mode, tolerance) == outcome(
+            reference_ate, est, gt, mode, tolerance
+        )
+        assert outcome(rpe, est, gt, delta, tolerance) == outcome(
+            reference_rpe, est, gt, delta, tolerance
+        )
+        assert outcome(lambda: report_fields(evaluate(est, gt, mode, delta, tolerance))) == (
+            outcome(reference_report_fields, est, gt, mode, delta, tolerance)
+        )
+
+    def test_delta_past_pair_count_raises_same_message(self):
+        t = straight_trajectory(n=5)
+        with pytest.raises(ValueError, match="no index pairs at delta=5"):
+            rpe(t, t, delta=5)
+        with pytest.raises(ValueError, match="no index pairs at delta=5"):
+            evaluate(t, t, delta=5)
+
+    def test_one_association_and_alignment_per_evaluate(self, monkeypatch):
+        calls = {"associate": 0, "umeyama_alignment": 0}
+        for name in calls:
+            original = getattr(metrics, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(metrics, name, counted)
+        gt = straight_trajectory(n=40)
+        est = Trajectory(gt.timestamps, 1.1 * gt.positions, gt.quaternions)
+        evaluate(est, gt, mode="similarity", delta=5)
+        assert calls == {"associate": 1, "umeyama_alignment": 1}
 
 
 class TestUmeyamaRecovery:
@@ -240,6 +410,57 @@ class TestTumIO:
         assert np.max(np.abs(back.positions - traj.positions)) < 1e-7
         assert np.max(np.abs(back.timestamps - traj.timestamps)) < 1e-7
         assert np.array_equal(back.quaternions, traj.quaternions)
+
+    @given(
+        st.integers(1, 30),
+        st.floats(0.0, 1e4),
+        st.lists(st.floats(-1e12, 1e12, allow_subnormal=False), min_size=90, max_size=90),
+        st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=90, max_size=90),
+        st.lists(st.floats(1e-3, 1e6), min_size=30, max_size=30),
+    )
+    def test_write_read_write_same_bytes(self, n, t0, pos, qxyz, qw):
+        traj = Trajectory(
+            t0 + np.arange(n) / 30.0,
+            np.reshape(pos[: 3 * n], (n, 3)),
+            np.column_stack([qw[:n], np.reshape(qxyz[: 3 * n], (n, 3))]),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.tum", Path(tmp) / "b.tum"
+            write_tum(traj, first)
+            back = read_tum(first)
+            write_tum(back, second)
+            assert first.read_bytes() == second.read_bytes()
+        for orig, got in ((traj.timestamps, back.timestamps), (traj.positions, back.positions),
+                          (traj.quaternions, back.quaternions)):
+            np.testing.assert_allclose(got, orig, rtol=1e-8, atol=0.0)
+
+    def test_row_format_matches_per_field_formatting(self, tmp_path):
+        rng = np.random.default_rng(11)
+        traj = Trajectory(np.arange(5) / 7.0, rng.normal(size=(5, 3)) * 1e5,
+                          rng.normal(size=(5, 4)))
+        path = tmp_path / "traj.txt"
+        write_tum(traj, path)
+        expected = "".join(
+            " ".join(f"{v:.9g}" for v in [t, *p, q[1], q[2], q[3], q[0]]) + "\n"
+            for t, p, q in zip(traj.timestamps, traj.positions, traj.quaternions)
+        )
+        assert path.read_text() == expected
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("nan 0 0 0 0 0 0 1", "non-finite timestamp"),
+            ("1 nan 0 0 0 0 0 1", "non-finite position"),
+            ("1 0 0 0 0 inf 0 1", "non-finite quaternion"),
+            ("1 0 0 0 0 0 0 0", "zero-norm quaternion"),
+            ("1 0 0 0 1e-170 1e-170 1e-170 1e-170", "zero-norm quaternion"),
+        ],
+    )
+    def test_bad_row_reports_location(self, tmp_path, row, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# header\n0 0 0 0 0 0 0 1\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad.txt:3: {message}"):
+            read_tum(path)
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "traj.txt"
