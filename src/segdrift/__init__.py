@@ -4,15 +4,7 @@ optimization."""
 
 from .geometry import PoseSE3, Sim3, segment_vector, umeyama_alignment
 from .worldgen import World, WorldSegment, WorldSpec, generate_corridor
-from .frontend import (
-    DriftConfig,
-    DriftState,
-    EstimatedMap,
-    MapPoint,
-    ObservationConfig,
-    SegmentObservation,
-    simulate,
-)
+from .frontend import DriftConfig, EstimatedMap, ObservationConfig, drift_walk, simulate
 from .clustering import ClusterStore, DegenerateSegmentError
 from .clusteropt import ClusterEdge, OptProblem, OptReport, build_problem, evaluate_objective, solve
 from .pipeline import RunResult, ScheduleConfig, propagate_to_poses, run
@@ -28,11 +20,9 @@ __all__ = [
     "WorldSpec",
     "generate_corridor",
     "DriftConfig",
-    "DriftState",
     "EstimatedMap",
-    "MapPoint",
     "ObservationConfig",
-    "SegmentObservation",
+    "drift_walk",
     "simulate",
     "ClusterStore",
     "DegenerateSegmentError",

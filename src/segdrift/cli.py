@@ -135,13 +135,13 @@ def _run_cell(world, cfg, mode: str, seed: int):
 
 def cmd_run(args) -> int:
     cfg = _load_experiment(args)
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    # A bad world file is a configuration error: exit 1 before writing anything.
     if "world_file" in cfg:
         world = world_from_file(cfg["world_file"])
     else:
         world = generate_corridor(_build_config(WorldSpec, cfg.get("world", {})))
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     world_to_file(world, out_dir / "world.json")
 
     align_mode, rpe_delta = _metrics_settings(cfg)

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .frontend import EstimatedMap
+from .frontend import OBS_FRAME, OBS_P1, OBS_P2, EstimatedMap
 
 log = logging.getLogger(__name__)
 
@@ -139,25 +139,22 @@ class ClusterStore:
             again = np.intersect1d(batch, assigned)
             if len(again):
                 raise ValueError(f"observation {again[0]} already assigned")
-        observations = [emap.observations[i] for i in batch]
         if not batch:
             return []
-        points = emap.points
-        vs = np.array([points[o.p2_id].position for o in observations]) - np.array(
-            [points[o.p1_id].position for o in observations]
-        )
+        observations = emap.observations[batch]
+        vs = emap.points[observations[:, OBS_P2]] - emap.points[observations[:, OBS_P1]]
         degenerate = (_norms(vs) == 0.0).tolist()
         discarded = [i for i, bad in zip(batch, degenerate) if bad]
         if discarded:
             keep = [j for j, bad in enumerate(degenerate) if not bad]
             batch = [batch[j] for j in keep]
-            observations = [observations[j] for j in keep]
+            observations = observations[keep]
             vs = vs[keep]
         if batch:
             self._walk(batch, observations, vs, rel_threshold)
         return discarded
 
-    def _walk(self, batch, observations, vs, rel) -> None:
+    def _walk(self, batch, observations: np.ndarray, vs: np.ndarray, rel) -> None:
         k = len(batch)
         m0 = self._n_clusters
         self._reserve(m0 + k, self._n_members + k)
@@ -222,17 +219,13 @@ class ClusterStore:
             signs.append(sign)
 
         n = self._n_members
-        self._table[:, n : n + k] = np.array(
-            [
-                batch,
-                [o.frame for o in observations],
-                cids,
-                [o.p1_id for o in observations],
-                [o.p2_id for o in observations],
-                signs,
-            ],
-            dtype=np.int64,
-        )
+        table = self._table[:, n : n + k]
+        table[OBS] = batch
+        table[FRAME] = observations[:, OBS_FRAME]
+        table[CLUSTER] = cids
+        table[P1] = observations[:, OBS_P1]
+        table[P2] = observations[:, OBS_P2]
+        table[SIGN] = signs
         self._n_members = n + k
 
     def _reserve(self, n_clusters: int, n_members: int) -> None:
@@ -255,7 +248,7 @@ class ClusterStore:
         n = self._n_clusters
         if not n:
             return
-        pos = emap.position_array()
+        pos = emap.points
         table = self.member_table
         cids = table[:, CLUSTER]
         vs = table[:, SIGN].astype(float)[:, None] * (pos[table[:, P2]] - pos[table[:, P1]])

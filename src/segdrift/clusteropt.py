@@ -109,14 +109,13 @@ def build_problem(
 
     ends = rows[:, [P1, P2]].ravel()
     _, first_end = np.unique(ends, return_index=True)
-    point_ids = ends[np.sort(first_end)].tolist()
+    point_ids = ends[np.sort(first_end)]
     centers = store.centers[rows[:, CLUSTER]]
     edges = [
         ClusterEdge(c, o, a, b, s, centers[k], float(n))
         for k, ((o, _, c, a, b, s), n) in enumerate(zip(rows.tolist(), counts.tolist()))
     ]
-    initial = np.array([emap.points[pid].position for pid in point_ids]).reshape(-1, 3)
-    return OptProblem(point_ids, initial, edges, anchor_weight, iteration_cap)
+    return OptProblem(point_ids.tolist(), emap.points[point_ids], edges, anchor_weight, iteration_cap)
 
 
 def evaluate_objective(problem: OptProblem, positions: dict[int, np.ndarray]) -> float:

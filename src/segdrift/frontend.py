@@ -6,17 +6,28 @@ camera and long enough, with a configurable detection probability.
 Endpoint data association is given by the simulator. The estimated map is
 the ground truth distorted by a per-frame similarity drift random walk,
 plus optional endpoint noise at creation time.
+
+The whole trajectory is simulated as arrays, with every float operation
+and every random draw in the order of a frame-by-frame loop, so the map
+and poses equal that loop's bit for bit (README, `segdrift.frontend`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PoseSE3, Sim3, quat_from_axis_angle, quat_multiply, quat_rotate
+from .geometry import PoseSE3, quat_multiply, quat_normalize, quat_rotate, row_norms
 from .worldgen import World
+
+OBSERVATION_COLUMNS = ("p1", "p2", "frame", "segment")
+OBS_P1, OBS_P2, OBS_FRAME, OBS_SEGMENT = range(len(OBSERVATION_COLUMNS))
+
+# Frames per block of the visibility scan; bounds its (frames, candidates, 3)
+# temporaries to a few MiB.
+_VISIBILITY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -50,96 +61,133 @@ class ObservationConfig:
             raise ValueError("max_range must be finite and positive")
 
 
-class DriftState:
-    """Cumulative similarity distortion driven by a seeded random walk."""
-
-    def __init__(self, cfg: DriftConfig):
-        cfg.validate()
-        self.cfg = cfg
-        self.cumulative = Sim3.identity()
-        self.rng = np.random.default_rng(cfg.rng_seed)
-
-    def step(self) -> Sim3:
-        """Advance one frame and return the new cumulative distortion."""
-        cfg = self.cfg
-        scale = float(np.exp(self.rng.normal(0.0, cfg.scale_sigma))) if cfg.scale_sigma > 0 else 1.0
-        if cfg.rot_sigma > 0:
-            axis = self.rng.normal(size=3)
-            while np.linalg.norm(axis) == 0.0:
-                axis = self.rng.normal(size=3)
-            q = quat_from_axis_angle(axis, self.rng.normal(0.0, cfg.rot_sigma))
-        else:
-            q = np.array([1.0, 0.0, 0.0, 0.0])
-        if cfg.trans_sigma > 0:
-            t = self.rng.normal(0.0, cfg.trans_sigma, size=3)
-        else:
-            t = np.zeros(3)
-        self.cumulative = self.cumulative.compose(Sim3(scale, q, t))
-        return self.cumulative
-
-
-def step_drift(state: DriftState) -> Sim3:
-    return state.step()
-
-
-@dataclass
-class MapPoint:
-    id: int
-    position: np.ndarray  # estimated, mutable by optimization
-    first_seen_frame: int
-
-
-@dataclass(frozen=True)
-class SegmentObservation:
-    p1_id: int
-    p2_id: int
-    frame: int
-    world_segment_index: int  # simulation bookkeeping, hidden from the method
-
-    def __post_init__(self):
-        if self.p1_id == self.p2_id:
-            raise ValueError("observation endpoints must be distinct")
-
-
 @dataclass
 class EstimatedMap:
-    points: dict[int, MapPoint]
-    observations: list[SegmentObservation]
+    """The front end's output as arrays.
+
+    `points` row i is the estimated position of map point i (mutable by
+    optimization), first created in frame `first_seen[i]`. Each row of
+    `observations` is one detected segment, columns OBSERVATION_COLUMNS:
+    its two point ids, its frame and the index of the world segment it
+    came from (simulation bookkeeping, hidden from the method); rows are in
+    frame order. `est_poses` is the stack of drifted camera poses.
+    """
+
+    points: np.ndarray  # (n, 3) float
+    first_seen: np.ndarray  # (n,) int64
+    observations: np.ndarray  # (m, 4) int64
     timestamps: np.ndarray
-    est_poses: list[PoseSE3]
+    est_poses: PoseSE3
+
+    def __post_init__(self):
+        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        self.first_seen = np.asarray(self.first_seen, dtype=np.int64)
+        self.observations = np.asarray(self.observations, dtype=np.int64).reshape(
+            -1, len(OBSERVATION_COLUMNS)
+        )
+        self.validate()
 
     def validate(self) -> None:
-        for obs in self.observations:
-            if obs.p1_id not in self.points or obs.p2_id not in self.points:
-                raise ValueError(f"observation references unknown point ids {obs}")
+        if self.first_seen.shape != (len(self.points),):
+            raise ValueError("first_seen must hold one frame per point")
+        ends = self.observations[:, [OBS_P1, OBS_P2]]
+        bad = (ends < 0).any(axis=1) | (ends >= len(self.points)).any(axis=1)
+        bad |= ends[:, 0] == ends[:, 1]
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(
+                f"observation {row} has unknown or coincident point ids {ends[row].tolist()}"
+            )
 
-    def positions(self) -> dict[int, np.ndarray]:
-        return {pid: pt.position.copy() for pid, pt in self.points.items()}
 
-    def position_array(self) -> np.ndarray:
-        """(n, 3) positions indexed by point id; ids are dense by construction."""
-        n = len(self.points)
-        out = np.empty((n, 3))
-        for pid, pt in self.points.items():
-            out[pid] = pt.position
-        return out
+def drift_walk(cfg: DriftConfig, n_frames: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cumulative similarity drift of every frame of a seeded random walk.
 
-    def copy(self) -> "EstimatedMap":
-        """Copy with fresh mutable points; observations are immutable and shared."""
-        return EstimatedMap(
-            {pid: MapPoint(pt.id, pt.position.copy(), pt.first_seen_frame) for pid, pt in self.points.items()},
-            self.observations,
-            self.timestamps.copy(),
-            list(self.est_poses),
+    Returns (scale (n,), rotation (n, 4), translation (n, 3)); frame 0 is
+    the identity and frame k is frame k-1 composed with one increment: a
+    log-normal scale, a rotation by a normal angle about a normal random
+    axis, and a normal translation, each drawn only when its sigma is
+    positive. Raises ValueError if the scale leaves the positive floats.
+    """
+    cfg.validate()
+    rng = np.random.default_rng(cfg.rng_seed)
+    steps = max(n_frames - 1, 0)
+    # One row of draws per frame, in the order a frame draws them.
+    sigmas: list[float] = []
+    if cfg.scale_sigma > 0:
+        sigmas.append(cfg.scale_sigma)
+    axis = len(sigmas) if cfg.rot_sigma > 0 else None
+    if axis is not None:
+        sigmas += [1.0, 1.0, 1.0, cfg.rot_sigma]
+    if cfg.trans_sigma > 0:
+        sigmas += [cfg.trans_sigma] * 3
+    draws = _draw_rows(rng, steps, sigmas, axis)
+
+    scale = np.ones(n_frames)
+    if cfg.scale_sigma > 0:
+        scale[1:] = np.exp(draws[:, 0])
+        scale = np.cumprod(scale)
+        bad = ~(scale > 0)
+        if bad.any():
+            raise ValueError(f"scale must be positive, got {scale[np.argmax(bad)]}")
+
+    rotation = np.zeros((n_frames, 4))
+    rotation[:, 0] = 1.0
+    if axis is not None:
+        u, angle = draws[:, axis : axis + 3], draws[:, axis + 3]
+        half = 0.5 * angle
+        increment = quat_normalize(
+            np.column_stack([np.cos(half), np.sin(half)[:, None] * u / row_norms(u)[:, None]])
         )
+        # The one true recurrence: each frame re-normalises the product.
+        for k in range(1, n_frames):
+            rotation[k] = quat_normalize(quat_multiply(rotation[k - 1], increment[k - 1]))
+
+    translation = np.zeros((n_frames, 3))
+    if cfg.trans_sigma > 0:
+        t = draws[:, len(sigmas) - 3 :]
+        translation[1:] = scale[:-1, None] * quat_rotate(rotation[:-1], t)
+        translation = np.cumsum(translation, axis=0)
+    return scale, rotation, translation
 
 
-def _visible_mask(midpoints: np.ndarray, pose: PoseSE3, max_range: float) -> np.ndarray:
-    rel = midpoints - pose.translation
-    in_range = np.linalg.norm(rel, axis=1) <= max_range
-    forward = quat_rotate(pose.rotation, np.array([1.0, 0.0, 0.0]))
-    facing = rel @ forward > 0.0
-    return in_range & facing
+def _draw_rows(rng, steps: int, sigmas: list[float], axis: int | None) -> np.ndarray:
+    """`steps` rows of normal draws, column j scaled as `Generator.normal(0.0,
+    sigmas[j])` scales one draw (`0.0 + sigma * z`).
+
+    Columns axis..axis+2 hold a rotation axis. An axis of exactly zero norm
+    is drawn again from the next three draws, which moves every later draw
+    back three places, as a frame-by-frame loop would. (A zero axis needs
+    three standard normals of exactly 0.0, each with chance 2^-52.)
+    """
+    k = len(sigmas)
+    flat = rng.standard_normal(steps * k)
+    while axis is not None:
+        zero = np.flatnonzero(row_norms(flat.reshape(steps, k)[:, axis : axis + 3]) == 0.0)
+        if not len(zero):
+            break
+        start = zero[0] * k + axis
+        flat = np.concatenate([flat[:start], flat[start + 3 :], rng.standard_normal(3)])
+    return 0.0 + np.array(sigmas) * flat.reshape(steps, k)
+
+
+def _visible(mids: np.ndarray, rotations: np.ndarray, positions: np.ndarray, max_range: float):
+    """(frame, candidate) index pairs of every in-range, forward-facing
+    candidate midpoint, in frame order, then candidate order."""
+    frames, cands = [], []
+    x_axis = np.array([1.0, 0.0, 0.0])
+    for lo in range(0, len(positions), _VISIBILITY_BLOCK):
+        t = positions[lo : lo + _VISIBILITY_BLOCK]
+        rel = mids - t[:, None, :]
+        # np.linalg.norm(rel, axis=1) of one frame is this expression on (m, 3)
+        flat = rel.reshape(-1, 3)
+        in_range = np.sqrt(np.add.reduce(flat * flat, axis=1)) <= max_range
+        forward = quat_rotate(rotations[lo : lo + _VISIBILITY_BLOCK], x_axis)
+        facing = (rel @ forward[:, :, None]).reshape(-1) > 0.0
+        f, c = np.divmod(np.flatnonzero(in_range & facing), len(mids))
+        frames.append(f + lo)
+        cands.append(c)
+    return np.concatenate(frames), np.concatenate(cands)
 
 
 def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -> EstimatedMap:
@@ -152,51 +200,71 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
     """
     drift_cfg.validate()
     obs_cfg.validate()
-    drift = DriftState(drift_cfg)
+    n_frames = world.n_frames
+    scale, rotation, translation = drift_walk(drift_cfg, n_frames)
+    est_poses = PoseSE3(
+        quat_multiply(rotation, world.rotations),
+        scale[:, None] * quat_rotate(rotation, world.translations) + translation,
+    )
+
+    ends = world.endpoints
+    long_enough = row_norms(ends[:, 1] - ends[:, 0]) >= obs_cfg.min_segment_length
+    cand_segment = np.flatnonzero(long_enough)
+    ends = ends[cand_segment]
+    # Endpoint identity is keyed by the bits of the true world coordinates,
+    # so segments meeting at a corner share one map point (oracle data
+    # association). Key k's true position is key_point[k].
+    bits = ends.reshape(-1, 3).view(np.int64)
+    key_bits, cand_keys = np.unique(bits, axis=0, return_inverse=True)
+    key_point = key_bits.view(float)
+    cand_keys = cand_keys.reshape(-1, 2)
+
+    vis_frame = vis_cand = np.zeros(0, dtype=np.int64)
+    if len(ends) and n_frames:
+        mids = 0.5 * (ends[:, 0] + ends[:, 1])
+        vis_frame, vis_cand = _visible(mids, world.rotations, world.translations, obs_cfg.max_range)
+    frames, starts = np.unique(vis_frame, return_index=True)
+    stops = np.append(starts[1:], len(vis_frame))
+
     obs_rng = np.random.default_rng(obs_cfg.rng_seed)
+    detect, sigma = obs_cfg.detect_prob < 1.0, obs_cfg.endpoint_noise_sigma
+    seen = np.zeros(len(key_point), dtype=bool)
+    point_keys: list[int] = []
+    point_frames: list[int] = []
+    noise: list[np.ndarray] = []
+    detected: list[np.ndarray] = []
+    # One frame at a time: its detection draws come before the noise draws
+    # of the points it creates, on one generator.
+    for frame, lo, hi in zip(frames.tolist(), starts.tolist(), stops.tolist()):
+        cands = vis_cand[lo:hi]
+        if detect:
+            cands = cands[obs_rng.random(hi - lo) < obs_cfg.detect_prob]
+        keys = cand_keys[cands].ravel()  # segment order, a before b
+        fresh = keys[~seen[keys]]
+        if len(fresh):
+            fresh = list(dict.fromkeys(fresh.tolist()))
+            seen[fresh] = True
+            point_keys += fresh
+            point_frames += [frame] * len(fresh)
+            if sigma > 0:
+                noise.append(obs_rng.normal(0.0, sigma, (len(fresh), 3)))
+        detected.append(cands)
 
-    points: dict[int, MapPoint] = {}
-    observations: list[SegmentObservation] = []
-    # Endpoint identity is keyed by the true world coordinates, so segments
-    # meeting at a corner share one map point (oracle data association).
-    endpoint_to_id: dict[bytes, int] = {}
-    est_poses: list[PoseSE3] = []
-    next_id = 0
-
-    candidates = [
-        (i, seg)
-        for i, seg in enumerate(world.segments)
-        if np.linalg.norm(seg.vector) >= obs_cfg.min_segment_length
-    ]
-    cand_mids = np.array([seg.midpoint for _, seg in candidates]).reshape(-1, 3)
-
-    for frame, pose in enumerate(world.poses):
-        if frame > 0:
-            drift.step()
-        d = drift.cumulative
-        est_poses.append(
-            PoseSE3(quat_multiply(d.rotation, pose.rotation), d.apply(pose.translation))
-        )
-        if not candidates:
-            continue
-        visible = np.flatnonzero(_visible_mask(cand_mids, pose, obs_cfg.max_range))
-        if obs_cfg.detect_prob < 1.0 and len(visible):
-            visible = visible[obs_rng.random(len(visible)) < obs_cfg.detect_prob]
-        for ci in visible:
-            seg_index, seg = candidates[ci]
-            ids = []
-            for true_pt in (seg.a, seg.b):
-                key = true_pt.tobytes()
-                pid = endpoint_to_id.get(key)
-                if pid is None:
-                    pos = d.apply(true_pt)
-                    if obs_cfg.endpoint_noise_sigma > 0:
-                        pos = pos + obs_rng.normal(0.0, obs_cfg.endpoint_noise_sigma, size=3)
-                    pid = next_id
-                    next_id += 1
-                    endpoint_to_id[key] = pid
-                    points[pid] = MapPoint(pid, pos, frame)
-                ids.append(pid)
-            observations.append(SegmentObservation(ids[0], ids[1], frame, seg_index))
-
-    return EstimatedMap(points, observations, world.timestamps.copy(), est_poses)
+    first_seen = np.array(point_frames, dtype=np.int64)
+    points = scale[first_seen, None] * quat_rotate(
+        rotation[first_seen], key_point[point_keys].reshape(-1, 3)
+    ) + translation[first_seen]
+    if noise:
+        points = points + np.concatenate(noise)
+    point_of_key = np.empty(len(key_point), dtype=np.int64)
+    point_of_key[point_keys] = np.arange(len(point_keys))
+    obs_cand = np.concatenate([vis_cand[:0]] + detected)
+    observations = np.column_stack(
+        [
+            point_of_key[cand_keys[obs_cand, 0]],
+            point_of_key[cand_keys[obs_cand, 1]],
+            np.repeat(frames, [len(c) for c in detected]),
+            cand_segment[obs_cand],
+        ]
+    )
+    return EstimatedMap(points, first_seen, observations, world.timestamps.copy(), est_poses)

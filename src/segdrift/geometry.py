@@ -223,6 +223,17 @@ class PoseSE3:
         qinv = quat_conjugate(self.rotation)
         return PoseSE3(qinv, -quat_rotate(qinv, self.translation))
 
+    def unstack(self) -> list["PoseSE3"]:
+        """The poses of a stack, one per row. The rows are unit already, so
+        they are not normalised again (that could move their last bit)."""
+        poses = []
+        for q, t in zip(self.rotation, self.translation):
+            pose = object.__new__(PoseSE3)
+            object.__setattr__(pose, "rotation", q)
+            object.__setattr__(pose, "translation", t)
+            poses.append(pose)
+        return poses
+
 
 def segment_vector(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Difference between a segment's endpoints, p2 - p1."""

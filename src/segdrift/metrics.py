@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .geometry import PoseSE3, Sim3, quat_multiply, row_norms, umeyama_alignment
 
@@ -224,6 +223,8 @@ def spline_interpolate(
         query_times.min() < times[0] or query_times.max() > times[-1]
     ):
         raise ValueError("query timestamps outside the control range (no extrapolation)")
+    from scipy.interpolate import CubicSpline  # imported here: no `segdrift run` splines
+
     spline = CubicSpline(times, positions, axis=0, bc_type="natural")
     return spline(query_times)
 

@@ -10,13 +10,13 @@ and applied to the pose, with interpolation between keyframes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clustering import ClusterStore, DEFAULT_REL_THRESHOLD, assign_all
 from .clusteropt import OptReport, build_problem, solve
-from .frontend import DriftConfig, EstimatedMap, ObservationConfig, simulate
+from .frontend import OBS_FRAME, DriftConfig, EstimatedMap, ObservationConfig, simulate
 from .geometry import PoseSE3, Sim3, quat_multiply, quat_rotate, quat_slerp, umeyama_alignment
 from .metrics import Trajectory
 from .worldgen import World
@@ -164,10 +164,9 @@ def run(
     """Process the whole world under the chosen optimization schedule."""
     schedule.validate()
     emap = simulate(world, drift_cfg, obs_cfg)
-    raw_poses = list(emap.est_poses)
     timestamps = emap.timestamps
-    gt_traj = Trajectory.from_poses(world.timestamps, world.poses)
-    raw_traj = Trajectory.from_poses(timestamps, raw_poses)
+    gt_traj = Trajectory(world.timestamps, world.translations, world.rotations)
+    raw_traj = Trajectory(timestamps, emap.est_poses.translation, emap.est_poses.rotation)
 
     store = ClusterStore()
     reports: list[OptReport] = []
@@ -177,15 +176,9 @@ def run(
     if schedule.mode == "baseline":
         return RunResult(raw_traj, raw_traj, gt_traj, emap, store, reports, 0, plog)
 
-    # Working copy: the optimizer mutates point positions in place.
-    emap = emap.copy()
-    first_seen = {pid: pt.first_seen_frame for pid, pt in emap.points.items()}
-    by_frame: dict[int, list[int]] = {}
-    for i, obs in enumerate(emap.observations):
-        by_frame.setdefault(obs.frame, []).append(i)
-
-    n_frames = len(raw_poses)
-    poses = list(raw_poses)
+    n_frames = len(timestamps)
+    # Observations are in frame order: frame f's batch is rows bounds[f]..bounds[f+1].
+    bounds = np.searchsorted(emap.observations[:, OBS_FRAME], np.arange(n_frames + 1)).tolist()
     interval = schedule.keyframe_interval
     keyframes_so_far: list[int] = [0]
 
@@ -197,10 +190,9 @@ def run(
     # it. Pose corrections are always refit against this baseline and
     # applied to the raw trajectory, so each round's propagation replaces
     # the previous one instead of compounding round-to-round fit noise.
-    raw_map = {pid: pt.position.copy() for pid, pt in emap.points.items()}
+    raw_points = emap.points.copy()
 
     def solve_round(frames_in_scope: set[int] | None) -> None:
-        nonlocal poses
         problem = build_problem(
             store,
             emap,
@@ -212,13 +204,14 @@ def run(
             return
         positions, report = solve(problem)
         reports.append(report)
-        for pid, pos in positions.items():
-            emap.points[pid].position = pos
+        emap.points[list(positions)] = list(positions.values())
         store.recompute_centers(emap)
 
     next_round = 0
     for frame in range(n_frames):
-        discarded += assign_all(store, emap, by_frame.get(frame, ()), schedule.rel_threshold)
+        discarded += assign_all(
+            store, emap, range(bounds[frame], bounds[frame + 1]), schedule.rel_threshold
+        )
         if frame > 0 and frame % interval == 0 and frame not in keyframes_so_far:
             keyframes_so_far.append(frame)
         if next_round < len(round_frames) and frame == round_frames[next_round]:
@@ -233,12 +226,15 @@ def run(
     # Pose corrections are refit against the pre-optimization map, so the
     # final fit subsumes every earlier round; propagating once at the end
     # yields the same trajectory as propagating after each round.
+    corrected = raw_traj
     if reports:
-        current = {pid: pt.position for pid, pt in emap.points.items()}
         poses, entries = propagate_to_poses(
-            raw_map, current, first_seen, raw_poses, keyframes_so_far
+            dict(enumerate(raw_points)),
+            dict(enumerate(emap.points)),
+            dict(enumerate(emap.first_seen.tolist())),
+            emap.est_poses.unstack(),
+            keyframes_so_far,
         )
         plog.extend(entries)
-
-    corrected = Trajectory.from_poses(timestamps, poses)
+        corrected = Trajectory.from_poses(timestamps, poses)
     return RunResult(raw_traj, corrected, gt_traj, emap, store, reports, discarded, plog)

@@ -78,10 +78,17 @@ class WorldSpec:
 
 @dataclass(frozen=True)
 class World:
+    """Segments and a ground-truth trajectory. `endpoints` (segments, 2, 3),
+    `rotations` (frames, 4) and `translations` (frames, 3) are read-only
+    stacks of the same values, built once."""
+
     segments: tuple[WorldSegment, ...]
     timestamps: np.ndarray  # seconds, strictly increasing
     poses: tuple[PoseSE3, ...]
     rng_seed: int
+    endpoints: np.ndarray = field(init=False, repr=False, compare=False)
+    rotations: np.ndarray = field(init=False, repr=False, compare=False)
+    translations: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=float)
@@ -90,6 +97,23 @@ class World:
         object.__setattr__(self, "poses", tuple(self.poses))
         if len(ts) != len(self.poses):
             raise ValueError("timestamps and poses must have equal length")
+        stacks = {
+            "endpoints": np.array([(s.a, s.b) for s in self.segments]).reshape(-1, 2, 3),
+            "rotations": np.array([p.rotation for p in self.poses]).reshape(-1, 4),
+            "translations": np.array([p.translation for p in self.poses]).reshape(-1, 3),
+        }
+        for name, stack in stacks.items():
+            stack.flags.writeable = False
+            object.__setattr__(self, name, stack)
+        bad = ~np.isfinite(self.endpoints).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"segment {int(np.argmax(bad))} has a non-finite endpoint")
+        bad_t = ~np.isfinite(ts)
+        bad = bad_t | ~np.isfinite(np.column_stack([self.rotations, self.translations])).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = "timestamp" if bad_t[i] else "pose"
+            raise ValueError(f"trajectory entry {i} has a non-finite {what}")
         if len(ts) > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("timestamps must be strictly increasing")
         if not any(c >= 2 for c in self.archetype_counts().values()):
@@ -219,10 +243,35 @@ def world_from_json(data: dict) -> World:
     return World(tuple(segments), np.array(timestamps), tuple(poses), int(data["seed"]))
 
 
+# `json.dumps(world_to_json(world), indent=1)`, one segment or pose at a time.
+_SEGMENT_JSON = (
+    '  {\n   "a": [\n    %r,\n    %r,\n    %r\n   ],\n'
+    '   "b": [\n    %r,\n    %r,\n    %r\n   ],\n   "archetype": %d\n  }'
+)
+_POSE_JSON = (
+    '  {\n   "t": %r,\n   "q": [\n    %r,\n    %r,\n    %r,\n    %r\n   ],\n'
+    '   "p": [\n    %r,\n    %r,\n    %r\n   ]\n  }'
+)
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+
+
 def world_to_file(world: World, path) -> None:
+    """Write `json.dumps(world_to_json(world), indent=1)` and a newline, byte
+    for byte, from fixed templates: the indenting JSON encoder is pure
+    Python and slow. A World holds only finite floats, whose `%r` is their
+    JSON form."""
+    ends = world.endpoints.reshape(-1, 6).tolist()
+    segments = [_SEGMENT_JSON % (*e, s.archetype) for e, s in zip(ends, world.segments)]
+    rows = np.column_stack([world.timestamps, world.rotations, world.translations]).tolist()
+    poses = [_POSE_JSON % tuple(r) for r in rows]
     with open(path, "w") as f:
-        json.dump(world_to_json(world), f, indent=1)
-        f.write("\n")
+        f.write(
+            '{\n "segments": %s,\n "trajectory": %s,\n "seed": %d\n}\n'
+            % (_json_list(segments), _json_list(poses), world.rng_seed)
+        )
 
 
 def world_from_file(path) -> World:

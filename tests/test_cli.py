@@ -2,6 +2,9 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,6 +173,30 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "where, value, named",
+        [
+            ("segments", float("nan"), "segment 4 has a non-finite endpoint"),
+            ("trajectory", float("inf"), "trajectory entry 4 has a non-finite pose"),
+        ],
+    )
+    def test_non_finite_world_file_exits_1_before_any_output(
+        self, tmp_path, capsys, where, value, named
+    ):
+        world_path = tmp_path / "world.json"
+        assert main(["gen-world", "--corridor-length", "10", "--out", str(world_path)]) == 0
+        doc = json.loads(world_path.read_text())
+        doc[where][4]["a" if where == "segments" else "p"][0] = value
+        world_path.write_text(json.dumps(doc))
+        cfg = json.loads(small_config(tmp_path).read_text())
+        del cfg["world"]
+        cfg["world_file"] = str(world_path)
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_metrics_section_applied(self, tmp_path, capsys):
         cfg = small_config(
             tmp_path, modes=["baseline"], seeds=[0], metrics={"align_mode": "rigid", "rpe_delta": 5}
@@ -260,6 +287,16 @@ class TestEval:
 
 
 class TestUsage:
+    def test_import_leaves_scipy_unloaded(self):
+        # Only `eval --interpolate-gt` splines; no other command pays for scipy.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, segdrift.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_no_subcommand_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

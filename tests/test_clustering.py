@@ -17,25 +17,29 @@ from segdrift.clustering import (
     DegenerateSegmentError,
     assign_all,
 )
-from segdrift.frontend import EstimatedMap, MapPoint, SegmentObservation
+from segdrift.frontend import OBS_FRAME, OBS_P1, OBS_P2, EstimatedMap
 from segdrift.geometry import PoseSE3
+
+
+def array_map(points, first_seen, observations, n_frames):
+    """EstimatedMap of the given points and (p1, p2, frame, segment) rows,
+    over n_frames identity poses."""
+    poses = PoseSE3(np.tile([1.0, 0.0, 0.0, 0.0], (n_frames, 1)), np.zeros((n_frames, 3)))
+    return EstimatedMap(points, first_seen, observations, np.zeros(n_frames), poses)
 
 
 def map_from_vectors(vectors):
     """EstimatedMap whose observation i has signed vector vectors[i]."""
-    points = {}
-    observations = []
-    for i, v in enumerate(vectors):
-        p1, p2 = 2 * i, 2 * i + 1
-        points[p1] = MapPoint(p1, np.zeros(3), 0)
-        points[p2] = MapPoint(p2, np.asarray(v, float), 0)
-        observations.append(SegmentObservation(p1, p2, 0, i))
-    return EstimatedMap(points, observations, np.zeros(len(vectors)), [PoseSE3.identity()])
+    vectors = np.asarray(vectors, dtype=float).reshape(-1, 3)
+    points = np.zeros((2 * len(vectors), 3))
+    points[1::2] = vectors
+    observations = [(2 * i, 2 * i + 1, 0, i) for i in range(len(vectors))]
+    return array_map(points, np.zeros(len(points)), observations, 1)
 
 
 def signed_vector(emap, obs_index):
     obs = emap.observations[obs_index]
-    return emap.points[obs.p2_id].position - emap.points[obs.p1_id].position
+    return emap.points[obs[OBS_P2]] - emap.points[obs[OBS_P1]]
 
 
 def batch_center(store, emap, cid):
@@ -83,13 +87,13 @@ class ReferenceStore:
             n = self.counts[cid]
             self.centers[cid] = (self.centers[cid] * n + sign * v) / (n + 1)
             self.counts[cid] = n + 1
-        self.rows.append((obs_index, obs.frame, cid, obs.p1_id, obs.p2_id, sign))
+        self.rows.append((obs_index, obs[OBS_FRAME], cid, obs[OBS_P1], obs[OBS_P2], sign))
         return cid
 
     def recompute_centers(self, emap):
         if not len(self.centers):
             return
-        pos = emap.position_array()
+        pos = emap.points
         table = self.table
         vs = table[:, SIGN].astype(float)[:, None] * (pos[table[:, P2]] - pos[table[:, P1]])
         sums = np.zeros_like(self.centers)
@@ -134,22 +138,21 @@ def observation_streams(draw):
 
 def stream_map(frames):
     """The EstimatedMap of a stream, and the observation indices of each frame."""
-    points, observations, batches = {}, [], []
+    points, first_seen, observations, batches = [], [], [], []
     for frame, specs in enumerate(frames):
         batch = []
         for spec in specs:
             if spec[0] == "vec":
                 p1, p2 = len(points), len(points) + 1
-                points[p1] = MapPoint(p1, np.zeros(3), frame)
-                points[p2] = MapPoint(p2, np.array(spec[1]), frame)
+                points += [(0.0, 0.0, 0.0), spec[1]]
+                first_seen += [frame, frame]
             else:
-                seen = observations[spec[1]]
-                p1, p2 = (seen.p2_id, seen.p1_id) if spec[2] else (seen.p1_id, seen.p2_id)
+                seen_p1, seen_p2 = observations[spec[1]][:2]
+                p1, p2 = (seen_p2, seen_p1) if spec[2] else (seen_p1, seen_p2)
             batch.append(len(observations))
-            observations.append(SegmentObservation(p1, p2, frame, len(observations)))
+            observations.append((p1, p2, frame, len(observations)))
         batches.append(batch)
-    n = len(frames)
-    return EstimatedMap(points, observations, np.zeros(n), [PoseSE3.identity()] * n), batches
+    return array_map(points, first_seen, observations, len(frames)), batches
 
 
 class TestBatchedAssignment:
@@ -189,8 +192,7 @@ class TestBatchedAssignment:
                     assert single.assign(i, emap, rel) == cid
             if move is not None:
                 rng = np.random.default_rng(move)
-                for pt in emap.points.values():
-                    pt.position = pt.position + rng.normal(0, 1e-3, size=3)
+                emap.points += rng.normal(0, 1e-3, size=emap.points.shape)
                 for s in (store, single, ref):
                     s.recompute_centers(emap)
             for s in (store, single):
@@ -350,8 +352,7 @@ class TestCenters:
         emap = map_from_vectors(vectors)
         store = ClusterStore()
         assign_all(store, emap, range(30))
-        for pt in emap.points.values():
-            pt.position = pt.position + rng.normal(0, 0.1, size=3)
+        emap.points += rng.normal(0, 0.1, size=emap.points.shape)
         store.recompute_centers(emap)
         for cid, center in enumerate(store.centers):
             assert np.linalg.norm(center - batch_center(store, emap, cid)) < 1e-12
@@ -367,10 +368,7 @@ class TestMemberTable:
         emap = map_from_vectors(
             [[0.0, 0.0, 2.0], [0.0, 0.0, -2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.004], [1.0, 0.0, 0.0]]
         )
-        emap.observations = [
-            SegmentObservation(o.p1_id, o.p2_id, 7 - i, o.world_segment_index)
-            for i, o in enumerate(emap.observations)
-        ]
+        emap.observations[:, OBS_FRAME] = 7 - np.arange(len(emap.observations))
         store = ClusterStore()
         order = [3, 0, 4, 1, 2]
         assign_all(store, emap, order)
@@ -381,7 +379,7 @@ class TestMemberTable:
         assert table[:, OBS].tolist() == order
         for obs_index, frame, cid, p1, p2, sign in table.tolist():
             obs = emap.observations[obs_index]
-            assert (frame, p1, p2) == (obs.frame, obs.p1_id, obs.p2_id)
+            assert [frame, p1, p2] == obs[[OBS_FRAME, OBS_P1, OBS_P2]].tolist()
         # obs 3 seeds cluster 0, obs 4 seeds cluster 1; 0 and 1 join cluster 0
         # (1 reversed), 2 joins cluster 1
         assert table[:, [CLUSTER, SIGN]].tolist() == [[0, 1], [0, 1], [1, 1], [0, -1], [1, 1]]

@@ -13,10 +13,10 @@ from segdrift.clusteropt import (
     evaluate_objective,
     solve,
 )
-from segdrift.frontend import EstimatedMap, MapPoint, SegmentObservation
-from segdrift.geometry import PoseSE3, quat_from_axis_angle, quat_rotate
+from segdrift.frontend import OBS_FRAME
+from segdrift.geometry import quat_from_axis_angle, quat_rotate
 
-from test_clustering import map_from_vectors
+from test_clustering import array_map, map_from_vectors
 
 
 def random_problem(rng, max_edges=30, anchor_weight=0.0):
@@ -50,7 +50,7 @@ class TestObjective:
         assign_all(store, emap, range(2))
         assert len(store) == 1
         problem = build_problem(store, emap, anchor_weight=0.0)
-        f0 = evaluate_objective(problem, emap.positions())
+        f0 = evaluate_objective(problem, dict(enumerate(emap.points)))
         assert f0 == pytest.approx(8e-6, rel=1e-9)
 
     def test_zero_residual_configuration(self):
@@ -58,7 +58,7 @@ class TestObjective:
         store = ClusterStore()
         assign_all(store, emap, range(2))
         problem = build_problem(store, emap, anchor_weight=0.0)
-        assert evaluate_objective(problem, emap.positions()) == 0.0
+        assert evaluate_objective(problem, dict(enumerate(emap.points))) == 0.0
 
     def test_missing_position_raises(self):
         problem = random_problem(np.random.default_rng(0))
@@ -244,17 +244,14 @@ class TestSolve:
     def test_build_problem_frames_scope(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
         # Reframe observations: frames 0, 1, 2.
-        emap.observations = [
-            type(o)(o.p1_id, o.p2_id, i, o.world_segment_index)
-            for i, o in enumerate(emap.observations)
-        ]
+        emap.observations[:, OBS_FRAME] = np.arange(3)
         store = ClusterStore()
         assign_all(store, emap, range(3))
         full = build_problem(store, emap)
         scoped = build_problem(store, emap, frames={0, 1})
         assert len(full.edges) == 3
         assert len(scoped.edges) == 2
-        assert all(emap.observations[e.obs_index].frame in {0, 1} for e in scoped.edges)
+        assert all(emap.observations[e.obs_index, OBS_FRAME] in {0, 1} for e in scoped.edges)
 
     def test_report_to_json(self):
         problem = random_problem(np.random.default_rng(9), anchor_weight=1e-3)
@@ -276,20 +273,17 @@ def reobserved_maps(draw):
     """
     n_segments = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    points = {}
+    points = []
     for i in range(n_segments):
         v = np.array(ARCHETYPES[draw(st.integers(0, len(ARCHETYPES) - 1))])
         base = rng.uniform(-3, 3, size=3)
-        points[2 * i] = MapPoint(2 * i, base, 0)
-        points[2 * i + 1] = MapPoint(2 * i + 1, base + v * (1 + rng.uniform(-2e-3, 2e-3)), 0)
+        points += [base, base + v * (1 + rng.uniform(-2e-3, 2e-3))]
     seen = draw(st.lists(
         st.tuples(st.integers(0, n_segments - 1), st.booleans(), st.integers(0, 4)),
         min_size=1, max_size=25,
     ))
-    observations = [
-        SegmentObservation(2 * i + flip, 2 * i + 1 - flip, frame, i) for i, flip, frame in seen
-    ]
-    emap = EstimatedMap(points, observations, np.zeros(5), [PoseSE3.identity()] * 5)
+    observations = [(2 * i + flip, 2 * i + 1 - flip, frame, i) for i, flip, frame in seen]
+    emap = array_map(points, np.zeros(len(points)), observations, 5)
     frames = draw(st.none() | st.sets(st.integers(0, 4), min_size=1))
     anchor_weight = draw(st.sampled_from([0.0, 1e-3, 1e-1]))
     return emap, frames, anchor_weight
@@ -342,9 +336,9 @@ class TestWeightedUniqueEdges:
 
     def test_scope_counts_in_scope_observations_only(self):
         # One segment observed in frames 0, 1 and 2 under the same point ids.
-        points = {0: MapPoint(0, np.zeros(3), 0), 1: MapPoint(1, np.array([0.0, 0.0, 2.0]), 0)}
-        observations = [SegmentObservation(0, 1, frame, 0) for frame in range(3)]
-        emap = EstimatedMap(points, observations, np.zeros(3), [PoseSE3.identity()] * 3)
+        points = [(0.0, 0.0, 0.0), (0.0, 0.0, 2.0)]
+        observations = [(0, 1, frame, 0) for frame in range(3)]
+        emap = array_map(points, [0, 0], observations, 3)
         store = ClusterStore()
         assign_all(store, emap, range(3))
 

@@ -2,15 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segdrift.frontend import (
+    OBS_FRAME,
+    OBS_P1,
+    OBS_P2,
+    OBS_SEGMENT,
     DriftConfig,
-    DriftState,
+    EstimatedMap,
     ObservationConfig,
+    drift_walk,
     simulate,
-    step_drift,
 )
-from segdrift.worldgen import WorldSpec, generate_corridor
+from segdrift.geometry import PoseSE3, Sim3, quat_from_axis_angle, quat_multiply, quat_rotate
+from segdrift.worldgen import World, WorldSegment, WorldSpec, generate_corridor
 
 
 def make_world(**kw):
@@ -19,36 +26,129 @@ def make_world(**kw):
     return generate_corridor(WorldSpec(**base))
 
 
+class ReferenceDrift:
+    """The per-frame drift random walk that `drift_walk` computes as arrays."""
+
+    def __init__(self, cfg: DriftConfig):
+        cfg.validate()
+        self.cfg = cfg
+        self.cumulative = Sim3.identity()
+        self.rng = np.random.default_rng(cfg.rng_seed)
+
+    def step(self) -> Sim3:
+        cfg = self.cfg
+        scale = float(np.exp(self.rng.normal(0.0, cfg.scale_sigma))) if cfg.scale_sigma > 0 else 1.0
+        if cfg.rot_sigma > 0:
+            axis = self.rng.normal(size=3)
+            while np.linalg.norm(axis) == 0.0:
+                axis = self.rng.normal(size=3)
+            q = quat_from_axis_angle(axis, self.rng.normal(0.0, cfg.rot_sigma))
+        else:
+            q = np.array([1.0, 0.0, 0.0, 0.0])
+        if cfg.trans_sigma > 0:
+            t = self.rng.normal(0.0, cfg.trans_sigma, size=3)
+        else:
+            t = np.zeros(3)
+        self.cumulative = self.cumulative.compose(Sim3(scale, q, t))
+        return self.cumulative
+
+
+def reference_drift(cfg, n_frames):
+    """(scale, rotation, translation) arrays of the per-frame walk."""
+    state = ReferenceDrift(cfg)
+    steps = [state.cumulative] + [state.step() for _ in range(n_frames - 1)]
+    return (
+        np.array([d.scale for d in steps]),
+        np.array([d.rotation for d in steps]).reshape(-1, 4),
+        np.array([d.translation for d in steps]).reshape(-1, 3),
+    )
+
+
+def reference_simulate(world, drift_cfg, obs_cfg):
+    """The frame-by-frame simulator that `simulate` computes as arrays:
+    returns (points, first_seen, observations, est rotations, est
+    translations) with the same shapes and dtypes as an EstimatedMap."""
+    drift_cfg.validate()
+    obs_cfg.validate()
+    drift = ReferenceDrift(drift_cfg)
+    obs_rng = np.random.default_rng(obs_cfg.rng_seed)
+
+    points, first_seen, observations = [], [], []
+    endpoint_to_id: dict[bytes, int] = {}
+    est_poses = []
+    candidates = [
+        (i, seg)
+        for i, seg in enumerate(world.segments)
+        if np.linalg.norm(seg.vector) >= obs_cfg.min_segment_length
+    ]
+    cand_mids = np.array([seg.midpoint for _, seg in candidates]).reshape(-1, 3)
+
+    for frame, pose in enumerate(world.poses):
+        if frame > 0:
+            drift.step()
+        d = drift.cumulative
+        est_poses.append(PoseSE3(quat_multiply(d.rotation, pose.rotation), d.apply(pose.translation)))
+        if not candidates:
+            continue
+        rel = cand_mids - pose.translation
+        in_range = np.linalg.norm(rel, axis=1) <= obs_cfg.max_range
+        facing = rel @ quat_rotate(pose.rotation, np.array([1.0, 0.0, 0.0])) > 0.0
+        visible = np.flatnonzero(in_range & facing)
+        if obs_cfg.detect_prob < 1.0 and len(visible):
+            visible = visible[obs_rng.random(len(visible)) < obs_cfg.detect_prob]
+        for ci in visible:
+            seg_index, seg = candidates[ci]
+            ids = []
+            for true_pt in (seg.a, seg.b):
+                key = true_pt.tobytes()
+                pid = endpoint_to_id.get(key)
+                if pid is None:
+                    pos = d.apply(true_pt)
+                    if obs_cfg.endpoint_noise_sigma > 0:
+                        pos = pos + obs_rng.normal(0.0, obs_cfg.endpoint_noise_sigma, size=3)
+                    pid = endpoint_to_id[key] = len(points)
+                    points.append(pos)
+                    first_seen.append(frame)
+                ids.append(pid)
+            observations.append((ids[0], ids[1], frame, seg_index))
+
+    return (
+        np.array(points).reshape(-1, 3),
+        np.array(first_seen, dtype=np.int64),
+        np.array(observations, dtype=np.int64).reshape(-1, 4),
+        np.array([p.rotation for p in est_poses]).reshape(-1, 4),
+        np.array([p.translation for p in est_poses]).reshape(-1, 3),
+    )
+
+
+def assert_same_bits(actual, expected):
+    """Equal shapes, dtypes and bytes: a -0.0 where 0.0 was expected fails."""
+    assert len(actual) == len(expected)
+    for a, e in zip(actual, expected):
+        assert a.dtype == e.dtype and a.shape == e.shape
+        assert a.tobytes() == e.tobytes()
+
+
 class TestDriftRandomWalk:
     def test_zero_sigmas_stay_identity(self):
-        state = DriftState(DriftConfig(rng_seed=0))
-        for _ in range(100):
-            step_drift(state)
-        c = state.cumulative
-        assert c.scale == 1.0
-        assert np.allclose(c.rotation, [1.0, 0.0, 0.0, 0.0])
-        assert np.allclose(c.translation, 0.0)
+        scale, rotation, translation = drift_walk(DriftConfig(rng_seed=0), 101)
+        assert np.all(scale == 1.0)
+        assert np.array_equal(rotation, np.tile([1.0, 0.0, 0.0, 0.0], (101, 1)))
+        assert np.array_equal(translation, np.zeros((101, 3)))
 
     def test_log_scale_stddev_matches_random_walk(self):
         # After n steps of per-step stddev s, log(scale) ~ N(0, s^2 n):
         # stddev 0.001 * sqrt(1000) ~= 0.0316. Monte-Carlo over 200 seeds.
-        samples = []
-        for seed in range(200):
-            state = DriftState(DriftConfig(scale_sigma=1e-3, rng_seed=seed))
-            for _ in range(1000):
-                state.step()
-            samples.append(np.log(state.cumulative.scale))
+        samples = [
+            np.log(drift_walk(DriftConfig(scale_sigma=1e-3, rng_seed=seed), 1001)[0][-1])
+            for seed in range(200)
+        ]
         expected = 1e-3 * np.sqrt(1000)
         assert abs(np.std(samples) - expected) / expected < 0.2
 
     def test_deterministic_per_seed(self):
-        a = DriftState(DriftConfig(scale_sigma=1e-3, rot_sigma=1e-4, trans_sigma=1e-3, rng_seed=5))
-        b = DriftState(DriftConfig(scale_sigma=1e-3, rot_sigma=1e-4, trans_sigma=1e-3, rng_seed=5))
-        for _ in range(50):
-            a.step()
-            b.step()
-        assert a.cumulative.scale == b.cumulative.scale
-        assert np.array_equal(a.cumulative.translation, b.cumulative.translation)
+        cfg = DriftConfig(scale_sigma=1e-3, rot_sigma=1e-4, trans_sigma=1e-3, rng_seed=5)
+        assert_same_bits(drift_walk(cfg, 51), drift_walk(cfg, 51))
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
@@ -60,37 +160,172 @@ class TestDriftRandomWalk:
             with pytest.raises(ValueError, match=name):
                 DriftConfig(**{name: bad}).validate()
 
+    @pytest.mark.parametrize("scale_sigma", [0.0, 1e-3])
+    @pytest.mark.parametrize("rot_sigma", [0.0, 1e-4, 0.3])
+    @pytest.mark.parametrize("trans_sigma", [0.0, 1e-3])
+    def test_matches_per_frame_walk(self, scale_sigma, rot_sigma, trans_sigma):
+        for seed in range(3):
+            cfg = DriftConfig(scale_sigma, rot_sigma, trans_sigma, rng_seed=seed)
+            assert_same_bits(drift_walk(cfg, 400), reference_drift(cfg, 400))
+
+    @pytest.mark.parametrize("n_frames", [0, 1, 2])
+    def test_short_walks(self, n_frames):
+        cfg = DriftConfig(1e-3, 1e-4, 1e-3, rng_seed=1)
+        scale, rotation, translation = drift_walk(cfg, n_frames)
+        assert (scale.shape, rotation.shape, translation.shape) == ((n_frames,), (n_frames, 4), (n_frames, 3))
+        if n_frames:
+            assert_same_bits(drift_walk(cfg, n_frames), reference_drift(cfg, n_frames))
+
+    def test_zero_axis_is_drawn_again(self, monkeypatch):
+        # Force exact zeros onto the rotation axes of frames 6 and 13 (the
+        # second one twice in a row); both walks must re-draw identically.
+        cfg = DriftConfig(scale_sigma=1e-3, rot_sigma=0.3, trans_sigma=1e-3, rng_seed=4)
+        width = 8  # draws per frame: log-scale, axis (3), angle, translation (3)
+        zeros = {5 * width + 1, 5 * width + 2, 5 * width + 3}
+        redrawn = 12 * width + 1 + 3
+        zeros |= {redrawn, redrawn + 1, redrawn + 2, redrawn + 3, redrawn + 4, redrawn + 5}
+        plain = drift_walk(cfg, 30)
+        default_rng = np.random.default_rng
+
+        class ZeroedGenerator:
+            """Draws standard normals from the seeded generator, with exact
+            zeros at the given positions of the stream; `normal` scales a
+            draw as numpy does (`loc + scale * z`)."""
+
+            def __init__(self, seed):
+                self.inner = default_rng(seed)
+                self.drawn = 0
+
+            def standard_normal(self, size=None):
+                z = self.inner.standard_normal(1 if size is None else size)
+                for i in range(z.size):
+                    if self.drawn + i in zeros:
+                        z[i] = 0.0
+                self.drawn += z.size
+                return float(z[0]) if size is None else z
+
+            def normal(self, loc=0.0, scale=1.0, size=None):
+                return loc + scale * self.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", ZeroedGenerator)
+        zeroed = drift_walk(cfg, 30)
+        assert_same_bits(zeroed, reference_drift(cfg, 30))
+        assert np.array_equal(zeroed[1][:6], plain[1][:6])
+        assert not np.array_equal(zeroed[1][6], plain[1][6])
+
+
+@st.composite
+def simulate_cases(draw):
+    spec = WorldSpec(
+        corridor_length=draw(st.sampled_from([6.0, 9.0, 12.0])),
+        door_spacing=draw(st.sampled_from([1.0, 2.0])),
+        n_turns=draw(st.integers(0, 2)),
+        turn_angle=draw(st.sampled_from([90.0, -60.0, 135.0])),
+        extra_unique_segments=draw(st.sampled_from([0, 8])),
+        rng_seed=draw(st.integers(0, 100)),
+    )
+    drift = DriftConfig(
+        scale_sigma=draw(st.sampled_from([0.0, 1e-3])),
+        rot_sigma=draw(st.sampled_from([0.0, 1e-4, 0.3])),
+        trans_sigma=draw(st.sampled_from([0.0, 1e-3])),
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    obs = ObservationConfig(
+        detect_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        endpoint_noise_sigma=draw(st.sampled_from([0.0, 0.01])),
+        max_range=draw(st.sampled_from([2.0, 8.0])),
+        min_segment_length=draw(st.sampled_from([0.0, 0.3, 1.0, 1e3])),  # 1e3 drops all
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return spec, drift, obs
+
+
+class TestMatchesPerFrameLoop:
+    @settings(max_examples=40)
+    @given(simulate_cases())
+    # the benchmark's noise settings plus rotation and translation drift, on
+    # a longer world with turns and clutter
+    @example(
+        (
+            WorldSpec(corridor_length=30, door_spacing=2, n_turns=2, extra_unique_segments=20),
+            DriftConfig(scale_sigma=1e-3, rot_sigma=1e-4, trans_sigma=1e-3, rng_seed=2),
+            ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=1_000_002),
+        )
+    )
+    def test_simulate_equals_reference(self, case):
+        spec, drift, obs = case
+        world = generate_corridor(spec)
+        emap = simulate(world, drift, obs)
+        actual = (
+            emap.points,
+            emap.first_seen,
+            emap.observations,
+            emap.est_poses.rotation,
+            emap.est_poses.translation,
+        )
+        assert_same_bits(actual, reference_simulate(world, drift, obs))
+        assert emap.timestamps.tobytes() == world.timestamps.tobytes()
+
+    def test_endpoints_keyed_by_bits(self):
+        # (2, 1, 0.0) and (2, 1, -0.0) are equal floats with different bits:
+        # the oracle association keys bits, so they are two map points.
+        segments = [
+            WorldSegment([2.0, 1.0, 0.0], [2.0, 1.0, 2.0], 0),
+            WorldSegment([3.0, 1.0, 0.0], [3.0, 1.0, 2.0], 0),
+            WorldSegment([2.0, 1.0, -0.0], [3.0, 1.0, -0.0], 1),
+        ]
+        poses = [PoseSE3.identity()] * 3
+        world = World(segments, np.arange(3) / 30.0, poses, 0)
+        drift, obs = DriftConfig(scale_sigma=1e-3, rng_seed=1), ObservationConfig(rng_seed=2)
+        emap = simulate(world, drift, obs)
+        actual = (emap.points, emap.first_seen, emap.observations, emap.est_poses.rotation, emap.est_poses.translation)
+        assert_same_bits(actual, reference_simulate(world, drift, obs))
+        assert len(emap.points) == 6
+
+
+class TestEstimatedMap:
+    def make(self, observations):
+        return EstimatedMap(
+            np.zeros((3, 3)), [0, 0, 1], observations, np.zeros(2), PoseSE3.identity()
+        )
+
+    def test_valid_map_accepted(self):
+        emap = self.make([(0, 1, 0, 0), (2, 1, 1, 4)])
+        assert emap.observations.dtype == np.int64
+        assert emap.observations.shape == (2, 4)
+
+    @pytest.mark.parametrize("row", [(0, 3, 0, 0), (-1, 1, 0, 0), (1, 1, 0, 0)])
+    def test_unknown_or_coincident_ids_rejected(self, row):
+        with pytest.raises(ValueError, match="observation 1"):
+            self.make([(0, 1, 0, 0), row])
+
+    def test_first_seen_length_checked(self):
+        with pytest.raises(ValueError, match="first_seen"):
+            EstimatedMap(np.zeros((2, 3)), [0], [], np.zeros(1), PoseSE3.identity())
+
 
 class TestSimulate:
     def test_zero_drift_zero_noise_exact(self):
         w = make_world()
         emap = simulate(w, DriftConfig(rng_seed=0), ObservationConfig(rng_seed=0))
-        for obs in emap.observations:
-            seg = w.segments[obs.world_segment_index]
-            p1 = emap.points[obs.p1_id].position
-            p2 = emap.points[obs.p2_id].position
-            assert np.array_equal(p1, seg.a) or np.array_equal(p1, seg.b)
-            assert np.array_equal(p2, seg.a) or np.array_equal(p2, seg.b)
-        for pose, gt in zip(emap.est_poses, w.poses):
-            assert np.array_equal(pose.translation, gt.translation)
-            assert np.array_equal(pose.rotation, gt.rotation)
+        for p1, p2, _, segment in emap.observations.tolist():
+            seg = w.segments[segment]
+            assert np.array_equal(emap.points[p1], seg.a) or np.array_equal(emap.points[p1], seg.b)
+            assert np.array_equal(emap.points[p2], seg.a) or np.array_equal(emap.points[p2], seg.b)
+        assert np.array_equal(emap.est_poses.translation, [p.translation for p in w.poses])
+        assert np.array_equal(emap.est_poses.rotation, [p.rotation for p in w.poses])
 
     def test_pure_scale_drift_scales_first_sight_positions(self):
         w = make_world()
         cfg = DriftConfig(scale_sigma=1e-3, rng_seed=3)
         emap = simulate(w, cfg, ObservationConfig(rng_seed=0))
-        # Replay the drift to know s at each frame.
-        replay = DriftState(cfg)
-        scales = [1.0]
-        for _ in range(len(w.poses) - 1):
-            scales.append(replay.step().scale)
+        scales = reference_drift(cfg, len(w.poses))[0]
         checked = 0
-        for obs in emap.observations:
-            seg = w.segments[obs.world_segment_index]
-            for pid, true_pt in ((obs.p1_id, seg.a), (obs.p2_id, seg.b)):
-                pt = emap.points[pid]
-                s = scales[pt.first_seen_frame]
-                assert np.linalg.norm(pt.position) == pytest.approx(
+        for p1, p2, _, segment in emap.observations.tolist():
+            seg = w.segments[segment]
+            for pid, true_pt in ((p1, seg.a), (p2, seg.b)):
+                s = scales[emap.first_seen[pid]]
+                assert np.linalg.norm(emap.points[pid]) == pytest.approx(
                     s * np.linalg.norm(true_pt), abs=1e-9
                 )
                 checked += 1
@@ -100,18 +335,13 @@ class TestSimulate:
         w = make_world()
         cfg = DriftConfig(scale_sigma=2e-3, rng_seed=1)
         emap = simulate(w, cfg, ObservationConfig(rng_seed=0))
-        replay = DriftState(cfg)
-        scales = [1.0]
-        for _ in range(len(w.poses) - 1):
-            scales.append(replay.step().scale)
-        for obs in emap.observations:
-            pt1, pt2 = emap.points[obs.p1_id], emap.points[obs.p2_id]
-            if pt1.first_seen_frame != pt2.first_seen_frame:
+        scales = reference_drift(cfg, len(w.poses))[0]
+        for p1, p2, _, segment in emap.observations.tolist():
+            if emap.first_seen[p1] != emap.first_seen[p2]:
                 continue
-            seg = w.segments[obs.world_segment_index]
-            v_est = pt2.position - pt1.position
-            s = scales[pt1.first_seen_frame]
-            v_true = seg.vector
+            v_est = emap.points[p2] - emap.points[p1]
+            s = scales[emap.first_seen[p1]]
+            v_true = w.segments[segment].vector
             match = np.allclose(v_est, s * v_true, atol=1e-9) or np.allclose(
                 v_est, -s * v_true, atol=1e-9
             )
@@ -120,8 +350,8 @@ class TestSimulate:
     def test_detect_prob_zero_empty(self):
         w = make_world()
         emap = simulate(w, DriftConfig(rng_seed=0), ObservationConfig(detect_prob=0.0, rng_seed=0))
-        assert emap.observations == []
-        assert emap.points == {}
+        assert emap.observations.shape == (0, 4)
+        assert emap.points.shape == (0, 3)
 
     def test_reuses_map_points(self):
         w = make_world()
@@ -129,10 +359,8 @@ class TestSimulate:
         # Far fewer points than observations: re-detections reuse ids.
         assert len(emap.points) < len(emap.observations)
         seen_pairs = {}
-        for obs in emap.observations:
-            key = obs.world_segment_index
-            ids = frozenset((obs.p1_id, obs.p2_id))
-            assert seen_pairs.setdefault(key, ids) == ids
+        for p1, p2, _, segment in emap.observations.tolist():
+            assert seen_pairs.setdefault(segment, frozenset((p1, p2))) == frozenset((p1, p2))
 
     def test_endpoint_noise_perturbs_points(self):
         w = make_world()
@@ -140,10 +368,7 @@ class TestSimulate:
         noisy = simulate(
             w, DriftConfig(rng_seed=0), ObservationConfig(endpoint_noise_sigma=0.01, rng_seed=3)
         )
-        deltas = [
-            np.linalg.norm(noisy.points[pid].position - clean.points[pid].position)
-            for pid in clean.points
-        ]
+        deltas = np.linalg.norm(noisy.points - clean.points, axis=1)
         assert all(d > 0 for d in deltas)
         # Mean norm of a 3D gaussian with per-axis sigma 0.01 is ~0.016.
         assert 0.005 < np.mean(deltas) < 0.05
@@ -157,8 +382,11 @@ class TestSimulate:
     def test_observation_frames_in_range(self):
         w = make_world()
         emap = simulate(w, DriftConfig(rng_seed=0), ObservationConfig(rng_seed=0))
-        for obs in emap.observations:
-            assert 0 <= obs.frame < len(w.poses)
+        frames = emap.observations[:, OBS_FRAME]
+        assert frames.min() >= 0 and frames.max() < len(w.poses)
+        assert np.all(np.diff(frames) >= 0)
+        assert np.all(emap.first_seen[emap.observations[:, [OBS_P1, OBS_P2]]] <= frames[:, None])
+        assert emap.observations[:, OBS_SEGMENT].max() < len(w.segments)
 
     def test_invalid_detect_prob_rejected(self):
         with pytest.raises(ValueError):

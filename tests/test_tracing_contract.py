@@ -1,0 +1,63 @@
+"""The benchmark tracer's contract with the package.
+
+`perfbench/tracing.py` patches functions by the names its callers look
+them up under and counts from their results. A rename or a changed return
+type silently zeroes a traced metric, so these tests load the tracer
+(read only, no bytecode written) and check it against the sources.
+"""
+
+import json
+import types
+from pathlib import Path
+
+import pytest
+
+from segdrift import cli
+from segdrift.frontend import DriftConfig, ObservationConfig, simulate
+from segdrift.worldgen import world_from_file
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_every_target_resolves(tracing):
+    for module_name, path, _ in tracing.TARGETS:
+        owner, attr = tracing._resolve(module_name, path)
+        assert callable(owner.__dict__[attr]), f"{module_name}.{path}"
+
+
+def test_counts_match_the_cell_manifest(tracing, tmp_path):
+    cfg = {
+        "world": {"corridor_length": 10, "door_spacing": 2},
+        "drift": {"scale_sigma": 1e-3},
+        "observation": {"detect_prob": 0.8, "endpoint_noise_sigma": 0.01},
+        "modes": ["seg"],
+        "seeds": [3],
+    }
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    tracer = tracing.Tracer()
+    with tracer.install():
+        tracer.begin_cell(0)
+        assert cli.main(["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 0
+        counts = tracer.end_cell()
+    assert tracer.missing == []
+    manifest = json.loads((tmp_path / "out" / "seg" / "seed3" / "manifest.json").read_text())
+    assert counts["frontend.points"] == manifest["n_map_points"] > 0
+    assert counts["frontend.observations"] == manifest["n_observations"] > 0
+    assert counts["clustering.clusters"] == manifest["n_clusters"]
+    assert counts["clusteropt.solve.calls"] == len(manifest["objective_traces"])
+
+    # The simulate hook alone, on the cell's own simulate result.
+    drift, obs, _ = cli._cell_configs(cfg, "seg", 3)
+    emap = simulate(world_from_file(tmp_path / "out" / "world.json"), drift, obs)
+    direct = dict.fromkeys(tracing.COUNTS, 0)
+    tracing._count_simulate(direct, (), emap, None)
+    assert direct["frontend.points"] == manifest["n_map_points"]
+    assert direct["frontend.observations"] == manifest["n_observations"]

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from segdrift.geometry import quat_rotate
+from segdrift.geometry import PoseSE3, quat_rotate
 from segdrift.worldgen import (
     FRAME_RATE_HZ,
     World,
+    WorldSegment,
     WorldSpec,
     generate_corridor,
     world_from_file,
@@ -130,7 +131,69 @@ class TestWorldValidation:
             World(w.segments, bad_ts, w.poses, 0)
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_segment_endpoint_rejected(self, bad):
+        w = generate_corridor(spec())
+        segments = list(w.segments)
+        a = segments[3].a.copy()
+        a[1] = bad
+        segments[3] = WorldSegment(a, segments[3].b, segments[3].archetype)
+        with pytest.raises(ValueError, match="segment 3 has a non-finite endpoint"):
+            World(segments, w.timestamps, w.poses, 0)
+
+    @pytest.mark.parametrize("field", ["t", "q", "p"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf / inf
+    def test_non_finite_trajectory_entry_rejected(self, field, bad):
+        doc = world_to_json(generate_corridor(spec()))
+        if field == "t":
+            doc["trajectory"][-1]["t"] = bad  # the last one, so timestamps still increase
+            entry, what = len(doc["trajectory"]) - 1, "timestamp"
+        else:
+            doc["trajectory"][7][field][2] = bad
+            entry, what = 7, "pose"
+        with pytest.raises(ValueError, match=f"trajectory entry {entry} has a non-finite {what}"):
+            world_from_json(doc)
+
+
+def odd_world():
+    """A turning, cluttered world with -0.0 coordinates in a segment and a pose."""
+    w = generate_corridor(spec(n_turns=2, turn_angle=-60.0, extra_unique_segments=5, rng_seed=4))
+    segments = list(w.segments)
+    segments.append(WorldSegment(np.array([-0.0, 1.5, -0.0]), np.array([0.25, -0.0, 2.0]), 99))
+    poses = list(w.poses)
+    poses[2] = PoseSE3(poses[2].rotation, np.array([-0.0, 0.5, 1.5]))
+    return World(segments, w.timestamps, poses, 12)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "world",
+        [
+            lambda: generate_corridor(spec()),
+            lambda: generate_corridor(spec(corridor_length=60, n_turns=2, extra_unique_segments=150)),
+            odd_world,
+        ],
+    )
+    def test_file_bytes_equal_indented_json(self, tmp_path, world):
+        w = world()
+        path = tmp_path / "world.json"
+        world_to_file(w, path)
+        assert path.read_text() == json.dumps(world_to_json(w), indent=1) + "\n"
+
+    def test_empty_trajectory_bytes_equal_indented_json(self, tmp_path):
+        w = generate_corridor(spec())
+        empty = World(w.segments, np.zeros(0), (), 3)
+        world_to_file(empty, tmp_path / "world.json")
+        assert (tmp_path / "world.json").read_text() == json.dumps(world_to_json(empty), indent=1) + "\n"
+
+    def test_negative_zero_round_trips(self, tmp_path):
+        w = odd_world()
+        world_to_file(w, tmp_path / "world.json")
+        back = world_from_file(tmp_path / "world.json")
+        assert back.segments[-1].a.tobytes() == w.segments[-1].a.tobytes()
+        assert back.poses[2].translation.tobytes() == w.poses[2].translation.tobytes()
+
     def test_json_round_trip(self, tmp_path):
         w = generate_corridor(spec(n_turns=1, extra_unique_segments=2, rng_seed=3))
         path = tmp_path / "world.json"
