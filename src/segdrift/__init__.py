@@ -3,7 +3,7 @@ incremental 3D line-segment clustering and cluster-consistency
 optimization."""
 
 from .geometry import PoseSE3, Sim3, segment_vector, umeyama_alignment
-from .worldgen import World, WorldSegment, WorldSpec, generate_corridor
+from .worldgen import World, WorldSpec, generate_corridor
 from .frontend import DriftConfig, EstimatedMap, ObservationConfig, drift_walk, simulate
 from .clustering import ClusterStore, DegenerateSegmentError
 from .clusteropt import ClusterEdge, OptProblem, OptReport, build_problem, evaluate_objective, solve
@@ -16,7 +16,6 @@ __all__ = [
     "segment_vector",
     "umeyama_alignment",
     "World",
-    "WorldSegment",
     "WorldSpec",
     "generate_corridor",
     "DriftConfig",

@@ -66,7 +66,7 @@ def cmd_gen_world(args) -> int:
     spec = _spec_from_args(args)
     world = generate_corridor(spec)
     world_to_file(world, args.out)
-    print(f"wrote {args.out}: {len(world.segments)} segments, {world.n_frames} frames")
+    print(f"wrote {args.out}: {len(world.endpoints)} segments, {world.n_frames} frames")
     return 0
 
 

@@ -135,17 +135,22 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     )
 
 
-def quat_slerp(a: np.ndarray, b: np.ndarray, u: float) -> np.ndarray:
+def quat_slerp(a: np.ndarray, b: np.ndarray, u: float | np.ndarray) -> np.ndarray:
+    """Spherical interpolation from a (u = 0) to b (u = 1) along the shorter
+    arc, one pair or row-wise over equal-length stacks of a, b and u: row k
+    gives the same bits as one call on row k."""
     a = quat_normalize(a)
     b = quat_normalize(b)
-    dot = float(np.dot(a, b))
-    if dot < 0.0:
-        b = -b
-        dot = -dot
-    if dot > 1.0 - 1e-12:
-        return quat_normalize(a + u * (b - a))
-    theta = np.arccos(np.clip(dot, -1.0, 1.0))
-    return (np.sin((1 - u) * theta) * a + np.sin(u * theta) * b) / np.sin(theta)
+    dot = (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    flip = dot < 0.0
+    b = np.where(flip[..., None], -b, b)
+    dot = np.where(flip, -dot, dot)
+    u = np.asarray(u, dtype=float)[..., None]
+    lerp = quat_normalize(a + u * (b - a))
+    theta = np.arccos(np.clip(dot, -1.0, 1.0))[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # theta 0 takes the lerp
+        arc = (np.sin((1 - u) * theta) * a + np.sin(u * theta) * b) / np.sin(theta)
+    return np.where((dot > 1.0 - 1e-12)[..., None], lerp, arc)
 
 
 @dataclass(frozen=True)
@@ -222,17 +227,6 @@ class PoseSE3:
     def inverse(self) -> "PoseSE3":
         qinv = quat_conjugate(self.rotation)
         return PoseSE3(qinv, -quat_rotate(qinv, self.translation))
-
-    def unstack(self) -> list["PoseSE3"]:
-        """The poses of a stack, one per row. The rows are unit already, so
-        they are not normalised again (that could move their last bit)."""
-        poses = []
-        for q, t in zip(self.rotation, self.translation):
-            pose = object.__new__(PoseSE3)
-            object.__setattr__(pose, "rotation", q)
-            object.__setattr__(pose, "translation", t)
-            poses.append(pose)
-        return poses
 
 
 def segment_vector(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:

@@ -56,14 +56,6 @@ class Trajectory:
         """Pose i; an index array gives the stack of those poses."""
         return PoseSE3(self.quaternions[i], self.positions[i])
 
-    @staticmethod
-    def from_poses(timestamps, poses) -> "Trajectory":
-        return Trajectory(
-            np.asarray(timestamps, dtype=float),
-            np.array([p.translation for p in poses]).reshape(-1, 3),
-            np.array([p.rotation for p in poses]).reshape(-1, 4),
-        )
-
     def transformed(self, t: Sim3) -> "Trajectory":
         qs = quat_multiply(t.rotation, self.quaternions)
         return Trajectory(self.timestamps.copy(), t.apply(self.positions), qs)

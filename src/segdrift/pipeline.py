@@ -17,7 +17,9 @@ import numpy as np
 from .clustering import ClusterStore, DEFAULT_REL_THRESHOLD, assign_all
 from .clusteropt import OptReport, build_problem, solve
 from .frontend import OBS_FRAME, DriftConfig, EstimatedMap, ObservationConfig, simulate
-from .geometry import PoseSE3, Sim3, quat_multiply, quat_rotate, quat_slerp, umeyama_alignment
+from .geometry import (
+    Sim3, quat_multiply, quat_normalize, quat_rotate, quat_slerp, row_norms, umeyama_alignment
+)
 from .metrics import Trajectory
 from .worldgen import World
 
@@ -59,15 +61,21 @@ class RunResult:
 
 
 def propagate_to_poses(
-    pre_positions: dict[int, np.ndarray],
-    post_positions: dict[int, np.ndarray],
-    first_seen: dict[int, int],
-    poses: list[PoseSE3],
+    pre_points: np.ndarray,
+    post_points: np.ndarray,
+    first_seen: np.ndarray,
+    rotations: np.ndarray,
+    translations: np.ndarray,
     keyframes: list[int],
     min_moved: int = 3,
     neighborhood: int = 15,
-) -> tuple[list[PoseSE3], list[str]]:
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Apply per-keyframe similarity corrections derived from map movement.
+
+    `pre_points` and `post_points` are (points, 3) positions before and
+    after optimization, `first_seen` each point's first frame, and
+    `rotations` (frames, 4) and `translations` (frames, 3) the poses to
+    correct; returns the corrected rotations and translations and a log.
 
     For each keyframe, the points first observed within `neighborhood`
     frames of it form its fit group; if at least `min_moved` of them moved,
@@ -79,21 +87,12 @@ def propagate_to_poses(
     informative correction beyond the span.
     """
     plog: list[str] = []
-    moved = sorted(
-        pid
-        for pid in pre_positions
-        if pid in post_positions
-        and np.linalg.norm(post_positions[pid] - pre_positions[pid]) > MOVED_TOLERANCE
-    )
-
-    kf_sorted = sorted(keyframes)
-    moved_set = set(moved)
-    shared = sorted(set(pre_positions) & set(post_positions))
+    moved = row_norms(post_points - pre_points) > MOVED_TOLERANCE
 
     corrections: dict[int, Sim3] = {}
-    for kf in kf_sorted:
-        pids = [pid for pid in shared if abs(first_seen[pid] - kf) <= neighborhood]
-        n_moved = sum(1 for p in pids if p in moved_set)
+    for kf in sorted(keyframes):
+        group = np.flatnonzero(np.abs(first_seen - kf) <= neighborhood)
+        n_moved = int(np.count_nonzero(moved[group]))
         if n_moved == 0:
             continue
         if n_moved < min_moved:
@@ -101,20 +100,18 @@ def propagate_to_poses(
                 f"keyframe {kf}: only {n_moved} moved points, identity correction"
             )
             continue
-        src = np.array([pre_positions[p] for p in pids])
-        dst = np.array([post_positions[p] for p in pids])
         try:
-            fit = umeyama_alignment(src, dst, with_scale=True)
+            fit = umeyama_alignment(pre_points[group], post_points[group], with_scale=True)
             corrections[kf] = fit
             plog.append(
                 f"keyframe {kf}: scale {fit.scale:.6f} from "
-                f"{len(pids)} points ({n_moved} moved)"
+                f"{len(group)} points ({n_moved} moved)"
             )
         except (ValueError, np.linalg.LinAlgError) as exc:
             plog.append(f"keyframe {kf}: degenerate point set ({exc}), identity correction")
 
     if not corrections:
-        return list(poses), plog
+        return rotations, translations, plog
     if 0 not in corrections:
         # The distortion is exactly identity at the first frame, so the
         # correction profile is anchored there rather than extrapolated.
@@ -130,29 +127,25 @@ def propagate_to_poses(
     # interpolate geometrically in scale and by slerp in rotation; frames
     # beyond either end hold the nearest correction, since the drift at
     # those frames already contains the error the fit measured.
-    kfs = sorted(corrections)
-    new_poses = list(poses)
-    for frame in range(len(poses)):
-        if frame <= kfs[0]:
-            scale, rot = corrections[kfs[0]].scale, corrections[kfs[0]].rotation
-        elif frame >= kfs[-1]:
-            scale, rot = corrections[kfs[-1]].scale, corrections[kfs[-1]].rotation
-        else:
-            hi = next(k for k in kfs if k >= frame)
-            lo = max(k for k in kfs if k <= frame)
-            a, b = corrections[lo], corrections[hi]
-            if lo == hi:
-                scale, rot = a.scale, a.rotation
-            else:
-                u = (frame - lo) / (hi - lo)
-                scale = float(np.exp((1 - u) * np.log(a.scale) + u * np.log(b.scale)))
-                rot = quat_slerp(a.rotation, b.rotation, u)
-        pose = new_poses[frame]
-        new_poses[frame] = PoseSE3(
-            quat_multiply(rot, pose.rotation),
-            scale * quat_rotate(rot, pose.translation),
-        )
-    return new_poses, plog
+    kfs = np.array(sorted(corrections))
+    kf_scale = np.array([corrections[k].scale for k in kfs.tolist()])
+    kf_rot = np.array([corrections[k].rotation for k in kfs.tolist()])
+    frames = np.arange(len(rotations))
+    # The last keyframe at or before each frame and the first at or after
+    # it; clipping makes both the nearest end beyond the span.
+    lo = (np.searchsorted(kfs, frames, side="right") - 1).clip(min=0)
+    hi = np.searchsorted(kfs, frames).clip(max=len(kfs) - 1)
+    scale, rot = kf_scale[lo], kf_rot[lo]
+    between = np.flatnonzero(lo != hi)
+    a, b = lo[between], hi[between]
+    u = (frames[between] - kfs[a]) / (kfs[b] - kfs[a])
+    scale[between] = np.exp((1 - u) * np.log(kf_scale[a]) + u * np.log(kf_scale[b]))
+    rot[between] = quat_slerp(kf_rot[a], kf_rot[b], u)
+    return (
+        quat_normalize(quat_multiply(rot, rotations)),
+        scale[:, None] * quat_rotate(rot, translations),
+        plog,
+    )
 
 
 def run(
@@ -180,7 +173,6 @@ def run(
     # Observations are in frame order: frame f's batch is rows bounds[f]..bounds[f+1].
     bounds = np.searchsorted(emap.observations[:, OBS_FRAME], np.arange(n_frames + 1)).tolist()
     interval = schedule.keyframe_interval
-    keyframes_so_far: list[int] = [0]
 
     round_frames = [f for f in range(n_frames) if f > 0 and f % interval == 0]
     if n_frames - 1 not in round_frames and n_frames > 1:
@@ -212,12 +204,8 @@ def run(
         discarded += assign_all(
             store, emap, range(bounds[frame], bounds[frame + 1]), schedule.rel_threshold
         )
-        if frame > 0 and frame % interval == 0 and frame not in keyframes_so_far:
-            keyframes_so_far.append(frame)
         if next_round < len(round_frames) and frame == round_frames[next_round]:
             next_round += 1
-            if frame not in keyframes_so_far:
-                keyframes_so_far.append(frame)
             lo = max(0, frame - interval * schedule.local_window)
             solve_round(set(range(lo, frame + 1)))
             if schedule.mode == "segglobal":
@@ -228,13 +216,14 @@ def run(
     # yields the same trajectory as propagating after each round.
     corrected = raw_traj
     if reports:
-        poses, entries = propagate_to_poses(
-            dict(enumerate(raw_points)),
-            dict(enumerate(emap.points)),
-            dict(enumerate(emap.first_seen.tolist())),
-            emap.est_poses.unstack(),
-            keyframes_so_far,
+        rotations, translations, entries = propagate_to_poses(
+            raw_points,
+            emap.points,
+            emap.first_seen,
+            emap.est_poses.rotation,
+            emap.est_poses.translation,
+            [0, *round_frames],
         )
         plog.extend(entries)
-        corrected = Trajectory.from_poses(timestamps, poses)
+        corrected = Trajectory(timestamps, translations, rotations)
     return RunResult(raw_traj, corrected, gt_traj, emap, store, reports, discarded, plog)

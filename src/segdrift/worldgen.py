@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .geometry import PoseSE3, quat_from_axis_angle, quat_identity
+from .geometry import quat_from_axis_angle, quat_normalize, row_norms
 
 FRAME_RATE_HZ = 30.0
 WALK_SPEED_MPS = 1.0
@@ -29,27 +30,6 @@ COORD_QUANTUM = 2.0 ** -20
 
 def _snap(v: np.ndarray) -> np.ndarray:
     return np.round(np.asarray(v, dtype=float) / COORD_QUANTUM) * COORD_QUANTUM
-
-
-@dataclass(frozen=True)
-class WorldSegment:
-    a: np.ndarray
-    b: np.ndarray
-    archetype: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        if np.array_equal(self.a, self.b):
-            raise ValueError("segment endpoints must differ")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.b - self.a
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.a + self.b)
 
 
 @dataclass(frozen=True)
@@ -78,56 +58,61 @@ class WorldSpec:
 
 @dataclass(frozen=True)
 class World:
-    """Segments and a ground-truth trajectory. `endpoints` (segments, 2, 3),
-    `rotations` (frames, 4) and `translations` (frames, 3) are read-only
-    stacks of the same values, built once."""
+    """Segments and a ground-truth trajectory, held as read-only arrays:
+    segment `endpoints` (s, 2, 3) and `archetypes` (s,) int64; frame
+    `timestamps` (n,), `rotations` (n, 4, unit quaternions [w, x, y, z])
+    and `translations` (n, 3)."""
 
-    segments: tuple[WorldSegment, ...]
+    endpoints: np.ndarray
+    archetypes: np.ndarray
     timestamps: np.ndarray  # seconds, strictly increasing
-    poses: tuple[PoseSE3, ...]
+    rotations: np.ndarray
+    translations: np.ndarray
     rng_seed: int
-    endpoints: np.ndarray = field(init=False, repr=False, compare=False)
-    rotations: np.ndarray = field(init=False, repr=False, compare=False)
-    translations: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=float)
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "poses", tuple(self.poses))
-        if len(ts) != len(self.poses):
-            raise ValueError("timestamps and poses must have equal length")
-        stacks = {
-            "endpoints": np.array([(s.a, s.b) for s in self.segments]).reshape(-1, 2, 3),
-            "rotations": np.array([p.rotation for p in self.poses]).reshape(-1, 4),
-            "translations": np.array([p.translation for p in self.poses]).reshape(-1, 3),
+        archetypes = np.asarray(self.archetypes)
+        if archetypes.size and archetypes.dtype.kind not in "iu":
+            raise ValueError(f"archetypes must be integers, got dtype {archetypes.dtype}")
+        arrays = {
+            "endpoints": np.array(self.endpoints, dtype=float),
+            "archetypes": archetypes.astype(np.int64),
+            "timestamps": np.array(self.timestamps, dtype=float),
+            "rotations": np.array(self.rotations, dtype=float),
+            "translations": np.array(self.translations, dtype=float),
         }
-        for name, stack in stacks.items():
-            stack.flags.writeable = False
-            object.__setattr__(self, name, stack)
-        bad = ~np.isfinite(self.endpoints).all(axis=(1, 2))
+        ends, ts, rot = arrays["endpoints"], arrays["timestamps"], arrays["rotations"]
+        s, n = (len(a) if a.ndim else -1 for a in (ends, ts))
+        for name, shape in zip(arrays, [(s, 2, 3), (s,), (n,), (n, 4), (n, 3)]):
+            if arrays[name].shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arrays[name].shape}")
+        bad = ~np.isfinite(ends).all(axis=(1, 2))
         if bad.any():
             raise ValueError(f"segment {int(np.argmax(bad))} has a non-finite endpoint")
+        same = (ends[:, 0] == ends[:, 1]).all(axis=1)
+        if same.any():
+            raise ValueError(f"segment {int(np.argmax(same))} endpoints must differ")
         bad_t = ~np.isfinite(ts)
-        bad = bad_t | ~np.isfinite(np.column_stack([self.rotations, self.translations])).all(axis=1)
+        bad = bad_t | ~np.isfinite(np.column_stack([rot, arrays["translations"]])).all(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
             what = "timestamp" if bad_t[i] else "pose"
             raise ValueError(f"trajectory entry {i} has a non-finite {what}")
+        zero = row_norms(rot) == 0.0
+        if zero.any():
+            raise ValueError(f"trajectory entry {int(np.argmax(zero))} has a zero quaternion")
+        arrays["rotations"] = quat_normalize(rot)
         if len(ts) > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("timestamps must be strictly increasing")
-        if not any(c >= 2 for c in self.archetype_counts().values()):
+        if not (np.unique(arrays["archetypes"], return_counts=True)[1] >= 2).any():
             raise ValueError("world must contain at least one repeated archetype")
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n_frames(self) -> int:
-        return len(self.poses)
-
-    def archetype_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for seg in self.segments:
-            counts[seg.archetype] = counts.get(seg.archetype, 0) + 1
-        return counts
+        return len(self.timestamps)
 
 
 def _heading_quat(heading_rad: float) -> np.ndarray:
@@ -142,7 +127,6 @@ def generate_corridor(spec: WorldSpec) -> World:
     leg_len = spec.corridor_length / n_legs
     turn_rad = np.deg2rad(spec.turn_angle)
 
-    segments: list[WorldSegment] = []
     jamb_delta = _snap(np.array([0.0, 0.0, spec.door_height]))
 
     leg_starts: list[np.ndarray] = []
@@ -156,19 +140,18 @@ def generate_corridor(spec: WorldSpec) -> World:
         start = start + leg_len * direction
         heading += turn_rad
 
+    # Per door: two jambs (archetype 0) and the lintel joining their tops.
+    ends: list[np.ndarray] = []
+    archetypes: list[np.ndarray] = []
     for leg, (origin, direction) in enumerate(zip(leg_starts, leg_dirs)):
         left = np.array([-direction[1], direction[0], 0.0])
         lintel_delta = _snap(spec.door_width * direction)
-        n_doors = int(np.floor(leg_len / spec.door_spacing))
-        for k in range(n_doors):
-            base = _snap(origin + k * spec.door_spacing * direction + WALL_OFFSET_M * left)
-            jamb1_a = base
-            jamb2_a = base + lintel_delta  # exact: both on the dyadic grid
-            segments.append(WorldSegment(jamb1_a, jamb1_a + jamb_delta, archetype=0))
-            segments.append(WorldSegment(jamb2_a, jamb2_a + jamb_delta, archetype=0))
-            segments.append(
-                WorldSegment(jamb1_a + jamb_delta, jamb2_a + jamb_delta, archetype=1 + leg)
-            )
+        k = np.arange(int(np.floor(leg_len / spec.door_spacing)))
+        jamb1 = _snap(origin + (k * spec.door_spacing)[:, None] * direction + WALL_OFFSET_M * left)
+        jamb2 = jamb1 + lintel_delta  # exact: both on the dyadic grid
+        top1, top2 = jamb1 + jamb_delta, jamb2 + jamb_delta
+        ends.append(np.stack([jamb1, top1, jamb2, top2, top1, top2], axis=1).reshape(-1, 2, 3))
+        archetypes.append(np.tile([0, 0, 1 + leg], len(k)))
 
     for j in range(spec.extra_unique_segments):
         leg = int(rng.integers(n_legs))
@@ -181,66 +164,102 @@ def generate_corridor(spec: WorldSpec) -> World:
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         half = 0.5 * rng.uniform(0.5, 2.0) * direction
-        segments.append(
-            WorldSegment(_snap(mid - half), _snap(mid + half), archetype=1 + n_legs + j)
-        )
+        ends.append(np.stack([_snap(mid - half), _snap(mid + half)])[None])
+        archetypes.append(np.array([1 + n_legs + j]))
 
     # Walk the centerline at constant speed; turn in place at each corner.
     dt = 1.0 / FRAME_RATE_HZ
     step = WALK_SPEED_MPS * dt
     turn_step = np.deg2rad(TURN_RATE_DPS) * dt
-    poses: list[PoseSE3] = []
+    camera = np.array([0.0, 0.0, CAMERA_HEIGHT_M])
+    rotations: list[np.ndarray] = []
+    translations: list[np.ndarray] = []
     heading = 0.0
     for leg in range(n_legs):
         origin, direction = leg_starts[leg], leg_dirs[leg]
-        n_steps = int(np.floor(leg_len / step))
-        for k in range(n_steps):
-            pos = origin + k * step * direction + np.array([0.0, 0.0, CAMERA_HEIGHT_M])
-            poses.append(PoseSE3(_heading_quat(heading), pos))
+        k = np.arange(int(np.floor(leg_len / step)))
+        translations.append(origin + (k * step)[:, None] * direction + camera)
+        rotations.append(np.tile(_heading_quat(heading), (len(k), 1)))
         if leg < n_legs - 1:
-            corner = leg_starts[leg + 1] + np.array([0.0, 0.0, CAMERA_HEIGHT_M])
             n_turn = max(1, int(round(abs(turn_rad) / turn_step)))
             target = heading + turn_rad
-            for k in range(1, n_turn + 1):
-                poses.append(PoseSE3(_heading_quat(heading + k * (target - heading) / n_turn), corner))
+            turn = heading + np.arange(1, n_turn + 1) * (target - heading) / n_turn
+            translations.append(np.tile(leg_starts[leg + 1] + camera, (n_turn, 1)))
+            rotations.append(np.array([_heading_quat(h) for h in turn]))
             heading = target
 
-    timestamps = np.arange(len(poses)) * dt
-    return World(tuple(segments), timestamps, tuple(poses), spec.rng_seed)
+    n_frames = sum(len(r) for r in rotations)
+    return World(
+        np.concatenate(ends),
+        np.concatenate(archetypes),
+        np.arange(n_frames) * dt,
+        np.concatenate(rotations),
+        np.concatenate(translations),
+        spec.rng_seed,
+    )
 
 
 def world_to_json(world: World) -> dict:
+    segments = zip(world.endpoints.tolist(), world.archetypes.tolist())
+    poses = zip(world.timestamps.tolist(), world.rotations.tolist(), world.translations.tolist())
     return {
-        "segments": [
-            {"a": list(s.a), "b": list(s.b), "archetype": s.archetype} for s in world.segments
-        ],
-        "trajectory": [
-            {"t": float(t), "q": list(p.rotation), "p": list(p.translation)}
-            for t, p in zip(world.timestamps, world.poses)
-        ],
+        "segments": [{"a": a, "b": b, "archetype": k} for (a, b), k in segments],
+        "trajectory": [{"t": t, "q": q, "p": p} for t, q, p in poses],
         "seed": world.rng_seed,
     }
 
 
+def _field(entries: list, where: str, key: str, width: int | None, integer: bool = False):
+    """Field `key` of every entry as an array: (n,) for one number each
+    (width None), (n, width) for a list of `width` numbers. Anything else,
+    bools and numeric strings included, is an error naming the entry."""
+    kinds = {int} if integer else {int, float}
+    dtype = np.int64 if integer else float
+    try:
+        values = [e[key] for e in entries]
+        flat = values if width is None else chain.from_iterable(values)
+        if set(map(type, flat)) <= kinds:
+            shape = (len(values),) if width is None else (len(values), width)
+            return np.array(values, dtype=dtype).reshape(shape)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass  # find and name the bad entry below
+    what = "an integer" if integer else "a number" if width is None else f"{width} numbers"
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict) or key not in e:
+            raise ValueError(f"{where} {i} missing field '{key}'")
+        v = e[key]
+        if width is None:
+            good = type(v) in kinds
+        else:
+            good = type(v) is list and len(v) == width and all(type(x) in kinds for x in v)
+        if not good:
+            raise ValueError(f"{where} {i} field '{key}' must be {what}, got {v!r}")
+        try:
+            np.array(v, dtype=dtype)
+        except OverflowError:
+            raise ValueError(f"{where} {i} field '{key}' holds a number out of range") from None
+
+
 def world_from_json(data: dict) -> World:
+    if not isinstance(data, dict):
+        raise ValueError("world file must be a JSON object")
     for key in ("segments", "trajectory", "seed"):
         if key not in data:
             raise ValueError(f"world file missing section '{key}'")
-    segments = []
-    for i, s in enumerate(data["segments"]):
-        for key in ("a", "b", "archetype"):
-            if key not in s:
-                raise ValueError(f"segment {i} missing field '{key}'")
-        segments.append(WorldSegment(np.array(s["a"]), np.array(s["b"]), int(s["archetype"])))
-    timestamps = []
-    poses = []
-    for i, entry in enumerate(data["trajectory"]):
-        for key in ("t", "q", "p"):
-            if key not in entry:
-                raise ValueError(f"trajectory entry {i} missing field '{key}'")
-        timestamps.append(float(entry["t"]))
-        poses.append(PoseSE3(np.array(entry["q"]), np.array(entry["p"])))
-    return World(tuple(segments), np.array(timestamps), tuple(poses), int(data["seed"]))
+    if type(data["seed"]) is not int:
+        raise ValueError(f"world file field 'seed' must be an integer, got {data['seed']!r}")
+    segments, trajectory = data["segments"], data["trajectory"]
+    for key, section in (("segments", segments), ("trajectory", trajectory)):
+        if type(section) is not list:
+            raise ValueError(f"world file section '{key}' must be a list, got {type(section).__name__}")
+    return World(
+        np.stack([_field(segments, "segment", k, 3) for k in ("a", "b")], axis=1),
+        _field(segments, "segment", "archetype", None, integer=True),
+        _field(trajectory, "trajectory entry", "t", None),
+        _field(trajectory, "trajectory entry", "q", 4),
+        _field(trajectory, "trajectory entry", "p", 3),
+        data["seed"],
+    )
 
 
 # `json.dumps(world_to_json(world), indent=1)`, one segment or pose at a time.
@@ -264,7 +283,7 @@ def world_to_file(world: World, path) -> None:
     Python and slow. A World holds only finite floats, whose `%r` is their
     JSON form."""
     ends = world.endpoints.reshape(-1, 6).tolist()
-    segments = [_SEGMENT_JSON % (*e, s.archetype) for e, s in zip(ends, world.segments)]
+    segments = [_SEGMENT_JSON % (*e, k) for e, k in zip(ends, world.archetypes.tolist())]
     rows = np.column_stack([world.timestamps, world.rotations, world.translations]).tolist()
     poses = [_POSE_JSON % tuple(r) for r in rows]
     with open(path, "w") as f:

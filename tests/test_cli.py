@@ -39,7 +39,7 @@ class TestGenWorld:
         out = tmp_path / "world.json"
         assert main(["gen-world", "--out", str(out)]) == 0
         world = world_from_file(out)
-        assert len(world.segments) > 0
+        assert len(world.endpoints) > 0
         assert "segments" in capsys.readouterr().out
 
     def test_invalid_spec_exits_1_names_constraint(self, tmp_path, capsys):
@@ -187,6 +187,35 @@ class TestRun:
         assert main(["gen-world", "--corridor-length", "10", "--out", str(world_path)]) == 0
         doc = json.loads(world_path.read_text())
         doc[where][4]["a" if where == "segments" else "p"][0] = value
+        world_path.write_text(json.dumps(doc))
+        cfg = json.loads(small_config(tmp_path).read_text())
+        del cfg["world"]
+        cfg["world_file"] = str(world_path)
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["run", "--config", str(tmp_path / "config.json")]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            ("drop_y", "segment 0 field 'a' must be 3 numbers"),
+            ("zero_length", "segment 4 endpoints must differ"),
+        ],
+    )
+    def test_malformed_world_file_exits_1_before_any_output(self, tmp_path, capsys, damage, named):
+        # 8 m: 4 doors, 12 segments. With 2-D endpoints their 48 numbers
+        # would re-chunk into 8 three-D segments if only the total counted.
+        world_path = tmp_path / "world.json"
+        assert main(["gen-world", "--corridor-length", "8", "--out", str(world_path)]) == 0
+        doc = json.loads(world_path.read_text())
+        assert len(doc["segments"]) == 12
+        if damage == "drop_y":
+            for seg in doc["segments"]:  # keep x and z: no segment collapses
+                seg["a"], seg["b"] = seg["a"][::2], seg["b"][::2]
+        else:
+            doc["segments"][4]["b"] = doc["segments"][4]["a"]
         world_path.write_text(json.dumps(doc))
         cfg = json.loads(small_config(tmp_path).read_text())
         del cfg["world"]

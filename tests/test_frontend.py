@@ -17,7 +17,7 @@ from segdrift.frontend import (
     simulate,
 )
 from segdrift.geometry import PoseSE3, Sim3, quat_from_axis_angle, quat_multiply, quat_rotate
-from segdrift.worldgen import World, WorldSegment, WorldSpec, generate_corridor
+from segdrift.worldgen import World, WorldSpec, generate_corridor
 
 
 def make_world(**kw):
@@ -77,29 +77,29 @@ def reference_simulate(world, drift_cfg, obs_cfg):
     endpoint_to_id: dict[bytes, int] = {}
     est_poses = []
     candidates = [
-        (i, seg)
-        for i, seg in enumerate(world.segments)
-        if np.linalg.norm(seg.vector) >= obs_cfg.min_segment_length
+        (i, (a, b))
+        for i, (a, b) in enumerate(world.endpoints)
+        if np.linalg.norm(b - a) >= obs_cfg.min_segment_length
     ]
-    cand_mids = np.array([seg.midpoint for _, seg in candidates]).reshape(-1, 3)
+    cand_mids = np.array([0.5 * (a + b) for _, (a, b) in candidates]).reshape(-1, 3)
 
-    for frame, pose in enumerate(world.poses):
+    for frame, (rotation, translation) in enumerate(zip(world.rotations, world.translations)):
         if frame > 0:
             drift.step()
         d = drift.cumulative
-        est_poses.append(PoseSE3(quat_multiply(d.rotation, pose.rotation), d.apply(pose.translation)))
+        est_poses.append(PoseSE3(quat_multiply(d.rotation, rotation), d.apply(translation)))
         if not candidates:
             continue
-        rel = cand_mids - pose.translation
+        rel = cand_mids - translation
         in_range = np.linalg.norm(rel, axis=1) <= obs_cfg.max_range
-        facing = rel @ quat_rotate(pose.rotation, np.array([1.0, 0.0, 0.0])) > 0.0
+        facing = rel @ quat_rotate(rotation, np.array([1.0, 0.0, 0.0])) > 0.0
         visible = np.flatnonzero(in_range & facing)
         if obs_cfg.detect_prob < 1.0 and len(visible):
             visible = visible[obs_rng.random(len(visible)) < obs_cfg.detect_prob]
         for ci in visible:
             seg_index, seg = candidates[ci]
             ids = []
-            for true_pt in (seg.a, seg.b):
+            for true_pt in seg:
                 key = true_pt.tobytes()
                 pid = endpoint_to_id.get(key)
                 if pid is None:
@@ -269,13 +269,13 @@ class TestMatchesPerFrameLoop:
     def test_endpoints_keyed_by_bits(self):
         # (2, 1, 0.0) and (2, 1, -0.0) are equal floats with different bits:
         # the oracle association keys bits, so they are two map points.
-        segments = [
-            WorldSegment([2.0, 1.0, 0.0], [2.0, 1.0, 2.0], 0),
-            WorldSegment([3.0, 1.0, 0.0], [3.0, 1.0, 2.0], 0),
-            WorldSegment([2.0, 1.0, -0.0], [3.0, 1.0, -0.0], 1),
+        endpoints = [
+            ([2.0, 1.0, 0.0], [2.0, 1.0, 2.0]),
+            ([3.0, 1.0, 0.0], [3.0, 1.0, 2.0]),
+            ([2.0, 1.0, -0.0], [3.0, 1.0, -0.0]),
         ]
-        poses = [PoseSE3.identity()] * 3
-        world = World(segments, np.arange(3) / 30.0, poses, 0)
+        identity = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+        world = World(endpoints, [0, 0, 1], np.arange(3) / 30.0, identity, np.zeros((3, 3)), 0)
         drift, obs = DriftConfig(scale_sigma=1e-3, rng_seed=1), ObservationConfig(rng_seed=2)
         emap = simulate(world, drift, obs)
         actual = (emap.points, emap.first_seen, emap.observations, emap.est_poses.rotation, emap.est_poses.translation)
@@ -309,21 +309,21 @@ class TestSimulate:
         w = make_world()
         emap = simulate(w, DriftConfig(rng_seed=0), ObservationConfig(rng_seed=0))
         for p1, p2, _, segment in emap.observations.tolist():
-            seg = w.segments[segment]
-            assert np.array_equal(emap.points[p1], seg.a) or np.array_equal(emap.points[p1], seg.b)
-            assert np.array_equal(emap.points[p2], seg.a) or np.array_equal(emap.points[p2], seg.b)
-        assert np.array_equal(emap.est_poses.translation, [p.translation for p in w.poses])
-        assert np.array_equal(emap.est_poses.rotation, [p.rotation for p in w.poses])
+            a, b = w.endpoints[segment]
+            assert np.array_equal(emap.points[p1], a) or np.array_equal(emap.points[p1], b)
+            assert np.array_equal(emap.points[p2], a) or np.array_equal(emap.points[p2], b)
+        assert np.array_equal(emap.est_poses.translation, w.translations)
+        assert np.array_equal(emap.est_poses.rotation, w.rotations)
 
     def test_pure_scale_drift_scales_first_sight_positions(self):
         w = make_world()
         cfg = DriftConfig(scale_sigma=1e-3, rng_seed=3)
         emap = simulate(w, cfg, ObservationConfig(rng_seed=0))
-        scales = reference_drift(cfg, len(w.poses))[0]
+        scales = reference_drift(cfg, w.n_frames)[0]
         checked = 0
         for p1, p2, _, segment in emap.observations.tolist():
-            seg = w.segments[segment]
-            for pid, true_pt in ((p1, seg.a), (p2, seg.b)):
+            a, b = w.endpoints[segment]
+            for pid, true_pt in ((p1, a), (p2, b)):
                 s = scales[emap.first_seen[pid]]
                 assert np.linalg.norm(emap.points[pid]) == pytest.approx(
                     s * np.linalg.norm(true_pt), abs=1e-9
@@ -335,13 +335,13 @@ class TestSimulate:
         w = make_world()
         cfg = DriftConfig(scale_sigma=2e-3, rng_seed=1)
         emap = simulate(w, cfg, ObservationConfig(rng_seed=0))
-        scales = reference_drift(cfg, len(w.poses))[0]
+        scales = reference_drift(cfg, w.n_frames)[0]
         for p1, p2, _, segment in emap.observations.tolist():
             if emap.first_seen[p1] != emap.first_seen[p2]:
                 continue
             v_est = emap.points[p2] - emap.points[p1]
             s = scales[emap.first_seen[p1]]
-            v_true = w.segments[segment].vector
+            v_true = w.endpoints[segment, 1] - w.endpoints[segment, 0]
             match = np.allclose(v_est, s * v_true, atol=1e-9) or np.allclose(
                 v_est, -s * v_true, atol=1e-9
             )
@@ -383,10 +383,10 @@ class TestSimulate:
         w = make_world()
         emap = simulate(w, DriftConfig(rng_seed=0), ObservationConfig(rng_seed=0))
         frames = emap.observations[:, OBS_FRAME]
-        assert frames.min() >= 0 and frames.max() < len(w.poses)
+        assert frames.min() >= 0 and frames.max() < w.n_frames
         assert np.all(np.diff(frames) >= 0)
         assert np.all(emap.first_seen[emap.observations[:, [OBS_P1, OBS_P2]]] <= frames[:, None])
-        assert emap.observations[:, OBS_SEGMENT].max() < len(w.segments)
+        assert emap.observations[:, OBS_SEGMENT].max() < len(w.endpoints)
 
     def test_invalid_detect_prob_rejected(self):
         with pytest.raises(ValueError):

@@ -132,6 +132,15 @@ class TestBroadcasting:
             assert np.array_equal(row_norms(v.reshape(40, 500, k)), norms.reshape(40, 500))
             assert row_norms(v[7]) == np.linalg.norm(v[7])
 
+    def test_slerp_rowwise(self):
+        # Rows on both sides of the dot < 0 flip, on the lerp branch (nearly
+        # equal), and with u inside and outside [0, 1].
+        a = rng.normal(size=(400, 4))
+        near = a + rng.normal(0, 1e-9, size=(400, 4))
+        b = np.where(rng.random((400, 1)) < 0.25, near, rng.normal(size=(400, 4)))
+        u = rng.uniform(-0.5, 1.5, size=400)
+        assert np.array_equal(quat_slerp(a, b, u), [quat_slerp(x, y, w) for x, y, w in zip(a, b, u)])
+
     def test_pose_stack_matches_single_poses(self):
         q = rng.normal(size=(20, 4))
         t = rng.normal(size=(20, 3))

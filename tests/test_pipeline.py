@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segdrift.frontend import DriftConfig, ObservationConfig
-from segdrift.geometry import PoseSE3, quat_from_axis_angle, quat_rotate
+from segdrift.geometry import (
+    PoseSE3,
+    Sim3,
+    quat_from_axis_angle,
+    quat_multiply,
+    quat_normalize,
+    quat_rotate,
+    umeyama_alignment,
+)
 from segdrift.metrics import ate
-from segdrift.pipeline import ScheduleConfig, propagate_to_poses, run
+from segdrift.pipeline import MOVED_TOLERANCE, ScheduleConfig, propagate_to_poses, run
 from segdrift.worldgen import WorldSpec, generate_corridor
 
 
@@ -72,7 +82,7 @@ class TestZeroDrift:
         w = make_world()
         r = run(w, DriftConfig(rng_seed=0), ObservationConfig(rng_seed=0),
                 ScheduleConfig(mode="seg"))
-        n_archetypes = len({s.archetype for s in w.segments})
+        n_archetypes = len(set(w.archetypes.tolist()))
         assert len(r.store) == n_archetypes
 
 
@@ -103,61 +113,228 @@ class TestRounds:
             assert rep.final_objective <= rep.initial_objective
 
 
+def reference_slerp(a, b, u):
+    """One-pair slerp, as `quat_slerp` computes each row of a stack."""
+    a = quat_normalize(a)
+    b = quat_normalize(b)
+    dot = float(np.dot(a, b))
+    if dot < 0.0:
+        b = -b
+        dot = -dot
+    if dot > 1.0 - 1e-12:
+        return quat_normalize(a + u * (b - a))
+    theta = np.arccos(np.clip(dot, -1.0, 1.0))
+    return (np.sin((1 - u) * theta) * a + np.sin(u * theta) * b) / np.sin(theta)
+
+
+def reference_propagate(
+    pre_positions: dict[int, np.ndarray],
+    post_positions: dict[int, np.ndarray],
+    first_seen: dict[int, int],
+    poses: list[PoseSE3],
+    keyframes: list[int],
+    min_moved: int = 3,
+    neighborhood: int = 15,
+) -> tuple[list[PoseSE3], list[str]]:
+    """The dict-and-pose loop that `propagate_to_poses` computes as arrays."""
+    plog: list[str] = []
+    moved = sorted(
+        pid
+        for pid in pre_positions
+        if pid in post_positions
+        and np.linalg.norm(post_positions[pid] - pre_positions[pid]) > MOVED_TOLERANCE
+    )
+
+    kf_sorted = sorted(keyframes)
+    moved_set = set(moved)
+    shared = sorted(set(pre_positions) & set(post_positions))
+
+    corrections: dict[int, Sim3] = {}
+    for kf in kf_sorted:
+        pids = [pid for pid in shared if abs(first_seen[pid] - kf) <= neighborhood]
+        n_moved = sum(1 for p in pids if p in moved_set)
+        if n_moved == 0:
+            continue
+        if n_moved < min_moved:
+            plog.append(
+                f"keyframe {kf}: only {n_moved} moved points, identity correction"
+            )
+            continue
+        src = np.array([pre_positions[p] for p in pids])
+        dst = np.array([post_positions[p] for p in pids])
+        try:
+            fit = umeyama_alignment(src, dst, with_scale=True)
+            corrections[kf] = fit
+            plog.append(
+                f"keyframe {kf}: scale {fit.scale:.6f} from "
+                f"{len(pids)} points ({n_moved} moved)"
+            )
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            plog.append(f"keyframe {kf}: degenerate point set ({exc}), identity correction")
+
+    if not corrections:
+        return list(poses), plog
+    if 0 not in corrections:
+        corrections[0] = Sim3.identity()
+
+    kfs = sorted(corrections)
+    new_poses = list(poses)
+    for frame in range(len(poses)):
+        if frame <= kfs[0]:
+            scale, rot = corrections[kfs[0]].scale, corrections[kfs[0]].rotation
+        elif frame >= kfs[-1]:
+            scale, rot = corrections[kfs[-1]].scale, corrections[kfs[-1]].rotation
+        else:
+            hi = next(k for k in kfs if k >= frame)
+            lo = max(k for k in kfs if k <= frame)
+            a, b = corrections[lo], corrections[hi]
+            if lo == hi:
+                scale, rot = a.scale, a.rotation
+            else:
+                u = (frame - lo) / (hi - lo)
+                scale = float(np.exp((1 - u) * np.log(a.scale) + u * np.log(b.scale)))
+                rot = reference_slerp(a.rotation, b.rotation, u)
+        pose = new_poses[frame]
+        new_poses[frame] = PoseSE3(
+            quat_multiply(rot, pose.rotation),
+            scale * quat_rotate(rot, pose.translation),
+        )
+    return new_poses, plog
+
+
+MOTIONS = ("none", "scale", "rotation", "twist", "similarity", "jitter", "coincident")
+
+
+def propagation_case(seed, n_points, n_frames, motion, moved_share):
+    """(pre, post, first_seen, poses): `moved_share` of
+    the points move by `motion`; "twist" turns each point about z by an
+    angle growing with its first frame, so neighbouring keyframes fit
+    different rotations; "coincident" puts every point on one spot, so
+    every fit group is degenerate."""
+    rng = np.random.default_rng(seed)
+    pre = rng.uniform(-5, 5, size=(n_points, 3))
+    if motion == "coincident":
+        pre[:] = pre[:1]
+    first_seen = rng.integers(0, n_frames, size=n_points)
+    moved = rng.random(n_points) < moved_share
+    z = np.array([0.0, 0.0, 1.0])
+    q = quat_from_axis_angle(rng.normal(size=3), rng.uniform(-np.pi, np.pi))
+    post = pre.copy()
+    if motion in ("scale", "coincident"):
+        post[moved] = 0.97 * pre[moved]
+    elif motion == "rotation":
+        post[moved] = quat_rotate(q, pre[moved])
+    elif motion == "twist":
+        twists = np.array([quat_from_axis_angle(z, 0.05 * f) for f in first_seen]).reshape(-1, 4)
+        post[moved] = quat_rotate(twists[moved], pre[moved])
+    elif motion == "similarity":
+        post[moved] = 1.04 * quat_rotate(q, pre[moved]) + rng.normal(size=3)
+    elif motion == "jitter":
+        post[moved] = pre[moved] + rng.normal(0.0, 0.01, size=(int(moved.sum()), 3))
+    poses = [
+        PoseSE3(rng.normal(size=4), rng.uniform(-5, 5, size=3)) for _ in range(n_frames)
+    ]
+    return pre, post, first_seen, poses
+
+
+@st.composite
+def propagation_params(draw):
+    n_frames = draw(st.integers(1, 60))
+    return (
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(0, 60)),
+        n_frames,
+        draw(st.sampled_from(MOTIONS)),
+        draw(st.sampled_from([0.0, 0.05, 0.3, 1.0, 1.0])),
+        draw(st.lists(st.integers(-20, n_frames + 20), max_size=8)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(0, 30)),
+    )
+
+
+class TestPropagationEqualsReference:
+    @settings(max_examples=200)
+    @given(propagation_params())
+    # no moved point; fewer than min_moved; degenerate groups, also groups
+    # under 3 points with min_moved 1; pure rotation, scale and a twist
+    # interpolated across keyframes; keyframes outside the frame range
+    @example((1, 30, 40, "none", 1.0, [0, 10, 20, 30], 3, 15))
+    @example((2, 30, 40, "scale", 0.05, [0, 10, 20, 30], 3, 15))
+    @example((3, 30, 40, "coincident", 1.0, [0, 10, 20, 30], 3, 15))
+    @example((4, 6, 40, "scale", 1.0, [0, 10, 20, 30], 1, 2))
+    @example((5, 40, 60, "rotation", 1.0, [0, 15, 30, 45, 59], 3, 15))
+    @example((6, 40, 60, "scale", 1.0, [0, 15, 30, 45, 59], 3, 15))
+    @example((7, 40, 60, "twist", 1.0, [0, 10, 20, 30, 40, 50, 59], 3, 10))
+    @example((8, 40, 30, "similarity", 1.0, [-20, 5, 40, 45], 3, 20))
+    def test_arrays_equal_dict_loop(self, params):
+        seed, n_points, n_frames, motion, share, keyframes, min_moved, neighborhood = params
+        pre, post, first_seen, poses = propagation_case(seed, n_points, n_frames, motion, share)
+        rotations = np.array([p.rotation for p in poses])
+        translations = np.array([p.translation for p in poses])
+        rot, trans, plog = propagate_to_poses(
+            pre, post, first_seen, rotations, translations, keyframes, min_moved, neighborhood
+        )
+        ref_poses, ref_log = reference_propagate(
+            dict(enumerate(pre)),
+            dict(enumerate(post)),
+            dict(enumerate(first_seen.tolist())),
+            poses,
+            keyframes,
+            min_moved,
+            neighborhood,
+        )
+        assert plog == ref_log
+        assert rot.tobytes() == np.array([p.rotation for p in ref_poses]).tobytes()
+        assert trans.tobytes() == np.array([p.translation for p in ref_poses]).tobytes()
+
+
 class TestPropagation:
     def setup_method(self):
         rng = np.random.default_rng(11)
         self.n_points = 30
-        self.pre = {pid: rng.uniform(-5, 5, size=3) for pid in range(self.n_points)}
-        self.first_seen = {pid: pid for pid in range(self.n_points)}
-        self.poses = [
-            PoseSE3(np.array([1.0, 0.0, 0.0, 0.0]), rng.uniform(-5, 5, size=3))
-            for _ in range(self.n_points)
-        ]
+        self.pre = rng.uniform(-5, 5, size=(self.n_points, 3))
+        self.first_seen = np.arange(self.n_points)
+        self.rotations = np.tile([1.0, 0.0, 0.0, 0.0], (self.n_points, 1))
+        self.translations = rng.uniform(-5, 5, size=(self.n_points, 3))
         self.keyframes = [0, 10, 20, 29]
 
-    def test_unmoved_map_gives_identity(self):
-        post = {pid: p.copy() for pid, p in self.pre.items()}
-        new_poses, plog = propagate_to_poses(
-            self.pre, post, self.first_seen, self.poses, self.keyframes
+    def propagate(self, post, keyframes=None, **kw):
+        return propagate_to_poses(
+            self.pre,
+            post,
+            self.first_seen,
+            self.rotations,
+            self.translations,
+            self.keyframes if keyframes is None else keyframes,
+            **kw,
         )
+
+    def test_unmoved_map_gives_identity(self):
+        rot, trans, plog = self.propagate(self.pre.copy())
         assert plog == []
-        for old, new in zip(self.poses, new_poses):
-            assert np.array_equal(old.translation, new.translation)
-            assert np.array_equal(old.rotation, new.rotation)
+        assert np.array_equal(trans, self.translations)
+        assert np.array_equal(rot, self.rotations)
 
     def test_uniform_scaling_recovered_at_every_keyframe(self):
         s = 1.0 / 1.05
-        post = {pid: s * p for pid, p in self.pre.items()}
-        new_poses, plog = propagate_to_poses(
-            self.pre, post, self.first_seen, self.poses, self.keyframes
-        )
+        _, trans, plog = self.propagate(s * self.pre)
         scales = [float(e.split("scale ")[1].split(" ")[0]) for e in plog if "scale" in e]
         assert len(scales) == len(self.keyframes)
         for fitted in scales:
             assert fitted == pytest.approx(s, abs=1e-6)
-        for old, new in zip(self.poses, new_poses):
-            assert np.allclose(new.translation, s * old.translation, atol=1e-9)
+        assert np.allclose(trans, s * self.translations, atol=1e-9)
 
     def test_two_moved_points_logged_identity(self):
-        post = {pid: p.copy() for pid, p in self.pre.items()}
-        post[0] = post[0] + 1.0
-        post[1] = post[1] + 1.0
-        keyframes = [0]
-        new_poses, plog = propagate_to_poses(
-            self.pre, post, self.first_seen, self.poses, keyframes, neighborhood=5
-        )
+        post = self.pre.copy()
+        post[:2] += 1.0
+        _, trans, plog = self.propagate(post, keyframes=[0], neighborhood=5)
         assert any("only 2 moved points, identity correction" in e for e in plog)
-        for old, new in zip(self.poses, new_poses):
-            assert np.array_equal(old.translation, new.translation)
+        assert np.array_equal(trans, self.translations)
 
     def test_rotation_recovered_and_applied_about_origin(self):
         q = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.1)
-        post = {pid: quat_rotate(q, p) for pid, p in self.pre.items()}
-        new_poses, _ = propagate_to_poses(
-            self.pre, post, self.first_seen, self.poses, self.keyframes
-        )
-        for old, new in zip(self.poses, new_poses):
-            assert np.allclose(new.translation, quat_rotate(q, old.translation), atol=1e-6)
+        _, trans, _ = self.propagate(quat_rotate(q, self.pre))
+        assert np.allclose(trans, quat_rotate(q, self.translations), atol=1e-6)
 
 
 class TestNoiselessMonotoneScaleReduction:

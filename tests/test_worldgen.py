@@ -1,15 +1,14 @@
 """Synthetic corridor world generation."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from segdrift.geometry import PoseSE3, quat_rotate
+from segdrift.geometry import quat_rotate
 from segdrift.worldgen import (
     FRAME_RATE_HZ,
-    World,
-    WorldSegment,
     WorldSpec,
     generate_corridor,
     world_from_file,
@@ -23,6 +22,11 @@ def spec(**kw):
     base = dict(corridor_length=20, door_spacing=2)
     base.update(kw)
     return WorldSpec(**base)
+
+
+def vectors(w):
+    """Each segment's b - a."""
+    return w.endpoints[:, 1] - w.endpoints[:, 0]
 
 
 class TestSpecValidation:
@@ -58,23 +62,22 @@ class TestSpecValidation:
 class TestCorridorStructure:
     def test_door_count_straight(self):
         w = generate_corridor(spec())
-        jambs = [s for s in w.segments if s.archetype == 0]
+        jambs = [k for k in w.archetypes.tolist() if k == 0]
         # 10 doors -> 20 vertical edges.
         assert len(jambs) == 20
 
     def test_jamb_vectors_identical_up_to_sign(self):
         w = generate_corridor(spec())
         expected = np.array([0.0, 0.0, 2.0])
-        for s in w.segments:
-            if s.archetype == 0:
-                v = s.vector
+        for v, k in zip(vectors(w), w.archetypes.tolist()):
+            if k == 0:
                 assert np.array_equal(v, expected) or np.array_equal(-v, expected)
 
     def test_archetype_vectors_bitwise_equal(self):
         w = generate_corridor(spec(n_turns=1, extra_unique_segments=2))
         by_arch = {}
-        for s in w.segments:
-            by_arch.setdefault(s.archetype, []).append(s.vector)
+        for v, k in zip(vectors(w), w.archetypes.tolist()):
+            by_arch.setdefault(k, []).append(v)
         for vs in by_arch.values():
             ref = vs[0]
             for v in vs[1:]:
@@ -82,14 +85,14 @@ class TestCorridorStructure:
 
     def test_clutter_archetypes_unique(self):
         w = generate_corridor(spec(extra_unique_segments=4))
-        clutter = [s.archetype for s in w.segments if s.archetype >= 2]
+        clutter = [k for k in w.archetypes.tolist() if k >= 2]
         assert len(clutter) == 4
         assert len(set(clutter)) == 4
 
     def test_single_turn_changes_heading_once(self):
         w = generate_corridor(spec(n_turns=1, turn_angle=90))
         fwd = np.array([1.0, 0.0, 0.0])
-        headings = [quat_rotate(p.rotation, fwd) for p in w.poses]
+        headings = [quat_rotate(q, fwd) for q in w.rotations]
         angles = [
             np.degrees(np.arccos(np.clip(np.dot(a, b), -1, 1)))
             for a, b in zip(headings[:-1], headings[1:])
@@ -121,29 +124,26 @@ class TestWorldValidation:
     def test_requires_repeated_archetype(self):
         w = generate_corridor(spec())
         with pytest.raises(ValueError):
-            World(w.segments[:1], w.timestamps, w.poses, 0)
+            replace(w, endpoints=w.endpoints[:1], archetypes=w.archetypes[:1])
 
     def test_requires_increasing_timestamps(self):
         w = generate_corridor(spec())
         bad_ts = w.timestamps.copy()
         bad_ts[1] = bad_ts[0]
         with pytest.raises(ValueError):
-            World(w.segments, bad_ts, w.poses, 0)
+            replace(w, timestamps=bad_ts)
 
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_segment_endpoint_rejected(self, bad):
         w = generate_corridor(spec())
-        segments = list(w.segments)
-        a = segments[3].a.copy()
-        a[1] = bad
-        segments[3] = WorldSegment(a, segments[3].b, segments[3].archetype)
+        ends = w.endpoints.copy()
+        ends[3, 0, 1] = bad
         with pytest.raises(ValueError, match="segment 3 has a non-finite endpoint"):
-            World(segments, w.timestamps, w.poses, 0)
+            replace(w, endpoints=ends)
 
     @pytest.mark.parametrize("field", ["t", "q", "p"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf / inf
     def test_non_finite_trajectory_entry_rejected(self, field, bad):
         doc = world_to_json(generate_corridor(spec()))
         if field == "t":
@@ -156,14 +156,123 @@ class TestWorldValidation:
             world_from_json(doc)
 
 
+class TestWorldArrays:
+    def test_zero_length_segment_rejected(self):
+        w = generate_corridor(spec())
+        ends = w.endpoints.copy()
+        ends[3, 1] = ends[3, 0]
+        with pytest.raises(ValueError, match="segment 3 endpoints must differ"):
+            replace(w, endpoints=ends)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("endpoints", lambda w: w.endpoints[:, :, :2], "endpoints must have shape"),
+            ("endpoints", lambda w: w.endpoints.reshape(-1, 3), "endpoints must have shape"),
+            ("archetypes", lambda w: w.archetypes[1:], "archetypes must have shape"),
+            ("archetypes", lambda w: w.archetypes + 0.7, "archetypes must be integers"),
+            ("rotations", lambda w: w.rotations[:, :3], "rotations must have shape"),
+            ("translations", lambda w: w.translations[1:], "translations must have shape"),
+            ("timestamps", lambda w: 0.0, "timestamps must have shape"),
+        ],
+    )
+    def test_bad_shape_or_dtype_rejected(self, field, value, named):
+        w = generate_corridor(spec())
+        with pytest.raises(ValueError, match=named):
+            replace(w, **{field: value(w)})
+
+    def test_zero_quaternion_rejected(self):
+        w = generate_corridor(spec())
+        rotations = w.rotations.copy()
+        rotations[4] = 0.0
+        with pytest.raises(ValueError, match="trajectory entry 4 has a zero quaternion"):
+            replace(w, rotations=rotations)
+
+    def test_rotations_normalised_and_arrays_read_only(self):
+        w = generate_corridor(spec())
+        doubled = replace(w, rotations=2.0 * w.rotations)
+        assert np.array_equal(doubled.rotations, w.rotations)
+        assert w.archetypes.dtype == np.int64
+        for name in ("endpoints", "archetypes", "timestamps", "rotations", "translations"):
+            with pytest.raises(ValueError):
+                getattr(w, name)[0] = 0
+
+
+class TestWorldFileFields:
+    @pytest.mark.parametrize(
+        "section, field, value, named",
+        [
+            ("segments", "a", [1.0, 2.0], "segment 5 field 'a' must be 3 numbers"),
+            ("segments", "b", [1.0, 2.0, 3.0, 4.0], "segment 5 field 'b' must be 3 numbers"),
+            ("segments", "a", [1.0, "2.0", 3.0], "segment 5 field 'a' must be 3 numbers"),
+            ("segments", "b", [1.0, None, 3.0], "segment 5 field 'b' must be 3 numbers"),
+            ("segments", "a", 1.0, "segment 5 field 'a' must be 3 numbers"),
+            ("segments", "archetype", 0.7, "segment 5 field 'archetype' must be an integer"),
+            ("segments", "archetype", 1.0, "segment 5 field 'archetype' must be an integer"),
+            ("segments", "archetype", True, "segment 5 field 'archetype' must be an integer"),
+            ("trajectory", "q", [1.0, 0.0, 0.0], "trajectory entry 5 field 'q' must be 4 numbers"),
+            ("trajectory", "q", [True, 0, 0, 0], "trajectory entry 5 field 'q' must be 4 numbers"),
+            ("trajectory", "p", [0.0, 0.5, 1.5, 0.0], "trajectory entry 5 field 'p' must be 3 numbers"),
+            ("trajectory", "p", {"x": 0.0}, "trajectory entry 5 field 'p' must be 3 numbers"),
+            ("trajectory", "t", "0.5", "trajectory entry 5 field 't' must be a number"),
+            # JSON integers too large for int64 or float
+            ("segments", "archetype", 2**63, "segment 5 field 'archetype' holds a number out of range"),
+            ("segments", "archetype", -(2**63) - 1, "segment 5 field 'archetype' holds a number out of range"),
+            ("segments", "a", [0.0, 10**400, 1.0], "segment 5 field 'a' holds a number out of range"),
+            ("trajectory", "t", 10**400, "trajectory entry 5 field 't' holds a number out of range"),
+        ],
+    )
+    def test_bad_field_named(self, section, field, value, named):
+        doc = world_to_json(generate_corridor(spec()))
+        doc[section][5][field] = value
+        with pytest.raises(ValueError, match=named):
+            world_from_json(doc)
+
+    @pytest.mark.parametrize("seed", [0.7, 3.0, "3", True])
+    def test_non_integer_seed_rejected(self, seed):
+        doc = world_to_json(generate_corridor(spec()))
+        doc["seed"] = seed
+        with pytest.raises(ValueError, match="field 'seed' must be an integer"):
+            world_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ([], "must be a JSON object"),
+            ({"segments": 5, "trajectory": [], "seed": 0}, "section 'segments' must be a list, got int"),
+            ({"segments": [], "trajectory": "abc", "seed": 0}, "section 'trajectory' must be a list, got str"),
+        ],
+    )
+    def test_bad_section_named(self, doc, named):
+        with pytest.raises(ValueError, match=named):
+            world_from_json(doc)
+
+    def test_two_d_endpoints_rejected_not_rechunked(self):
+        doc = world_to_json(generate_corridor(spec(corridor_length=8)))
+        assert len(doc["segments"]) == 12
+        for seg in doc["segments"]:  # keep x and z: no segment collapses
+            seg["a"], seg["b"] = seg["a"][::2], seg["b"][::2]
+        with pytest.raises(ValueError, match="segment 0 field 'a' must be 3 numbers"):
+            world_from_json(doc)
+
+    def test_integer_coordinates_accepted(self):
+        doc = world_to_json(generate_corridor(spec()))
+        doc["segments"][0]["a"] = [int(x) for x in doc["segments"][0]["a"]]
+        doc["trajectory"][0]["t"] = 0
+        w = world_from_json(doc)
+        assert w.endpoints[0, 0].tolist() == doc["segments"][0]["a"]
+        assert w.timestamps[0] == 0.0
+
+
 def odd_world():
     """A turning, cluttered world with -0.0 coordinates in a segment and a pose."""
     w = generate_corridor(spec(n_turns=2, turn_angle=-60.0, extra_unique_segments=5, rng_seed=4))
-    segments = list(w.segments)
-    segments.append(WorldSegment(np.array([-0.0, 1.5, -0.0]), np.array([0.25, -0.0, 2.0]), 99))
-    poses = list(w.poses)
-    poses[2] = PoseSE3(poses[2].rotation, np.array([-0.0, 0.5, 1.5]))
-    return World(segments, w.timestamps, poses, 12)
+    ends = np.append(w.endpoints, [[[-0.0, 1.5, -0.0], [0.25, -0.0, 2.0]]], axis=0)
+    translations = w.translations.copy()
+    translations[2] = [-0.0, 0.5, 1.5]
+    return replace(
+        w, endpoints=ends, archetypes=np.append(w.archetypes, 99), translations=translations, rng_seed=12
+    )
 
 
 class TestSerialization:
@@ -183,7 +292,7 @@ class TestSerialization:
 
     def test_empty_trajectory_bytes_equal_indented_json(self, tmp_path):
         w = generate_corridor(spec())
-        empty = World(w.segments, np.zeros(0), (), 3)
+        empty = replace(w, timestamps=[], rotations=np.zeros((0, 4)), translations=np.zeros((0, 3)), rng_seed=3)
         world_to_file(empty, tmp_path / "world.json")
         assert (tmp_path / "world.json").read_text() == json.dumps(world_to_json(empty), indent=1) + "\n"
 
@@ -191,8 +300,8 @@ class TestSerialization:
         w = odd_world()
         world_to_file(w, tmp_path / "world.json")
         back = world_from_file(tmp_path / "world.json")
-        assert back.segments[-1].a.tobytes() == w.segments[-1].a.tobytes()
-        assert back.poses[2].translation.tobytes() == w.poses[2].translation.tobytes()
+        assert back.endpoints[-1, 0].tobytes() == w.endpoints[-1, 0].tobytes()
+        assert back.translations[2].tobytes() == w.translations[2].tobytes()
 
     def test_json_round_trip(self, tmp_path):
         w = generate_corridor(spec(n_turns=1, extra_unique_segments=2, rng_seed=3))
