@@ -2,18 +2,17 @@
 incremental 3D line-segment clustering and cluster-consistency
 optimization."""
 
-from .geometry import PoseSE3, Sim3, segment_vector, umeyama_alignment
+from .geometry import PoseSE3, Sim3, umeyama_alignment
 from .worldgen import World, WorldSpec, generate_corridor
 from .frontend import DriftConfig, EstimatedMap, ObservationConfig, drift_walk, simulate
 from .clustering import ClusterStore, DegenerateSegmentError
-from .clusteropt import ClusterEdge, OptProblem, OptReport, build_problem, evaluate_objective, solve
+from .clusteropt import OptProblem, OptReport, build_problem, evaluate_objective, solve
 from .pipeline import RunResult, ScheduleConfig, propagate_to_poses, run
 from .metrics import MetricsReport, Trajectory, ate, rpe, spline_interpolate
 
 __all__ = [
     "PoseSE3",
     "Sim3",
-    "segment_vector",
     "umeyama_alignment",
     "World",
     "WorldSpec",
@@ -25,7 +24,6 @@ __all__ = [
     "simulate",
     "ClusterStore",
     "DegenerateSegmentError",
-    "ClusterEdge",
     "OptProblem",
     "OptReport",
     "build_problem",

@@ -22,7 +22,7 @@ import numpy as np
 from . import metrics as met
 from .frontend import DriftConfig, ObservationConfig
 from .pipeline import MODES, ScheduleConfig, run as run_pipeline
-from .worldgen import WorldSpec, generate_corridor, world_from_file, world_to_file
+from .worldgen import WorldSpec, check_int, generate_corridor, world_from_file, world_to_file
 
 AGGREGATE_HEADER = ["mode", "seed", "ate_rmse", "rpe_rmse", "align_mode", "rpe_delta"]
 CONFIG_KEYS = (
@@ -82,8 +82,10 @@ def _load_experiment(args) -> dict:
         cfg["out_dir"] = args.out
     if "out_dir" not in cfg:
         raise ValueError("no output directory: set 'out_dir' in the config or pass --out")
-    if not cfg.get("seeds"):
+    if not isinstance(cfg.get("seeds"), list) or not cfg["seeds"]:
         raise ValueError("config must list at least one seed")
+    for seed in cfg["seeds"]:
+        check_int("seed", seed, 0)
     modes = cfg.get("modes", ["baseline", "seg"])
     for m in modes:
         if m not in MODES:
@@ -109,8 +111,7 @@ def _metrics_settings(cfg) -> tuple[str, int]:
     if align_mode not in met.ALIGN_MODES:
         raise ValueError(f"metrics align_mode must be one of {met.ALIGN_MODES}, got {align_mode!r}")
     rpe_delta = mcfg.get("rpe_delta", met.DEFAULT_RPE_DELTA)
-    if isinstance(rpe_delta, bool) or not isinstance(rpe_delta, int) or rpe_delta < 1:
-        raise ValueError(f"metrics rpe_delta must be an integer >= 1, got {rpe_delta!r}")
+    check_int("metrics rpe_delta", rpe_delta, 1)
     return align_mode, rpe_delta
 
 
@@ -127,10 +128,6 @@ def _cell_configs(cfg, mode: str, seed: int):
         _build_config(ObservationConfig, cfg.get("observation", {}), rng_seed=seed + OBS_SEED_OFFSET),
         _build_config(ScheduleConfig, cfg.get("schedule", {}), mode=mode),
     )
-
-
-def _run_cell(world, cfg, mode: str, seed: int):
-    return run_pipeline(world, *_cell_configs(cfg, mode, seed))
 
 
 def cmd_run(args) -> int:
@@ -154,7 +151,7 @@ def cmd_run(args) -> int:
             cell_dir = out_dir / mode / f"seed{seed}"
             cell_dir.mkdir(parents=True, exist_ok=True)
             try:
-                rr = _run_cell(world, cfg, mode, seed)
+                rr = run_pipeline(world, *_cell_configs(cfg, mode, seed))
                 met.write_tum(rr.raw_trajectory, cell_dir / "raw.tum")
                 met.write_tum(rr.corrected_trajectory, cell_dir / "corrected.tum")
                 met.write_tum(rr.gt_trajectory, cell_dir / "gt.tum")

@@ -17,45 +17,63 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import CLUSTER, FRAME, P1, P2, SIGN, ClusterStore
+from .clustering import CLUSTER, FRAME, OBS, P1, P2, SIGN, ClusterStore
 from .frontend import EstimatedMap
 
 DEFAULT_ANCHOR_WEIGHT = 1e-3
 DEFAULT_ITERATION_CAP = 10
-DEFAULT_INITIAL_DAMPING = 1e-4
+INITIAL_DAMPING = 1e-4
+
+# One row per weighted unique edge. A record array rather than a plain
+# matrix: its columns differ in type and shape, and each row still reads by
+# attribute (edge.cluster_id, edge.p1_id, ...) as the benchmark tracer's
+# build-problem counter and the per-edge objective oracle do.
+EDGE_DTYPE = np.dtype([
+    ("cluster_id", np.int64),
+    ("obs_index", np.int64),  # first member observation sharing the key
+    ("p1_id", np.int64),
+    ("p2_id", np.int64),
+    ("sign", np.int64),
+    ("center", np.float64, (3,)),  # frozen at build time
+    ("weight", np.float64),  # number of observations sharing the key
+])
 
 
-@dataclass(frozen=True)
-class ClusterEdge:
-    cluster_id: int
-    obs_index: int
-    p1_id: int
-    p2_id: int
-    sign: int
-    center: np.ndarray  # frozen at build time
-    weight: float = 1.0  # number of observations sharing this edge's key
-
-    def residual(self, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-        return self.center - self.sign * (p2 - p1)
+def residual(center, sign, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Each edge's residual center - sign * (p2 - p1); leading axes broadcast."""
+    return center - np.asarray(sign)[..., None] * (p2 - p1)
 
 
 @dataclass
 class OptProblem:
-    point_ids: list[int]  # free variables, in stable order
+    point_ids: np.ndarray  # (n,) int64 free variables, in stable order
     initial: np.ndarray  # (n, 3) initial positions, also the anchor targets
-    edges: list[ClusterEdge]
+    edges: np.recarray  # (m,) EDGE_DTYPE
     anchor_weight: float = DEFAULT_ANCHOR_WEIGHT
     iteration_cap: int = DEFAULT_ITERATION_CAP
-    initial_damping: float = DEFAULT_INITIAL_DAMPING
 
     def __post_init__(self):
         if not 0 <= self.anchor_weight < math.inf:
             raise ValueError("anchor_weight must be finite and non-negative")
-        self.index = {pid: i for i, pid in enumerate(self.point_ids)}
+        self.point_ids = np.asarray(self.point_ids, dtype=np.int64)
+        self.edges = np.asarray(self.edges, dtype=EDGE_DTYPE).view(np.recarray)
+        _endpoint_rows(self.point_ids, np.asarray(self.edges))
 
     @property
     def n_points(self) -> int:
         return len(self.point_ids)
+
+
+def _endpoint_rows(point_ids: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(2, m) rows in point_ids of the edges' p1_id and p2_id; ValueError if one is missing."""
+    order = np.argsort(point_ids)
+    ends = np.array((edges["p1_id"], edges["p2_id"]))
+    at = np.searchsorted(point_ids, ends, sorter=order)
+    found = at < len(order)
+    found[found] = point_ids[order[at[found]]] == ends[found]
+    if not found.all():
+        raise ValueError(f"edge endpoint id {ends[~found][0]} is not in point_ids")
+    return order[at]
 
 
 @dataclass
@@ -65,7 +83,7 @@ class OptReport:
     iterations: int
     objective_trace: list[float]
     diagnostics: list[str] = field(default_factory=list)
-    iterate_positions: list[dict[int, np.ndarray]] | None = None
+    iterate_positions: list[np.ndarray] | None = None  # (n, 3) each
 
     def to_json(self) -> dict:
         return {
@@ -110,67 +128,48 @@ def build_problem(
     ends = rows[:, [P1, P2]].ravel()
     _, first_end = np.unique(ends, return_index=True)
     point_ids = ends[np.sort(first_end)]
-    centers = store.centers[rows[:, CLUSTER]]
-    edges = [
-        ClusterEdge(c, o, a, b, s, centers[k], float(n))
-        for k, ((o, _, c, a, b, s), n) in enumerate(zip(rows.tolist(), counts.tolist()))
-    ]
-    return OptProblem(point_ids.tolist(), emap.points[point_ids], edges, anchor_weight, iteration_cap)
+    edges = np.rec.fromarrays(
+        (*rows[:, [CLUSTER, OBS, P1, P2, SIGN]].T, store.centers[rows[:, CLUSTER]], counts.astype(float)),
+        dtype=EDGE_DTYPE,
+    )
+    return OptProblem(point_ids, emap.points[point_ids], edges, anchor_weight, iteration_cap)
 
 
 def evaluate_objective(problem: OptProblem, positions: dict[int, np.ndarray]) -> float:
-    """Recompute the objective from scratch for the given positions.
+    """Recompute the objective from scratch for positions keyed by point id.
 
     Kept as a plain per-edge loop, independent of the solver's vectorized
     path, so it can serve as an oracle for solver-reported values.
     """
     total = 0.0
-    for edge in problem.edges:
-        for pid in (edge.p1_id, edge.p2_id):
-            if pid not in positions:
-                raise KeyError(f"no position supplied for endpoint id {pid}")
-        e = edge.residual(positions[edge.p1_id], positions[edge.p2_id])
+    for edge in problem.edges:  # a missing position raises KeyError
+        e = residual(edge.center, edge.sign, positions[edge.p1_id], positions[edge.p2_id])
         total += edge.weight * float(np.dot(e, e))
     if problem.anchor_weight > 0:
-        for i, pid in enumerate(problem.point_ids):
+        for i, pid in enumerate(problem.point_ids.tolist()):
             d = positions[pid] - problem.initial[i]
             total += problem.anchor_weight * float(np.dot(d, d))
-    return total
-
-
-def _vectorized(problem: OptProblem):
-    i1 = np.array([problem.index[e.p1_id] for e in problem.edges], dtype=int)
-    i2 = np.array([problem.index[e.p2_id] for e in problem.edges], dtype=int)
-    sign = np.array([e.sign for e in problem.edges], dtype=float)
-    centers = np.array([e.center for e in problem.edges]).reshape(-1, 3)
-    weight = np.array([e.weight for e in problem.edges], dtype=float)
-    return i1, i2, sign, centers, weight
-
-
-def _objective(x, x0, i1, i2, sign, centers, weight, lam) -> float:
-    r = centers - sign[:, None] * (x[i2] - x[i1])
-    f = float((weight[:, None] * r * r).sum())
-    if lam > 0:
-        d = x - x0
-        f += lam * float((d * d).sum())
-    return f
+    return float(total)
 
 
 def solve(problem: OptProblem, record_iterates: bool = False):
     """Levenberg-Marquardt minimization of the cluster objective.
 
-    Returns (positions, report) where positions maps point id to its
-    optimized coordinates. Steps are accepted only if the objective
-    decreases; damping is raised on rejection. With record_iterates=True
-    the report carries a position snapshot for every accepted iterate.
+    Returns (positions, report), positions the (n, 3) optimized coordinates
+    in point_ids order. Steps are accepted only if the objective decreases;
+    damping is raised on rejection. With record_iterates=True the report
+    carries a position snapshot for every accepted iterate.
     """
     n = problem.n_points
     lam = problem.anchor_weight
     report = OptReport(0.0, 0.0, 0, [], iterate_positions=[] if record_iterates else None)
-    if n == 0 or not problem.edges:
-        return {}, report
+    edges = np.asarray(problem.edges)  # plain ndarray: field reads skip recarray's Python hooks
+    if not len(edges):  # n > 0 whenever there are edges: every endpoint is a point id
+        return problem.initial.copy(), report
 
-    i1, i2, sign, centers, weight = _vectorized(problem)
+    i1, i2 = _endpoint_rows(problem.point_ids, edges)
+    # Contiguous float copies: the loop reads these columns every iteration.
+    sign, centers, weight = (edges[c].astype(float) for c in ("sign", "center", "weight"))
     x0 = problem.initial.copy()
     x = x0.copy()
 
@@ -185,9 +184,17 @@ def solve(problem: OptProblem, record_iterates: bool = False):
     np.add.at(lap, (i2, i1), -weight)
     signed_weight = (weight * sign)[:, None]
 
+    def objective(xc) -> float:
+        r = residual(centers, sign, xc[i1], xc[i2])
+        f = float((weight[:, None] * r * r).sum())
+        if lam > 0:
+            d = xc - x0
+            f += lam * float((d * d).sum())
+        return f
+
     def gradient_half(xc):
         # J^T W r of the stacked residual (cluster edges + anchor rows).
-        r = centers - sign[:, None] * (xc[i2] - xc[i1])
+        r = residual(centers, sign, xc[i1], xc[i2])
         g = np.zeros_like(xc)
         np.add.at(g, i1, signed_weight * r)
         np.add.at(g, i2, -signed_weight * r)
@@ -195,15 +202,13 @@ def solve(problem: OptProblem, record_iterates: bool = False):
             g += lam * (xc - x0)
         return g
 
-    f = _objective(x, x0, i1, i2, sign, centers, weight, lam)
+    f = objective(x)
     report.initial_objective = f
     report.objective_trace.append(f)
     if record_iterates:
-        report.iterate_positions.append(
-            {pid: x[i].copy() for i, pid in enumerate(problem.point_ids)}
-        )
+        report.iterate_positions.append(x.copy())
 
-    mu = problem.initial_damping
+    mu = INITIAL_DAMPING
     accepted = 0
     rejects = 0
     while accepted < problem.iteration_cap:
@@ -214,7 +219,7 @@ def solve(problem: OptProblem, record_iterates: bool = False):
             report.diagnostics.append(f"singular normal equations at damping {mu}")
             break
         x_new = x + delta
-        f_new = _objective(x_new, x0, i1, i2, sign, centers, weight, lam)
+        f_new = objective(x_new)
         if f_new < f:
             x = x_new
             f = f_new
@@ -222,9 +227,7 @@ def solve(problem: OptProblem, record_iterates: bool = False):
             mu *= 0.5
             report.objective_trace.append(f)
             if record_iterates:
-                report.iterate_positions.append(
-                    {pid: x[i].copy() for i, pid in enumerate(problem.point_ids)}
-                )
+                report.iterate_positions.append(x.copy())
             if float(np.abs(delta).max()) < 1e-14:
                 break
         else:
@@ -236,5 +239,4 @@ def solve(problem: OptProblem, record_iterates: bool = False):
 
     report.final_objective = f
     report.iterations = accepted
-    positions = {pid: x[i].copy() for i, pid in enumerate(problem.point_ids)}
-    return positions, report
+    return x, report

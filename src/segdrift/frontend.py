@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PoseSE3, quat_multiply, quat_normalize, quat_rotate, row_norms
-from .worldgen import World
+from .worldgen import World, check_int
 
 OBSERVATION_COLUMNS = ("p1", "p2", "frame", "segment")
 OBS_P1, OBS_P2, OBS_FRAME, OBS_SEGMENT = range(len(OBSERVATION_COLUMNS))
@@ -41,6 +41,7 @@ class DriftConfig:
         for name in ("scale_sigma", "rot_sigma", "trans_sigma"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
+        check_int("rng_seed", self.rng_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,7 @@ class ObservationConfig:
                 raise ValueError(f"{name} must be finite and non-negative")
         if not 0 < self.max_range < math.inf:
             raise ValueError("max_range must be finite and positive")
+        check_int("rng_seed", self.rng_seed, 0)
 
 
 @dataclass

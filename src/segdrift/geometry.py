@@ -229,11 +229,6 @@ class PoseSE3:
         return PoseSE3(qinv, -quat_rotate(qinv, self.translation))
 
 
-def segment_vector(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Difference between a segment's endpoints, p2 - p1."""
-    return np.asarray(p2, dtype=float) - np.asarray(p1, dtype=float)
-
-
 def umeyama_alignment(src: np.ndarray, dst: np.ndarray, with_scale: bool = True) -> Sim3:
     """Closed-form least-squares similarity (or rigid) transform src -> dst.
 

@@ -21,7 +21,7 @@ from .geometry import (
     Sim3, quat_multiply, quat_normalize, quat_rotate, quat_slerp, row_norms, umeyama_alignment
 )
 from .metrics import Trajectory
-from .worldgen import World
+from .worldgen import World, check_int
 
 MODES = ("baseline", "seg", "segglobal")
 MOVED_TOLERANCE = 1e-9
@@ -40,8 +40,7 @@ class ScheduleConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("keyframe_interval", "local_window", "iteration_cap"):
-            if not 1 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be a finite number >= 1")
+            check_int(name, getattr(self, name), 1)
         if not 0 < self.rel_threshold < math.inf:
             raise ValueError("rel_threshold must be finite and positive")
         if not 0 <= self.anchor_weight < math.inf:
@@ -192,11 +191,11 @@ def run(
             anchor_weight=schedule.anchor_weight,
             iteration_cap=schedule.iteration_cap,
         )
-        if not problem.edges:
+        if not len(problem.edges):
             return
         positions, report = solve(problem)
         reports.append(report)
-        emap.points[list(positions)] = list(positions.values())
+        emap.points[problem.point_ids] = positions
         store.recompute_centers(emap)
 
     next_round = 0

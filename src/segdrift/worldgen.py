@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -32,6 +33,12 @@ def _snap(v: np.ndarray) -> np.ndarray:
     return np.round(np.asarray(v, dtype=float) / COORD_QUANTUM) * COORD_QUANTUM
 
 
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless value is an integer, not a bool, >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WorldSpec:
     corridor_length: float = 40.0
@@ -51,9 +58,8 @@ class WorldSpec:
             raise ValueError("door_spacing must be smaller than corridor_length")
         if not math.isfinite(self.turn_angle):
             raise ValueError("turn_angle must be finite")
-        for name in ("n_turns", "extra_unique_segments"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
+        for name in ("n_turns", "extra_unique_segments", "rng_seed"):
+            check_int(name, getattr(self, name), 0)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 
 from segdrift.cli import main as cli_main
 from segdrift.clustering import ClusterStore, assign_all
-from segdrift.clusteropt import ClusterEdge, OptProblem, evaluate_objective, solve
+from segdrift.clusteropt import EDGE_DTYPE, evaluate_objective, residual, solve
 from segdrift.frontend import DriftConfig, ObservationConfig
 from segdrift.geometry import Sim3, quat_from_axis_angle, quat_rotate, umeyama_alignment
 from segdrift.metrics import Trajectory, ate, read_tum, rpe, spline_interpolate, write_tum
@@ -23,7 +23,7 @@ from segdrift.pipeline import ScheduleConfig, run
 from segdrift.worldgen import WorldSpec, generate_corridor
 
 from test_clustering import batch_center, map_from_vectors
-from test_clusteropt import random_problem
+from test_clusteropt import by_id, edge_residuals, random_problem
 
 
 def test_criterion_1_external_trajectory_ingestion(tmp_path):
@@ -105,7 +105,7 @@ def test_criterion_4_objective_oracle_equivalence():
                                  anchor_weight=float(rng.choice([0.0, 1e-3])))
         _, report = solve(problem, record_iterates=True)
         for pos, f in zip(report.iterate_positions, report.objective_trace):
-            assert abs(evaluate_objective(problem, pos) - f) < 1e-12
+            assert abs(evaluate_objective(problem, by_id(problem, pos)) - f) < 1e-12
 
 
 def test_criterion_5_invariance_suite():
@@ -117,11 +117,11 @@ def test_criterion_5_invariance_suite():
     rng = np.random.default_rng(0)
     # (a) exactly-representable coordinates so float subtraction is exact
     pos_int = {pid: rng.integers(-8, 8, size=3).astype(float) for pid in range(8)}
-    edges = [ClusterEdge(0, i, i, (i + 1) % 8, 1, center) for i in range(7)]
+    edges = np.array([(0, i, i, (i + 1) % 8, 1, center, 1.0) for i in range(7)],
+                     dtype=EDGE_DTYPE).view(np.recarray)
     delta = np.array([12.0, -5.0, 3.0])
-    for e in edges:
-        r0 = e.residual(pos_int[e.p1_id], pos_int[e.p2_id])
-        r1 = e.residual(pos_int[e.p1_id] + delta, pos_int[e.p2_id] + delta)
+    shifted = {pid: p + delta for pid, p in pos_int.items()}
+    for r0, r1 in zip(edge_residuals(edges, pos_int), edge_residuals(edges, shifted)):
         assert np.array_equal(r0, r1)
 
     # (b) vertical cluster, rotation about the z axis
@@ -129,20 +129,18 @@ def test_criterion_5_invariance_suite():
     for i in range(6):
         base = rng.uniform(-4, 4, size=3)
         pos[2 * i], pos[2 * i + 1] = base, base + center
-        axis_edges.append(ClusterEdge(0, i, 2 * i, 2 * i + 1, 1, center))
+        axis_edges.append((0, i, 2 * i, 2 * i + 1, 1, center, 1.0))
+    axis_edges = np.array(axis_edges, dtype=EDGE_DTYPE).view(np.recarray)
     q = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.9)
     rotated = {pid: quat_rotate(q, p) for pid, p in pos.items()}
-    for e in axis_edges:
-        r0 = e.residual(pos[e.p1_id], pos[e.p2_id])
-        r1 = e.residual(rotated[e.p1_id], rotated[e.p2_id])
+    for r0, r1 in zip(edge_residuals(axis_edges, pos), edge_residuals(axis_edges, rotated)):
         assert np.linalg.norm(r1 - r0) < 1e-12
 
     # (c) uniform scaling about the origin
     s = 1.1
     scaled = {pid: s * p for pid, p in pos.items()}
     expected = abs(1 - s) * np.linalg.norm(center)
-    for e in axis_edges:
-        r = e.residual(scaled[e.p1_id], scaled[e.p2_id])
+    for r in edge_residuals(axis_edges, scaled):
         assert abs(np.linalg.norm(r) - expected) < 1e-9
 
 
@@ -188,7 +186,7 @@ def test_criterion_7_lm_behavior():
     h = 1e-6
     for _ in range(30):
         sign = int(rng.choice([-1, 1]))
-        edge = ClusterEdge(0, 0, 0, 1, sign, rng.uniform(-2, 2, size=3))
+        center = rng.uniform(-2, 2, size=3)
         p1, p2 = rng.uniform(-3, 3, size=(2, 3))
         for which, analytic in ((0, sign * np.eye(3)), (1, -sign * np.eye(3))):
             fd = np.empty((3, 3))
@@ -196,9 +194,9 @@ def test_criterion_7_lm_behavior():
                 d = np.zeros(3)
                 d[axis] = h
                 if which == 0:
-                    hi, lo = edge.residual(p1 + d, p2), edge.residual(p1 - d, p2)
+                    hi, lo = residual(center, sign, p1 + d, p2), residual(center, sign, p1 - d, p2)
                 else:
-                    hi, lo = edge.residual(p1, p2 + d), edge.residual(p1, p2 - d)
+                    hi, lo = residual(center, sign, p1, p2 + d), residual(center, sign, p1, p2 - d)
                 fd[:, axis] = (hi - lo) / (2 * h)
             assert np.max(np.abs(fd - analytic)) < 1e-6
 

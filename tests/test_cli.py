@@ -146,6 +146,30 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"schedule": {"keyframe_interval": 2.5}}, "keyframe_interval"),
+            ({"schedule": {"iteration_cap": 2.5}}, "iteration_cap"),
+            ({"schedule": {"local_window": True}}, "local_window"),
+            ({"world": {"corridor_length": 12, "n_turns": 1.5}}, "n_turns"),
+            ({"world": {"corridor_length": 12, "extra_unique_segments": 2.5}}, "extra_unique_segments"),
+            ({"world": {"corridor_length": 12, "rng_seed": 0.5}}, "rng_seed"),
+            ({"seeds": [0.5]}, "seed"),
+            ({"seeds": ["a"]}, "seed"),
+            ({"seeds": [0, True]}, "seed"),
+            ({"seeds": [0, -1]}, "seed"),
+            ({"seeds": 3}, "seed"),
+        ],
+    )
+    def test_non_integer_count_or_seed_exits_1_before_any_output(
+        self, tmp_path, capsys, overrides, named
+    ):
+        cfg = small_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_schedule_value_checked_for_every_mode(self, tmp_path, capsys):
         # A baseline-only run never solves, yet its schedule is checked too.
         cfg = small_config(tmp_path, modes=["baseline"], schedule={"anchor_weight": -1})

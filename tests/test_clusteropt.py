@@ -1,16 +1,19 @@
 """Cluster-consistency least-squares optimization."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segdrift.clustering import CLUSTER, ClusterStore, assign_all
+from segdrift.clustering import CLUSTER, FRAME, P1, P2, SIGN, ClusterStore, assign_all
 from segdrift.clusteropt import (
-    ClusterEdge,
+    EDGE_DTYPE,
     OptProblem,
     build_problem,
     evaluate_objective,
+    residual,
     solve,
 )
 from segdrift.frontend import OBS_FRAME
@@ -23,22 +26,28 @@ def random_problem(rng, max_edges=30, anchor_weight=0.0):
     n_points = int(rng.integers(4, 12))
     points = {pid: rng.uniform(-3, 3, size=3) for pid in range(n_points)}
     n_edges = int(rng.integers(1, max_edges + 1))
-    edges = []
+    rows = []
     for i in range(n_edges):
         p1, p2 = rng.choice(n_points, size=2, replace=False)
-        edges.append(
-            ClusterEdge(
-                cluster_id=int(rng.integers(5)),
-                obs_index=i,
-                p1_id=int(p1),
-                p2_id=int(p2),
-                sign=int(rng.choice([-1, 1])),
-                center=rng.uniform(-2, 2, size=3),
-            )
+        # (cluster_id, obs_index, p1_id, p2_id, sign, center, weight)
+        rows.append(
+            (int(rng.integers(5)), i, int(p1), int(p2), int(rng.choice([-1, 1])),
+             rng.uniform(-2, 2, size=3), 1.0)
         )
-    used = sorted({e.p1_id for e in edges} | {e.p2_id for e in edges})
-    initial = np.array([points[pid] for pid in used])
+    edges = np.array(rows, dtype=EDGE_DTYPE)
+    used = np.union1d(edges["p1_id"], edges["p2_id"])
+    initial = np.array([points[pid] for pid in used.tolist()])
     return OptProblem(used, initial, edges, anchor_weight=anchor_weight)
+
+
+def by_id(problem, positions):
+    """An (n, 3) position array in point_ids order, keyed by point id."""
+    return dict(zip(problem.point_ids.tolist(), positions))
+
+
+def edge_residuals(edges, positions):
+    """Each edge's residual at positions keyed by point id, one edge at a time."""
+    return [residual(e.center, e.sign, positions[e.p1_id], positions[e.p2_id]) for e in edges]
 
 
 class TestObjective:
@@ -62,8 +71,8 @@ class TestObjective:
 
     def test_missing_position_raises(self):
         problem = random_problem(np.random.default_rng(0))
-        positions = {pid: problem.initial[i] for i, pid in enumerate(problem.point_ids)}
-        del positions[problem.point_ids[0]]
+        positions = by_id(problem, problem.initial)
+        del positions[int(problem.point_ids[0])]
         with pytest.raises(KeyError):
             evaluate_objective(problem, positions)
 
@@ -76,6 +85,20 @@ class TestObjective:
             with pytest.raises(ValueError, match="anchor_weight"):
                 OptProblem([0], np.zeros((1, 3)), [], anchor_weight=bad)
 
+    def test_edge_endpoint_outside_point_ids_rejected(self):
+        edges = [(0, 0, 0, 1, 1, (0.0, 0.0, 2.0), 1.0), (0, 1, 2, 7, 1, (0.0, 0.0, 2.0), 1.0)]
+        with pytest.raises(ValueError, match="endpoint id 7"):
+            OptProblem([0, 1, 2], np.zeros((3, 3)), edges)
+
+    def test_broadcast_residual_equals_per_edge_residual(self):
+        problem = random_problem(np.random.default_rng(5))
+        pos = by_id(problem, problem.initial)
+        edges = problem.edges
+        p1 = np.array([pos[pid] for pid in edges.p1_id.tolist()])
+        p2 = np.array([pos[pid] for pid in edges.p2_id.tolist()])
+        stacked = residual(edges.center, edges.sign, p1, p2)
+        assert stacked.tobytes() == np.array(edge_residuals(edges, pos)).tobytes()
+
 
 class TestSolverOracle:
     def test_trace_matches_independent_objective_at_every_iterate(self):
@@ -87,7 +110,7 @@ class TestSolverOracle:
             _, report = solve(problem, record_iterates=True)
             assert len(report.iterate_positions) == len(report.objective_trace)
             for pos, f in zip(report.iterate_positions, report.objective_trace):
-                assert abs(evaluate_objective(problem, pos) - f) < 1e-12
+                assert abs(evaluate_objective(problem, by_id(problem, pos)) - f) < 1e-12
 
     def test_accepted_iterations_never_increase_objective(self):
         for seed in range(100):
@@ -107,7 +130,7 @@ class TestJacobian:
         h = 1e-6
         for _ in range(50):
             sign = int(rng.choice([-1, 1]))
-            edge = ClusterEdge(0, 0, 0, 1, sign, rng.uniform(-2, 2, size=3))
+            center = rng.uniform(-2, 2, size=3)
             p1, p2 = rng.uniform(-3, 3, size=(2, 3))
             for which, analytic in ((0, sign * np.eye(3)), (1, -sign * np.eye(3))):
                 fd = np.empty((3, 3))
@@ -115,9 +138,11 @@ class TestJacobian:
                     d = np.zeros(3)
                     d[axis] = h
                     if which == 0:
-                        hi, lo = edge.residual(p1 + d, p2), edge.residual(p1 - d, p2)
+                        hi = residual(center, sign, p1 + d, p2)
+                        lo = residual(center, sign, p1 - d, p2)
                     else:
-                        hi, lo = edge.residual(p1, p2 + d), edge.residual(p1, p2 - d)
+                        hi = residual(center, sign, p1, p2 + d)
+                        lo = residual(center, sign, p1, p2 - d)
                     fd[:, axis] = (hi - lo) / (2 * h)
                 assert np.max(np.abs(fd - analytic)) < 1e-6
 
@@ -130,17 +155,13 @@ class TestInvariance:
         # subtraction exact, so residuals must be bitwise identical.
         rng = np.random.default_rng(1)
         endpoints = {pid: rng.integers(-8, 8, size=3).astype(float) for pid in range(6)}
-        edges = [
-            ClusterEdge(0, i, i % 6, (i + 1) % 6, 1, np.array([0.0, 0.0, 2.0]))
-            for i in range(5)
-        ]
+        edges = [(0, i, i % 6, (i + 1) % 6, 1, (0.0, 0.0, 2.0), 1.0) for i in range(5)]
         problem = OptProblem(list(range(6)), np.array([endpoints[i] for i in range(6)]), edges,
                              anchor_weight=0.0)
         delta = np.array([17.0, -9.0, 4.0])
         shifted = {pid: p + delta for pid, p in endpoints.items()}
-        for e in edges:
-            r0 = e.residual(endpoints[e.p1_id], endpoints[e.p2_id])
-            r1 = e.residual(shifted[e.p1_id], shifted[e.p2_id])
+        for r0, r1 in zip(edge_residuals(problem.edges, endpoints),
+                          edge_residuals(problem.edges, shifted)):
             assert np.array_equal(r0, r1)
         assert evaluate_objective(problem, endpoints) == evaluate_objective(problem, shifted)
 
@@ -148,7 +169,7 @@ class TestInvariance:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             problem = random_problem(rng, anchor_weight=0.0)
-            pos = {pid: problem.initial[i] for i, pid in enumerate(problem.point_ids)}
+            pos = by_id(problem, problem.initial)
             delta = rng.uniform(-5, 5, size=3)
             shifted = {pid: p + delta for pid, p in pos.items()}
             f0 = evaluate_objective(problem, pos)
@@ -168,7 +189,7 @@ class TestInvariance:
             base = rng.uniform(-4, 4, size=3)
             pos[2 * i] = base
             pos[2 * i + 1] = base + center + rng.normal(0, 1e-3, size=3) * [0, 0, 1]
-            edges.append(ClusterEdge(0, i, 2 * i, 2 * i + 1, 1, center))
+            edges.append((0, i, 2 * i, 2 * i + 1, 1, center, 1.0))
         problem = OptProblem(sorted(pos), np.array([pos[p] for p in sorted(pos)]), edges,
                              anchor_weight=0.0)
         q = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.7)
@@ -189,11 +210,10 @@ class TestInvariance:
             base = rng.uniform(-4, 4, size=3)
             pos[2 * i] = base
             pos[2 * i + 1] = base + center
-            edges.append(ClusterEdge(0, i, 2 * i, 2 * i + 1, 1, center))
+            edges.append((0, i, 2 * i, 2 * i + 1, 1, center, 1.0))
         scaled = {pid: s * p for pid, p in pos.items()}
         expected = abs(1 - s) * np.linalg.norm(center)
-        for e in edges:
-            r = e.residual(scaled[e.p1_id], scaled[e.p2_id])
+        for r in edge_residuals(np.array(edges, dtype=EDGE_DTYPE).view(np.recarray), scaled):
             assert abs(np.linalg.norm(r) - expected) < 1e-9
 
 
@@ -206,16 +226,14 @@ class TestSolve:
         positions, report = solve(problem)
         assert report.final_objective == 0.0
         assert report.iterations <= 1
-        for i, pid in enumerate(problem.point_ids):
-            assert np.array_equal(positions[pid], problem.initial[i])
+        assert np.array_equal(positions, problem.initial)
 
     def test_single_edge_splits_discrepancy_symmetrically(self):
         # One segment vs a mismatched fixed center, lambda = 0: endpoints
         # move so p2 - p1 equals the center exactly, midpoint preserved.
         p1, p2 = np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 5.0])
         center = np.array([0.0, 0.1, 2.2])
-        problem = OptProblem([0, 1], np.array([p1, p2]),
-                             [ClusterEdge(0, 0, 0, 1, 1, center)],
+        problem = OptProblem([0, 1], np.array([p1, p2]), [(0, 0, 0, 1, 1, center, 1.0)],
                              anchor_weight=0.0, iteration_cap=50)
         positions, report = solve(problem)
         assert np.linalg.norm((positions[1] - positions[0]) - center) < 1e-8
@@ -225,7 +243,7 @@ class TestSolve:
     def test_huge_anchor_freezes_positions(self):
         p1, p2 = np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 2.0])
         center = np.array([0.0, 0.0, 2.2])
-        edge = ClusterEdge(0, 0, 0, 1, 1, center)
+        edge = (0, 0, 0, 1, 1, center, 1.0)
         free = OptProblem([0, 1], np.array([p1, p2]), [edge], anchor_weight=0.0,
                           iteration_cap=50)
         stiff = OptProblem([0, 1], np.array([p1, p2]), [edge], anchor_weight=1e6,
@@ -238,7 +256,7 @@ class TestSolve:
 
     def test_empty_problem(self):
         positions, report = solve(OptProblem([], np.zeros((0, 3)), []))
-        assert positions == {}
+        assert positions.shape == (0, 3)
         assert report.iterations == 0
 
     def test_build_problem_frames_scope(self):
@@ -294,11 +312,64 @@ def expanded_problem(store, emap, weighted, frames):
     table = store.member_table
     by_cluster = table[np.argsort(table[:, CLUSTER], kind="stable")]
     edges = [
-        ClusterEdge(cid, obs_index, p1, p2, sign, store.centers[cid].copy())
+        (cid, obs_index, p1, p2, sign, store.centers[cid], 1.0)
         for obs_index, frame, cid, p1, p2, sign in by_cluster.tolist()
         if frames is None or frame in frames
     ]
     return OptProblem(weighted.point_ids, weighted.initial, edges, weighted.anchor_weight)
+
+
+ClusterEdge = namedtuple("ClusterEdge", EDGE_DTYPE.names)
+
+
+def reference_build_problem(store, emap, frames=None):
+    """build_problem as one ClusterEdge object per weighted unique edge.
+
+    Returns (point_ids, initial, edges) with point_ids a list of ints and
+    edges a list of ClusterEdge; build_problem packs the same values into
+    arrays.
+    """
+    table = store.member_table
+    if frames is not None:
+        table = table[np.isin(table[:, FRAME], np.fromiter(frames, dtype=np.int64))]
+    if not len(table):
+        return [], np.zeros((0, 3)), []
+
+    cid, p1, p2 = table[:, CLUSTER], table[:, P1], table[:, P2]
+    n_ids = int(max(p1.max(), p2.max())) + 1
+    positive = (table[:, SIGN] > 0).astype(np.int64)
+    key = np.ravel_multi_index((cid, p1, p2, positive), (len(store), n_ids, n_ids, 2))
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    order = np.lexsort((first, cid[first]))
+    rows, counts = table[first[order]], counts[order]
+
+    ends = rows[:, [P1, P2]].ravel()
+    _, first_end = np.unique(ends, return_index=True)
+    point_ids = ends[np.sort(first_end)]
+    centers = store.centers[rows[:, CLUSTER]]
+    edges = [
+        ClusterEdge(c, o, a, b, s, centers[k], float(n))
+        for k, ((o, _, c, a, b, s), n) in enumerate(zip(rows.tolist(), counts.tolist()))
+    ]
+    return point_ids.tolist(), emap.points[point_ids], edges
+
+
+class TestEdgeTable:
+    @settings(max_examples=100)
+    @given(reobserved_maps())
+    def test_matches_the_object_build_bit_for_bit(self, case):
+        emap, frames, anchor_weight = case
+        store = ClusterStore()
+        assign_all(store, emap, range(len(emap.observations)))
+        problem = build_problem(store, emap, frames=frames, anchor_weight=anchor_weight)
+        point_ids, initial, edges = reference_build_problem(store, emap, frames)
+        assert problem.edges.dtype.names == EDGE_DTYPE.names
+        assert len(problem.edges) == len(edges)
+        for name in EDGE_DTYPE.names:
+            column = np.array([getattr(e, name) for e in edges], dtype=EDGE_DTYPE[name].base)
+            assert problem.edges[name].tobytes() == column.tobytes(), name
+        assert problem.point_ids.tobytes() == np.array(point_ids, dtype=np.int64).tobytes()
+        assert problem.initial.tobytes() == initial.tobytes()
 
 
 class TestWeightedUniqueEdges:
@@ -310,17 +381,17 @@ class TestWeightedUniqueEdges:
         assign_all(store, emap, range(len(emap.observations)))
         weighted = build_problem(store, emap, frames=frames, anchor_weight=anchor_weight)
         expanded = expanded_problem(store, emap, weighted, frames)
-        assert sum(e.weight for e in weighted.edges) == len(expanded.edges)
+        assert weighted.edges.weight.sum() == len(expanded.edges)
         assert len({(e.cluster_id, e.p1_id, e.p2_id, e.sign) for e in weighted.edges}) == len(
             weighted.edges
         )
-        if not weighted.edges:
+        if not len(weighted.edges):
             return
 
         rng = np.random.default_rng(0)
         for positions in (
-            {pid: weighted.initial[i] for i, pid in enumerate(weighted.point_ids)},
-            {pid: rng.uniform(-3, 3, size=3) for pid in weighted.point_ids},
+            by_id(weighted, weighted.initial),
+            {pid: rng.uniform(-3, 3, size=3) for pid in weighted.point_ids.tolist()},
         ):
             f_w = evaluate_objective(weighted, positions)
             f_e = evaluate_objective(expanded, positions)
@@ -331,8 +402,7 @@ class TestWeightedUniqueEdges:
         assert abs(report_w.final_objective - report_e.final_objective) <= 1e-12 * max(
             1.0, report_e.final_objective
         )
-        for pid in weighted.point_ids:
-            assert np.max(np.abs(pos_w[pid] - pos_e[pid])) <= 1e-12
+        assert np.max(np.abs(pos_w - pos_e)) <= 1e-12
 
     def test_scope_counts_in_scope_observations_only(self):
         # One segment observed in frames 0, 1 and 2 under the same point ids.
@@ -343,10 +413,10 @@ class TestWeightedUniqueEdges:
         assign_all(store, emap, range(3))
 
         scoped = build_problem(store, emap, frames={0, 1})
-        assert [(e.obs_index, e.weight) for e in scoped.edges] == [(0, 2.0)]
-        assert scoped.point_ids == [0, 1]
+        assert scoped.edges[["obs_index", "weight"]].tolist() == [(0, 2.0)]
+        assert scoped.point_ids.tolist() == [0, 1]
         late = build_problem(store, emap, frames={2})
-        assert [(e.obs_index, e.weight) for e in late.edges] == [(2, 1.0)]
+        assert late.edges[["obs_index", "weight"]].tolist() == [(2, 1.0)]
         full = build_problem(store, emap)
-        assert [(e.obs_index, e.weight) for e in full.edges] == [(0, 3.0)]
-        assert build_problem(store, emap, frames={5}).edges == []
+        assert full.edges[["obs_index", "weight"]].tolist() == [(0, 3.0)]
+        assert len(build_problem(store, emap, frames={5}).edges) == 0

@@ -160,6 +160,11 @@ class TestDriftRandomWalk:
             with pytest.raises(ValueError, match=name):
                 DriftConfig(**{name: bad}).validate()
 
+    def test_non_integer_or_negative_seed_rejected(self):
+        for bad in (0.5, -1, True, "3"):
+            with pytest.raises(ValueError, match="rng_seed"):
+                DriftConfig(rng_seed=bad).validate()
+
     @pytest.mark.parametrize("scale_sigma", [0.0, 1e-3])
     @pytest.mark.parametrize("rot_sigma", [0.0, 1e-4, 0.3])
     @pytest.mark.parametrize("trans_sigma", [0.0, 1e-3])
@@ -399,6 +404,7 @@ class TestSimulate:
             ("endpoint_noise_sigma", [float("nan"), float("inf"), -0.1]),
             ("max_range", [float("nan"), float("inf"), 0.0]),
             ("min_segment_length", [float("nan"), float("inf"), -0.1]),
+            ("rng_seed", [0.5, -1, True, "3"]),
         ],
     )
     def test_non_finite_or_out_of_range_field_rejected(self, name, bad):

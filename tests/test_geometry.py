@@ -18,7 +18,6 @@ from segdrift.geometry import (
     quat_slerp,
     quat_to_matrix,
     row_norms,
-    segment_vector,
     umeyama_alignment,
 )
 
@@ -188,22 +187,6 @@ class TestPoseSE3:
         p = np.array([0.2, 0.4, -0.6])
         assert np.allclose(a.compose(b).apply(p), a.apply(b.apply(p)), atol=1e-12)
         assert np.allclose(a.inverse().apply(a.apply(p)), p, atol=1e-12)
-
-
-class TestSegmentVector:
-    def test_difference(self):
-        assert np.allclose(
-            segment_vector(np.array([1.0, 1.0, 1.0]), np.array([4.0, 0.0, 2.0])),
-            np.array([3.0, -1.0, 1.0]),
-        )
-
-    @settings(max_examples=50)
-    @given(unit_vectors, unit_vectors, unit_vectors)
-    def test_translation_invariance(self, p1, p2, t):
-        # Shifting both endpoints cancels in the segment vector.
-        assert np.allclose(
-            segment_vector(p1 + t, p2 + t), segment_vector(p1, p2), atol=1e-9
-        )
 
 
 class TestUmeyama:

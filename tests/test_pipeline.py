@@ -38,9 +38,9 @@ class TestScheduleConfig:
     @pytest.mark.parametrize(
         "name, bad",
         [
-            ("keyframe_interval", [float("nan"), float("inf")]),
-            ("local_window", [0, float("nan")]),
-            ("iteration_cap", [-3, 0, float("nan"), float("inf")]),
+            ("keyframe_interval", [float("nan"), float("inf"), 2.5, 10.0, True]),
+            ("local_window", [0, float("nan"), 1.5, True]),
+            ("iteration_cap", [-3, 0, float("nan"), float("inf"), 2.5, "10"]),
             ("rel_threshold", [-1.0, 0.0, float("nan"), float("inf")]),
             ("anchor_weight", [-1e-3, float("nan"), float("inf")]),
         ],

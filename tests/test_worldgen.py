@@ -49,8 +49,9 @@ class TestSpecValidation:
             ("door_height", [float("nan"), float("inf")]),
             ("door_width", [float("nan"), float("inf")]),
             ("turn_angle", [float("nan"), float("inf")]),
-            ("n_turns", [-1, float("nan")]),
-            ("extra_unique_segments", [-1, float("nan")]),
+            ("n_turns", [-1, float("nan"), 1.5, True]),
+            ("extra_unique_segments", [-1, float("nan"), 2.5, 3.0]),
+            ("rng_seed", [-1, 0.5, True]),
         ],
     )
     def test_non_finite_or_out_of_range_field_rejected(self, name, bad):
