@@ -86,10 +86,17 @@ def _load_experiment(args) -> dict:
         raise ValueError("config must list at least one seed")
     for seed in cfg["seeds"]:
         check_int("seed", seed, 0)
+    # a repeat would rerun a cell into the same directory and count it twice
+    if len(set(cfg["seeds"])) < len(cfg["seeds"]):
+        raise ValueError(f"config 'seeds' repeats a seed: {cfg['seeds']}")
     modes = cfg.get("modes", ["baseline", "seg"])
+    if not isinstance(modes, list) or not modes:
+        raise ValueError(f"config 'modes' must list at least one mode, got {modes!r}")
     for m in modes:
         if m not in MODES:
             raise ValueError(f"unknown mode {m!r}; choose from {MODES}")
+    if len(set(modes)) < len(modes):
+        raise ValueError(f"config 'modes' repeats a mode: {modes}")
     cfg["modes"] = modes
     # Reject unknown keys and bad values before any world or cell is written.
     if "world_file" not in cfg:

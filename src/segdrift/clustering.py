@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -40,11 +41,21 @@ class DegenerateSegmentError(ValueError):
     """Raised when a segment observation has coincident endpoints."""
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis. Every distance and limit goes
-    through this one expression, so a value computed in a batch matrix and
-    the same value computed for a few rows are the same float."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+def _norms(x, y, z):
+    """Euclidean norms of the vectors with coordinate arrays x, y, z.
+
+    The batch scan and the degenerate check call this on arrays, the per-row
+    rechecks call `_norm` on Python floats. Both evaluate sqrt((x*x + y*y) +
+    z*z), the same correctly rounded operations in the same order, so a
+    distance or limit computed in a batch matrix and the same one computed
+    for a single row are the same float.
+    """
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _norm(x: float, y: float, z: float) -> float:
+    """`_norms` of one vector, on Python floats."""
+    return math.sqrt(x * x + y * y + z * z)
 
 
 class ClusterStore:
@@ -65,6 +76,9 @@ class ClusterStore:
         # column-major: each batch scans the obs column for repeats
         self._table = np.empty((len(MEMBER_COLUMNS), 0), dtype=np.int64)
         self._n_members = 0
+        # members assigned before the last recompute; a later join leaves its
+        # cluster with an incremental mean, whose bits can differ from the exact one
+        self._n_recomputed = 0
 
     def __len__(self) -> int:
         return self._n_clusters
@@ -143,7 +157,7 @@ class ClusterStore:
             return []
         observations = emap.observations[batch]
         vs = emap.points[observations[:, OBS_P2]] - emap.points[observations[:, OBS_P1]]
-        degenerate = (_norms(vs) == 0.0).tolist()
+        degenerate = (_norms(*vs.T) == 0.0).tolist()
         discarded = [i for i, bad in zip(batch, degenerate) if bad]
         if discarded:
             keep = [j for j, bad in enumerate(degenerate) if not bad]
@@ -160,10 +174,13 @@ class ClusterStore:
         self._reserve(m0 + k, self._n_members + k)
         centers, counts = self._centers, self._counts
 
-        c0 = centers[:m0]
-        d_pos = _norms(c0 - vs[:, None])
-        d_neg = _norms(c0 + vs[:, None])
-        norm0 = _norms(c0)
+        # (k, m0) matrices built from coordinate columns: numpy reduces a
+        # length-3 last axis slowly
+        cx, cy, cz = centers[:m0].T
+        vx, vy, vz = vs.T[:, :, None]
+        d_pos = _norms(cx - vx, cy - vy, cz - vz)
+        d_neg = _norms(cx + vx, cy + vy, cz + vz)
+        norm0 = _norms(cx, cy, cz)
         lim0 = rel * norm0
         d = np.minimum(d_pos, d_neg)
         rows, cols = np.nonzero(d < 2 * lim0)
@@ -177,39 +194,50 @@ class ClusterStore:
         lim0 = lim0.tolist()
         moved_scale = 1.0 / (2.0 * (1.0 + rel))
 
+        # Centers this batch changed or created, as Python floats; written
+        # back to the center matrix once, after the walk.
+        current: dict[int, list[float]] = {}
         start: dict[int, list[float]] = {}  # changed cluster -> its center at batch start
         recompute: set[int] = set()  # clusters recomputed for every later row
         cids, signs = [], []
         for j, v in enumerate(vs.tolist()):
             best, best_d, sign = -1, math.inf, 1
-            check = set(recompute)
+            changed = []  # changed clusters in the near set, not in `recompute`
             for c, dc, s in near[j]:  # ascending cluster id
                 if c in start:
-                    check.add(c)
+                    if c not in recompute:
+                        changed.append(c)
                 elif dc < lim0[c] and dc < best_d:
                     best, best_d, sign = c, dc, s
-            if check:
-                ids = sorted(check)
-                sub = centers[ids]
-                d_pos = _norms(sub - vs[j]).tolist()
-                d_neg = _norms(sub + vs[j]).tolist()
-                lims = (rel * _norms(sub)).tolist()
-                for c, dp, dn, lim in zip(ids, d_pos, d_neg, lims):
-                    dc = min(dp, dn)
-                    if dc < lim and (dc < best_d or (dc == best_d and c < best)):
-                        best, best_d, sign = c, dc, 1 if dp <= dn else -1
+            vx, vy, vz = v
+            # (distance, id) is minimised lexicographically, so the order of
+            # the rechecks does not matter
+            for c in chain(recompute, changed):
+                x, y, z = current[c]
+                dp = _norm(x - vx, y - vy, z - vz)
+                dn = _norm(x + vx, y + vy, z + vz)
+                dc = min(dp, dn)
+                if (dc < best_d or (dc == best_d and c < best)) and dc < rel * _norm(x, y, z):
+                    best, best_d, sign = c, dc, 1 if dp <= dn else -1
 
             if best < 0:
                 best, sign = self._n_clusters, 1
                 self._n_clusters += 1
-                centers[best] = v
+                current[best] = v
                 counts[best] = 1
                 recompute.add(best)
             else:
                 n = int(counts[best])
-                old = centers[best].tolist()
-                new = [(a * n + sign * b) / (n + 1) for a, b in zip(old, v)]
-                centers[best] = new
+                old = current.get(best)
+                if old is None:
+                    old = centers[best].tolist()
+                x, y, z = old
+                new = [
+                    (x * n + sign * vx) / (n + 1),
+                    (y * n + sign * vy) / (n + 1),
+                    (z * n + sign * vz) / (n + 1),
+                ]
+                current[best] = new
                 counts[best] = n + 1
                 if best not in recompute:
                     first = start.setdefault(best, old)
@@ -217,6 +245,7 @@ class ClusterStore:
                         recompute.add(best)
             cids.append(best)
             signs.append(sign)
+        centers[list(current)] = list(current.values())
 
         n = self._n_members
         table = self._table[:, n : n + k]
@@ -243,18 +272,38 @@ class ClusterStore:
             table[:, : self._n_members] = self._table[:, : self._n_members]
             self._table = table
 
-    def recompute_centers(self, emap: EstimatedMap) -> None:
-        """Replace every center by the exact mean of current member vectors."""
+    def recompute_centers(self, emap: EstimatedMap, moved=None) -> None:
+        """Replace centers by the exact mean of current member vectors.
+
+        `moved` names the point ids whose positions changed since the last
+        recompute; None means any may have. With it, only clusters with a
+        member on a moved point or a member assigned since the last recompute
+        are redone: every other center already is the exact mean of vectors
+        that did not change.
+        """
         n = self._n_clusters
         if not n:
             return
         pos = emap.points
-        table = self.member_table
-        cids = table[:, CLUSTER]
-        vs = table[:, SIGN].astype(float)[:, None] * (pos[table[:, P2]] - pos[table[:, P1]])
+        table = self._table[:, : self._n_members]
+        redo = slice(n)
+        if moved is not None:
+            cids = table[CLUSTER]
+            hit = np.zeros(len(pos), dtype=bool)
+            hit[moved] = True
+            dirty = np.zeros(n, dtype=bool)
+            dirty[cids[hit[table[P1]] | hit[table[P2]]]] = True
+            dirty[cids[self._n_recomputed :]] = True
+            # every row of each redone cluster, in table order
+            table = table[:, np.flatnonzero(dirty[cids])]
+            redo = np.flatnonzero(dirty)
+        vs = table[SIGN].astype(float)[:, None] * (pos[table[P2]] - pos[table[P1]])
         # bincount adds in index order, one coordinate at a time
-        sums = np.column_stack([np.bincount(cids, weights=vs[:, a], minlength=n) for a in range(3)])
-        self._centers[:n] = sums / self.counts[:, None]
+        sums = np.column_stack(
+            [np.bincount(table[CLUSTER], weights=vs[:, a], minlength=n) for a in range(3)]
+        )
+        self._centers[redo] = sums[redo] / self.counts[redo, None]
+        self._n_recomputed = self._n_members
 
     def to_json(self) -> list[dict]:
         table = self.member_table

@@ -196,7 +196,7 @@ def run(
         positions, report = solve(problem)
         reports.append(report)
         emap.points[problem.point_ids] = positions
-        store.recompute_centers(emap)
+        store.recompute_centers(emap, problem.point_ids)
 
     next_round = 0
     for frame in range(n_frames):

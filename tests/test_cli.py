@@ -106,6 +106,24 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"seeds": [0, 0]}, "seeds"),
+            ({"seeds": [1, 0, 1]}, "seeds"),
+            ({"modes": ["baseline", "seg", "seg"]}, "modes"),
+            ({"modes": []}, "modes"),
+            ({"modes": "seg"}, "modes"),
+        ],
+    )
+    def test_repeated_seed_or_mode_or_no_mode_exits_1_before_any_output(
+        self, tmp_path, capsys, overrides, named
+    ):
+        cfg = small_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_mode_exits_1(self, tmp_path, capsys):
         cfg = small_config(tmp_path, modes=["baseline", "warp"])
         assert main(["run", "--config", str(cfg)]) == 1

@@ -15,6 +15,8 @@ from segdrift.clustering import (
     SIGN,
     ClusterStore,
     DegenerateSegmentError,
+    _norm,
+    _norms,
     assign_all,
 )
 from segdrift.frontend import OBS_FRAME, OBS_P1, OBS_P2, EstimatedMap
@@ -108,8 +110,8 @@ REL_THRESHOLDS = (2.0**-8, 0.005, 0.5, 2.0)
 def observation_streams(draw):
     """(rel_threshold, frames, moves): frames are lists of observation specs,
     ("vec", v) for a new segment or ("again", j, flip) re-observing
-    observation j's points, in either endpoint order; moves[f] is a noise
-    seed applied to every point after frame f, or None."""
+    observation j's points, in either endpoint order; moves[f] is a seed that
+    picks a random subset of the points and shifts it after frame f, or None."""
     rel = draw(st.sampled_from(REL_THRESHOLDS))
     unit = st.floats(0.5, 3.0)
     bases = draw(st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=4))
@@ -192,9 +194,11 @@ class TestBatchedAssignment:
                     assert single.assign(i, emap, rel) == cid
             if move is not None:
                 rng = np.random.default_rng(move)
-                emap.points += rng.normal(0, 1e-3, size=emap.points.shape)
-                for s in (store, single, ref):
-                    s.recompute_centers(emap)
+                moved = np.flatnonzero(rng.random(len(emap.points)) < 0.5)
+                emap.points[moved] += rng.normal(0, 1e-3, size=(len(moved), 3))
+                store.recompute_centers(emap, moved)  # only the clusters it dirtied
+                single.recompute_centers(emap)  # every cluster
+                ref.recompute_centers(emap)
             for s in (store, single):
                 assert np.array_equal(s.member_table, ref.table)
                 assert np.array_equal(s.centers, ref.centers)
@@ -357,6 +361,21 @@ class TestCenters:
         for cid, center in enumerate(store.centers):
             assert np.linalg.norm(center - batch_center(store, emap, cid)) < 1e-12
 
+    def test_recompute_redoes_cluster_joined_since_last_recompute(self):
+        # No point moves, but obs 1-3 join after the last recompute, so the
+        # center is an incremental mean until the next one.
+        vectors = [[0.0, 0.0, z] for z in (2.0, 2.001, 2.002, 1.999)]
+        emap = map_from_vectors(vectors)
+        store = ClusterStore()
+        assign_all(store, emap, [0])
+        store.recompute_centers(emap, [])
+        assign_all(store, emap, [1, 2, 3])
+        exact = (2.0 + 2.001 + 2.002 + 1.999) / 4  # summed in table order
+        assert store.counts.tolist() == [4]
+        assert store.centers[0].tolist() == [0.0, 0.0, 2.0005] != [0.0, 0.0, exact]
+        store.recompute_centers(emap, [])
+        assert store.centers[0].tolist() == [0.0, 0.0, exact]
+
     def test_recompute_centers_empty_store(self):
         store = ClusterStore()
         store.recompute_centers(map_from_vectors([[1.0, 0.0, 0.0]]))
@@ -425,3 +444,46 @@ class TestSerialization:
         path = tmp_path / "clusters.json"
         store.dump(path)
         assert json.loads(path.read_text()) == store.to_json()
+
+
+@st.composite
+def vector_pairs(draw):
+    """(centers, vectors): coordinates m * 2^(e + o) with one exponent e in
+    [-600, 600] per example and small offsets o, so that the three squares
+    are of like size and their summation order shows. Squares overflow
+    above 2^512 and are subnormal, then zero, below 2^-511."""
+    e = draw(st.integers(-600, 600))
+    coordinate = st.builds(
+        lambda m, o: m * 2.0 ** (e + o),
+        st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True),
+        st.integers(-4, 4),
+    )
+    vectors = st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=1, max_size=6)
+    return draw(vectors), draw(vectors)
+
+
+class TestNormForms:
+    @given(vector_pairs())
+    # squares in the subnormal range, where `_SAFE_NORMS` stops skipping
+    @example(([(2.0**-530, 3 * 2.0**-531, -(2.0**-520))], [(2.0**-525, 0.0, 2.0**-519)]))
+    @example(([(1.5 * 2.0**511, 2.0**511, 0.0)], [(2.0**500, -(2.0**512), 1.0)]))
+    def test_column_and_scalar_forms_equal_reduce(self, case):
+        """The batch scan (columns), the rechecks (Python floats) and the
+        degenerate check all equal sqrt(add.reduce(x*x, axis=-1)) bit for bit."""
+        c, v = (np.array(vectors) for vectors in case)
+
+        def reduced(x):
+            return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+        cx, cy, cz = c.T
+        vx, vy, vz = v.T[:, :, None]
+        cases = [
+            ((cx - vx, cy - vy, cz - vz), c - v[:, None]),
+            ((cx + vx, cy + vy, cz + vz), c + v[:, None]),
+            ((cx, cy, cz), c),
+        ]
+        with np.errstate(over="ignore"):  # squares above 2^1024 are inf in every form
+            for columns, x in cases:
+                want = reduced(x)
+                assert _norms(*columns).tobytes() == want.tobytes()
+                assert [_norm(*row) for row in x.reshape(-1, 3).tolist()] == want.ravel().tolist()
