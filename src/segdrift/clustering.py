@@ -14,7 +14,6 @@ at a time, bit for bit (see `ClusterStore.assign_batch`).
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from itertools import chain
@@ -29,6 +28,10 @@ DEFAULT_REL_THRESHOLD = 0.005
 
 MEMBER_COLUMNS = ("obs", "frame", "cluster", "p1", "p2", "sign")
 OBS, FRAME, CLUSTER, P1, P2, SIGN = range(len(MEMBER_COLUMNS))
+# One row per distinct (cluster, p1, p2, sign) member key, in order of first
+# member; `first` is that member's row in the member table.
+EDGE_COLUMNS = ("cluster", "p1", "p2", "sign", "first")
+E_CLUSTER, E_P1, E_P2, E_SIGN, E_FIRST = range(len(EDGE_COLUMNS))
 
 # Skipping a moved cluster for a row outside its near set rests on norms
 # carrying a few ulps of relative error. That holds while a norm's squares
@@ -59,14 +62,16 @@ def _norm(x: float, y: float, z: float) -> float:
 
 
 class ClusterStore:
-    """Clusters as three arrays: a member table, a center matrix and
-    per-cluster member counts.
+    """Clusters as arrays: a member table, a center matrix, per-cluster
+    member counts and an edge table.
 
     Cluster ids are dense and allocated in creation order, so row i of the
     center matrix and entry i of the counts belong to cluster id i. Every
     member is one row of an int64 table (columns MEMBER_COLUMNS, assignment
-    order), which center recomputation, serialization and the solve-problem
-    builder read as arrays.
+    order), which serialization reads as arrays. Members sharing a (cluster,
+    p1, p2, sign) key share one edge: each member gets its edge id when it
+    joins, and center recomputation and the solve-problem builder work over
+    the edge table rather than every member row.
     """
 
     def __init__(self):
@@ -76,6 +81,10 @@ class ClusterStore:
         # column-major: each batch scans the obs column for repeats
         self._table = np.empty((len(MEMBER_COLUMNS), 0), dtype=np.int64)
         self._n_members = 0
+        self._max_obs = -1  # largest assigned observation id
+        self._member_edges = np.empty(0, dtype=np.int64)  # edge id of each member
+        self._edge_ids: dict[tuple[int, int, int, int], int] = {}  # key -> edge id
+        self._edges = np.empty((len(EDGE_COLUMNS), 0), dtype=np.int64)  # column-major
         # members assigned before the last recompute; a later join leaves its
         # cluster with an incremental mean, whose bits can differ from the exact one
         self._n_recomputed = 0
@@ -87,6 +96,16 @@ class ClusterStore:
     def member_table(self) -> np.ndarray:
         """(members, 6) int64 rows, columns MEMBER_COLUMNS, assignment order."""
         return self._table[:, : self._n_members].T
+
+    @property
+    def member_edges(self) -> np.ndarray:
+        """(members,) int64 edge id of each member-table row."""
+        return self._member_edges[: self._n_members]
+
+    @property
+    def edge_table(self) -> np.ndarray:
+        """(edges, 5) int64 rows, columns EDGE_COLUMNS, in edge-id order."""
+        return self._edges[:, : len(self._edge_ids)].T
 
     @property
     def centers(self) -> np.ndarray:
@@ -148,9 +167,8 @@ class ClusterStore:
         batch = [int(i) for i in obs_indices]
         if len(set(batch)) < len(batch):
             raise ValueError("batch repeats an observation")
-        assigned = self._table[OBS, : self._n_members]
-        if batch and len(assigned) and min(batch) <= assigned.max():
-            again = np.intersect1d(batch, assigned)
+        if batch and min(batch) <= self._max_obs:
+            again = np.intersect1d(batch, self._table[OBS, : self._n_members])
             if len(again):
                 raise ValueError(f"observation {again[0]} already assigned")
         if not batch:
@@ -171,7 +189,7 @@ class ClusterStore:
     def _walk(self, batch, observations: np.ndarray, vs: np.ndarray, rel) -> None:
         k = len(batch)
         m0 = self._n_clusters
-        self._reserve(m0 + k, self._n_members + k)
+        self._reserve(m0 + k, self._n_members + k, len(self._edge_ids) + k)
         centers, counts = self._centers, self._counts
 
         # (k, m0) matrices built from coordinate columns: numpy reduces a
@@ -248,16 +266,30 @@ class ClusterStore:
         centers[list(current)] = list(current.values())
 
         n = self._n_members
+        p1s, p2s = observations[:, OBS_P1].tolist(), observations[:, OBS_P2].tolist()
+        edge_ids, n_edges = self._edge_ids, len(self._edge_ids)
+        eids, new_edges = [], []
+        for row, key in enumerate(zip(cids, p1s, p2s, signs), n):
+            e = edge_ids.get(key)
+            if e is None:
+                e = edge_ids[key] = len(edge_ids)
+                new_edges.append((*key, row))
+            eids.append(e)
+        if new_edges:
+            self._edges[:, n_edges : len(edge_ids)] = np.array(new_edges, dtype=np.int64).T
+        self._member_edges[n : n + k] = eids
+
         table = self._table[:, n : n + k]
         table[OBS] = batch
         table[FRAME] = observations[:, OBS_FRAME]
         table[CLUSTER] = cids
-        table[P1] = observations[:, OBS_P1]
-        table[P2] = observations[:, OBS_P2]
+        table[P1] = p1s
+        table[P2] = p2s
         table[SIGN] = signs
         self._n_members = n + k
+        self._max_obs = max(self._max_obs, max(batch))
 
-    def _reserve(self, n_clusters: int, n_members: int) -> None:
+    def _reserve(self, n_clusters: int, n_members: int, n_edges: int) -> None:
         """Grow the buffers, doubling, to hold the given numbers of rows."""
         if n_clusters > len(self._centers):
             size = max(8, 2 * len(self._centers), n_clusters)
@@ -271,36 +303,49 @@ class ClusterStore:
             table = np.empty((len(MEMBER_COLUMNS), size), dtype=np.int64)
             table[:, : self._n_members] = self._table[:, : self._n_members]
             self._table = table
+            member_edges = np.empty(size, dtype=np.int64)
+            member_edges[: self._n_members] = self.member_edges
+            self._member_edges = member_edges
+        if n_edges > self._edges.shape[1]:
+            size = max(64, 2 * self._edges.shape[1], n_edges)
+            edges = np.empty((len(EDGE_COLUMNS), size), dtype=np.int64)
+            edges[:, : len(self._edge_ids)] = self._edges[:, : len(self._edge_ids)]
+            self._edges = edges
 
     def recompute_centers(self, emap: EstimatedMap, moved=None) -> None:
         """Replace centers by the exact mean of current member vectors.
 
         `moved` names the point ids whose positions changed since the last
-        recompute; None means any may have. With it, only clusters with a
-        member on a moved point or a member assigned since the last recompute
+        recompute; None means any may have. With it, only clusters with an
+        edge on a moved point or a member assigned since the last recompute
         are redone: every other center already is the exact mean of vectors
         that did not change.
+
+        Members of one edge share one signed vector, computed once per edge;
+        each redone cluster sums its members' vectors in table order, so its
+        center has the bits of a sum over member rows.
         """
         n = self._n_clusters
         if not n:
             return
         pos = emap.points
-        table = self._table[:, : self._n_members]
+        ecid, p1, p2, sign = self.edge_table[:, :E_FIRST].T
+        edge_vecs = sign.astype(float)[:, None] * (pos[p2] - pos[p1])
+        cids = self._table[CLUSTER, : self._n_members]
+        rows = slice(None)
         redo = slice(n)
         if moved is not None:
-            cids = table[CLUSTER]
             hit = np.zeros(len(pos), dtype=bool)
             hit[moved] = True
             dirty = np.zeros(n, dtype=bool)
-            dirty[cids[hit[table[P1]] | hit[table[P2]]]] = True
+            dirty[ecid[hit[p1] | hit[p2]]] = True
             dirty[cids[self._n_recomputed :]] = True
-            # every row of each redone cluster, in table order
-            table = table[:, np.flatnonzero(dirty[cids])]
+            rows = np.flatnonzero(dirty[cids])
             redo = np.flatnonzero(dirty)
-        vs = table[SIGN].astype(float)[:, None] * (pos[table[P2]] - pos[table[P1]])
+        vs = edge_vecs[self.member_edges[rows]]
         # bincount adds in index order, one coordinate at a time
         sums = np.column_stack(
-            [np.bincount(table[CLUSTER], weights=vs[:, a], minlength=n) for a in range(3)]
+            [np.bincount(cids[rows], weights=vs[:, a], minlength=n) for a in range(3)]
         )
         self._centers[redo] = sums[redo] / self.counts[redo, None]
         self._n_recomputed = self._n_members
@@ -318,11 +363,6 @@ class ClusterStore:
             }
             for cid, (center, rows) in enumerate(zip(self.centers.tolist(), members))
         ]
-
-    def dump(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=1)
-            f.write("\n")
 
 
 def assign_all(

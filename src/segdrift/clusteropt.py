@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import CLUSTER, FRAME, OBS, P1, P2, SIGN, ClusterStore
+from .clustering import E_CLUSTER, E_FIRST, E_P1, E_P2, FRAME, OBS, ClusterStore
 from .frontend import EstimatedMap
 
 DEFAULT_ANCHOR_WEIGHT = 1e-3
@@ -51,13 +51,15 @@ class OptProblem:
     edges: np.recarray  # (m,) EDGE_DTYPE
     anchor_weight: float = DEFAULT_ANCHOR_WEIGHT
     iteration_cap: int = DEFAULT_ITERATION_CAP
+    # (2, m) rows in point_ids of each edge's p1_id and p2_id
+    endpoint_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.anchor_weight < math.inf:
             raise ValueError("anchor_weight must be finite and non-negative")
         self.point_ids = np.asarray(self.point_ids, dtype=np.int64)
         self.edges = np.asarray(self.edges, dtype=EDGE_DTYPE).view(np.recarray)
-        _endpoint_rows(self.point_ids, np.asarray(self.edges))
+        self.endpoint_rows = _endpoint_rows(self.point_ids, np.asarray(self.edges))
 
     @property
     def n_points(self) -> int:
@@ -105,31 +107,38 @@ def build_problem(
     """Build the optimization problem over cluster members in scope.
 
     frames=None takes every member (global scope); otherwise only members
-    whose observation frame is in the set. Members with equal (cluster,
-    p1, p2, sign) form one edge whose weight is their count and whose
-    obs_index is the first of them. Edges are ordered by cluster id, then
-    by first member; point ids by first appearance in that order. Centers
-    are frozen at their current values; only endpoint positions are free.
+    whose observation frame is in the set. The in-scope members of one
+    store edge (equal cluster, p1, p2, sign) form one problem edge whose
+    weight is their count and whose obs_index is the first of them. Edges
+    are ordered by cluster id, then by first member; point ids by first
+    appearance in that order. Centers are frozen at their current values;
+    only endpoint positions are free.
     """
-    table = store.member_table
-    if frames is not None:
-        table = table[np.isin(table[:, FRAME], np.fromiter(frames, dtype=np.int64))]
-    if not len(table):
+    store_edges, member_edges = store.edge_table, store.member_edges
+    if frames is None:
+        scoped = np.arange(len(store_edges))
+        counts = np.bincount(member_edges, minlength=len(store_edges))
+        first = store_edges[:, E_FIRST]
+    else:
+        frame_col = store.member_table[:, FRAME]
+        wanted = np.fromiter(frames, dtype=np.int64)
+        in_scope = np.zeros(int(frame_col.max(initial=-1)) + 1, dtype=bool)
+        in_scope[wanted[(wanted >= 0) & (wanted < len(in_scope))]] = True
+        rows = np.flatnonzero(in_scope[frame_col])
+        scoped, at, counts = np.unique(member_edges[rows], return_index=True, return_counts=True)
+        first = rows[at]
+    if not len(scoped):
         return OptProblem([], np.zeros((0, 3)), [], anchor_weight, iteration_cap)
 
-    cid, p1, p2 = table[:, CLUSTER], table[:, P1], table[:, P2]
-    n_ids = int(max(p1.max(), p2.max())) + 1
-    positive = (table[:, SIGN] > 0).astype(np.int64)
-    key = np.ravel_multi_index((cid, p1, p2, positive), (len(store), n_ids, n_ids, 2))
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
-    order = np.lexsort((first, cid[first]))
-    rows, counts = table[first[order]], counts[order]
+    order = np.lexsort((first, store_edges[scoped, E_CLUSTER]))
+    keys, first, counts = store_edges[scoped[order], :E_FIRST], first[order], counts[order]
 
-    ends = rows[:, [P1, P2]].ravel()
+    ends = keys[:, [E_P1, E_P2]].ravel()
     _, first_end = np.unique(ends, return_index=True)
     point_ids = ends[np.sort(first_end)]
+    cid, p1, p2, sign = keys.T
     edges = np.rec.fromarrays(
-        (*rows[:, [CLUSTER, OBS, P1, P2, SIGN]].T, store.centers[rows[:, CLUSTER]], counts.astype(float)),
+        (cid, store.member_table[first, OBS], p1, p2, sign, store.centers[cid], counts.astype(float)),
         dtype=EDGE_DTYPE,
     )
     return OptProblem(point_ids, emap.points[point_ids], edges, anchor_weight, iteration_cap)
@@ -167,7 +176,7 @@ def solve(problem: OptProblem, record_iterates: bool = False):
     if not len(edges):  # n > 0 whenever there are edges: every endpoint is a point id
         return problem.initial.copy(), report
 
-    i1, i2 = _endpoint_rows(problem.point_ids, edges)
+    i1, i2 = problem.endpoint_rows
     # Contiguous float copies: the loop reads these columns every iteration.
     sign, centers, weight = (edges[c].astype(float) for c in ("sign", "center", "weight"))
     x0 = problem.initial.copy()
@@ -176,13 +185,16 @@ def solve(problem: OptProblem, record_iterates: bool = False):
     # Residuals are linear in x, so the Gauss-Newton hessian J^T W J is
     # constant: a weighted graph-Laplacian block structure (D - A) kron I3
     # plus the anchor diagonal. Solving per coordinate with the (n, n)
-    # factor keeps the dense solve cheap at desk scale.
-    lap = np.zeros((n, n))
-    np.add.at(lap, (i1, i1), weight)
-    np.add.at(lap, (i2, i2), weight)
-    np.add.at(lap, (i1, i2), -weight)
-    np.add.at(lap, (i2, i1), -weight)
+    # factor keeps the dense solve cheap at desk scale. bincount adds in
+    # index order, so each entry sums its terms in the order of four
+    # successive np.add.at passes: (i1, i1), (i2, i2), (i1, i2), (i2, i1).
+    cells = np.concatenate((i1 * n + i1, i2 * n + i2, i1 * n + i2, i2 * n + i1))
+    lap = np.bincount(cells, np.concatenate((weight, weight, -weight, -weight)), n * n)
+    lap = lap.reshape(n, n)
+    diagonal = lap.diagonal().copy()  # each step sets lap's diagonal to this plus lam + mu
     signed_weight = (weight * sign)[:, None]
+    # gradient terms go to point i1 then i2, three coordinates per point
+    grad_cells = (np.concatenate((i1, i2))[:, None] * 3 + np.arange(3)).ravel()
 
     def objective(xc) -> float:
         r = residual(centers, sign, xc[i1], xc[i2])
@@ -194,10 +206,10 @@ def solve(problem: OptProblem, record_iterates: bool = False):
 
     def gradient_half(xc):
         # J^T W r of the stacked residual (cluster edges + anchor rows).
-        r = residual(centers, sign, xc[i1], xc[i2])
-        g = np.zeros_like(xc)
-        np.add.at(g, i1, signed_weight * r)
-        np.add.at(g, i2, -signed_weight * r)
+        # negation is exact: -terms has the bits of (-signed_weight) * r
+        terms = signed_weight * residual(centers, sign, xc[i1], xc[i2])
+        g = np.bincount(grad_cells, np.concatenate((terms, -terms)).ravel(), 3 * n)
+        g = g.reshape(n, 3)
         if lam > 0:
             g += lam * (xc - x0)
         return g
@@ -211,10 +223,13 @@ def solve(problem: OptProblem, record_iterates: bool = False):
     mu = INITIAL_DAMPING
     accepted = 0
     rejects = 0
+    g = None  # the gradient at x; a rejected step leaves both unchanged
     while accepted < problem.iteration_cap:
-        g = gradient_half(x)
+        if g is None:
+            g = gradient_half(x)
+        np.fill_diagonal(lap, diagonal + (lam + mu))
         try:
-            delta = -np.linalg.solve(lap + (lam + mu) * np.eye(n), g)
+            delta = -np.linalg.solve(lap, g)
         except np.linalg.LinAlgError:
             report.diagnostics.append(f"singular normal equations at damping {mu}")
             break
@@ -230,6 +245,7 @@ def solve(problem: OptProblem, record_iterates: bool = False):
                 report.iterate_positions.append(x.copy())
             if float(np.abs(delta).max()) < 1e-14:
                 break
+            g = None
         else:
             mu *= 10.0
             rejects += 1

@@ -301,23 +301,31 @@ class TestAssignment:
 class TestBatchRejection:
     @staticmethod
     def snapshot(store):
-        return store.member_table.copy(), store.centers.copy(), store.counts.copy()
+        return (
+            store.member_table.copy(),
+            store.member_edges.copy(),
+            store.edge_table.copy(),
+            store.centers.copy(),
+            store.counts.copy(),
+        )
 
     @pytest.mark.parametrize(
-        "first, batch",
+        "first, batch, message",
         [
-            ([], [0, 1, 0]),  # repeats an index
-            ([2], [0, 1, 2]),  # holds an assigned index
-            ([2], [3, 2]),
-            ([0, 1], [2, 3, 1]),
+            ([], [0, 1, 0], "batch repeats an observation"),
+            ([2], [0, 1, 2], "observation 2 already assigned"),
+            ([2], [3, 2], "observation 2 already assigned"),
+            ([0, 1], [2, 3, 1], "observation 1 already assigned"),
+            # the assigned id lies below the largest one assigned
+            ([3, 1], [2, 1], "observation 1 already assigned"),
         ],
     )
-    def test_rejected_before_store_changes(self, first, batch):
+    def test_rejected_before_store_changes(self, first, batch, message):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         store = ClusterStore()
         assign_all(store, emap, first)
         before = self.snapshot(store)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             assign_all(store, emap, batch)
         for a, b in zip(before, self.snapshot(store)):
             assert np.array_equal(a, b)
@@ -435,15 +443,14 @@ class TestSerialization:
             [(0, 1), (2, -1)],
         ]
 
-    def test_dump_round_trips(self, tmp_path):
+    def test_dump_round_trips(self):
         import json
 
-        emap = map_from_vectors([[1.0, 2.0, 3.0]])
+        emap = map_from_vectors([[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]])
         store = ClusterStore()
-        store.assign(0, emap)
-        path = tmp_path / "clusters.json"
-        store.dump(path)
-        assert json.loads(path.read_text()) == store.to_json()
+        assign_all(store, emap, range(2))
+        out = store.to_json()
+        assert json.loads(json.dumps(out)) == out
 
 
 @st.composite

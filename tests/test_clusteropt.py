@@ -4,20 +4,26 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segdrift.clustering import CLUSTER, FRAME, P1, P2, SIGN, ClusterStore, assign_all
+from segdrift.clustering import (
+    CLUSTER, E_FIRST, EDGE_COLUMNS, FRAME, P1, P2, SIGN, ClusterStore, assign_all
+)
 from segdrift.clusteropt import (
     EDGE_DTYPE,
+    INITIAL_DAMPING,
     OptProblem,
+    OptReport,
+    _endpoint_rows,
     build_problem,
     evaluate_objective,
     residual,
     solve,
 )
-from segdrift.frontend import OBS_FRAME
+from segdrift.frontend import OBS_FRAME, DriftConfig, ObservationConfig, simulate
 from segdrift.geometry import quat_from_axis_angle, quat_rotate
+from segdrift.worldgen import WorldSpec, generate_corridor
 
 from test_clustering import array_map, map_from_vectors
 
@@ -420,3 +426,175 @@ class TestWeightedUniqueEdges:
         full = build_problem(store, emap)
         assert full.edges[["obs_index", "weight"]].tolist() == [(0, 3.0)]
         assert len(build_problem(store, emap, frames={5}).edges) == 0
+
+
+def store_edge_keys(store):
+    """(distinct member keys in first-member order, each key's first row),
+    from a walk over the member table."""
+    first = {}
+    for row, key in enumerate(map(tuple, store.member_table[:, [CLUSTER, P1, P2, SIGN]].tolist())):
+        first.setdefault(key, row)
+    return list(first), list(first.values())
+
+
+def assert_edge_table_consistent(store):
+    table, edges, member_edges = store.member_table, store.edge_table, store.member_edges
+    assert edges.dtype == member_edges.dtype == np.int64
+    assert edges.shape == (len(edges), len(EDGE_COLUMNS))
+    assert member_edges.shape == (len(table),)
+    assert np.array_equal(edges[member_edges, :E_FIRST], table[:, [CLUSTER, P1, P2, SIGN]])
+    keys, first_rows = store_edge_keys(store)
+    assert list(map(tuple, edges[:, :E_FIRST].tolist())) == keys
+    assert edges[:, E_FIRST].tolist() == first_rows
+
+
+class TestStoreEdgeTable:
+    @settings(max_examples=60)
+    @given(reobserved_maps(), st.integers(0, 25))
+    def test_edges_match_member_rows(self, case, split):
+        emap = case[0]
+        n = len(emap.observations)
+        store = ClusterStore()
+        assign_all(store, emap, range(min(split, n)))
+        assign_all(store, emap, range(min(split, n), n))
+        assert_edge_table_consistent(store)
+
+    def test_edges_match_member_rows_on_a_simulated_map(self):
+        world = generate_corridor(WorldSpec(corridor_length=20, door_spacing=2))
+        emap = simulate(
+            world,
+            DriftConfig(scale_sigma=1e-3, rng_seed=0),
+            ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=0),
+        )
+        frames = emap.observations[:, OBS_FRAME]
+        store = ClusterStore()
+        for frame in range(len(emap.timestamps)):
+            assign_all(store, emap, np.flatnonzero(frames == frame))
+        assert len(store.edge_table) < len(store.member_table)  # keys repeat
+        assert_edge_table_consistent(store)
+
+
+def reference_solve(problem, record_iterates=False):
+    """solve as one np.add.at Laplacian and gradient, an np.eye damping term
+    and a gradient recomputed on every iteration; solve must match it bit
+    for bit."""
+    n = problem.n_points
+    lam = problem.anchor_weight
+    report = OptReport(0.0, 0.0, 0, [], iterate_positions=[] if record_iterates else None)
+    edges = np.asarray(problem.edges)
+    if not len(edges):
+        return problem.initial.copy(), report
+
+    i1, i2 = _endpoint_rows(problem.point_ids, edges)
+    sign, centers, weight = (edges[c].astype(float) for c in ("sign", "center", "weight"))
+    x0 = problem.initial.copy()
+    x = x0.copy()
+    lap = np.zeros((n, n))
+    np.add.at(lap, (i1, i1), weight)
+    np.add.at(lap, (i2, i2), weight)
+    np.add.at(lap, (i1, i2), -weight)
+    np.add.at(lap, (i2, i1), -weight)
+    signed_weight = (weight * sign)[:, None]
+
+    def objective(xc):
+        r = residual(centers, sign, xc[i1], xc[i2])
+        f = float((weight[:, None] * r * r).sum())
+        if lam > 0:
+            d = xc - x0
+            f += lam * float((d * d).sum())
+        return f
+
+    def gradient_half(xc):
+        r = residual(centers, sign, xc[i1], xc[i2])
+        g = np.zeros_like(xc)
+        np.add.at(g, i1, signed_weight * r)
+        np.add.at(g, i2, -signed_weight * r)
+        if lam > 0:
+            g += lam * (xc - x0)
+        return g
+
+    f = objective(x)
+    report.initial_objective = f
+    report.objective_trace.append(f)
+    if record_iterates:
+        report.iterate_positions.append(x.copy())
+    mu = INITIAL_DAMPING
+    accepted = rejects = 0
+    while accepted < problem.iteration_cap:
+        g = gradient_half(x)
+        try:
+            delta = -np.linalg.solve(lap + (lam + mu) * np.eye(n), g)
+        except np.linalg.LinAlgError:
+            report.diagnostics.append(f"singular normal equations at damping {mu}")
+            break
+        x_new = x + delta
+        f_new = objective(x_new)
+        if f_new < f:
+            x, f = x_new, f_new
+            accepted += 1
+            mu *= 0.5
+            report.objective_trace.append(f)
+            if record_iterates:
+                report.iterate_positions.append(x.copy())
+            if float(np.abs(delta).max()) < 1e-14:
+                break
+        else:
+            mu *= 10.0
+            rejects += 1
+            if rejects > 50:
+                report.diagnostics.append("damping limit reached; stopping")
+                break
+    report.final_objective = f
+    report.iterations = accepted
+    return x, report
+
+
+def at_optimum(problem):
+    """The problem with every center equal to its edge's signed vector at the
+    initial positions: every residual is zero, so no step can be accepted."""
+    edges = problem.edges.copy()
+    i1, i2 = problem.endpoint_rows
+    edges.center = edges.sign[:, None] * (problem.initial[i2] - problem.initial[i1])
+    return OptProblem(
+        problem.point_ids, problem.initial, edges, problem.anchor_weight, problem.iteration_cap
+    )
+
+
+@st.composite
+def lm_problems(draw):
+    """Random and store-built problems, any iteration cap, optionally at
+    their optimum."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        problem = random_problem(rng, anchor_weight=draw(st.sampled_from([0.0, 1e-3, 1e-1])))
+    else:
+        emap, frames, anchor_weight = draw(reobserved_maps())
+        store = ClusterStore()
+        assign_all(store, emap, range(len(emap.observations)))
+        problem = build_problem(store, emap, frames=frames, anchor_weight=anchor_weight)
+    problem.iteration_cap = draw(st.integers(1, 12))
+    return at_optimum(problem) if draw(st.booleans()) else problem
+
+
+class TestSolveMatchesReference:
+    @settings(max_examples=150)
+    @given(lm_problems(), st.booleans())
+    @example(at_optimum(random_problem(np.random.default_rng(3), anchor_weight=1e-3)), False)
+    def test_same_bits_as_reference_lm_loop(self, problem, record_iterates):
+        positions, report = solve(problem, record_iterates)
+        ref_positions, ref_report = reference_solve(problem, record_iterates)
+        assert positions.tobytes() == ref_positions.tobytes()
+        assert (np.array(report.objective_trace).tobytes()
+                == np.array(ref_report.objective_trace).tobytes())
+        assert report.diagnostics == ref_report.diagnostics
+        assert report.iterations == ref_report.iterations
+        if record_iterates:
+            assert (np.array(report.iterate_positions).tobytes()
+                    == np.array(ref_report.iterate_positions).tobytes())
+
+    def test_problem_at_its_optimum_reaches_the_damping_limit(self):
+        problem = at_optimum(random_problem(np.random.default_rng(3), anchor_weight=1e-3))
+        for positions, report in (solve(problem), reference_solve(problem)):
+            assert report.diagnostics == ["damping limit reached; stopping"]
+            assert report.objective_trace == [0.0]
+            assert positions.tobytes() == problem.initial.tobytes()
