@@ -309,26 +309,37 @@ class TestBatchRejection:
             store.counts.copy(),
         )
 
-    @pytest.mark.parametrize(
-        "first, batch, message",
-        [
-            ([], [0, 1, 0], "batch repeats an observation"),
-            ([2], [0, 1, 2], "observation 2 already assigned"),
-            ([2], [3, 2], "observation 2 already assigned"),
-            ([0, 1], [2, 3, 1], "observation 1 already assigned"),
-            # the assigned id lies below the largest one assigned
-            ([3, 1], [2, 1], "observation 1 already assigned"),
-        ],
-    )
-    def test_rejected_before_store_changes(self, first, batch, message):
+    # (assigned first, rejected batch, error message)
+    CASES = [
+        ([], [0, 1, 0], "batch repeats an observation"),
+        ([2], [0, 1, 2], "observation 2 already assigned"),
+        ([2], [3, 2], "observation 2 already assigned"),
+        ([0, 1], [2, 3, 1], "observation 1 already assigned"),
+        # the assigned id lies below the largest one assigned
+        ([3, 1], [2, 1], "observation 1 already assigned"),
+    ]
+
+    @staticmethod
+    def assigned_store(first):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         store = ClusterStore()
         assign_all(store, emap, first)
+        return store, emap
+
+    @pytest.mark.parametrize("first, batch", [(first, batch) for first, batch, _ in CASES])
+    def test_rejected_before_store_changes(self, first, batch):
+        store, emap = self.assigned_store(first)
         before = self.snapshot(store)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError):
             assign_all(store, emap, batch)
         for a, b in zip(before, self.snapshot(store)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("first, batch, message", CASES)
+    def test_rejection_names_the_fault(self, first, batch, message):
+        store, emap = self.assigned_store(first)
+        with pytest.raises(ValueError, match=message):
+            assign_all(store, emap, batch)
 
     def test_unassigned_lower_index_accepted(self):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
