@@ -6,10 +6,10 @@ trying both orientations of the segment vector; otherwise it seeds a new
 cluster. Centers are running means of the signed member vectors and can
 be recomputed exactly after the optimizer moves endpoints.
 
-Observations arrive in batches (one frame at a time in the pipeline). A
-batch is scanned against the centers once, as one distance matrix, and
-then walked in order; the result equals assigning its observations one
-at a time, bit for bit (see `ClusterStore.assign_batch`).
+Observations arrive in batches (one solve interval at a time in the
+pipeline). A batch is scanned against the centers once, and then walked
+in order; the result equals assigning its observations one at a time,
+bit for bit (see `ClusterStore.assign_batch`).
 """
 
 from __future__ import annotations
@@ -33,11 +33,13 @@ OBS, FRAME, CLUSTER, P1, P2, SIGN = range(len(MEMBER_COLUMNS))
 EDGE_COLUMNS = ("cluster", "p1", "p2", "sign", "first")
 E_CLUSTER, E_P1, E_P2, E_SIGN, E_FIRST = range(len(EDGE_COLUMNS))
 
-# Skipping a moved cluster for a row outside its near set rests on norms
-# carrying a few ulps of relative error. That holds while a norm's squares
-# stay normal floats; outside this band a moved cluster is recomputed for
-# every later row of its batch instead.
+# The batch scan's prefilter, and skipping a moved cluster for a row outside
+# its near set, rest on norms and squares carrying a few ulps of relative
+# error. That holds while a norm's squares stay normal floats; a row or
+# cluster outside this band is a scan candidate for every partner, and a
+# moved cluster outside it is recomputed for every later row of its batch.
 _SAFE_NORMS = (2.0**-500, 2.0**500)
+_SCAN_BLOCK = 256  # rows per block of the batch scan, to bound its temporaries
 
 
 class DegenerateSegmentError(ValueError):
@@ -50,7 +52,7 @@ def _norms(x, y, z):
     The batch scan and the degenerate check call this on arrays, the per-row
     rechecks call `_norm` on Python floats. Both evaluate sqrt((x*x + y*y) +
     z*z), the same correctly rounded operations in the same order, so a
-    distance or limit computed in a batch matrix and the same one computed
+    distance or limit computed by the batch scan and the same one computed
     for a single row are the same float.
     """
     return np.sqrt(x * x + y * y + z * z)
@@ -149,10 +151,10 @@ class ClusterStore:
         vectors. Observations with coincident endpoints are discarded.
 
         The batch is scanned once against the centers as they stand at its
-        start; each row keeps the clusters within twice their limit (its
-        near set). While walking the rows, only clusters whose center has
-        changed can differ from that scan, and they are recomputed with the
-        same expression: clusters created in this batch, changed clusters in
+        start (`_scan`); each row keeps the clusters within twice their
+        limit (its near set). While walking the rows, only clusters whose
+        center has changed can differ from that scan, and they are
+        recomputed with the same expression: clusters created in this batch, changed clusters in
         the row's near set, and changed clusters that moved by more than
         lim0 / (2 (1 + rel_threshold)) since the batch started. A changed
         cluster outside all three had distance >= 2 lim0 and moved by at
@@ -188,28 +190,9 @@ class ClusterStore:
 
     def _walk(self, batch, observations: np.ndarray, vs: np.ndarray, rel) -> None:
         k = len(batch)
-        m0 = self._n_clusters
-        self._reserve(m0 + k, self._n_members + k, len(self._edge_ids) + k)
+        self._reserve(self._n_clusters + k, self._n_members + k, len(self._edge_ids) + k)
+        near, lim0, skip_ok = self._scan(vs, rel)
         centers, counts = self._centers, self._counts
-
-        # (k, m0) matrices built from coordinate columns: numpy reduces a
-        # length-3 last axis slowly
-        cx, cy, cz = centers[:m0].T
-        vx, vy, vz = vs.T[:, :, None]
-        d_pos = _norms(cx - vx, cy - vy, cz - vz)
-        d_neg = _norms(cx + vx, cy + vy, cz + vz)
-        norm0 = _norms(cx, cy, cz)
-        lim0 = rel * norm0
-        d = np.minimum(d_pos, d_neg)
-        rows, cols = np.nonzero(d < 2 * lim0)
-        near = [[] for _ in range(k)]  # per row: (cluster, scanned distance, sign)
-        for r, c, dc, pos in zip(
-            rows.tolist(), cols.tolist(), d[rows, cols].tolist(), (d_pos <= d_neg)[rows, cols].tolist()
-        ):
-            near[r].append((c, dc, 1 if pos else -1))
-        lo, hi = _SAFE_NORMS
-        skip_ok = ((np.minimum(norm0, lim0) >= lo) & (np.maximum(norm0, lim0) <= hi)).tolist()
-        lim0 = lim0.tolist()
         moved_scale = 1.0 / (2.0 * (1.0 + rel))
 
         # Centers this batch changed or created, as Python floats; written
@@ -288,6 +271,62 @@ class ClusterStore:
         table[SIGN] = signs
         self._n_members = n + k
         self._max_obs = max(self._max_obs, max(batch))
+
+    def _scan(self, vs: np.ndarray, rel):
+        """Each row's near set against the current centers, and each
+        cluster's limit and whether its norm and limit lie in _SAFE_NORMS.
+
+        A near set lists (cluster, distance, sign) in ascending cluster id
+        for the clusters with min(|c - v|, |c + v|) < 2 lim0, lim0 = rel |c|.
+        Only candidate pairs get those two distances: with G = v . c, a pair
+        is a candidate iff
+
+            |v|^2 + |c|^2 - 2 |G| < 4 lim0^2 + 2^-30 (|v|^2 + |c|^2).
+
+        The left side is min(|c - v|, |c + v|)^2 in exact arithmetic. While
+        the squares stay normal floats, rounding moves either side by a few
+        ulps of |v|^2 + |c|^2 + 4 lim0^2. A near pair has 4 lim0^2 at most
+        about |v|^2 + |c|^2 unless it passes the test by a wide margin, so
+        the 2^-30 term covers that error. Clusters and rows whose norm or
+        limit lies outside _SAFE_NORMS are always candidates. So every near
+        pair is a candidate, and its distances are the same floats a dense
+        (rows, clusters) scan computes.
+        """
+        centers = self._centers[: self._n_clusters]
+        cx, cy, cz = centers.T
+        norm0 = _norms(cx, cy, cz)
+        lim0 = rel * norm0
+        lo, hi = _SAFE_NORMS
+        safe = (np.minimum(norm0, lim0) >= lo) & (np.maximum(norm0, lim0) <= hi)
+        vnorm = _norms(*vs.T)
+        safe_rows = (vnorm >= lo) & (vnorm <= hi)
+        # The test as |2G| > (|v|^2 + |c|^2)(1 - 2^-30) - 4 lim0^2, a row
+        # term plus a cluster term; doubling the centers is exact.
+        keep = 1.0 - 2.0**-30
+        row_term = keep * (vnorm * vnorm)
+        col_term = keep * (norm0 * norm0) - 4.0 * (lim0 * lim0)
+        twice = 2.0 * centers.T
+        rows, cols = [], []
+        for a in range(0, len(vs), _SCAN_BLOCK):
+            g = np.abs(vs[a : a + _SCAN_BLOCK] @ twice)
+            cand = g > row_term[a : a + _SCAN_BLOCK, None] + col_term
+            cand[~safe_rows[a : a + _SCAN_BLOCK]] = True
+            cand[:, ~safe] = True
+            r, c = np.nonzero(cand)
+            rows.append(r + a)
+            cols.append(c)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        (px, py, pz), (qx, qy, qz) = centers[cols].T, vs[rows].T
+        d_pos = _norms(px - qx, py - qy, pz - qz)
+        d_neg = _norms(px + qx, py + qy, pz + qz)
+        d = np.minimum(d_pos, d_neg)
+        hit = d < 2 * lim0[cols]
+        near = [[] for _ in range(len(vs))]  # per row: (cluster, scanned distance, sign)
+        for r, c, dc, pos in zip(
+            rows[hit].tolist(), cols[hit].tolist(), d[hit].tolist(), (d_pos <= d_neg)[hit].tolist()
+        ):
+            near[r].append((c, dc, 1 if pos else -1))
+        return near, lim0.tolist(), safe.tolist()
 
     def _reserve(self, n_clusters: int, n_members: int, n_edges: int) -> None:
         """Grow the buffers, doubling, to hold the given numbers of rows."""

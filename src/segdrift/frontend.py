@@ -14,13 +14,12 @@ and poses equal that loop's bit for bit (README, `segdrift.frontend`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import PoseSE3, quat_multiply, quat_normalize, quat_rotate, row_norms
-from .worldgen import World, check_int
+from .worldgen import World, check_int, check_real
 
 OBSERVATION_COLUMNS = ("p1", "p2", "frame", "segment")
 OBS_P1, OBS_P2, OBS_FRAME, OBS_SEGMENT = range(len(OBSERVATION_COLUMNS))
@@ -39,7 +38,8 @@ class DriftConfig:
 
     def validate(self) -> None:
         for name in ("scale_sigma", "rot_sigma", "trans_sigma"):
-            if not 0 <= getattr(self, name) < math.inf:
+            check_real(name, getattr(self, name))
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be finite and non-negative")
         check_int("rng_seed", self.rng_seed, 0)
 
@@ -53,12 +53,14 @@ class ObservationConfig:
     rng_seed: int = 0
 
     def validate(self) -> None:
+        for name in ("detect_prob", "endpoint_noise_sigma", "max_range", "min_segment_length"):
+            check_real(name, getattr(self, name))
         if not 0.0 <= self.detect_prob <= 1.0:
             raise ValueError("detect_prob must be in [0, 1]")
         for name in ("endpoint_noise_sigma", "min_segment_length"):
-            if not 0 <= getattr(self, name) < math.inf:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be finite and non-negative")
-        if not 0 < self.max_range < math.inf:
+        if not self.max_range > 0:
             raise ValueError("max_range must be finite and positive")
         check_int("rng_seed", self.rng_seed, 0)
 

@@ -190,13 +190,6 @@ class Sim3:
             -quat_rotate(qinv, self.translation) / self.scale,
         )
 
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous form."""
-        m = np.eye(4)
-        m[:3, :3] = self.scale * quat_to_matrix(self.rotation)
-        m[:3, 3] = self.translation
-        return m
-
 
 @dataclass(frozen=True)
 class PoseSE3:
@@ -210,10 +203,6 @@ class PoseSE3:
     def __post_init__(self):
         object.__setattr__(self, "rotation", quat_normalize(self.rotation))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
-
-    @staticmethod
-    def identity() -> "PoseSE3":
-        return PoseSE3(quat_identity(), np.zeros(3))
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         return quat_rotate(self.rotation, np.asarray(p, dtype=float)) + self.translation

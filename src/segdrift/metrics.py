@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PoseSE3, Sim3, quat_multiply, row_norms, umeyama_alignment
+from .geometry import PoseSE3, Sim3, row_norms, umeyama_alignment
 
 DEFAULT_MATCH_TOLERANCE_S = 0.01
 DEFAULT_RPE_DELTA = 30
@@ -56,9 +56,6 @@ class Trajectory:
         """Pose i; an index array gives the stack of those poses."""
         return PoseSE3(self.quaternions[i], self.positions[i])
 
-    def transformed(self, t: Sim3) -> "Trajectory":
-        qs = quat_multiply(t.rotation, self.quaternions)
-        return Trajectory(self.timestamps.copy(), t.apply(self.positions), qs)
 
 
 _TUM_ROW = "%.9g " * 7 + "%.9g\n"

@@ -9,7 +9,6 @@ and applied to the pose, with interpolation between keyframes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from .geometry import (
     Sim3, quat_multiply, quat_normalize, quat_rotate, quat_slerp, row_norms, umeyama_alignment
 )
 from .metrics import Trajectory
-from .worldgen import World, check_int
+from .worldgen import World, check_int, check_real
 
 MODES = ("baseline", "seg", "segglobal")
 MOVED_TOLERANCE = 1e-9
@@ -41,9 +40,11 @@ class ScheduleConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("keyframe_interval", "local_window", "iteration_cap"):
             check_int(name, getattr(self, name), 1)
-        if not 0 < self.rel_threshold < math.inf:
+        for name in ("anchor_weight", "rel_threshold"):
+            check_real(name, getattr(self, name))
+        if not self.rel_threshold > 0:
             raise ValueError("rel_threshold must be finite and positive")
-        if not 0 <= self.anchor_weight < math.inf:
+        if not self.anchor_weight >= 0:
             raise ValueError("anchor_weight must be finite and non-negative")
 
 
@@ -169,7 +170,7 @@ def run(
         return RunResult(raw_traj, raw_traj, gt_traj, emap, store, reports, 0, plog)
 
     n_frames = len(timestamps)
-    # Observations are in frame order: frame f's batch is rows bounds[f]..bounds[f+1].
+    # Observations are in frame order: frame f's rows are bounds[f]..bounds[f+1].
     bounds = np.searchsorted(emap.observations[:, OBS_FRAME], np.arange(n_frames + 1)).tolist()
     interval = schedule.keyframe_interval
 
@@ -198,17 +199,23 @@ def run(
         emap.points[problem.point_ids] = positions
         store.recompute_centers(emap, problem.point_ids)
 
-    next_round = 0
-    for frame in range(n_frames):
-        discarded += assign_all(
-            store, emap, range(bounds[frame], bounds[frame + 1]), schedule.rel_threshold
+    def assign_frames(first: int, end: int) -> int:
+        return assign_all(
+            store, emap, range(bounds[first], bounds[end]), schedule.rel_threshold
         )
-        if next_round < len(round_frames) and frame == round_frames[next_round]:
-            next_round += 1
-            lo = max(0, frame - interval * schedule.local_window)
-            solve_round(set(range(lo, frame + 1)))
-            if schedule.mode == "segglobal":
-                solve_round(None)
+
+    # Points move only in solve rounds, and a batch assigns exactly as its
+    # observations one at a time would, so each solve interval is one batch.
+    done = 0  # frames assigned so far
+    for frame in round_frames:
+        discarded += assign_frames(done, frame + 1)
+        done = frame + 1
+        lo = max(0, frame - interval * schedule.local_window)
+        solve_round(set(range(lo, frame + 1)))
+        if schedule.mode == "segglobal":
+            solve_round(None)
+    if done < n_frames:  # a one-frame world has no solve round
+        discarded += assign_frames(done, n_frames)
 
     # Pose corrections are refit against the pre-optimization map, so the
     # final fit subsumes every earlier round; propagating once at the end

@@ -39,6 +39,12 @@ def check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_real(name: str, value) -> None:
+    """Raise ValueError unless value is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WorldSpec:
     corridor_length: float = 40.0
@@ -51,13 +57,13 @@ class WorldSpec:
     rng_seed: int = 0
 
     def validate(self) -> None:
+        for name in ("corridor_length", "door_spacing", "door_height", "door_width", "turn_angle"):
+            check_real(name, getattr(self, name))
         for name in ("corridor_length", "door_spacing", "door_height", "door_width"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be finite and positive")
         if self.door_spacing >= self.corridor_length:
             raise ValueError("door_spacing must be smaller than corridor_length")
-        if not math.isfinite(self.turn_angle):
-            raise ValueError("turn_angle must be finite")
         for name in ("n_turns", "extra_unique_segments", "rng_seed"):
             check_int(name, getattr(self, name), 0)
 

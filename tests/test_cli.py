@@ -188,6 +188,27 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["0.001", None, True, [0.001]])
+    @pytest.mark.parametrize(
+        "section, name",
+        [
+            ("drift", "scale_sigma"),
+            ("observation", "detect_prob"),
+            ("observation", "max_range"),
+            ("schedule", "rel_threshold"),
+            ("schedule", "anchor_weight"),
+            ("world", "door_width"),
+            ("world", "turn_angle"),
+        ],
+    )
+    def test_non_number_float_parameter_exits_1_before_any_output(
+        self, tmp_path, capsys, section, name, value
+    ):
+        cfg = small_config(tmp_path, **{section: {name: value}})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"{name} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_schedule_value_checked_for_every_mode(self, tmp_path, capsys):
         # A baseline-only run never solves, yet its schedule is checked too.
         cfg = small_config(tmp_path, modes=["baseline"], schedule={"anchor_weight": -1})

@@ -179,11 +179,32 @@ class TestBatchedAssignment:
             ("vec", (-6.421759677766131e-161, -1.3597818016996797e-160, -1.335606563951113e-160)),
         ],
     ], [None] * 2))
+    # the scan's prefilter: components whose products underflow, at both
+    # sides of each boundary 2 lim0 and lim0
+    @example((0.5, [
+        [("vec", (1.0, 0.0, 1e-300))],
+        [("vec", (v, s * 1e-300, 0.0)) for v in (2.0, -1.9, 1.5, 1.4, -0.6) for s in (1.0, -1.0)],
+    ], [None] * 2))
+    @example((2.0, [
+        [("vec", (1.0, 0.0, 1e-300))],
+        [("vec", (v, s * 1e-300, 0.0)) for v in (5.0, -4.9, 3.0, -2.9, 1e-300) for s in (1.0, -1.0)],
+    ], [None] * 2))
+    # clusters whose norm or limit sits just inside or outside _SAFE_NORMS
+    @example((0.5, [
+        [("vec", (c, 0.0, 0.0)) for c in (2.0**-499, 2.0**-501, 2.0**499, 2.0**501)],
+        [("vec", (f * c, 0.0, 0.0)) for c in (2.0**-499, 2.0**-501, 2.0**499, 2.0**501) for f in (1.2, 1.9, -0.7)],
+    ], [None] * 2))
+    @example((2.0, [
+        [("vec", (c, 0.0, c)) for c in (2.0**-500, 2.0**-502, 2.0**498, 2.0**499)],
+        [("vec", (f * c, c, 0.0)) for c in (2.0**-500, 2.0**-502, 2.0**498, 2.0**499) for f in (2.5, 4.1, -3.0)],
+    ], [None] * 2))
     def test_matches_per_observation_reference(self, case):
         rel, frames, moves = case
         emap, batches = stream_map(frames)
         store, single, ref = ClusterStore(), ClusterStore(), ReferenceStore()
-        for batch, move in zip(batches, moves):
+        # one batch per move interval: every frame up to the next move, or the end
+        interval, pending, pending_discarded = ClusterStore(), [], 0
+        for f, (batch, move) in enumerate(zip(batches, moves)):
             expected = [ref.assign(i, emap, rel) for i in batch]
             assert assign_all(store, emap, batch, rel) == expected.count(None)
             for i, cid in zip(batch, expected):
@@ -192,14 +213,21 @@ class TestBatchedAssignment:
                         single.assign(i, emap, rel)
                 else:
                     assert single.assign(i, emap, rel) == cid
+            pending += batch
+            pending_discarded += expected.count(None)
+            flush = move is not None or f == len(batches) - 1
+            if flush:
+                assert assign_all(interval, emap, pending, rel) == pending_discarded
+                pending, pending_discarded = [], 0
             if move is not None:
                 rng = np.random.default_rng(move)
                 moved = np.flatnonzero(rng.random(len(emap.points)) < 0.5)
                 emap.points[moved] += rng.normal(0, 1e-3, size=(len(moved), 3))
                 store.recompute_centers(emap, moved)  # only the clusters it dirtied
+                interval.recompute_centers(emap, moved)
                 single.recompute_centers(emap)  # every cluster
                 ref.recompute_centers(emap)
-            for s in (store, single):
+            for s in (store, single, interval) if flush else (store, single):
                 assert np.array_equal(s.member_table, ref.table)
                 assert np.array_equal(s.centers, ref.centers)
                 assert s.counts.tolist() == ref.counts

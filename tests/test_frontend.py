@@ -16,8 +16,19 @@ from segdrift.frontend import (
     drift_walk,
     simulate,
 )
-from segdrift.geometry import PoseSE3, Sim3, quat_from_axis_angle, quat_multiply, quat_rotate
+from segdrift.geometry import (
+    PoseSE3,
+    Sim3,
+    quat_from_axis_angle,
+    quat_identity,
+    quat_multiply,
+    quat_rotate,
+)
 from segdrift.worldgen import World, WorldSpec, generate_corridor
+
+
+def identity_pose():
+    return PoseSE3(quat_identity(), np.zeros(3))
 
 
 def make_world(**kw):
@@ -291,7 +302,7 @@ class TestMatchesPerFrameLoop:
 class TestEstimatedMap:
     def make(self, observations):
         return EstimatedMap(
-            np.zeros((3, 3)), [0, 0, 1], observations, np.zeros(2), PoseSE3.identity()
+            np.zeros((3, 3)), [0, 0, 1], observations, np.zeros(2), identity_pose()
         )
 
     def test_valid_map_accepted(self):
@@ -306,7 +317,7 @@ class TestEstimatedMap:
 
     def test_first_seen_length_checked(self):
         with pytest.raises(ValueError, match="first_seen"):
-            EstimatedMap(np.zeros((2, 3)), [0], [], np.zeros(1), PoseSE3.identity())
+            EstimatedMap(np.zeros((2, 3)), [0], [], np.zeros(1), identity_pose())
 
 
 class TestSimulate:

@@ -168,11 +168,6 @@ class TestSim3:
         t = Sim3(2.1, quat_from_axis_angle(np.array([1.0, 0.0, 3.0]), 1.1), np.array([4.0, 5.0, -6.0]))
         assert np.allclose(t.inverse().apply(t.apply(p)), p, atol=1e-9)
 
-    def test_matrix_agrees_with_apply(self):
-        t = Sim3(1.7, quat_from_axis_angle(np.array([1.0, 1.0, 1.0]), 0.9), np.array([1.0, 2.0, 3.0]))
-        p = np.array([0.3, -0.4, 0.5, 1.0])
-        assert np.allclose((t.matrix() @ p)[:3], t.apply(p[:3]), atol=1e-12)
-
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
             Sim3(0.0, quat_identity(), np.zeros(3))

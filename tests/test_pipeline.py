@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segdrift.frontend import DriftConfig, ObservationConfig
+from segdrift import pipeline
+from segdrift.clustering import assign_all
+from segdrift.frontend import OBS_FRAME, DriftConfig, ObservationConfig
 from segdrift.geometry import (
     PoseSE3,
     Sim3,
@@ -41,8 +43,8 @@ class TestScheduleConfig:
             ("keyframe_interval", [float("nan"), float("inf"), 2.5, 10.0, True]),
             ("local_window", [0, float("nan"), 1.5, True]),
             ("iteration_cap", [-3, 0, float("nan"), float("inf"), 2.5, "10"]),
-            ("rel_threshold", [-1.0, 0.0, float("nan"), float("inf")]),
-            ("anchor_weight", [-1e-3, float("nan"), float("inf")]),
+            ("rel_threshold", [-1.0, 0.0, float("nan"), float("inf"), "0.005", None, True]),
+            ("anchor_weight", [-1e-3, float("nan"), float("inf"), "1e-3", None, True]),
         ],
     )
     def test_non_finite_or_out_of_range_field_rejected(self, name, bad):
@@ -100,6 +102,47 @@ class TestDeterminism:
         assert np.array_equal(a.corrected_trajectory.quaternions, b.corrected_trajectory.quaternions)
         assert a.propagation_log == b.propagation_log
         assert [r.objective_trace for r in a.reports] == [r.objective_trace for r in b.reports]
+
+
+class TestIntervalBatches:
+    @pytest.mark.parametrize("mode", ["seg", "segglobal"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_batch_per_solve_interval_equals_frame_batches(self, monkeypatch, mode, seed):
+        w = make_world(n_turns=1, extra_unique_segments=30)
+        args = (
+            DriftConfig(scale_sigma=1e-3, rng_seed=seed),
+            ObservationConfig(endpoint_noise_sigma=0.01, detect_prob=0.8, rng_seed=seed),
+            ScheduleConfig(mode=mode, keyframe_interval=7),
+        )
+        batches = []
+
+        def recorded(store, emap, obs_indices, rel_threshold):
+            batches.append(emap.observations[list(obs_indices), OBS_FRAME])
+            return assign_all(store, emap, obs_indices, rel_threshold)
+
+        def by_frame(store, emap, obs_indices, rel_threshold):
+            frames = emap.observations[list(obs_indices), OBS_FRAME]
+            return sum(
+                assign_all(store, emap, np.asarray(obs_indices)[frames == f], rel_threshold)
+                for f in np.unique(frames)
+            )
+
+        monkeypatch.setattr(pipeline, "assign_all", recorded)
+        a = run(w, *args)
+        monkeypatch.setattr(pipeline, "assign_all", by_frame)
+        b = run(w, *args)
+
+        n_frames = w.n_frames
+        ends = list(range(7, n_frames, 7))
+        if ends[-1] != n_frames - 1:
+            ends.append(n_frames - 1)
+        assert len(batches) == len(ends)
+        for start, end, frames in zip([-1, *ends], ends, batches):
+            assert np.all((start < frames) & (frames <= end))
+        assert sum(map(len, batches)) == len(a.emap.observations)
+        for name in ("member_table", "centers", "counts"):
+            assert np.array_equal(getattr(a.store, name), getattr(b.store, name))
+        assert np.array_equal(a.corrected_trajectory.positions, b.corrected_trajectory.positions)
 
 
 class TestRounds:
