@@ -57,7 +57,6 @@ class Trajectory:
         return PoseSE3(self.quaternions[i], self.positions[i])
 
 
-
 _TUM_ROW = "%.9g " * 7 + "%.9g\n"
 
 
