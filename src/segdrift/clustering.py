@@ -7,16 +7,19 @@ cluster. Centers are running means of the signed member vectors and can
 be recomputed exactly after the optimizer moves endpoints.
 
 Observations arrive in batches (one solve interval at a time in the
-pipeline). A batch is scanned against the centers once, and then walked
-in order; the result equals assigning its observations one at a time,
-bit for bit (see `ClusterStore.assign_batch`).
+pipeline). Each distinct (p1, p2) point pair of a batch is scanned once
+against the centers at the batch start, and each cluster the batch
+creates is scanned against those pairs when it is created. The rows are
+then walked in order, rechecking a changed cluster only where it can
+still be joined; the result equals assigning the observations one at a
+time, bit for bit (see `ClusterStore.assign_batch`).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from itertools import chain
+import numbers
 
 import numpy as np
 
@@ -35,11 +38,11 @@ E_CLUSTER, E_P1, E_P2, E_SIGN, E_FIRST = range(len(EDGE_COLUMNS))
 
 # The batch scan's prefilter, and skipping a moved cluster for a row outside
 # its near set, rest on norms and squares carrying a few ulps of relative
-# error. That holds while a norm's squares stay normal floats; a row or
-# cluster outside this band is a scan candidate for every partner, and a
-# moved cluster outside it is recomputed for every later row of its batch.
+# error. That holds while a norm's squares stay normal floats; a point pair
+# or cluster outside this band is a scan candidate for every partner, and a
+# changed cluster outside it is recomputed for every later row of its batch.
 _SAFE_NORMS = (2.0**-500, 2.0**500)
-_SCAN_BLOCK = 256  # rows per block of the batch scan, to bound its temporaries
+_SCAN_BLOCK = 256  # point pairs per block of the batch scan, to bound its temporaries
 
 
 class DegenerateSegmentError(ValueError):
@@ -49,11 +52,11 @@ class DegenerateSegmentError(ValueError):
 def _norms(x, y, z):
     """Euclidean norms of the vectors with coordinate arrays x, y, z.
 
-    The batch scan and the degenerate check call this on arrays, the per-row
-    rechecks call `_norm` on Python floats. Both evaluate sqrt((x*x + y*y) +
-    z*z), the same correctly rounded operations in the same order, so a
-    distance or limit computed by the batch scan and the same one computed
-    for a single row are the same float.
+    The scans and the degenerate check call this on arrays, the per-row
+    rechecks evaluate `_norm` inline on Python floats. Both evaluate
+    sqrt((x*x + y*y) + z*z), the same correctly rounded operations in the
+    same order, so a distance or limit computed by a scan and the same one
+    computed for a single row are the same float.
     """
     return np.sqrt(x * x + y * y + z * z)
 
@@ -61,6 +64,24 @@ def _norms(x, y, z):
 def _norm(x: float, y: float, z: float) -> float:
     """`_norms` of one vector, on Python floats."""
     return math.sqrt(x * x + y * y + z * z)
+
+
+def _near_append(near, rows, cids, centers, vs, lim) -> None:
+    """Append (cluster, distance, sign) to near[row] for each pair (row,
+    cluster) of `rows` and `cids` with min(|c - v|, |c + v|) < 2 lim.
+
+    `centers`, `vs` and `lim` broadcast against the pairs; the sign is +1
+    when |c - v| <= |c + v|.
+    """
+    (px, py, pz), (qx, qy, qz) = centers.T, vs.T
+    d_pos = _norms(px - qx, py - qy, pz - qz)
+    d_neg = _norms(px + qx, py + qy, pz + qz)
+    d = np.minimum(d_pos, d_neg)
+    hit = d < 2 * lim
+    for r, c, dc, pos in zip(
+        rows[hit].tolist(), cids[hit].tolist(), d[hit].tolist(), (d_pos <= d_neg)[hit].tolist()
+    ):
+        near[r].append((c, dc, 1 if pos else -1))
 
 
 class ClusterStore:
@@ -150,23 +171,36 @@ class ClusterStore:
         joined center becomes the incremental mean of the signed member
         vectors. Observations with coincident endpoints are discarded.
 
-        The batch is scanned once against the centers as they stand at its
-        start (`_scan`); each row keeps the clusters within twice their
-        limit (its near set). While walking the rows, only clusters whose
-        center has changed can differ from that scan, and they are
-        recomputed with the same expression: clusters created in this batch, changed clusters in
-        the row's near set, and changed clusters that moved by more than
-        lim0 / (2 (1 + rel_threshold)) since the batch started. A changed
-        cluster outside all three had distance >= 2 lim0 and moved by at
-        most delta <= lim0 / (2 (1 + rel)), so its distance is still
-        >= 2 lim0 - delta and its limit at most lim0 + rel delta, which is
-        smaller. Every other cluster keeps its scanned value, so the result
-        equals assigning the observations one at a time.
+        Points do not move within a batch, so the rows sharing a (p1, p2)
+        pair share one vector. `_scan` scans each distinct pair once against
+        the centers as they stand at the batch start, and a cluster created
+        in the batch is scanned against the same pairs when it is created,
+        from its first center. Each scan keeps, per pair, the clusters
+        within twice their limit lim = rel_threshold * |c| of that center
+        (the pair's near set). Walking the rows, a cluster that has changed
+        is recomputed with the same expression when it lies in the row's
+        near set, or when it has moved more than lim / (2 (1 + rel)) from
+        the center it was scanned at, or its norm or limit lies outside
+        _SAFE_NORMS. Any other changed cluster had distance >= 2 lim and
+        moved by at most delta <= lim / (2 (1 + rel)), so its distance is
+        still >= 2 lim - delta and its limit at most lim + rel delta, which
+        is smaller. An unchanged cluster keeps its scanned distance, so the
+        result equals assigning the observations one at a time, bit for bit.
 
-        Raises ValueError, before changing the store, if the batch repeats
-        an observation or holds one that is already assigned.
+        Raises ValueError, before changing the store, if an index is not an
+        integer from 0 to len(emap.observations) - 1 (bools are not), the
+        batch repeats an observation, or it holds one already assigned.
         """
-        batch = [int(i) for i in obs_indices]
+        batch, n_obs = list(obs_indices), len(emap.observations)
+        # isinstance is slow on numbers.Integral: a batch of ints in range skips it
+        ints = set(map(type, batch)) <= {int}
+        if not ints or batch and not 0 <= min(batch) <= max(batch) < n_obs:
+            for i in batch:
+                if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < n_obs:
+                    raise ValueError(
+                        f"observation index {i!r} is not an integer from 0 to {n_obs - 1}"
+                    )
+            batch = [int(i) for i in batch]
         if len(set(batch)) < len(batch):
             raise ValueError("batch repeats an observation")
         if batch and min(batch) <= self._max_obs:
@@ -191,47 +225,73 @@ class ClusterStore:
     def _walk(self, batch, observations: np.ndarray, vs: np.ndarray, rel) -> None:
         k = len(batch)
         self._reserve(self._n_clusters + k, self._n_members + k, len(self._edge_ids) + k)
-        near, lim0, skip_ok = self._scan(vs, rel)
+        p1s, p2s = observations[:, OBS_P1], observations[:, OBS_P2]
+        # Rows sharing a (p1, p2) pair share a vector, so the scan runs once
+        # per pair, on its first row; reversed pairs are different keys.
+        _, first, pairs = np.unique(
+            p1s * (p2s.max() + 1) + p2s, return_index=True, return_inverse=True
+        )
+        pair_vs = vs[first]
+        near, lim, skip_ok = self._scan(pair_vs, rel)
+        all_pairs = np.arange(len(first))
+        lo, hi = _SAFE_NORMS
         centers, counts = self._centers, self._counts
         moved_scale = 1.0 / (2.0 * (1.0 + rel))
 
-        # Centers this batch changed or created, as Python floats; written
-        # back to the center matrix once, after the walk.
+        # Centers and counts this batch changed or created, as Python values;
+        # written back to the arrays once, after the walk.
         current: dict[int, list[float]] = {}
-        start: dict[int, list[float]] = {}  # changed cluster -> its center at batch start
+        n_of: dict[int, int] = {}
+        start: dict[int, list[float]] = {}  # changed cluster -> the center it was scanned at
         recompute: set[int] = set()  # clusters recomputed for every later row
         cids, signs = [], []
-        for j, v in enumerate(vs.tolist()):
+        vecs = pair_vs.tolist()
+        for u in pairs.tolist():
+            v = vecs[u]
+            vx, vy, vz = v
             best, best_d, sign = -1, math.inf, 1
-            changed = []  # changed clusters in the near set, not in `recompute`
-            for c, dc, s in near[j]:  # ascending cluster id
+            check = [*recompute]  # plus the changed clusters in the near set
+            for c, dc, s in near[u]:
                 if c in start:
                     if c not in recompute:
-                        changed.append(c)
-                elif dc < lim0[c] and dc < best_d:
+                        check.append(c)
+                elif dc < lim[c] and (dc < best_d or dc == best_d and c < best):
                     best, best_d, sign = c, dc, s
-            vx, vy, vz = v
-            # (distance, id) is minimised lexicographically, so the order of
-            # the rechecks does not matter
-            for c in chain(recompute, changed):
+            # `_norm`, inlined: sqrt((x*x + y*y) + z*z) in the scan's order
+            for c in check:
                 x, y, z = current[c]
-                dp = _norm(x - vx, y - vy, z - vz)
-                dn = _norm(x + vx, y + vy, z + vz)
-                dc = min(dp, dn)
-                if (dc < best_d or (dc == best_d and c < best)) and dc < rel * _norm(x, y, z):
+                a, b, e = x - vx, y - vy, z - vz
+                dp = math.sqrt(a * a + b * b + e * e)
+                a, b, e = x + vx, y + vy, z + vz
+                dn = math.sqrt(a * a + b * b + e * e)
+                dc = dn if dn < dp else dp  # min(dp, dn)
+                if (dc < best_d or dc == best_d and c < best) and dc < rel * math.sqrt(
+                    x * x + y * y + z * z
+                ):
                     best, best_d, sign = c, dc, 1 if dp <= dn else -1
 
             if best < 0:
                 best, sign = self._n_clusters, 1
                 self._n_clusters += 1
                 current[best] = v
-                counts[best] = 1
-                recompute.add(best)
+                n_of[best] = 1
+                norm = _norm(vx, vy, vz)
+                lim_c = rel * norm
+                safe = lo <= min(norm, lim_c) and max(norm, lim_c) <= hi
+                lim.append(lim_c)
+                skip_ok.append(safe)
+                if safe:  # scan it against every pair, as `_scan` scans the batch start
+                    start[best] = v
+                    cid = np.full(len(first), best)
+                    _near_append(near, all_pairs, cid, np.array(v), pair_vs, lim_c)
+                else:
+                    recompute.add(best)
             else:
-                n = int(counts[best])
                 old = current.get(best)
                 if old is None:
-                    old = centers[best].tolist()
+                    old, n = centers[best].tolist(), int(counts[best])
+                else:
+                    n = n_of[best]
                 x, y, z = old
                 new = [
                     (x * n + sign * vx) / (n + 1),
@@ -239,17 +299,18 @@ class ClusterStore:
                     (z * n + sign * vz) / (n + 1),
                 ]
                 current[best] = new
-                counts[best] = n + 1
+                n_of[best] = n + 1
                 if best not in recompute:
-                    first = start.setdefault(best, old)
-                    if not skip_ok[best] or math.dist(new, first) > lim0[best] * moved_scale:
+                    first_center = start.setdefault(best, old)
+                    if not skip_ok[best] or math.dist(new, first_center) > lim[best] * moved_scale:
                         recompute.add(best)
             cids.append(best)
             signs.append(sign)
         centers[list(current)] = list(current.values())
+        counts[list(n_of)] = list(n_of.values())
 
         n = self._n_members
-        p1s, p2s = observations[:, OBS_P1].tolist(), observations[:, OBS_P2].tolist()
+        p1s, p2s = p1s.tolist(), p2s.tolist()
         edge_ids, n_edges = self._edge_ids, len(self._edge_ids)
         eids, new_edges = [], []
         for row, key in enumerate(zip(cids, p1s, p2s, signs), n):
@@ -273,8 +334,9 @@ class ClusterStore:
         self._max_obs = max(self._max_obs, max(batch))
 
     def _scan(self, vs: np.ndarray, rel):
-        """Each row's near set against the current centers, and each
-        cluster's limit and whether its norm and limit lie in _SAFE_NORMS.
+        """The near set of each row of vs (one per point pair of the batch)
+        against the current centers, and each cluster's limit and whether
+        its norm and limit lie in _SAFE_NORMS.
 
         A near set lists (cluster, distance, sign) in ascending cluster id
         for the clusters with min(|c - v|, |c + v|) < 2 lim0, lim0 = rel |c|.
@@ -316,16 +378,8 @@ class ClusterStore:
             rows.append(r + a)
             cols.append(c)
         rows, cols = np.concatenate(rows), np.concatenate(cols)
-        (px, py, pz), (qx, qy, qz) = centers[cols].T, vs[rows].T
-        d_pos = _norms(px - qx, py - qy, pz - qz)
-        d_neg = _norms(px + qx, py + qy, pz + qz)
-        d = np.minimum(d_pos, d_neg)
-        hit = d < 2 * lim0[cols]
-        near = [[] for _ in range(len(vs))]  # per row: (cluster, scanned distance, sign)
-        for r, c, dc, pos in zip(
-            rows[hit].tolist(), cols[hit].tolist(), d[hit].tolist(), (d_pos <= d_neg)[hit].tolist()
-        ):
-            near[r].append((c, dc, 1 if pos else -1))
+        near = [[] for _ in range(len(vs))]
+        _near_append(near, rows, cols, centers[cols], vs[rows], lim0[cols])
         return near, lim0.tolist(), safe.tolist()
 
     def _reserve(self, n_clusters: int, n_members: int, n_edges: int) -> None:

@@ -83,17 +83,6 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.concatenate([[np.cos(half)], np.sin(half) * axis / n])
 
 
-def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = quat_normalize(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
 def quat_from_matrix(m: np.ndarray) -> np.ndarray:
     """Shepperd's method, branching on the largest diagonal combination."""
     m = np.asarray(m, dtype=float)

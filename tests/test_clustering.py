@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from segdrift.clustering import (
     CLUSTER,
+    DEFAULT_REL_THRESHOLD,
     FRAME,
     MEMBER_COLUMNS,
     OBS,
@@ -198,6 +199,32 @@ class TestBatchedAssignment:
         [("vec", (c, 0.0, c)) for c in (2.0**-500, 2.0**-502, 2.0**498, 2.0**499)],
         [("vec", (f * c, c, 0.0)) for c in (2.0**-500, 2.0**-502, 2.0**498, 2.0**499) for f in (2.5, 4.1, -3.0)],
     ], [None] * 2))
+    # a cluster created in the batch is scanned at creation: rows at distance
+    # exactly 2 lim (outside its reach) and 2 lim - 2^-20 (inside) of its
+    # creation center, and a row at 1.25 lim that joins it once a join moved
+    # it by a quarter lim, less than lim / (2 (1 + rel))
+    @example((0.5, [[
+        ("vec", (0, 0, 2.0)),
+        ("vec", (2.0, 0, 2.0)),
+        ("vec", (0, 2.0 - 2.0**-20, 2.0)),
+        ("vec", (0, 0, 2.5)),
+        ("vec", (0, 0, 3.25)),
+    ]], [None]))
+    # a cluster created in the batch and pulled beyond lim / (2 (1 + rel)) by
+    # its first join is joined by a row outside 2 lim of its creation center
+    @example((0.5, [[("vec", (0, 0, v)) for v in (2.0, 2.9, 3.6, 3.9, 4.1)]], [None]))
+    # one (p1, p2) pair observed again in both orientations, among others
+    @example((0.005, [[
+        ("vec", (1.0, 0.0, 0.0)),
+        ("vec", (0.0, 2.0, 0.0)),
+        ("again", 0, True),
+        ("again", 1, False),
+        ("again", 0, False),
+        ("again", 1, True),
+        ("again", 0, True),
+        ("vec", (-1.001, 0.0, 0.0)),
+        ("again", 1, False),
+    ]], [None]))
     def test_matches_per_observation_reference(self, case):
         rel, frames, moves = case
         emap, batches = stream_map(frames)
@@ -231,6 +258,28 @@ class TestBatchedAssignment:
                 assert np.array_equal(s.member_table, ref.table)
                 assert np.array_equal(s.centers, ref.centers)
                 assert s.counts.tolist() == ref.counts
+
+    def test_scan_runs_once_per_pair(self, monkeypatch):
+        # 9 rows over 3 (p1, p2) pairs, each seen three times in one orientation
+        specs = [("vec", (1.0, 0.0, 0.0)), ("vec", (0.0, 2.0, 0.0)), ("vec", (1.001, 0.0, 0.0))]
+        emap, (batch,) = stream_map([specs + [("again", j, False) for j in (0, 1, 2) * 2]])
+        scanned = []
+        scan = ClusterStore._scan
+
+        def spy(self, vs, rel):
+            scanned.append(len(vs))
+            return scan(self, vs, rel)
+
+        monkeypatch.setattr(ClusterStore, "_scan", spy)
+        store, ref = ClusterStore(), ReferenceStore()
+        assign_all(store, emap, batch)
+        for i in batch:
+            ref.assign(i, emap, DEFAULT_REL_THRESHOLD)
+        assert len(batch) == 9
+        assert scanned == [3]
+        assert np.array_equal(store.member_table, ref.table)
+        assert np.array_equal(store.centers, ref.centers)
+        assert store.counts.tolist() == ref.counts
 
     def test_equal_distance_lowest_id_wins(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 2.0**-5], [0.0, 0.0, 2.0 + 2.0**-6]])
@@ -345,6 +394,12 @@ class TestBatchRejection:
         ([0, 1], [2, 3, 1], "observation 1 already assigned"),
         # the assigned id lies below the largest one assigned
         ([3, 1], [2, 1], "observation 1 already assigned"),
+        # indices that are not integers in [0, 4)
+        ([], [-1], "observation index -1 is not an integer from 0 to 3"),
+        ([3], [0, -1], "observation index -1 is not an integer from 0 to 3"),
+        ([], [1.7], "observation index 1.7 is not an integer from 0 to 3"),
+        ([], [True], "observation index True is not an integer from 0 to 3"),
+        ([1], [2, 4], "observation index 4 is not an integer from 0 to 3"),
     ]
 
     @staticmethod

@@ -16,12 +16,24 @@ from segdrift.geometry import (
     quat_normalize,
     quat_rotate,
     quat_slerp,
-    quat_to_matrix,
     row_norms,
     umeyama_alignment,
 )
 
 rng = np.random.default_rng(1234)
+
+
+def quat_to_matrix(q):
+    """Rotation matrix of a quaternion (w, x, y, z): the oracle for
+    `quat_rotate`, `quat_from_matrix` and Umeyama's rotation."""
+    w, x, y, z = quat_normalize(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
 
 
 def random_quat(r):
