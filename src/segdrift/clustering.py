@@ -66,6 +66,12 @@ def _norm(x: float, y: float, z: float) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
 
+def _safe(*norms):
+    """Whether every given norm or limit lies in _SAFE_NORMS, elementwise."""
+    lo, hi = _SAFE_NORMS
+    return (np.minimum.reduce(norms) >= lo) & (np.maximum.reduce(norms) <= hi)
+
+
 def _near_append(near, rows, cids, centers, vs, lim) -> None:
     """Append (cluster, distance, sign) to near[row] for each pair (row,
     cluster) of `rows` and `cids` with min(|c - v|, |c + v|) < 2 lim.
@@ -234,7 +240,6 @@ class ClusterStore:
         pair_vs = vs[first]
         near, lim, skip_ok = self._scan(pair_vs, rel)
         all_pairs = np.arange(len(first))
-        lo, hi = _SAFE_NORMS
         centers, counts = self._centers, self._counts
         moved_scale = 1.0 / (2.0 * (1.0 + rel))
 
@@ -277,7 +282,7 @@ class ClusterStore:
                 n_of[best] = 1
                 norm = _norm(vx, vy, vz)
                 lim_c = rel * norm
-                safe = lo <= min(norm, lim_c) and max(norm, lim_c) <= hi
+                safe = bool(_safe(norm, lim_c))
                 lim.append(lim_c)
                 skip_ok.append(safe)
                 if safe:  # scan it against every pair, as `_scan` scans the batch start
@@ -358,10 +363,9 @@ class ClusterStore:
         cx, cy, cz = centers.T
         norm0 = _norms(cx, cy, cz)
         lim0 = rel * norm0
-        lo, hi = _SAFE_NORMS
-        safe = (np.minimum(norm0, lim0) >= lo) & (np.maximum(norm0, lim0) <= hi)
+        safe = _safe(norm0, lim0)
         vnorm = _norms(*vs.T)
-        safe_rows = (vnorm >= lo) & (vnorm <= hi)
+        safe_rows = _safe(vnorm)
         # The test as |2G| > (|v|^2 + |c|^2)(1 - 2^-30) - 4 lim0^2, a row
         # term plus a cluster term; doubling the centers is exact.
         keep = 1.0 - 2.0**-30
