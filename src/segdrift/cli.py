@@ -28,6 +28,8 @@ AGGREGATE_HEADER = ["mode", "seed", "ate_rmse", "rpe_rmse", "align_mode", "rpe_d
 CONFIG_KEYS = (
     "out_dir", "world", "world_file", "drift", "observation", "schedule", "modes", "seeds", "metrics"
 )
+CONFIG_SECTIONS = ("world", "drift", "observation", "schedule", "metrics")  # JSON objects
+CONFIG_PATHS = ("out_dir", "world_file")  # strings
 METRICS_KEYS = ("align_mode", "rpe_delta")
 OBS_SEED_OFFSET = 1_000_000
 
@@ -80,6 +82,11 @@ def _load_experiment(args) -> dict:
         raise ValueError(f"unknown config key(s) {unknown}; choose from {CONFIG_KEYS}")
     if args.out is not None:
         cfg["out_dir"] = args.out
+    for key, value in cfg.items():
+        if key in CONFIG_SECTIONS and not isinstance(value, dict):
+            raise ValueError(f"config {key!r} must be a JSON object, got {value!r}")
+        if key in CONFIG_PATHS and not isinstance(value, str):
+            raise ValueError(f"config {key!r} must be a string, got {value!r}")
     if "out_dir" not in cfg:
         raise ValueError("no output directory: set 'out_dir' in the config or pass --out")
     if not isinstance(cfg.get("seeds"), list) or not cfg["seeds"]:

@@ -29,12 +29,12 @@ log = logging.getLogger(__name__)
 
 DEFAULT_REL_THRESHOLD = 0.005
 
-MEMBER_COLUMNS = ("obs", "frame", "cluster", "p1", "p2", "sign")
-OBS, FRAME, CLUSTER, P1, P2, SIGN = range(len(MEMBER_COLUMNS))
-# One row per distinct (cluster, p1, p2, sign) member key, in order of first
-# member; `first` is that member's row in the member table.
-EDGE_COLUMNS = ("cluster", "p1", "p2", "sign", "first")
-E_CLUSTER, E_P1, E_P2, E_SIGN, E_FIRST = range(len(EDGE_COLUMNS))
+MEMBER_COLUMNS = ("obs", "frame", "edge")
+OBS, FRAME, EDGE = range(len(MEMBER_COLUMNS))
+# One row per distinct (cluster, p1, p2, sign) member key; edge ids run in
+# order of first member.
+EDGE_COLUMNS = ("cluster", "p1", "p2", "sign")
+E_CLUSTER, E_P1, E_P2, E_SIGN = range(len(EDGE_COLUMNS))
 
 # The batch scan's prefilter, and skipping a moved cluster for a row outside
 # its near set, rest on norms and squares carrying a few ulps of relative
@@ -97,10 +97,10 @@ class ClusterStore:
     Cluster ids are dense and allocated in creation order, so row i of the
     center matrix and entry i of the counts belong to cluster id i. Every
     member is one row of an int64 table (columns MEMBER_COLUMNS, assignment
-    order), which serialization reads as arrays. Members sharing a (cluster,
-    p1, p2, sign) key share one edge: each member gets its edge id when it
-    joins, and center recomputation and the solve-problem builder work over
-    the edge table rather than every member row.
+    order) naming its observation, frame and edge. Members sharing a
+    (cluster, p1, p2, sign) key share one edge, the only place that key is
+    stored; center recomputation and the solve-problem builder work over the
+    edge table rather than every member row.
     """
 
     def __init__(self):
@@ -111,7 +111,6 @@ class ClusterStore:
         self._table = np.empty((len(MEMBER_COLUMNS), 0), dtype=np.int64)
         self._n_members = 0
         self._max_obs = -1  # largest assigned observation id
-        self._member_edges = np.empty(0, dtype=np.int64)  # edge id of each member
         self._edge_ids: dict[tuple[int, int, int, int], int] = {}  # key -> edge id
         self._edges = np.empty((len(EDGE_COLUMNS), 0), dtype=np.int64)  # column-major
         # members assigned before the last recompute; a later join leaves its
@@ -123,17 +122,12 @@ class ClusterStore:
 
     @property
     def member_table(self) -> np.ndarray:
-        """(members, 6) int64 rows, columns MEMBER_COLUMNS, assignment order."""
+        """(members, 3) int64 rows, columns MEMBER_COLUMNS, assignment order."""
         return self._table[:, : self._n_members].T
 
     @property
-    def member_edges(self) -> np.ndarray:
-        """(members,) int64 edge id of each member-table row."""
-        return self._member_edges[: self._n_members]
-
-    @property
     def edge_table(self) -> np.ndarray:
-        """(edges, 5) int64 rows, columns EDGE_COLUMNS, in edge-id order."""
+        """(edges, 4) int64 rows, columns EDGE_COLUMNS, in edge-id order."""
         return self._edges[:, : len(self._edge_ids)].T
 
     @property
@@ -148,19 +142,17 @@ class ClusterStore:
 
     def assign(
         self,
-        obs_index: int,
+        index: int,
         emap: EstimatedMap,
         rel_threshold: float = DEFAULT_REL_THRESHOLD,
     ) -> int:
-        """Place one observation into the store and return its cluster id.
+        """Place observation `index` into the store and return its cluster id.
 
         Raises DegenerateSegmentError if its endpoints coincide.
         """
-        if self.assign_batch([obs_index], emap, rel_threshold):
-            raise DegenerateSegmentError(
-                f"observation {obs_index} has coincident endpoints; discarded"
-            )
-        return int(self._table[CLUSTER, self._n_members - 1])
+        if self.assign_batch([index], emap, rel_threshold):
+            raise DegenerateSegmentError(f"observation {index} has coincident endpoints; discarded")
+        return int(self._edges[E_CLUSTER, self._table[EDGE, self._n_members - 1]])
 
     def assign_batch(
         self,
@@ -318,23 +310,19 @@ class ClusterStore:
         p1s, p2s = p1s.tolist(), p2s.tolist()
         edge_ids, n_edges = self._edge_ids, len(self._edge_ids)
         eids, new_edges = [], []
-        for row, key in enumerate(zip(cids, p1s, p2s, signs), n):
+        for key in zip(cids, p1s, p2s, signs):
             e = edge_ids.get(key)
             if e is None:
                 e = edge_ids[key] = len(edge_ids)
-                new_edges.append((*key, row))
+                new_edges.append(key)
             eids.append(e)
         if new_edges:
             self._edges[:, n_edges : len(edge_ids)] = np.array(new_edges, dtype=np.int64).T
-        self._member_edges[n : n + k] = eids
 
         table = self._table[:, n : n + k]
         table[OBS] = batch
         table[FRAME] = observations[:, OBS_FRAME]
-        table[CLUSTER] = cids
-        table[P1] = p1s
-        table[P2] = p2s
-        table[SIGN] = signs
+        table[EDGE] = eids
         self._n_members = n + k
         self._max_obs = max(self._max_obs, max(batch))
 
@@ -400,9 +388,6 @@ class ClusterStore:
             table = np.empty((len(MEMBER_COLUMNS), size), dtype=np.int64)
             table[:, : self._n_members] = self._table[:, : self._n_members]
             self._table = table
-            member_edges = np.empty(size, dtype=np.int64)
-            member_edges[: self._n_members] = self.member_edges
-            self._member_edges = member_edges
         if n_edges > self._edges.shape[1]:
             size = max(64, 2 * self._edges.shape[1], n_edges)
             edges = np.empty((len(EDGE_COLUMNS), size), dtype=np.int64)
@@ -426,40 +411,25 @@ class ClusterStore:
         if not n:
             return
         pos = emap.points
-        ecid, p1, p2, sign = self.edge_table[:, :E_FIRST].T
+        ecid, p1, p2, sign = self.edge_table.T
         edge_vecs = sign.astype(float)[:, None] * (pos[p2] - pos[p1])
-        cids = self._table[CLUSTER, : self._n_members]
-        rows = slice(None)
+        eids = self._table[EDGE, : self._n_members]  # edge of each member row redone
         redo = slice(n)
         if moved is not None:
             hit = np.zeros(len(pos), dtype=bool)
             hit[moved] = True
             dirty = np.zeros(n, dtype=bool)
             dirty[ecid[hit[p1] | hit[p2]]] = True
-            dirty[cids[self._n_recomputed :]] = True
-            rows = np.flatnonzero(dirty[cids])
+            dirty[ecid[eids[self._n_recomputed :]]] = True
+            eids = eids[dirty[ecid][eids]]
             redo = np.flatnonzero(dirty)
-        vs = edge_vecs[self.member_edges[rows]]
+        cids, vs = ecid[eids], edge_vecs[eids]
         # bincount adds in index order, one coordinate at a time
         sums = np.column_stack(
-            [np.bincount(cids[rows], weights=vs[:, a], minlength=n) for a in range(3)]
+            [np.bincount(cids, weights=vs[:, a], minlength=n) for a in range(3)]
         )
         self._centers[redo] = sums[redo] / self.counts[redo, None]
         self._n_recomputed = self._n_members
-
-    def to_json(self) -> list[dict]:
-        table = self.member_table
-        by_cluster = table[np.argsort(table[:, CLUSTER], kind="stable")][:, [OBS, SIGN]]
-        members = np.split(by_cluster, np.cumsum(self.counts)[:-1])
-        return [
-            {
-                "id": cid,
-                "center": center,
-                "cardinality": len(rows),
-                "members": [{"observation": i, "sign": s} for i, s in rows.tolist()],
-            }
-            for cid, (center, rows) in enumerate(zip(self.centers.tolist(), members))
-        ]
 
 
 def assign_all(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import E_CLUSTER, E_FIRST, E_P1, E_P2, FRAME, OBS, ClusterStore
+from .clustering import E_CLUSTER, E_P1, E_P2, EDGE, FRAME, ClusterStore
 from .frontend import EstimatedMap
 
 DEFAULT_ANCHOR_WEIGHT = 1e-3
@@ -30,7 +30,6 @@ INITIAL_DAMPING = 1e-4
 # build-problem counter and the per-edge objective oracle do.
 EDGE_DTYPE = np.dtype([
     ("cluster_id", np.int64),
-    ("obs_index", np.int64),  # first member observation sharing the key
     ("p1_id", np.int64),
     ("p2_id", np.int64),
     ("sign", np.int64),
@@ -109,36 +108,37 @@ def build_problem(
     frames=None takes every member (global scope); otherwise only members
     whose observation frame is in the set. The in-scope members of one
     store edge (equal cluster, p1, p2, sign) form one problem edge whose
-    weight is their count and whose obs_index is the first of them. Edges
-    are ordered by cluster id, then by first member; point ids by first
-    appearance in that order. Centers are frozen at their current values;
-    only endpoint positions are free.
+    weight is their count. Edges are ordered by cluster id, then by first
+    in-scope member; point ids by first appearance in that order. Centers
+    are frozen at their current values; only endpoint positions are free.
     """
-    store_edges, member_edges = store.edge_table, store.member_edges
+    store_edges, members = store.edge_table, store.member_table
     if frames is None:
-        scoped = np.arange(len(store_edges))
-        counts = np.bincount(member_edges, minlength=len(store_edges))
-        first = store_edges[:, E_FIRST]
+        # edge ids already run in first-member order
+        picked = np.argsort(store_edges[:, E_CLUSTER], kind="stable")
+        counts = np.bincount(members[:, EDGE], minlength=len(store_edges))[picked]
     else:
-        frame_col = store.member_table[:, FRAME]
+        frame_col = members[:, FRAME]
         wanted = np.fromiter(frames, dtype=np.int64)
         in_scope = np.zeros(int(frame_col.max(initial=-1)) + 1, dtype=bool)
         in_scope[wanted[(wanted >= 0) & (wanted < len(in_scope))]] = True
         rows = np.flatnonzero(in_scope[frame_col])
-        scoped, at, counts = np.unique(member_edges[rows], return_index=True, return_counts=True)
-        first = rows[at]
-    if not len(scoped):
+        scoped, first, counts = np.unique(
+            members[rows, EDGE], return_index=True, return_counts=True
+        )
+        order = np.lexsort((first, store_edges[scoped, E_CLUSTER]))
+        picked, counts = scoped[order], counts[order]
+    if not len(picked):
         return OptProblem([], np.zeros((0, 3)), [], anchor_weight, iteration_cap)
 
-    order = np.lexsort((first, store_edges[scoped, E_CLUSTER]))
-    keys, first, counts = store_edges[scoped[order], :E_FIRST], first[order], counts[order]
+    keys = store_edges[picked]
 
     ends = keys[:, [E_P1, E_P2]].ravel()
     _, first_end = np.unique(ends, return_index=True)
     point_ids = ends[np.sort(first_end)]
     cid, p1, p2, sign = keys.T
     edges = np.rec.fromarrays(
-        (cid, store.member_table[first, OBS], p1, p2, sign, store.centers[cid], counts.astype(float)),
+        (cid, p1, p2, sign, store.centers[cid], counts.astype(float)),
         dtype=EDGE_DTYPE,
     )
     return OptProblem(point_ids, emap.points[point_ids], edges, anchor_weight, iteration_cap)

@@ -117,7 +117,7 @@ def test_criterion_5_invariance_suite():
     rng = np.random.default_rng(0)
     # (a) exactly-representable coordinates so float subtraction is exact
     pos_int = {pid: rng.integers(-8, 8, size=3).astype(float) for pid in range(8)}
-    edges = np.array([(0, i, i, (i + 1) % 8, 1, center, 1.0) for i in range(7)],
+    edges = np.array([(0, i, (i + 1) % 8, 1, center, 1.0) for i in range(7)],
                      dtype=EDGE_DTYPE).view(np.recarray)
     delta = np.array([12.0, -5.0, 3.0])
     shifted = {pid: p + delta for pid, p in pos_int.items()}
@@ -129,7 +129,7 @@ def test_criterion_5_invariance_suite():
     for i in range(6):
         base = rng.uniform(-4, 4, size=3)
         pos[2 * i], pos[2 * i + 1] = base, base + center
-        axis_edges.append((0, i, 2 * i, 2 * i + 1, 1, center, 1.0))
+        axis_edges.append((0, 2 * i, 2 * i + 1, 1, center, 1.0))
     axis_edges = np.array(axis_edges, dtype=EDGE_DTYPE).view(np.recarray)
     q = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.9)
     rotated = {pid: quat_rotate(q, p) for pid, p in pos.items()}

@@ -237,6 +237,28 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("metrics", 5, "a JSON object"),
+            ("metrics", None, "a JSON object"),
+            ("metrics", "abc", "a JSON object"),
+            ("world", [12], "a JSON object"),
+            ("drift", 3, "a JSON object"),
+            ("observation", "detect_prob", "a JSON object"),
+            ("schedule", None, "a JSON object"),
+            ("out_dir", 5, "a string"),
+            ("out_dir", None, "a string"),
+            ("world_file", 7, "a string"),
+            ("world_file", ["world.json"], "a string"),
+        ],
+    )
+    def test_wrong_json_type_exits_1_before_any_output(self, tmp_path, capsys, key, value, kind):
+        cfg = small_config(tmp_path, **{key: value})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"config {key!r} must be {kind}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize(
         "where, value, named",
         [
             ("segments", float("nan"), "segment 4 has a non-finite endpoint"),

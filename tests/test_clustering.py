@@ -5,15 +5,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from segdrift import clustering
 from segdrift.clustering import (
-    CLUSTER,
     DEFAULT_REL_THRESHOLD,
-    FRAME,
     MEMBER_COLUMNS,
-    OBS,
-    P1,
-    P2,
-    SIGN,
     ClusterStore,
     DegenerateSegmentError,
     _norm,
@@ -22,6 +17,20 @@ from segdrift.clustering import (
 )
 from segdrift.frontend import OBS_FRAME, OBS_P1, OBS_P2, EstimatedMap
 from segdrift.geometry import PoseSE3
+
+
+# A member row with its edge's key in place of the edge id.
+EXPANDED_COLUMNS = ("obs", "frame", *clustering.EDGE_COLUMNS)
+OBS, FRAME, CLUSTER, P1, P2, SIGN = range(len(EXPANDED_COLUMNS))
+
+
+def expanded_table(store):
+    """(members, 6) int64 rows, columns EXPANDED_COLUMNS, assignment order:
+    each member-table row joined with its row of the edge table."""
+    table = store.member_table
+    return np.column_stack(
+        (table[:, [clustering.OBS, clustering.FRAME]], store.edge_table[table[:, clustering.EDGE]])
+    )
 
 
 def array_map(points, first_seen, observations, n_frames):
@@ -46,7 +55,7 @@ def signed_vector(emap, obs_index):
 
 
 def batch_center(store, emap, cid):
-    table = store.member_table
+    table = expanded_table(store)
     rows = table[table[:, CLUSTER] == cid]
     return np.mean([s * signed_vector(emap, i) for i, s in rows[:, [OBS, SIGN]].tolist()], axis=0)
 
@@ -63,7 +72,7 @@ class ReferenceStore:
 
     @property
     def table(self):
-        return np.array(self.rows, dtype=np.int64).reshape(-1, len(MEMBER_COLUMNS))
+        return np.array(self.rows, dtype=np.int64).reshape(-1, len(EXPANDED_COLUMNS))
 
     def assign(self, obs_index, emap, rel_threshold):
         """Return the cluster id, or None if the observation is degenerate."""
@@ -255,7 +264,7 @@ class TestBatchedAssignment:
                 single.recompute_centers(emap)  # every cluster
                 ref.recompute_centers(emap)
             for s in (store, single, interval) if flush else (store, single):
-                assert np.array_equal(s.member_table, ref.table)
+                assert np.array_equal(expanded_table(s), ref.table)
                 assert np.array_equal(s.centers, ref.centers)
                 assert s.counts.tolist() == ref.counts
 
@@ -277,7 +286,7 @@ class TestBatchedAssignment:
             ref.assign(i, emap, DEFAULT_REL_THRESHOLD)
         assert len(batch) == 9
         assert scanned == [3]
-        assert np.array_equal(store.member_table, ref.table)
+        assert np.array_equal(expanded_table(store), ref.table)
         assert np.array_equal(store.centers, ref.centers)
         assert store.counts.tolist() == ref.counts
 
@@ -285,7 +294,7 @@ class TestBatchedAssignment:
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 2.0**-5], [0.0, 0.0, 2.0 + 2.0**-6]])
         store = ClusterStore()
         assign_all(store, emap, range(3), rel_threshold=2.0**-6)
-        assert store.member_table[:, CLUSTER].tolist() == [0, 1, 0]
+        assert expanded_table(store)[:, CLUSTER].tolist() == [0, 1, 0]
 
 
 class TestAssignment:
@@ -311,7 +320,7 @@ class TestAssignment:
         store.assign(0, emap)
         cid = store.assign(1, emap)
         assert cid == 0
-        table = store.member_table
+        table = expanded_table(store)
         assert table[:, [OBS, CLUSTER, SIGN]].tolist() == [[0, 0, 1], [1, 0, -1]]
         assert np.allclose(store.centers, [[0.0, 0.0, 2.0]])
 
@@ -365,7 +374,7 @@ class TestAssignment:
         assert discarded == 1
         assert len(store) == 1
         assert store.counts.tolist() == [2]
-        assert store.member_table[:, OBS].tolist() == [0, 2]
+        assert expanded_table(store)[:, OBS].tolist() == [0, 2]
 
     def test_double_assignment_rejected(self):
         emap = map_from_vectors([[1.0, 0.0, 0.0]])
@@ -380,7 +389,6 @@ class TestBatchRejection:
     def snapshot(store):
         return (
             store.member_table.copy(),
-            store.member_edges.copy(),
             store.edge_table.copy(),
             store.centers.copy(),
             store.counts.copy(),
@@ -429,7 +437,7 @@ class TestBatchRejection:
         store = ClusterStore()
         assign_all(store, emap, [2])
         assert assign_all(store, emap, [1, 0]) == 0
-        assert store.member_table[:, OBS].tolist() == [2, 1, 0]
+        assert expanded_table(store)[:, OBS].tolist() == [2, 1, 0]
         assert store.counts.tolist() == [2, 1]
 
 
@@ -494,9 +502,9 @@ class TestMemberTable:
         order = [3, 0, 4, 1, 2]
         assign_all(store, emap, order)
 
-        table = store.member_table
-        assert table.dtype == np.int64
-        assert table.shape == (len(order), len(MEMBER_COLUMNS))
+        assert store.member_table.dtype == np.int64
+        assert store.member_table.shape == (len(order), len(MEMBER_COLUMNS))
+        table = expanded_table(store)
         assert table[:, OBS].tolist() == order
         for obs_index, frame, cid, p1, p2, sign in table.tolist():
             obs = emap.observations[obs_index]
@@ -508,43 +516,6 @@ class TestMemberTable:
         assert store.counts.tolist() == np.bincount(table[:, CLUSTER]).tolist() == [3, 2]
         for cid, center in enumerate(store.centers):
             assert np.linalg.norm(center - batch_center(store, emap, cid)) < 1e-12
-
-
-class TestSerialization:
-    def test_to_json_structure(self):
-        emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0]])
-        store = ClusterStore()
-        assign_all(store, emap, range(2))
-        out = store.to_json()
-        assert len(out) == 1
-        assert out[0]["id"] == 0
-        assert out[0]["center"] == [0.0, 0.0, 2.0]
-        assert out[0]["cardinality"] == 2
-        assert out[0]["members"] == [
-            {"observation": 0, "sign": 1},
-            {"observation": 1, "sign": -1},
-        ]
-
-    def test_to_json_groups_members_by_cluster_in_assignment_order(self):
-        emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-        store = ClusterStore()
-        assign_all(store, emap, [3, 0, 1, 2])
-        out = store.to_json()
-        assert [c["id"] for c in out] == [0, 1]
-        assert [c["cardinality"] for c in out] == [2, 2]
-        assert [[(m["observation"], m["sign"]) for m in c["members"]] for c in out] == [
-            [(3, 1), (1, 1)],
-            [(0, 1), (2, -1)],
-        ]
-
-    def test_dump_round_trips(self):
-        import json
-
-        emap = map_from_vectors([[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]])
-        store = ClusterStore()
-        assign_all(store, emap, range(2))
-        out = store.to_json()
-        assert json.loads(json.dumps(out)) == out
 
 
 @st.composite

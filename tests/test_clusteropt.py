@@ -7,9 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segdrift.clustering import (
-    CLUSTER, E_FIRST, EDGE_COLUMNS, FRAME, P1, P2, SIGN, ClusterStore, assign_all
-)
+from segdrift.clustering import EDGE, EDGE_COLUMNS, MEMBER_COLUMNS, ClusterStore, assign_all
 from segdrift.clusteropt import (
     EDGE_DTYPE,
     INITIAL_DAMPING,
@@ -21,11 +19,13 @@ from segdrift.clusteropt import (
     residual,
     solve,
 )
-from segdrift.frontend import OBS_FRAME, DriftConfig, ObservationConfig, simulate
+from segdrift.frontend import OBS_FRAME, OBS_P1, OBS_P2, DriftConfig, ObservationConfig, simulate
 from segdrift.geometry import quat_from_axis_angle, quat_rotate
 from segdrift.worldgen import WorldSpec, generate_corridor
 
-from test_clustering import array_map, map_from_vectors
+from test_clustering import (
+    CLUSTER, FRAME, P1, P2, SIGN, array_map, expanded_table, map_from_vectors
+)
 
 
 def random_problem(rng, max_edges=30, anchor_weight=0.0):
@@ -33,11 +33,11 @@ def random_problem(rng, max_edges=30, anchor_weight=0.0):
     points = {pid: rng.uniform(-3, 3, size=3) for pid in range(n_points)}
     n_edges = int(rng.integers(1, max_edges + 1))
     rows = []
-    for i in range(n_edges):
+    for _ in range(n_edges):
         p1, p2 = rng.choice(n_points, size=2, replace=False)
-        # (cluster_id, obs_index, p1_id, p2_id, sign, center, weight)
+        # (cluster_id, p1_id, p2_id, sign, center, weight)
         rows.append(
-            (int(rng.integers(5)), i, int(p1), int(p2), int(rng.choice([-1, 1])),
+            (int(rng.integers(5)), int(p1), int(p2), int(rng.choice([-1, 1])),
              rng.uniform(-2, 2, size=3), 1.0)
         )
     edges = np.array(rows, dtype=EDGE_DTYPE)
@@ -92,7 +92,7 @@ class TestObjective:
                 OptProblem([0], np.zeros((1, 3)), [], anchor_weight=bad)
 
     def test_edge_endpoint_outside_point_ids_rejected(self):
-        edges = [(0, 0, 0, 1, 1, (0.0, 0.0, 2.0), 1.0), (0, 1, 2, 7, 1, (0.0, 0.0, 2.0), 1.0)]
+        edges = [(0, 0, 1, 1, (0.0, 0.0, 2.0), 1.0), (0, 2, 7, 1, (0.0, 0.0, 2.0), 1.0)]
         with pytest.raises(ValueError, match="endpoint id 7"):
             OptProblem([0, 1, 2], np.zeros((3, 3)), edges)
 
@@ -161,7 +161,7 @@ class TestInvariance:
         # subtraction exact, so residuals must be bitwise identical.
         rng = np.random.default_rng(1)
         endpoints = {pid: rng.integers(-8, 8, size=3).astype(float) for pid in range(6)}
-        edges = [(0, i, i % 6, (i + 1) % 6, 1, (0.0, 0.0, 2.0), 1.0) for i in range(5)]
+        edges = [(0, i % 6, (i + 1) % 6, 1, (0.0, 0.0, 2.0), 1.0) for i in range(5)]
         problem = OptProblem(list(range(6)), np.array([endpoints[i] for i in range(6)]), edges,
                              anchor_weight=0.0)
         delta = np.array([17.0, -9.0, 4.0])
@@ -195,7 +195,7 @@ class TestInvariance:
             base = rng.uniform(-4, 4, size=3)
             pos[2 * i] = base
             pos[2 * i + 1] = base + center + rng.normal(0, 1e-3, size=3) * [0, 0, 1]
-            edges.append((0, i, 2 * i, 2 * i + 1, 1, center, 1.0))
+            edges.append((0, 2 * i, 2 * i + 1, 1, center, 1.0))
         problem = OptProblem(sorted(pos), np.array([pos[p] for p in sorted(pos)]), edges,
                              anchor_weight=0.0)
         q = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.7)
@@ -216,7 +216,7 @@ class TestInvariance:
             base = rng.uniform(-4, 4, size=3)
             pos[2 * i] = base
             pos[2 * i + 1] = base + center
-            edges.append((0, i, 2 * i, 2 * i + 1, 1, center, 1.0))
+            edges.append((0, 2 * i, 2 * i + 1, 1, center, 1.0))
         scaled = {pid: s * p for pid, p in pos.items()}
         expected = abs(1 - s) * np.linalg.norm(center)
         for r in edge_residuals(np.array(edges, dtype=EDGE_DTYPE).view(np.recarray), scaled):
@@ -239,7 +239,7 @@ class TestSolve:
         # move so p2 - p1 equals the center exactly, midpoint preserved.
         p1, p2 = np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 5.0])
         center = np.array([0.0, 0.1, 2.2])
-        problem = OptProblem([0, 1], np.array([p1, p2]), [(0, 0, 0, 1, 1, center, 1.0)],
+        problem = OptProblem([0, 1], np.array([p1, p2]), [(0, 0, 1, 1, center, 1.0)],
                              anchor_weight=0.0, iteration_cap=50)
         positions, report = solve(problem)
         assert np.linalg.norm((positions[1] - positions[0]) - center) < 1e-8
@@ -249,7 +249,7 @@ class TestSolve:
     def test_huge_anchor_freezes_positions(self):
         p1, p2 = np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 2.0])
         center = np.array([0.0, 0.0, 2.2])
-        edge = (0, 0, 0, 1, 1, center, 1.0)
+        edge = (0, 0, 1, 1, center, 1.0)
         free = OptProblem([0, 1], np.array([p1, p2]), [edge], anchor_weight=0.0,
                           iteration_cap=50)
         stiff = OptProblem([0, 1], np.array([p1, p2]), [edge], anchor_weight=1e6,
@@ -275,7 +275,8 @@ class TestSolve:
         scoped = build_problem(store, emap, frames={0, 1})
         assert len(full.edges) == 3
         assert len(scoped.edges) == 2
-        assert all(emap.observations[e.obs_index, OBS_FRAME] in {0, 1} for e in scoped.edges)
+        in_scope = emap.observations[:2, [OBS_P1, OBS_P2]]
+        assert {(e.p1_id, e.p2_id) for e in scoped.edges} == set(map(tuple, in_scope.tolist()))
 
     def test_report_to_json(self):
         problem = random_problem(np.random.default_rng(9), anchor_weight=1e-3)
@@ -315,11 +316,11 @@ def reobserved_maps(draw):
 
 def expanded_problem(store, emap, weighted, frames):
     """The same problem with one weight-1 edge per in-scope observation."""
-    table = store.member_table
+    table = expanded_table(store)
     by_cluster = table[np.argsort(table[:, CLUSTER], kind="stable")]
     edges = [
-        (cid, obs_index, p1, p2, sign, store.centers[cid], 1.0)
-        for obs_index, frame, cid, p1, p2, sign in by_cluster.tolist()
+        (cid, p1, p2, sign, store.centers[cid], 1.0)
+        for _, frame, cid, p1, p2, sign in by_cluster.tolist()
         if frames is None or frame in frames
     ]
     return OptProblem(weighted.point_ids, weighted.initial, edges, weighted.anchor_weight)
@@ -335,7 +336,7 @@ def reference_build_problem(store, emap, frames=None):
     edges a list of ClusterEdge; build_problem packs the same values into
     arrays.
     """
-    table = store.member_table
+    table = expanded_table(store)
     if frames is not None:
         table = table[np.isin(table[:, FRAME], np.fromiter(frames, dtype=np.int64))]
     if not len(table):
@@ -354,8 +355,8 @@ def reference_build_problem(store, emap, frames=None):
     point_ids = ends[np.sort(first_end)]
     centers = store.centers[rows[:, CLUSTER]]
     edges = [
-        ClusterEdge(c, o, a, b, s, centers[k], float(n))
-        for k, ((o, _, c, a, b, s), n) in enumerate(zip(rows.tolist(), counts.tolist()))
+        ClusterEdge(c, a, b, s, centers[k], float(n))
+        for k, ((_, _, c, a, b, s), n) in enumerate(zip(rows.tolist(), counts.tolist()))
     ]
     return point_ids.tolist(), emap.points[point_ids], edges
 
@@ -419,33 +420,25 @@ class TestWeightedUniqueEdges:
         assign_all(store, emap, range(3))
 
         scoped = build_problem(store, emap, frames={0, 1})
-        assert scoped.edges[["obs_index", "weight"]].tolist() == [(0, 2.0)]
+        assert scoped.edges["weight"].tolist() == [2.0]
         assert scoped.point_ids.tolist() == [0, 1]
         late = build_problem(store, emap, frames={2})
-        assert late.edges[["obs_index", "weight"]].tolist() == [(2, 1.0)]
+        assert late.edges["weight"].tolist() == [1.0]
         full = build_problem(store, emap)
-        assert full.edges[["obs_index", "weight"]].tolist() == [(0, 3.0)]
+        assert full.edges["weight"].tolist() == [3.0]
         assert len(build_problem(store, emap, frames={5}).edges) == 0
 
 
-def store_edge_keys(store):
-    """(distinct member keys in first-member order, each key's first row),
-    from a walk over the member table."""
-    first = {}
-    for row, key in enumerate(map(tuple, store.member_table[:, [CLUSTER, P1, P2, SIGN]].tolist())):
-        first.setdefault(key, row)
-    return list(first), list(first.values())
-
-
 def assert_edge_table_consistent(store):
-    table, edges, member_edges = store.member_table, store.edge_table, store.member_edges
-    assert edges.dtype == member_edges.dtype == np.int64
+    table, edges = store.member_table, store.edge_table
+    assert table.dtype == edges.dtype == np.int64
+    assert table.shape == (len(table), len(MEMBER_COLUMNS))
     assert edges.shape == (len(edges), len(EDGE_COLUMNS))
-    assert member_edges.shape == (len(table),)
-    assert np.array_equal(edges[member_edges, :E_FIRST], table[:, [CLUSTER, P1, P2, SIGN]])
-    keys, first_rows = store_edge_keys(store)
-    assert list(map(tuple, edges[:, :E_FIRST].tolist())) == keys
-    assert edges[:, E_FIRST].tolist() == first_rows
+    assert len(set(map(tuple, edges.tolist()))) == len(edges)  # distinct keys
+    # edge ids run 0, 1, ... in order of first member
+    ids, first_rows = np.unique(table[:, EDGE], return_index=True)
+    assert ids.tolist() == list(range(len(edges)))
+    assert np.all(np.diff(first_rows) > 0)
 
 
 class TestStoreEdgeTable:

@@ -140,7 +140,7 @@ class TestIntervalBatches:
         for start, end, frames in zip([-1, *ends], ends, batches):
             assert np.all((start < frames) & (frames <= end))
         assert sum(map(len, batches)) == len(a.emap.observations)
-        for name in ("member_table", "centers", "counts"):
+        for name in ("member_table", "edge_table", "centers", "counts"):
             assert np.array_equal(getattr(a.store, name), getattr(b.store, name))
         assert np.array_equal(a.corrected_trajectory.positions, b.corrected_trajectory.positions)
 
