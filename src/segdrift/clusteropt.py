@@ -58,6 +58,16 @@ class OptProblem:
             raise ValueError("anchor_weight must be finite and non-negative")
         self.point_ids = np.asarray(self.point_ids, dtype=np.int64)
         self.edges = np.asarray(self.edges, dtype=EDGE_DTYPE).view(np.recarray)
+        # solve's early exit needs a positive semi-definite Laplacian
+        weight, sign = self.edges.weight, self.edges.sign
+        bad_weight = ~((weight >= 0) & (weight < math.inf))
+        if bad_weight.any():
+            i = bad_weight.argmax()
+            raise ValueError(f"edge {i} weight must be finite and non-negative, got {weight[i]}")
+        bad_sign = (sign != 1) & (sign != -1)
+        if bad_sign.any():
+            i = bad_sign.argmax()
+            raise ValueError(f"edge {i} sign must be 1 or -1, got {sign[i]}")
         self.endpoint_rows = _endpoint_rows(self.point_ids, np.asarray(self.edges))
 
     @property
@@ -220,6 +230,19 @@ def solve(problem: OptProblem, record_iterates: bool = False):
     if record_iterates:
         report.iterate_positions.append(x.copy())
 
+    # Exact early exit. The normal matrix L + (lam + mu) I, L a Laplacian of
+    # non-negative weights, has every row exceed its off-diagonal sum by
+    # lam + mu, so |delta|_inf <= |g|_inf / (lam + mu) (Varah's bound).
+    # Rounding in assembling and factoring it moves a row sum by a few
+    # (n + m) eps times the summed weight; above rounding_floor that is under
+    # a quarter of lam + mu, which the factor 2 below covers. A step smaller
+    # than a quarter of spacing(|x_i|) rounds back to x_i, powers of two
+    # included. So once 2 |g|_inf < (lam + mu) min_i spacing(|x_i|) / 4, the
+    # step leaves x bit-unchanged and is rejected, and so is every later one,
+    # since only mu changes and it grows: stop as the 51st rejection would.
+    # A NaN, an inf or a zero coordinate keeps the test false.
+    rounding_floor = 1024 * (n + len(edges)) * np.finfo(float).eps * float(weight.sum())
+
     mu = INITIAL_DAMPING
     accepted = 0
     rejects = 0
@@ -227,7 +250,13 @@ def solve(problem: OptProblem, record_iterates: bool = False):
     while accepted < problem.iteration_cap:
         if g is None:
             g = gradient_half(x)
-        np.fill_diagonal(lap, diagonal + (lam + mu))
+            g_max = float(np.abs(g).max())
+            quarter_ulp = float(np.spacing(np.abs(x)).min()) / 4
+        damping = lam + mu
+        if damping > rounding_floor and 2 * g_max < damping * quarter_ulp:
+            report.diagnostics.append("damping limit reached; stopping")
+            break
+        np.fill_diagonal(lap, diagonal + damping)
         try:
             delta = -np.linalg.solve(lap, g)
         except np.linalg.LinAlgError:

@@ -259,6 +259,27 @@ class TestRun:
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize(
+        "overrides, flags, key",
+        [
+            ({"out_dir": ""}, [], "out_dir"),
+            ({}, ["--out", ""], "out_dir"),
+            ({"world_file": ""}, [], "world_file"),
+        ],
+    )
+    def test_empty_path_exits_1_before_any_output(
+        self, tmp_path, monkeypatch, capsys, overrides, flags, key
+    ):
+        # An empty path is the working directory: nothing may land there.
+        cfg = small_config(tmp_path, **overrides)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["run", "--config", str(cfg), *flags]) == 1
+        assert f"config {key!r} must not be empty" in capsys.readouterr().err
+        assert os.listdir(cwd) == []
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "cwd"]
+
+    @pytest.mark.parametrize(
         "where, value, named",
         [
             ("segments", float("nan"), "segment 4 has a non-finite endpoint"),

@@ -1,5 +1,6 @@
 """Cluster-consistency least-squares optimization."""
 
+import re
 from collections import namedtuple
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from segdrift import pipeline
 from segdrift.clustering import EDGE, EDGE_COLUMNS, MEMBER_COLUMNS, ClusterStore, assign_all
 from segdrift.clusteropt import (
     EDGE_DTYPE,
@@ -21,6 +23,7 @@ from segdrift.clusteropt import (
 )
 from segdrift.frontend import OBS_FRAME, OBS_P1, OBS_P2, DriftConfig, ObservationConfig, simulate
 from segdrift.geometry import quat_from_axis_angle, quat_rotate
+from segdrift.pipeline import ScheduleConfig
 from segdrift.worldgen import WorldSpec, generate_corridor
 
 from test_clustering import (
@@ -95,6 +98,31 @@ class TestObjective:
         edges = [(0, 0, 1, 1, (0.0, 0.0, 2.0), 1.0), (0, 2, 7, 1, (0.0, 0.0, 2.0), 1.0)]
         with pytest.raises(ValueError, match="endpoint id 7"):
             OptProblem([0, 1, 2], np.zeros((3, 3)), edges)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("weight", -1.0),
+            ("weight", -1e-300),
+            ("weight", float("nan")),
+            ("weight", float("inf")),
+            ("weight", -float("inf")),
+            ("sign", 0),
+            ("sign", 2),
+            ("sign", -2),
+        ],
+    )
+    def test_bad_edge_weight_or_sign_rejected(self, column, value):
+        rule = {"weight": "finite and non-negative", "sign": "1 or -1"}[column]
+        edges = np.array([(0, 0, 1, 1, (0.0, 0.0, 2.0), 1.0)] * 3, dtype=EDGE_DTYPE)
+        edges[column][1:] = value
+        message = f"edge 1 {column} must be {rule}, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OptProblem([0, 1], np.zeros((2, 3)), edges)
+
+    def test_zero_edge_weight_accepted(self):
+        edges = [(0, 0, 1, -1, (0.0, 0.0, 2.0), 0.0)]
+        assert OptProblem([0, 1], np.zeros((2, 3)), edges).edges.weight.tolist() == [0.0]
 
     def test_broadcast_residual_equals_per_edge_residual(self):
         problem = random_problem(np.random.default_rng(5))
@@ -553,6 +581,49 @@ def at_optimum(problem):
     )
 
 
+def started_at(problem, initial):
+    """The problem started at, and anchored to, other initial positions."""
+    return OptProblem(
+        problem.point_ids, initial, problem.edges, problem.anchor_weight, problem.iteration_cap
+    )
+
+
+def with_zero_coordinate(problem):
+    initial = problem.initial.copy()
+    initial[0, 0] = 0.0
+    return started_at(problem, initial)
+
+
+def at_powers_of_two(problem):
+    """Every initial coordinate rounded to a signed power of two."""
+    initial = problem.initial
+    return started_at(problem, np.copysign(2.0 ** np.round(np.log2(np.abs(initial))), initial))
+
+
+def dense_solve_counter(monkeypatch):
+    """A list that gains one entry per np.linalg.solve call."""
+    calls, real = [], np.linalg.solve
+
+    def spy(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return calls
+
+
+def assert_same_solve(result, reference, record_iterates=False):
+    (positions, report), (ref_positions, ref_report) = result, reference
+    assert positions.tobytes() == ref_positions.tobytes()
+    assert (np.array(report.objective_trace).tobytes()
+            == np.array(ref_report.objective_trace).tobytes())
+    assert report.diagnostics == ref_report.diagnostics
+    assert report.iterations == ref_report.iterations
+    if record_iterates:
+        assert (np.array(report.iterate_positions).tobytes()
+                == np.array(ref_report.iterate_positions).tobytes())
+
+
 @st.composite
 def lm_problems(draw):
     """Random and store-built problems, any iteration cap, optionally at
@@ -569,25 +640,69 @@ def lm_problems(draw):
     return at_optimum(problem) if draw(st.booleans()) else problem
 
 
+def optimum_problem(anchor_weight=1e-3):
+    return at_optimum(random_problem(np.random.default_rng(3), anchor_weight=anchor_weight))
+
+
 class TestSolveMatchesReference:
     @settings(max_examples=150)
     @given(lm_problems(), st.booleans())
-    @example(at_optimum(random_problem(np.random.default_rng(3), anchor_weight=1e-3)), False)
+    @example(optimum_problem(), False)
+    # spacing(0) / 4 underflows to 0: the early exit must not fire
+    @example(at_optimum(with_zero_coordinate(random_problem(np.random.default_rng(3)))), False)
+    # a step down from a power of two rounds to a neighbor half as far away
+    @example(at_optimum(at_powers_of_two(random_problem(np.random.default_rng(3)))), False)
+    @example(at_powers_of_two(random_problem(np.random.default_rng(4), anchor_weight=1e-3)), True)
+    @example(optimum_problem(anchor_weight=0.0), False)
+    @example(random_problem(np.random.default_rng(5), anchor_weight=0.0), True)
     def test_same_bits_as_reference_lm_loop(self, problem, record_iterates):
-        positions, report = solve(problem, record_iterates)
-        ref_positions, ref_report = reference_solve(problem, record_iterates)
-        assert positions.tobytes() == ref_positions.tobytes()
-        assert (np.array(report.objective_trace).tobytes()
-                == np.array(ref_report.objective_trace).tobytes())
-        assert report.diagnostics == ref_report.diagnostics
-        assert report.iterations == ref_report.iterations
-        if record_iterates:
-            assert (np.array(report.iterate_positions).tobytes()
-                    == np.array(ref_report.iterate_positions).tobytes())
+        assert_same_solve(
+            solve(problem, record_iterates), reference_solve(problem, record_iterates),
+            record_iterates,
+        )
 
-    def test_problem_at_its_optimum_reaches_the_damping_limit(self):
-        problem = at_optimum(random_problem(np.random.default_rng(3), anchor_weight=1e-3))
-        for positions, report in (solve(problem), reference_solve(problem)):
+    def test_problem_at_its_optimum_reaches_the_damping_limit(self, monkeypatch):
+        problem = optimum_problem()
+        solves = dense_solve_counter(monkeypatch)
+        counts = []
+        for solver in (solve, reference_solve):
+            solves.clear()
+            positions, report = solver(problem)
+            counts.append(len(solves))
             assert report.diagnostics == ["damping limit reached; stopping"]
             assert report.objective_trace == [0.0]
             assert positions.tobytes() == problem.initial.tobytes()
+        # the reference rejects 51 steps; solve proves them void up front
+        assert counts[1] == 51
+        assert counts[0] <= 1
+
+    def test_zero_coordinate_keeps_every_rejected_step(self, monkeypatch):
+        problem = at_optimum(with_zero_coordinate(random_problem(np.random.default_rng(3))))
+        solves = dense_solve_counter(monkeypatch)
+        _, report = solve(problem)
+        assert report.diagnostics == ["damping limit reached; stopping"]
+        assert len(solves) == 51
+
+    def test_same_bits_on_every_problem_of_a_pipeline_run(self, monkeypatch):
+        # Store-built problems reach rounding-level objectives, where the
+        # early exit fires; random problems rarely do.
+        solves = dense_solve_counter(monkeypatch)
+        skipped = 0
+
+        def solve_both(problem):
+            nonlocal skipped
+            solves.clear()
+            result = solve(problem)
+            ours = len(solves)
+            assert_same_solve(result, reference_solve(problem))
+            skipped += len(solves) - 2 * ours
+            return result
+
+        monkeypatch.setattr(pipeline, "solve", solve_both)
+        pipeline.run(
+            generate_corridor(WorldSpec(corridor_length=20, door_spacing=2)),
+            DriftConfig(scale_sigma=1e-3, rng_seed=0),
+            ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=0),
+            ScheduleConfig(mode="segglobal"),
+        )
+        assert skipped > 0, "the early exit never fired"
