@@ -89,6 +89,8 @@ def _load_experiment(args) -> dict:
             raise ValueError(f"config {key!r} must be a string, got {value!r}")
         if key in CONFIG_PATHS and not value:  # Path("") is the working directory
             raise ValueError(f"config {key!r} must not be empty")
+    if "world" in cfg and "world_file" in cfg:  # the world section would go unchecked and unused
+        raise ValueError("config sets both 'world' and 'world_file'; give one")
     if "out_dir" not in cfg:
         raise ValueError("no output directory: set 'out_dir' in the config or pass --out")
     if not isinstance(cfg.get("seeds"), list) or not cfg["seeds"]:

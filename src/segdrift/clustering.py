@@ -306,23 +306,36 @@ class ClusterStore:
         centers[list(current)] = list(current.values())
         counts[list(n_of)] = list(n_of.values())
 
-        n = self._n_members
-        p1s, p2s = p1s.tolist(), p2s.tolist()
+        # Rows sharing a (pair, cluster, sign) key share an edge: look each
+        # distinct key up once, in order of its first row, so new edge ids
+        # still run in order of first member.
+        cids, signs = np.array(cids), np.array(signs)
+        _, first_row, key_of = np.unique(
+            (pairs * self._n_clusters + cids) * 2 + (signs > 0),
+            return_index=True, return_inverse=True,
+        )
+        order = np.argsort(first_row)
+        rows = first_row[order]
         edge_ids, n_edges = self._edge_ids, len(self._edge_ids)
-        eids, new_edges = [], []
-        for key in zip(cids, p1s, p2s, signs):
+        found, new_edges = [], []
+        for key in zip(
+            cids[rows].tolist(), p1s[rows].tolist(), p2s[rows].tolist(), signs[rows].tolist()
+        ):
             e = edge_ids.get(key)
             if e is None:
                 e = edge_ids[key] = len(edge_ids)
                 new_edges.append(key)
-            eids.append(e)
+            found.append(e)
+        key_eids = np.empty(len(order), dtype=np.int64)
+        key_eids[order] = found
         if new_edges:
             self._edges[:, n_edges : len(edge_ids)] = np.array(new_edges, dtype=np.int64).T
 
+        n = self._n_members
         table = self._table[:, n : n + k]
         table[OBS] = batch
         table[FRAME] = observations[:, OBS_FRAME]
-        table[EDGE] = eids
+        table[EDGE] = key_eids[key_of]
         self._n_members = n + k
         self._max_obs = max(self._max_obs, max(batch))
 
@@ -397,11 +410,11 @@ class ClusterStore:
     def recompute_centers(self, emap: EstimatedMap, moved=None) -> None:
         """Replace centers by the exact mean of current member vectors.
 
-        `moved` names the point ids whose positions changed since the last
-        recompute; None means any may have. With it, only clusters with an
-        edge on a moved point or a member assigned since the last recompute
-        are redone: every other center already is the exact mean of vectors
-        that did not change.
+        `moved` names the point ids whose coordinates changed any bit since
+        the last recompute (a superset does too); None means any may have.
+        With it, only clusters with an edge on a moved point or a member
+        assigned since the last recompute are redone: every other center
+        already is the exact mean of vectors that did not change.
 
         Members of one edge share one signed vector, computed once per edge;
         each redone cluster sums its members' vectors in table order, so its
@@ -412,7 +425,7 @@ class ClusterStore:
             return
         pos = emap.points
         ecid, p1, p2, sign = self.edge_table.T
-        edge_vecs = sign.astype(float)[:, None] * (pos[p2] - pos[p1])
+        sign, d = sign.astype(float), pos[p2] - pos[p1]
         eids = self._table[EDGE, : self._n_members]  # edge of each member row redone
         redo = slice(n)
         if moved is not None:
@@ -421,12 +434,13 @@ class ClusterStore:
             dirty = np.zeros(n, dtype=bool)
             dirty[ecid[hit[p1] | hit[p2]]] = True
             dirty[ecid[eids[self._n_recomputed :]]] = True
-            eids = eids[dirty[ecid][eids]]
+            eids = eids[dirty[ecid[eids]]]
             redo = np.flatnonzero(dirty)
-        cids, vs = ecid[eids], edge_vecs[eids]
-        # bincount adds in index order, one coordinate at a time
+        cids = ecid[eids]
+        # bincount adds in index order, one coordinate of the signed edge
+        # vectors at a time, gathered into a contiguous column
         sums = np.column_stack(
-            [np.bincount(cids, weights=vs[:, a], minlength=n) for a in range(3)]
+            [np.bincount(cids, weights=(sign * d[:, a])[eids], minlength=n) for a in range(3)]
         )
         self._centers[redo] = sums[redo] / self.counts[redo, None]
         self._n_recomputed = self._n_members

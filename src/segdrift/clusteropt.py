@@ -57,9 +57,10 @@ class OptProblem:
         if not 0 <= self.anchor_weight < math.inf:
             raise ValueError("anchor_weight must be finite and non-negative")
         self.point_ids = np.asarray(self.point_ids, dtype=np.int64)
-        self.edges = np.asarray(self.edges, dtype=EDGE_DTYPE).view(np.recarray)
+        edges = np.asarray(self.edges, dtype=EDGE_DTYPE)  # field reads skip recarray's hooks
+        self.edges = edges.view(np.recarray)
         # solve's early exit needs a positive semi-definite Laplacian
-        weight, sign = self.edges.weight, self.edges.sign
+        weight, sign = edges["weight"], edges["sign"]
         bad_weight = ~((weight >= 0) & (weight < math.inf))
         if bad_weight.any():
             i = bad_weight.argmax()
@@ -68,7 +69,7 @@ class OptProblem:
         if bad_sign.any():
             i = bad_sign.argmax()
             raise ValueError(f"edge {i} sign must be 1 or -1, got {sign[i]}")
-        self.endpoint_rows = _endpoint_rows(self.point_ids, np.asarray(self.edges))
+        self.endpoint_rows = _endpoint_rows(self.point_ids, edges)
 
     @property
     def n_points(self) -> int:
@@ -146,11 +147,10 @@ def build_problem(
     ends = keys[:, [E_P1, E_P2]].ravel()
     _, first_end = np.unique(ends, return_index=True)
     point_ids = ends[np.sort(first_end)]
-    cid, p1, p2, sign = keys.T
-    edges = np.rec.fromarrays(
-        (cid, p1, p2, sign, store.centers[cid], counts.astype(float)),
-        dtype=EDGE_DTYPE,
-    )
+    edges = np.empty(len(keys), dtype=EDGE_DTYPE)
+    edges["cluster_id"], edges["p1_id"], edges["p2_id"], edges["sign"] = keys.T
+    edges["center"] = store.centers[edges["cluster_id"]]
+    edges["weight"] = counts
     return OptProblem(point_ids, emap.points[point_ids], edges, anchor_weight, iteration_cap)
 
 
@@ -206,25 +206,27 @@ def solve(problem: OptProblem, record_iterates: bool = False):
     # gradient terms go to point i1 then i2, three coordinates per point
     grad_cells = (np.concatenate((i1, i2))[:, None] * 3 + np.arange(3)).ravel()
 
-    def objective(xc) -> float:
+    def objective(xc):
+        """The objective at xc and the edge residuals it summed."""
         r = residual(centers, sign, xc[i1], xc[i2])
         f = float((weight[:, None] * r * r).sum())
         if lam > 0:
             d = xc - x0
             f += lam * float((d * d).sum())
-        return f
+        return f, r
 
-    def gradient_half(xc):
-        # J^T W r of the stacked residual (cluster edges + anchor rows).
+    def gradient_half(xc, r):
+        # J^T W r of the stacked residual (cluster edges + anchor rows), with
+        # r the edge residuals at xc.
         # negation is exact: -terms has the bits of (-signed_weight) * r
-        terms = signed_weight * residual(centers, sign, xc[i1], xc[i2])
+        terms = signed_weight * r
         g = np.bincount(grad_cells, np.concatenate((terms, -terms)).ravel(), 3 * n)
         g = g.reshape(n, 3)
         if lam > 0:
             g += lam * (xc - x0)
         return g
 
-    f = objective(x)
+    f, r = objective(x)
     report.initial_objective = f
     report.objective_trace.append(f)
     if record_iterates:
@@ -249,24 +251,23 @@ def solve(problem: OptProblem, record_iterates: bool = False):
     g = None  # the gradient at x; a rejected step leaves both unchanged
     while accepted < problem.iteration_cap:
         if g is None:
-            g = gradient_half(x)
+            g = gradient_half(x, r)
             g_max = float(np.abs(g).max())
             quarter_ulp = float(np.spacing(np.abs(x)).min()) / 4
         damping = lam + mu
         if damping > rounding_floor and 2 * g_max < damping * quarter_ulp:
             report.diagnostics.append("damping limit reached; stopping")
             break
-        np.fill_diagonal(lap, diagonal + damping)
+        lap.flat[:: n + 1] = diagonal + damping  # np.fill_diagonal's write, unchecked
         try:
             delta = -np.linalg.solve(lap, g)
         except np.linalg.LinAlgError:
             report.diagnostics.append(f"singular normal equations at damping {mu}")
             break
         x_new = x + delta
-        f_new = objective(x_new)
+        f_new, r_new = objective(x_new)
         if f_new < f:
-            x = x_new
-            f = f_new
+            x, f, r = x_new, f_new, r_new
             accepted += 1
             mu *= 0.5
             report.objective_trace.append(f)

@@ -197,7 +197,10 @@ def run(
         positions, report = solve(problem)
         reports.append(report)
         emap.points[problem.point_ids] = positions
-        store.recompute_centers(emap, problem.point_ids)
+        # Only a point whose coordinates changed bits can change a center.
+        # Comparing bits also covers -0.0 against 0.0 and NaNs.
+        changed = (positions.view(np.int64) != problem.initial.view(np.int64)).any(axis=1)
+        store.recompute_centers(emap, problem.point_ids[changed])
 
     def assign_frames(first: int, end: int) -> int:
         return assign_all(

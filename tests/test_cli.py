@@ -332,6 +332,22 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_world_beside_world_file_exits_1_before_any_output(self, tmp_path, capsys):
+        world_path = tmp_path / "world.json"
+        assert main(["gen-world", "--corridor-length", "10", "--out", str(world_path)]) == 0
+        cfg = small_config(
+            tmp_path,
+            world_file=str(world_path),
+            world={"corridor_lenght": 40, "door_width": -5},
+            modes=["baseline"],
+            seeds=[0],
+        )
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "'world'" in err and "'world_file'" in err
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "world.json"]
+
     def test_metrics_section_applied(self, tmp_path, capsys):
         cfg = small_config(
             tmp_path, modes=["baseline"], seeds=[0], metrics={"align_mode": "rigid", "rpe_delta": 5}

@@ -1,12 +1,15 @@
 """End-to-end pipeline: scheduling, optimization rounds, pose propagation."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segdrift import pipeline
-from segdrift.clustering import assign_all
+from segdrift.clustering import ClusterStore, assign_all
+from segdrift.clusteropt import build_problem
 from segdrift.frontend import OBS_FRAME, DriftConfig, ObservationConfig
 from segdrift.geometry import (
     PoseSE3,
@@ -143,6 +146,39 @@ class TestIntervalBatches:
         for name in ("member_table", "edge_table", "centers", "counts"):
             assert np.array_equal(getattr(a.store, name), getattr(b.store, name))
         assert np.array_equal(a.corrected_trajectory.positions, b.corrected_trajectory.positions)
+
+
+class TestChangedPointsRecompute:
+    @pytest.mark.parametrize("mode", ["seg", "segglobal"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_centers_equal_full_recompute_after_every_round(self, monkeypatch, mode, seed):
+        # Each round names only the points whose coordinates changed bits;
+        # the centers must still be those a full recompute gives.
+        recompute = ClusterStore.recompute_centers
+        n_points, n_moved = [], []
+
+        def checked(store, emap, moved=None):
+            recompute(store, emap, moved)
+            full = copy.deepcopy(store)
+            recompute(full, emap)
+            assert np.array_equal(store.centers.view(np.int64), full.centers.view(np.int64))
+            n_moved.append(len(moved))
+
+        def built(*args, **kwargs):
+            problem = build_problem(*args, **kwargs)
+            n_points.append(problem.n_points)
+            return problem
+
+        monkeypatch.setattr(ClusterStore, "recompute_centers", checked)
+        monkeypatch.setattr(pipeline, "build_problem", built)
+        r = run(
+            make_world(),
+            DriftConfig(scale_sigma=1e-3, rng_seed=seed),
+            ObservationConfig(endpoint_noise_sigma=0.01, detect_prob=0.8, rng_seed=seed),
+            ScheduleConfig(mode=mode),
+        )
+        assert len(n_moved) == len(r.reports) > 0
+        assert sum(n_moved) < sum(n_points)  # some solved points kept their bits
 
 
 class TestRounds:
