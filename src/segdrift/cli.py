@@ -64,7 +64,14 @@ def _spec_from_args(args) -> WorldSpec:
     )
 
 
+def _check_out(path: str | None) -> None:
+    """Reject an empty --out before any work: it names no file."""
+    if path == "":
+        raise ValueError("--out must not be empty")
+
+
 def cmd_gen_world(args) -> int:
+    _check_out(args.out)
     spec = _spec_from_args(args)
     world = generate_corridor(spec)
     world_to_file(world, args.out)
@@ -164,15 +171,23 @@ def cmd_run(args) -> int:
     rows = []
     cell_errors = []
     results: dict[tuple[str, int], float] = {}
+    gt_tum = None
     for mode in cfg["modes"]:
         for seed in cfg["seeds"]:
             cell_dir = out_dir / mode / f"seed{seed}"
             cell_dir.mkdir(parents=True, exist_ok=True)
             try:
                 rr = run_pipeline(world, *_cell_configs(cfg, mode, seed))
-                met.write_tum(rr.raw_trajectory, cell_dir / "raw.tum")
-                met.write_tum(rr.corrected_trajectory, cell_dir / "corrected.tum")
-                met.write_tum(rr.gt_trajectory, cell_dir / "gt.tum")
+                # Each distinct TUM text is formatted once per run.
+                raw_tum = met.write_tum(rr.raw_trajectory, cell_dir / "raw.tum")
+                if rr.corrected_trajectory is rr.raw_trajectory:
+                    (cell_dir / "corrected.tum").write_text(raw_tum)
+                else:
+                    met.write_tum(rr.corrected_trajectory, cell_dir / "corrected.tum")
+                if gt_tum is None:  # the ground truth depends only on the world
+                    gt_tum = met.write_tum(rr.gt_trajectory, cell_dir / "gt.tum")
+                else:
+                    (cell_dir / "gt.tum").write_text(gt_tum)
                 report = met.evaluate(
                     rr.corrected_trajectory, rr.gt_trajectory, align_mode, rpe_delta
                 )
@@ -242,6 +257,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out(args.out)
     est = met.read_tum(args.est)
     gt = met.read_tum(args.gt)
     if args.interpolate_gt:
@@ -251,7 +267,7 @@ def cmd_eval(args) -> int:
     report = met.evaluate(est, gt, args.align, args.rpe_delta)
     payload = json.dumps(report.to_json(), indent=1)
     print(payload)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as f:
             f.write(payload + "\n")
     return 0

@@ -27,6 +27,11 @@ OBS_P1, OBS_P2, OBS_FRAME, OBS_SEGMENT = range(len(OBSERVATION_COLUMNS))
 # Frames per block of the visibility scan; bounds its (frames, candidates, 3)
 # temporaries to a few MiB.
 _VISIBILITY_BLOCK = 256
+# Visible (frame, candidate) pairs read per look-ahead for the next frame
+# that can create a map point: a wider look-ahead reads more keys per step,
+# a narrower one takes more steps; 256 was about the fastest on the three
+# benchmark worlds.
+_LOOKAHEAD = 256
 
 
 @dataclass(frozen=True)
@@ -175,19 +180,36 @@ def _draw_rows(rng, steps: int, sigmas: list[float], axis: int | None) -> np.nda
     return 0.0 + np.array(sigmas) * flat.reshape(steps, k)
 
 
+def _offsets(mids_t: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """`mids - t[:, None, :]`, (frames, candidates, 3), filled one coordinate
+    column at a time from `mids_t`, the contiguous transpose of `mids`: an
+    inner axis of length 3 makes the broadcast slow. Same bytes."""
+    rel = np.empty((len(t), mids_t.shape[1], 3))
+    for k in range(3):
+        np.subtract(mids_t[k], t[:, k, None], out=rel[..., k])
+    return rel
+
+
+def _distances(rel: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm(rel, axis=-1)` bit for bit: it sums the squares in
+    this order, (x*x + y*y) + z*z. In place, to skip two temporaries."""
+    sq = rel[..., 0] * rel[..., 0]
+    sq += rel[..., 1] * rel[..., 1]
+    sq += rel[..., 2] * rel[..., 2]
+    return np.sqrt(sq, out=sq)
+
+
 def _visible(mids: np.ndarray, rotations: np.ndarray, positions: np.ndarray, max_range: float):
     """(frame, candidate) index pairs of every in-range, forward-facing
     candidate midpoint, in frame order, then candidate order."""
     frames, cands = [], []
     x_axis = np.array([1.0, 0.0, 0.0])
+    mids_t = np.ascontiguousarray(mids.T)
     for lo in range(0, len(positions), _VISIBILITY_BLOCK):
-        t = positions[lo : lo + _VISIBILITY_BLOCK]
-        rel = mids - t[:, None, :]
-        # np.linalg.norm(rel, axis=1) of one frame is this expression on (m, 3)
-        flat = rel.reshape(-1, 3)
-        in_range = np.sqrt(np.add.reduce(flat * flat, axis=1)) <= max_range
+        rel = _offsets(mids_t, positions[lo : lo + _VISIBILITY_BLOCK])
+        in_range = _distances(rel) <= max_range
         forward = quat_rotate(rotations[lo : lo + _VISIBILITY_BLOCK], x_axis)
-        facing = (rel @ forward[:, :, None]).reshape(-1) > 0.0
+        facing = (rel @ forward[:, :, None])[..., 0] > 0.0
         f, c = np.divmod(np.flatnonzero(in_range & facing), len(mids))
         frames.append(f + lo)
         cands.append(c)
@@ -227,23 +249,39 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
     if len(ends) and n_frames:
         mids = 0.5 * (ends[:, 0] + ends[:, 1])
         vis_frame, vis_cand = _visible(mids, world.rotations, world.translations, obs_cfg.max_range)
-    frames, starts = np.unique(vis_frame, return_index=True)
-    stops = np.append(starts[1:], len(vis_frame))
 
     obs_rng = np.random.default_rng(obs_cfg.rng_seed)
-    detect, sigma = obs_cfg.detect_prob < 1.0, obs_cfg.endpoint_noise_sigma
+    sigma = obs_cfg.endpoint_noise_sigma
+    detected = np.ones(len(vis_cand), dtype=bool)
+    drawn = 0  # visible pairs [0, drawn) have drawn their detections
+
+    def draw_detections(stop: int) -> None:
+        nonlocal drawn
+        if obs_cfg.detect_prob < 1.0 and stop > drawn:
+            detected[drawn:stop] = obs_rng.random(stop - drawn) < obs_cfg.detect_prob
+        drawn = stop
+
     seen = np.zeros(len(key_point), dtype=bool)
     point_keys: list[int] = []
     point_frames: list[int] = []
     noise: list[np.ndarray] = []
-    detected: list[np.ndarray] = []
-    # One frame at a time: its detection draws come before the noise draws
-    # of the points it creates, on one generator.
-    for frame, lo, hi in zip(frames.tolist(), starts.tolist(), stops.tolist()):
-        cands = vis_cand[lo:hi]
-        if detect:
-            cands = cands[obs_rng.random(hi - lo) < obs_cfg.detect_prob]
-        keys = cand_keys[cands].ravel()  # segment order, a before b
+    # Detection and endpoint noise share one generator: a frame draws its
+    # detections, then the noise of the points it creates. Only a frame
+    # with a visible candidate of an unseen key can create a point, so the
+    # frames up to the next such frame draw their detections in one block
+    # (`random(a)` then `random(b)` are the values of `random(a + b)`), and
+    # each such frame then steps alone.
+    lo = 0
+    while lo < len(vis_cand):
+        window = vis_cand[lo : lo + _LOOKAHEAD]
+        unseen = np.flatnonzero(~seen[cand_keys[window]].all(axis=1))
+        if not len(unseen):
+            lo += len(window)
+            continue
+        frame = int(vis_frame[lo + unseen[0]])
+        start, lo = np.searchsorted(vis_frame, [frame, frame + 1]).tolist()
+        draw_detections(lo)
+        keys = cand_keys[vis_cand[start:lo][detected[start:lo]]].ravel()  # segment order, a before b
         fresh = keys[~seen[keys]]
         if len(fresh):
             fresh = list(dict.fromkeys(fresh.tolist()))
@@ -252,7 +290,7 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
             point_frames += [frame] * len(fresh)
             if sigma > 0:
                 noise.append(obs_rng.normal(0.0, sigma, (len(fresh), 3)))
-        detected.append(cands)
+    draw_detections(len(vis_cand))
 
     first_seen = np.array(point_frames, dtype=np.int64)
     points = scale[first_seen, None] * quat_rotate(
@@ -262,12 +300,12 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
         points = points + np.concatenate(noise)
     point_of_key = np.empty(len(key_point), dtype=np.int64)
     point_of_key[point_keys] = np.arange(len(point_keys))
-    obs_cand = np.concatenate([vis_cand[:0]] + detected)
+    obs_cand = vis_cand[detected]
     observations = np.column_stack(
         [
             point_of_key[cand_keys[obs_cand, 0]],
             point_of_key[cand_keys[obs_cand, 1]],
-            np.repeat(frames, [len(c) for c in detected]),
+            vis_frame[detected],
             cand_segment[obs_cand],
         ]
     )

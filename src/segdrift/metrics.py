@@ -60,12 +60,15 @@ class Trajectory:
 _TUM_ROW = "%.9g " * 7 + "%.9g\n"
 
 
-def write_tum(traj: Trajectory, path) -> None:
-    """TUM format: `timestamp tx ty tz qx qy qz qw`, 9 significant digits."""
+def write_tum(traj: Trajectory, path) -> str:
+    """TUM format: `timestamp tx ty tz qx qy qz qw`, 9 significant digits.
+    Returns the text written, for writing the same trajectory elsewhere."""
     q = traj.quaternions
     rows = np.column_stack([traj.timestamps, traj.positions, q[:, 1:], q[:, :1]]).tolist()
+    text = "".join(_TUM_ROW % tuple(r) for r in rows)
     with open(path, "w") as f:
-        f.write("".join(_TUM_ROW % tuple(r) for r in rows))
+        f.write(text)
+    return text
 
 
 def read_tum(path) -> Trajectory:

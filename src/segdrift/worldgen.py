@@ -276,12 +276,12 @@ def world_from_json(data: dict) -> World:
 
 # `json.dumps(world_to_json(world), indent=1)`, one segment or pose at a time.
 _SEGMENT_JSON = (
-    '  {\n   "a": [\n    %r,\n    %r,\n    %r\n   ],\n'
-    '   "b": [\n    %r,\n    %r,\n    %r\n   ],\n   "archetype": %d\n  }'
+    '  {\n   "a": [\n    %s,\n    %s,\n    %s\n   ],\n'
+    '   "b": [\n    %s,\n    %s,\n    %s\n   ],\n   "archetype": %d\n  }'
 )
 _POSE_JSON = (
-    '  {\n   "t": %r,\n   "q": [\n    %r,\n    %r,\n    %r,\n    %r\n   ],\n'
-    '   "p": [\n    %r,\n    %r,\n    %r\n   ]\n  }'
+    '  {\n   "t": %s,\n   "q": [\n    %s,\n    %s,\n    %s,\n    %s\n   ],\n'
+    '   "p": [\n    %s,\n    %s,\n    %s\n   ]\n  }'
 )
 
 
@@ -289,14 +289,22 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
 
 
+def _reprs(rows: np.ndarray) -> list[list[str]]:
+    """`repr` of every float of a 2-D array, as nested lists. Each distinct
+    float is formatted once, keyed by its bits, so -0.0 keeps its sign."""
+    bits, inverse = np.unique(np.ascontiguousarray(rows).view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return text[inverse.reshape(rows.shape)].tolist()
+
+
 def world_to_file(world: World, path) -> None:
     """Write `json.dumps(world_to_json(world), indent=1)` and a newline, byte
     for byte, from fixed templates: the indenting JSON encoder is pure
-    Python and slow. A World holds only finite floats, whose `%r` is their
-    JSON form."""
-    ends = world.endpoints.reshape(-1, 6).tolist()
+    Python and slow. A World holds only finite floats, whose `repr` is
+    their JSON form."""
+    ends = _reprs(world.endpoints.reshape(-1, 6))
     segments = [_SEGMENT_JSON % (*e, k) for e, k in zip(ends, world.archetypes.tolist())]
-    rows = np.column_stack([world.timestamps, world.rotations, world.translations]).tolist()
+    rows = _reprs(np.column_stack([world.timestamps, world.rotations, world.translations]))
     poses = [_POSE_JSON % tuple(r) for r in rows]
     with open(path, "w") as f:
         f.write(

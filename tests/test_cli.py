@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import segdrift.cli
 from segdrift.cli import main
+from segdrift.metrics import Trajectory, write_tum
 from segdrift.worldgen import world_from_file
 
 
@@ -62,6 +64,18 @@ class TestGenWorld:
             main(["gen-world"])
         assert exc.value.code == 1
 
+    def test_empty_out_exits_1_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def fail(spec):
+            raise AssertionError("world generated for an empty --out")
+
+        monkeypatch.setattr(segdrift.cli, "generate_corridor", fail)
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-world", "--out", ""]) == 1
+        captured = capsys.readouterr()
+        assert "--out must not be empty" in captured.err
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
+
 
 class TestRun:
     def test_writes_expected_tree(self, tmp_path, capsys):
@@ -78,6 +92,27 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["errors"] == []
         assert 0.0 <= summary["modes"]["seg"]["win_rate_vs_baseline"] <= 1.0
+
+    def test_tum_files_of_every_cell(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, modes=["baseline", "seg", "segglobal"], seeds=[0, 1, 2])
+        assert main(["run", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        world = world_from_file(out / "world.json")
+        fresh = write_tum(
+            Trajectory(world.timestamps, world.translations, world.rotations), tmp_path / "gt.tum"
+        )
+        solved = 0
+        for mode in ("baseline", "seg", "segglobal"):
+            for seed in (0, 1, 2):
+                cell = out / mode / f"seed{seed}"
+                assert (cell / "gt.tum").read_text() == fresh
+                raw, corrected = (cell / "raw.tum").read_bytes(), (cell / "corrected.tum").read_bytes()
+                if mode == "baseline":
+                    assert corrected == raw
+                elif json.loads((cell / "manifest.json").read_text())["objective_traces"]:
+                    assert corrected != raw  # a solving cell writes its own correction
+                    solved += 1
+        assert solved
 
     def test_zero_drift_baseline_ate_zero(self, tmp_path, capsys):
         cfg = small_config(
@@ -388,6 +423,20 @@ class TestEval:
         out_path = tmp_path / "metrics.json"
         assert main(["eval", str(est), str(gt), "--out", str(out_path)]) == 0
         assert json.loads(out_path.read_text())["align_mode"] == "similarity"
+
+    def test_eval_empty_out_exits_1_before_any_output(self, tmp_path, monkeypatch, capsys):
+        est, gt = self.run_small(tmp_path)
+        before = tree_bytes(tmp_path)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        capsys.readouterr()
+        assert main(["eval", str(est), str(gt), "--out", ""]) == 1
+        captured = capsys.readouterr()
+        assert "--out must not be empty" in captured.err
+        assert captured.out == ""  # no metrics printed: nothing was scored
+        assert os.listdir(cwd) == []
+        assert tree_bytes(tmp_path) == before
 
     def test_eval_align_none(self, tmp_path, capsys):
         est, gt = self.run_small(tmp_path)

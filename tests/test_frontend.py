@@ -13,6 +13,9 @@ from segdrift.frontend import (
     DriftConfig,
     EstimatedMap,
     ObservationConfig,
+    _distances,
+    _offsets,
+    _visible,
     drift_walk,
     simulate,
 )
@@ -23,6 +26,7 @@ from segdrift.geometry import (
     quat_identity,
     quat_multiply,
     quat_rotate,
+    row_norms,
 )
 from segdrift.worldgen import World, WorldSpec, generate_corridor
 
@@ -268,6 +272,29 @@ class TestMatchesPerFrameLoop:
             ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=1_000_002),
         )
     )
+    # many detection blocks: at detect_prob 0.05 keys stay unseen over many
+    # frames, at 1.0 there are no detection draws at all
+    @example(
+        (
+            WorldSpec(corridor_length=30, door_spacing=2, n_turns=2, extra_unique_segments=40),
+            DriftConfig(scale_sigma=1e-3, rot_sigma=1e-4, trans_sigma=1e-3, rng_seed=3),
+            ObservationConfig(detect_prob=0.05, endpoint_noise_sigma=0.01, rng_seed=7),
+        )
+    )
+    @example(
+        (
+            WorldSpec(corridor_length=30, door_spacing=2, n_turns=2, extra_unique_segments=40),
+            DriftConfig(scale_sigma=1e-3, rot_sigma=1e-4, trans_sigma=1e-3, rng_seed=3),
+            ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=7),
+        )
+    )
+    @example(
+        (
+            WorldSpec(corridor_length=30, door_spacing=2, n_turns=2, extra_unique_segments=40),
+            DriftConfig(scale_sigma=1e-3, rot_sigma=1e-4, trans_sigma=1e-3, rng_seed=3),
+            ObservationConfig(detect_prob=1.0, endpoint_noise_sigma=0.01, rng_seed=7),
+        )
+    )
     def test_simulate_equals_reference(self, case):
         spec, drift, obs = case
         world = generate_corridor(spec)
@@ -297,6 +324,80 @@ class TestMatchesPerFrameLoop:
         actual = (emap.points, emap.first_seen, emap.observations, emap.est_poses.rotation, emap.est_poses.translation)
         assert_same_bits(actual, reference_simulate(world, drift, obs))
         assert len(emap.points) == 6
+
+
+    def test_detections_drawn_in_blocks(self, monkeypatch):
+        # Only a frame with a visible candidate of an unseen key can create a
+        # point; the frames before it draw their detections in one call.
+        # On the 120 m, 3-turn world 3566 of 3690 frames have a visible
+        # candidate, and the benchmark's settings make 189 `random` calls.
+        world = generate_corridor(WorldSpec(corridor_length=120, n_turns=3))
+        drift = DriftConfig(scale_sigma=1e-3, rng_seed=0)
+        obs = ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=1_000_000)
+        plain = simulate(world, drift, obs)
+        default_rng = np.random.default_rng
+        generators = []
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.inner = default_rng(seed)
+                self.random_calls = 0
+                generators.append(self)
+
+            def random(self, size=None):
+                self.random_calls += 1
+                return self.inner.random(size)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        counted = simulate(world, drift, obs)
+        assert counted.observations.tobytes() == plain.observations.tobytes()
+        assert counted.points.tobytes() == plain.points.tobytes()
+        ends = world.endpoints[row_norms(world.endpoints[:, 1] - world.endpoints[:, 0]) >= 0.3]
+        vis_frame, _ = _visible(0.5 * (ends[:, 0] + ends[:, 1]), world.rotations, world.translations, 8.0)
+        assert len(np.unique(vis_frame)) == 3566
+        assert [g.random_calls for g in generators] == [0, 189]  # drift, then observation
+        # every call but the last steps one frame; each of the 158 frames
+        # that create a point is one of them
+        assert len(np.unique(plain.first_seen)) == 158
+
+
+# Coordinates whose squares are subnormal (1e-160), overflow to inf
+# (1e155), or are signed zeros, among ordinary ones.
+scan_coords = st.one_of(
+    st.floats(-12.0, 12.0),
+    st.sampled_from([0.0, -0.0, 3.0, 4.0, 1e-160, -3e-170, 1e155, -2e160]),
+)
+
+
+class TestVisibilityScan:
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.tuples(scan_coords, scan_coords, scan_coords), min_size=1, max_size=6),
+        st.lists(st.tuples(scan_coords, scan_coords, scan_coords), min_size=1, max_size=4),
+        st.sampled_from([2.0, 5.0, 8.0]),
+    )
+    # a midpoint exactly max_range away: sqrt(3*3 + 4*4) == 5.0
+    @example([(3.0, 4.0, 0.0), (-0.0, -4.0, 3.0)], [(0.0, 0.0, 0.0)], 5.0)
+    @example([(1e-160, -0.0, 2e-160), (1e155, 0.0, 0.0)], [(-0.0, 1e-160, 0.0), (0.0, -0.0, -0.0)], 2.0)
+    def test_column_scan_equals_per_frame_norm(self, mids, positions, max_range):
+        mids, positions = np.array(mids), np.array(positions)
+        rel = _offsets(np.ascontiguousarray(mids.T), positions)
+        # the facing matmul's input: the bytes of the broadcast subtraction
+        assert rel.tobytes() == (mids - positions[:, None, :]).tobytes()
+        with np.errstate(over="ignore"):  # squares above 2^1024 are inf in both forms
+            distances = _distances(rel)
+            for i in range(len(positions)):
+                want = np.linalg.norm(rel[i], axis=1)
+                assert distances[i].tobytes() == want.tobytes()
+                assert np.array_equal(distances[i] <= max_range, want <= max_range)
+
+    def test_exact_max_range_is_in_range(self):
+        identity = np.array([[1.0, 0.0, 0.0, 0.0]])
+        frames, cands = _visible(np.array([[3.0, 4.0, 0.0]]), identity, np.zeros((1, 3)), 5.0)
+        assert (frames.tolist(), cands.tolist()) == ([0], [0])
 
 
 class TestEstimatedMap:

@@ -276,13 +276,25 @@ def odd_world():
     )
 
 
+def signed_zero_column_world():
+    """A world whose pose column z holds both 0.0 and -0.0: the writer keys
+    floats by their bits, so each must keep its sign."""
+    w = generate_corridor(spec(n_turns=1))
+    translations = w.translations.copy()
+    translations[1::2, 2] = -0.0
+    assert np.signbit(translations[:, 2]).any() and not np.signbit(translations[:, 2]).all()
+    return replace(w, translations=translations)
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "world",
         [
             lambda: generate_corridor(spec()),
             lambda: generate_corridor(spec(corridor_length=60, n_turns=2, extra_unique_segments=150)),
+            lambda: generate_corridor(spec(corridor_length=120, n_turns=3)),
             odd_world,
+            signed_zero_column_world,
         ],
     )
     def test_file_bytes_equal_indented_json(self, tmp_path, world):
