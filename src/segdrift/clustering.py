@@ -11,8 +11,10 @@ pipeline). Each distinct (p1, p2) point pair of a batch is scanned once
 against the centers at the batch start, and each cluster the batch
 creates is scanned against those pairs when it is created. The rows are
 then walked in order, rechecking a changed cluster only where it can
-still be joined; the result equals assigning the observations one at a
-time, bit for bit (see `ClusterStore.assign_batch`).
+still be joined, and the later rows of a pair certified to keep joining
+its own cluster only advance that cluster's mean; the result equals
+assigning the observations one at a time, bit for bit (see
+`ClusterStore.assign_batch`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numbers
 import numpy as np
 
 from .frontend import OBS_FRAME, OBS_P1, OBS_P2, EstimatedMap
+from .worldgen import check_real
 
 log = logging.getLogger(__name__)
 
@@ -43,6 +46,13 @@ E_CLUSTER, E_P1, E_P2, E_SIGN = range(len(EDGE_COLUMNS))
 # changed cluster outside it is recomputed for every later row of its batch.
 _SAFE_NORMS = (2.0**-500, 2.0**500)
 _SCAN_BLOCK = 256  # point pairs per block of the batch scan, to bound its temporaries
+# Certified pair runs (see `ClusterStore.assign_batch`): a joining pair's
+# scanned distance lies below lim / (2 (1 + rel)) shrunk by _CERT_SHRINK, and
+# a batch of k rows certifies pairs only when k (1 + rel) <= _CERT_ROWS rel
+# and rel <= _CERT_REL_MAX, the range the rounding bound is proven for.
+_CERT_SHRINK = 1.0 - 2.0**-20
+_CERT_ROWS = 2.0**28
+_CERT_REL_MAX = 2.0**10
 
 
 class DegenerateSegmentError(ValueError):
@@ -72,9 +82,10 @@ def _safe(*norms):
     return (np.minimum.reduce(norms) >= lo) & (np.maximum.reduce(norms) <= hi)
 
 
-def _near_append(near, rows, cids, centers, vs, lim) -> None:
+def _near_append(near, rows, cids, centers, vs, lim):
     """Append (cluster, distance, sign) to near[row] for each pair (row,
-    cluster) of `rows` and `cids` with min(|c - v|, |c + v|) < 2 lim.
+    cluster) of `rows` and `cids` with min(|c - v|, |c + v|) < 2 lim, and
+    return those rows, clusters and distances as arrays.
 
     `centers`, `vs` and `lim` broadcast against the pairs; the sign is +1
     when |c - v| <= |c + v|.
@@ -84,10 +95,27 @@ def _near_append(near, rows, cids, centers, vs, lim) -> None:
     d_neg = _norms(px + qx, py + qy, pz + qz)
     d = np.minimum(d_pos, d_neg)
     hit = d < 2 * lim
-    for r, c, dc, pos in zip(
-        rows[hit].tolist(), cids[hit].tolist(), d[hit].tolist(), (d_pos <= d_neg)[hit].tolist()
-    ):
-        near[r].append((c, dc, 1 if pos else -1))
+    rows, cids, d = rows[hit], cids[hit], d[hit]
+    pos = (d_pos <= d_neg)[hit]
+    for r, c, dc, p in zip(rows.tolist(), cids.tolist(), d.tolist(), pos.tolist()):
+        near[r].append((c, dc, 1 if p else -1))
+    return rows, cids, d
+
+
+def _advance(center, n: int, v, sign: int, rows: int) -> list[float]:
+    """`center` of a cluster of n members after `rows` more joins of the
+    vector sign * v, one incremental mean at a time: the walk's
+    (x * n + sign * vx) / (n + 1), with n held as an exact float."""
+    x, y, z = center
+    vx, vy, vz = sign * v[0], sign * v[1], sign * v[2]
+    m = float(n)
+    for _ in range(rows):
+        m1 = m + 1.0
+        x = (x * m + vx) / m1
+        y = (y * m + vy) / m1
+        z = (z * m + vz) / m1
+        m = m1
+    return [x, y, z]
 
 
 class ClusterStore:
@@ -185,10 +213,55 @@ class ClusterStore:
         is smaller. An unchanged cluster keeps its scanned distance, so the
         result equals assigning the observations one at a time, bit for bit.
 
+        Certified pairs. Most rows repeat a pair whose first row in the batch
+        already decided where they go. `_scan` certifies a pair when its
+        norm lies in _SAFE_NORMS and its near set holds no cluster, or one
+        cluster c, with norm and limit in _SAFE_NORMS, that no other pair's
+        near set holds, at scanned distance d >= lim (the first row creates
+        a cluster) or d < B (1 - 2^-20), B = lim / (2 (1 + rel)) (it joins c).
+        Only a certified pair's first row is walked; its later rows join the
+        same cluster with the same sign, and its center advances over them
+        with the walk's incremental mean, row by row (`_advance`).
+
+        Why this is exact. Every later row adds the same signed vector
+        w = s v, so in exact arithmetic each later center is a mean of c
+        and w, on the segment from c to w, of length d < B < |c| / 2. Its
+        distance to w stays at most d, below its limit of at least
+        rel (|c| - d) by lim / 2; |c - w| < |c + w| keeps holding with a
+        margin of 2 |c| / (1 + rel); and it moves at most d < B from where
+        it was scanned, so it never enters the recompute set. Rounding,
+        with u = 2^-53: every center of the run has norm below 1.5 |c|, and
+        one step rounds three operations per coordinate, so it lands within
+        (3 u + 4 u^2) 1.5 |c| < 4.6 u |c| of the exact mean of the previous
+        center and w. The exact step contracts toward w, so after the K < k
+        steps of a batch of k rows the center lies within E = 4.6 k u |c|
+        of the exact one. With k (1 + rel) <= 2^28 rel, E < 2^-21.7 B, which
+        leaves more than 2^-21 B of the 2^-20 B margin. That covers the
+        rounding of d, of B and of math.dist (a few ulps each) and, since
+        lim >= 2^-500 and rel <= 2^10 give B >= 2^-512, the at most 2^-536
+        by which squares that underflow can change a norm. So the moved
+        test never fires, and the limit and sign tests keep their margins
+        of about lim / 2 and 2 |c| / (1 + rel), far above rounding. A
+        created cluster starts at v itself, d = 0, and the same E bounds
+        its drift. Below rel = k / (2^28 - k), or above 2^10, a batch
+        certifies nothing.
+
+        Two guards, checked in the walk, cover what the batch-start scan
+        cannot see. A cluster the batch creates that lands in the near set
+        of a pair other than its creator decertifies those pairs and the
+        creator. The first cluster entering the recompute set decertifies
+        every pair. Decertifying a pair applies its rows counted so far,
+        which come before the current row and touch only its own cluster,
+        and its later rows are walked.
+
         Raises ValueError, before changing the store, if an index is not an
         integer from 0 to len(emap.observations) - 1 (bools are not), the
-        batch repeats an observation, or it holds one already assigned.
+        batch repeats an observation, it holds one already assigned, or
+        rel_threshold is not a finite real > 0 (bools are not).
         """
+        check_real("rel_threshold", rel_threshold)
+        if not rel_threshold > 0:
+            raise ValueError(f"rel_threshold must be > 0, got {rel_threshold!r}")
         batch, n_obs = list(obs_indices), len(emap.observations)
         # isinstance is slow on numbers.Integral: a batch of ints in range skips it
         ints = set(map(type, batch)) <= {int}
@@ -217,7 +290,7 @@ class ClusterStore:
             observations = observations[keep]
             vs = vs[keep]
         if batch:
-            self._walk(batch, observations, vs, rel_threshold)
+            self._walk(batch, observations, vs, float(rel_threshold))
         return discarded
 
     def _walk(self, batch, observations: np.ndarray, vs: np.ndarray, rel) -> None:
@@ -230,7 +303,7 @@ class ClusterStore:
             p1s * (p2s.max() + 1) + p2s, return_index=True, return_inverse=True
         )
         pair_vs = vs[first]
-        near, lim, skip_ok = self._scan(pair_vs, rel)
+        near, lim, skip_ok, certified = self._scan(pair_vs, rel)
         all_pairs = np.arange(len(first))
         centers, counts = self._centers, self._counts
         moved_scale = 1.0 / (2.0 * (1.0 + rel))
@@ -243,7 +316,29 @@ class ClusterStore:
         recompute: set[int] = set()  # clusters recomputed for every later row
         cids, signs = [], []
         vecs = pair_vs.tolist()
+        # A certified pair's later rows are only counted in its run,
+        # [cluster, sign, rows], until `flush` applies them (see assign_batch).
+        if k * (1.0 + rel) <= _CERT_ROWS * rel and rel <= _CERT_REL_MAX:
+            cert = certified.tolist()
+        else:
+            cert = [False] * len(first)
+        any_cert = any(cert)
+        runs = [None] * len(first)
+
+        def flush(r):
+            cert[r], run, runs[r] = False, runs[r], None
+            if run is not None and run[2]:
+                c, s, p = run
+                current[c] = _advance(current[c], n_of[c], vecs[r], s, p)
+                n_of[c] += p
+
         for u in pairs.tolist():
+            run = runs[u]
+            if run is not None:
+                run[2] += 1
+                cids.append(run[0])
+                signs.append(run[1])
+                continue
             v = vecs[u]
             vx, vy, vz = v
             best, best_d, sign = -1, math.inf, 1
@@ -280,7 +375,11 @@ class ClusterStore:
                 if safe:  # scan it against every pair, as `_scan` scans the batch start
                     start[best] = v
                     cid = np.full(len(first), best)
-                    _near_append(near, all_pairs, cid, np.array(v), pair_vs, lim_c)
+                    hit = _near_append(near, all_pairs, cid, np.array(v), pair_vs, lim_c)[0]
+                    if any_cert and hit.tolist() != [u]:  # near a pair other than its creator
+                        for r in hit.tolist():
+                            if cert[r]:
+                                flush(r)
                 else:
                     recompute.add(best)
             else:
@@ -301,8 +400,18 @@ class ClusterStore:
                     first_center = start.setdefault(best, old)
                     if not skip_ok[best] or math.dist(new, first_center) > lim[best] * moved_scale:
                         recompute.add(best)
+            if recompute and any_cert:
+                for r in range(len(runs)):
+                    if cert[r]:
+                        flush(r)
+                any_cert = False
             cids.append(best)
             signs.append(sign)
+            if cert[u]:  # its first row
+                runs[u] = [best, sign, 0]
+        for r, run in enumerate(runs):
+            if run is not None:
+                flush(r)
         centers[list(current)] = list(current.values())
         counts[list(n_of)] = list(n_of.values())
 
@@ -341,8 +450,9 @@ class ClusterStore:
 
     def _scan(self, vs: np.ndarray, rel):
         """The near set of each row of vs (one per point pair of the batch)
-        against the current centers, and each cluster's limit and whether
-        its norm and limit lie in _SAFE_NORMS.
+        against the current centers, each cluster's limit and whether its
+        norm and limit lie in _SAFE_NORMS, and whether each row's pair is
+        certified (a bool array; the rule is in `assign_batch`).
 
         A near set lists (cluster, distance, sign) in ascending cluster id
         for the clusters with min(|c - v|, |c + v|) < 2 lim0, lim0 = rel |c|.
@@ -384,8 +494,16 @@ class ClusterStore:
             cols.append(c)
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         near = [[] for _ in range(len(vs))]
-        _near_append(near, rows, cols, centers[cols], vs[rows], lim0[cols])
-        return near, lim0.tolist(), safe.tolist()
+        rows, cols, d = _near_append(near, rows, cols, centers[cols], vs[rows], lim0[cols])
+        # The certification rule of assign_batch, on the near pairs
+        per_row = np.bincount(rows, minlength=len(vs))
+        per_col = np.bincount(cols, minlength=len(centers))
+        lim = lim0[cols]
+        bound = lim * (1.0 / (2.0 * (1.0 + rel))) * _CERT_SHRINK
+        private = (per_row[rows] == 1) & (per_col[cols] == 1) & safe[cols]
+        certified = per_row == 0
+        certified[rows] = private & ((d >= lim) | (d < bound))
+        return near, lim0.tolist(), safe.tolist(), certified & safe_rows
 
     def _reserve(self, n_clusters: int, n_members: int, n_edges: int) -> None:
         """Grow the buffers, doubling, to hold the given numbers of rows."""

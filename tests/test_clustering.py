@@ -1,5 +1,7 @@
 """Incremental segment-vector clustering."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -167,6 +169,19 @@ def stream_map(frames):
     return array_map(points, first_seen, observations, len(frames)), batches
 
 
+def certification_boundary(rel):
+    """Clusters at (0, 0, 2) and (2, 0, 0), then one batch re-observing a
+    pair at scanned distance B (1 - 2^-19) of the first, inside the
+    certification bound B (1 - 2^-20), and one at B (1 - 2^-21) of the
+    second, outside it; B = lim / (2 (1 + rel)), lim = 2 rel."""
+    b = 2.0 * rel / (2.0 * (1.0 + rel))
+    return (rel, [
+        [("vec", (0.0, 0.0, 2.0)), ("vec", (2.0, 0.0, 0.0))],
+        [("vec", (0.0, 0.0, 2.0 + b * (1 - 2.0**-19))), ("vec", (2.0 + b * (1 - 2.0**-21), 0.0, 0.0))]
+        + [("again", j, False) for j in (2, 3) * 3],
+    ], [None] * 2)
+
+
 class TestBatchedAssignment:
     @given(observation_streams())
     # two clusters at exactly equal distance 2^-6: the lower id wins, in one
@@ -222,6 +237,52 @@ class TestBatchedAssignment:
     # a cluster created in the batch and pulled beyond lim / (2 (1 + rel)) by
     # its first join is joined by a row outside 2 lim of its creation center
     @example((0.5, [[("vec", (0, 0, v)) for v in (2.0, 2.9, 3.6, 3.9, 4.1)]], [None]))
+    # certified runs: pairs re-observed three times at scanned distance just
+    # inside and just outside B (1 - 2^-20), B = lim / (2 (1 + rel))
+    @example(certification_boundary(0.5))
+    @example(certification_boundary(2.0**-8))
+    # a certified pair's run is cut mid-batch by a cluster a later row
+    # creates outside 2 lim of the pair's cluster, with the pair inside its
+    # own 2 lim
+    @example((0.5, [
+        [("vec", (0, 0, 2.0))],
+        [("vec", (0, 0, 2.1)), ("again", 1, False), ("again", 1, False),
+         ("vec", (0, 2.2, 2.1)), ("again", 1, False), ("again", 4, False)],
+    ], [None] * 2))
+    # a cluster created in the batch lands near other pairs, so neither its
+    # creator nor they may defer joins to it: a last row near its limit
+    # joins or not by whether the rows of the creator (first example) or of
+    # another pair (second) were applied before it
+    @example((0.5, [[("vec", (0, 0, 2.0)), ("vec", (0, 0, 2.5))] + [("again", 0, False)] * 4 + [("vec", (0, 0, 3.3))]], [None]))
+    @example((0.5, [[("vec", (0, 0, 2.0)), ("vec", (0, 0, 2.5))] + [("again", 1, False)] * 4 + [("vec", (0, 0, 1.2))]], [None]))
+    # a run cut by a cluster entering the recompute set: a far pair's run is
+    # flushed when the cluster is pulled beyond lim / (2 (1 + rel)) below; a
+    # pair outside 2 lim of its creation center then joins it four times, and
+    # the last row joins it only once those joins are applied
+    @example((0.5, [
+        [("vec", (0, 5.0, 0)), ("again", 0, False)]
+        + [("vec", (0, 0, v)) for v in (2.0, 2.9, 3.6, 3.9, 4.1)]
+        + [("again", 6, False)] * 4 + [("again", 0, False), ("vec", (0, 0, 5.2))]
+    ], [None]))
+    # pairs the scan must not certify, since a last row joins or not by
+    # whether their rows were applied before it: two pairs near one cluster;
+    # a pair whose second near cluster alone would certify it; a pair that
+    # joins beyond B and pulls its cluster into reach of a row outside 2 lim
+    @example((0.5, [[("vec", (0, 0, 2.0))], [("vec", (0, 0, 2.3))] + [("again", 1, False)] * 4 + [("vec", (0, 0, 3.3))]], [None] * 2))
+    @example((0.5, [
+        [("vec", (0, 0, 2.0)), ("vec", (1.57, 0, 1.23))],
+        [("vec", (0, 0, 2.3))] + [("again", 2, False)] * 4 + [("vec", (0, 1.1, 2.25))],
+    ], [None] * 2))
+    @example((0.5, [
+        [("vec", (0, 0, 2.0)), ("again", 0, False), ("again", 0, False)],
+        [("vec", (0, 0, 2.9))] + [("again", 3, False)] * 19 + [("vec", (0, 0, 4.0))],
+    ], [None] * 2))
+    # re-observed pairs whose norm lies outside _SAFE_NORMS
+    @example((0.5, [
+        [("vec", (2.0**-501, 0.0, 0.0))],
+        [("vec", (1.2 * 2.0**-501, 0.0, 0.0)), ("vec", (0.0, 2.0**-502, 0.0))]
+        + [("again", j, False) for j in (1, 2) * 3],
+    ], [None] * 2))
     # one (p1, p2) pair observed again in both orientations, among others
     @example((0.005, [[
         ("vec", (1.0, 0.0, 0.0)),
@@ -462,6 +523,27 @@ class TestBatchRejection:
         store, emap = self.assigned_store(first)
         with pytest.raises(ValueError, match=message):
             assign_all(store, emap, batch)
+
+    # (rel_threshold, error message): not a finite real > 0
+    REL_CASES = [
+        (float("nan"), "rel_threshold must be a finite number, got nan"),
+        (float("inf"), "rel_threshold must be a finite number, got inf"),
+        (True, "rel_threshold must be a finite number, got True"),
+        ("0.5", "rel_threshold must be a finite number, got '0.5'"),
+        (0.0, "rel_threshold must be > 0, got 0.0"),
+        (-0.5, "rel_threshold must be > 0, got -0.5"),
+    ]
+
+    @pytest.mark.parametrize("rel, message", REL_CASES)
+    def test_bad_rel_threshold_rejected_before_store_changes(self, rel, message):
+        store, emap = self.assigned_store([0])
+        before = self.snapshot(store)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            assign_all(store, emap, [1, 2], rel)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            store.assign(3, emap, rel)
+        for a, b in zip(before, self.snapshot(store)):
+            assert np.array_equal(a, b)
 
     def test_unassigned_lower_index_accepted(self):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segdrift import pipeline
+from segdrift import clustering, pipeline
 from segdrift.clustering import ClusterStore, assign_all
 from segdrift.clusteropt import build_problem
 from segdrift.frontend import OBS_FRAME, DriftConfig, ObservationConfig
@@ -146,6 +146,36 @@ class TestIntervalBatches:
         for name in ("member_table", "edge_table", "centers", "counts"):
             assert np.array_equal(getattr(a.store, name), getattr(b.store, name))
         assert np.array_equal(a.corrected_trajectory.positions, b.corrected_trajectory.positions)
+
+
+class TestCertifiedRuns:
+    def test_certified_runs_advance_most_rows_to_the_same_bits(self, monkeypatch):
+        # A small clutter world, seed 0, `seg`: 7186 of its 10866 rows (66 %)
+        # repeat a certified pair and only advance its cluster's mean.
+        world = make_world(n_turns=1, extra_unique_segments=30)
+        args = (
+            DriftConfig(scale_sigma=1e-3, rng_seed=0),
+            ObservationConfig(endpoint_noise_sigma=0.01, detect_prob=0.8, rng_seed=0),
+            ScheduleConfig(mode="seg"),
+        )
+        advance, advanced = clustering._advance, []
+
+        def spy(center, n, v, sign, rows):
+            advanced.append(rows)
+            return advance(center, n, v, sign, rows)
+
+        monkeypatch.setattr(clustering, "_advance", spy)
+        a = run(world, *args)
+        assert 0.6 < sum(advanced) / len(a.emap.observations) < 0.72
+        # with no rel_threshold in the certified range every row is walked
+        advanced.clear()
+        monkeypatch.setattr(clustering, "_CERT_REL_MAX", 0.0)
+        b = run(world, *args)
+        assert advanced == []
+        for name in ("member_table", "edge_table", "centers", "counts"):
+            x, y = getattr(a.store, name), getattr(b.store, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert a.corrected_trajectory.positions.tobytes() == b.corrected_trajectory.positions.tobytes()
 
 
 class TestChangedPointsRecompute:
