@@ -17,8 +17,6 @@ import statistics
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics as met
 from .frontend import DriftConfig, ObservationConfig
 from .pipeline import MODES, ScheduleConfig, run as run_pipeline
@@ -261,9 +259,7 @@ def cmd_eval(args) -> int:
     est = met.read_tum(args.est)
     gt = met.read_tum(args.gt)
     if args.interpolate_gt:
-        positions = met.spline_interpolate(gt.timestamps, gt.positions, est.timestamps)
-        quats = np.tile([1.0, 0.0, 0.0, 0.0], (len(est), 1))
-        gt = met.Trajectory(est.timestamps.copy(), positions, quats)
+        gt = met.interpolate_trajectory(gt, est.timestamps)
     report = met.evaluate(est, gt, args.align, args.rpe_delta)
     payload = json.dumps(report.to_json(), indent=1)
     print(payload)
@@ -292,7 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gt", help="ground-truth trajectory, TUM format")
     p.add_argument("--align", choices=met.ALIGN_MODES, default="similarity")
     p.add_argument("--rpe-delta", type=int, default=met.DEFAULT_RPE_DELTA)
-    p.add_argument("--interpolate-gt", action="store_true", help="spline-interpolate sparse gt")
+    p.add_argument(
+        "--interpolate-gt",
+        action="store_true",
+        help="resample gt at the est timestamps: positions splined, orientations slerped",
+    )
     p.add_argument("--out", default=None, help="write the metrics JSON here too")
     p.set_defaults(func=cmd_eval)
     return parser

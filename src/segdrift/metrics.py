@@ -1,5 +1,6 @@
 """Trajectory alignment and error metrics (ATE, RPE), plus TUM-format I/O
-and natural cubic spline interpolation of sparse ground truth."""
+and interpolation of sparse ground truth: a natural cubic spline for
+positions, slerp for orientations."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PoseSE3, Sim3, row_norms, umeyama_alignment
+from .geometry import PoseSE3, Sim3, quat_slerp, row_norms, umeyama_alignment
 
 DEFAULT_MATCH_TOLERANCE_S = 0.01
 DEFAULT_RPE_DELTA = 30
@@ -196,28 +197,66 @@ def rpe(
     return _rpe(est, gt, *_pair_indices(associate(est, gt, tolerance)), delta)
 
 
+def _spans(times: np.ndarray, query_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Span k of each query time t, times[k] <= t <= times[k + 1] (the last
+    knot takes the last span), and u = (t - times[k]) / (times[k + 1] - times[k])."""
+    k = np.clip(np.searchsorted(times, query_times, side="right") - 1, 0, len(times) - 2)
+    return k, (query_times - times[k]) / (times[k + 1] - times[k])
+
+
 def spline_interpolate(
     times: np.ndarray, positions: np.ndarray, query_times: np.ndarray
 ) -> np.ndarray:
     """Natural cubic spline per coordinate; exact at control points.
 
-    Requires >= 4 control points; refuses to extrapolate.
+    Requires >= 4 finite control points; refuses non-finite query times and
+    extrapolation. (n, d) positions give (q, d); (n,) positions give (q, 1).
     """
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float).reshape(len(times), -1)
     query_times = np.asarray(query_times, dtype=float)
     if len(times) < 4:
         raise ValueError(f"need at least 4 control points, got {len(times)}")
+    if not (np.isfinite(times).all() and np.isfinite(positions).all()):
+        raise ValueError("control timestamps and positions must be finite")
     if not np.all(np.diff(times) > 0):
         raise ValueError("control timestamps must be strictly increasing")
+    if not np.isfinite(query_times).all():
+        raise ValueError("query timestamps must be finite")
     if query_times.size and (
         query_times.min() < times[0] or query_times.max() > times[-1]
     ):
         raise ValueError("query timestamps outside the control range (no extrapolation)")
-    from scipy.interpolate import CubicSpline  # imported here: no `segdrift run` splines
+    # Second derivatives m at the knots: zero at both ends, the interior from
+    # h[i] m[i] + 2 (h[i] + h[i+1]) m[i+1] + h[i+1] m[i+2] = 6 (slope[i+1] - slope[i]),
+    # solved by one Thomas sweep down and back, all columns at once.
+    h = np.diff(times)
+    rhs = 6.0 * np.diff(np.diff(positions, axis=0) / h[:, None], axis=0)
+    sub, diag, ratio = h[:-1].tolist(), (2.0 * (h[:-1] + h[1:])).tolist(), h[1:].tolist()
+    prev_ratio, prev_rhs = 0.0, 0.0
+    for i in range(len(rhs)):
+        w = diag[i] - sub[i] * prev_ratio
+        prev_ratio = ratio[i] = ratio[i] / w
+        prev_rhs = rhs[i] = (rhs[i] - sub[i] * prev_rhs) / w
+    m = np.zeros_like(positions)
+    for i in range(len(rhs) - 1, -1, -1):
+        m[i + 1] = rhs[i] - ratio[i] * m[i + 2]
+    # On its span, with v = 1 - u: v y[k] + u y[k+1] + h^2/6 ((v^3 - v) m[k] + (u^3 - u) m[k+1]).
+    k, u = _spans(times, query_times)
+    u = u[..., None]
+    v = 1.0 - u
+    curve = (h[k] ** 2 / 6.0)[..., None] * ((v**3 - v) * m[k] + (u**3 - u) * m[k + 1])
+    return v * positions[k] + u * positions[k + 1] + curve
 
-    spline = CubicSpline(times, positions, axis=0, bc_type="natural")
-    return spline(query_times)
+
+def interpolate_trajectory(traj: Trajectory, timestamps: np.ndarray) -> Trajectory:
+    """`traj` at `timestamps`: positions from `spline_interpolate`, orientations
+    slerped between the two poses that bracket each timestamp."""
+    timestamps = np.array(timestamps, dtype=float)
+    positions = spline_interpolate(traj.timestamps, traj.positions, timestamps)
+    k, u = _spans(traj.timestamps, timestamps)
+    q = traj.quaternions
+    return Trajectory(timestamps, positions, quat_slerp(q[k], q[k + 1], u))
 
 
 @dataclass(frozen=True)

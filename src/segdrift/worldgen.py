@@ -40,8 +40,14 @@ def check_int(name: str, value, minimum: int) -> None:
 
 
 def check_real(name: str, value) -> None:
-    """Raise ValueError unless value is a finite real number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """Raise ValueError unless value is a finite real number, not a bool.
+    An int too large for a float is not finite."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 

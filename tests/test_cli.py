@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import segdrift.cli
@@ -28,6 +29,15 @@ def small_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def turning_trajectory(n=121):
+    """n poses at 30 Hz along a quarter circle of radius 5 m, facing along it:
+    the heading turns 90 degrees about z."""
+    yaw = np.linspace(0.0, np.pi / 2, n)
+    positions = 5.0 * np.stack([np.sin(yaw), 1.0 - np.cos(yaw), np.zeros(n)], axis=1)
+    quats = np.stack([np.cos(yaw / 2), 0 * yaw, 0 * yaw, np.sin(yaw / 2)], axis=1)
+    return Trajectory(np.arange(n) / 30.0, positions, quats)
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -189,6 +199,8 @@ class TestRun:
             ("schedule", {"rel_threshold": -1}, "rel_threshold"),
             ("schedule", {"iteration_cap": -3}, "iteration_cap"),
             ("world", {"door_width": float("inf")}, "door_width"),
+            # an int too large for a float
+            ("schedule", {"rel_threshold": 10**400}, "rel_threshold"),
         ],
     )
     def test_bad_config_value_exits_1_before_any_output(
@@ -485,17 +497,47 @@ class TestEval:
         out = json.loads(capsys.readouterr().out)
         assert out["ate_rmse"] >= 0.0
 
+    @pytest.mark.parametrize("stride, bound", [(1, 1e-9), (5, 1e-3)])
+    def test_eval_interpolate_gt_follows_turning_orientation(self, tmp_path, capsys, stride, bound):
+        # The estimate is the ground truth; gt keeps every stride-th pose,
+        # the last included. Identity gt orientations give an RPE of 0.52 m
+        # here.
+        traj = turning_trajectory()
+        keep = np.arange(0, len(traj), stride)
+        est, gt = tmp_path / "est.tum", tmp_path / "gt.tum"
+        write_tum(traj, est)
+        write_tum(Trajectory(traj.timestamps[keep], traj.positions[keep], traj.quaternions[keep]), gt)
+        argv = ["eval", str(est), str(gt), "--rpe-delta", "10", "--interpolate-gt"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["n_matched"] == len(traj)
+        assert out["ate_rmse"] < bound and out["rpe_rmse"] < bound
+
 
 class TestUsage:
-    def test_import_leaves_scipy_unloaded(self):
-        # Only `eval --interpolate-gt` splines; no other command pays for scipy.
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        # The runtime needs numpy only: neither the import nor the spline of
+        # `eval --interpolate-gt` loads scipy.
+        traj = turning_trajectory()
+        est, gt = tmp_path / "est.tum", tmp_path / "gt.tum"
+        write_tum(traj, est)
+        write_tum(traj, gt)
         src = Path(__file__).resolve().parents[1] / "src"
-        code = "import sys, segdrift.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = (
+            "import sys, segdrift.cli\n"
+            "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            "assert segdrift.cli.main(sys.argv[1:]) == 0\n"
+            "print(scipy())\n"
+        )
         out = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", code, "eval", str(est), str(gt), "--interpolate-gt"],
             capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
-        assert out.stdout.strip() == "[]"
+        lines = out.stdout.splitlines()
+        assert lines[0] == "[]"
+        assert "ate_rmse" in out.stdout
+        assert lines[-1] == "[]"
 
     def test_no_subcommand_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

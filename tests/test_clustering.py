@@ -530,6 +530,9 @@ class TestBatchRejection:
         (float("inf"), "rel_threshold must be a finite number, got inf"),
         (True, "rel_threshold must be a finite number, got True"),
         ("0.5", "rel_threshold must be a finite number, got '0.5'"),
+        pytest.param(
+            10**400, f"rel_threshold must be a finite number, got {10**400}", id="int-too-large"
+        ),
         (0.0, "rel_threshold must be > 0, got 0.0"),
         (-0.5, "rel_threshold must be > 0, got -0.5"),
     ]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import segdrift.metrics as metrics
@@ -401,6 +401,106 @@ class TestSpline:
     def test_too_few_control_points(self):
         with pytest.raises(ValueError):
             spline_interpolate(np.arange(3.0), np.zeros((3, 3)), np.array([1.0]))
+
+
+@st.composite
+def spline_problems(draw):
+    """(times, positions, queries): 4-400 knots with gaps varying up to
+    100-fold, 1-3 columns, queries at every knot, both ends and between.
+    Hypothesis draws the sizes and scales, a seeded generator the values."""
+    n = draw(st.integers(4, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = 10.0 ** draw(st.integers(-3, 3)) * rng.uniform(0.01, 1.0, n - 1)
+    times = draw(st.floats(-100, 100)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    positions = rng.uniform(-1, 1, (n, draw(st.integers(1, 3)))) * 10.0 ** draw(st.integers(-6, 6))
+    between = rng.uniform(times[0], times[-1], draw(st.integers(0, 50)))
+    return times, positions, np.concatenate([times, [times[0], times[-1]], between])
+
+
+def span_cubics(times, positions):
+    """Coefficients c[k, j] of u^j of the spline on span k, in u from 0 at
+    times[k] to 1 at times[k + 1], fit to four spline values per span. The
+    fit uses each query's u as rounded, not the nominal 0, 1/3, 2/3, 1."""
+    h = np.diff(times)[:, None]
+    queries = times[:-1, None] + np.array([0.0, 1 / 3, 2 / 3, 1.0]) * h
+    queries[:, -1] = times[1:]
+    us = (queries - times[:-1, None]) / h
+    values = spline_interpolate(times, positions, queries)
+    return np.linalg.solve(us[..., None] ** np.arange(4), values)
+
+
+class TestNaturalSpline:
+    @settings(max_examples=200)
+    @given(spline_problems())
+    def test_agrees_with_scipy_cubic_spline(self, problem):
+        CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
+        times, positions, queries = problem
+        expected = CubicSpline(times, positions, axis=0, bc_type="natural")(queries)
+        out = spline_interpolate(times, positions, queries)
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(positions))
+
+    @given(spline_problems())
+    def test_exact_at_knots(self, problem):
+        times, positions, _ = problem
+        assert np.array_equal(spline_interpolate(times, positions, times), positions)
+
+    @settings(max_examples=50)
+    @given(spline_problems())
+    def test_twice_differentiable_with_free_ends(self, problem):
+        # Value, slope and curvature meet at every interior knot, and the
+        # curvature is zero at both ends, to within fitting error.
+        times, positions, _ = problem
+        c = span_cubics(times, positions)
+        h = np.diff(times)[:, None]
+        # value, slope and curvature of each span at its first and last knot
+        starts = [c[:, 0], c[:, 1] / h, 2 * c[:, 2] / h**2]
+        ends = [
+            c.sum(axis=1),
+            (c[:, 1] + 2 * c[:, 2] + 3 * c[:, 3]) / h,
+            (2 * c[:, 2] + 6 * c[:, 3]) / h**2,
+        ]
+        scale = np.max(np.abs(positions))
+        for order, (end, start) in enumerate(zip(ends, starts)):
+            tol = 1e-11 * scale / np.min(h) ** order
+            assert np.max(np.abs(end[:-1] - start[1:])) <= tol
+        assert np.max(np.abs([starts[2][0], ends[2][-1]])) <= tol  # the curvature bound
+
+    def test_output_shapes(self):
+        times = np.arange(5.0)
+        assert spline_interpolate(times, np.zeros((5, 2)), np.array([0.5, 1.5, 4.0])).shape == (3, 2)
+        assert spline_interpolate(times, np.zeros(5), np.array([0.5, 1.5, 4.0])).shape == (3, 1)
+        assert spline_interpolate(times, np.zeros((5, 3)), np.array([])).shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "times, positions, queries, message",
+        [
+            ([0.0, 1.0, 2.0, np.inf], np.zeros(4), [1.0], "must be finite"),
+            ([0.0, 1.0, np.nan, 3.0], np.zeros(4), [1.0], "must be finite"),
+            (np.arange(4.0), [0.0, 1.0, np.nan, 3.0], [1.0], "must be finite"),
+            (np.arange(4.0), [0.0, -np.inf, 2.0, 3.0], [1.0], "must be finite"),
+            (np.arange(4.0), np.zeros(4), [1.0, np.nan], "query timestamps must be finite"),
+            (np.arange(4.0), np.zeros(4), [np.inf], "query timestamps must be finite"),
+            ([0.0, 2.0, 1.0, 3.0], np.zeros(4), [1.0], "strictly increasing"),
+            ([0.0, 1.0, 1.0, 3.0], np.zeros(4), [1.0], "strictly increasing"),
+        ],
+    )
+    def test_bad_input_raises(self, times, positions, queries, message):
+        with pytest.raises(ValueError, match=message):
+            spline_interpolate(np.array(times), np.array(positions), np.array(queries))
+
+
+class TestInterpolateTrajectory:
+    def test_slerps_orientations_between_bracketing_poses(self):
+        times = np.arange(5.0)
+        yaw = np.array([0.0, 0.4, 0.8, 1.2, 1.6])
+        quats = np.stack([np.cos(yaw / 2), 0 * yaw, 0 * yaw, np.sin(yaw / 2)], axis=1)
+        traj = Trajectory(times, np.zeros((5, 3)), quats)
+        out = metrics.interpolate_trajectory(traj, np.array([0.0, 0.25, 2.5, 4.0]))
+        expected = np.array([0.0, 0.1, 1.0, 1.6])
+        assert np.allclose(out.quaternions[:, 0], np.cos(expected / 2), atol=1e-12)
+        assert np.allclose(out.quaternions[:, 3], np.sin(expected / 2), atol=1e-12)
+        assert np.array_equal(out.timestamps, [0.0, 0.25, 2.5, 4.0])
 
 
 class TestTumIO:

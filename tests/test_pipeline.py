@@ -46,8 +46,8 @@ class TestScheduleConfig:
             ("keyframe_interval", [float("nan"), float("inf"), 2.5, 10.0, True]),
             ("local_window", [0, float("nan"), 1.5, True]),
             ("iteration_cap", [-3, 0, float("nan"), float("inf"), 2.5, "10"]),
-            ("rel_threshold", [-1.0, 0.0, float("nan"), float("inf"), "0.005", None, True]),
-            ("anchor_weight", [-1e-3, float("nan"), float("inf"), "1e-3", None, True]),
+            ("rel_threshold", [-1.0, 0.0, float("nan"), float("inf"), "0.005", None, True, 10**400]),
+            ("anchor_weight", [-1e-3, float("nan"), float("inf"), "1e-3", None, True, -(10**400)]),
         ],
     )
     def test_non_finite_or_out_of_range_field_rejected(self, name, bad):
