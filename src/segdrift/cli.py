@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shutil
 import statistics
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from . import metrics as met
@@ -78,8 +80,11 @@ def cmd_gen_world(args) -> int:
 
 
 def _load_experiment(args) -> dict:
-    with open(args.config) as f:
-        cfg = json.load(f)
+    with open(args.config, encoding="utf-8") as f:
+        try:
+            cfg = json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     unknown = sorted(set(cfg) - set(CONFIG_KEYS))
@@ -156,13 +161,18 @@ def _cell_configs(cfg, mode: str, seed: int):
 def cmd_run(args) -> int:
     cfg = _load_experiment(args)
     # A bad world file is a configuration error: exit 1 before writing anything.
-    if "world_file" in cfg:
-        world = world_from_file(cfg["world_file"])
+    world_file = cfg.get("world_file")
+    if world_file is not None:
+        world = world_from_file(world_file)
     else:
         world = generate_corridor(_build_config(WorldSpec, cfg.get("world", {})))
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    world_to_file(world, out_dir / "world.json")
+    if world_file is None:
+        world_to_file(world, out_dir / "world.json")
+    else:  # the file as read; a rerun may read the world.json it wrote
+        with suppress(shutil.SameFileError):
+            shutil.copyfile(world_file, out_dir / "world.json")
 
     align_mode, rpe_delta = _metrics_settings(cfg)
 

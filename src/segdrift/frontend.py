@@ -27,6 +27,12 @@ OBS_P1, OBS_P2, OBS_FRAME, OBS_SEGMENT = range(len(OBSERVATION_COLUMNS))
 # Frames per block of the visibility scan; bounds its (frames, candidates, 3)
 # temporaries to a few MiB.
 _VISIBILITY_BLOCK = 256
+# A candidate farther than max_range * (1 + _RANGE_MARGIN) from a block's
+# bounding box on some axis is out of range of all its frames; below
+# _MIN_SKIP_RANGE that bound could underflow, so no candidate is skipped
+# (proof in `_visible`).
+_RANGE_MARGIN = 2.0**-20
+_MIN_SKIP_RANGE = 2.0**-500
 # Visible (frame, candidate) pairs read per look-ahead for the next frame
 # that can create a map point: a wider look-ahead reads more keys per step,
 # a narrower one takes more steps; 256 was about the fastest on the three
@@ -201,18 +207,45 @@ def _distances(rel: np.ndarray) -> np.ndarray:
 
 def _visible(mids: np.ndarray, rotations: np.ndarray, positions: np.ndarray, max_range: float):
     """(frame, candidate) index pairs of every in-range, forward-facing
-    candidate midpoint, in frame order, then candidate order."""
+    candidate midpoint, in frame order, then candidate order.
+
+    Each block of frames tests only the candidates near it, with the same
+    float operations per pair as a test of every pair. With lo_k and hi_k
+    the block's least and greatest camera coordinate on axis k and
+    R = max_range * (1 + 2**-20), a candidate m is skipped when
+    `m_k - hi_k > R` or `lo_k - m_k > R` on some axis, each one rounded
+    subtraction. No skipped pair would have been in range:
+    - Rounding is monotone and symmetric, and every frame t of the block
+      has lo_k <= t_k <= hi_k, so its offset rel_k = fl(m_k - t_k) has
+      |rel_k| > R >= max_range * (1 + 2**-20) * (1 - 2**-53).
+    - Its square then rounds to more than max_range**2 * (1 + 2**-20), or
+      to inf if it overflows. That needs R*R to be a normal float, which
+      is why nothing is skipped when max_range < 2**-500.
+    - `_distances` adds the other, non-negative squares to it, which
+      cannot round the sum below it, and the rounded square root of a sum
+      above max_range**2 * (1 + 2**-20) is above max_range.
+    A bound such as `lo_k - R` must not be precomputed instead: far from
+    the origin its rounding error exceeds the 2**-20 margin.
+    """
     frames, cands = [], []
     x_axis = np.array([1.0, 0.0, 0.0])
     mids_t = np.ascontiguousarray(mids.T)
+    reach = max_range * (1.0 + _RANGE_MARGIN)
     for lo in range(0, len(positions), _VISIBILITY_BLOCK):
-        rel = _offsets(mids_t, positions[lo : lo + _VISIBILITY_BLOCK])
+        t = positions[lo : lo + _VISIBILITY_BLOCK]
+        far = np.zeros(len(mids), dtype=bool)
+        if max_range >= _MIN_SKIP_RANGE:
+            for k in range(3):
+                far |= mids_t[k] - t[:, k].max() > reach
+                far |= t[:, k].min() - mids_t[k] > reach
+        near = np.flatnonzero(~far)
+        rel = _offsets(mids_t[:, near], t)
         in_range = _distances(rel) <= max_range
         forward = quat_rotate(rotations[lo : lo + _VISIBILITY_BLOCK], x_axis)
         facing = (rel @ forward[:, :, None])[..., 0] > 0.0
-        f, c = np.divmod(np.flatnonzero(in_range & facing), len(mids))
+        f, c = np.nonzero(in_range & facing)
         frames.append(f + lo)
-        cands.append(c)
+        cands.append(near[c])
     return np.concatenate(frames), np.concatenate(cands)
 
 

@@ -74,26 +74,30 @@ def write_tum(traj: Trajectory, path) -> str:
 
 def read_tum(path) -> Trajectory:
     timestamps, positions, quaternions, linenos = [], [], [], []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 8:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 8 fields "
-                    f"(timestamp tx ty tz qx qy qz qw), got {len(parts)}"
-                )
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric field: {exc}") from exc
-            timestamps.append(vals[0])
-            positions.append(vals[1:4])
-            qx, qy, qz, qw = vals[4:8]
-            quaternions.append([qw, qx, qy, qz])
-            linenos.append(lineno)
+    with open(path, encoding="utf-8") as f:
+        try:
+            lines = f.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 8:
+            raise ValueError(
+                f"{path}:{lineno}: expected 8 fields "
+                f"(timestamp tx ty tz qx qy qz qw), got {len(parts)}"
+            )
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-numeric field: {exc}") from exc
+        timestamps.append(vals[0])
+        positions.append(vals[1:4])
+        qx, qy, qz, qw = vals[4:8]
+        quaternions.append([qw, qx, qy, qz])
+        linenos.append(lineno)
     if not timestamps:
         raise ValueError(f"{path}: empty trajectory file")
     try:

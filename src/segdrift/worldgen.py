@@ -320,9 +320,9 @@ def world_to_file(world: World, path) -> None:
 
 
 def world_from_file(path) -> World:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             data = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"malformed world file {path}: {exc}") from exc
     return world_from_json(data)

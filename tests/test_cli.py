@@ -13,7 +13,7 @@ import pytest
 import segdrift.cli
 from segdrift.cli import main
 from segdrift.metrics import Trajectory, write_tum
-from segdrift.worldgen import world_from_file
+from segdrift.worldgen import WorldSpec, generate_corridor, world_from_file, world_to_file
 
 
 def small_config(tmp_path, **overrides):
@@ -413,6 +413,88 @@ class TestRun:
         del_cfg.pop("world")
         cfg.write_text(json.dumps(del_cfg))
         assert main(["run", "--config", str(cfg)]) == 0
+
+
+def world_file_config(tmp_path, world_path, **overrides):
+    cfg = json.loads(small_config(tmp_path, world_file=str(world_path), **overrides).read_text())
+    del cfg["world"]
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    return tmp_path / "config.json"
+
+
+class TestWorldJson:
+    """`world.json` is the `world_file` as read, or the generated world."""
+
+    def test_non_canonical_world_file_copied_as_written(self, tmp_path, capsys):
+        world_path = tmp_path / "world_in.json"
+        assert main(["gen-world", "--corridor-length", "10", "--out", str(world_path)]) == 0
+        cfg = world_file_config(tmp_path, world_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "canonical")]) == 0
+        doc = json.loads(world_path.read_text())
+        for entry in doc["trajectory"]:
+            if entry["t"].is_integer():
+                entry["t"] = int(entry["t"])
+        compact = json.dumps(doc, separators=(",", ":")).encode()
+        assert b'"t":0,' in compact
+        world_path.write_bytes(compact)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "compact")]) == 0
+        canonical, copied = tree_bytes(tmp_path / "canonical"), tree_bytes(tmp_path / "compact")
+        assert copied.pop("world.json") == compact
+        assert canonical.pop("world.json") != compact
+        assert copied == canonical
+
+    def test_rerun_from_its_own_world_json_leaves_it_alone(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(small_config(tmp_path, seeds=[0]))]) == 0
+        before = tree_bytes(out)
+        cfg = world_file_config(tmp_path, out / "world.json", seeds=[0])
+        assert main(["run", "--config", str(cfg)]) == 0
+        after = tree_bytes(out)
+        assert after["world.json"] == before["world.json"]
+        assert after.keys() == before.keys()
+
+    def test_world_section_written_by_world_to_file(self, tmp_path, capsys):
+        assert main(["run", "--config", str(small_config(tmp_path, seeds=[0]))]) == 0
+        world_to_file(generate_corridor(WorldSpec(corridor_length=12, door_spacing=2)), tmp_path / "expected.json")
+        assert (tmp_path / "out" / "world.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+class TestInputParseErrors:
+    """A file that is not JSON or not UTF-8 exits 1 with `path: reason`."""
+
+    def test_config_not_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"seeds": [0] "modes": ["seg"]}')
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"{path}: Expecting ',' delimiter" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"\xd8": 1}')
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"{path}: 'utf-8' codec can't decode byte 0xd8" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_world_file_not_utf8(self, tmp_path, capsys):
+        world_path = tmp_path / "world.json"
+        assert main(["gen-world", "--corridor-length", "10", "--out", str(world_path)]) == 0
+        world_path.write_bytes(b"{\xd8" + world_path.read_bytes()[1:])
+        cfg = world_file_config(tmp_path, world_path)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{world_path}: 'utf-8' codec can't decode byte 0xd8" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_tum_not_utf8(self, tmp_path, capsys):
+        est, gt = tmp_path / "est.tum", tmp_path / "gt.tum"
+        write_tum(turning_trajectory(), gt)
+        est.write_bytes(b"# \xd8\n" + gt.read_bytes())
+        assert main(["eval", str(est), str(gt)]) == 1
+        captured = capsys.readouterr()
+        assert f"{est}: 'utf-8' codec can't decode byte 0xd8" in captured.err
+        assert captured.out == ""
 
 
 class TestEval:

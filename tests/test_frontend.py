@@ -1,11 +1,15 @@
 """Drifting front-end simulator."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from segdrift import frontend
 from segdrift.frontend import (
+    _VISIBILITY_BLOCK,
     OBS_FRAME,
     OBS_P1,
     OBS_P2,
@@ -398,6 +402,126 @@ class TestVisibilityScan:
         identity = np.array([[1.0, 0.0, 0.0, 0.0]])
         frames, cands = _visible(np.array([[3.0, 4.0, 0.0]]), identity, np.zeros((1, 3)), 5.0)
         assert (frames.tolist(), cands.tolist()) == ([0], [0])
+
+
+def reference_visible(mids, rotations, positions, max_range, block=_VISIBILITY_BLOCK):
+    """The dense scan that `_visible` prunes: every candidate of every block."""
+    frames, cands = [], []
+    x_axis = np.array([1.0, 0.0, 0.0])
+    mids_t = np.ascontiguousarray(mids.T)
+    for lo in range(0, len(positions), block):
+        rel = _offsets(mids_t, positions[lo : lo + block])
+        in_range = _distances(rel) <= max_range
+        forward = quat_rotate(rotations[lo : lo + block], x_axis)
+        facing = (rel @ forward[:, :, None])[..., 0] > 0.0
+        f, c = np.divmod(np.flatnonzero(in_range & facing), len(mids))
+        frames.append(f + lo)
+        cands.append(c)
+    return np.concatenate(frames), np.concatenate(cands)
+
+
+FLOAT_MAX = np.finfo(float).max
+IDENTITY = np.array([[1.0, 0.0, 0.0, 0.0]])
+
+
+@st.composite
+def scan_cases(draw):
+    """(mids, rotations, positions, max_range, block) of a turning walk.
+
+    The geometry is drawn in units of max_range / 4, then scaled (clipped
+    to the finite floats) and, for x and y, offset far from the origin; z
+    keeps signed zeros. Small blocks leave many blocks with no candidate
+    near them. Candidates exactly max_range, and one float either side of
+    it, beyond the extreme frame on some axis sit on a block's box edge,
+    and so does one just beyond the skip rule's margin: below 2**-500 its
+    square can round down into range.
+    """
+    max_range = draw(st.sampled_from([2.0, 5.0, 8.0, 2.0**-501, 1e-160, 1e-170, 1e308, FLOAT_MAX]))
+    block = draw(st.sampled_from([1, 2, 5, _VISIBILITY_BLOCK]))
+    n = draw(st.integers(1, 24))
+    unit_steps = st.floats(0.0, 1.5)
+    steps = np.array(draw(st.lists(unit_steps, min_size=n, max_size=n)))
+    heading = np.cumsum(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    rotations = np.column_stack([np.cos(heading / 2), 0 * heading, 0 * heading, np.sin(heading / 2)])
+    walk = np.cumsum(steps[:, None] * np.column_stack([np.cos(heading), np.sin(heading)]), axis=0)
+    zeros = st.sampled_from([0.0, -0.0])
+    positions = np.column_stack([walk, draw(st.lists(zeros, min_size=n, max_size=n))])
+    # candidates near one frame each, or all near the first (far from later blocks)
+    near_first = draw(st.booleans())
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 0 if near_first else n - 1),
+                st.floats(-6.0, 6.0),
+                st.floats(-6.0, 6.0),
+                st.one_of(zeros, st.floats(-6.0, 6.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    mids = np.array([positions[i] + (dx, dy, 0.0) for i, dx, dy, _ in rows])
+    mids[:, 2] = [dz for *_, dz in rows]
+    unit, offset = max_range / 4, draw(st.sampled_from([0.0, 1e6, -1e9, 1e12]))
+    with np.errstate(over="ignore"):
+        positions, mids = (np.clip(a * unit, -FLOAT_MAX, FLOAT_MAX) for a in (positions, mids))
+    if offset:
+        positions[:, :2] += offset
+        mids[:, :2] += offset
+    axis, side = draw(st.integers(0, 2)), draw(st.sampled_from([-1.0, 1.0]))
+    beyond = draw(st.sampled_from([1 + 2**-19, 1 + 2**-16, 1.001]))
+    edges = np.tile(positions[np.argmax(side * positions[:, axis])], (4, 1))
+    with np.errstate(over="ignore"):
+        edges[:3, axis] += side * max_range
+        edges[1:3, axis] = np.nextafter(edges[0, axis], [np.inf, -np.inf])
+        edges[3, axis] += side * max_range * beyond
+    mids = np.vstack([mids, edges[np.isfinite(edges).all(axis=1)]])
+    order = draw(st.permutations(range(len(mids))))
+    return mids[order], rotations, positions, max_range, block
+
+
+class TestPrunedScan:
+    @settings(max_examples=300, deadline=None)
+    @given(scan_cases())
+    # beyond the margin, yet in range: its square underflows, and
+    # sqrt(fl(x*x)) is 9.99994e-161
+    @example((np.array([[1e-160 * (1 + 2**-19), 0.0, 0.0]]), IDENTITY, np.zeros((1, 3)), 1e-160, 256))
+    # exactly max_range beyond the block's largest x, at 1e12
+    @example(
+        (
+            np.array([[1e12 + 7.0, 0.0, -0.0]]),
+            np.tile(IDENTITY, (2, 1)),
+            np.array([[1e12 + 2.0, 0.0, -0.0], [1e12, 0.0, 0.0]]),
+            5.0,
+            256,
+        )
+    )
+    def test_equals_dense_scan(self, case):
+        mids, rotations, positions, max_range, block = case
+        with patch.object(frontend, "_VISIBILITY_BLOCK", block), np.errstate(over="ignore", invalid="ignore"):
+            frames, cands = _visible(mids, rotations, positions, max_range)
+            want_frames, want_cands = reference_visible(mids, rotations, positions, max_range, block)
+        assert frames.dtype == want_frames.dtype and cands.dtype == want_cands.dtype
+        assert np.array_equal(frames, want_frames) and np.array_equal(cands, want_cands)
+
+    def test_kept_pairs_below_a_quarter_of_dense(self, monkeypatch):
+        # On the 120 m, 3-turn world the dense scan tests 3690 frames x 180
+        # candidates; the pruned one keeps about 22 % of those pairs.
+        world = generate_corridor(WorldSpec(corridor_length=120, n_turns=3))
+        ends = world.endpoints[row_norms(world.endpoints[:, 1] - world.endpoints[:, 0]) >= 0.3]
+        mids = 0.5 * (ends[:, 0] + ends[:, 1])
+        widths = []
+        offsets = frontend._offsets
+
+        def spy(mids_t, t):
+            widths.append(len(t) * mids_t.shape[1])
+            return offsets(mids_t, t)
+
+        monkeypatch.setattr(frontend, "_offsets", spy)
+        _visible(mids, world.rotations, world.translations, 8.0)
+        dense = world.n_frames * len(mids)
+        assert dense == 664_200
+        assert sum(widths) < 0.25 * dense
 
 
 class TestEstimatedMap:

@@ -61,3 +61,30 @@ def test_counts_match_the_cell_manifest(tracing, tmp_path):
     tracing._count_simulate(direct, (), emap, None)
     assert direct["frontend.points"] == manifest["n_map_points"]
     assert direct["frontend.observations"] == manifest["n_observations"]
+
+
+def test_world_file_run_loads_and_copies(tracing, tmp_path):
+    # A `world_file` cell loads the world through the traced name and
+    # copies the file into world.json without re-serialising it.
+    world_path = tmp_path / "world_in.json"
+    assert cli.main(["gen-world", "--corridor-length", "10", "--out", str(world_path)]) == 0
+    cfg = {
+        "world_file": str(world_path),
+        "drift": {"scale_sigma": 1e-3},
+        "observation": {"detect_prob": 0.8, "endpoint_noise_sigma": 0.01},
+        "modes": ["baseline"],
+        "seeds": [1],
+    }
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    tracer = tracing.Tracer()
+    with tracer.install():
+        tracer.begin_cell(0)
+        assert cli.main(["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 0
+        counts = tracer.end_cell()
+    assert tracer.missing == []
+    spans = [tracer.names[span[0]] for span in tracer.spans]
+    assert spans.count("worldgen.world_from_file") == 1
+    assert "worldgen.world_to_file" not in spans
+    manifest = json.loads((tmp_path / "out" / "baseline" / "seed1" / "manifest.json").read_text())
+    assert counts["frontend.points"] == manifest["n_map_points"] > 0
+    assert counts["frontend.observations"] == manifest["n_observations"] > 0
