@@ -14,7 +14,10 @@ then walked in order, rechecking a changed cluster only where it can
 still be joined, and the later rows of a pair certified to keep joining
 its own cluster only advance that cluster's mean; the result equals
 assigning the observations one at a time, bit for bit (see
-`ClusterStore.assign_batch`).
+`ClusterStore.assign_batch`). Each walked row looks its (cluster, p1, p2,
+sign) key up in the edge ids as soon as it is decided, a new key taking
+the next id, and a certified pair's later rows take the id of its first
+row, so edge ids run in order of first member without a sort.
 """
 
 from __future__ import annotations
@@ -303,6 +306,7 @@ class ClusterStore:
             p1s * (p2s.max() + 1) + p2s, return_index=True, return_inverse=True
         )
         pair_vs = vs[first]
+        pair_p1, pair_p2 = p1s[first].tolist(), p2s[first].tolist()
         near, lim, skip_ok, certified = self._scan(pair_vs, rel)
         all_pairs = np.arange(len(first))
         centers, counts = self._centers, self._counts
@@ -314,10 +318,11 @@ class ClusterStore:
         n_of: dict[int, int] = {}
         start: dict[int, list[float]] = {}  # changed cluster -> the center it was scanned at
         recompute: set[int] = set()  # clusters recomputed for every later row
-        cids, signs = [], []
+        edge_ids, n_edges = self._edge_ids, len(self._edge_ids)
+        eids, new_edges = [], []  # each row's edge id; the keys of new edges
         vecs = pair_vs.tolist()
         # A certified pair's later rows are only counted in its run,
-        # [cluster, sign, rows], until `flush` applies them (see assign_batch).
+        # [cluster, sign, rows, edge], until `flush` applies them (see assign_batch).
         if k * (1.0 + rel) <= _CERT_ROWS * rel and rel <= _CERT_REL_MAX:
             cert = certified.tolist()
         else:
@@ -328,7 +333,7 @@ class ClusterStore:
         def flush(r):
             cert[r], run, runs[r] = False, runs[r], None
             if run is not None and run[2]:
-                c, s, p = run
+                c, s, p, _ = run
                 current[c] = _advance(current[c], n_of[c], vecs[r], s, p)
                 n_of[c] += p
 
@@ -336,8 +341,7 @@ class ClusterStore:
             run = runs[u]
             if run is not None:
                 run[2] += 1
-                cids.append(run[0])
-                signs.append(run[1])
+                eids.append(run[3])
                 continue
             v = vecs[u]
             vx, vy, vz = v
@@ -405,38 +409,22 @@ class ClusterStore:
                     if cert[r]:
                         flush(r)
                 any_cert = False
-            cids.append(best)
-            signs.append(sign)
+            # Rows sharing a (cluster, p1, p2, sign) key share an edge. Rows
+            # are walked in order, so a new key's next id keeps edge ids in
+            # order of first member.
+            key = (best, pair_p1[u], pair_p2[u], sign)
+            e = edge_ids.get(key)
+            if e is None:
+                e = edge_ids[key] = len(edge_ids)
+                new_edges.append(key)
+            eids.append(e)
             if cert[u]:  # its first row
-                runs[u] = [best, sign, 0]
+                runs[u] = [best, sign, 0, e]
         for r, run in enumerate(runs):
             if run is not None:
                 flush(r)
         centers[list(current)] = list(current.values())
         counts[list(n_of)] = list(n_of.values())
-
-        # Rows sharing a (pair, cluster, sign) key share an edge: look each
-        # distinct key up once, in order of its first row, so new edge ids
-        # still run in order of first member.
-        cids, signs = np.array(cids), np.array(signs)
-        _, first_row, key_of = np.unique(
-            (pairs * self._n_clusters + cids) * 2 + (signs > 0),
-            return_index=True, return_inverse=True,
-        )
-        order = np.argsort(first_row)
-        rows = first_row[order]
-        edge_ids, n_edges = self._edge_ids, len(self._edge_ids)
-        found, new_edges = [], []
-        for key in zip(
-            cids[rows].tolist(), p1s[rows].tolist(), p2s[rows].tolist(), signs[rows].tolist()
-        ):
-            e = edge_ids.get(key)
-            if e is None:
-                e = edge_ids[key] = len(edge_ids)
-                new_edges.append(key)
-            found.append(e)
-        key_eids = np.empty(len(order), dtype=np.int64)
-        key_eids[order] = found
         if new_edges:
             self._edges[:, n_edges : len(edge_ids)] = np.array(new_edges, dtype=np.int64).T
 
@@ -444,7 +432,7 @@ class ClusterStore:
         table = self._table[:, n : n + k]
         table[OBS] = batch
         table[FRAME] = observations[:, OBS_FRAME]
-        table[EDGE] = key_eids[key_of]
+        table[EDGE] = eids
         self._n_members = n + k
         self._max_obs = max(self._max_obs, max(batch))
 
@@ -552,7 +540,7 @@ class ClusterStore:
             dirty = np.zeros(n, dtype=bool)
             dirty[ecid[hit[p1] | hit[p2]]] = True
             dirty[ecid[eids[self._n_recomputed :]]] = True
-            eids = eids[dirty[ecid[eids]]]
+            eids = eids[dirty[ecid][eids]]  # one gather through a per-edge mask
             redo = np.flatnonzero(dirty)
         cids = ecid[eids]
         # bincount adds in index order, one coordinate of the signed edge

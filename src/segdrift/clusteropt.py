@@ -122,6 +122,10 @@ def build_problem(
     weight is their count. Edges are ordered by cluster id, then by first
     in-scope member; point ids by first appearance in that order. Centers
     are frozen at their current values; only endpoint positions are free.
+
+    Nothing sorts member rows: counts are a bincount over edge ids, and a
+    frame scope takes each edge's first in-scope row with np.minimum.at,
+    so only the edges in scope are sorted.
     """
     store_edges, members = store.edge_table, store.member_table
     if frames is None:
@@ -134,11 +138,14 @@ def build_problem(
         in_scope = np.zeros(int(frame_col.max(initial=-1)) + 1, dtype=bool)
         in_scope[wanted[(wanted >= 0) & (wanted < len(in_scope))]] = True
         rows = np.flatnonzero(in_scope[frame_col])
-        scoped, first, counts = np.unique(
-            members[rows, EDGE], return_index=True, return_counts=True
-        )
-        order = np.lexsort((first, store_edges[scoped, E_CLUSTER]))
-        picked, counts = scoped[order], counts[order]
+        scope_edges = members[rows, EDGE]
+        counts = np.bincount(scope_edges, minlength=len(store_edges))
+        first = np.full(len(store_edges), len(members))
+        np.minimum.at(first, scope_edges, rows)
+        scoped = np.flatnonzero(counts)
+        order = np.lexsort((first[scoped], store_edges[scoped, E_CLUSTER]))
+        picked = scoped[order]
+        counts = counts[picked]
     if not len(picked):
         return OptProblem([], np.zeros((0, 3)), [], anchor_weight, iteration_cap)
 

@@ -65,8 +65,8 @@ def write_tum(traj: Trajectory, path) -> str:
     """TUM format: `timestamp tx ty tz qx qy qz qw`, 9 significant digits.
     Returns the text written, for writing the same trajectory elsewhere."""
     q = traj.quaternions
-    rows = np.column_stack([traj.timestamps, traj.positions, q[:, 1:], q[:, :1]]).tolist()
-    text = "".join(_TUM_ROW % tuple(r) for r in rows)
+    rows = np.column_stack([traj.timestamps, traj.positions, q[:, 1:], q[:, :1]])
+    text = (_TUM_ROW * len(rows)) % tuple(rows.ravel().tolist())
     with open(path, "w") as f:
         f.write(text)
     return text

@@ -327,8 +327,11 @@ class TestBatchedAssignment:
                 interval.recompute_centers(emap, listed)
                 single.recompute_centers(emap)  # every cluster
                 ref.recompute_centers(emap)
+            # edge ids run in order of first member
+            keys = list(dict.fromkeys(map(tuple, ref.table[:, CLUSTER:].tolist())))
             for s in (store, single, interval) if flush else (store, single):
                 assert np.array_equal(expanded_table(s), ref.table)
+                assert list(map(tuple, s.edge_table.tolist())) == keys
                 assert np.array_equal(s.centers, ref.centers)
                 assert s.counts.tolist() == ref.counts
 
@@ -353,6 +356,47 @@ class TestBatchedAssignment:
         assert np.array_equal(expanded_table(store), ref.table)
         assert np.array_equal(store.centers, ref.centers)
         assert store.counts.tolist() == ref.counts
+
+    @pytest.mark.parametrize(
+        "frames, pair_rows, counted",
+        [
+            # a certified pair counts two rows, then a created cluster lands
+            # near it: the rows are applied and its later row is walked
+            ([
+                [("vec", (0, 0, 2.0))],
+                [("vec", (0, 0, 2.1)), ("again", 1, False), ("again", 1, False),
+                 ("vec", (0, 2.2, 2.1)), ("again", 1, False), ("again", 4, False)],
+            ], [1, 2, 3, 5], [2]),
+            # a certified pair counts one row, then the first cluster enters
+            # the recompute set: the row is applied and its later row walked
+            ([
+                [("vec", (0, 5.0, 0)), ("again", 0, False)]
+                + [("vec", (0, 0, v)) for v in (2.0, 2.9, 3.6, 3.9, 4.1)]
+                + [("again", 6, False)] * 4 + [("again", 0, False), ("vec", (0, 0, 5.2))]
+            ], [0, 1, 11], [1]),
+        ],
+        ids=["created-cluster-near-pair", "recompute-set"],
+    )
+    def test_flushed_run_keeps_its_edge_id(self, monkeypatch, frames, pair_rows, counted):
+        emap, batches = stream_map(frames)
+        applied = []
+        advance = clustering._advance
+
+        def spy(center, n, v, sign, rows):
+            applied.append(rows)
+            return advance(center, n, v, sign, rows)
+
+        monkeypatch.setattr(clustering, "_advance", spy)
+        store, ref = ClusterStore(), ReferenceStore()
+        for batch in batches:
+            assign_all(store, emap, batch, 0.5)
+            for i in batch:
+                ref.assign(i, emap, 0.5)
+        assert applied == counted  # the guard applied the run's counted rows
+        assert np.array_equal(expanded_table(store), ref.table)
+        assert np.array_equal(store.centers, ref.centers)
+        eids = store.member_table[pair_rows, clustering.EDGE].tolist()
+        assert eids == [eids[0]] * len(pair_rows)
 
     def test_edge_ids_in_first_member_order(self):
         # The second batch's distinct (pair, cluster, sign) keys, in order of

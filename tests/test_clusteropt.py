@@ -389,9 +389,22 @@ def reference_build_problem(store, emap, frames=None):
     return point_ids.tolist(), emap.points[point_ids], edges
 
 
+def older_edge_again_map():
+    """Segments A (points 0, 1) and B (points 2, 3) of one cluster, seen in
+    frames 0 (A), 1 (B) and 2 (A): edge 0 is A's and edge 1 is B's, but in
+    frames {1, 2} B's first member comes before A's."""
+    points = [(0.0, 0.0, 0.0), (0.0, 0.0, 2.0), (1.0, 1.0, 1.0), (1.0, 1.0, 3.001)]
+    observations = [(0, 1, 0, 0), (2, 3, 1, 1), (0, 1, 2, 0)]
+    return array_map(points, np.zeros(len(points)), observations, 5)
+
+
 class TestEdgeTable:
     @settings(max_examples=100)
     @given(reobserved_maps())
+    @example((older_edge_again_map(), {1, 2}, 1e-3))
+    @example((older_edge_again_map(), set(), 1e-3))  # an empty scope
+    @example((older_edge_again_map(), {2, 5, 1000}, 0.0))  # frames beyond the member table
+    @example((older_edge_again_map(), {-1, -3, 1}, 1e-1))  # negative frames
     def test_matches_the_object_build_bit_for_bit(self, case):
         emap, frames, anchor_weight = case
         store = ClusterStore()

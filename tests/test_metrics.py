@@ -554,6 +554,25 @@ class TestTumIO:
         assert path.read_text() == expected
 
     @pytest.mark.parametrize(
+        "timestamps, positions, quaternions",
+        [
+            # signed zeros, subnormals and values near the float maximum
+            ([-0.0, 5e-324, 1e300],
+             [[-0.0, 0.0, 5e-324], [-5e-324, 2.2250738585072014e-308, -1e300], [1e300, -0.0, 1.5]],
+             [[1.0, -0.0, 0.0, 5e-324], [-1e150, 0.0, -0.0, 1.0], [5e-324, 1e150, -1e-310, -0.0]]),
+            ([0.25], [[1.0, -2.0, 3.0]], [[0.5, -0.5, 0.5, -0.5]]),  # one row
+        ],
+    )
+    def test_text_equals_per_row_join(self, tmp_path, timestamps, positions, quaternions):
+        traj = Trajectory(timestamps, positions, quaternions)
+        path = tmp_path / "traj.txt"
+        text = write_tum(traj, path)
+        q = traj.quaternions
+        rows = np.column_stack([traj.timestamps, traj.positions, q[:, 1:], q[:, :1]]).tolist()
+        assert text == "".join(metrics._TUM_ROW % tuple(row) for row in rows)
+        assert path.read_text() == text
+
+    @pytest.mark.parametrize(
         "row, message",
         [
             ("nan 0 0 0 0 0 0 1", "non-finite timestamp"),
