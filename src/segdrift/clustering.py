@@ -121,6 +121,30 @@ def _advance(center, n: int, v, sign: int, rows: int) -> list[float]:
     return [x, y, z]
 
 
+def _index_array(obs_indices, n_obs: int) -> np.ndarray:
+    """A batch of observation indices as one int64 array: a range or a 1-D
+    integer array converts whole and is bounds-checked by its min and max,
+    any other iterable is checked element by element. Raises ValueError
+    naming the first index that is not an integer from 0 to n_obs - 1
+    (bools are not)."""
+    batch = obs_indices
+    if isinstance(batch, range):
+        try:
+            batch = np.arange(batch.start, batch.stop, batch.step, dtype=np.int64)
+        except OverflowError:  # beyond int64, so out of range: named below
+            pass
+    if isinstance(batch, np.ndarray) and batch.ndim == 1 and batch.dtype.kind in "iu":
+        if len(batch) and not 0 <= batch.min() <= batch.max() < n_obs:
+            i = batch[np.argmax((batch < 0) | (batch >= n_obs))]
+            raise ValueError(f"observation index {int(i)} is not an integer from 0 to {n_obs - 1}")
+        return batch.astype(np.int64, copy=False)
+    batch = list(batch)
+    for i in batch:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < n_obs:
+            raise ValueError(f"observation index {i!r} is not an integer from 0 to {n_obs - 1}")
+    return np.array(list(map(int, batch)), dtype=np.int64)
+
+
 class ClusterStore:
     """Clusters as arrays: a member table, a center matrix, per-cluster
     member counts and an edge table.
@@ -265,34 +289,23 @@ class ClusterStore:
         check_real("rel_threshold", rel_threshold)
         if not rel_threshold > 0:
             raise ValueError(f"rel_threshold must be > 0, got {rel_threshold!r}")
-        batch, n_obs = list(obs_indices), len(emap.observations)
-        # isinstance is slow on numbers.Integral: a batch of ints in range skips it
-        ints = set(map(type, batch)) <= {int}
-        if not ints or batch and not 0 <= min(batch) <= max(batch) < n_obs:
-            for i in batch:
-                if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < n_obs:
-                    raise ValueError(
-                        f"observation index {i!r} is not an integer from 0 to {n_obs - 1}"
-                    )
-            batch = [int(i) for i in batch]
-        if len(set(batch)) < len(batch):
+        batch = _index_array(obs_indices, len(emap.observations))
+        if not len(batch):
+            return []
+        if not (batch[1:] > batch[:-1]).all() and len(np.unique(batch)) < len(batch):
             raise ValueError("batch repeats an observation")
-        if batch and min(batch) <= self._max_obs:
+        if batch.min() <= self._max_obs:
             again = np.intersect1d(batch, self._table[OBS, : self._n_members])
             if len(again):
                 raise ValueError(f"observation {again[0]} already assigned")
-        if not batch:
-            return []
         observations = emap.observations[batch]
         vs = emap.points[observations[:, OBS_P2]] - emap.points[observations[:, OBS_P1]]
-        degenerate = (_norms(*vs.T) == 0.0).tolist()
-        discarded = [i for i, bad in zip(batch, degenerate) if bad]
+        degenerate = _norms(*vs.T) == 0.0
+        discarded = batch[degenerate].tolist()
         if discarded:
-            keep = [j for j, bad in enumerate(degenerate) if not bad]
-            batch = [batch[j] for j in keep]
-            observations = observations[keep]
-            vs = vs[keep]
-        if batch:
+            keep = ~degenerate
+            batch, observations, vs = batch[keep], observations[keep], vs[keep]
+        if len(batch):
             self._walk(batch, observations, vs, float(rel_threshold))
         return discarded
 
@@ -434,7 +447,7 @@ class ClusterStore:
         table[FRAME] = observations[:, OBS_FRAME]
         table[EDGE] = eids
         self._n_members = n + k
-        self._max_obs = max(self._max_obs, max(batch))
+        self._max_obs = max(self._max_obs, int(batch.max()))
 
     def _scan(self, vs: np.ndarray, rel):
         """The near set of each row of vs (one per point pair of the batch)

@@ -294,7 +294,11 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
             detected[drawn:stop] = obs_rng.random(stop - drawn) < obs_cfg.detect_prob
         drawn = stop
 
-    seen = np.zeros(len(key_point), dtype=bool)
+    # Each visible pair's two keys, a before b, and each frame's visible
+    # pairs [frame_start[f], frame_start[f + 1]).
+    pair_keys = cand_keys[vis_cand]
+    frame_start = np.searchsorted(vis_frame, np.arange(n_frames + 1)).tolist()
+    unseen = np.ones(len(key_point), dtype=np.uint8)
     point_keys: list[int] = []
     point_frames: list[int] = []
     noise: list[np.ndarray] = []
@@ -306,19 +310,19 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
     # each such frame then steps alone.
     lo = 0
     while lo < len(vis_cand):
-        window = vis_cand[lo : lo + _LOOKAHEAD]
-        unseen = np.flatnonzero(~seen[cand_keys[window]].all(axis=1))
-        if not len(unseen):
-            lo += len(window)
+        flags = unseen[pair_keys[lo : lo + _LOOKAHEAD]]
+        first = int(flags.argmax())  # flat index of the first unseen key
+        if not flags.flat[first]:
+            lo += len(flags)
             continue
-        frame = int(vis_frame[lo + unseen[0]])
-        start, lo = np.searchsorted(vis_frame, [frame, frame + 1]).tolist()
+        frame = int(vis_frame[lo + first // 2])
+        start, lo = frame_start[frame], frame_start[frame + 1]
         draw_detections(lo)
-        keys = cand_keys[vis_cand[start:lo][detected[start:lo]]].ravel()  # segment order, a before b
-        fresh = keys[~seen[keys]]
+        keys = pair_keys[start:lo][detected[start:lo]].ravel()  # segment order, a before b
+        fresh = keys[unseen[keys].view(bool)]
         if len(fresh):
             fresh = list(dict.fromkeys(fresh.tolist()))
-            seen[fresh] = True
+            unseen[fresh] = 0
             point_keys += fresh
             point_frames += [frame] * len(fresh)
             if sigma > 0:
@@ -333,13 +337,11 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
         points = points + np.concatenate(noise)
     point_of_key = np.empty(len(key_point), dtype=np.int64)
     point_of_key[point_keys] = np.arange(len(point_keys))
-    obs_cand = vis_cand[detected]
-    observations = np.column_stack(
-        [
-            point_of_key[cand_keys[obs_cand, 0]],
-            point_of_key[cand_keys[obs_cand, 1]],
-            vis_frame[detected],
-            cand_segment[obs_cand],
-        ]
-    )
+    # Filled a column at a time, with the visible-pair arrays freed before
+    # the widest one, so that the pair-key table adds nothing to the peak.
+    observations = np.empty((np.count_nonzero(detected), len(OBSERVATION_COLUMNS)), dtype=np.int64)
+    observations[:, OBS_FRAME] = vis_frame[detected]
+    observations[:, OBS_SEGMENT] = cand_segment[vis_cand[detected]]
+    del vis_frame, vis_cand
+    observations[:, [OBS_P1, OBS_P2]] = point_of_key[pair_keys[detected]]
     return EstimatedMap(points, first_seen, observations, world.timestamps.copy(), est_poses)

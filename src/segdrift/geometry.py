@@ -23,13 +23,19 @@ def quat_identity() -> np.ndarray:
 
 def _split(q: np.ndarray):
     """The components along the last axis: numpy scalars for one vector
-    (the cheap case, taken thousands of times per run), arrays for a stack."""
-    return q if q.ndim == 1 else np.moveaxis(q, -1, 0)
+    (the cheap case, taken thousands of times per run), views for a stack."""
+    return q if q.ndim == 1 else [q[..., k] for k in range(q.shape[-1])]
 
 
 def _join(parts: list) -> np.ndarray:
-    """Inverse of `_split`: stack the components along a new last axis."""
-    return np.stack(parts, axis=-1) if isinstance(parts[0], np.ndarray) else np.array(parts)
+    """Inverse of `_split`: the equal-shape components side by side along a
+    new last axis, as `np.stack(parts, axis=-1)` lays them out."""
+    if not isinstance(parts[0], np.ndarray):
+        return np.array(parts)
+    out = np.empty(parts[0].shape + (len(parts),))
+    for k, part in enumerate(parts):
+        out[..., k] = part
+    return out
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ class BadRowError(ValueError):
 class Trajectory:
     timestamps: np.ndarray  # (n,), seconds, strictly increasing
     positions: np.ndarray  # (n, 3)
-    quaternions: np.ndarray  # (n, 4), [w, x, y, z], any nonzero norm
+    quaternions: np.ndarray  # (n, 4), [w, x, y, z], any nonzero finite norm
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=float)
@@ -41,9 +41,14 @@ class Trajectory:
             if bad.any():
                 row = int(np.argmax(bad.reshape(len(values), -1).any(axis=1)))
                 raise BadRowError(row, f"non-finite {name}")
-        zero = row_norms(qs) == 0.0
-        if zero.any():
-            raise BadRowError(int(np.argmax(zero)), "zero-norm quaternion")
+        with np.errstate(over="ignore"):
+            norms = row_norms(qs)
+        bad = (norms == 0.0) | ~np.isfinite(norms)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise BadRowError(
+                row, "zero-norm quaternion" if norms[row] == 0.0 else "quaternion norm overflows"
+            )
         if len(ts) > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("trajectory timestamps must be strictly increasing")
         object.__setattr__(self, "timestamps", ts)
@@ -110,29 +115,32 @@ def associate(
     est: Trajectory, gt: Trajectory, tolerance: float = DEFAULT_MATCH_TOLERANCE_S
 ) -> list[tuple[int, int]]:
     """Greedy one-to-one nearest-timestamp matching in time order."""
+    ei, gi = _match(est, gt, tolerance)
+    return list(zip(ei.tolist(), gi.tolist()))
+
+
+# Scoring runs on matched index arrays: `ei[k]`, `gi[k]` are the est and gt
+# rows of the k-th associated pair. `evaluate` matches once and hands the
+# same arrays to all three helpers; the public `align`, `ate` and `rpe` are
+# thin wrappers that match for themselves.
+
+
+def _match(est: Trajectory, gt: Trajectory, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """`associate` as two index arrays, est rows then gt rows."""
     gts = gt.timestamps.tolist()
-    pairs: list[tuple[int, int]] = []
+    ei: list[int] = []
+    gi: list[int] = []
     j = 0
     for i, t in enumerate(est.timestamps.tolist()):
         while j + 1 < len(gts) and abs(gts[j + 1] - t) <= abs(gts[j] - t):
             j += 1
         if abs(gts[j] - t) <= tolerance:
-            pairs.append((i, j))
+            ei.append(i)
+            gi.append(j)
             j += 1
             if j >= len(gts):
                 break
-    return pairs
-
-
-# Scoring runs on matched index arrays: `ei[k]`, `gi[k]` are the est and gt
-# rows of the k-th associated pair. `evaluate` associates once and hands the
-# same arrays to all three helpers; the public `align`, `ate` and `rpe` are
-# thin wrappers that associate for themselves.
-
-
-def _pair_indices(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    return idx[:, 0], idx[:, 1]
+    return np.array(ei, dtype=np.intp), np.array(gi, dtype=np.intp)
 
 
 def _align(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, mode: str) -> Sim3:
@@ -176,7 +184,7 @@ def align(
     tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
 ) -> Sim3:
     """Least-squares transform taking est positions onto gt positions."""
-    return _align(est, gt, *_pair_indices(associate(est, gt, tolerance)), mode)
+    return _align(est, gt, *_match(est, gt, tolerance), mode)
 
 
 def ate(
@@ -186,7 +194,7 @@ def ate(
     tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
 ) -> float:
     """RMSE of aligned position differences over matched pairs (meters)."""
-    ei, gi = _pair_indices(associate(est, gt, tolerance))
+    ei, gi = _match(est, gt, tolerance)
     return _ate(est, gt, ei, gi, _align(est, gt, ei, gi, mode))
 
 
@@ -198,7 +206,7 @@ def rpe(
 ) -> float:
     """RMSE of the translational magnitude of relative-pose discrepancies
     over a fixed frame delta (meters)."""
-    return _rpe(est, gt, *_pair_indices(associate(est, gt, tolerance)), delta)
+    return _rpe(est, gt, *_match(est, gt, tolerance), delta)
 
 
 def _spans(times: np.ndarray, query_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +303,7 @@ def evaluate(
     tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
 ) -> MetricsReport:
     """ATE and RPE from one association and one alignment."""
-    ei, gi = _pair_indices(associate(est, gt, tolerance))
+    ei, gi = _match(est, gt, tolerance)
     t = _align(est, gt, ei, gi, mode)
     return MetricsReport(
         ate_rmse=_ate(est, gt, ei, gi, t),

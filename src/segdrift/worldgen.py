@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import quat_from_axis_angle, quat_normalize, row_norms
+from .geometry import quat_from_axis_angle, row_norms
 
 FRAME_RATE_HZ = 30.0
 WALK_SPEED_MPS = 1.0
@@ -116,10 +116,14 @@ class World:
             i = int(np.argmax(bad))
             what = "timestamp" if bad_t[i] else "pose"
             raise ValueError(f"trajectory entry {i} has a non-finite {what}")
-        zero = row_norms(rot) == 0.0
-        if zero.any():
-            raise ValueError(f"trajectory entry {int(np.argmax(zero))} has a zero quaternion")
-        arrays["rotations"] = quat_normalize(rot)
+        with np.errstate(over="ignore"):
+            norms = row_norms(rot)
+        bad = (norms == 0.0) | ~np.isfinite(norms)
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = "a zero quaternion" if norms[i] == 0.0 else "a quaternion whose norm overflows"
+            raise ValueError(f"trajectory entry {i} has {what}")
+        arrays["rotations"] = rot / norms[:, None]  # `quat_normalize`, from the norms at hand
         if len(ts) > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("timestamps must be strictly increasing")
         if not (np.unique(arrays["archetypes"], return_counts=True)[1] >= 2).any():
@@ -235,10 +239,17 @@ def _field(entries: list, where: str, key: str, width: int | None, integer: bool
     dtype = np.int64 if integer else float
     try:
         values = [e[key] for e in entries]
-        flat = values if width is None else chain.from_iterable(values)
-        if set(map(type, flat)) <= kinds:
-            shape = (len(values),) if width is None else (len(values), width)
-            return np.array(values, dtype=dtype).reshape(shape)
+        # One flat list converts faster than nested lists, whose shape numpy
+        # would have to discover.
+        if width is None:
+            flat = values
+        elif set(map(type, values)) <= {list} and set(map(len, values)) <= {width}:
+            flat = list(chain.from_iterable(values))
+        else:
+            flat = None
+        if flat is not None and set(map(type, flat)) <= kinds:
+            array = np.array(flat, dtype=dtype)
+            return array if width is None else array.reshape(-1, width)
     except (KeyError, TypeError, ValueError, OverflowError):
         pass  # find and name the bad entry below
     what = "an integer" if integer else "a number" if width is None else f"{width} numbers"

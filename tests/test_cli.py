@@ -561,6 +561,7 @@ class TestEval:
             ("0 nan 0 0 0 0 1", "non-finite position"),
             ("0 0 0 0 0 inf 1", "non-finite quaternion"),
             ("0 0 0 0 0 0 0", "zero-norm quaternion"),
+            ("0 0 0 1e300 0 0 1e300", "quaternion norm overflows"),
         ],
     )
     def test_eval_bad_row_exits_1_naming_line(self, tmp_path, capsys, row, message):

@@ -533,6 +533,7 @@ class TestBatchRejection:
     # (assigned first, rejected batch, error message)
     CASES = [
         ([], [0, 1, 0], "batch repeats an observation"),
+        ([], [0, 1, 1], "batch repeats an observation"),  # sorted, with a repeat
         ([2], [0, 1, 2], "observation 2 already assigned"),
         ([2], [3, 2], "observation 2 already assigned"),
         ([0, 1], [2, 3, 1], "observation 1 already assigned"),
@@ -567,6 +568,53 @@ class TestBatchRejection:
         store, emap = self.assigned_store(first)
         with pytest.raises(ValueError, match=message):
             assign_all(store, emap, batch)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize(
+        "first, batch, message", [case for case in CASES if all(type(i) is int for i in case[1])]
+    )
+    def test_integer_array_rejected_alike(self, first, batch, message, dtype):
+        store, emap = self.assigned_store(first)
+        before = self.snapshot(store)
+        with pytest.raises(ValueError, match=message):
+            assign_all(store, emap, np.array(batch, dtype=dtype))
+        for a, b in zip(before, self.snapshot(store)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "first, batch, message",
+        [
+            ([], range(2, 5), "observation index 4 is not an integer from 0 to 3"),
+            ([], range(-1, 2), "observation index -1 is not an integer from 0 to 3"),
+            ([], range(2**70, 2**70 + 2), f"observation index {2**70} is not an integer from 0 to 3"),
+            ([2], range(1, 3), "observation 2 already assigned"),
+        ],
+    )
+    def test_range_rejected_alike(self, first, batch, message):
+        store, emap = self.assigned_store(first)
+        with pytest.raises(ValueError, match=message):
+            assign_all(store, emap, batch)
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [0, 1, 2, 3],
+            range(4),
+            np.arange(4),
+            np.arange(4, dtype=np.uint8),
+            [3, 1, 0, 2],
+            np.array([3, 1, 0, 2]),
+            range(3, -1, -1),
+            [np.int64(i) for i in (2, 0, 3, 1)],
+        ],
+    )
+    def test_batch_forms_assign_alike(self, batch):
+        reference, emap = self.assigned_store([])
+        assign_all(reference, emap, list(map(int, batch)))
+        store = ClusterStore()
+        assign_all(store, emap, batch)
+        for a, b in zip(self.snapshot(reference), self.snapshot(store)):
+            assert a.tobytes() == b.tobytes()
 
     # (rel_threshold, error message): not a finite real > 0
     REL_CASES = [

@@ -1,5 +1,6 @@
 """Drifting front-end simulator."""
 
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -312,6 +313,37 @@ class TestMatchesPerFrameLoop:
         )
         assert_same_bits(actual, reference_simulate(world, drift, obs))
         assert emap.timestamps.tobytes() == world.timestamps.tobytes()
+
+    @staticmethod
+    def one_frame_world():
+        w = make_world()
+        return replace(w, timestamps=w.timestamps[:1], rotations=w.rotations[:1], translations=w.translations[:1])
+
+    @staticmethod
+    def world_with_unseen_segments():
+        # copies of four segments 500 m above every camera: never visible
+        w = make_world(n_turns=1, extra_unique_segments=5)
+        far = w.endpoints[:4] + [0.0, 0.0, 500.0]
+        return replace(
+            w, endpoints=np.concatenate([w.endpoints, far]), archetypes=np.append(w.archetypes, [90, 90, 91, 91])
+        )
+
+    @pytest.mark.parametrize("name", ["plain", "one_frame", "unseen_segments"])
+    @pytest.mark.parametrize("detect_prob, noise", [(1.0, 0.0), (0.0, 0.0), (1.0, 0.01), (0.3, 0.0)])
+    def test_edge_configs_equal_reference(self, name, detect_prob, noise):
+        world = {
+            "plain": make_world,
+            "one_frame": self.one_frame_world,
+            "unseen_segments": self.world_with_unseen_segments,
+        }[name]()
+        drift = DriftConfig(scale_sigma=1e-3, rot_sigma=1e-4, rng_seed=5)
+        obs = ObservationConfig(detect_prob=detect_prob, endpoint_noise_sigma=noise, rng_seed=9)
+        emap = simulate(world, drift, obs)
+        actual = (emap.points, emap.first_seen, emap.observations, emap.est_poses.rotation, emap.est_poses.translation)
+        assert_same_bits(actual, reference_simulate(world, drift, obs))
+        assert (detect_prob == 0.0) == (len(emap.observations) == 0)
+        if name == "unseen_segments":
+            assert (emap.observations[:, OBS_SEGMENT] < len(world.endpoints) - 4).all()
 
     def test_endpoints_keyed_by_bits(self):
         # (2, 1, 0.0) and (2, 1, -0.0) are equal floats with different bits:

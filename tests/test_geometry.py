@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segdrift import geometry
 from segdrift.geometry import (
     PoseSE3,
     Sim3,
@@ -151,6 +152,39 @@ class TestBroadcasting:
         b = np.where(rng.random((400, 1)) < 0.25, near, rng.normal(size=(400, 4)))
         u = rng.uniform(-0.5, 1.5, size=400)
         assert np.array_equal(quat_slerp(a, b, u), [quat_slerp(x, y, w) for x, y, w in zip(a, b, u)])
+
+    @pytest.mark.parametrize("shape", [(4,), (7, 4), (3, 5, 4)])
+    def test_split_join_equal_moveaxis_stack(self, shape, monkeypatch):
+        # Views plus one filled array lay out the same bytes as moveaxis and
+        # stack, signed zeros included, and so do the ops built on them.
+        q = rng.normal(size=shape)
+        q.reshape(-1)[::3] = -0.0
+        q.reshape(-1)[1::5] = 0.0
+        v = rng.normal(size=shape[:-1] + (3,))
+        v.reshape(-1)[::4] = -0.0
+        parts = geometry._split(q)
+        reference = q if q.ndim == 1 else np.moveaxis(q, -1, 0)
+        assert len(parts) == 4
+        for part, ref in zip(parts, reference):
+            assert np.asarray(part).tobytes() == np.asarray(ref).tobytes()
+        joined = geometry._join(list(parts))
+        stacked = np.stack(list(reference), axis=-1) if q.ndim > 1 else np.array(list(reference))
+        assert joined.shape == stacked.shape and joined.dtype == stacked.dtype
+        assert joined.flags.c_contiguous and joined.tobytes() == stacked.tobytes()
+
+        def ops():
+            one = q.reshape(-1)[:4]
+            return quat_multiply(q, q[::-1]), quat_multiply(q, one), quat_rotate(q, v), quat_rotate(one, v)
+
+        new = ops()
+        monkeypatch.setattr(geometry, "_split", lambda a: a if a.ndim == 1 else np.moveaxis(a, -1, 0))
+        monkeypatch.setattr(
+            geometry,
+            "_join",
+            lambda p: np.stack(p, axis=-1) if isinstance(p[0], np.ndarray) else np.array(p),
+        )
+        for a, b in zip(new, ops()):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_pose_stack_matches_single_poses(self):
         q = rng.normal(size=(20, 4))

@@ -159,6 +159,8 @@ class TestTrajectory:
             ("positions", 2, np.inf, "row 2: non-finite position"),
             ("quaternions", 4, -np.inf, "row 4: non-finite quaternion"),
             ("quaternions", 1, 0.0, "row 1: zero-norm quaternion"),
+            # finite components whose norm overflows
+            ("quaternions", 3, 1e300, "row 3: quaternion norm overflows"),
         ],
     )
     def test_bad_row_rejected_and_named(self, field, row, value, message):
@@ -168,6 +170,25 @@ class TestTrajectory:
         arrays[field][row] = value
         with pytest.raises(ValueError, match=message):
             Trajectory(**arrays)
+
+    @pytest.mark.parametrize("zero_row, huge_row", [(1, 4), (4, 1)])
+    def test_first_bad_norm_named(self, zero_row, huge_row):
+        t = straight_trajectory(n=6)
+        qs = t.quaternions.copy()
+        qs[zero_row] = 0.0
+        qs[huge_row] = [1e300, 0.0, 0.0, 1e300]
+        with pytest.raises(metrics.BadRowError) as exc:
+            Trajectory(t.timestamps, t.positions, qs)
+        assert exc.value.row == min(zero_row, huge_row)
+
+    def test_tum_row_with_overflowing_norm_named(self, tmp_path):
+        path = tmp_path / "est.tum"
+        write_tum(straight_trajectory(n=6), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].split()[0] + " 0 0 0 1e300 0 0 1e300\n"
+        path.write_text("# comment\n" + "".join(lines))
+        with pytest.raises(ValueError, match=f"{path}:5: quaternion norm overflows"):
+            read_tum(path)
 
     def test_non_increasing_timestamps_rejected(self):
         unit = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
@@ -195,6 +216,59 @@ class TestAssociate:
         b = straight_trajectory(n=10, step=2.0)
         pairs = associate(a, b, tolerance=0.6)
         assert len(pairs) == len({j for _, j in pairs})
+
+
+def list_associate(est, gt, tolerance):
+    """The list-of-tuples loop `associate` ran before it matched into index arrays."""
+    gts = gt.timestamps.tolist()
+    pairs = []
+    j = 0
+    for i, t in enumerate(est.timestamps.tolist()):
+        while j + 1 < len(gts) and abs(gts[j + 1] - t) <= abs(gts[j] - t):
+            j += 1
+        if abs(gts[j] - t) <= tolerance:
+            pairs.append((i, j))
+            j += 1
+            if j >= len(gts):
+                break
+    return pairs
+
+
+def stamped(timestamps):
+    n = len(timestamps)
+    return Trajectory(np.array(timestamps), np.zeros((n, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)))
+
+
+@st.composite
+def timestamp_pairs(draw):
+    """gt and est timestamps, mixed-sign; est is either drawn on its own or
+    a subset of gt shifted by a little, and the tolerance may be 0."""
+    stamps = st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=30, unique=True).map(sorted)
+    gt = draw(stamps)
+    if draw(st.booleans()):
+        shift = draw(st.sampled_from([0.0, 1e-9, -0.004, 0.005, 0.01, -0.5]))
+        est = sorted({t + shift for t in draw(st.lists(st.sampled_from(gt), min_size=1))})
+    else:
+        est = draw(stamps)
+    tolerance = draw(st.sampled_from([0.0, 0.005, DEFAULT_MATCH_TOLERANCE_S, 0.5]))
+    return stamped(est), stamped(gt), tolerance
+
+
+class TestMatchIndices:
+    @settings(max_examples=300)
+    @given(timestamp_pairs())
+    def test_equals_list_of_tuples_loop(self, case):
+        est, gt, tolerance = case
+        expected = list_associate(est, gt, tolerance)
+        ei, gi = metrics._match(est, gt, tolerance)
+        assert ei.dtype == gi.dtype == np.intp
+        assert list(zip(ei.tolist(), gi.tolist())) == expected
+        assert associate(est, gt, tolerance) == expected
+
+    def test_exact_matches_at_zero_tolerance(self):
+        gt = stamped([-1.0, -0.5, 0.0, 0.5])
+        est = stamped([-0.5, 0.25, 0.5])
+        assert associate(est, gt, tolerance=0.0) == [(0, 1), (2, 3)]
 
 
 class TestAlign:
@@ -260,7 +334,8 @@ class TestBatchedScoringEqualsReference:
             evaluate(t, t, delta=5)
 
     def test_one_association_and_alignment_per_evaluate(self, monkeypatch):
-        calls = {"associate": 0, "umeyama_alignment": 0}
+        # `_match` is the association `evaluate` calls; `associate` wraps it.
+        calls = {"_match": 0, "umeyama_alignment": 0}
         for name in calls:
             original = getattr(metrics, name)
 
@@ -272,7 +347,7 @@ class TestBatchedScoringEqualsReference:
         gt = straight_trajectory(n=40)
         est = Trajectory(gt.timestamps, 1.1 * gt.positions, gt.quaternions)
         evaluate(est, gt, mode="similarity", delta=5)
-        assert calls == {"associate": 1, "umeyama_alignment": 1}
+        assert calls == {"_match": 1, "umeyama_alignment": 1}
 
 
 class TestUmeyamaRecovery:

@@ -189,6 +189,26 @@ class TestWorldArrays:
         with pytest.raises(ValueError, match="trajectory entry 4 has a zero quaternion"):
             replace(w, rotations=rotations)
 
+    def test_overflowing_quaternion_norm_rejected(self):
+        w = generate_corridor(spec())
+        rotations = w.rotations.copy()
+        rotations[3] = [1e300, 0.0, 0.0, 1e300]
+        message = "trajectory entry 3 has a quaternion whose norm overflows"
+        with pytest.raises(ValueError, match=message):
+            replace(w, rotations=rotations)
+        doc = world_to_json(w)
+        doc["trajectory"][3]["q"] = [1e300, 0.0, 0.0, 1e300]
+        with pytest.raises(ValueError, match=message):
+            world_from_json(doc)
+
+    def test_first_bad_quaternion_named(self):
+        w = generate_corridor(spec())
+        rotations = w.rotations.copy()
+        rotations[5] = 0.0
+        rotations[6] = [1e300, 0.0, 0.0, 1e300]
+        with pytest.raises(ValueError, match="trajectory entry 5 has a zero quaternion"):
+            replace(w, rotations=rotations)
+
     def test_rotations_normalised_and_arrays_read_only(self):
         w = generate_corridor(spec())
         doubled = replace(w, rotations=2.0 * w.rotations)
