@@ -160,12 +160,24 @@ def _cell_configs(cfg, mode: str, seed: int):
 
 def cmd_run(args) -> int:
     cfg = _load_experiment(args)
-    # A bad world file is a configuration error: exit 1 before writing anything.
+    # A bad world file, or metric settings the world is too short for, is a
+    # configuration error: exit 1 before writing anything.
     world_file = cfg.get("world_file")
     if world_file is not None:
         world = world_from_file(world_file)
     else:
         world = generate_corridor(_build_config(WorldSpec, cfg.get("world", {})))
+    # Every cell's trajectories hold one pose per frame, all of them matched.
+    align_mode, rpe_delta = _metrics_settings(cfg)
+    if rpe_delta >= world.n_frames:
+        raise ValueError(
+            f"metrics rpe_delta {rpe_delta} must be below the world's frame count {world.n_frames}"
+        )
+    if align_mode != "none" and world.n_frames < 3:
+        raise ValueError(
+            f"metrics align_mode {align_mode!r} needs at least 3 frames, "
+            f"the world has {world.n_frames}"
+        )
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if world_file is None:
@@ -173,8 +185,6 @@ def cmd_run(args) -> int:
     else:  # the file as read; a rerun may read the world.json it wrote
         with suppress(shutil.SameFileError):
             shutil.copyfile(world_file, out_dir / "world.json")
-
-    align_mode, rpe_delta = _metrics_settings(cfg)
 
     rows = []
     cell_errors = []

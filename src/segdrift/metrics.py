@@ -49,8 +49,13 @@ class Trajectory:
             raise BadRowError(
                 row, "zero-norm quaternion" if norms[row] == 0.0 else "quaternion norm overflows"
             )
-        if len(ts) > 1 and not np.all(np.diff(ts) > 0):
-            raise ValueError("trajectory timestamps must be strictly increasing")
+        late = np.diff(ts) <= 0
+        if late.any():
+            row = int(np.argmax(late)) + 1
+            before, after = ts[row - 1 : row + 1].tolist()
+            raise BadRowError(
+                row, f"timestamps must be strictly increasing, got {after!r} after {before!r}"
+            )
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "positions", ps)
         object.__setattr__(self, "quaternions", qs)

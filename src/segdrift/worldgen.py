@@ -124,8 +124,14 @@ class World:
             what = "a zero quaternion" if norms[i] == 0.0 else "a quaternion whose norm overflows"
             raise ValueError(f"trajectory entry {i} has {what}")
         arrays["rotations"] = rot / norms[:, None]  # `quat_normalize`, from the norms at hand
-        if len(ts) > 1 and not np.all(np.diff(ts) > 0):
-            raise ValueError("timestamps must be strictly increasing")
+        late = np.diff(ts) <= 0
+        if late.any():
+            i = int(np.argmax(late)) + 1
+            before, after = ts[i - 1 : i + 1].tolist()
+            raise ValueError(
+                f"trajectory entry {i}: timestamps must be strictly increasing, "
+                f"got {after!r} after {before!r}"
+            )
         if not (np.unique(arrays["archetypes"], return_counts=True)[1] >= 2).any():
             raise ValueError("world must contain at least one repeated archetype")
         for name, array in arrays.items():
@@ -222,54 +228,127 @@ def generate_corridor(spec: WorldSpec) -> World:
 
 
 def world_to_json(world: World) -> dict:
-    segments = zip(world.endpoints.tolist(), world.archetypes.tolist())
-    poses = zip(world.timestamps.tolist(), world.rotations.tolist(), world.translations.tolist())
+    """The world as a world file's JSON document: each section an object of
+    columns, each field one flat list (3 numbers per entry for `a`, `b` and
+    `p`, 4 for `q`)."""
     return {
-        "segments": [{"a": a, "b": b, "archetype": k} for (a, b), k in segments],
-        "trajectory": [{"t": t, "q": q, "p": p} for t, q, p in poses],
         "seed": world.rng_seed,
+        "segments": {
+            "a": world.endpoints[:, 0].ravel().tolist(),
+            "b": world.endpoints[:, 1].ravel().tolist(),
+            "archetype": world.archetypes.tolist(),
+        },
+        "trajectory": {
+            "t": world.timestamps.tolist(),
+            "q": world.rotations.ravel().tolist(),
+            "p": world.translations.ravel().tolist(),
+        },
     }
 
 
-def _field(entries: list, where: str, key: str, width: int | None, integer: bool = False):
-    """Field `key` of every entry as an array: (n,) for one number each
-    (width None), (n, width) for a list of `width` numbers. Anything else,
-    bools and numeric strings included, is an error naming the entry."""
+# (field, numbers per entry or None for one bare number, integer) per section
+_SEGMENT_FIELDS = (("a", 3, False), ("b", 3, False), ("archetype", None, True))
+_POSE_FIELDS = (("t", None, False), ("q", 4, False), ("p", 3, False))
+
+
+def _convert(flat: list, width: int | None, integer: bool, label: str) -> np.ndarray:
+    """One field's numbers, a flat list of `width` per entry (one bare
+    number if width is None), as an (n,) or (n, width) array. Only JSON
+    numbers pass, and only integers for an integer field: a bool, a
+    numeric string or a float archetype is an error, as is an integer too
+    large for the dtype. An error names the first bad entry i as
+    `label % i`."""
     kinds = {int} if integer else {int, float}
     dtype = np.int64 if integer else float
-    try:
-        values = [e[key] for e in entries]
-        # One flat list converts faster than nested lists, whose shape numpy
-        # would have to discover.
-        if width is None:
-            flat = values
-        elif set(map(type, values)) <= {list} and set(map(len, values)) <= {width}:
-            flat = list(chain.from_iterable(values))
-        else:
-            flat = None
-        if flat is not None and set(map(type, flat)) <= kinds:
+    if set(map(type, flat)) <= kinds:
+        try:
             array = np.array(flat, dtype=dtype)
             return array if width is None else array.reshape(-1, width)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        pass  # find and name the bad entry below
+        except OverflowError:
+            pass  # find and name the entry below
     what = "an integer" if integer else "a number" if width is None else f"{width} numbers"
+    w = width or 1
+    for i in range(len(flat) // w):
+        value = flat[i * w : (i + 1) * w] if width else flat[i]
+        numbers = value if width else [value]
+        if not set(map(type, numbers)) <= kinds:
+            raise ValueError(f"{label % i} must be {what}, got {value!r}")
+        try:
+            np.array(numbers, dtype=dtype)
+        except OverflowError:
+            raise ValueError(f"{label % i} holds a number out of range") from None
+    raise AssertionError("unreachable: some entry failed the checks above")
+
+
+def _columns(section: dict, name: str, fields) -> list[np.ndarray]:
+    """A section in the columnar layout: each field one flat list, every
+    field holding the same number of entries."""
+    counts = []
+    for key, width, _ in fields:
+        if key not in section:
+            raise ValueError(f"world file section '{name}' missing field '{key}'")
+        values = section[key]
+        if type(values) is not list:
+            raise ValueError(f"{name} field '{key}' must be a list, got {type(values).__name__}")
+        n, rest = divmod(len(values), width or 1)
+        if rest:
+            raise ValueError(f"{name} field '{key}' entry {n} has {rest} of {width} numbers")
+        counts.append(n)
+    first = fields[0][0]
+    for (key, _, _), n in zip(fields, counts):
+        if n != counts[0]:
+            lacking = key if n < counts[0] else first
+            raise ValueError(
+                f"{name} field '{key}' has {n} entries, field '{first}' {counts[0]}: "
+                f"entry {min(n, counts[0])} has no '{lacking}'"
+            )
+    return [
+        _convert(section[key], width, integer, f"{name} field '{key}' entry %d")
+        for key, width, integer in fields
+    ]
+
+
+def _rows(entries: list, where: str, key: str, width: int | None, integer: bool) -> np.ndarray:
+    """Field `key` of a section in the legacy row layout, one object per
+    entry. A missing field or a list of the wrong length names its entry,
+    unless an earlier entry holds a bad number."""
+    label = f"{where} %d field '{key}'"
+    try:
+        values = [e[key] for e in entries]
+    except (KeyError, TypeError):
+        values = None
+    if values is not None and (
+        width is None or set(map(type, values)) <= {list} and set(map(len, values)) <= {width}
+    ):
+        flat = values if width is None else list(chain.from_iterable(values))
+        return _convert(flat, width, integer, label)
     for i, e in enumerate(entries):
         if not isinstance(e, dict) or key not in e:
-            raise ValueError(f"{where} {i} missing field '{key}'")
-        v = e[key]
-        if width is None:
-            good = type(v) in kinds
+            error = f"{where} {i} missing field '{key}'"
+        elif width is not None and (type(e[key]) is not list or len(e[key]) != width):
+            error = f"{label % i} must be {width} numbers, got {e[key]!r}"
         else:
-            good = type(v) is list and len(v) == width and all(type(x) in kinds for x in v)
-        if not good:
-            raise ValueError(f"{where} {i} field '{key}' must be {what}, got {v!r}")
-        try:
-            np.array(v, dtype=dtype)
-        except OverflowError:
-            raise ValueError(f"{where} {i} field '{key}' holds a number out of range") from None
+            continue
+        _rows(entries[:i], where, key, width, integer)  # names an earlier bad number
+        raise ValueError(error)
+    raise AssertionError("unreachable: some entry failed the checks above")
+
+
+def _section(section, name: str, where: str, fields) -> list[np.ndarray]:
+    if type(section) is dict:
+        return _columns(section, name, fields)
+    if type(section) is list:
+        return [_rows(section, where, *field) for field in fields]
+    raise ValueError(
+        f"world file section '{name}' must be an object (columns) or a list (rows), "
+        f"got {type(section).__name__}"
+    )
 
 
 def world_from_json(data: dict) -> World:
+    """A World from a world file's JSON document. Each section is read by
+    its type: an object as `world_to_json`'s columns, a list as the legacy
+    row layout (one object per segment or pose)."""
     if not isinstance(data, dict):
         raise ValueError("world file must be a JSON object")
     for key in ("segments", "trajectory", "seed"):
@@ -277,57 +356,48 @@ def world_from_json(data: dict) -> World:
             raise ValueError(f"world file missing section '{key}'")
     if type(data["seed"]) is not int:
         raise ValueError(f"world file field 'seed' must be an integer, got {data['seed']!r}")
-    segments, trajectory = data["segments"], data["trajectory"]
-    for key, section in (("segments", segments), ("trajectory", trajectory)):
-        if type(section) is not list:
-            raise ValueError(f"world file section '{key}' must be a list, got {type(section).__name__}")
-    return World(
-        np.stack([_field(segments, "segment", k, 3) for k in ("a", "b")], axis=1),
-        _field(segments, "segment", "archetype", None, integer=True),
-        _field(trajectory, "trajectory entry", "t", None),
-        _field(trajectory, "trajectory entry", "q", 4),
-        _field(trajectory, "trajectory entry", "p", 3),
-        data["seed"],
-    )
+    a, b, archetypes = _section(data["segments"], "segments", "segment", _SEGMENT_FIELDS)
+    t, q, p = _section(data["trajectory"], "trajectory", "trajectory entry", _POSE_FIELDS)
+    return World(np.stack([a, b], axis=1), archetypes, t, q, p, data["seed"])
 
 
-# `json.dumps(world_to_json(world), indent=1)`, one segment or pose at a time.
-_SEGMENT_JSON = (
-    '  {\n   "a": [\n    %s,\n    %s,\n    %s\n   ],\n'
-    '   "b": [\n    %s,\n    %s,\n    %s\n   ],\n   "archetype": %d\n  }'
-)
-_POSE_JSON = (
-    '  {\n   "t": %s,\n   "q": [\n    %s,\n    %s,\n    %s,\n    %s\n   ],\n'
-    '   "p": [\n    %s,\n    %s,\n    %s\n   ]\n  }'
-)
+# `world_to_json`'s document, one line per field. Each list is the text
+# `json.dumps` gives it.
+_WORLD_JSON = """{
+ "seed": %d,
+ "segments": {
+  "a": [%s],
+  "b": [%s],
+  "archetype": [%s]
+ },
+ "trajectory": {
+  "t": [%s],
+  "q": [%s],
+  "p": [%s]
+ }
+}
+"""
 
 
-def _json_list(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
-
-
-def _reprs(rows: np.ndarray) -> list[list[str]]:
-    """`repr` of every float of a 2-D array, as nested lists. Each distinct
-    float is formatted once, keyed by its bits, so -0.0 keeps its sign."""
-    bits, inverse = np.unique(np.ascontiguousarray(rows).view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-    return text[inverse.reshape(rows.shape)].tolist()
+def _json_floats(*arrays: np.ndarray) -> list[str]:
+    """The inside of a JSON list of each array's floats, in C order. Each
+    distinct float is formatted once, by `repr` keyed by its bits, so -0.0
+    keeps its sign."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[inverse].tolist()
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    return [", ".join(text[end - a.size : end]) for a, end in zip(arrays, ends)]
 
 
 def world_to_file(world: World, path) -> None:
-    """Write `json.dumps(world_to_json(world), indent=1)` and a newline, byte
-    for byte, from fixed templates: the indenting JSON encoder is pure
-    Python and slow. A World holds only finite floats, whose `repr` is
-    their JSON form."""
-    ends = _reprs(world.endpoints.reshape(-1, 6))
-    segments = [_SEGMENT_JSON % (*e, k) for e, k in zip(ends, world.archetypes.tolist())]
-    rows = _reprs(np.column_stack([world.timestamps, world.rotations, world.translations]))
-    poses = [_POSE_JSON % tuple(r) for r in rows]
+    """Write `world_to_json(world)` as JSON, one line per field. A World
+    holds only finite floats, whose `repr` is their JSON form."""
+    ends, rotations, translations = world.endpoints, world.rotations, world.translations
+    a, b, t, q, p = _json_floats(ends[:, 0], ends[:, 1], world.timestamps, rotations, translations)
+    archetypes = ", ".join(map(str, world.archetypes.tolist()))
     with open(path, "w") as f:
-        f.write(
-            '{\n "segments": %s,\n "trajectory": %s,\n "seed": %d\n}\n'
-            % (_json_list(segments), _json_list(poses), world.rng_seed)
-        )
+        f.write(_WORLD_JSON % (world.rng_seed, a, b, archetypes, t, q, p))
 
 
 def world_from_file(path) -> World:

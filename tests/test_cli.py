@@ -15,6 +15,8 @@ from segdrift.cli import main
 from segdrift.metrics import Trajectory, write_tum
 from segdrift.worldgen import WorldSpec, generate_corridor, world_from_file, world_to_file
 
+from legacy_world import legacy_json, legacy_text
+
 
 def small_config(tmp_path, **overrides):
     cfg = {
@@ -333,13 +335,19 @@ class TestRun:
             ("trajectory", float("inf"), "trajectory entry 4 has a non-finite pose"),
         ],
     )
+    @pytest.mark.parametrize("layout", ["columns", "rows"])
     def test_non_finite_world_file_exits_1_before_any_output(
-        self, tmp_path, capsys, where, value, named
+        self, tmp_path, capsys, where, value, named, layout
     ):
         world_path = tmp_path / "world.json"
         assert main(["gen-world", "--corridor-length", "10", "--out", str(world_path)]) == 0
-        doc = json.loads(world_path.read_text())
-        doc[where][4]["a" if where == "segments" else "p"][0] = value
+        field = "a" if where == "segments" else "p"
+        if layout == "columns":
+            doc = json.loads(world_path.read_text())
+            doc[where][field][4 * 3] = value
+        else:
+            doc = legacy_json(world_from_file(world_path))
+            doc[where][4][field][0] = value
         world_path.write_text(json.dumps(doc))
         cfg = json.loads(small_config(tmp_path).read_text())
         del cfg["world"]
@@ -362,7 +370,7 @@ class TestRun:
         # would re-chunk into 8 three-D segments if only the total counted.
         world_path = tmp_path / "world.json"
         assert main(["gen-world", "--corridor-length", "8", "--out", str(world_path)]) == 0
-        doc = json.loads(world_path.read_text())
+        doc = legacy_json(world_from_file(world_path))
         assert len(doc["segments"]) == 12
         if damage == "drop_y":
             for seg in doc["segments"]:  # keep x and z: no segment collapses
@@ -378,6 +386,78 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "config.json")]) == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, field, damage, named",
+        [
+            ("segments", "a", lambda v: v[:4] + [True] + v[5:], "segments field 'a' entry 1 must be 3 numbers"),
+            ("trajectory", "t", lambda v: v[:2] + ["0.5"] + v[3:], "trajectory field 't' entry 2 must be a number"),
+            (
+                "segments", "archetype", lambda v: [0.0] + v[1:],
+                "segments field 'archetype' entry 0 must be an integer, got 0.0",
+            ),
+            ("segments", "b", lambda v: v[:-1], "segments field 'b' entry 11 has 2 of 3 numbers"),
+            (
+                "trajectory", "q", lambda v: v[:-4],
+                "trajectory field 'q' has 239 entries, field 't' 240: entry 239 has no 'q'",
+            ),
+            (
+                "trajectory", "p", lambda v: v[:7] + [10**400] + v[8:],
+                "trajectory field 'p' entry 2 holds a number out of range",
+            ),
+        ],
+    )
+    def test_malformed_world_file_column_exits_1_before_any_output(
+        self, tmp_path, capsys, section, field, damage, named
+    ):
+        world_path = tmp_path / "world.json"
+        assert main(["gen-world", "--corridor-length", "8", "--out", str(world_path)]) == 0
+        doc = json.loads(world_path.read_text())
+        doc[section][field] = damage(doc[section][field])
+        world_path.write_text(json.dumps(doc))
+        cfg = world_file_config(tmp_path, world_path)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "world, metrics, named",
+        [
+            ({"corridor_length": 4}, {"rpe_delta": 100000}, "rpe_delta 100000 must be below the world's frame count 120"),
+            ({"corridor_length": 4}, {"rpe_delta": 120}, "rpe_delta 120 must be below the world's frame count 120"),
+            ({"corridor_length": 0.1, "door_spacing": 0.03}, {"rpe_delta": 3}, "frame count 3"),
+            (
+                {"corridor_length": 0.07, "door_spacing": 0.02}, {"rpe_delta": 1},
+                "align_mode 'similarity' needs at least 3 frames, the world has 2",
+            ),
+            (
+                {"corridor_length": 0.07, "door_spacing": 0.02}, {"rpe_delta": 1, "align_mode": "rigid"},
+                "align_mode 'rigid' needs at least 3 frames, the world has 2",
+            ),
+        ],
+    )
+    def test_metrics_beyond_the_world_exit_1_before_any_output(
+        self, tmp_path, capsys, world, metrics, named
+    ):
+        cfg = small_config(tmp_path, world=world, metrics=metrics)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert named in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "world, metrics",
+        [
+            ({"corridor_length": 4}, {"rpe_delta": 119}),
+            ({"corridor_length": 0.1, "door_spacing": 0.03}, {"rpe_delta": 2}),
+            ({"corridor_length": 0.07, "door_spacing": 0.02}, {"rpe_delta": 1, "align_mode": "none"}),
+        ],
+    )
+    def test_metrics_within_the_world_run(self, tmp_path, capsys, world, metrics):
+        cfg = small_config(tmp_path, world=world, metrics=metrics)
+        assert main(["run", "--config", str(cfg)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["errors"] == []
 
     def test_world_beside_world_file_exits_1_before_any_output(self, tmp_path, capsys):
         world_path = tmp_path / "world.json"
@@ -431,17 +511,28 @@ class TestWorldJson:
         cfg = world_file_config(tmp_path, world_path)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "canonical")]) == 0
         doc = json.loads(world_path.read_text())
-        for entry in doc["trajectory"]:
-            if entry["t"].is_integer():
-                entry["t"] = int(entry["t"])
+        doc["trajectory"]["t"] = [int(t) if t.is_integer() else t for t in doc["trajectory"]["t"]]
         compact = json.dumps(doc, separators=(",", ":")).encode()
-        assert b'"t":0,' in compact
+        assert b'"t":[0,' in compact
         world_path.write_bytes(compact)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "compact")]) == 0
         canonical, copied = tree_bytes(tmp_path / "canonical"), tree_bytes(tmp_path / "compact")
         assert copied.pop("world.json") == compact
         assert canonical.pop("world.json") != compact
         assert copied == canonical
+
+    def test_legacy_world_file_copied_as_written(self, tmp_path, capsys):
+        world_path = tmp_path / "world_in.json"
+        assert main(["gen-world", "--corridor-length", "10", "--out", str(world_path)]) == 0
+        cfg = world_file_config(tmp_path, world_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "columns")]) == 0
+        legacy = legacy_text(world_from_file(world_path)).encode()
+        world_path.write_bytes(legacy)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rows")]) == 0
+        columns, rows = tree_bytes(tmp_path / "columns"), tree_bytes(tmp_path / "rows")
+        assert rows.pop("world.json") == legacy
+        assert columns.pop("world.json") != legacy
+        assert rows == columns
 
     def test_rerun_from_its_own_world_json_leaves_it_alone(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -572,6 +663,17 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", str(est), str(gt)]) == 1
         assert f"corrected.tum:2: {message}" in capsys.readouterr().err
+
+    def test_eval_non_increasing_timestamp_names_line(self, tmp_path, capsys):
+        est, gt = self.run_small(tmp_path)
+        lines = gt.read_text().splitlines(keepends=True)
+        lines[5] = lines[4]  # line 6 repeats line 5's timestamp
+        dup = tmp_path / "dup.tum"
+        dup.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["eval", str(est), str(dup)]) == 1
+        t = float(lines[4].split()[0])
+        assert f"dup.tum:6: timestamps must be strictly increasing, got {t!r} after {t!r}" in capsys.readouterr().err
 
     def test_eval_interpolate_gt(self, tmp_path, capsys):
         est, gt = self.run_small(tmp_path)

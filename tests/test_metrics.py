@@ -195,6 +195,21 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="strictly increasing"):
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)), unit)
 
+    def test_first_non_increasing_timestamp_row_named(self):
+        unit = np.tile([1.0, 0.0, 0.0, 0.0], (6, 1))
+        with pytest.raises(metrics.BadRowError, match=r"row 3: .* got 1\.5 after 2\.0") as exc:
+            Trajectory(np.array([0.0, 1.0, 2.0, 1.5, 1.5, 3.0]), np.zeros((6, 3)), unit)
+        assert exc.value.row == 3
+
+    def test_tum_row_with_non_increasing_timestamp_named(self, tmp_path):
+        path = tmp_path / "est.tum"
+        write_tum(straight_trajectory(n=6), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[4] = lines[3]
+        path.write_text("# comment\n" + "".join(lines))
+        with pytest.raises(ValueError, match=f"{path}:6: timestamps must be strictly increasing"):
+            read_tum(path)
+
     def test_length_mismatch_rejected(self):
         unit = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
         with pytest.raises(ValueError, match="matching lengths"):

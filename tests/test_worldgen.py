@@ -1,6 +1,7 @@
 """Synthetic corridor world generation."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from segdrift.geometry import quat_rotate
 from segdrift.worldgen import (
     FRAME_RATE_HZ,
+    World,
     WorldSpec,
     generate_corridor,
     world_from_file,
@@ -16,6 +18,8 @@ from segdrift.worldgen import (
     world_to_file,
     world_to_json,
 )
+
+from legacy_world import legacy_json, legacy_text
 
 
 def spec(**kw):
@@ -134,6 +138,25 @@ class TestWorldValidation:
         with pytest.raises(ValueError):
             replace(w, timestamps=bad_ts)
 
+    @pytest.mark.parametrize("layout", [world_to_json, legacy_json])
+    def test_first_non_increasing_timestamp_named(self, layout):
+        w = generate_corridor(spec())
+        bad_ts = w.timestamps.copy()
+        bad_ts[7] = bad_ts[6]  # equal
+        bad_ts[9] = bad_ts[3]  # and later a step back
+        t = bad_ts[7].item()
+        message = re.escape(f"trajectory entry 7: timestamps must be strictly increasing, got {t!r} after {t!r}")
+        with pytest.raises(ValueError, match=message):
+            replace(w, timestamps=bad_ts)
+        doc = layout(w)
+        if layout is world_to_json:
+            doc["trajectory"]["t"] = bad_ts.tolist()
+        else:
+            for entry, t in zip(doc["trajectory"], bad_ts.tolist()):
+                entry["t"] = t
+        with pytest.raises(ValueError, match=message):
+            world_from_json(doc)
+
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_segment_endpoint_rejected(self, bad):
@@ -146,12 +169,26 @@ class TestWorldValidation:
     @pytest.mark.parametrize("field", ["t", "q", "p"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_trajectory_entry_rejected(self, field, bad):
-        doc = world_to_json(generate_corridor(spec()))
+        doc = legacy_json(generate_corridor(spec()))
         if field == "t":
             doc["trajectory"][-1]["t"] = bad  # the last one, so timestamps still increase
             entry, what = len(doc["trajectory"]) - 1, "timestamp"
         else:
             doc["trajectory"][7][field][2] = bad
+            entry, what = 7, "pose"
+        with pytest.raises(ValueError, match=f"trajectory entry {entry} has a non-finite {what}"):
+            world_from_json(doc)
+
+    @pytest.mark.parametrize("field, width", [("t", 1), ("q", 4), ("p", 3)])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_trajectory_column_entry_rejected(self, field, width, bad):
+        doc = world_to_json(generate_corridor(spec()))
+        column = doc["trajectory"][field]
+        if field == "t":
+            column[-1] = bad  # the last one, so timestamps still increase
+            entry, what = len(column) - 1, "timestamp"
+        else:
+            column[7 * width + 2] = bad
             entry, what = 7, "pose"
         with pytest.raises(ValueError, match=f"trajectory entry {entry} has a non-finite {what}"):
             world_from_json(doc)
@@ -196,8 +233,12 @@ class TestWorldArrays:
         message = "trajectory entry 3 has a quaternion whose norm overflows"
         with pytest.raises(ValueError, match=message):
             replace(w, rotations=rotations)
-        doc = world_to_json(w)
+        doc = legacy_json(w)
         doc["trajectory"][3]["q"] = [1e300, 0.0, 0.0, 1e300]
+        with pytest.raises(ValueError, match=message):
+            world_from_json(doc)
+        doc = world_to_json(w)
+        doc["trajectory"]["q"][12:16] = [1e300, 0.0, 0.0, 1e300]
         with pytest.raises(ValueError, match=message):
             world_from_json(doc)
 
@@ -244,9 +285,19 @@ class TestWorldFileFields:
         ],
     )
     def test_bad_field_named(self, section, field, value, named):
-        doc = world_to_json(generate_corridor(spec()))
+        doc = legacy_json(generate_corridor(spec()))
         doc[section][5][field] = value
         with pytest.raises(ValueError, match=named):
+            world_from_json(doc)
+
+    def test_first_bad_entry_named(self):
+        doc = legacy_json(generate_corridor(spec()))
+        doc["segments"][5]["a"] = [1.0, 2.0]  # wrong length, after
+        doc["segments"][3]["a"][1] = "2.0"  # a bad number
+        with pytest.raises(ValueError, match="segment 3 field 'a' must be 3 numbers"):
+            world_from_json(doc)
+        del doc["segments"][2]["a"]
+        with pytest.raises(ValueError, match="segment 2 missing field 'a'"):
             world_from_json(doc)
 
     @pytest.mark.parametrize("seed", [0.7, 3.0, "3", True])
@@ -260,8 +311,14 @@ class TestWorldFileFields:
         "doc, named",
         [
             ([], "must be a JSON object"),
-            ({"segments": 5, "trajectory": [], "seed": 0}, "section 'segments' must be a list, got int"),
-            ({"segments": [], "trajectory": "abc", "seed": 0}, "section 'trajectory' must be a list, got str"),
+            (
+                {"segments": 5, "trajectory": [], "seed": 0},
+                r"section 'segments' must be an object \(columns\) or a list \(rows\), got int",
+            ),
+            (
+                {"segments": [], "trajectory": "abc", "seed": 0},
+                r"section 'trajectory' must be an object \(columns\) or a list \(rows\), got str",
+            ),
         ],
     )
     def test_bad_section_named(self, doc, named):
@@ -269,7 +326,7 @@ class TestWorldFileFields:
             world_from_json(doc)
 
     def test_two_d_endpoints_rejected_not_rechunked(self):
-        doc = world_to_json(generate_corridor(spec(corridor_length=8)))
+        doc = legacy_json(generate_corridor(spec(corridor_length=8)))
         assert len(doc["segments"]) == 12
         for seg in doc["segments"]:  # keep x and z: no segment collapses
             seg["a"], seg["b"] = seg["a"][::2], seg["b"][::2]
@@ -277,12 +334,150 @@ class TestWorldFileFields:
             world_from_json(doc)
 
     def test_integer_coordinates_accepted(self):
-        doc = world_to_json(generate_corridor(spec()))
+        doc = legacy_json(generate_corridor(spec()))
         doc["segments"][0]["a"] = [int(x) for x in doc["segments"][0]["a"]]
         doc["trajectory"][0]["t"] = 0
         w = world_from_json(doc)
         assert w.endpoints[0, 0].tolist() == doc["segments"][0]["a"]
         assert w.timestamps[0] == 0.0
+
+
+def columns(**kw):
+    return world_to_json(generate_corridor(spec(**kw)))
+
+
+class TestWorldFileColumns:
+    """Each field of a columnar section is one flat list; an error names
+    section, field and entry."""
+
+    @pytest.mark.parametrize(
+        "section, field, index, value, named",
+        [
+            ("segments", "a", 16, True, r"segments field 'a' entry 5 must be 3 numbers, got \[.*True"),
+            ("segments", "a", 15, "2.0", "segments field 'a' entry 5 must be 3 numbers, got \\['2.0'"),
+            ("segments", "b", 17, None, "segments field 'b' entry 5 must be 3 numbers, got .*None"),
+            ("segments", "a", 15, [1.0], "segments field 'a' entry 5 must be 3 numbers"),
+            ("segments", "archetype", 5, 0.7, "segments field 'archetype' entry 5 must be an integer, got 0.7"),
+            ("segments", "archetype", 5, 1.0, "segments field 'archetype' entry 5 must be an integer, got 1.0"),
+            ("segments", "archetype", 5, True, "segments field 'archetype' entry 5 must be an integer, got True"),
+            ("segments", "archetype", 5, "1", "segments field 'archetype' entry 5 must be an integer, got '1'"),
+            ("trajectory", "q", 21, False, "trajectory field 'q' entry 5 must be 4 numbers"),
+            ("trajectory", "p", 17, "0.5", "trajectory field 'p' entry 5 must be 3 numbers"),
+            ("trajectory", "t", 5, "0.5", "trajectory field 't' entry 5 must be a number, got '0.5'"),
+            ("trajectory", "t", 5, [0.5], r"trajectory field 't' entry 5 must be a number, got \[0.5\]"),
+            # JSON integers too large for int64 or float
+            ("segments", "archetype", 5, 2**63, "segments field 'archetype' entry 5 holds a number out of range"),
+            (
+                "segments", "archetype", 5, -(2**63) - 1,
+                "segments field 'archetype' entry 5 holds a number out of range",
+            ),
+            ("segments", "a", 16, 10**400, "segments field 'a' entry 5 holds a number out of range"),
+            ("trajectory", "t", 5, 10**400, "trajectory field 't' entry 5 holds a number out of range"),
+            ("trajectory", "q", 23, -(10**400), "trajectory field 'q' entry 5 holds a number out of range"),
+        ],
+    )
+    def test_bad_number_named(self, section, field, index, value, named):
+        doc = columns()
+        doc[section][field][index] = value
+        with pytest.raises(ValueError, match=named):
+            world_from_json(doc)
+
+    def test_first_bad_entry_named(self):
+        doc = columns()
+        doc["trajectory"]["p"][20] = 10**400  # entry 6
+        doc["trajectory"]["p"][9] = True  # entry 3
+        with pytest.raises(ValueError, match="trajectory field 'p' entry 3 must be 3 numbers"):
+            world_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "section, field, cut, named",
+        [
+            ("segments", "a", 1, "segments field 'a' entry 29 has 2 of 3 numbers"),
+            ("segments", "b", 2, "segments field 'b' entry 29 has 1 of 3 numbers"),
+            ("trajectory", "q", 1, "trajectory field 'q' entry 599 has 3 of 4 numbers"),
+            ("trajectory", "p", 2, "trajectory field 'p' entry 599 has 1 of 3 numbers"),
+        ],
+    )
+    def test_length_not_a_multiple_of_the_width_named(self, section, field, cut, named):
+        doc = columns()
+        assert len(doc["segments"]["archetype"]) == 30 and len(doc["trajectory"]["t"]) == 600
+        del doc[section][field][-cut:]
+        with pytest.raises(ValueError, match=named):
+            world_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "section, field, change, named",
+        [
+            (
+                "trajectory", "q", lambda v: v[:-4],
+                "trajectory field 'q' has 599 entries, field 't' 600: entry 599 has no 'q'",
+            ),
+            (
+                "trajectory", "p", lambda v: v + [0.0] * 6,
+                "trajectory field 'p' has 602 entries, field 't' 600: entry 600 has no 't'",
+            ),
+            (
+                "trajectory", "t", lambda v: v[:-1],
+                "trajectory field 'q' has 600 entries, field 't' 599: entry 599 has no 't'",
+            ),
+            (
+                "segments", "archetype", lambda v: v + [0],
+                "segments field 'archetype' has 31 entries, field 'a' 30: entry 30 has no 'a'",
+            ),
+            (
+                "segments", "b", lambda v: v[:-3],
+                "segments field 'b' has 29 entries, field 'a' 30: entry 29 has no 'b'",
+            ),
+        ],
+    )
+    def test_unequal_entry_counts_named(self, section, field, change, named):
+        doc = columns()
+        doc[section][field] = change(doc[section][field])
+        with pytest.raises(ValueError, match=named):
+            world_from_json(doc)
+
+    def test_two_d_endpoints_rejected_not_rechunked(self):
+        doc = columns(corridor_length=8)
+        assert len(doc["segments"]["archetype"]) == 12
+        for key in ("a", "b"):  # keep x and z: 24 numbers, 8 three-D entries
+            doc["segments"][key] = [x for i, x in enumerate(doc["segments"][key]) if i % 3 != 1]
+        with pytest.raises(ValueError, match="segments field 'archetype' has 12 entries, field 'a' 8"):
+            world_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "section, field, value, named",
+        [
+            ("segments", "a", {"x": 0.0}, "segments field 'a' must be a list, got dict"),
+            ("trajectory", "p", 0.5, "trajectory field 'p' must be a list, got float"),
+            ("segments", "archetype", "0, 0, 1", "segments field 'archetype' must be a list, got str"),
+        ],
+    )
+    def test_field_not_a_list_named(self, section, field, value, named):
+        doc = columns()
+        doc[section][field] = value
+        with pytest.raises(ValueError, match=named):
+            world_from_json(doc)
+
+    @pytest.mark.parametrize("section, field", [("segments", "b"), ("trajectory", "t")])
+    def test_missing_field_named(self, section, field):
+        doc = columns()
+        del doc[section][field]
+        with pytest.raises(ValueError, match=f"world file section '{section}' missing field '{field}'"):
+            world_from_json(doc)
+
+    def test_integer_coordinates_accepted(self):
+        doc = columns()
+        doc["segments"]["a"][:3] = [int(x) for x in doc["segments"]["a"][:3]]
+        doc["trajectory"]["t"][0] = 0
+        w = world_from_json(doc)
+        assert w.endpoints[0, 0].tolist() == doc["segments"]["a"][:3]
+        assert w.timestamps[0] == 0.0
+
+    def test_layouts_mix_by_section(self):
+        w = generate_corridor(spec(n_turns=1))
+        rows, cols = legacy_json(w), world_to_json(w)
+        for doc in ({**cols, "segments": rows["segments"]}, {**cols, "trajectory": rows["trajectory"]}):
+            assert_same_world(world_from_json(doc), w)
 
 
 def odd_world():
@@ -306,28 +501,83 @@ def signed_zero_column_world():
     return replace(w, translations=translations)
 
 
+def assert_same_world(back, w):
+    for name in ("endpoints", "archetypes", "timestamps", "rotations", "translations"):
+        assert getattr(back, name).dtype == getattr(w, name).dtype
+        assert getattr(back, name).tobytes() == getattr(w, name).tobytes(), name
+    assert back.rng_seed == w.rng_seed
+
+
+def extreme_world():
+    """Floats whose text must round-trip exactly: signed zeros, subnormals,
+    1e308 and integral floats, in segments, timestamps and poses."""
+    ends = [
+        [[-0.0, 5e-324, 1e308], [2.0, -1e308, -0.0]],
+        [[1e16, -5e-324, 2.225073858507201e-308], [-0.0, 0.0, 3.0]],
+        [[4.0, 4.0, 4.0], [4.0, 4.0, 5.0]],
+    ]
+    ts = [-0.0, 5e-324, 1e-310, 2.0, 1e16, 1e308]
+    q = [[1.0, 0.0, -0.0, 5e-324], [-0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0]] * 2
+    p = [[-0.0, 1e308, -1e308], [5e-324, -5e-324, 2.0], [1e16, 3.0, -0.0]] * 2
+    return World(np.array(ends), np.array([0, 0, 7]), np.array(ts), np.array(q), np.array(p), 5)
+
+
+def per_field_json(w) -> str:
+    """`world_to_file`'s text, each list formatted by `json.dumps`."""
+    doc = world_to_json(w)
+    seg, traj = doc["segments"], doc["trajectory"]
+    lists = [json.dumps(x) for x in (seg["a"], seg["b"], seg["archetype"], traj["t"], traj["q"], traj["p"])]
+    return (
+        '{\n "seed": %d,\n "segments": {\n  "a": %s,\n  "b": %s,\n  "archetype": %s\n },\n'
+        ' "trajectory": {\n  "t": %s,\n  "q": %s,\n  "p": %s\n }\n}\n'
+    ) % (doc["seed"], *lists)
+
+
+WORLDS = [
+    lambda: generate_corridor(spec()),
+    lambda: generate_corridor(spec(corridor_length=60, n_turns=2, extra_unique_segments=150)),
+    lambda: generate_corridor(spec(corridor_length=120, n_turns=3)),
+    odd_world,
+    signed_zero_column_world,
+    extreme_world,
+    lambda: replace(
+        generate_corridor(spec()),
+        timestamps=[],
+        rotations=np.zeros((0, 4)),
+        translations=np.zeros((0, 3)),
+        rng_seed=3,
+    ),
+]
+
+
 class TestSerialization:
-    @pytest.mark.parametrize(
-        "world",
-        [
-            lambda: generate_corridor(spec()),
-            lambda: generate_corridor(spec(corridor_length=60, n_turns=2, extra_unique_segments=150)),
-            lambda: generate_corridor(spec(corridor_length=120, n_turns=3)),
-            odd_world,
-            signed_zero_column_world,
-        ],
-    )
-    def test_file_bytes_equal_indented_json(self, tmp_path, world):
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_file_bytes_equal_json_dumps_per_field(self, tmp_path, world):
         w = world()
         path = tmp_path / "world.json"
         world_to_file(w, path)
-        assert path.read_text() == json.dumps(world_to_json(w), indent=1) + "\n"
+        text = path.read_text()
+        assert text == per_field_json(w)
+        assert json.loads(text) == world_to_json(w)
+        assert text.count("\n") == 13  # a line per field
 
-    def test_empty_trajectory_bytes_equal_indented_json(self, tmp_path):
-        w = generate_corridor(spec())
-        empty = replace(w, timestamps=[], rotations=np.zeros((0, 4)), translations=np.zeros((0, 3)), rng_seed=3)
-        world_to_file(empty, tmp_path / "world.json")
-        assert (tmp_path / "world.json").read_text() == json.dumps(world_to_json(empty), indent=1) + "\n"
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_bit_exact_round_trip(self, tmp_path, world):
+        w = world()
+        world_to_file(w, tmp_path / "world.json")
+        assert_same_world(world_from_file(tmp_path / "world.json"), w)
+
+    @pytest.mark.parametrize("world", WORLDS)
+    def test_legacy_file_loads_to_identical_world(self, tmp_path, world):
+        w = world()
+        (tmp_path / "legacy.json").write_text(legacy_text(w))
+        assert_same_world(world_from_file(tmp_path / "legacy.json"), w)
+
+    def test_rewrite_byte_identical(self, tmp_path):
+        w = odd_world()
+        world_to_file(w, tmp_path / "a.json")
+        world_to_file(world_from_file(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_negative_zero_round_trips(self, tmp_path):
         w = odd_world()
@@ -350,7 +600,7 @@ class TestSerialization:
             world_from_json(doc)
 
     def test_missing_field_rejected(self):
-        doc = world_to_json(generate_corridor(spec()))
+        doc = legacy_json(generate_corridor(spec()))
         del doc["segments"][0]["a"]
         with pytest.raises(ValueError):
             world_from_json(doc)
