@@ -2,13 +2,13 @@
 incremental 3D line-segment clustering and cluster-consistency
 optimization."""
 
-from .geometry import PoseSE3, Sim3, umeyama_alignment
+from .geometry import PoseSE3, Sim3, Trajectory, umeyama_alignment
 from .worldgen import World, WorldSpec, generate_corridor
 from .frontend import DriftConfig, EstimatedMap, ObservationConfig, drift_walk, simulate
 from .clustering import ClusterStore, DegenerateSegmentError
 from .clusteropt import OptProblem, OptReport, build_problem, evaluate_objective, solve
 from .pipeline import RunResult, ScheduleConfig, propagate_to_poses, run
-from .metrics import MetricsReport, Trajectory, ate, rpe, spline_interpolate
+from .metrics import MetricsReport, ate, rpe, spline_interpolate
 
 __all__ = [
     "PoseSE3",

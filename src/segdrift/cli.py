@@ -254,18 +254,12 @@ def cmd_run(args) -> int:
             "n": len(ates),
         }
         if mode != "baseline" and "baseline" in cfg["modes"]:
-            wins = [
-                s
-                for s in cfg["seeds"]
-                if (mode, s) in results
-                and ("baseline", s) in results
-                and results[(mode, s)] < results[("baseline", s)]
-            ]
             comparable = [
                 s for s in cfg["seeds"] if (mode, s) in results and ("baseline", s) in results
             ]
             if comparable:
-                entry["win_rate_vs_baseline"] = len(wins) / len(comparable)
+                wins = sum(results[(mode, s)] < results[("baseline", s)] for s in comparable)
+                entry["win_rate_vs_baseline"] = wins / len(comparable)
         summary["modes"][mode] = entry
     with open(out_dir / "summary.json", "w") as f:
         json.dump(summary, f, indent=1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PoseSE3, quat_multiply, quat_normalize, quat_rotate, row_norms
+from .geometry import Trajectory, quat_multiply, quat_normalize, quat_rotate, row_norms
 from .worldgen import World, check_int, check_real
 
 OBSERVATION_COLUMNS = ("p1", "p2", "frame", "segment")
@@ -85,14 +85,13 @@ class EstimatedMap:
     `observations` is one detected segment, columns OBSERVATION_COLUMNS:
     its two point ids, its frame and the index of the world segment it
     came from (simulation bookkeeping, hidden from the method); rows are in
-    frame order. `est_poses` is the stack of drifted camera poses.
+    frame order. `trajectory` holds the drifted camera poses.
     """
 
     points: np.ndarray  # (n, 3) float
     first_seen: np.ndarray  # (n,) int64
     observations: np.ndarray  # (m, 4) int64
-    timestamps: np.ndarray
-    est_poses: PoseSE3
+    trajectory: Trajectory
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -257,13 +256,14 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
     the existing id. The estimated trajectory is the ground truth with the
     per-frame cumulative drift applied.
     """
-    drift_cfg.validate()
     obs_cfg.validate()
-    n_frames = world.n_frames
+    gt = world.trajectory
+    n_frames = len(gt)
     scale, rotation, translation = drift_walk(drift_cfg, n_frames)
-    est_poses = PoseSE3(
-        quat_multiply(rotation, world.rotations),
-        scale[:, None] * quat_rotate(rotation, world.translations) + translation,
+    trajectory = Trajectory(
+        gt.timestamps,
+        scale[:, None] * quat_rotate(rotation, gt.positions) + translation,
+        quat_normalize(quat_multiply(rotation, gt.quaternions)),
     )
 
     ends = world.endpoints
@@ -281,7 +281,7 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
     vis_frame = vis_cand = np.zeros(0, dtype=np.int64)
     if len(ends) and n_frames:
         mids = 0.5 * (ends[:, 0] + ends[:, 1])
-        vis_frame, vis_cand = _visible(mids, world.rotations, world.translations, obs_cfg.max_range)
+        vis_frame, vis_cand = _visible(mids, gt.quaternions, gt.positions, obs_cfg.max_range)
 
     obs_rng = np.random.default_rng(obs_cfg.rng_seed)
     sigma = obs_cfg.endpoint_noise_sigma
@@ -344,4 +344,4 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
     observations[:, OBS_SEGMENT] = cand_segment[vis_cand[detected]]
     del vis_frame, vis_cand
     observations[:, [OBS_P1, OBS_P2]] = point_of_key[pair_keys[detected]]
-    return EstimatedMap(points, first_seen, observations, world.timestamps.copy(), est_poses)
+    return EstimatedMap(points, first_seen, observations, trajectory)

@@ -1,4 +1,5 @@
-"""Quaternion, rigid-body and similarity transform arithmetic.
+"""Quaternion, rigid-body and similarity transform arithmetic, and
+`Trajectory`, the one checked container of a timed pose sequence.
 
 Rotations are stored as unit quaternions in [w, x, y, z] order and
 converted to matrices on demand; quaternion composition stays numerically
@@ -211,6 +212,76 @@ class PoseSE3:
     def inverse(self) -> "PoseSE3":
         qinv = quat_conjugate(self.rotation)
         return PoseSE3(qinv, -quat_rotate(qinv, self.translation))
+
+
+class BadRowError(ValueError):
+    """A trajectory row failed an input check; `row` is its index."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"trajectory row {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """A timed pose sequence, held as read-only copies of its arrays."""
+
+    timestamps: np.ndarray  # (n,), seconds, strictly increasing
+    positions: np.ndarray  # (n, 3)
+    quaternions: np.ndarray  # (n, 4), [w, x, y, z], any nonzero finite norm
+
+    def __post_init__(self):
+        ts = np.array(self.timestamps, dtype=float)
+        ps = np.array(self.positions, dtype=float)
+        qs = np.array(self.quaternions, dtype=float)
+        n = len(ts) if ts.ndim else -1
+        arrays = {"timestamps": ts, "positions": ps, "quaternions": qs}
+        for (name, array), shape in zip(arrays.items(), [(n,), (n, 3), (n, 4)]):
+            if array.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+        # Whole-array tests first: the per-row masks cost ten times as much.
+        valid = np.isfinite(ts).all() and np.isfinite(ps).all() and np.isfinite(qs).all()
+        if valid:
+            with np.errstate(over="ignore"):
+                norms = row_norms(qs)
+            valid = np.isfinite(norms).all() and norms.all() and (ts[1:] > ts[:-1]).all()
+        if not valid:
+            raise _first_bad_row(ts, ps, qs)
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def pose(self, i) -> PoseSE3:
+        """Pose i; an index array gives the stack of those poses."""
+        return PoseSE3(self.quaternions[i], self.positions[i])
+
+
+def _first_bad_row(ts: np.ndarray, ps: np.ndarray, qs: np.ndarray) -> BadRowError:
+    """The error for the first row that fails any check. Within a row the
+    checks run in this order: timestamp, position, quaternion, zero norm,
+    overflowing norm, time not after the previous row's."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = row_norms(qs)
+    late = np.zeros(len(ts), dtype=bool)
+    late[1:] = ~(ts[1:] > ts[:-1])
+    checks = {
+        "non-finite timestamp": ~np.isfinite(ts),
+        "non-finite position": ~np.isfinite(ps).all(axis=1),
+        "non-finite quaternion": ~np.isfinite(qs).all(axis=1),
+        "zero-norm quaternion": norms == 0.0,
+        "quaternion norm overflows": ~np.isfinite(norms),
+        "timestamps must be strictly increasing": late,
+    }
+    row = int(np.argmax(np.logical_or.reduce(list(checks.values()))))
+    reason = next(reason for reason, bad in checks.items() if bad[row])
+    if reason.startswith("timestamps"):
+        before, after = ts[row - 1 : row + 1].tolist()
+        reason += f", got {after!r} after {before!r}"
+    return BadRowError(row, reason)
 
 
 def umeyama_alignment(src: np.ndarray, dst: np.ndarray, with_scale: bool = True) -> Sim3:

@@ -8,65 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PoseSE3, Sim3, quat_slerp, row_norms, umeyama_alignment
+from .geometry import BadRowError, Sim3, Trajectory, quat_slerp, row_norms, umeyama_alignment
 
 DEFAULT_MATCH_TOLERANCE_S = 0.01
 DEFAULT_RPE_DELTA = 30
 ALIGN_MODES = ("similarity", "rigid", "none")
-
-
-class BadRowError(ValueError):
-    """A trajectory row failed an input check; `row` is its index."""
-
-    def __init__(self, row: int, reason: str):
-        super().__init__(f"trajectory row {row}: {reason}")
-        self.row = row
-        self.reason = reason
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    timestamps: np.ndarray  # (n,), seconds, strictly increasing
-    positions: np.ndarray  # (n, 3)
-    quaternions: np.ndarray  # (n, 4), [w, x, y, z], any nonzero finite norm
-
-    def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=float)
-        ps = np.asarray(self.positions, dtype=float).reshape(-1, 3)
-        qs = np.asarray(self.quaternions, dtype=float).reshape(-1, 4)
-        if not (len(ts) == len(ps) == len(qs)):
-            raise ValueError("trajectory arrays must have matching lengths")
-        for name, values in (("timestamp", ts), ("position", ps), ("quaternion", qs)):
-            bad = ~np.isfinite(values)
-            if bad.any():
-                row = int(np.argmax(bad.reshape(len(values), -1).any(axis=1)))
-                raise BadRowError(row, f"non-finite {name}")
-        with np.errstate(over="ignore"):
-            norms = row_norms(qs)
-        bad = (norms == 0.0) | ~np.isfinite(norms)
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise BadRowError(
-                row, "zero-norm quaternion" if norms[row] == 0.0 else "quaternion norm overflows"
-            )
-        late = np.diff(ts) <= 0
-        if late.any():
-            row = int(np.argmax(late)) + 1
-            before, after = ts[row - 1 : row + 1].tolist()
-            raise BadRowError(
-                row, f"timestamps must be strictly increasing, got {after!r} after {before!r}"
-            )
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "positions", ps)
-        object.__setattr__(self, "quaternions", qs)
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def pose(self, i) -> PoseSE3:
-        """Pose i; an index array gives the stack of those poses."""
-        return PoseSE3(self.quaternions[i], self.positions[i])
-
 
 _TUM_ROW = "%.9g " * 7 + "%.9g\n"
 

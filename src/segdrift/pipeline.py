@@ -17,9 +17,9 @@ from .clustering import ClusterStore, DEFAULT_REL_THRESHOLD, assign_all
 from .clusteropt import OptReport, build_problem, solve
 from .frontend import OBS_FRAME, DriftConfig, EstimatedMap, ObservationConfig, simulate
 from .geometry import (
-    Sim3, quat_multiply, quat_normalize, quat_rotate, quat_slerp, row_norms, umeyama_alignment
+    Sim3, Trajectory, quat_multiply, quat_normalize, quat_rotate, quat_slerp, row_norms,
+    umeyama_alignment,
 )
-from .metrics import Trajectory
 from .worldgen import World, check_int, check_real
 
 MODES = ("baseline", "seg", "segglobal")
@@ -157,9 +157,7 @@ def run(
     """Process the whole world under the chosen optimization schedule."""
     schedule.validate()
     emap = simulate(world, drift_cfg, obs_cfg)
-    timestamps = emap.timestamps
-    gt_traj = Trajectory(world.timestamps, world.translations, world.rotations)
-    raw_traj = Trajectory(timestamps, emap.est_poses.translation, emap.est_poses.rotation)
+    raw = emap.trajectory
 
     store = ClusterStore()
     reports: list[OptReport] = []
@@ -167,9 +165,9 @@ def run(
     discarded = 0
 
     if schedule.mode == "baseline":
-        return RunResult(raw_traj, raw_traj, gt_traj, emap, store, reports, 0, plog)
+        return RunResult(raw, raw, world.trajectory, emap, store, reports, 0, plog)
 
-    n_frames = len(timestamps)
+    n_frames = len(raw)
     # Observations are in frame order: frame f's rows are bounds[f]..bounds[f+1].
     bounds = np.searchsorted(emap.observations[:, OBS_FRAME], np.arange(n_frames + 1)).tolist()
     interval = schedule.keyframe_interval
@@ -223,16 +221,16 @@ def run(
     # Pose corrections are refit against the pre-optimization map, so the
     # final fit subsumes every earlier round; propagating once at the end
     # yields the same trajectory as propagating after each round.
-    corrected = raw_traj
+    corrected = raw
     if reports:
         rotations, translations, entries = propagate_to_poses(
             raw_points,
             emap.points,
             emap.first_seen,
-            emap.est_poses.rotation,
-            emap.est_poses.translation,
+            raw.quaternions,
+            raw.positions,
             [0, *round_frames],
         )
         plog.extend(entries)
-        corrected = Trajectory(timestamps, translations, rotations)
-    return RunResult(raw_traj, corrected, gt_traj, emap, store, reports, discarded, plog)
+        corrected = Trajectory(raw.timestamps, translations, rotations)
+    return RunResult(raw, corrected, world.trajectory, emap, store, reports, discarded, plog)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
 
-from .geometry import quat_from_axis_angle, row_norms
+from .geometry import BadRowError, Trajectory, quat_from_axis_angle, row_norms
 
 FRAME_RATE_HZ = 30.0
 WALK_SPEED_MPS = 1.0
@@ -76,71 +76,42 @@ class WorldSpec:
 
 @dataclass(frozen=True)
 class World:
-    """Segments and a ground-truth trajectory, held as read-only arrays:
-    segment `endpoints` (s, 2, 3) and `archetypes` (s,) int64; frame
-    `timestamps` (n,), `rotations` (n, 4, unit quaternions [w, x, y, z])
-    and `translations` (n, 3)."""
+    """Segments and a ground-truth trajectory: segment `endpoints` (s, 2, 3)
+    and `archetypes` (s,) int64, held as read-only arrays, and the camera
+    `trajectory`, its quaternions normalised."""
 
     endpoints: np.ndarray
     archetypes: np.ndarray
-    timestamps: np.ndarray  # seconds, strictly increasing
-    rotations: np.ndarray
-    translations: np.ndarray
+    trajectory: Trajectory
     rng_seed: int
 
     def __post_init__(self):
         archetypes = np.asarray(self.archetypes)
         if archetypes.size and archetypes.dtype.kind not in "iu":
             raise ValueError(f"archetypes must be integers, got dtype {archetypes.dtype}")
-        arrays = {
-            "endpoints": np.array(self.endpoints, dtype=float),
-            "archetypes": archetypes.astype(np.int64),
-            "timestamps": np.array(self.timestamps, dtype=float),
-            "rotations": np.array(self.rotations, dtype=float),
-            "translations": np.array(self.translations, dtype=float),
-        }
-        ends, ts, rot = arrays["endpoints"], arrays["timestamps"], arrays["rotations"]
-        s, n = (len(a) if a.ndim else -1 for a in (ends, ts))
-        for name, shape in zip(arrays, [(s, 2, 3), (s,), (n,), (n, 4), (n, 3)]):
-            if arrays[name].shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arrays[name].shape}")
+        ends = np.array(self.endpoints, dtype=float)
+        archetypes = archetypes.astype(np.int64)
+        s = len(ends) if ends.ndim else -1
+        for name, array, shape in ("endpoints", ends, (s, 2, 3)), ("archetypes", archetypes, (s,)):
+            if array.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
         bad = ~np.isfinite(ends).all(axis=(1, 2))
         if bad.any():
             raise ValueError(f"segment {int(np.argmax(bad))} has a non-finite endpoint")
         same = (ends[:, 0] == ends[:, 1]).all(axis=1)
         if same.any():
             raise ValueError(f"segment {int(np.argmax(same))} endpoints must differ")
-        bad_t = ~np.isfinite(ts)
-        bad = bad_t | ~np.isfinite(np.column_stack([rot, arrays["translations"]])).all(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            what = "timestamp" if bad_t[i] else "pose"
-            raise ValueError(f"trajectory entry {i} has a non-finite {what}")
-        with np.errstate(over="ignore"):
-            norms = row_norms(rot)
-        bad = (norms == 0.0) | ~np.isfinite(norms)
-        if bad.any():
-            i = int(np.argmax(bad))
-            what = "a zero quaternion" if norms[i] == 0.0 else "a quaternion whose norm overflows"
-            raise ValueError(f"trajectory entry {i} has {what}")
-        arrays["rotations"] = rot / norms[:, None]  # `quat_normalize`, from the norms at hand
-        late = np.diff(ts) <= 0
-        if late.any():
-            i = int(np.argmax(late)) + 1
-            before, after = ts[i - 1 : i + 1].tolist()
-            raise ValueError(
-                f"trajectory entry {i}: timestamps must be strictly increasing, "
-                f"got {after!r} after {before!r}"
-            )
-        if not (np.unique(arrays["archetypes"], return_counts=True)[1] >= 2).any():
+        if not (np.unique(archetypes, return_counts=True)[1] >= 2).any():
             raise ValueError("world must contain at least one repeated archetype")
-        for name, array in arrays.items():
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        ends.flags.writeable = archetypes.flags.writeable = False
+        object.__setattr__(self, "endpoints", ends)
+        object.__setattr__(self, "archetypes", archetypes)
+        q = self.trajectory.quaternions / row_norms(self.trajectory.quaternions)[:, None]
+        object.__setattr__(self, "trajectory", replace(self.trajectory, quaternions=q))
 
     @property
     def n_frames(self) -> int:
-        return len(self.timestamps)
+        return len(self.trajectory)
 
 
 def _heading_quat(heading_rad: float) -> np.ndarray:
@@ -217,14 +188,10 @@ def generate_corridor(spec: WorldSpec) -> World:
             heading = target
 
     n_frames = sum(len(r) for r in rotations)
-    return World(
-        np.concatenate(ends),
-        np.concatenate(archetypes),
-        np.arange(n_frames) * dt,
-        np.concatenate(rotations),
-        np.concatenate(translations),
-        spec.rng_seed,
+    trajectory = Trajectory(
+        np.arange(n_frames) * dt, np.concatenate(translations), np.concatenate(rotations)
     )
+    return World(np.concatenate(ends), np.concatenate(archetypes), trajectory, spec.rng_seed)
 
 
 def world_to_json(world: World) -> dict:
@@ -239,9 +206,9 @@ def world_to_json(world: World) -> dict:
             "archetype": world.archetypes.tolist(),
         },
         "trajectory": {
-            "t": world.timestamps.tolist(),
-            "q": world.rotations.ravel().tolist(),
-            "p": world.translations.ravel().tolist(),
+            "t": world.trajectory.timestamps.tolist(),
+            "q": world.trajectory.quaternions.ravel().tolist(),
+            "p": world.trajectory.positions.ravel().tolist(),
         },
     }
 
@@ -358,7 +325,11 @@ def world_from_json(data: dict) -> World:
         raise ValueError(f"world file field 'seed' must be an integer, got {data['seed']!r}")
     a, b, archetypes = _section(data["segments"], "segments", "segment", _SEGMENT_FIELDS)
     t, q, p = _section(data["trajectory"], "trajectory", "trajectory entry", _POSE_FIELDS)
-    return World(np.stack([a, b], axis=1), archetypes, t, q, p, data["seed"])
+    try:
+        trajectory = Trajectory(t, p, q)
+    except BadRowError as exc:
+        raise ValueError(f"trajectory entry {exc.row}: {exc.reason}") from None
+    return World(np.stack([a, b], axis=1), archetypes, trajectory, data["seed"])
 
 
 # `world_to_json`'s document, one line per field. Each list is the text
@@ -393,8 +364,10 @@ def _json_floats(*arrays: np.ndarray) -> list[str]:
 def world_to_file(world: World, path) -> None:
     """Write `world_to_json(world)` as JSON, one line per field. A World
     holds only finite floats, whose `repr` is their JSON form."""
-    ends, rotations, translations = world.endpoints, world.rotations, world.translations
-    a, b, t, q, p = _json_floats(ends[:, 0], ends[:, 1], world.timestamps, rotations, translations)
+    ends, traj = world.endpoints, world.trajectory
+    a, b, t, q, p = _json_floats(
+        ends[:, 0], ends[:, 1], traj.timestamps, traj.quaternions, traj.positions
+    )
     archetypes = ", ".join(map(str, world.archetypes.tolist()))
     with open(path, "w") as f:
         f.write(_WORLD_JSON % (world.rng_seed, a, b, archetypes, t, q, p))

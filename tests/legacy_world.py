@@ -6,7 +6,8 @@ import json
 
 def legacy_json(world) -> dict:
     segments = zip(world.endpoints.tolist(), world.archetypes.tolist())
-    poses = zip(world.timestamps.tolist(), world.rotations.tolist(), world.translations.tolist())
+    traj = world.trajectory
+    poses = zip(traj.timestamps.tolist(), traj.quaternions.tolist(), traj.positions.tolist())
     return {
         "segments": [{"a": a, "b": b, "archetype": k} for (a, b), k in segments],
         "trajectory": [{"t": t, "q": q, "p": p} for t, q, p in poses],

@@ -110,9 +110,7 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
         world = world_from_file(out / "world.json")
-        fresh = write_tum(
-            Trajectory(world.timestamps, world.translations, world.rotations), tmp_path / "gt.tum"
-        )
+        fresh = write_tum(world.trajectory, tmp_path / "gt.tum")
         solved = 0
         for mode in ("baseline", "seg", "segglobal"):
             for seed in (0, 1, 2):
@@ -332,7 +330,7 @@ class TestRun:
         "where, value, named",
         [
             ("segments", float("nan"), "segment 4 has a non-finite endpoint"),
-            ("trajectory", float("inf"), "trajectory entry 4 has a non-finite pose"),
+            ("trajectory", float("inf"), "trajectory entry 4: non-finite position"),
         ],
     )
     @pytest.mark.parametrize("layout", ["columns", "rows"])
@@ -663,6 +661,20 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", str(est), str(gt)]) == 1
         assert f"corrected.tum:2: {message}" in capsys.readouterr().err
+
+    def test_eval_names_first_bad_line_of_several(self, tmp_path, capsys):
+        # a NaN quaternion on line 3, then a NaN timestamp on line 5
+        est, gt = self.run_small(tmp_path)
+        lines = est.read_text().splitlines(keepends=True)
+        lines[2] = " ".join(lines[2].split()[:4] + ["nan", "0", "0", "1"]) + "\n"
+        lines[4] = " ".join(["nan"] + lines[4].split()[1:]) + "\n"
+        bad = tmp_path / "bad.tum"
+        bad.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["eval", str(bad), str(gt)]) == 1
+        captured = capsys.readouterr()
+        assert f"{bad}:3: non-finite quaternion" in captured.err
+        assert captured.out == ""
 
     def test_eval_non_increasing_timestamp_names_line(self, tmp_path, capsys):
         est, gt = self.run_small(tmp_path)

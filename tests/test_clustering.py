@@ -18,7 +18,7 @@ from segdrift.clustering import (
     assign_all,
 )
 from segdrift.frontend import OBS_FRAME, OBS_P1, OBS_P2, EstimatedMap
-from segdrift.geometry import PoseSE3
+from segdrift.geometry import Trajectory
 
 
 # A member row with its edge's key in place of the edge id.
@@ -38,8 +38,9 @@ def expanded_table(store):
 def array_map(points, first_seen, observations, n_frames):
     """EstimatedMap of the given points and (p1, p2, frame, segment) rows,
     over n_frames identity poses."""
-    poses = PoseSE3(np.tile([1.0, 0.0, 0.0, 0.0], (n_frames, 1)), np.zeros((n_frames, 3)))
-    return EstimatedMap(points, first_seen, observations, np.zeros(n_frames), poses)
+    quaternions = np.tile([1.0, 0.0, 0.0, 0.0], (n_frames, 1))
+    trajectory = Trajectory(np.arange(n_frames), np.zeros((n_frames, 3)), quaternions)
+    return EstimatedMap(points, first_seen, observations, trajectory)
 
 
 def map_from_vectors(vectors):

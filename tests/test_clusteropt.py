@@ -502,7 +502,7 @@ class TestStoreEdgeTable:
         )
         frames = emap.observations[:, OBS_FRAME]
         store = ClusterStore()
-        for frame in range(len(emap.timestamps)):
+        for frame in range(len(emap.trajectory)):
             assign_all(store, emap, np.flatnonzero(frames == frame))
         assert len(store.edge_table) < len(store.member_table)  # keys repeat
         assert_edge_table_consistent(store)

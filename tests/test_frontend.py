@@ -27,6 +27,7 @@ from segdrift.frontend import (
 from segdrift.geometry import (
     PoseSE3,
     Sim3,
+    Trajectory,
     quat_from_axis_angle,
     quat_identity,
     quat_multiply,
@@ -36,8 +37,13 @@ from segdrift.geometry import (
 from segdrift.worldgen import World, WorldSpec, generate_corridor
 
 
-def identity_pose():
-    return PoseSE3(quat_identity(), np.zeros(3))
+def identity_trajectory(n):
+    return Trajectory(np.arange(n), np.zeros((n, 3)), np.tile(quat_identity(), (n, 1)))
+
+
+def gt_poses(world):
+    """The world's ground-truth (quaternions, positions), as `_visible` takes them."""
+    return world.trajectory.quaternions, world.trajectory.positions
 
 
 def make_world(**kw):
@@ -103,7 +109,8 @@ def reference_simulate(world, drift_cfg, obs_cfg):
     ]
     cand_mids = np.array([0.5 * (a + b) for _, (a, b) in candidates]).reshape(-1, 3)
 
-    for frame, (rotation, translation) in enumerate(zip(world.rotations, world.translations)):
+    gt = world.trajectory
+    for frame, (rotation, translation) in enumerate(zip(gt.quaternions, gt.positions)):
         if frame > 0:
             drift.step()
         d = drift.cumulative
@@ -308,16 +315,17 @@ class TestMatchesPerFrameLoop:
             emap.points,
             emap.first_seen,
             emap.observations,
-            emap.est_poses.rotation,
-            emap.est_poses.translation,
+            emap.trajectory.quaternions,
+            emap.trajectory.positions,
         )
         assert_same_bits(actual, reference_simulate(world, drift, obs))
-        assert emap.timestamps.tobytes() == world.timestamps.tobytes()
+        assert emap.trajectory.timestamps.tobytes() == world.trajectory.timestamps.tobytes()
 
     @staticmethod
     def one_frame_world():
         w = make_world()
-        return replace(w, timestamps=w.timestamps[:1], rotations=w.rotations[:1], translations=w.translations[:1])
+        t = w.trajectory
+        return replace(w, trajectory=Trajectory(t.timestamps[:1], t.positions[:1], t.quaternions[:1]))
 
     @staticmethod
     def world_with_unseen_segments():
@@ -339,7 +347,7 @@ class TestMatchesPerFrameLoop:
         drift = DriftConfig(scale_sigma=1e-3, rot_sigma=1e-4, rng_seed=5)
         obs = ObservationConfig(detect_prob=detect_prob, endpoint_noise_sigma=noise, rng_seed=9)
         emap = simulate(world, drift, obs)
-        actual = (emap.points, emap.first_seen, emap.observations, emap.est_poses.rotation, emap.est_poses.translation)
+        actual = (emap.points, emap.first_seen, emap.observations, emap.trajectory.quaternions, emap.trajectory.positions)
         assert_same_bits(actual, reference_simulate(world, drift, obs))
         assert (detect_prob == 0.0) == (len(emap.observations) == 0)
         if name == "unseen_segments":
@@ -354,10 +362,10 @@ class TestMatchesPerFrameLoop:
             ([2.0, 1.0, -0.0], [3.0, 1.0, -0.0]),
         ]
         identity = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
-        world = World(endpoints, [0, 0, 1], np.arange(3) / 30.0, identity, np.zeros((3, 3)), 0)
+        world = World(endpoints, [0, 0, 1], Trajectory(np.arange(3) / 30.0, np.zeros((3, 3)), identity), 0)
         drift, obs = DriftConfig(scale_sigma=1e-3, rng_seed=1), ObservationConfig(rng_seed=2)
         emap = simulate(world, drift, obs)
-        actual = (emap.points, emap.first_seen, emap.observations, emap.est_poses.rotation, emap.est_poses.translation)
+        actual = (emap.points, emap.first_seen, emap.observations, emap.trajectory.quaternions, emap.trajectory.positions)
         assert_same_bits(actual, reference_simulate(world, drift, obs))
         assert len(emap.points) == 6
 
@@ -392,7 +400,7 @@ class TestMatchesPerFrameLoop:
         assert counted.observations.tobytes() == plain.observations.tobytes()
         assert counted.points.tobytes() == plain.points.tobytes()
         ends = world.endpoints[row_norms(world.endpoints[:, 1] - world.endpoints[:, 0]) >= 0.3]
-        vis_frame, _ = _visible(0.5 * (ends[:, 0] + ends[:, 1]), world.rotations, world.translations, 8.0)
+        vis_frame, _ = _visible(0.5 * (ends[:, 0] + ends[:, 1]), *gt_poses(world), 8.0)
         assert len(np.unique(vis_frame)) == 3566
         assert [g.random_calls for g in generators] == [0, 189]  # drift, then observation
         # every call but the last steps one frame; each of the 158 frames
@@ -550,7 +558,7 @@ class TestPrunedScan:
             return offsets(mids_t, t)
 
         monkeypatch.setattr(frontend, "_offsets", spy)
-        _visible(mids, world.rotations, world.translations, 8.0)
+        _visible(mids, *gt_poses(world), 8.0)
         dense = world.n_frames * len(mids)
         assert dense == 664_200
         assert sum(widths) < 0.25 * dense
@@ -559,7 +567,7 @@ class TestPrunedScan:
 class TestEstimatedMap:
     def make(self, observations):
         return EstimatedMap(
-            np.zeros((3, 3)), [0, 0, 1], observations, np.zeros(2), identity_pose()
+            np.zeros((3, 3)), [0, 0, 1], observations, identity_trajectory(2)
         )
 
     def test_valid_map_accepted(self):
@@ -574,7 +582,7 @@ class TestEstimatedMap:
 
     def test_first_seen_length_checked(self):
         with pytest.raises(ValueError, match="first_seen"):
-            EstimatedMap(np.zeros((2, 3)), [0], [], np.zeros(1), identity_pose())
+            EstimatedMap(np.zeros((2, 3)), [0], [], identity_trajectory(1))
 
 
 class TestSimulate:
@@ -585,8 +593,8 @@ class TestSimulate:
             a, b = w.endpoints[segment]
             assert np.array_equal(emap.points[p1], a) or np.array_equal(emap.points[p1], b)
             assert np.array_equal(emap.points[p2], a) or np.array_equal(emap.points[p2], b)
-        assert np.array_equal(emap.est_poses.translation, w.translations)
-        assert np.array_equal(emap.est_poses.rotation, w.rotations)
+        assert np.array_equal(emap.trajectory.positions, w.trajectory.positions)
+        assert np.array_equal(emap.trajectory.quaternions, w.trajectory.quaternions)
 
     def test_pure_scale_drift_scales_first_sight_positions(self):
         w = make_world()

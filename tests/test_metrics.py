@@ -1,5 +1,6 @@
 """Trajectory metrics: alignment, ATE, RPE, TUM I/O, spline interpolation."""
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import segdrift.metrics as metrics
 from segdrift.geometry import (
+    BadRowError,
     Sim3,
     quat_from_axis_angle,
     quat_multiply,
@@ -212,8 +214,78 @@ class TestTrajectory:
 
     def test_length_mismatch_rejected(self):
         unit = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
-        with pytest.raises(ValueError, match="matching lengths"):
+        with pytest.raises(ValueError, match=r"positions must have shape \(1, 3\), got \(2, 3\)"):
             Trajectory(np.array([0.0]), np.zeros((2, 3)), unit)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def reference_first_bad_row(ts, ps, qs):
+    """(row, reason) of the first row that fails a check, one row at a time
+    in the documented order, or None if every row passes."""
+    ts = ts.tolist()
+    for i, (t, p, q) in enumerate(zip(ts, ps.tolist(), qs.tolist())):
+        norm_sq = sum(x * x for x in q)
+        for bad, reason in (
+            (not math.isfinite(t), "non-finite timestamp"),
+            (not all(map(math.isfinite, p)), "non-finite position"),
+            (not all(map(math.isfinite, q)), "non-finite quaternion"),
+            (norm_sq == 0.0, "zero-norm quaternion"),
+            (not math.isfinite(norm_sq), "quaternion norm overflows"),
+            (i > 0 and not t > ts[i - 1], f"timestamps must be strictly increasing, got {t!r} after {ts[i - 1]!r}"),
+        ):
+            if bad:
+                return i, reason
+    return None
+
+
+@st.composite
+def defective_arrays(draw):
+    """Valid trajectory arrays with defects of every kind on random rows.
+    Quaternion components are multiples of 1/4, so a row's norm is zero or
+    overflows only through a defect."""
+    n = draw(st.integers(1, 12))
+    ts = np.cumsum(draw(st.lists(st.floats(0.125, 4.0), min_size=n, max_size=n)))
+    ps = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+    qs = 0.25 * np.array(draw(st.lists(st.integers(-8, 8), min_size=4 * n, max_size=4 * n))).reshape(n, 4)
+    kinds = ["timestamp", "position", "quaternion", "zero", "overflow", "late"]
+    for row, kind in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(kinds)), max_size=4)):
+        if kind == "timestamp":
+            ts[row] = draw(st.sampled_from(NON_FINITE))
+        elif kind == "position":
+            ps[row, draw(st.integers(0, 2))] = draw(st.sampled_from(NON_FINITE))
+        elif kind == "quaternion":
+            qs[row, draw(st.integers(0, 3))] = draw(st.sampled_from(NON_FINITE))
+        elif kind == "zero":
+            qs[row] = 0.0
+        elif kind == "overflow":
+            qs[row, draw(st.integers(0, 3))] = draw(st.sampled_from([1e200, -1e300]))
+        elif row > 0:  # late: no later than the row before
+            ts[row] = ts[row - 1] - draw(st.sampled_from([0.0, 0.5, 100.0]))
+    return ts, ps, qs
+
+
+class TestFirstBadRow:
+    @settings(max_examples=300)
+    @given(defective_arrays())
+    def test_first_failing_row_and_check_named(self, arrays):
+        expected = reference_first_bad_row(*arrays)
+        if expected is None:
+            Trajectory(*arrays)
+            return
+        with pytest.raises(BadRowError) as exc:
+            Trajectory(*arrays)
+        assert (exc.value.row, exc.value.reason) == expected
+        assert str(exc.value) == f"trajectory row {expected[0]}: {expected[1]}"
+
+    def test_arrays_are_read_only_copies(self):
+        arrays = (np.arange(3.0), np.zeros((3, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
+        traj = Trajectory(*arrays)
+        for given_array, held in zip(arrays, (traj.timestamps, traj.positions, traj.quaternions)):
+            assert not np.shares_memory(given_array, held)
+            with pytest.raises(ValueError):
+                held[0] = 1.0
 
 
 class TestAssociate:

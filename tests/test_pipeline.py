@@ -71,6 +71,19 @@ class TestBaseline:
         assert len(r.store) == 0
 
 
+class TestTrajectoriesShared:
+    """A run hands out the trajectories it was given or made, uncopied."""
+
+    @pytest.mark.parametrize("mode", ["baseline", "seg"])
+    def test_gt_is_the_world_trajectory(self, mode):
+        w = make_world()
+        r = run(w, DriftConfig(scale_sigma=1e-3, rng_seed=2), ObservationConfig(rng_seed=2),
+                ScheduleConfig(mode=mode))
+        assert r.gt_trajectory is w.trajectory
+        assert r.raw_trajectory is r.emap.trajectory
+        assert (r.corrected_trajectory is r.raw_trajectory) == (mode == "baseline")
+
+
 class TestZeroDrift:
     def test_corrections_numerically_null(self):
         w = make_world()

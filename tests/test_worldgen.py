@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from segdrift.geometry import quat_rotate
+from segdrift.geometry import Trajectory, quat_rotate
 from segdrift.worldgen import (
     FRAME_RATE_HZ,
     World,
@@ -97,7 +97,7 @@ class TestCorridorStructure:
     def test_single_turn_changes_heading_once(self):
         w = generate_corridor(spec(n_turns=1, turn_angle=90))
         fwd = np.array([1.0, 0.0, 0.0])
-        headings = [quat_rotate(q, fwd) for q in w.rotations]
+        headings = [quat_rotate(q, fwd) for q in w.trajectory.quaternions]
         angles = [
             np.degrees(np.arccos(np.clip(np.dot(a, b), -1, 1)))
             for a, b in zip(headings[:-1], headings[1:])
@@ -110,7 +110,7 @@ class TestCorridorStructure:
 
     def test_trajectory_timestamps_frame_rate(self):
         w = generate_corridor(spec())
-        dt = np.diff(w.timestamps)
+        dt = np.diff(w.trajectory.timestamps)
         assert np.allclose(dt, 1.0 / FRAME_RATE_HZ)
         assert all(d > 0 for d in dt)
 
@@ -133,21 +133,22 @@ class TestWorldValidation:
 
     def test_requires_increasing_timestamps(self):
         w = generate_corridor(spec())
-        bad_ts = w.timestamps.copy()
+        bad_ts = w.trajectory.timestamps.copy()
         bad_ts[1] = bad_ts[0]
         with pytest.raises(ValueError):
-            replace(w, timestamps=bad_ts)
+            replace(w.trajectory, timestamps=bad_ts)
 
     @pytest.mark.parametrize("layout", [world_to_json, legacy_json])
     def test_first_non_increasing_timestamp_named(self, layout):
         w = generate_corridor(spec())
-        bad_ts = w.timestamps.copy()
+        bad_ts = w.trajectory.timestamps.copy()
         bad_ts[7] = bad_ts[6]  # equal
         bad_ts[9] = bad_ts[3]  # and later a step back
         t = bad_ts[7].item()
-        message = re.escape(f"trajectory entry 7: timestamps must be strictly increasing, got {t!r} after {t!r}")
-        with pytest.raises(ValueError, match=message):
-            replace(w, timestamps=bad_ts)
+        reason = re.escape(f"7: timestamps must be strictly increasing, got {t!r} after {t!r}")
+        with pytest.raises(ValueError, match="trajectory row " + reason):
+            replace(w.trajectory, timestamps=bad_ts)
+        message = "trajectory entry " + reason
         doc = layout(w)
         if layout is world_to_json:
             doc["trajectory"]["t"] = bad_ts.tolist()
@@ -175,8 +176,8 @@ class TestWorldValidation:
             entry, what = len(doc["trajectory"]) - 1, "timestamp"
         else:
             doc["trajectory"][7][field][2] = bad
-            entry, what = 7, "pose"
-        with pytest.raises(ValueError, match=f"trajectory entry {entry} has a non-finite {what}"):
+            entry, what = 7, {"q": "quaternion", "p": "position"}[field]
+        with pytest.raises(ValueError, match=f"trajectory entry {entry}: non-finite {what}"):
             world_from_json(doc)
 
     @pytest.mark.parametrize("field, width", [("t", 1), ("q", 4), ("p", 3)])
@@ -189,8 +190,8 @@ class TestWorldValidation:
             entry, what = len(column) - 1, "timestamp"
         else:
             column[7 * width + 2] = bad
-            entry, what = 7, "pose"
-        with pytest.raises(ValueError, match=f"trajectory entry {entry} has a non-finite {what}"):
+            entry, what = 7, {"q": "quaternion", "p": "position"}[field]
+        with pytest.raises(ValueError, match=f"trajectory entry {entry}: non-finite {what}"):
             world_from_json(doc)
 
 
@@ -209,30 +210,33 @@ class TestWorldArrays:
             ("endpoints", lambda w: w.endpoints.reshape(-1, 3), "endpoints must have shape"),
             ("archetypes", lambda w: w.archetypes[1:], "archetypes must have shape"),
             ("archetypes", lambda w: w.archetypes + 0.7, "archetypes must be integers"),
-            ("rotations", lambda w: w.rotations[:, :3], "rotations must have shape"),
-            ("translations", lambda w: w.translations[1:], "translations must have shape"),
-            ("timestamps", lambda w: 0.0, "timestamps must have shape"),
+            ("quaternions", lambda t: t.quaternions[:, :3], "quaternions must have shape"),
+            ("positions", lambda t: t.positions[1:], "positions must have shape"),
+            ("positions", lambda t: t.positions.ravel(), r"positions must have shape \(600, 3\), got \(1800,\)"),
+            ("timestamps", lambda t: 0.0, "timestamps must have shape"),
         ],
     )
     def test_bad_shape_or_dtype_rejected(self, field, value, named):
+        # World's own arrays, and the arrays of its trajectory
         w = generate_corridor(spec())
+        owner = w if field in ("endpoints", "archetypes") else w.trajectory
         with pytest.raises(ValueError, match=named):
-            replace(w, **{field: value(w)})
+            replace(owner, **{field: value(owner)})
 
     def test_zero_quaternion_rejected(self):
-        w = generate_corridor(spec())
-        rotations = w.rotations.copy()
+        t = generate_corridor(spec()).trajectory
+        rotations = t.quaternions.copy()
         rotations[4] = 0.0
-        with pytest.raises(ValueError, match="trajectory entry 4 has a zero quaternion"):
-            replace(w, rotations=rotations)
+        with pytest.raises(ValueError, match="trajectory row 4: zero-norm quaternion"):
+            replace(t, quaternions=rotations)
 
     def test_overflowing_quaternion_norm_rejected(self):
         w = generate_corridor(spec())
-        rotations = w.rotations.copy()
+        rotations = w.trajectory.quaternions.copy()
         rotations[3] = [1e300, 0.0, 0.0, 1e300]
-        message = "trajectory entry 3 has a quaternion whose norm overflows"
-        with pytest.raises(ValueError, match=message):
-            replace(w, rotations=rotations)
+        with pytest.raises(ValueError, match="trajectory row 3: quaternion norm overflows"):
+            replace(w.trajectory, quaternions=rotations)
+        message = "trajectory entry 3: quaternion norm overflows"
         doc = legacy_json(w)
         doc["trajectory"][3]["q"] = [1e300, 0.0, 0.0, 1e300]
         with pytest.raises(ValueError, match=message):
@@ -242,22 +246,36 @@ class TestWorldArrays:
         with pytest.raises(ValueError, match=message):
             world_from_json(doc)
 
+    @pytest.mark.parametrize("layout", [world_to_json, legacy_json])
+    def test_first_bad_entry_of_several_named(self, layout):
+        # a zero quaternion at entry 2, then a NaN position at entry 4
+        doc = layout(generate_corridor(spec()))
+        if layout is world_to_json:
+            doc["trajectory"]["q"][8:12] = [0.0] * 4
+            doc["trajectory"]["p"][13] = float("nan")
+        else:
+            doc["trajectory"][2]["q"] = [0.0] * 4
+            doc["trajectory"][4]["p"][1] = float("nan")
+        with pytest.raises(ValueError, match="^trajectory entry 2: zero-norm quaternion$"):
+            world_from_json(doc)
+
     def test_first_bad_quaternion_named(self):
-        w = generate_corridor(spec())
-        rotations = w.rotations.copy()
+        t = generate_corridor(spec()).trajectory
+        rotations = t.quaternions.copy()
         rotations[5] = 0.0
         rotations[6] = [1e300, 0.0, 0.0, 1e300]
-        with pytest.raises(ValueError, match="trajectory entry 5 has a zero quaternion"):
-            replace(w, rotations=rotations)
+        with pytest.raises(ValueError, match="trajectory row 5: zero-norm quaternion"):
+            replace(t, quaternions=rotations)
 
     def test_rotations_normalised_and_arrays_read_only(self):
         w = generate_corridor(spec())
-        doubled = replace(w, rotations=2.0 * w.rotations)
-        assert np.array_equal(doubled.rotations, w.rotations)
+        t = w.trajectory
+        doubled = replace(w, trajectory=replace(t, quaternions=2.0 * t.quaternions))
+        assert np.array_equal(doubled.trajectory.quaternions, t.quaternions)
         assert w.archetypes.dtype == np.int64
-        for name in ("endpoints", "archetypes", "timestamps", "rotations", "translations"):
+        for array in (w.endpoints, w.archetypes, t.timestamps, t.quaternions, t.positions):
             with pytest.raises(ValueError):
-                getattr(w, name)[0] = 0
+                array[0] = 0
 
 
 class TestWorldFileFields:
@@ -339,7 +357,7 @@ class TestWorldFileFields:
         doc["trajectory"][0]["t"] = 0
         w = world_from_json(doc)
         assert w.endpoints[0, 0].tolist() == doc["segments"][0]["a"]
-        assert w.timestamps[0] == 0.0
+        assert w.trajectory.timestamps[0] == 0.0
 
 
 def columns(**kw):
@@ -471,7 +489,7 @@ class TestWorldFileColumns:
         doc["trajectory"]["t"][0] = 0
         w = world_from_json(doc)
         assert w.endpoints[0, 0].tolist() == doc["segments"]["a"][:3]
-        assert w.timestamps[0] == 0.0
+        assert w.trajectory.timestamps[0] == 0.0
 
     def test_layouts_mix_by_section(self):
         w = generate_corridor(spec(n_turns=1))
@@ -484,10 +502,11 @@ def odd_world():
     """A turning, cluttered world with -0.0 coordinates in a segment and a pose."""
     w = generate_corridor(spec(n_turns=2, turn_angle=-60.0, extra_unique_segments=5, rng_seed=4))
     ends = np.append(w.endpoints, [[[-0.0, 1.5, -0.0], [0.25, -0.0, 2.0]]], axis=0)
-    translations = w.translations.copy()
+    translations = w.trajectory.positions.copy()
     translations[2] = [-0.0, 0.5, 1.5]
+    trajectory = replace(w.trajectory, positions=translations)
     return replace(
-        w, endpoints=ends, archetypes=np.append(w.archetypes, 99), translations=translations, rng_seed=12
+        w, endpoints=ends, archetypes=np.append(w.archetypes, 99), trajectory=trajectory, rng_seed=12
     )
 
 
@@ -495,16 +514,19 @@ def signed_zero_column_world():
     """A world whose pose column z holds both 0.0 and -0.0: the writer keys
     floats by their bits, so each must keep its sign."""
     w = generate_corridor(spec(n_turns=1))
-    translations = w.translations.copy()
+    translations = w.trajectory.positions.copy()
     translations[1::2, 2] = -0.0
     assert np.signbit(translations[:, 2]).any() and not np.signbit(translations[:, 2]).all()
-    return replace(w, translations=translations)
+    return replace(w, trajectory=replace(w.trajectory, positions=translations))
 
 
 def assert_same_world(back, w):
-    for name in ("endpoints", "archetypes", "timestamps", "rotations", "translations"):
+    for name in ("endpoints", "archetypes"):
         assert getattr(back, name).dtype == getattr(w, name).dtype
         assert getattr(back, name).tobytes() == getattr(w, name).tobytes(), name
+    for name in ("timestamps", "quaternions", "positions"):
+        assert getattr(back.trajectory, name).dtype == getattr(w.trajectory, name).dtype
+        assert getattr(back.trajectory, name).tobytes() == getattr(w.trajectory, name).tobytes(), name
     assert back.rng_seed == w.rng_seed
 
 
@@ -519,7 +541,7 @@ def extreme_world():
     ts = [-0.0, 5e-324, 1e-310, 2.0, 1e16, 1e308]
     q = [[1.0, 0.0, -0.0, 5e-324], [-0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0]] * 2
     p = [[-0.0, 1e308, -1e308], [5e-324, -5e-324, 2.0], [1e16, 3.0, -0.0]] * 2
-    return World(np.array(ends), np.array([0, 0, 7]), np.array(ts), np.array(q), np.array(p), 5)
+    return World(np.array(ends), np.array([0, 0, 7]), Trajectory(np.array(ts), np.array(p), np.array(q)), 5)
 
 
 def per_field_json(w) -> str:
@@ -542,9 +564,7 @@ WORLDS = [
     extreme_world,
     lambda: replace(
         generate_corridor(spec()),
-        timestamps=[],
-        rotations=np.zeros((0, 4)),
-        translations=np.zeros((0, 3)),
+        trajectory=Trajectory([], np.zeros((0, 3)), np.zeros((0, 4))),
         rng_seed=3,
     ),
 ]
@@ -584,7 +604,7 @@ class TestSerialization:
         world_to_file(w, tmp_path / "world.json")
         back = world_from_file(tmp_path / "world.json")
         assert back.endpoints[-1, 0].tobytes() == w.endpoints[-1, 0].tobytes()
-        assert back.translations[2].tobytes() == w.translations[2].tobytes()
+        assert back.trajectory.positions[2].tobytes() == w.trajectory.positions[2].tobytes()
 
     def test_json_round_trip(self, tmp_path):
         w = generate_corridor(spec(n_turns=1, extra_unique_segments=2, rng_seed=3))
