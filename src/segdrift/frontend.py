@@ -337,11 +337,13 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
         points = points + np.concatenate(noise)
     point_of_key = np.empty(len(key_point), dtype=np.int64)
     point_of_key[point_keys] = np.arange(len(point_keys))
-    # Filled a column at a time, with the visible-pair arrays freed before
-    # the widest one, so that the pair-key table adds nothing to the peak.
-    observations = np.empty((np.count_nonzero(detected), len(OBSERVATION_COLUMNS)), dtype=np.int64)
-    observations[:, OBS_FRAME] = vis_frame[detected]
-    observations[:, OBS_SEGMENT] = cand_segment[vis_cand[detected]]
+    # Filled a column at a time, each a gather through the detected pairs,
+    # with the visible-pair arrays freed before the point columns.
+    kept = np.flatnonzero(detected)
+    observations = np.empty((len(kept), len(OBSERVATION_COLUMNS)), dtype=np.int64)
+    observations[:, OBS_FRAME] = vis_frame[kept]
+    observations[:, OBS_SEGMENT] = cand_segment[vis_cand[kept]]
     del vis_frame, vis_cand
-    observations[:, [OBS_P1, OBS_P2]] = point_of_key[pair_keys[detected]]
+    observations[:, OBS_P1] = point_of_key[pair_keys[kept, 0]]
+    observations[:, OBS_P2] = point_of_key[pair_keys[kept, 1]]
     return EstimatedMap(points, first_seen, observations, trajectory)

@@ -5,27 +5,47 @@ positions, slerp for orientations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .geometry import BadRowError, Sim3, Trajectory, quat_slerp, row_norms, umeyama_alignment
+from .worldgen import check_int, check_real
 
 DEFAULT_MATCH_TOLERANCE_S = 0.01
 DEFAULT_RPE_DELTA = 30
 ALIGN_MODES = ("similarity", "rigid", "none")
-
-_TUM_ROW = "%.9g " * 7 + "%.9g\n"
 
 
 def write_tum(traj: Trajectory, path) -> str:
     """TUM format: `timestamp tx ty tz qx qy qz qw`, 9 significant digits.
     Returns the text written, for writing the same trajectory elsewhere."""
     q = traj.quaternions
-    rows = np.column_stack([traj.timestamps, traj.positions, q[:, 1:], q[:, :1]])
-    text = (_TUM_ROW * len(rows)) % tuple(rows.ravel().tolist())
+    columns = [traj.timestamps, *traj.positions.T, *q[:, 1:].T, q[:, 0]]
+    fields = [_column_fields(c, "%.9g ") for c in columns[:-1]]
+    fields.append(_column_fields(columns[-1], "%.9g\n"))
+    text = "".join(chain.from_iterable(zip(*fields)))
     with open(path, "w") as f:
         f.write(text)
     return text
+
+
+def _column_fields(values: np.ndarray, template: str) -> list[str]:
+    """`template % v` for each value, formatted once per run of equal values
+    (equal float bits, so -0.0 and 0.0 stay apart): the TUM columns of a
+    ground truth hold long runs. Column by column: temporaries that span
+    the whole table raised a run's peak RSS by several MiB."""
+    bits = values.view(np.int64)
+    run_start = np.ones(len(values), dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    # One format call for all runs; formatted floats hold no NUL.
+    fields = ((template + "\0") * len(starts) % tuple(values[starts].tolist())).split("\0")
+    fields.pop()
+    if len(starts) < len(values):
+        run_lengths = np.diff(starts, append=len(values))
+        fields = np.repeat(np.array(fields, dtype=object), run_lengths).tolist()
+    return fields
 
 
 def read_tum(path) -> Trajectory:
@@ -77,19 +97,62 @@ def associate(
 
 
 def _match(est: Trajectory, gt: Trajectory, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
-    """`associate` as two index arrays, est rows then gt rows."""
-    gts = gt.timestamps.tolist()
+    """`associate` as two index arrays, est rows then gt rows.
+
+    `associate` is a greedy walk: a pointer j into gt starts at row 0; for
+    each est time t it steps on while the next row is no farther from t,
+    and on a match (distance <= tolerance) it pairs (i, j) and moves past j.
+    With d(j) = |g[j] - t| as computed in floats, the walk is answered with
+    array operations whenever they can prove where it stops:
+
+    - With G gt rows, let k = searchsorted(g, t, "right") - 1, clipped to
+      [0, G - 2], and the landing L = k + 1 if d(k + 1) <= d(k), else k.
+      For j < k, g[j] < g[j + 1] <= t, and rounding is monotone, so
+      d(j) >= d(j + 1): a walk that starts at or before L passes to L.
+    - It stops at L if L is the last row or d(L + 1) > d(L) (no rounding
+      plateau after L); for L = k that holds by the choice of L.
+    - If the landings strictly increase from one est row to the next, the
+      pointer after row i (L_i, or L_i + 1 on a match) is at or before
+      L_{i + 1}, and only the last est row can land on the last gt row, so
+      the walk's early exit skips no row. The pointer then equals the
+      landing on every row, and a row matches when d(L) <= tolerance.
+
+    Any other input (a dense estimate, a one-row gt, est times before or
+    after all of gt, timestamps so large that neighbouring distances round
+    equal) runs the walk itself, `_match_walk`.
+    """
+    check_real("tolerance", tolerance)
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
+    te, tg = est.timestamps, gt.timestamps
+    if len(tg) >= 2:
+        last = len(tg) - 1
+        k = np.clip(np.searchsorted(tg, te, "right") - 1, 0, last - 1)
+        near, far = np.abs(tg[k] - te), np.abs(tg[k + 1] - te)
+        landing = k + (far <= near)
+        dist = np.minimum(near, far)
+        after = np.abs(tg[np.minimum(landing + 1, last)] - te)
+        if ((landing == last) | (after > dist)).all() and (landing[1:] > landing[:-1]).all():
+            hit = dist <= tolerance
+            return np.flatnonzero(hit), landing[hit]
+    return _match_walk(te.tolist(), tg.tolist(), tolerance)
+
+
+def _match_walk(
+    est_times: list[float], gt_times: list[float], tolerance: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy walk of `_match`, one est row at a time."""
     ei: list[int] = []
     gi: list[int] = []
     j = 0
-    for i, t in enumerate(est.timestamps.tolist()):
-        while j + 1 < len(gts) and abs(gts[j + 1] - t) <= abs(gts[j] - t):
+    for i, t in enumerate(est_times):
+        while j + 1 < len(gt_times) and abs(gt_times[j + 1] - t) <= abs(gt_times[j] - t):
             j += 1
-        if abs(gts[j] - t) <= tolerance:
+        if abs(gt_times[j] - t) <= tolerance:
             ei.append(i)
             gi.append(j)
             j += 1
-            if j >= len(gts):
+            if j >= len(gt_times):
                 break
     return np.array(ei, dtype=np.intp), np.array(gi, dtype=np.intp)
 
@@ -115,8 +178,6 @@ def _ate(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, t: Sim
 
 
 def _rpe(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, delta: int) -> float:
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
     if len(ei) < 2:
         raise ValueError(f"need at least 2 matched poses for RPE, got {len(ei)}")
     if len(ei) <= delta:
@@ -157,6 +218,7 @@ def rpe(
 ) -> float:
     """RMSE of the translational magnitude of relative-pose discrepancies
     over a fixed frame delta (meters)."""
+    check_int("delta", delta, 1)
     return _rpe(est, gt, *_match(est, gt, tolerance), delta)
 
 
@@ -254,6 +316,7 @@ def evaluate(
     tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
 ) -> MetricsReport:
     """ATE and RPE from one association and one alignment."""
+    check_int("delta", delta, 1)
     ei, gi = _match(est, gt, tolerance)
     t = _align(est, gt, ei, gi, mode)
     return MetricsReport(

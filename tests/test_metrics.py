@@ -1,15 +1,18 @@
 """Trajectory metrics: alignment, ATE, RPE, TUM I/O, spline interpolation."""
 
 import math
+import re
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import segdrift.metrics as metrics
+from segdrift.frontend import DriftConfig, ObservationConfig
 from segdrift.geometry import (
     BadRowError,
     Sim3,
@@ -30,6 +33,21 @@ from segdrift.metrics import (
     spline_interpolate,
     write_tum,
 )
+from segdrift.pipeline import ScheduleConfig, run
+from segdrift.worldgen import WorldSpec, generate_corridor
+
+
+@lru_cache(maxsize=None)
+def corridor120_baseline():
+    """A `baseline` run on the 120 m, 3-turn world, with the drift and
+    observation noise of the benchmark."""
+    world = generate_corridor(WorldSpec(corridor_length=120.0, n_turns=3))
+    return run(
+        world,
+        DriftConfig(scale_sigma=1e-3, rng_seed=1),
+        ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=1001),
+        ScheduleConfig(mode="baseline"),
+    )
 
 
 def straight_trajectory(n=10, step=1.0):
@@ -94,7 +112,7 @@ def reference_ate(est, gt, mode="similarity", tolerance=DEFAULT_MATCH_TOLERANCE_
 
 def reference_rpe(est, gt, delta=30, tolerance=DEFAULT_MATCH_TOLERANCE_S):
     if delta < 1:
-        raise ValueError("delta must be >= 1")
+        raise ValueError(f"delta must be an integer >= 1, got {delta!r}")
     pairs = reference_associate(est, gt, tolerance)
     if len(pairs) < 2:
         raise ValueError(f"need at least 2 matched poses for RPE, got {len(pairs)}")
@@ -341,9 +359,25 @@ def timestamp_pairs(draw):
     return stamped(est), stamped(gt), tolerance
 
 
+HZ30 = np.arange(90) / 30.0
+
+
 class TestMatchIndices:
     @settings(max_examples=300)
     @given(timestamp_pairs())
+    @example((stamped(HZ30), stamped(HZ30), DEFAULT_MATCH_TOLERANCE_S))
+    @example((stamped(np.arange(180) / 60.0), stamped(HZ30), DEFAULT_MATCH_TOLERANCE_S))
+    @example((stamped([-3.0, -2.0, -1.0]), stamped([0.0, 1.0, 2.0]), 1.5))  # est before gt
+    @example((stamped([3.0, 4.0, 5.0]), stamped([0.0, 1.0, 2.0]), 1.5))  # est after gt
+    @example((stamped([0.5, 1.0, 1.5]), stamped([1.0]), 0.5))  # one-row gt
+    # Distances from -2**54 round to 2**54, 2**54, 2**54 + 4: the walk steps
+    # onto row 1 through the rounding plateau and stops there.
+    @example((stamped([-(2.0**54)]), stamped([1.0, 2.0, 3.0]), 2.0**55))
+    # From -2**56 the first eight distances round equal: only the walk
+    # knows that it stops on row 7.
+    @example((stamped([-(2.0**56)]), stamped(np.arange(1.0, 12.0)), 2.0**57))
+    @example((stamped(HZ30[::2] + 1e-9), stamped(HZ30), 0.0))
+    @example((stamped(HZ30[::2]), stamped(HZ30), 0.0))
     def test_equals_list_of_tuples_loop(self, case):
         est, gt, tolerance = case
         expected = list_associate(est, gt, tolerance)
@@ -356,6 +390,51 @@ class TestMatchIndices:
         gt = stamped([-1.0, -0.5, 0.0, 0.5])
         est = stamped([-0.5, 0.25, 0.5])
         assert associate(est, gt, tolerance=0.0) == [(0, 1), (2, 3)]
+
+    def test_benchmark_run_takes_the_array_path(self, monkeypatch):
+        """A run cell scores one pose per frame against the ground truth:
+        the array answer covers it without the walk."""
+        rr = corridor120_baseline()
+        est, gt = rr.raw_trajectory, rr.gt_trajectory
+        expected = list_associate(est, gt, DEFAULT_MATCH_TOLERANCE_S)
+        assert len(expected) == len(gt)
+
+        def walk(*args):
+            raise AssertionError("the greedy walk ran")
+
+        monkeypatch.setattr(metrics, "_match_walk", walk)
+        assert associate(est, gt) == expected
+        assert evaluate(est, gt).n_matched == len(gt)
+
+
+class TestBadScoringArguments:
+    """Bad tolerance and delta values raise ValueError naming the value
+    before any matching or scoring: the trajectory's coincident positions
+    would fail the alignment."""
+
+    @pytest.mark.parametrize("score", [associate, align, ate, rpe, evaluate])
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [
+            (float("nan"), "tolerance must be a finite number, got nan"),
+            (float("inf"), "tolerance must be a finite number, got inf"),
+            (True, "tolerance must be a finite number, got True"),
+            ("0.01", "tolerance must be a finite number, got '0.01'"),
+            (-1.0, "tolerance must be >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_tolerance(self, score, tolerance, message):
+        t = stamped(np.arange(50.0))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            score(t, t, tolerance=tolerance)
+
+    @pytest.mark.parametrize("score", [rpe, evaluate])
+    @pytest.mark.parametrize("delta", [True, 2.5, 0, -3, "30"])
+    def test_bad_delta(self, score, delta):
+        t = stamped(np.arange(50.0))
+        message = f"delta must be an integer >= 1, got {delta!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            score(t, t, delta=delta)
 
 
 class TestAlign:
@@ -665,6 +744,9 @@ class TestInterpolateTrajectory:
         assert np.array_equal(out.timestamps, [0.0, 0.25, 2.5, 4.0])
 
 
+TUM_ROW = "%.9g " * 7 + "%.9g\n"
+
+
 class TestTumIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -716,23 +798,46 @@ class TestTumIO:
         assert path.read_text() == expected
 
     @pytest.mark.parametrize(
-        "timestamps, positions, quaternions",
+        "make_trajectory",
         [
             # signed zeros, subnormals and values near the float maximum
-            ([-0.0, 5e-324, 1e300],
-             [[-0.0, 0.0, 5e-324], [-5e-324, 2.2250738585072014e-308, -1e300], [1e300, -0.0, 1.5]],
-             [[1.0, -0.0, 0.0, 5e-324], [-1e150, 0.0, -0.0, 1.0], [5e-324, 1e150, -1e-310, -0.0]]),
-            ([0.25], [[1.0, -2.0, 3.0]], [[0.5, -0.5, 0.5, -0.5]]),  # one row
+            lambda: Trajectory(
+                [-0.0, 5e-324, 1e300],
+                [[-0.0, 0.0, 5e-324], [-5e-324, 2.2250738585072014e-308, -1e300],
+                 [1e300, -0.0, 1.5]],
+                [[1.0, -0.0, 0.0, 5e-324], [-1e150, 0.0, -0.0, 1.0],
+                 [5e-324, 1e150, -1e-310, -0.0]],
+            ),
+            lambda: Trajectory([0.25], [[1.0, -2.0, 3.0]], [[0.5, -0.5, 0.5, -0.5]]),  # one row
+            # a column of 0.0 and -0.0 row by row: equal values, other bits
+            lambda: Trajectory(
+                np.arange(7.0),
+                np.column_stack([np.tile([0.0, -0.0], 4)[:7], np.zeros(7), np.full(7, -0.0)]),
+                np.tile([1.0, -0.0, 0.0, -0.0], (7, 1)),
+            ),
+            # 1000 equal rows, then one that differs in every column but time
+            lambda: Trajectory(
+                np.arange(1001) / 30.0,
+                np.vstack([np.tile([1.5, -2.0, 0.1], (1000, 1)), [[1.5000001, -2.0000001, 0.2]]]),
+                np.vstack([np.tile([0.5, 0.5, -0.5, 0.5], (1000, 1)), [[0.5, 0.5, -0.5, 0.6]]]),
+            ),
+            lambda: Trajectory(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4))),  # empty
+            lambda: corridor120_baseline().gt_trajectory,
+            lambda: corridor120_baseline().raw_trajectory,
         ],
+        ids=["extremes", "one-row", "signed-zeros", "long-run", "empty", "corridor120-gt",
+             "corridor120-raw"],
     )
-    def test_text_equals_per_row_join(self, tmp_path, timestamps, positions, quaternions):
-        traj = Trajectory(timestamps, positions, quaternions)
+    def test_text_equals_per_row_join(self, tmp_path, make_trajectory):
+        traj = make_trajectory()
         path = tmp_path / "traj.txt"
         text = write_tum(traj, path)
         q = traj.quaternions
         rows = np.column_stack([traj.timestamps, traj.positions, q[:, 1:], q[:, :1]]).tolist()
-        assert text == "".join(metrics._TUM_ROW % tuple(row) for row in rows)
+        assert text == "".join(TUM_ROW % tuple(row) for row in rows)
         assert path.read_text() == text
+        if not len(traj):
+            assert text == ""
 
     @pytest.mark.parametrize(
         "row, message",
