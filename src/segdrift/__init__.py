@@ -8,7 +8,7 @@ from .frontend import DriftConfig, EstimatedMap, ObservationConfig, drift_walk, 
 from .clustering import ClusterStore, DegenerateSegmentError
 from .clusteropt import OptProblem, OptReport, build_problem, evaluate_objective, solve
 from .pipeline import RunResult, ScheduleConfig, propagate_to_poses, run
-from .metrics import MetricsReport, ate, rpe, spline_interpolate
+from .metrics import MetricsConfig, MetricsReport, ate, rpe, spline_interpolate
 
 __all__ = [
     "PoseSE3",
@@ -33,6 +33,7 @@ __all__ = [
     "ScheduleConfig",
     "propagate_to_poses",
     "run",
+    "MetricsConfig",
     "MetricsReport",
     "Trajectory",
     "ate",

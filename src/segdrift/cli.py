@@ -17,11 +17,12 @@ import shutil
 import statistics
 import sys
 from contextlib import suppress
+from dataclasses import fields
 from pathlib import Path
 
 from . import metrics as met
 from .frontend import DriftConfig, ObservationConfig
-from .pipeline import MODES, ScheduleConfig, run as run_pipeline
+from .pipeline import ScheduleConfig, run as run_pipeline
 from .worldgen import WorldSpec, check_int, generate_corridor, world_from_file, world_to_file
 
 AGGREGATE_HEADER = ["mode", "seed", "ate_rmse", "rpe_rmse", "align_mode", "rpe_delta"]
@@ -30,7 +31,6 @@ CONFIG_KEYS = (
 )
 CONFIG_SECTIONS = ("world", "drift", "observation", "schedule", "metrics")  # JSON objects
 CONFIG_PATHS = ("out_dir", "world_file")  # strings
-METRICS_KEYS = ("align_mode", "rpe_delta")
 OBS_SEED_OFFSET = 1_000_000
 
 
@@ -41,27 +41,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _world_spec_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--corridor-length", type=float, default=40.0)
-    p.add_argument("--door-spacing", type=float, default=2.0)
-    p.add_argument("--door-height", type=float, default=2.0)
-    p.add_argument("--door-width", type=float, default=0.9)
-    p.add_argument("--n-turns", type=int, default=0)
-    p.add_argument("--turn-angle", type=float, default=90.0)
-    p.add_argument("--extra-unique-segments", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _spec_from_args(args) -> WorldSpec:
-    return WorldSpec(
-        corridor_length=args.corridor_length,
-        door_spacing=args.door_spacing,
-        door_height=args.door_height,
-        door_width=args.door_width,
-        n_turns=args.n_turns,
-        turn_angle=args.turn_angle,
-        extra_unique_segments=args.extra_unique_segments,
-        rng_seed=args.seed,
-    )
+    """One flag per WorldSpec field, defaulting to the field's default;
+    `--seed` sets rng_seed."""
+    for f in fields(WorldSpec):
+        flag = "--seed" if f.name == "rng_seed" else "--" + f.name.replace("_", "-")
+        metavar = "SEED" if f.name == "rng_seed" else None
+        p.add_argument(flag, dest=f.name, metavar=metavar, type=type(f.default), default=f.default)
 
 
 def _check_out(path: str | None) -> None:
@@ -72,7 +57,7 @@ def _check_out(path: str | None) -> None:
 
 def cmd_gen_world(args) -> int:
     _check_out(args.out)
-    spec = _spec_from_args(args)
+    spec = WorldSpec(**{f.name: getattr(args, f.name) for f in fields(WorldSpec)})
     world = generate_corridor(spec)
     world_to_file(world, args.out)
     print(f"wrote {args.out}: {len(world.endpoints)} segments, {world.n_frames} frames")
@@ -113,39 +98,20 @@ def _load_experiment(args) -> dict:
     modes = cfg.get("modes", ["baseline", "seg"])
     if not isinstance(modes, list) or not modes:
         raise ValueError(f"config 'modes' must list at least one mode, got {modes!r}")
-    for m in modes:
-        if m not in MODES:
-            raise ValueError(f"unknown mode {m!r}; choose from {MODES}")
+    # Reject unknown keys and bad values before any world or cell is written.
+    # Building each mode's configs checks the mode, so an unhashable mode
+    # fails there, before the repeat test hashes it.
+    for mode in modes:
+        _cell_configs(cfg, mode, cfg["seeds"][0])
     if len(set(modes)) < len(modes):
         raise ValueError(f"config 'modes' repeats a mode: {modes}")
     cfg["modes"] = modes
-    # Reject unknown keys and bad values before any world or cell is written.
-    if "world_file" not in cfg:
-        _build_config(WorldSpec, cfg.get("world", {})).validate()
-    for mode in modes:
-        for c in _cell_configs(cfg, mode, cfg["seeds"][0]):
-            c.validate()
-    _metrics_settings(cfg)
     return cfg
 
 
-def _metrics_settings(cfg) -> tuple[str, int]:
-    """The run's (align_mode, rpe_delta), checked."""
-    mcfg = cfg.get("metrics", {})
-    unknown = sorted(set(mcfg) - set(METRICS_KEYS))
-    if unknown:
-        raise ValueError(f"unknown metrics key(s) {unknown}; choose from {METRICS_KEYS}")
-    align_mode = mcfg.get("align_mode", "similarity")
-    if align_mode not in met.ALIGN_MODES:
-        raise ValueError(f"metrics align_mode must be one of {met.ALIGN_MODES}, got {align_mode!r}")
-    rpe_delta = mcfg.get("rpe_delta", met.DEFAULT_RPE_DELTA)
-    check_int("metrics rpe_delta", rpe_delta, 1)
-    return align_mode, rpe_delta
-
-
-def _build_config(cls, fields: dict, **fixed):
+def _build_config(cls, section: dict, **fixed):
     try:
-        return cls(**fixed, **fields)
+        return cls(**fixed, **section)
     except TypeError as exc:  # unknown or duplicated key
         raise ValueError(f"bad config key: {exc}") from None
 
@@ -160,15 +126,16 @@ def _cell_configs(cfg, mode: str, seed: int):
 
 def cmd_run(args) -> int:
     cfg = _load_experiment(args)
-    # A bad world file, or metric settings the world is too short for, is a
-    # configuration error: exit 1 before writing anything.
+    scoring = _build_config(met.MetricsConfig, cfg.get("metrics", {}))
+    align_mode, rpe_delta = scoring.align_mode, scoring.rpe_delta
+    # A bad world section or file, or metric settings the world is too short
+    # for, is a configuration error: exit 1 before writing anything.
     world_file = cfg.get("world_file")
     if world_file is not None:
         world = world_from_file(world_file)
     else:
         world = generate_corridor(_build_config(WorldSpec, cfg.get("world", {})))
     # Every cell's trajectories hold one pose per frame, all of them matched.
-    align_mode, rpe_delta = _metrics_settings(cfg)
     if rpe_delta >= world.n_frames:
         raise ValueError(
             f"metrics rpe_delta {rpe_delta} must be below the world's frame count {world.n_frames}"
@@ -300,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score an estimated trajectory against ground truth")
     p.add_argument("est", help="estimated trajectory, TUM format")
     p.add_argument("gt", help="ground-truth trajectory, TUM format")
-    p.add_argument("--align", choices=met.ALIGN_MODES, default="similarity")
-    p.add_argument("--rpe-delta", type=int, default=met.DEFAULT_RPE_DELTA)
+    p.add_argument("--align", choices=met.ALIGN_MODES, default=met.MetricsConfig.align_mode)
+    p.add_argument("--rpe-delta", type=int, default=met.MetricsConfig.rpe_delta)
     p.add_argument(
         "--interpolate-gt",
         action="store_true",

@@ -286,9 +286,7 @@ class ClusterStore:
         batch repeats an observation, it holds one already assigned, or
         rel_threshold is not a finite real > 0 (bools are not).
         """
-        check_real("rel_threshold", rel_threshold)
-        if not rel_threshold > 0:
-            raise ValueError(f"rel_threshold must be > 0, got {rel_threshold!r}")
+        check_real("rel_threshold", rel_threshold, 0, strict=True)
         batch = _index_array(obs_indices, len(emap.observations))
         if not len(batch):
             return []

@@ -19,6 +19,7 @@ import numpy as np
 
 from .clustering import E_CLUSTER, E_P1, E_P2, EDGE, FRAME, ClusterStore
 from .frontend import EstimatedMap
+from .worldgen import check_int, check_real
 
 DEFAULT_ANCHOR_WEIGHT = 1e-3
 DEFAULT_ITERATION_CAP = 10
@@ -54,8 +55,8 @@ class OptProblem:
     endpoint_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0 <= self.anchor_weight < math.inf:
-            raise ValueError("anchor_weight must be finite and non-negative")
+        check_real("anchor_weight", self.anchor_weight, 0)
+        check_int("iteration_cap", self.iteration_cap, 1)
         self.point_ids = np.asarray(self.point_ids, dtype=np.int64)
         edges = np.asarray(self.edges, dtype=EDGE_DTYPE)  # field reads skip recarray's hooks
         self.edges = edges.view(np.recarray)

@@ -47,11 +47,9 @@ class DriftConfig:
     trans_sigma: float = 0.0  # meters per frame
     rng_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("scale_sigma", "rot_sigma", "trans_sigma"):
-            check_real(name, getattr(self, name))
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be finite and non-negative")
+            check_real(name, getattr(self, name), 0)
         check_int("rng_seed", self.rng_seed, 0)
 
 
@@ -63,16 +61,13 @@ class ObservationConfig:
     min_segment_length: float = 0.3
     rng_seed: int = 0
 
-    def validate(self) -> None:
-        for name in ("detect_prob", "endpoint_noise_sigma", "max_range", "min_segment_length"):
-            check_real(name, getattr(self, name))
-        if not 0.0 <= self.detect_prob <= 1.0:
-            raise ValueError("detect_prob must be in [0, 1]")
-        for name in ("endpoint_noise_sigma", "min_segment_length"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be finite and non-negative")
-        if not self.max_range > 0:
-            raise ValueError("max_range must be finite and positive")
+    def __post_init__(self):
+        check_real("detect_prob", self.detect_prob, 0)
+        if not self.detect_prob <= 1:
+            raise ValueError(f"detect_prob must be <= 1, got {self.detect_prob!r}")
+        check_real("endpoint_noise_sigma", self.endpoint_noise_sigma, 0)
+        check_real("max_range", self.max_range, 0, strict=True)
+        check_real("min_segment_length", self.min_segment_length, 0)
         check_int("rng_seed", self.rng_seed, 0)
 
 
@@ -99,9 +94,6 @@ class EstimatedMap:
         self.observations = np.asarray(self.observations, dtype=np.int64).reshape(
             -1, len(OBSERVATION_COLUMNS)
         )
-        self.validate()
-
-    def validate(self) -> None:
         if self.first_seen.shape != (len(self.points),):
             raise ValueError("first_seen must hold one frame per point")
         ends = self.observations[:, [OBS_P1, OBS_P2]]
@@ -123,7 +115,6 @@ def drift_walk(cfg: DriftConfig, n_frames: int) -> tuple[np.ndarray, np.ndarray,
     axis, and a normal translation, each drawn only when its sigma is
     positive. Raises ValueError if the scale leaves the positive floats.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.rng_seed)
     steps = max(n_frames - 1, 0)
     # One row of draws per frame, in the order a frame draws them.
@@ -256,7 +247,6 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
     the existing id. The estimated trajectory is the ground truth with the
     per-frame cumulative drift applied.
     """
-    obs_cfg.validate()
     gt = world.trajectory
     n_frames = len(gt)
     scale, rotation, translation = drift_walk(drift_cfg, n_frames)

@@ -17,6 +17,19 @@ DEFAULT_RPE_DELTA = 30
 ALIGN_MODES = ("similarity", "rigid", "none")
 
 
+@dataclass(frozen=True)
+class MetricsConfig:
+    """How a run scores each cell: `evaluate`'s alignment mode and RPE delta."""
+
+    align_mode: str = "similarity"
+    rpe_delta: int = DEFAULT_RPE_DELTA
+
+    def __post_init__(self):
+        if self.align_mode not in ALIGN_MODES:
+            raise ValueError(f"align_mode must be one of {ALIGN_MODES}, got {self.align_mode!r}")
+        check_int("rpe_delta", self.rpe_delta, 1)
+
+
 def write_tum(traj: Trajectory, path) -> str:
     """TUM format: `timestamp tx ty tz qx qy qz qw`, 9 significant digits.
     Returns the text written, for writing the same trajectory elsewhere."""
@@ -119,12 +132,13 @@ def _match(est: Trajectory, gt: Trajectory, tolerance: float) -> tuple[np.ndarra
 
     Any other input (a dense estimate, a one-row gt, est times before or
     after all of gt, timestamps so large that neighbouring distances round
-    equal) runs the walk itself, `_match_walk`.
+    equal) runs the walk itself, `_match_walk`. An empty gt, which the
+    walk cannot start on, is a ValueError.
     """
-    check_real("tolerance", tolerance)
-    if not tolerance >= 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
+    check_real("tolerance", tolerance, 0)
     te, tg = est.timestamps, gt.timestamps
+    if not len(tg):
+        raise ValueError("ground truth trajectory is empty: no poses to match")
     if len(tg) >= 2:
         last = len(tg) - 1
         k = np.clip(np.searchsorted(tg, te, "right") - 1, 0, last - 1)

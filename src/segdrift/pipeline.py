@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterStore, DEFAULT_REL_THRESHOLD, assign_all
-from .clusteropt import OptReport, build_problem, solve
+from .clusteropt import DEFAULT_ANCHOR_WEIGHT, DEFAULT_ITERATION_CAP, OptReport, build_problem, solve
 from .frontend import OBS_FRAME, DriftConfig, EstimatedMap, ObservationConfig, simulate
 from .geometry import (
     Sim3, Trajectory, quat_multiply, quat_normalize, quat_rotate, quat_slerp, row_norms,
@@ -31,21 +31,17 @@ class ScheduleConfig:
     mode: str = "baseline"
     keyframe_interval: int = 10  # frames
     local_window: int = 5  # keyframes
-    iteration_cap: int = 10
-    anchor_weight: float = 1e-3
+    iteration_cap: int = DEFAULT_ITERATION_CAP
+    anchor_weight: float = DEFAULT_ANCHOR_WEIGHT
     rel_threshold: float = DEFAULT_REL_THRESHOLD
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("keyframe_interval", "local_window", "iteration_cap"):
             check_int(name, getattr(self, name), 1)
-        for name in ("anchor_weight", "rel_threshold"):
-            check_real(name, getattr(self, name))
-        if not self.rel_threshold > 0:
-            raise ValueError("rel_threshold must be finite and positive")
-        if not self.anchor_weight >= 0:
-            raise ValueError("anchor_weight must be finite and non-negative")
+        check_real("anchor_weight", self.anchor_weight, 0)
+        check_real("rel_threshold", self.rel_threshold, 0, strict=True)
 
 
 @dataclass
@@ -155,7 +151,6 @@ def run(
     schedule: ScheduleConfig,
 ) -> RunResult:
     """Process the whole world under the chosen optimization schedule."""
-    schedule.validate()
     emap = simulate(world, drift_cfg, obs_cfg)
     raw = emap.trajectory
 

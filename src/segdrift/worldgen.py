@@ -39,9 +39,10 @@ def check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def check_real(name: str, value) -> None:
-    """Raise ValueError unless value is a finite real number, not a bool.
-    An int too large for a float is not finite."""
+def check_real(name: str, value, minimum=None, strict: bool = False) -> None:
+    """Raise ValueError unless value is a finite real number, not a bool,
+    and, given a minimum, above it (strict) or at least it. An int too
+    large for a float is not finite."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
         finite = real and math.isfinite(value)
@@ -49,6 +50,8 @@ def check_real(name: str, value) -> None:
         finite = False
     if not finite:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if minimum is not None and not (value > minimum if strict else value >= minimum):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,12 +65,10 @@ class WorldSpec:
     extra_unique_segments: int = 0
     rng_seed: int = 0
 
-    def validate(self) -> None:
-        for name in ("corridor_length", "door_spacing", "door_height", "door_width", "turn_angle"):
-            check_real(name, getattr(self, name))
+    def __post_init__(self):
         for name in ("corridor_length", "door_spacing", "door_height", "door_width"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be finite and positive")
+            check_real(name, getattr(self, name), 0, strict=True)
+        check_real("turn_angle", self.turn_angle)
         if self.door_spacing >= self.corridor_length:
             raise ValueError("door_spacing must be smaller than corridor_length")
         for name in ("n_turns", "extra_unique_segments", "rng_seed"):
@@ -119,7 +120,6 @@ def _heading_quat(heading_rad: float) -> np.ndarray:
 
 
 def generate_corridor(spec: WorldSpec) -> World:
-    spec.validate()
     rng = np.random.default_rng(spec.rng_seed)
 
     n_legs = spec.n_turns + 1

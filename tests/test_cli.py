@@ -64,6 +64,37 @@ class TestGenWorld:
         assert code == 1
         assert "door_spacing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, fields",
+        [
+            ([], {}),
+            (["--corridor-length", "12.5"], {"corridor_length": 12.5}),
+            (["--door-spacing", "1.5"], {"door_spacing": 1.5}),
+            (["--door-height", "2.5"], {"door_height": 2.5}),
+            (["--door-width", "0.75"], {"door_width": 0.75}),
+            (["--n-turns", "2"], {"n_turns": 2}),
+            (["--turn-angle", "45"], {"turn_angle": 45.0}),
+            (["--extra-unique-segments", "3"], {"extra_unique_segments": 3}),
+            (["--seed", "7"], {"rng_seed": 7}),
+        ],
+    )
+    def test_each_flag_sets_its_own_spec_field(self, tmp_path, monkeypatch, flags, fields):
+        specs = []
+
+        def record(spec):
+            specs.append(spec)
+            return generate_corridor(WorldSpec(corridor_length=4))
+
+        monkeypatch.setattr(segdrift.cli, "generate_corridor", record)
+        assert main(["gen-world", *flags, "--out", str(tmp_path / "world.json")]) == 0
+        assert specs == [WorldSpec(**fields)]
+
+    def test_seed_flag_keeps_its_metavar(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-world", "--help"])
+        assert exc.value.code == 0
+        assert "--seed SEED" in capsys.readouterr().out
+
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["gen-world", "--seed", "7", "--out", str(a)]) == 0
@@ -159,6 +190,7 @@ class TestRun:
             ({"modes": ["baseline", "seg", "seg"]}, "modes"),
             ({"modes": []}, "modes"),
             ({"modes": "seg"}, "modes"),
+            ({"modes": [["seg"]]}, "mode must be one of"),
         ],
     )
     def test_repeated_seed_or_mode_or_no_mode_exits_1_before_any_output(

@@ -94,6 +94,21 @@ class TestObjective:
             with pytest.raises(ValueError, match="anchor_weight"):
                 OptProblem([0], np.zeros((1, 3)), [], anchor_weight=bad)
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("anchor_weight", True),
+            ("iteration_cap", 2.5),
+            ("iteration_cap", 0),
+            ("iteration_cap", -1),
+            ("iteration_cap", True),
+            ("iteration_cap", float("nan")),
+        ],
+    )
+    def test_bad_solver_setting_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            OptProblem([0], np.zeros((1, 3)), [], **{name: bad})
+
     def test_edge_endpoint_outside_point_ids_rejected(self):
         edges = [(0, 0, 1, 1, (0.0, 0.0, 2.0), 1.0), (0, 2, 7, 1, (0.0, 0.0, 2.0), 1.0)]
         with pytest.raises(ValueError, match="endpoint id 7"):

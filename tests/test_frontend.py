@@ -56,7 +56,6 @@ class ReferenceDrift:
     """The per-frame drift random walk that `drift_walk` computes as arrays."""
 
     def __init__(self, cfg: DriftConfig):
-        cfg.validate()
         self.cfg = cfg
         self.cumulative = Sim3.identity()
         self.rng = np.random.default_rng(cfg.rng_seed)
@@ -94,8 +93,6 @@ def reference_simulate(world, drift_cfg, obs_cfg):
     """The frame-by-frame simulator that `simulate` computes as arrays:
     returns (points, first_seen, observations, est rotations, est
     translations) with the same shapes and dtypes as an EstimatedMap."""
-    drift_cfg.validate()
-    obs_cfg.validate()
     drift = ReferenceDrift(drift_cfg)
     obs_rng = np.random.default_rng(obs_cfg.rng_seed)
 
@@ -179,18 +176,18 @@ class TestDriftRandomWalk:
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            DriftConfig(scale_sigma=-1.0).validate()
+            DriftConfig(scale_sigma=-1.0)
 
     @pytest.mark.parametrize("name", ["scale_sigma", "rot_sigma", "trans_sigma"])
     def test_non_finite_sigma_rejected(self, name):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=name):
-                DriftConfig(**{name: bad}).validate()
+                DriftConfig(**{name: bad})
 
     def test_non_integer_or_negative_seed_rejected(self):
         for bad in (0.5, -1, True, "3"):
             with pytest.raises(ValueError, match="rng_seed"):
-                DriftConfig(rng_seed=bad).validate()
+                DriftConfig(rng_seed=bad)
 
     @pytest.mark.parametrize("scale_sigma", [0.0, 1e-3])
     @pytest.mark.parametrize("rot_sigma", [0.0, 1e-4, 0.3])
@@ -671,7 +668,7 @@ class TestSimulate:
 
     def test_invalid_detect_prob_rejected(self):
         with pytest.raises(ValueError):
-            ObservationConfig(detect_prob=1.5).validate()
+            ObservationConfig(detect_prob=1.5)
 
     @pytest.mark.parametrize(
         "name, bad",
@@ -686,4 +683,4 @@ class TestSimulate:
     def test_non_finite_or_out_of_range_field_rejected(self, name, bad):
         for value in bad:
             with pytest.raises(ValueError, match=name):
-                ObservationConfig(**{name: value}).validate()
+                ObservationConfig(**{name: value})

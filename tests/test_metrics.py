@@ -436,6 +436,11 @@ class TestBadScoringArguments:
         with pytest.raises(ValueError, match=re.escape(message)):
             score(t, t, delta=delta)
 
+    @pytest.mark.parametrize("score", [associate, ate, rpe, evaluate])
+    def test_empty_ground_truth(self, score):
+        with pytest.raises(ValueError, match="ground truth trajectory is empty"):
+            score(stamped(np.arange(5.0)), stamped([]))
+
 
 class TestAlign:
     def test_identity_on_equal_trajectories(self):

@@ -34,11 +34,11 @@ def make_world(**kw):
 class TestScheduleConfig:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
-            ScheduleConfig(mode="turbo").validate()
+            ScheduleConfig(mode="turbo")
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
-            ScheduleConfig(keyframe_interval=0).validate()
+            ScheduleConfig(keyframe_interval=0)
 
     @pytest.mark.parametrize(
         "name, bad",
@@ -53,11 +53,11 @@ class TestScheduleConfig:
     def test_non_finite_or_out_of_range_field_rejected(self, name, bad):
         for value in bad:
             with pytest.raises(ValueError, match=name):
-                ScheduleConfig(**{name: value}).validate()
+                ScheduleConfig(**{name: value})
 
     def test_defaults_and_zero_anchor_accepted(self):
-        ScheduleConfig().validate()
-        ScheduleConfig(anchor_weight=0.0, iteration_cap=1).validate()
+        ScheduleConfig()
+        ScheduleConfig(anchor_weight=0.0, iteration_cap=1)
 
 
 class TestBaseline:

@@ -36,13 +36,13 @@ def vectors(w):
 class TestSpecValidation:
     def test_spacing_must_fit(self):
         with pytest.raises(ValueError):
-            WorldSpec(corridor_length=2, door_spacing=5).validate()
+            WorldSpec(corridor_length=2, door_spacing=5)
 
     def test_positive_lengths(self):
         with pytest.raises(ValueError):
-            WorldSpec(corridor_length=-1, door_spacing=2).validate()
+            WorldSpec(corridor_length=-1, door_spacing=2)
         with pytest.raises(ValueError):
-            WorldSpec(corridor_length=10, door_spacing=2, door_height=0).validate()
+            WorldSpec(corridor_length=10, door_spacing=2, door_height=0)
 
 
     @pytest.mark.parametrize(
@@ -61,7 +61,7 @@ class TestSpecValidation:
     def test_non_finite_or_out_of_range_field_rejected(self, name, bad):
         for value in bad:
             with pytest.raises(ValueError, match=name):
-                WorldSpec(**{name: value}).validate()
+                WorldSpec(**{name: value})
 
 
 class TestCorridorStructure:
