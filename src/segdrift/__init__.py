@@ -2,7 +2,7 @@
 incremental 3D line-segment clustering and cluster-consistency
 optimization."""
 
-from .geometry import PoseSE3, Sim3, Trajectory, umeyama_alignment
+from .geometry import Sim3, Trajectory, umeyama_alignment
 from .worldgen import World, WorldSpec, generate_corridor
 from .frontend import DriftConfig, EstimatedMap, ObservationConfig, drift_walk, simulate
 from .clustering import ClusterStore, DegenerateSegmentError
@@ -11,7 +11,6 @@ from .pipeline import RunResult, ScheduleConfig, propagate_to_poses, run
 from .metrics import MetricsConfig, MetricsReport, ate, rpe, spline_interpolate
 
 __all__ = [
-    "PoseSE3",
     "Sim3",
     "umeyama_alignment",
     "World",

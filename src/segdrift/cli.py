@@ -23,7 +23,8 @@ from pathlib import Path
 from . import metrics as met
 from .frontend import DriftConfig, ObservationConfig
 from .pipeline import ScheduleConfig, run as run_pipeline
-from .worldgen import WorldSpec, check_int, generate_corridor, world_from_file, world_to_file
+from .geometry import check_int
+from .worldgen import WorldSpec, generate_corridor, world_from_file, world_to_file
 
 AGGREGATE_HEADER = ["mode", "seed", "ate_rmse", "rpe_rmse", "align_mode", "rpe_delta"]
 CONFIG_KEYS = (
@@ -164,17 +165,17 @@ def cmd_run(args) -> int:
             try:
                 rr = run_pipeline(world, *_cell_configs(cfg, mode, seed))
                 # Each distinct TUM text is formatted once per run.
-                raw_tum = met.write_tum(rr.raw_trajectory, cell_dir / "raw.tum")
-                if rr.corrected_trajectory is rr.raw_trajectory:
+                raw_tum = met.write_tum(rr.emap.trajectory, cell_dir / "raw.tum")
+                if rr.corrected_trajectory is rr.emap.trajectory:
                     (cell_dir / "corrected.tum").write_text(raw_tum)
                 else:
                     met.write_tum(rr.corrected_trajectory, cell_dir / "corrected.tum")
                 if gt_tum is None:  # the ground truth depends only on the world
-                    gt_tum = met.write_tum(rr.gt_trajectory, cell_dir / "gt.tum")
+                    gt_tum = met.write_tum(world.trajectory, cell_dir / "gt.tum")
                 else:
                     (cell_dir / "gt.tum").write_text(gt_tum)
                 report = met.evaluate(
-                    rr.corrected_trajectory, rr.gt_trajectory, align_mode, rpe_delta
+                    rr.corrected_trajectory, world.trajectory, align_mode, rpe_delta
                 )
                 manifest = {
                     "mode": mode,

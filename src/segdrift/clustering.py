@@ -29,7 +29,7 @@ import numbers
 import numpy as np
 
 from .frontend import OBS_FRAME, OBS_P1, OBS_P2, EstimatedMap
-from .worldgen import check_real
+from .geometry import check_real
 
 log = logging.getLogger(__name__)
 
@@ -222,7 +222,8 @@ class ClusterStore:
         rel_threshold * |c| (ties by lowest cluster id; sign +1 when
         |c - v| <= |c + v|); otherwise it seeds a new singleton cluster. The
         joined center becomes the incremental mean of the signed member
-        vectors. Observations with coincident endpoints are discarded.
+        vectors. Observations with coincident endpoints are discarded, each
+        with a logged warning.
 
         Points do not move within a batch, so the rows sharing a (p1, p2)
         pair share one vector. `_scan` scans each distinct pair once against
@@ -300,6 +301,8 @@ class ClusterStore:
         vs = emap.points[observations[:, OBS_P2]] - emap.points[observations[:, OBS_P1]]
         degenerate = _norms(*vs.T) == 0.0
         discarded = batch[degenerate].tolist()
+        for i in discarded:
+            log.warning("observation %d has coincident endpoints; discarded", i)
         if discarded:
             keep = ~degenerate
             batch, observations, vs = batch[keep], observations[keep], vs[keep]
@@ -561,17 +564,3 @@ class ClusterStore:
         )
         self._centers[redo] = sums[redo] / self.counts[redo, None]
         self._n_recomputed = self._n_members
-
-
-def assign_all(
-    store: ClusterStore,
-    emap: EstimatedMap,
-    obs_indices,
-    rel_threshold: float = DEFAULT_REL_THRESHOLD,
-) -> int:
-    """Assign a batch of observations in order, discarding (and logging)
-    degenerate ones. Returns the number discarded."""
-    discarded = store.assign_batch(obs_indices, emap, rel_threshold)
-    for i in discarded:
-        log.warning("observation %d has coincident endpoints; discarded", i)
-    return len(discarded)

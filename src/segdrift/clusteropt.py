@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import E_CLUSTER, E_P1, E_P2, EDGE, FRAME, ClusterStore
 from .frontend import EstimatedMap
-from .worldgen import check_int, check_real
+from .geometry import check_int, check_real
 
 DEFAULT_ANCHOR_WEIGHT = 1e-3
 DEFAULT_ITERATION_CAP = 10
@@ -111,18 +111,20 @@ class OptReport:
 def build_problem(
     store: ClusterStore,
     emap: EstimatedMap,
-    frames: set[int] | None = None,
+    frames: range | None = None,
     anchor_weight: float = DEFAULT_ANCHOR_WEIGHT,
     iteration_cap: int = DEFAULT_ITERATION_CAP,
 ) -> OptProblem:
     """Build the optimization problem over cluster members in scope.
 
-    frames=None takes every member (global scope); otherwise only members
-    whose observation frame is in the set. The in-scope members of one
-    store edge (equal cluster, p1, p2, sign) form one problem edge whose
-    weight is their count. Edges are ordered by cluster id, then by first
-    in-scope member; point ids by first appearance in that order. Centers
-    are frozen at their current values; only endpoint positions are free.
+    frames=None takes every member (global scope); a window range(lo, hi)
+    takes the members observed in frames lo to hi - 1, and any other value
+    (a set, or a range whose step is not 1) is a ValueError. The in-scope
+    members of one store edge (equal cluster, p1, p2, sign) form one
+    problem edge whose weight is their count. Edges are ordered by cluster
+    id, then by first in-scope member; point ids by first appearance in
+    that order. Centers are frozen at their current values; only endpoint
+    positions are free.
 
     Nothing sorts member rows: counts are a bincount over edge ids, and a
     frame scope takes each edge's first in-scope row with np.minimum.at,
@@ -134,11 +136,10 @@ def build_problem(
         picked = np.argsort(store_edges[:, E_CLUSTER], kind="stable")
         counts = np.bincount(members[:, EDGE], minlength=len(store_edges))[picked]
     else:
+        if not isinstance(frames, range) or frames.step != 1:
+            raise ValueError(f"frames must be None or a range with step 1, got {frames!r}")
         frame_col = members[:, FRAME]
-        wanted = np.fromiter(frames, dtype=np.int64)
-        in_scope = np.zeros(int(frame_col.max(initial=-1)) + 1, dtype=bool)
-        in_scope[wanted[(wanted >= 0) & (wanted < len(in_scope))]] = True
-        rows = np.flatnonzero(in_scope[frame_col])
+        rows = np.flatnonzero((frame_col >= frames.start) & (frame_col < frames.stop))
         scope_edges = members[rows, EDGE]
         counts = np.bincount(scope_edges, minlength=len(store_edges))
         first = np.full(len(store_edges), len(members))

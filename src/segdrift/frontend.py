@@ -18,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Trajectory, quat_multiply, quat_normalize, quat_rotate, row_norms
-from .worldgen import World, check_int, check_real
+from .geometry import (
+    Trajectory, check_int, check_real, quat_multiply, quat_normalize, quat_rotate, row_norms,
+)
+from .worldgen import World
 
 OBSERVATION_COLUMNS = ("p1", "p2", "frame", "segment")
 OBS_P1, OBS_P2, OBS_FRAME, OBS_SEGMENT = range(len(OBSERVATION_COLUMNS))

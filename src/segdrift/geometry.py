@@ -1,5 +1,6 @@
-"""Quaternion, rigid-body and similarity transform arithmetic, and
-`Trajectory`, the one checked container of a timed pose sequence.
+"""Quaternion and similarity transform arithmetic, `Trajectory`, the one
+checked container of a timed pose sequence, and the input checks every
+settings class shares.
 
 Rotations are stored as unit quaternions in [w, x, y, z] order and
 converted to matrices on demand; quaternion composition stays numerically
@@ -7,15 +8,39 @@ stable over long chains of small increments, which matters for the drift
 random walks simulated elsewhere.
 
 The quaternion helpers broadcast over leading axes (`q[..., k]`), so
-`PoseSE3` and `Sim3.apply` also work on stacks of poses and points with
-the same float operations, in the same order, as one at a time.
+`Sim3` also works on stacks of poses and points with the same float
+operations, in the same order, as one at a time. A rigid camera pose is a
+`Sim3` of scale 1.0, whose `1.0 *` and `/ 1.0` are exact.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless value is an integer, not a bool, >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, minimum=None, strict: bool = False) -> None:
+    """Raise ValueError unless value is a finite real number, not a bool,
+    and, given a minimum, above it (strict) or at least it. An int too
+    large for a float is not finite."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if minimum is not None and not (value > minimum if strict else value >= minimum):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
 
 
 def quat_identity() -> np.ndarray:
@@ -151,15 +176,16 @@ def quat_slerp(a: np.ndarray, b: np.ndarray, u: float | np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class Sim3:
-    """Similarity transform p -> scale * R(rotation) * p + translation."""
+    """Similarity transform p -> scale * R(rotation) * p + translation.
+
+    A transform built from (n, 4) / (n, 3) arrays is a stack of n."""
 
     scale: float
     rotation: np.ndarray  # unit quaternion [w, x, y, z]
     translation: np.ndarray
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        check_real("scale", self.scale, 0, strict=True)
         object.__setattr__(self, "rotation", quat_normalize(self.rotation))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
 
@@ -185,33 +211,6 @@ class Sim3:
             qinv,
             -quat_rotate(qinv, self.translation) / self.scale,
         )
-
-
-@dataclass(frozen=True)
-class PoseSE3:
-    """Rigid camera pose: world point of a camera-frame point v is R v + t.
-
-    A pose built from (n, 4) / (n, 3) arrays is a stack of n poses."""
-
-    rotation: np.ndarray  # unit quaternion [w, x, y, z]
-    translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotation", quat_normalize(self.rotation))
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return quat_rotate(self.rotation, np.asarray(p, dtype=float)) + self.translation
-
-    def compose(self, other: "PoseSE3") -> "PoseSE3":
-        return PoseSE3(
-            quat_multiply(self.rotation, other.rotation),
-            quat_rotate(self.rotation, other.translation) + self.translation,
-        )
-
-    def inverse(self) -> "PoseSE3":
-        qinv = quat_conjugate(self.rotation)
-        return PoseSE3(qinv, -quat_rotate(qinv, self.translation))
 
 
 class BadRowError(ValueError):
@@ -255,9 +254,10 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def pose(self, i) -> PoseSE3:
-        """Pose i; an index array gives the stack of those poses."""
-        return PoseSE3(self.quaternions[i], self.positions[i])
+    def pose(self, i) -> Sim3:
+        """Pose i, the rigid transform taking camera to world coordinates;
+        an index array gives the stack of those poses."""
+        return Sim3(1.0, self.quaternions[i], self.positions[i])
 
 
 def _first_bad_row(ts: np.ndarray, ps: np.ndarray, qs: np.ndarray) -> BadRowError:

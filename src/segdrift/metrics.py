@@ -9,8 +9,9 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import BadRowError, Sim3, Trajectory, quat_slerp, row_norms, umeyama_alignment
-from .worldgen import check_int, check_real
+from .geometry import (
+    BadRowError, Sim3, Trajectory, check_int, check_real, quat_slerp, row_norms, umeyama_alignment,
+)
 
 DEFAULT_MATCH_TOLERANCE_S = 0.01
 DEFAULT_RPE_DELTA = 30
@@ -105,8 +106,8 @@ def associate(
 
 # Scoring runs on matched index arrays: `ei[k]`, `gi[k]` are the est and gt
 # rows of the k-th associated pair. `evaluate` matches once and hands the
-# same arrays to all three helpers; the public `align`, `ate` and `rpe` are
-# thin wrappers that match for themselves.
+# same arrays to all three helpers; the public `ate` and `rpe` are thin
+# wrappers that match for themselves.
 
 
 def _match(est: Trajectory, gt: Trajectory, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
@@ -172,6 +173,7 @@ def _match_walk(
 
 
 def _align(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, mode: str) -> Sim3:
+    """Least-squares transform taking est positions onto gt positions."""
     if mode not in ALIGN_MODES:
         raise ValueError(f"unknown alignment mode {mode!r}; choose from {ALIGN_MODES}")
     if mode == "none":
@@ -196,21 +198,11 @@ def _rpe(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, delta:
         raise ValueError(f"need at least 2 matched poses for RPE, got {len(ei)}")
     if len(ei) <= delta:
         raise ValueError(f"no index pairs at delta={delta}")
-    # Stacks of poses through the same PoseSE3 chain as one pair at a time.
+    # Stacks of poses through the same Sim3 chain as one pair at a time.
     rel_gt = gt.pose(gi[:-delta]).inverse().compose(gt.pose(gi[delta:]))
     rel_est = est.pose(ei[:-delta]).inverse().compose(est.pose(ei[delta:]))
     err = rel_gt.inverse().compose(rel_est)
     return _rmse(row_norms(err.translation))
-
-
-def align(
-    est: Trajectory,
-    gt: Trajectory,
-    mode: str = "similarity",
-    tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
-) -> Sim3:
-    """Least-squares transform taking est positions onto gt positions."""
-    return _align(est, gt, *_match(est, gt, tolerance), mode)
 
 
 def ate(

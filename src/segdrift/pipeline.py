@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterStore, DEFAULT_REL_THRESHOLD, assign_all
+from .clustering import ClusterStore, DEFAULT_REL_THRESHOLD
 from .clusteropt import DEFAULT_ANCHOR_WEIGHT, DEFAULT_ITERATION_CAP, OptReport, build_problem, solve
 from .frontend import OBS_FRAME, DriftConfig, EstimatedMap, ObservationConfig, simulate
 from .geometry import (
-    Sim3, Trajectory, quat_multiply, quat_normalize, quat_rotate, quat_slerp, row_norms,
-    umeyama_alignment,
+    Sim3, Trajectory, check_int, check_real, quat_multiply, quat_normalize, quat_rotate,
+    quat_slerp, row_norms, umeyama_alignment,
 )
-from .worldgen import World, check_int, check_real
+from .worldgen import World
 
 MODES = ("baseline", "seg", "segglobal")
 MOVED_TOLERANCE = 1e-9
@@ -46,10 +46,8 @@ class ScheduleConfig:
 
 @dataclass
 class RunResult:
-    raw_trajectory: Trajectory  # drifted, no correction
-    corrected_trajectory: Trajectory
-    gt_trajectory: Trajectory
-    emap: EstimatedMap  # final (post-optimization) map
+    corrected_trajectory: Trajectory  # emap.trajectory itself in baseline mode
+    emap: EstimatedMap  # final (post-optimization) map; its trajectory is the raw, drifted one
     store: ClusterStore
     reports: list[OptReport]
     discarded_observations: int
@@ -160,7 +158,7 @@ def run(
     discarded = 0
 
     if schedule.mode == "baseline":
-        return RunResult(raw, raw, world.trajectory, emap, store, reports, 0, plog)
+        return RunResult(raw, emap, store, reports, 0, plog)
 
     n_frames = len(raw)
     # Observations are in frame order: frame f's rows are bounds[f]..bounds[f+1].
@@ -177,7 +175,7 @@ def run(
     # the previous one instead of compounding round-to-round fit noise.
     raw_points = emap.points.copy()
 
-    def solve_round(frames_in_scope: set[int] | None) -> None:
+    def solve_round(frames_in_scope: range | None) -> None:
         problem = build_problem(
             store,
             emap,
@@ -196,9 +194,8 @@ def run(
         store.recompute_centers(emap, problem.point_ids[changed])
 
     def assign_frames(first: int, end: int) -> int:
-        return assign_all(
-            store, emap, range(bounds[first], bounds[end]), schedule.rel_threshold
-        )
+        batch = range(bounds[first], bounds[end])
+        return len(store.assign_batch(batch, emap, schedule.rel_threshold))
 
     # Points move only in solve rounds, and a batch assigns exactly as its
     # observations one at a time would, so each solve interval is one batch.
@@ -206,8 +203,7 @@ def run(
     for frame in round_frames:
         discarded += assign_frames(done, frame + 1)
         done = frame + 1
-        lo = max(0, frame - interval * schedule.local_window)
-        solve_round(set(range(lo, frame + 1)))
+        solve_round(range(max(0, frame - interval * schedule.local_window), frame + 1))
         if schedule.mode == "segglobal":
             solve_round(None)
     if done < n_frames:  # a one-frame world has no solve round
@@ -228,4 +224,4 @@ def run(
         )
         plog.extend(entries)
         corrected = Trajectory(raw.timestamps, translations, rotations)
-    return RunResult(raw, corrected, world.trajectory, emap, store, reports, discarded, plog)
+    return RunResult(corrected, emap, store, reports, discarded, plog)

@@ -9,14 +9,14 @@ Generation is a pure function of the WorldSpec: same seed, same world.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
 
-from .geometry import BadRowError, Trajectory, quat_from_axis_angle, row_norms
+from .geometry import (
+    BadRowError, Trajectory, check_int, check_real, quat_from_axis_angle, row_norms,
+)
 
 FRAME_RATE_HZ = 30.0
 WALK_SPEED_MPS = 1.0
@@ -31,27 +31,6 @@ COORD_QUANTUM = 2.0 ** -20
 
 def _snap(v: np.ndarray) -> np.ndarray:
     return np.round(np.asarray(v, dtype=float) / COORD_QUANTUM) * COORD_QUANTUM
-
-
-def check_int(name: str, value, minimum: int) -> None:
-    """Raise ValueError unless value is an integer, not a bool, >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def check_real(name: str, value, minimum=None, strict: bool = False) -> None:
-    """Raise ValueError unless value is a finite real number, not a bool,
-    and, given a minimum, above it (strict) or at least it. An int too
-    large for a float is not finite."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        finite = real and math.isfinite(value)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    if minimum is not None and not (value > minimum if strict else value >= minimum):
-        raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

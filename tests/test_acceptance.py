@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from segdrift.cli import main as cli_main
-from segdrift.clustering import ClusterStore, assign_all
+from segdrift.clustering import ClusterStore
 from segdrift.clusteropt import EDGE_DTYPE, evaluate_objective, residual, solve
 from segdrift.frontend import DriftConfig, ObservationConfig
 from segdrift.geometry import Sim3, quat_from_axis_angle, quat_rotate, umeyama_alignment
@@ -67,7 +67,7 @@ def test_criterion_2_directional_improvement():
         )
         for mode in ates:
             r = run(world, drift, obs, ScheduleConfig(mode=mode))
-            ates[mode].append(ate(r.corrected_trajectory, r.gt_trajectory))
+            ates[mode].append(ate(r.corrected_trajectory, world.trajectory))
     elapsed = time.monotonic() - start
 
     medians = {m: float(np.median(v)) for m, v in ates.items()}
@@ -90,7 +90,7 @@ def test_criterion_3_noiseless_exactness():
     for mode in ("baseline", "seg", "segglobal"):
         r = run(world, DriftConfig(rng_seed=0), ObservationConfig(rng_seed=0),
                 ScheduleConfig(mode=mode))
-        assert ate(r.corrected_trajectory, r.gt_trajectory, mode="none") < 1e-9
+        assert ate(r.corrected_trajectory, world.trajectory, mode="none") < 1e-9
         if mode != "baseline":
             assert len(r.store) == n_archetypes
 
@@ -159,7 +159,7 @@ def test_criterion_6_clustering_oracle():
             vectors.append(v)
         emap = map_from_vectors(vectors)
         store = ClusterStore()
-        assign_all(store, emap, range(len(vectors)))
+        store.assign_batch(range(len(vectors)), emap)
         for cid, center in enumerate(store.centers):
             assert np.linalg.norm(center - batch_center(store, emap, cid)) < 1e-9
 

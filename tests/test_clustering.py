@@ -15,7 +15,6 @@ from segdrift.clustering import (
     DegenerateSegmentError,
     _norm,
     _norms,
-    assign_all,
 )
 from segdrift.frontend import OBS_FRAME, OBS_P1, OBS_P2, EstimatedMap
 from segdrift.geometry import Trajectory
@@ -304,7 +303,7 @@ class TestBatchedAssignment:
         interval, pending, pending_discarded = ClusterStore(), [], 0
         for f, (batch, move) in enumerate(zip(batches, moves)):
             expected = [ref.assign(i, emap, rel) for i in batch]
-            assert assign_all(store, emap, batch, rel) == expected.count(None)
+            assert len(store.assign_batch(batch, emap, rel)) == expected.count(None)
             for i, cid in zip(batch, expected):
                 if cid is None:
                     with pytest.raises(DegenerateSegmentError):
@@ -315,7 +314,7 @@ class TestBatchedAssignment:
             pending_discarded += expected.count(None)
             flush = move is not None or f == len(batches) - 1
             if flush:
-                assert assign_all(interval, emap, pending, rel) == pending_discarded
+                assert len(interval.assign_batch(pending, emap, rel)) == pending_discarded
                 pending, pending_discarded = [], 0
             if move is not None:
                 rng = np.random.default_rng(move)
@@ -349,7 +348,7 @@ class TestBatchedAssignment:
 
         monkeypatch.setattr(ClusterStore, "_scan", spy)
         store, ref = ClusterStore(), ReferenceStore()
-        assign_all(store, emap, batch)
+        store.assign_batch(batch, emap)
         for i in batch:
             ref.assign(i, emap, DEFAULT_REL_THRESHOLD)
         assert len(batch) == 9
@@ -390,7 +389,7 @@ class TestBatchedAssignment:
         monkeypatch.setattr(clustering, "_advance", spy)
         store, ref = ClusterStore(), ReferenceStore()
         for batch in batches:
-            assign_all(store, emap, batch, 0.5)
+            store.assign_batch(batch, emap, 0.5)
             for i in batch:
                 ref.assign(i, emap, 0.5)
         assert applied == counted  # the guard applied the run's counted rows
@@ -416,7 +415,7 @@ class TestBatchedAssignment:
         emap, batches = stream_map([[("vec", (1.0, 0.0, 0.0))], specs])
         store, ref = ClusterStore(), ReferenceStore()
         for batch in batches:
-            assign_all(store, emap, batch)
+            store.assign_batch(batch, emap)
             for i in batch:
                 ref.assign(i, emap, DEFAULT_REL_THRESHOLD)
         assert np.array_equal(expanded_table(store), ref.table)
@@ -430,7 +429,7 @@ class TestBatchedAssignment:
     def test_equal_distance_lowest_id_wins(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 2.0**-5], [0.0, 0.0, 2.0 + 2.0**-6]])
         store = ClusterStore()
-        assign_all(store, emap, range(3), rel_threshold=2.0**-6)
+        store.assign_batch(range(3), emap, rel_threshold=2.0**-6)
         assert expanded_table(store)[:, CLUSTER].tolist() == [0, 1, 0]
 
 
@@ -504,11 +503,13 @@ class TestAssignment:
             store.assign(0, emap)
         assert len(store.member_table) == 0
 
-    def test_assign_all_discards_degenerate(self):
+    def test_assign_batch_discards_and_logs_degenerate(self, caplog):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         store = ClusterStore()
-        discarded = assign_all(store, emap, range(3))
-        assert discarded == 1
+        with caplog.at_level("WARNING", logger="segdrift.clustering"):
+            discarded = store.assign_batch(range(3), emap)
+        assert discarded == [1]
+        assert caplog.messages == ["observation 1 has coincident endpoints; discarded"]
         assert len(store) == 1
         assert store.counts.tolist() == [2]
         assert expanded_table(store)[:, OBS].tolist() == [0, 2]
@@ -552,7 +553,7 @@ class TestBatchRejection:
     def assigned_store(first):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         store = ClusterStore()
-        assign_all(store, emap, first)
+        store.assign_batch(first, emap)
         return store, emap
 
     @pytest.mark.parametrize("first, batch", [(first, batch) for first, batch, _ in CASES])
@@ -560,7 +561,7 @@ class TestBatchRejection:
         store, emap = self.assigned_store(first)
         before = self.snapshot(store)
         with pytest.raises(ValueError):
-            assign_all(store, emap, batch)
+            store.assign_batch(batch, emap)
         for a, b in zip(before, self.snapshot(store)):
             assert np.array_equal(a, b)
 
@@ -568,7 +569,7 @@ class TestBatchRejection:
     def test_rejection_names_the_fault(self, first, batch, message):
         store, emap = self.assigned_store(first)
         with pytest.raises(ValueError, match=message):
-            assign_all(store, emap, batch)
+            store.assign_batch(batch, emap)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32])
     @pytest.mark.parametrize(
@@ -578,7 +579,7 @@ class TestBatchRejection:
         store, emap = self.assigned_store(first)
         before = self.snapshot(store)
         with pytest.raises(ValueError, match=message):
-            assign_all(store, emap, np.array(batch, dtype=dtype))
+            store.assign_batch(np.array(batch, dtype=dtype), emap)
         for a, b in zip(before, self.snapshot(store)):
             assert np.array_equal(a, b)
 
@@ -594,7 +595,7 @@ class TestBatchRejection:
     def test_range_rejected_alike(self, first, batch, message):
         store, emap = self.assigned_store(first)
         with pytest.raises(ValueError, match=message):
-            assign_all(store, emap, batch)
+            store.assign_batch(batch, emap)
 
     @pytest.mark.parametrize(
         "batch",
@@ -611,9 +612,9 @@ class TestBatchRejection:
     )
     def test_batch_forms_assign_alike(self, batch):
         reference, emap = self.assigned_store([])
-        assign_all(reference, emap, list(map(int, batch)))
+        reference.assign_batch(list(map(int, batch)), emap)
         store = ClusterStore()
-        assign_all(store, emap, batch)
+        store.assign_batch(batch, emap)
         for a, b in zip(self.snapshot(reference), self.snapshot(store)):
             assert a.tobytes() == b.tobytes()
 
@@ -635,7 +636,7 @@ class TestBatchRejection:
         store, emap = self.assigned_store([0])
         before = self.snapshot(store)
         with pytest.raises(ValueError, match=re.escape(message)):
-            assign_all(store, emap, [1, 2], rel)
+            store.assign_batch([1, 2], emap, rel)
         with pytest.raises(ValueError, match=re.escape(message)):
             store.assign(3, emap, rel)
         for a, b in zip(before, self.snapshot(store)):
@@ -644,8 +645,8 @@ class TestBatchRejection:
     def test_unassigned_lower_index_accepted(self):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
         store = ClusterStore()
-        assign_all(store, emap, [2])
-        assert assign_all(store, emap, [1, 0]) == 0
+        store.assign_batch([2], emap)
+        assert store.assign_batch([1, 0], emap) == []
         assert expanded_table(store)[:, OBS].tolist() == [2, 1, 0]
         assert store.counts.tolist() == [2, 1]
 
@@ -665,7 +666,7 @@ class TestCenters:
                 vectors.append(v)
             emap = map_from_vectors(vectors)
             store = ClusterStore()
-            assign_all(store, emap, range(len(vectors)))
+            store.assign_batch(range(len(vectors)), emap)
             for cid, center in enumerate(store.centers):
                 assert np.linalg.norm(center - batch_center(store, emap, cid)) < 1e-9
 
@@ -674,7 +675,7 @@ class TestCenters:
         vectors = rng.uniform(-2, 2, size=(30, 3))
         emap = map_from_vectors(vectors)
         store = ClusterStore()
-        assign_all(store, emap, range(30))
+        store.assign_batch(range(30), emap)
         emap.points += rng.normal(0, 0.1, size=emap.points.shape)
         store.recompute_centers(emap)
         for cid, center in enumerate(store.centers):
@@ -686,9 +687,9 @@ class TestCenters:
         vectors = [[0.0, 0.0, z] for z in (2.0, 2.001, 2.002, 1.999)]
         emap = map_from_vectors(vectors)
         store = ClusterStore()
-        assign_all(store, emap, [0])
+        store.assign_batch([0], emap)
         store.recompute_centers(emap, [])
-        assign_all(store, emap, [1, 2, 3])
+        store.assign_batch([1, 2, 3], emap)
         exact = (2.0 + 2.001 + 2.002 + 1.999) / 4  # summed in table order
         assert store.counts.tolist() == [4]
         assert store.centers[0].tolist() == [0.0, 0.0, 2.0005] != [0.0, 0.0, exact]
@@ -709,7 +710,7 @@ class TestMemberTable:
         emap.observations[:, OBS_FRAME] = 7 - np.arange(len(emap.observations))
         store = ClusterStore()
         order = [3, 0, 4, 1, 2]
-        assign_all(store, emap, order)
+        store.assign_batch(order, emap)
 
         assert store.member_table.dtype == np.int64
         assert store.member_table.shape == (len(order), len(MEMBER_COLUMNS))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segdrift import pipeline
-from segdrift.clustering import EDGE, EDGE_COLUMNS, MEMBER_COLUMNS, ClusterStore, assign_all
+from segdrift.clustering import EDGE, EDGE_COLUMNS, MEMBER_COLUMNS, ClusterStore
 from segdrift.clusteropt import (
     EDGE_DTYPE,
     INITIAL_DAMPING,
@@ -65,7 +65,7 @@ class TestObjective:
         # (0,0,±0.002), objective 2 * 0.002^2 = 8e-6.
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.004]])
         store = ClusterStore()
-        assign_all(store, emap, range(2))
+        store.assign_batch(range(2), emap)
         assert len(store) == 1
         problem = build_problem(store, emap, anchor_weight=0.0)
         f0 = evaluate_objective(problem, dict(enumerate(emap.points)))
@@ -74,7 +74,7 @@ class TestObjective:
     def test_zero_residual_configuration(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
         store = ClusterStore()
-        assign_all(store, emap, range(2))
+        store.assign_batch(range(2), emap)
         problem = build_problem(store, emap, anchor_weight=0.0)
         assert evaluate_objective(problem, dict(enumerate(emap.points))) == 0.0
 
@@ -270,7 +270,7 @@ class TestSolve:
     def test_zero_residual_fixed_point(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
         store = ClusterStore()
-        assign_all(store, emap, range(2))
+        store.assign_batch(range(2), emap)
         problem = build_problem(store, emap, anchor_weight=0.0)
         positions, report = solve(problem)
         assert report.final_objective == 0.0
@@ -313,9 +313,9 @@ class TestSolve:
         # Reframe observations: frames 0, 1, 2.
         emap.observations[:, OBS_FRAME] = np.arange(3)
         store = ClusterStore()
-        assign_all(store, emap, range(3))
+        store.assign_batch(range(3), emap)
         full = build_problem(store, emap)
-        scoped = build_problem(store, emap, frames={0, 1})
+        scoped = build_problem(store, emap, frames=range(2))
         assert len(full.edges) == 3
         assert len(scoped.edges) == 2
         in_scope = emap.observations[:2, [OBS_P1, OBS_P2]]
@@ -352,7 +352,7 @@ def reobserved_maps(draw):
     ))
     observations = [(2 * i + flip, 2 * i + 1 - flip, frame, i) for i, flip, frame in seen]
     emap = array_map(points, np.zeros(len(points)), observations, 5)
-    frames = draw(st.none() | st.sets(st.integers(0, 4), min_size=1))
+    frames = draw(st.none() | st.builds(range, st.integers(-2, 5), st.integers(-1, 7)))
     anchor_weight = draw(st.sampled_from([0.0, 1e-3, 1e-1]))
     return emap, frames, anchor_weight
 
@@ -407,7 +407,7 @@ def reference_build_problem(store, emap, frames=None):
 def older_edge_again_map():
     """Segments A (points 0, 1) and B (points 2, 3) of one cluster, seen in
     frames 0 (A), 1 (B) and 2 (A): edge 0 is A's and edge 1 is B's, but in
-    frames {1, 2} B's first member comes before A's."""
+    frames 1-2 B's first member comes before A's."""
     points = [(0.0, 0.0, 0.0), (0.0, 0.0, 2.0), (1.0, 1.0, 1.0), (1.0, 1.0, 3.001)]
     observations = [(0, 1, 0, 0), (2, 3, 1, 1), (0, 1, 2, 0)]
     return array_map(points, np.zeros(len(points)), observations, 5)
@@ -416,14 +416,14 @@ def older_edge_again_map():
 class TestEdgeTable:
     @settings(max_examples=100)
     @given(reobserved_maps())
-    @example((older_edge_again_map(), {1, 2}, 1e-3))
-    @example((older_edge_again_map(), set(), 1e-3))  # an empty scope
-    @example((older_edge_again_map(), {2, 5, 1000}, 0.0))  # frames beyond the member table
-    @example((older_edge_again_map(), {-1, -3, 1}, 1e-1))  # negative frames
+    @example((older_edge_again_map(), range(1, 3), 1e-3))
+    @example((older_edge_again_map(), range(2, 2), 1e-3))  # an empty scope
+    @example((older_edge_again_map(), range(2, 1001), 0.0))  # frames beyond the member table
+    @example((older_edge_again_map(), range(-3, 2), 1e-1))  # negative frames
     def test_matches_the_object_build_bit_for_bit(self, case):
         emap, frames, anchor_weight = case
         store = ClusterStore()
-        assign_all(store, emap, range(len(emap.observations)))
+        store.assign_batch(range(len(emap.observations)), emap)
         problem = build_problem(store, emap, frames=frames, anchor_weight=anchor_weight)
         point_ids, initial, edges = reference_build_problem(store, emap, frames)
         assert problem.edges.dtype.names == EDGE_DTYPE.names
@@ -441,7 +441,7 @@ class TestWeightedUniqueEdges:
     def test_matches_one_edge_per_observation(self, case):
         emap, frames, anchor_weight = case
         store = ClusterStore()
-        assign_all(store, emap, range(len(emap.observations)))
+        store.assign_batch(range(len(emap.observations)), emap)
         weighted = build_problem(store, emap, frames=frames, anchor_weight=anchor_weight)
         expanded = expanded_problem(store, emap, weighted, frames)
         assert weighted.edges.weight.sum() == len(expanded.edges)
@@ -473,16 +473,24 @@ class TestWeightedUniqueEdges:
         observations = [(0, 1, frame, 0) for frame in range(3)]
         emap = array_map(points, [0, 0], observations, 3)
         store = ClusterStore()
-        assign_all(store, emap, range(3))
+        store.assign_batch(range(3), emap)
 
-        scoped = build_problem(store, emap, frames={0, 1})
+        scoped = build_problem(store, emap, frames=range(2))
         assert scoped.edges["weight"].tolist() == [2.0]
         assert scoped.point_ids.tolist() == [0, 1]
-        late = build_problem(store, emap, frames={2})
+        late = build_problem(store, emap, frames=range(2, 3))
         assert late.edges["weight"].tolist() == [1.0]
         full = build_problem(store, emap)
         assert full.edges["weight"].tolist() == [3.0]
-        assert len(build_problem(store, emap, frames={5}).edges) == 0
+        assert len(build_problem(store, emap, frames=range(5, 6)).edges) == 0
+
+    @pytest.mark.parametrize("frames", [{0, 1}, [0, 1], range(0, 3, 2), range(2, 0, -1)])
+    def test_scope_other_than_a_window_rejected(self, frames):
+        emap = array_map([(0.0, 0.0, 0.0), (0.0, 0.0, 2.0)], [0, 0], [(0, 1, 0, 0)], 1)
+        store = ClusterStore()
+        store.assign_batch(range(1), emap)
+        with pytest.raises(ValueError, match="range with step 1"):
+            build_problem(store, emap, frames=frames)
 
 
 def assert_edge_table_consistent(store):
@@ -504,8 +512,8 @@ class TestStoreEdgeTable:
         emap = case[0]
         n = len(emap.observations)
         store = ClusterStore()
-        assign_all(store, emap, range(min(split, n)))
-        assign_all(store, emap, range(min(split, n), n))
+        store.assign_batch(range(min(split, n)), emap)
+        store.assign_batch(range(min(split, n), n), emap)
         assert_edge_table_consistent(store)
 
     def test_edges_match_member_rows_on_a_simulated_map(self):
@@ -518,7 +526,7 @@ class TestStoreEdgeTable:
         frames = emap.observations[:, OBS_FRAME]
         store = ClusterStore()
         for frame in range(len(emap.trajectory)):
-            assign_all(store, emap, np.flatnonzero(frames == frame))
+            store.assign_batch(np.flatnonzero(frames == frame), emap)
         assert len(store.edge_table) < len(store.member_table)  # keys repeat
         assert_edge_table_consistent(store)
 
@@ -662,7 +670,7 @@ def lm_problems(draw):
     else:
         emap, frames, anchor_weight = draw(reobserved_maps())
         store = ClusterStore()
-        assign_all(store, emap, range(len(emap.observations)))
+        store.assign_batch(range(len(emap.observations)), emap)
         problem = build_problem(store, emap, frames=frames, anchor_weight=anchor_weight)
     problem.iteration_cap = draw(st.integers(1, 12))
     return at_optimum(problem) if draw(st.booleans()) else problem

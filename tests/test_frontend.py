@@ -25,7 +25,6 @@ from segdrift.frontend import (
     simulate,
 )
 from segdrift.geometry import (
-    PoseSE3,
     Sim3,
     Trajectory,
     quat_from_axis_angle,
@@ -111,7 +110,7 @@ def reference_simulate(world, drift_cfg, obs_cfg):
         if frame > 0:
             drift.step()
         d = drift.cumulative
-        est_poses.append(PoseSE3(quat_multiply(d.rotation, rotation), d.apply(translation)))
+        est_poses.append(Sim3(1.0, quat_multiply(d.rotation, rotation), d.apply(translation)))
         if not candidates:
             continue
         rel = cand_mids - translation

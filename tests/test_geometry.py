@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from segdrift import geometry
 from segdrift.geometry import (
-    PoseSE3,
     Sim3,
     quat_conjugate,
     quat_from_axis_angle,
@@ -189,9 +188,9 @@ class TestBroadcasting:
     def test_pose_stack_matches_single_poses(self):
         q = rng.normal(size=(20, 4))
         t = rng.normal(size=(20, 3))
-        stack = PoseSE3(q[:10], t[:10]).inverse().compose(PoseSE3(q[10:], t[10:]))
+        stack = Sim3(1.0, q[:10], t[:10]).inverse().compose(Sim3(1.0, q[10:], t[10:]))
         for k in range(10):
-            one = PoseSE3(q[k], t[k]).inverse().compose(PoseSE3(q[10 + k], t[10 + k]))
+            one = Sim3(1.0, q[k], t[k]).inverse().compose(Sim3(1.0, q[10 + k], t[10 + k]))
             assert np.array_equal(stack.rotation[k], one.rotation)
             assert np.array_equal(stack.translation[k], one.translation)
 
@@ -214,20 +213,28 @@ class TestSim3:
         t = Sim3(2.1, quat_from_axis_angle(np.array([1.0, 0.0, 3.0]), 1.1), np.array([4.0, 5.0, -6.0]))
         assert np.allclose(t.inverse().apply(t.apply(p)), p, atol=1e-9)
 
-    def test_invalid_scale_rejected(self):
-        with pytest.raises(ValueError):
-            Sim3(0.0, quat_identity(), np.zeros(3))
-        with pytest.raises(ValueError):
-            Sim3(-1.0, quat_identity(), np.zeros(3))
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan"), True, 0.0, -1.0])
+    def test_invalid_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            Sim3(scale, quat_identity(), np.zeros(3))
 
-
-class TestPoseSE3:
-    def test_compose_and_inverse(self):
-        a = PoseSE3(quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.5), np.array([1.0, 2.0, 3.0]))
-        b = PoseSE3(quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), -0.3), np.array([-1.0, 0.5, 0.0]))
-        p = np.array([0.2, 0.4, -0.6])
-        assert np.allclose(a.compose(b).apply(p), a.apply(b.apply(p)), atol=1e-12)
-        assert np.allclose(a.inverse().apply(a.apply(p)), p, atol=1e-12)
+    def test_unit_scale_is_the_rigid_chain(self):
+        # A pose is a Sim3 of scale 1.0: compose and inverse then give the
+        # bits of the rigid-body formulas, with no scale factor at all.
+        q = rng.normal(size=(2, 6, 4))
+        t = rng.normal(size=(2, 6, 3))
+        a, b = Sim3(1.0, q[0], t[0]), Sim3(1.0, q[1], t[1])
+        ab, inv = a.compose(b), a.inverse()
+        rigid_q = quat_normalize(quat_multiply(a.rotation, b.rotation))
+        assert ab.scale == inv.scale == 1.0
+        assert ab.rotation.tobytes() == rigid_q.tobytes()
+        rigid_t = quat_rotate(a.rotation, b.translation) + a.translation
+        assert ab.translation.tobytes() == rigid_t.tobytes()
+        qinv = quat_conjugate(a.rotation)
+        assert inv.rotation.tobytes() == quat_normalize(qinv).tobytes()
+        assert inv.translation.tobytes() == (-quat_rotate(qinv, a.translation)).tobytes()
+        p = rng.normal(size=(6, 3))
+        assert a.apply(p).tobytes() == (quat_rotate(a.rotation, p) + a.translation).tobytes()
 
 
 class TestUmeyama:

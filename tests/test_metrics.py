@@ -24,7 +24,6 @@ from segdrift.metrics import (
     ALIGN_MODES,
     DEFAULT_MATCH_TOLERANCE_S,
     Trajectory,
-    align,
     associate,
     ate,
     evaluate,
@@ -39,15 +38,17 @@ from segdrift.worldgen import WorldSpec, generate_corridor
 
 @lru_cache(maxsize=None)
 def corridor120_baseline():
-    """A `baseline` run on the 120 m, 3-turn world, with the drift and
-    observation noise of the benchmark."""
+    """The raw and ground-truth trajectories of a `baseline` run on the
+    120 m, 3-turn world, with the drift and observation noise of the
+    benchmark."""
     world = generate_corridor(WorldSpec(corridor_length=120.0, n_turns=3))
-    return run(
+    rr = run(
         world,
         DriftConfig(scale_sigma=1e-3, rng_seed=1),
         ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=1001),
         ScheduleConfig(mode="baseline"),
     )
+    return rr.emap.trajectory, world.trajectory
 
 
 def straight_trajectory(n=10, step=1.0):
@@ -394,8 +395,7 @@ class TestMatchIndices:
     def test_benchmark_run_takes_the_array_path(self, monkeypatch):
         """A run cell scores one pose per frame against the ground truth:
         the array answer covers it without the walk."""
-        rr = corridor120_baseline()
-        est, gt = rr.raw_trajectory, rr.gt_trajectory
+        est, gt = corridor120_baseline()
         expected = list_associate(est, gt, DEFAULT_MATCH_TOLERANCE_S)
         assert len(expected) == len(gt)
 
@@ -412,7 +412,7 @@ class TestBadScoringArguments:
     before any matching or scoring: the trajectory's coincident positions
     would fail the alignment."""
 
-    @pytest.mark.parametrize("score", [associate, align, ate, rpe, evaluate])
+    @pytest.mark.parametrize("score", [associate, ate, rpe, evaluate])
     @pytest.mark.parametrize(
         "tolerance, message",
         [
@@ -442,40 +442,45 @@ class TestBadScoringArguments:
             score(stamped(np.arange(5.0)), stamped([]))
 
 
+def alignment(est, gt, mode="similarity"):
+    """The transform `evaluate` scores ATE through."""
+    return evaluate(est, gt, mode, delta=1).alignment
+
+
 class TestAlign:
     def test_identity_on_equal_trajectories(self):
         t = straight_trajectory()
-        out = align(t, t)
+        out = alignment(t, t)
         assert out.scale == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out.translation, 0.0, atol=1e-12)
 
     def test_scaled_copy_recovers_inverse_scale(self):
         gt = straight_trajectory()
         est = Trajectory(gt.timestamps, 2.0 * gt.positions, gt.quaternions)
-        out = align(est, gt, mode="similarity")
+        out = alignment(est, gt, mode="similarity")
         assert out.scale == pytest.approx(0.5, abs=1e-9)
 
     def test_rigid_mode_forces_unit_scale(self):
         gt = straight_trajectory()
         est = Trajectory(gt.timestamps, 2.0 * gt.positions, gt.quaternions)
-        out = align(est, gt, mode="rigid")
+        out = alignment(est, gt, mode="rigid")
         assert out.scale == 1.0
 
     def test_none_mode_identity(self):
         gt = straight_trajectory()
-        out = align(gt, gt, mode="none")
+        out = alignment(gt, gt, mode="none")
         assert out.scale == 1.0
         assert np.array_equal(out.translation, np.zeros(3))
 
     def test_too_few_pairs_raises(self):
         t = straight_trajectory(n=2)
-        with pytest.raises(ValueError):
-            align(t, t)
+        with pytest.raises(ValueError, match="at least 3 matched pose pairs"):
+            alignment(t, t)
 
     def test_unknown_mode_raises(self):
         t = straight_trajectory()
-        with pytest.raises(ValueError):
-            align(t, t, mode="affine")
+        with pytest.raises(ValueError, match="unknown alignment mode 'affine'"):
+            alignment(t, t, mode="affine")
 
 
 class TestBatchedScoringEqualsReference:
@@ -827,8 +832,8 @@ class TestTumIO:
                 np.vstack([np.tile([0.5, 0.5, -0.5, 0.5], (1000, 1)), [[0.5, 0.5, -0.5, 0.6]]]),
             ),
             lambda: Trajectory(np.zeros(0), np.zeros((0, 3)), np.zeros((0, 4))),  # empty
-            lambda: corridor120_baseline().gt_trajectory,
-            lambda: corridor120_baseline().raw_trajectory,
+            lambda: corridor120_baseline()[1],
+            lambda: corridor120_baseline()[0],
         ],
         ids=["extremes", "one-row", "signed-zeros", "long-run", "empty", "corridor120-gt",
              "corridor120-raw"],

@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segdrift import clustering, pipeline
-from segdrift.clustering import ClusterStore, assign_all
+from segdrift.clustering import ClusterStore
 from segdrift.clusteropt import build_problem
 from segdrift.frontend import OBS_FRAME, DriftConfig, ObservationConfig
 from segdrift.geometry import (
-    PoseSE3,
     Sim3,
     quat_from_axis_angle,
     quat_multiply,
@@ -65,23 +64,22 @@ class TestBaseline:
         w = make_world()
         r = run(w, DriftConfig(scale_sigma=1e-3, rng_seed=2), ObservationConfig(rng_seed=2),
                 ScheduleConfig(mode="baseline"))
-        assert np.array_equal(r.corrected_trajectory.positions, r.raw_trajectory.positions)
-        assert np.array_equal(r.corrected_trajectory.quaternions, r.raw_trajectory.quaternions)
+        assert np.array_equal(r.corrected_trajectory.positions, r.emap.trajectory.positions)
+        assert np.array_equal(r.corrected_trajectory.quaternions, r.emap.trajectory.quaternions)
         assert r.reports == []
         assert len(r.store) == 0
 
 
 class TestTrajectoriesShared:
-    """A run hands out the trajectories it was given or made, uncopied."""
+    """A baseline run hands out its raw trajectory as the corrected one,
+    uncopied; a solving run makes its own."""
 
     @pytest.mark.parametrize("mode", ["baseline", "seg"])
-    def test_gt_is_the_world_trajectory(self, mode):
+    def test_corrected_is_the_raw_trajectory_in_baseline_only(self, mode):
         w = make_world()
         r = run(w, DriftConfig(scale_sigma=1e-3, rng_seed=2), ObservationConfig(rng_seed=2),
                 ScheduleConfig(mode=mode))
-        assert r.gt_trajectory is w.trajectory
-        assert r.raw_trajectory is r.emap.trajectory
-        assert (r.corrected_trajectory is r.raw_trajectory) == (mode == "baseline")
+        assert (r.corrected_trajectory is r.emap.trajectory) == (mode == "baseline")
 
 
 class TestZeroDrift:
@@ -92,7 +90,7 @@ class TestZeroDrift:
                     ScheduleConfig(mode=mode))
             # Objective is already zero, so nothing moves and the
             # trajectory stays on the ground truth.
-            assert ate(r.corrected_trajectory, r.gt_trajectory, mode="none") < 1e-9
+            assert ate(r.corrected_trajectory, w.trajectory, mode="none") < 1e-9
             for rep in r.reports:
                 assert rep.final_objective < 1e-18
 
@@ -131,21 +129,23 @@ class TestIntervalBatches:
             ScheduleConfig(mode=mode, keyframe_interval=7),
         )
         batches = []
+        assign_batch = ClusterStore.assign_batch
 
-        def recorded(store, emap, obs_indices, rel_threshold):
+        def recorded(store, obs_indices, emap, rel_threshold):
             batches.append(emap.observations[list(obs_indices), OBS_FRAME])
-            return assign_all(store, emap, obs_indices, rel_threshold)
+            return assign_batch(store, obs_indices, emap, rel_threshold)
 
-        def by_frame(store, emap, obs_indices, rel_threshold):
+        def by_frame(store, obs_indices, emap, rel_threshold):
             frames = emap.observations[list(obs_indices), OBS_FRAME]
-            return sum(
-                assign_all(store, emap, np.asarray(obs_indices)[frames == f], rel_threshold)
+            return [
+                i
                 for f in np.unique(frames)
-            )
+                for i in assign_batch(store, np.asarray(obs_indices)[frames == f], emap, rel_threshold)
+            ]
 
-        monkeypatch.setattr(pipeline, "assign_all", recorded)
+        monkeypatch.setattr(ClusterStore, "assign_batch", recorded)
         a = run(w, *args)
-        monkeypatch.setattr(pipeline, "assign_all", by_frame)
+        monkeypatch.setattr(ClusterStore, "assign_batch", by_frame)
         b = run(w, *args)
 
         n_frames = w.n_frames
@@ -253,11 +253,11 @@ def reference_propagate(
     pre_positions: dict[int, np.ndarray],
     post_positions: dict[int, np.ndarray],
     first_seen: dict[int, int],
-    poses: list[PoseSE3],
+    poses: list[Sim3],
     keyframes: list[int],
     min_moved: int = 3,
     neighborhood: int = 15,
-) -> tuple[list[PoseSE3], list[str]]:
+) -> tuple[list[Sim3], list[str]]:
     """The dict-and-pose loop that `propagate_to_poses` computes as arrays."""
     plog: list[str] = []
     moved = sorted(
@@ -317,7 +317,7 @@ def reference_propagate(
                 scale = float(np.exp((1 - u) * np.log(a.scale) + u * np.log(b.scale)))
                 rot = reference_slerp(a.rotation, b.rotation, u)
         pose = new_poses[frame]
-        new_poses[frame] = PoseSE3(
+        new_poses[frame] = Sim3(1.0, 
             quat_multiply(rot, pose.rotation),
             scale * quat_rotate(rot, pose.translation),
         )
@@ -354,7 +354,7 @@ def propagation_case(seed, n_points, n_frames, motion, moved_share):
     elif motion == "jitter":
         post[moved] = pre[moved] + rng.normal(0.0, 0.01, size=(int(moved.sum()), 3))
     poses = [
-        PoseSE3(rng.normal(size=4), rng.uniform(-5, 5, size=3)) for _ in range(n_frames)
+        Sim3(1.0, rng.normal(size=4), rng.uniform(-5, 5, size=3)) for _ in range(n_frames)
     ]
     return pre, post, first_seen, poses
 
@@ -463,10 +463,14 @@ class TestNoiselessMonotoneScaleReduction:
     def test_last_frame_scale_error_smaller_for_seg_on_every_seed(self):
         # Pure scale drift, zero endpoint noise, full detection, doors
         # every 2 m: the corrected last-frame scale error must beat the
-        # baseline on every seed. The correction is bounded by the 0.5%
-        # cluster gate while the drift excursion regularly exceeds it, so
-        # this strong per-seed form does not hold for this open-loop
-        # pipeline; the failure is expected and documented.
+        # baseline on every seed. Under this drift model no map-based
+        # correction can do that, so the failure is expected and
+        # documented. The cause is not the 0.5% cluster gate: the drift
+        # walk keeps accruing after the last point-creation frame (frame
+        # 930 of 1200 on this 40 m corridor), and nothing read from the
+        # map sees that tail. Even the observability ceiling, the true
+        # drift scale at every point-creation frame held after the last
+        # one, loses seed 5 (0.0398 against 0.0295).
         w = make_world(corridor_length=40)
         failures = []
         for seed in range(8):
@@ -474,7 +478,7 @@ class TestNoiselessMonotoneScaleReduction:
             obs = ObservationConfig(rng_seed=seed)
             base = run(w, drift, obs, ScheduleConfig(mode="baseline"))
             seg = run(w, drift, obs, ScheduleConfig(mode="seg"))
-            t_true = np.linalg.norm(base.gt_trajectory.positions[-1])
+            t_true = np.linalg.norm(w.trajectory.positions[-1])
             err_base = abs(
                 np.linalg.norm(base.corrected_trajectory.positions[-1]) / t_true - 1
             )
