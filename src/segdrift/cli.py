@@ -137,15 +137,7 @@ def cmd_run(args) -> int:
     else:
         world = generate_corridor(_build_config(WorldSpec, cfg.get("world", {})))
     # Every cell's trajectories hold one pose per frame, all of them matched.
-    if rpe_delta >= world.n_frames:
-        raise ValueError(
-            f"metrics rpe_delta {rpe_delta} must be below the world's frame count {world.n_frames}"
-        )
-    if align_mode != "none" and world.n_frames < 3:
-        raise ValueError(
-            f"metrics align_mode {align_mode!r} needs at least 3 frames, "
-            f"the world has {world.n_frames}"
-        )
+    scoring.check_frames(world.n_frames)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if world_file is None:
@@ -174,9 +166,7 @@ def cmd_run(args) -> int:
                     gt_tum = met.write_tum(world.trajectory, cell_dir / "gt.tum")
                 else:
                     (cell_dir / "gt.tum").write_text(gt_tum)
-                report = met.evaluate(
-                    rr.corrected_trajectory, world.trajectory, align_mode, rpe_delta
-                )
+                report = met.evaluate(rr.corrected_trajectory, world.trajectory, scoring)
                 manifest = {
                     "mode": mode,
                     "seed": seed,
@@ -238,11 +228,12 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_out(args.out)
+    scoring = met.MetricsConfig(args.align, args.rpe_delta)
     est = met.read_tum(args.est)
     gt = met.read_tum(args.gt)
     if args.interpolate_gt:
         gt = met.interpolate_trajectory(gt, est.timestamps)
-    report = met.evaluate(est, gt, args.align, args.rpe_delta)
+    report = met.evaluate(est, gt, scoring)
     payload = json.dumps(report.to_json(), indent=1)
     print(payload)
     if args.out is not None:
@@ -268,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score an estimated trajectory against ground truth")
     p.add_argument("est", help="estimated trajectory, TUM format")
     p.add_argument("gt", help="ground-truth trajectory, TUM format")
-    p.add_argument("--align", choices=met.ALIGN_MODES, default=met.MetricsConfig.align_mode)
+    p.add_argument("--align", default=met.MetricsConfig.align_mode, help=" | ".join(met.ALIGN_MODES))
     p.add_argument("--rpe-delta", type=int, default=met.MetricsConfig.rpe_delta)
     p.add_argument(
         "--interpolate-gt",

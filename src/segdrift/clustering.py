@@ -158,7 +158,9 @@ class ClusterStore:
     edge table rather than every member row.
     """
 
-    def __init__(self):
+    def __init__(self, rel_threshold: float = DEFAULT_REL_THRESHOLD):
+        check_real("rel_threshold", rel_threshold, 0, strict=True)
+        self._rel = float(rel_threshold)
         self._centers = np.empty((0, 3))
         self._counts = np.empty(0, dtype=np.int64)
         self._n_clusters = 0
@@ -174,6 +176,12 @@ class ClusterStore:
 
     def __len__(self) -> int:
         return self._n_clusters
+
+    @property
+    def rel_threshold(self) -> float:
+        """The relative gate of every assignment: a finite real > 0 (bools
+        are not), checked when the store is built."""
+        return self._rel
 
     @property
     def member_table(self) -> np.ndarray:
@@ -195,26 +203,16 @@ class ClusterStore:
         """(clusters,) int64 member counts; entry i belongs to cluster id i."""
         return self._counts[: self._n_clusters]
 
-    def assign(
-        self,
-        index: int,
-        emap: EstimatedMap,
-        rel_threshold: float = DEFAULT_REL_THRESHOLD,
-    ) -> int:
+    def assign(self, index: int, emap: EstimatedMap) -> int:
         """Place observation `index` into the store and return its cluster id.
 
         Raises DegenerateSegmentError if its endpoints coincide.
         """
-        if self.assign_batch([index], emap, rel_threshold):
+        if self.assign_batch([index], emap):
             raise DegenerateSegmentError(f"observation {index} has coincident endpoints; discarded")
         return int(self._edges[E_CLUSTER, self._table[EDGE, self._n_members - 1]])
 
-    def assign_batch(
-        self,
-        obs_indices,
-        emap: EstimatedMap,
-        rel_threshold: float = DEFAULT_REL_THRESHOLD,
-    ) -> list[int]:
+    def assign_batch(self, obs_indices, emap: EstimatedMap) -> list[int]:
         """Assign observations in order; return those discarded as degenerate.
 
         Each observation joins the cluster minimizing the two-sided distance
@@ -284,10 +282,8 @@ class ClusterStore:
 
         Raises ValueError, before changing the store, if an index is not an
         integer from 0 to len(emap.observations) - 1 (bools are not), the
-        batch repeats an observation, it holds one already assigned, or
-        rel_threshold is not a finite real > 0 (bools are not).
+        batch repeats an observation or it holds one already assigned.
         """
-        check_real("rel_threshold", rel_threshold, 0, strict=True)
         batch = _index_array(obs_indices, len(emap.observations))
         if not len(batch):
             return []
@@ -307,7 +303,7 @@ class ClusterStore:
             keep = ~degenerate
             batch, observations, vs = batch[keep], observations[keep], vs[keep]
         if len(batch):
-            self._walk(batch, observations, vs, float(rel_threshold))
+            self._walk(batch, observations, vs, self._rel)
         return discarded
 
     def _walk(self, batch, observations: np.ndarray, vs: np.ndarray, rel) -> None:
@@ -527,12 +523,12 @@ class ClusterStore:
             edges[:, : len(self._edge_ids)] = self._edges[:, : len(self._edge_ids)]
             self._edges = edges
 
-    def recompute_centers(self, emap: EstimatedMap, moved=None) -> None:
+    def recompute_centers(self, emap: EstimatedMap, moved) -> None:
         """Replace centers by the exact mean of current member vectors.
 
         `moved` names the point ids whose coordinates changed any bit since
-        the last recompute (a superset does too); None means any may have.
-        With it, only clusters with an edge on a moved point or a member
+        the last recompute (a superset does too; every point id redoes every
+        cluster). Only clusters with an edge on a moved point or a member
         assigned since the last recompute are redone: every other center
         already is the exact mean of vectors that did not change.
 
@@ -546,16 +542,14 @@ class ClusterStore:
         pos = emap.points
         ecid, p1, p2, sign = self.edge_table.T
         sign, d = sign.astype(float), pos[p2] - pos[p1]
-        eids = self._table[EDGE, : self._n_members]  # edge of each member row redone
-        redo = slice(n)
-        if moved is not None:
-            hit = np.zeros(len(pos), dtype=bool)
-            hit[moved] = True
-            dirty = np.zeros(n, dtype=bool)
-            dirty[ecid[hit[p1] | hit[p2]]] = True
-            dirty[ecid[eids[self._n_recomputed :]]] = True
-            eids = eids[dirty[ecid][eids]]  # one gather through a per-edge mask
-            redo = np.flatnonzero(dirty)
+        eids = self._table[EDGE, : self._n_members]  # edge of each member row
+        hit = np.zeros(len(pos), dtype=bool)
+        hit[moved] = True
+        dirty = np.zeros(n, dtype=bool)
+        dirty[ecid[hit[p1] | hit[p2]]] = True
+        dirty[ecid[eids[self._n_recomputed :]]] = True
+        eids = eids[dirty[ecid][eids]]  # one gather through a per-edge mask
+        redo = np.flatnonzero(dirty)
         cids = ecid[eids]
         # bincount adds in index order, one coordinate of the signed edge
         # vectors at a time, gathered into a contiguous column

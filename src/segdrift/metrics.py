@@ -14,7 +14,6 @@ from .geometry import (
 )
 
 DEFAULT_MATCH_TOLERANCE_S = 0.01
-DEFAULT_RPE_DELTA = 30
 ALIGN_MODES = ("similarity", "rigid", "none")
 
 
@@ -23,12 +22,26 @@ class MetricsConfig:
     """How a run scores each cell: `evaluate`'s alignment mode and RPE delta."""
 
     align_mode: str = "similarity"
-    rpe_delta: int = DEFAULT_RPE_DELTA
+    rpe_delta: int = 30
 
     def __post_init__(self):
         if self.align_mode not in ALIGN_MODES:
             raise ValueError(f"align_mode must be one of {ALIGN_MODES}, got {self.align_mode!r}")
         check_int("rpe_delta", self.rpe_delta, 1)
+
+    def check_frames(self, n_frames: int) -> None:
+        """Refuse a world of `n_frames` frames, whose trajectories match one
+        pose per frame: RPE needs `rpe_delta` below the frame count, and an
+        `align_mode` other than "none" needs at least 3 frames."""
+        if self.rpe_delta >= n_frames:
+            raise ValueError(
+                f"metrics rpe_delta {self.rpe_delta} must be below the world's frame count {n_frames}"
+            )
+        if self.align_mode != "none" and n_frames < 3:
+            raise ValueError(
+                f"metrics align_mode {self.align_mode!r} needs at least 3 frames, "
+                f"the world has {n_frames}"
+            )
 
 
 def write_tum(traj: Trajectory, path) -> str:
@@ -173,9 +186,8 @@ def _match_walk(
 
 
 def _align(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, mode: str) -> Sim3:
-    """Least-squares transform taking est positions onto gt positions."""
-    if mode not in ALIGN_MODES:
-        raise ValueError(f"unknown alignment mode {mode!r}; choose from {ALIGN_MODES}")
+    """Least-squares transform taking est positions onto gt positions;
+    `mode` is one of ALIGN_MODES."""
     if mode == "none":
         return Sim3.identity()
     if len(ei) < 3:
@@ -212,6 +224,7 @@ def ate(
     tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
 ) -> float:
     """RMSE of aligned position differences over matched pairs (meters)."""
+    MetricsConfig(align_mode=mode)  # checks the mode
     ei, gi = _match(est, gt, tolerance)
     return _ate(est, gt, ei, gi, _align(est, gt, ei, gi, mode))
 
@@ -219,12 +232,12 @@ def ate(
 def rpe(
     est: Trajectory,
     gt: Trajectory,
-    delta: int = DEFAULT_RPE_DELTA,
+    delta: int = MetricsConfig.rpe_delta,
     tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
 ) -> float:
     """RMSE of the translational magnitude of relative-pose discrepancies
     over a fixed frame delta (meters)."""
-    check_int("delta", delta, 1)
+    MetricsConfig(rpe_delta=delta)  # checks the delta
     return _rpe(est, gt, *_match(est, gt, tolerance), delta)
 
 
@@ -294,8 +307,7 @@ def interpolate_trajectory(traj: Trajectory, timestamps: np.ndarray) -> Trajecto
 class MetricsReport:
     ate_rmse: float
     rpe_rmse: float
-    align_mode: str
-    rpe_delta: int
+    config: MetricsConfig  # the settings scored under
     n_matched: int
     alignment: Sim3
 
@@ -303,8 +315,8 @@ class MetricsReport:
         return {
             "ate_rmse": self.ate_rmse,
             "rpe_rmse": self.rpe_rmse,
-            "align_mode": self.align_mode,
-            "rpe_delta": self.rpe_delta,
+            "align_mode": self.config.align_mode,
+            "rpe_delta": self.config.rpe_delta,
             "n_matched": self.n_matched,
             "alignment": {
                 "scale": self.alignment.scale,
@@ -317,19 +329,16 @@ class MetricsReport:
 def evaluate(
     est: Trajectory,
     gt: Trajectory,
-    mode: str = "similarity",
-    delta: int = DEFAULT_RPE_DELTA,
+    config: MetricsConfig = MetricsConfig(),
     tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
 ) -> MetricsReport:
-    """ATE and RPE from one association and one alignment."""
-    check_int("delta", delta, 1)
+    """ATE and RPE under `config` from one association and one alignment."""
     ei, gi = _match(est, gt, tolerance)
-    t = _align(est, gt, ei, gi, mode)
+    t = _align(est, gt, ei, gi, config.align_mode)
     return MetricsReport(
         ate_rmse=_ate(est, gt, ei, gi, t),
-        rpe_rmse=_rpe(est, gt, ei, gi, delta),
-        align_mode=mode,
-        rpe_delta=delta,
+        rpe_rmse=_rpe(est, gt, ei, gi, config.rpe_delta),
+        config=config,
         n_matched=len(ei),
         alignment=t,
     )

@@ -152,7 +152,7 @@ def run(
     emap = simulate(world, drift_cfg, obs_cfg)
     raw = emap.trajectory
 
-    store = ClusterStore()
+    store = ClusterStore(schedule.rel_threshold)
     reports: list[OptReport] = []
     plog: list[str] = []
     discarded = 0
@@ -195,7 +195,7 @@ def run(
 
     def assign_frames(first: int, end: int) -> int:
         batch = range(bounds[first], bounds[end])
-        return len(store.assign_batch(batch, emap, schedule.rel_threshold))
+        return len(store.assign_batch(batch, emap))
 
     # Points move only in solve rounds, and a batch assigns exactly as its
     # observations one at a time would, so each solve interval is one batch.

@@ -86,8 +86,11 @@ class World:
         ends.flags.writeable = archetypes.flags.writeable = False
         object.__setattr__(self, "endpoints", ends)
         object.__setattr__(self, "archetypes", archetypes)
-        q = self.trajectory.quaternions / row_norms(self.trajectory.quaternions)[:, None]
-        object.__setattr__(self, "trajectory", replace(self.trajectory, quaternions=q))
+        given = self.trajectory.quaternions
+        q = given / row_norms(given)[:, None]
+        # A trajectory already normalised to the bit is kept, not checked again.
+        if (q.view(np.int64) != given.view(np.int64)).any():
+            object.__setattr__(self, "trajectory", replace(self.trajectory, quaternions=q))
 
     @property
     def n_frames(self) -> int:

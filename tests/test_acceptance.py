@@ -166,9 +166,9 @@ def test_criterion_6_clustering_oracle():
     # boundary: dyadic values make the distance exactly tau * |center|
     tau = 2.0**-8
     emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 2.0**-7]])
-    store = ClusterStore()
-    store.assign(0, emap, rel_threshold=tau)
-    assert store.assign(1, emap, rel_threshold=tau) == 1
+    store = ClusterStore(rel_threshold=tau)
+    store.assign(0, emap)
+    assert store.assign(1, emap) == 1
 
 
 def test_criterion_7_lm_behavior():

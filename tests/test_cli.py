@@ -662,9 +662,28 @@ class TestEval:
 
     def test_eval_unknown_align_mode_exits_1(self, tmp_path, capsys):
         est, gt = self.run_small(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", str(est), str(gt), "--align", "affine"])
-        assert exc.value.code == 1
+        capsys.readouterr()
+        assert main(["eval", str(est), str(gt), "--align", "affine"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "segdrift: error: align_mode must be one of ('similarity', 'rigid', 'none'), got 'affine'\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("delta", [0, -3])
+    def test_eval_bad_rpe_delta_exits_1_as_run_does(self, tmp_path, capsys, delta):
+        est, gt = self.run_small(tmp_path)
+        message = f"segdrift: error: rpe_delta must be an integer >= 1, got {delta}\n"
+        capsys.readouterr()
+        assert main(["eval", str(est), str(gt), "--rpe-delta", str(delta)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""  # no metrics printed: nothing was scored
+        (tmp_path / "run").mkdir()
+        cfg = small_config(tmp_path / "run", metrics={"rpe_delta": delta})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "run" / "out").exists()
 
     def test_eval_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "a.tum"), str(tmp_path / "b.tum")]) == 2

@@ -298,23 +298,23 @@ class TestBatchedAssignment:
     def test_matches_per_observation_reference(self, case):
         rel, frames, moves = case
         emap, batches = stream_map(frames)
-        store, single, ref = ClusterStore(), ClusterStore(), ReferenceStore()
+        store, single, ref = ClusterStore(rel), ClusterStore(rel), ReferenceStore()
         # one batch per move interval: every frame up to the next move, or the end
-        interval, pending, pending_discarded = ClusterStore(), [], 0
+        interval, pending, pending_discarded = ClusterStore(rel), [], 0
         for f, (batch, move) in enumerate(zip(batches, moves)):
             expected = [ref.assign(i, emap, rel) for i in batch]
-            assert len(store.assign_batch(batch, emap, rel)) == expected.count(None)
+            assert len(store.assign_batch(batch, emap)) == expected.count(None)
             for i, cid in zip(batch, expected):
                 if cid is None:
                     with pytest.raises(DegenerateSegmentError):
-                        single.assign(i, emap, rel)
+                        single.assign(i, emap)
                 else:
-                    assert single.assign(i, emap, rel) == cid
+                    assert single.assign(i, emap) == cid
             pending += batch
             pending_discarded += expected.count(None)
             flush = move is not None or f == len(batches) - 1
             if flush:
-                assert len(interval.assign_batch(pending, emap, rel)) == pending_discarded
+                assert len(interval.assign_batch(pending, emap)) == pending_discarded
                 pending, pending_discarded = [], 0
             if move is not None:
                 rng = np.random.default_rng(move)
@@ -325,7 +325,7 @@ class TestBatchedAssignment:
                 emap.points[moved] += rng.normal(0, 1e-3, size=(len(moved), 3))
                 store.recompute_centers(emap, moved)  # only the clusters it dirtied
                 interval.recompute_centers(emap, listed)
-                single.recompute_centers(emap)  # every cluster
+                single.recompute_centers(emap, np.arange(len(emap.points)))  # every cluster
                 ref.recompute_centers(emap)
             # edge ids run in order of first member
             keys = list(dict.fromkeys(map(tuple, ref.table[:, CLUSTER:].tolist())))
@@ -387,9 +387,9 @@ class TestBatchedAssignment:
             return advance(center, n, v, sign, rows)
 
         monkeypatch.setattr(clustering, "_advance", spy)
-        store, ref = ClusterStore(), ReferenceStore()
+        store, ref = ClusterStore(0.5), ReferenceStore()
         for batch in batches:
-            store.assign_batch(batch, emap, 0.5)
+            store.assign_batch(batch, emap)
             for i in batch:
                 ref.assign(i, emap, 0.5)
         assert applied == counted  # the guard applied the run's counted rows
@@ -428,8 +428,8 @@ class TestBatchedAssignment:
 
     def test_equal_distance_lowest_id_wins(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 2.0**-5], [0.0, 0.0, 2.0 + 2.0**-6]])
-        store = ClusterStore()
-        store.assign_batch(range(3), emap, rel_threshold=2.0**-6)
+        store = ClusterStore(rel_threshold=2.0**-6)
+        store.assign_batch(range(3), emap)
         assert expanded_table(store)[:, CLUSTER].tolist() == [0, 1, 0]
 
 
@@ -474,27 +474,27 @@ class TestAssignment:
         # cluster.
         tau = 2.0**-8
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 2.0**-7]])
-        store = ClusterStore()
-        store.assign(0, emap, rel_threshold=tau)
-        assert store.assign(1, emap, rel_threshold=tau) == 1
+        store = ClusterStore(rel_threshold=tau)
+        store.assign(0, emap)
+        assert store.assign(1, emap) == 1
         assert len(store) == 2
 
     def test_just_inside_boundary_merges(self):
         tau = 2.0**-8
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 2.0**-7 - 2.0**-20]])
-        store = ClusterStore()
-        store.assign(0, emap, rel_threshold=tau)
-        assert store.assign(1, emap, rel_threshold=tau) == 0
+        store = ClusterStore(rel_threshold=tau)
+        store.assign(0, emap)
+        assert store.assign(1, emap) == 0
 
     def test_nearest_cluster_wins(self):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [1.004, 0.0, 0.0], [1.0024, 0.0, 0.0]])
-        store = ClusterStore()
-        store.assign(0, emap, rel_threshold=0.0025)
-        store.assign(1, emap, rel_threshold=0.0025)
+        store = ClusterStore(rel_threshold=0.0025)
+        store.assign(0, emap)
+        store.assign(1, emap)
         assert len(store) == 2
         # 1.0024 is within threshold of both centers; cluster 1 (center
         # 1.004) is nearer.
-        assert store.assign(2, emap, rel_threshold=0.0025) == 1
+        assert store.assign(2, emap) == 1
 
     def test_degenerate_segment_raises(self):
         emap = map_from_vectors([[0.0, 0.0, 0.0]])
@@ -632,15 +632,18 @@ class TestBatchRejection:
     ]
 
     @pytest.mark.parametrize("rel, message", REL_CASES)
-    def test_bad_rel_threshold_rejected_before_store_changes(self, rel, message):
-        store, emap = self.assigned_store([0])
-        before = self.snapshot(store)
+    def test_bad_rel_threshold_rejected_when_store_built(self, rel, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            store.assign_batch([1, 2], emap, rel)
+            ClusterStore(rel)
         with pytest.raises(ValueError, match=re.escape(message)):
-            store.assign(3, emap, rel)
-        for a, b in zip(before, self.snapshot(store)):
-            assert np.array_equal(a, b)
+            ClusterStore(rel_threshold=rel)
+
+    @pytest.mark.parametrize("rel", [1, np.float32(0.5), 0.005])
+    def test_gate_kept_as_float(self, rel):
+        store = ClusterStore(rel)
+        assert type(store.rel_threshold) is float
+        assert store.rel_threshold == float(rel)
+        assert ClusterStore().rel_threshold == DEFAULT_REL_THRESHOLD
 
     def test_unassigned_lower_index_accepted(self):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
@@ -677,7 +680,7 @@ class TestCenters:
         store = ClusterStore()
         store.assign_batch(range(30), emap)
         emap.points += rng.normal(0, 0.1, size=emap.points.shape)
-        store.recompute_centers(emap)
+        store.recompute_centers(emap, np.arange(len(emap.points)))
         for cid, center in enumerate(store.centers):
             assert np.linalg.norm(center - batch_center(store, emap, cid)) < 1e-12
 
@@ -698,7 +701,8 @@ class TestCenters:
 
     def test_recompute_centers_empty_store(self):
         store = ClusterStore()
-        store.recompute_centers(map_from_vectors([[1.0, 0.0, 0.0]]))
+        emap = map_from_vectors([[1.0, 0.0, 0.0]])
+        store.recompute_centers(emap, np.arange(len(emap.points)))
         assert len(store) == 0
 
 

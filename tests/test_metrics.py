@@ -23,6 +23,7 @@ from segdrift.geometry import (
 from segdrift.metrics import (
     ALIGN_MODES,
     DEFAULT_MATCH_TOLERANCE_S,
+    MetricsConfig,
     Trajectory,
     associate,
     ate,
@@ -91,7 +92,7 @@ def reference_associate(est, gt, tolerance=DEFAULT_MATCH_TOLERANCE_S):
 
 def reference_align(est, gt, mode, tolerance=DEFAULT_MATCH_TOLERANCE_S):
     if mode not in ALIGN_MODES:
-        raise ValueError(f"unknown alignment mode {mode!r}; choose from {ALIGN_MODES}")
+        raise ValueError(f"align_mode must be one of {ALIGN_MODES}, got {mode!r}")
     if mode == "none":
         return Sim3.identity()
     pairs = reference_associate(est, gt, tolerance)
@@ -113,7 +114,7 @@ def reference_ate(est, gt, mode="similarity", tolerance=DEFAULT_MATCH_TOLERANCE_
 
 def reference_rpe(est, gt, delta=30, tolerance=DEFAULT_MATCH_TOLERANCE_S):
     if delta < 1:
-        raise ValueError(f"delta must be an integer >= 1, got {delta!r}")
+        raise ValueError(f"rpe_delta must be an integer >= 1, got {delta!r}")
     pairs = reference_associate(est, gt, tolerance)
     if len(pairs) < 2:
         raise ValueError(f"need at least 2 matched poses for RPE, got {len(pairs)}")
@@ -428,11 +429,19 @@ class TestBadScoringArguments:
         with pytest.raises(ValueError, match=re.escape(message)):
             score(t, t, tolerance=tolerance)
 
-    @pytest.mark.parametrize("score", [rpe, evaluate])
+    @pytest.mark.parametrize(
+        "score",
+        [
+            rpe,
+            # evaluate takes a MetricsConfig, which refuses the delta when built
+            pytest.param(lambda est, gt, delta: evaluate(est, gt, MetricsConfig(rpe_delta=delta)),
+                         id="evaluate"),
+        ],
+    )
     @pytest.mark.parametrize("delta", [True, 2.5, 0, -3, "30"])
     def test_bad_delta(self, score, delta):
         t = stamped(np.arange(50.0))
-        message = f"delta must be an integer >= 1, got {delta!r}"
+        message = f"rpe_delta must be an integer >= 1, got {delta!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             score(t, t, delta=delta)
 
@@ -444,7 +453,7 @@ class TestBadScoringArguments:
 
 def alignment(est, gt, mode="similarity"):
     """The transform `evaluate` scores ATE through."""
-    return evaluate(est, gt, mode, delta=1).alignment
+    return evaluate(est, gt, MetricsConfig(mode, rpe_delta=1)).alignment
 
 
 class TestAlign:
@@ -479,8 +488,11 @@ class TestAlign:
 
     def test_unknown_mode_raises(self):
         t = straight_trajectory()
-        with pytest.raises(ValueError, match="unknown alignment mode 'affine'"):
+        message = f"align_mode must be one of {ALIGN_MODES}, got 'affine'"
+        with pytest.raises(ValueError, match=re.escape(message)):
             alignment(t, t, mode="affine")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ate(t, t, mode="affine")
 
 
 class TestBatchedScoringEqualsReference:
@@ -498,7 +510,8 @@ class TestBatchedScoringEqualsReference:
         assert outcome(rpe, est, gt, delta, tolerance) == outcome(
             reference_rpe, est, gt, delta, tolerance
         )
-        assert outcome(lambda: report_fields(evaluate(est, gt, mode, delta, tolerance))) == (
+        config = MetricsConfig(mode, delta)
+        assert outcome(lambda: report_fields(evaluate(est, gt, config, tolerance))) == (
             outcome(reference_report_fields, est, gt, mode, delta, tolerance)
         )
 
@@ -507,7 +520,7 @@ class TestBatchedScoringEqualsReference:
         with pytest.raises(ValueError, match="no index pairs at delta=5"):
             rpe(t, t, delta=5)
         with pytest.raises(ValueError, match="no index pairs at delta=5"):
-            evaluate(t, t, delta=5)
+            evaluate(t, t, MetricsConfig(rpe_delta=5))
 
     def test_one_association_and_alignment_per_evaluate(self, monkeypatch):
         # `_match` is the association `evaluate` calls; `associate` wraps it.
@@ -522,7 +535,7 @@ class TestBatchedScoringEqualsReference:
             monkeypatch.setattr(metrics, name, counted)
         gt = straight_trajectory(n=40)
         est = Trajectory(gt.timestamps, 1.1 * gt.positions, gt.quaternions)
-        evaluate(est, gt, mode="similarity", delta=5)
+        evaluate(est, gt, MetricsConfig("similarity", 5))
         assert calls == {"_match": 1, "umeyama_alignment": 1}
 
 
@@ -617,6 +630,32 @@ class TestRPE:
         t = straight_trajectory()
         with pytest.raises(ValueError):
             rpe(t, t, delta=0)
+
+
+class TestFramesFitScoring:
+    """`MetricsConfig.check_frames`: trajectories of n poses, all matched,
+    must leave RPE a pair and, unless unaligned, 3 pairs to align."""
+
+    @pytest.mark.parametrize(
+        "config, n_frames, message",
+        [
+            (MetricsConfig(rpe_delta=120), 120, "metrics rpe_delta 120 must be below the world's frame count 120"),
+            (MetricsConfig(rpe_delta=1), 2, "metrics align_mode 'similarity' needs at least 3 frames, the world has 2"),
+            (MetricsConfig("rigid", 1), 2, "metrics align_mode 'rigid' needs at least 3 frames, the world has 2"),
+        ],
+    )
+    def test_too_few_frames_rejected(self, config, n_frames, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config.check_frames(n_frames)
+
+    @pytest.mark.parametrize(
+        "config, n_frames",
+        [(MetricsConfig(rpe_delta=119), 120), (MetricsConfig(rpe_delta=2), 3), (MetricsConfig("none", 1), 2)],
+    )
+    def test_frames_that_fit_accepted(self, config, n_frames):
+        config.check_frames(n_frames)
+        t = straight_trajectory(n=n_frames)
+        evaluate(t, t, config)  # and scoring such trajectories succeeds
 
 
 class TestSpline:
@@ -891,10 +930,13 @@ class TestEvaluate:
         gt = straight_trajectory(n=40)
         est = Trajectory(gt.timestamps, gt.positions + rng.normal(0, 0.02, (40, 3)),
                          gt.quaternions)
-        rep = evaluate(est, gt, mode="similarity", delta=5)
+        rep = evaluate(est, gt, MetricsConfig("similarity", 5))
         assert rep.ate_rmse == pytest.approx(ate(est, gt, mode="similarity"))
         assert rep.rpe_rmse == pytest.approx(rpe(est, gt, delta=5))
         assert rep.n_matched == 40
+        assert rep.config == MetricsConfig("similarity", 5)
         out = rep.to_json()
+        assert list(out) == ["ate_rmse", "rpe_rmse", "align_mode", "rpe_delta", "n_matched", "alignment"]
         assert out["align_mode"] == "similarity"
+        assert out["rpe_delta"] == 5
         assert out["alignment"]["scale"] == rep.alignment.scale

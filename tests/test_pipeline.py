@@ -58,6 +58,12 @@ class TestScheduleConfig:
         ScheduleConfig()
         ScheduleConfig(anchor_weight=0.0, iteration_cap=1)
 
+    @pytest.mark.parametrize("mode", ["baseline", "seg"])
+    def test_store_holds_the_schedule_gate(self, mode):
+        r = run(make_world(), DriftConfig(rng_seed=0), ObservationConfig(rng_seed=0),
+                ScheduleConfig(mode=mode, rel_threshold=0.01))
+        assert r.store.rel_threshold == 0.01
+
 
 class TestBaseline:
     def test_baseline_equals_raw_trajectory(self):
@@ -131,16 +137,16 @@ class TestIntervalBatches:
         batches = []
         assign_batch = ClusterStore.assign_batch
 
-        def recorded(store, obs_indices, emap, rel_threshold):
+        def recorded(store, obs_indices, emap):
             batches.append(emap.observations[list(obs_indices), OBS_FRAME])
-            return assign_batch(store, obs_indices, emap, rel_threshold)
+            return assign_batch(store, obs_indices, emap)
 
-        def by_frame(store, obs_indices, emap, rel_threshold):
+        def by_frame(store, obs_indices, emap):
             frames = emap.observations[list(obs_indices), OBS_FRAME]
             return [
                 i
                 for f in np.unique(frames)
-                for i in assign_batch(store, np.asarray(obs_indices)[frames == f], emap, rel_threshold)
+                for i in assign_batch(store, np.asarray(obs_indices)[frames == f], emap)
             ]
 
         monkeypatch.setattr(ClusterStore, "assign_batch", recorded)
@@ -200,10 +206,10 @@ class TestChangedPointsRecompute:
         recompute = ClusterStore.recompute_centers
         n_points, n_moved = [], []
 
-        def checked(store, emap, moved=None):
+        def checked(store, emap, moved):
             recompute(store, emap, moved)
             full = copy.deepcopy(store)
-            recompute(full, emap)
+            recompute(full, emap, np.arange(len(emap.points)))
             assert np.array_equal(store.centers.view(np.int64), full.centers.view(np.int64))
             n_moved.append(len(moved))
 

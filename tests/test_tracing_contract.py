@@ -10,10 +10,13 @@ import json
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from segdrift import cli
-from segdrift.frontend import DriftConfig, ObservationConfig, simulate
+from segdrift.clustering import ClusterStore
+from segdrift.frontend import EstimatedMap, simulate
+from segdrift.geometry import Trajectory
 from segdrift.worldgen import world_from_file
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -88,3 +91,24 @@ def test_world_file_run_loads_and_copies(tracing, tmp_path):
     manifest = json.loads((tmp_path / "out" / "baseline" / "seed1" / "manifest.json").read_text())
     assert counts["frontend.points"] == manifest["n_map_points"] > 0
     assert counts["frontend.observations"] == manifest["n_observations"] > 0
+
+
+def test_assign_hook_counts_joins(tracing):
+    # Observation i spans points 2i and 2i + 1. Rows 1 and 3 (the reversed
+    # segment) join cluster 0, row 4 joins cluster 1, which row 2 seeded.
+    vectors = np.array([[0, 0, 2.0], [0, 0, 2.0], [1.0, 0, 0], [0, 0, -2.0], [1.0, 0, 0]])
+    points = np.zeros((2 * len(vectors), 3))
+    points[1::2] = vectors
+    observations = [(2 * i, 2 * i + 1, 0, i) for i in range(len(vectors))]
+    trajectory = Trajectory([0.0], np.zeros((1, 3)), [[1.0, 0.0, 0.0, 0.0]])
+    emap = EstimatedMap(points, np.zeros(len(points)), observations, trajectory)
+    store = ClusterStore()
+    tracer = tracing.Tracer()
+    with tracer.install():
+        tracer.begin_cell(0)
+        cids = [store.assign(i, emap) for i in range(len(vectors))]
+        counts = tracer.end_cell()
+    assert tracer.missing == []
+    assert cids == [0, 0, 1, 0, 1]
+    assert counts["clustering.assign.calls"] == 5
+    assert counts["clustering.assign.joins"] == 3

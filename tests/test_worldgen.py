@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from segdrift import worldgen
 from segdrift.geometry import Trajectory, quat_rotate
 from segdrift.worldgen import (
     FRAME_RATE_HZ,
@@ -270,8 +271,11 @@ class TestWorldArrays:
     def test_rotations_normalised_and_arrays_read_only(self):
         w = generate_corridor(spec())
         t = w.trajectory
-        doubled = replace(w, trajectory=replace(t, quaternions=2.0 * t.quaternions))
+        doubled_input = replace(t, quaternions=2.0 * t.quaternions)
+        doubled = replace(w, trajectory=doubled_input)
         assert np.array_equal(doubled.trajectory.quaternions, t.quaternions)
+        assert doubled.trajectory is not doubled_input
+        assert replace(w, trajectory=t).trajectory is t  # already unit to the bit
         assert w.archetypes.dtype == np.int64
         for array in (w.endpoints, w.archetypes, t.timestamps, t.quaternions, t.positions):
             with pytest.raises(ValueError):
@@ -592,6 +596,20 @@ class TestSerialization:
         w = world()
         (tmp_path / "legacy.json").write_text(legacy_text(w))
         assert_same_world(world_from_file(tmp_path / "legacy.json"), w)
+
+    def test_loaded_world_keeps_the_trajectory_it_was_built_with(self, tmp_path, monkeypatch):
+        # Written unit quaternions read back unit to the bit, so World keeps
+        # world_from_json's Trajectory instead of building a normalised copy.
+        world_to_file(generate_corridor(spec(n_turns=1)), tmp_path / "world.json")
+        built = []
+
+        def recorded(*args):
+            built.append(Trajectory(*args))
+            return built[-1]
+
+        monkeypatch.setattr(worldgen, "Trajectory", recorded)
+        w = world_from_file(tmp_path / "world.json")
+        assert len(built) == 1 and w.trajectory is built[0]
 
     def test_rewrite_byte_identical(self, tmp_path):
         w = odd_world()
