@@ -65,7 +65,9 @@ def cmd_gen_world(args) -> int:
     return 0
 
 
-def _load_experiment(args) -> dict:
+def _load_experiment(args):
+    """The checked plan of a run: (cfg, world, scoring, cells), each cell a (mode,
+    seed, configs) triple. Every configuration error is raised here, before any output."""
     with open(args.config, encoding="utf-8") as f:
         try:
             cfg = json.load(f)
@@ -89,25 +91,33 @@ def _load_experiment(args) -> dict:
         raise ValueError("config sets both 'world' and 'world_file'; give one")
     if "out_dir" not in cfg:
         raise ValueError("no output directory: set 'out_dir' in the config or pass --out")
-    if not isinstance(cfg.get("seeds"), list) or not cfg["seeds"]:
-        raise ValueError("config must list at least one seed")
-    for seed in cfg["seeds"]:
-        check_int("seed", seed, 0)
-    # a repeat would rerun a cell into the same directory and count it twice
-    if len(set(cfg["seeds"])) < len(cfg["seeds"]):
-        raise ValueError(f"config 'seeds' repeats a seed: {cfg['seeds']}")
-    modes = cfg.get("modes", ["baseline", "seg"])
-    if not isinstance(modes, list) or not modes:
-        raise ValueError(f"config 'modes' must list at least one mode, got {modes!r}")
-    # Reject unknown keys and bad values before any world or cell is written.
-    # Building each mode's configs checks the mode, so an unhashable mode
-    # fails there, before the repeat test hashes it.
-    for mode in modes:
-        _cell_configs(cfg, mode, cfg["seeds"][0])
-    if len(set(modes)) < len(modes):
-        raise ValueError(f"config 'modes' repeats a mode: {modes}")
-    cfg["modes"] = modes
-    return cfg
+    _listed(cfg, "seeds", lambda seed: check_int("seed", seed, 0))
+    cfg.setdefault("modes", ["baseline", "seg"])
+    # Building a mode's cells checks the mode and every section they read.
+    per_mode = _listed(
+        cfg, "modes", lambda mode: [(mode, s, _cell_configs(cfg, mode, s)) for s in cfg["seeds"]]
+    )
+    scoring = _build_config(met.MetricsConfig, cfg.get("metrics", {}))
+    if "world_file" in cfg:
+        world = world_from_file(cfg["world_file"])
+    else:
+        world = generate_corridor(_build_config(WorldSpec, cfg.get("world", {})))
+    # Every cell's trajectories hold one pose per frame, all of them matched.
+    scoring.check_frames(world.n_frames)
+    return cfg, world, scoring, [cell for cells in per_mode for cell in cells]
+
+
+def _listed(cfg, key: str, check) -> list:
+    """`check(item)` of each item of config `key`, a non-empty JSON list of
+    distinct items; each is checked before the repeat test hashes it. A
+    repeat would rerun a cell into the same directory and count it twice."""
+    items = cfg.get(key)
+    if not isinstance(items, list) or not items:
+        raise ValueError(f"config {key!r} must be a non-empty JSON list, got {items!r}")
+    checked = [check(item) for item in items]
+    if len(set(items)) < len(items):
+        raise ValueError(f"config {key!r} repeats a {key[:-1]}: {items}")
+    return checked
 
 
 def _build_config(cls, section: dict, **fixed):
@@ -125,105 +135,86 @@ def _cell_configs(cfg, mode: str, seed: int):
     )
 
 
+def _write_rows(path: Path, records, scoring) -> None:
+    """A CSV of AGGREGATE_HEADER and one row per (mode, seed, outcome)
+    record; a failed cell's outcome is its exception, and it scores nan."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(AGGREGATE_HEADER)
+        for mode, seed, outcome in records:
+            failed = isinstance(outcome, Exception)
+            ate, rpe = (float("nan"),) * 2 if failed else (outcome.ate_rmse, outcome.rpe_rmse)
+            w.writerow([mode, seed, repr(ate), repr(rpe), scoring.align_mode, scoring.rpe_delta])
+
+
 def cmd_run(args) -> int:
-    cfg = _load_experiment(args)
-    scoring = _build_config(met.MetricsConfig, cfg.get("metrics", {}))
-    align_mode, rpe_delta = scoring.align_mode, scoring.rpe_delta
-    # A bad world section or file, or metric settings the world is too short
-    # for, is a configuration error: exit 1 before writing anything.
-    world_file = cfg.get("world_file")
-    if world_file is not None:
-        world = world_from_file(world_file)
-    else:
-        world = generate_corridor(_build_config(WorldSpec, cfg.get("world", {})))
-    # Every cell's trajectories hold one pose per frame, all of them matched.
-    scoring.check_frames(world.n_frames)
+    cfg, world, scoring, cells = _load_experiment(args)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    if world_file is None:
+    if "world_file" not in cfg:
         world_to_file(world, out_dir / "world.json")
     else:  # the file as read; a rerun may read the world.json it wrote
         with suppress(shutil.SameFileError):
-            shutil.copyfile(world_file, out_dir / "world.json")
+            shutil.copyfile(cfg["world_file"], out_dir / "world.json")
 
-    rows = []
-    cell_errors = []
-    results: dict[tuple[str, int], float] = {}
+    records = []  # one (mode, seed, report or the exception it raised) per cell
     gt_tum = None
-    for mode in cfg["modes"]:
-        for seed in cfg["seeds"]:
-            cell_dir = out_dir / mode / f"seed{seed}"
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            try:
-                rr = run_pipeline(world, *_cell_configs(cfg, mode, seed))
-                # Each distinct TUM text is formatted once per run.
-                raw_tum = met.write_tum(rr.emap.trajectory, cell_dir / "raw.tum")
-                if rr.corrected_trajectory is rr.emap.trajectory:
-                    (cell_dir / "corrected.tum").write_text(raw_tum)
-                else:
-                    met.write_tum(rr.corrected_trajectory, cell_dir / "corrected.tum")
-                if gt_tum is None:  # the ground truth depends only on the world
-                    gt_tum = met.write_tum(world.trajectory, cell_dir / "gt.tum")
-                else:
-                    (cell_dir / "gt.tum").write_text(gt_tum)
-                report = met.evaluate(rr.corrected_trajectory, world.trajectory, scoring)
-                manifest = {
-                    "mode": mode,
-                    "seed": seed,
-                    # out_dir is excluded so runs of one experiment are
-                    # byte-identical regardless of where they are written
-                    "config": {k: v for k, v in cfg.items() if k != "out_dir"},
-                    "n_map_points": len(rr.emap.points),
-                    "n_observations": len(rr.emap.observations),
-                    "n_clusters": len(rr.store),
-                    "discarded_observations": rr.discarded_observations,
-                    "objective_traces": [r.to_json() for r in rr.reports],
-                }
-                with open(cell_dir / "manifest.json", "w") as f:
-                    json.dump(manifest, f, indent=1)
-                with open(cell_dir / "metrics.json", "w") as f:
-                    json.dump(report.to_json(), f, indent=1)
-                with open(cell_dir / "metrics.csv", "w", newline="") as f:
-                    w = csv.writer(f)
-                    w.writerow(AGGREGATE_HEADER)
-                    w.writerow(
-                        [mode, seed, repr(report.ate_rmse), repr(report.rpe_rmse), align_mode, rpe_delta]
-                    )
-                rows.append([mode, seed, report.ate_rmse, report.rpe_rmse])
-                results[(mode, seed)] = report.ate_rmse
-            except Exception as exc:  # a failed cell must not sink the others
-                cell_errors.append({"mode": mode, "seed": seed, "error": str(exc)})
-                rows.append([mode, seed, float("nan"), float("nan")])
+    for mode, seed, configs in cells:
+        cell_dir = out_dir / mode / f"seed{seed}"
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            rr = run_pipeline(world, *configs)
+            # Each distinct TUM text is formatted once per run.
+            raw_tum = met.write_tum(rr.emap.trajectory, cell_dir / "raw.tum")
+            if rr.corrected_trajectory is rr.emap.trajectory:
+                (cell_dir / "corrected.tum").write_text(raw_tum)
+            else:
+                met.write_tum(rr.corrected_trajectory, cell_dir / "corrected.tum")
+            if gt_tum is None:  # the ground truth depends only on the world
+                gt_tum = met.write_tum(world.trajectory, cell_dir / "gt.tum")
+            else:
+                (cell_dir / "gt.tum").write_text(gt_tum)
+            report = met.evaluate(rr.corrected_trajectory, world.trajectory, scoring)
+            manifest = {
+                "mode": mode,
+                "seed": seed,
+                # out_dir is excluded so runs of one experiment are
+                # byte-identical regardless of where they are written
+                "config": {k: v for k, v in cfg.items() if k != "out_dir"},
+                "n_map_points": len(rr.emap.points),
+                "n_observations": len(rr.emap.observations),
+                "n_clusters": len(rr.store),
+                "discarded_observations": rr.discarded_observations,
+                "objective_traces": [r.to_json() for r in rr.reports],
+            }
+            with open(cell_dir / "manifest.json", "w") as f:
+                json.dump(manifest, f, indent=1)
+            with open(cell_dir / "metrics.json", "w") as f:
+                json.dump(report.to_json(), f, indent=1)
+            _write_rows(cell_dir / "metrics.csv", [(mode, seed, report)], scoring)
+            records.append((mode, seed, report))
+        except Exception as exc:  # a failed cell must not sink the others
+            records.append((mode, seed, exc))
+    _write_rows(out_dir / "aggregate.csv", records, scoring)
 
-    with open(out_dir / "aggregate.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(AGGREGATE_HEADER)
-        for mode, seed, a, r in rows:
-            w.writerow([mode, seed, repr(a), repr(r), align_mode, rpe_delta])
-
-    summary: dict = {"errors": cell_errors, "modes": {}}
+    ates = {(m, s): r.ate_rmse for m, s, r in records if not isinstance(r, Exception)}
+    errors = [{"mode": m, "seed": s, "error": str(r)} for m, s, r in records if isinstance(r, Exception)]
+    summary: dict = {"errors": errors, "modes": {}}
     for mode in cfg["modes"]:
-        ates = [results[(mode, s)] for s in cfg["seeds"] if (mode, s) in results]
-        if not ates:
+        ran = [ates[(mode, s)] for s in cfg["seeds"] if (mode, s) in ates]
+        if not ran:
             continue
-        entry = {
-            "mean_ate": statistics.fmean(ates),
-            "median_ate": statistics.median(ates),
-            "n": len(ates),
-        }
-        if mode != "baseline" and "baseline" in cfg["modes"]:
-            comparable = [
-                s for s in cfg["seeds"] if (mode, s) in results and ("baseline", s) in results
-            ]
-            if comparable:
-                wins = sum(results[(mode, s)] < results[("baseline", s)] for s in comparable)
-                entry["win_rate_vs_baseline"] = wins / len(comparable)
+        entry = {"mean_ate": statistics.fmean(ran), "median_ate": statistics.median(ran), "n": len(ran)}
+        both = [s for s in cfg["seeds"] if (mode, s) in ates and ("baseline", s) in ates]
+        if mode != "baseline" and both:
+            wins = sum(ates[(mode, s)] < ates[("baseline", s)] for s in both)
+            entry["win_rate_vs_baseline"] = wins / len(both)
         summary["modes"][mode] = entry
     with open(out_dir / "summary.json", "w") as f:
         json.dump(summary, f, indent=1)
 
     print(json.dumps(summary["modes"], indent=1))
-    return 0 if not cell_errors else 2
+    return 2 if errors else 0
 
 
 def cmd_eval(args) -> int:

@@ -303,11 +303,11 @@ class ClusterStore:
             keep = ~degenerate
             batch, observations, vs = batch[keep], observations[keep], vs[keep]
         if len(batch):
-            self._walk(batch, observations, vs, self._rel)
+            self._walk(batch, observations, vs)
         return discarded
 
-    def _walk(self, batch, observations: np.ndarray, vs: np.ndarray, rel) -> None:
-        k = len(batch)
+    def _walk(self, batch, observations: np.ndarray, vs: np.ndarray) -> None:
+        k, rel = len(batch), self._rel
         self._reserve(self._n_clusters + k, self._n_members + k, len(self._edge_ids) + k)
         p1s, p2s = observations[:, OBS_P1], observations[:, OBS_P2]
         # Rows sharing a (p1, p2) pair share a vector, so the scan runs once
@@ -317,7 +317,7 @@ class ClusterStore:
         )
         pair_vs = vs[first]
         pair_p1, pair_p2 = p1s[first].tolist(), p2s[first].tolist()
-        near, lim, skip_ok, certified = self._scan(pair_vs, rel)
+        near, lim, skip_ok, certified = self._scan(pair_vs)
         all_pairs = np.arange(len(first))
         centers, counts = self._centers, self._counts
         moved_scale = 1.0 / (2.0 * (1.0 + rel))
@@ -446,7 +446,7 @@ class ClusterStore:
         self._n_members = n + k
         self._max_obs = max(self._max_obs, int(batch.max()))
 
-    def _scan(self, vs: np.ndarray, rel):
+    def _scan(self, vs: np.ndarray):
         """The near set of each row of vs (one per point pair of the batch)
         against the current centers, each cluster's limit and whether its
         norm and limit lie in _SAFE_NORMS, and whether each row's pair is
@@ -468,7 +468,7 @@ class ClusterStore:
         pair is a candidate, and its distances are the same floats a dense
         (rows, clusters) scan computes.
         """
-        centers = self._centers[: self._n_clusters]
+        rel, centers = self._rel, self._centers[: self._n_clusters]
         cx, cy, cz = centers.T
         norm0 = _norms(cx, cy, cz)
         lim0 = rel * norm0

@@ -91,13 +91,18 @@ class EstimatedMap:
     trajectory: Trajectory
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        self.first_seen = np.asarray(self.first_seen, dtype=np.int64)
-        self.observations = np.asarray(self.observations, dtype=np.int64).reshape(
-            -1, len(OBSERVATION_COLUMNS)
-        )
-        if self.first_seen.shape != (len(self.points),):
-            raise ValueError("first_seen must hold one frame per point")
+        def rows(value, dtype, *width):  # a zero-size input, such as [], has no rows
+            array = np.asarray(value, dtype=dtype)
+            return array.reshape(0, *width) if array.size == 0 else array
+
+        self.points = rows(self.points, float, 3)
+        self.first_seen = rows(self.first_seen, np.int64)
+        self.observations = rows(self.observations, np.int64, len(OBSERVATION_COLUMNS))
+        n, m = (len(a) if a.ndim else -1 for a in (self.points, self.observations))
+        shapes = {"points": (n, 3), "first_seen": (n,), "observations": (m, len(OBSERVATION_COLUMNS))}
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
         ends = self.observations[:, [OBS_P1, OBS_P2]]
         bad = (ends < 0).any(axis=1) | (ends >= len(self.points)).any(axis=1)
         bad |= ends[:, 0] == ends[:, 1]
@@ -115,7 +120,7 @@ def drift_walk(cfg: DriftConfig, n_frames: int) -> tuple[np.ndarray, np.ndarray,
     the identity and frame k is frame k-1 composed with one increment: a
     log-normal scale, a rotation by a normal angle about a normal random
     axis, and a normal translation, each drawn only when its sigma is
-    positive. Raises ValueError if the scale leaves the positive floats.
+    positive. Raises ValueError if a scale is not positive and finite.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     steps = max(n_frames - 1, 0)
@@ -132,11 +137,13 @@ def drift_walk(cfg: DriftConfig, n_frames: int) -> tuple[np.ndarray, np.ndarray,
 
     scale = np.ones(n_frames)
     if cfg.scale_sigma > 0:
-        scale[1:] = np.exp(draws[:, 0])
-        scale = np.cumprod(scale)
-        bad = ~(scale > 0)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by frame
+            scale[1:] = np.exp(draws[:, 0])
+            scale = np.cumprod(scale)
+        bad = ~((scale > 0) & (scale < np.inf))
         if bad.any():
-            raise ValueError(f"scale must be positive, got {scale[np.argmax(bad)]}")
+            k = int(np.argmax(bad))
+            raise ValueError(f"drift scale of frame {k} must be positive and finite, got {scale[k]}")
 
     rotation = np.zeros((n_frames, 4))
     rotation[:, 0] = 1.0

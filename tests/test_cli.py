@@ -1,8 +1,10 @@
 """CLI subcommands: exit codes, outputs, determinism."""
 
+import csv
 import filecmp
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import segdrift.cli
-from segdrift.cli import main
+from segdrift.cli import AGGREGATE_HEADER, main
 from segdrift.metrics import Trajectory, write_tum
 from segdrift.worldgen import WorldSpec, generate_corridor, world_from_file, world_to_file
 
@@ -40,6 +42,9 @@ def turning_trajectory(n=121):
     positions = 5.0 * np.stack([np.sin(yaw), 1.0 - np.cos(yaw), np.zeros(n)], axis=1)
     quats = np.stack([np.cos(yaw / 2), 0 * yaw, 0 * yaw, np.sin(yaw / 2)], axis=1)
     return Trajectory(np.arange(n) / 30.0, positions, quats)
+
+
+CELL_FILES = ["corrected.tum", "gt.tum", "manifest.json", "metrics.csv", "metrics.json", "raw.tum"]
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -173,6 +178,81 @@ class TestRun:
         assert t1.keys() == t2.keys()
         mismatched = [k for k in t1 if t1[k] != t2[k]]
         assert mismatched == []
+
+    @pytest.mark.parametrize("failing", [{("baseline", 1)}, {("seg", 0), ("seg", 1)}])
+    def test_failed_cells_exit_2_and_are_reported(self, tmp_path, monkeypatch, capsys, failing):
+        # One cell fails, or every cell of one mode; the others still run.
+        real = segdrift.cli.run_pipeline
+
+        def flaky(world, drift, observation, schedule):
+            if (schedule.mode, drift.rng_seed) in failing:
+                raise RuntimeError(f"no map for {schedule.mode} seed {drift.rng_seed}")
+            return real(world, drift, observation, schedule)
+
+        monkeypatch.setattr(segdrift.cli, "run_pipeline", flaky)
+        assert main(["run", "--config", str(small_config(tmp_path))]) == 2
+        out = tmp_path / "out"
+        cells = [(mode, seed) for mode in ("baseline", "seg") for seed in (0, 1)]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["errors"] == [
+            {"mode": m, "seed": s, "error": f"no map for {m} seed {s}"} for m, s in cells if (m, s) in failing
+        ]
+        assert json.loads(capsys.readouterr().out) == summary["modes"]
+        with open(out / "aggregate.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == AGGREGATE_HEADER
+        assert [(row[0], int(row[1])) for row in rows] == cells
+        ates = {}
+        for (mode, seed), row in zip(cells, rows):
+            cell = out / mode / f"seed{seed}"
+            if (mode, seed) in failing:
+                assert row[2:4] == ["nan", "nan"]
+                assert list(cell.iterdir()) == []
+            else:
+                assert sorted(os.listdir(cell)) == CELL_FILES
+                ates[(mode, seed)] = json.loads((cell / "metrics.json").read_text())["ate_rmse"]
+                assert float(row[2]) == ates[(mode, seed)]
+        for mode in ("baseline", "seg"):
+            ran = [ates[(mode, s)] for s in (0, 1) if (mode, s) in ates]
+            if not ran:
+                assert mode not in summary["modes"]
+                continue
+            entry = summary["modes"][mode]
+            assert (entry["n"], entry["mean_ate"]) == (len(ran), statistics.fmean(ran))
+        both = [s for s in (0, 1) if ("seg", s) in ates and ("baseline", s) in ates]
+        if both:
+            wins = sum(ates[("seg", s)] < ates[("baseline", s)] for s in both)
+            assert summary["modes"]["seg"]["win_rate_vs_baseline"] == wins / len(both)
+
+    def test_cell_configs_built_once_per_cell(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = segdrift.cli._cell_configs
+
+        def spy(cfg, mode, seed):
+            calls.append((mode, seed))
+            return real(cfg, mode, seed)
+
+        monkeypatch.setattr(segdrift.cli, "_cell_configs", spy)
+        assert main(["run", "--config", str(small_config(tmp_path, seeds=[1, 0]))]) == 0
+        assert calls == [("baseline", 1), ("baseline", 0), ("seg", 1), ("seg", 0)]
+
+    def test_config_not_an_object_exits_1_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([{"seeds": [0], "out_dir": str(tmp_path / "out")}]))
+        assert main(["run", "--config", str(path)]) == 1
+        assert "config must be a JSON object" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_config_without_out_dir_exits_1_before_any_output(self, tmp_path, monkeypatch, capsys):
+        cfg = small_config(tmp_path)
+        cfg.write_text(json.dumps({k: v for k, v in json.loads(cfg.read_text()).items() if k != "out_dir"}))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "no output directory: set 'out_dir' in the config or pass --out" in capsys.readouterr().err
+        assert os.listdir(cwd) == []
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "cwd"]
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
@@ -702,6 +782,7 @@ class TestEval:
             ("0 0 0 0 0 inf 1", "non-finite quaternion"),
             ("0 0 0 0 0 0 0", "zero-norm quaternion"),
             ("0 0 0 1e300 0 0 1e300", "quaternion norm overflows"),
+            ("0 0 abc 0 0 0 1", "non-numeric field"),
         ],
     )
     def test_eval_bad_row_exits_1_naming_line(self, tmp_path, capsys, row, message):
@@ -710,8 +791,11 @@ class TestEval:
         lines[1] = f"{lines[1].split()[0]} {row}\n"
         est.write_text("".join(lines))
         capsys.readouterr()
-        assert main(["eval", str(est), str(gt)]) == 1
-        assert f"corrected.tum:2: {message}" in capsys.readouterr().err
+        assert main(["eval", str(est), str(gt), "--out", str(tmp_path / "metrics.json")]) == 1
+        captured = capsys.readouterr()
+        assert f"corrected.tum:2: {message}" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "metrics.json").exists()
 
     def test_eval_names_first_bad_line_of_several(self, tmp_path, capsys):
         # a NaN quaternion on line 3, then a NaN timestamp on line 5

@@ -342,9 +342,9 @@ class TestBatchedAssignment:
         scanned = []
         scan = ClusterStore._scan
 
-        def spy(self, vs, rel):
+        def spy(self, vs):
             scanned.append(len(vs))
-            return scan(self, vs, rel)
+            return scan(self, vs)
 
         monkeypatch.setattr(ClusterStore, "_scan", spy)
         store, ref = ClusterStore(), ReferenceStore()

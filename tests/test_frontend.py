@@ -1,5 +1,6 @@
 """Drifting front-end simulator."""
 
+import warnings
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -203,6 +204,31 @@ class TestDriftRandomWalk:
         assert (scale.shape, rotation.shape, translation.shape) == ((n_frames,), (n_frames, 4), (n_frames, 3))
         if n_frames:
             assert_same_bits(drift_walk(cfg, n_frames), reference_drift(cfg, n_frames))
+
+    @pytest.mark.parametrize(
+        "seed, frame, value",
+        [(0, 340, "0.0"), (1, 159, "0.0"), (2, 287, "0.0"), (3, 278, "inf"), (4, 223, "inf"), (5, 48, "0.0")],
+    )
+    def test_scale_leaving_positive_finite_floats_rejected(self, seed, frame, value):
+        # A log-scale walk of stddev 50 * sqrt(k) leaves the floats within 400
+        # frames, at either end; neither end may pass, nor warn on its way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                drift_walk(DriftConfig(scale_sigma=50.0, rng_seed=seed), 400)
+        assert str(info.value) == f"drift scale of frame {frame} must be positive and finite, got {value}"
+
+    def test_infinite_scale_stops_simulate_at_the_walk(self):
+        # It stops at the walk, before it can make a non-finite trajectory row.
+        cfg = DriftConfig(scale_sigma=50.0, rng_seed=3)
+        with pytest.raises(ValueError, match="drift scale of frame 278 must be positive and finite, got inf"):
+            simulate(make_world(corridor_length=12), cfg, ObservationConfig())
+
+    def test_wide_but_finite_walk_keeps_its_bits(self):
+        cfg = DriftConfig(scale_sigma=5.0, rot_sigma=0.3, trans_sigma=1e-3, rng_seed=2)
+        walk = drift_walk(cfg, 60)
+        assert np.isfinite(walk[0]).all() and walk[0].max() / walk[0].min() > 1e20  # far from 1 both ways
+        assert_same_bits(walk, reference_drift(cfg, 60))
 
     def test_zero_axis_is_drawn_again(self, monkeypatch):
         # Force exact zeros onto the rotation axes of frames 6 and 13 (the
@@ -579,6 +605,26 @@ class TestEstimatedMap:
     def test_first_seen_length_checked(self):
         with pytest.raises(ValueError, match="first_seen"):
             EstimatedMap(np.zeros((2, 3)), [0], [], identity_trajectory(1))
+
+    @pytest.mark.parametrize(
+        "points, first_seen, observations, message",
+        [
+            (np.zeros((3, 4)), [0, 0, 0], [], r"points must have shape \(3, 3\), got \(3, 4\)"),
+            (np.zeros(6), [0, 0], [], r"points must have shape \(6, 3\), got \(6,\)"),
+            (np.zeros((3, 3)), [[0, 0, 1]], [], r"first_seen must have shape \(3,\), got \(1, 3\)"),
+            (np.zeros((3, 3)), [0, 0, 1], np.zeros((4, 3)), r"observations must have shape \(4, 4\), got \(4, 3\)"),
+            (np.zeros((3, 3)), [0, 0, 1], [0, 1, 0, 0], r"observations must have shape \(4, 4\), got \(4,\)"),
+        ],
+    )
+    def test_wrong_shape_rejected_by_name(self, points, first_seen, observations, message):
+        # A reshape would read a (3, 4) points array as 4 points and a
+        # (4, 3) observation table as 3 rows.
+        with pytest.raises(ValueError, match=message):
+            EstimatedMap(points, first_seen, observations, identity_trajectory(2))
+
+    def test_zero_size_inputs_are_zero_rows(self):
+        emap = EstimatedMap([], [], [], identity_trajectory(1))
+        assert (emap.points.shape, emap.first_seen.shape, emap.observations.shape) == ((0, 3), (0,), (0, 4))
 
 
 class TestSimulate:
