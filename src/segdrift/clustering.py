@@ -29,7 +29,7 @@ import numbers
 import numpy as np
 
 from .frontend import OBS_FRAME, OBS_P1, OBS_P2, EstimatedMap
-from .geometry import check_real
+from .geometry import check_real, xyz_norms
 
 log = logging.getLogger(__name__)
 
@@ -62,20 +62,11 @@ class DegenerateSegmentError(ValueError):
     """Raised when a segment observation has coincident endpoints."""
 
 
-def _norms(x, y, z):
-    """Euclidean norms of the vectors with coordinate arrays x, y, z.
-
-    The scans and the degenerate check call this on arrays, the per-row
-    rechecks evaluate `_norm` inline on Python floats. Both evaluate
-    sqrt((x*x + y*y) + z*z), the same correctly rounded operations in the
-    same order, so a distance or limit computed by a scan and the same one
-    computed for a single row are the same float.
-    """
-    return np.sqrt(x * x + y * y + z * z)
-
-
 def _norm(x: float, y: float, z: float) -> float:
-    """`_norms` of one vector, on Python floats."""
+    """`geometry.xyz_norms` of one vector, on Python floats, as the per-row
+    rechecks evaluate it inline: the same correctly rounded operations in
+    the same order, so a distance or limit computed by a scan and the same
+    one computed for a single row are the same float."""
     return math.sqrt(x * x + y * y + z * z)
 
 
@@ -94,8 +85,8 @@ def _near_append(near, rows, cids, centers, vs, lim):
     when |c - v| <= |c + v|.
     """
     (px, py, pz), (qx, qy, qz) = centers.T, vs.T
-    d_pos = _norms(px - qx, py - qy, pz - qz)
-    d_neg = _norms(px + qx, py + qy, pz + qz)
+    d_pos = xyz_norms(px - qx, py - qy, pz - qz)
+    d_neg = xyz_norms(px + qx, py + qy, pz + qz)
     d = np.minimum(d_pos, d_neg)
     hit = d < 2 * lim
     rows, cids, d = rows[hit], cids[hit], d[hit]
@@ -295,7 +286,7 @@ class ClusterStore:
                 raise ValueError(f"observation {again[0]} already assigned")
         observations = emap.observations[batch]
         vs = emap.points[observations[:, OBS_P2]] - emap.points[observations[:, OBS_P1]]
-        degenerate = _norms(*vs.T) == 0.0
+        degenerate = xyz_norms(*vs.T) == 0.0
         discarded = batch[degenerate].tolist()
         for i in discarded:
             log.warning("observation %d has coincident endpoints; discarded", i)
@@ -470,10 +461,10 @@ class ClusterStore:
         """
         rel, centers = self._rel, self._centers[: self._n_clusters]
         cx, cy, cz = centers.T
-        norm0 = _norms(cx, cy, cz)
+        norm0 = xyz_norms(cx, cy, cz)
         lim0 = rel * norm0
         safe = _safe(norm0, lim0)
-        vnorm = _norms(*vs.T)
+        vnorm = xyz_norms(*vs.T)
         safe_rows = _safe(vnorm)
         # The test as |2G| > (|v|^2 + |c|^2)(1 - 2^-30) - 4 lim0^2, a row
         # term plus a cluster term; doubling the centers is exact.

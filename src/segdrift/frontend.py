@@ -1,11 +1,12 @@
-"""Simulated SLAM front end: visibility, detection and drift distortion.
+"""Simulated SLAM front end in two stages: observation, then drift.
 
-Replaces image-domain segment detection with a geometric observation
-model: a world segment is detected when it is in range, in front of the
-camera and long enough, with a configurable detection probability.
-Endpoint data association is given by the simulator. The estimated map is
-the ground truth distorted by a per-frame similarity drift random walk,
-plus optional endpoint noise at creation time.
+`observe` replaces image-domain segment detection with a geometric
+observation model: a world segment is detected when it is in range, in
+front of the camera and long enough, with a configurable detection
+probability. Endpoint data association is given by the simulator. The
+drift stage, `drift_walk`, is a per-frame similarity random walk, and
+`simulate` moves the poses and each point's true position by it, then
+adds the optional endpoint noise drawn at creation time.
 
 The whole trajectory is simulated as arrays, with every float operation
 and every random draw in the order of a frame-by-frame loop, so the map
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    Trajectory, check_int, check_real, quat_multiply, quat_normalize, quat_rotate, row_norms,
+    Trajectory, check_int, check_real, quat_from_axis_angle, quat_multiply, quat_normalize,
+    quat_rotate, row_norms, xyz_norms,
 )
 from .worldgen import World
 
@@ -120,20 +122,24 @@ def drift_walk(cfg: DriftConfig, n_frames: int) -> tuple[np.ndarray, np.ndarray,
     the identity and frame k is frame k-1 composed with one increment: a
     log-normal scale, a rotation by a normal angle about a normal random
     axis, and a normal translation, each drawn only when its sigma is
-    positive. Raises ValueError if a scale is not positive and finite.
+    positive. Raises ValueError at the first non-finite increment, else
+    at the first scale that is not positive and finite.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     steps = max(n_frames - 1, 0)
-    # One row of draws per frame, in the order a frame draws them.
-    sigmas: list[float] = []
+    columns: list[tuple[str, float]] = []  # (name, sigma) of each draw of a frame
     if cfg.scale_sigma > 0:
-        sigmas.append(cfg.scale_sigma)
-    axis = len(sigmas) if cfg.rot_sigma > 0 else None
+        columns.append(("log-scale step", cfg.scale_sigma))
+    axis = len(columns) if cfg.rot_sigma > 0 else None
     if axis is not None:
-        sigmas += [1.0, 1.0, 1.0, cfg.rot_sigma]
+        columns += [("rotation axis", 1.0)] * 3 + [("rotation angle", cfg.rot_sigma)]
     if cfg.trans_sigma > 0:
-        sigmas += [cfg.trans_sigma] * 3
-    draws = _draw_rows(rng, steps, sigmas, axis)
+        columns += [(f"translation step {c}", cfg.trans_sigma) for c in "xyz"]
+    draws = _draw_rows(rng, steps, [sigma for _, sigma in columns], axis)
+    bad = ~np.isfinite(draws)
+    if bad.any():
+        k, j = divmod(int(np.argmax(bad)), len(columns))
+        raise ValueError(f"drift {columns[j][0]} of frame {k + 1} must be finite, got {draws[k, j]}")
 
     scale = np.ones(n_frames)
     if cfg.scale_sigma > 0:
@@ -148,26 +154,21 @@ def drift_walk(cfg: DriftConfig, n_frames: int) -> tuple[np.ndarray, np.ndarray,
     rotation = np.zeros((n_frames, 4))
     rotation[:, 0] = 1.0
     if axis is not None:
-        u, angle = draws[:, axis : axis + 3], draws[:, axis + 3]
-        half = 0.5 * angle
-        increment = quat_normalize(
-            np.column_stack([np.cos(half), np.sin(half)[:, None] * u / row_norms(u)[:, None]])
-        )
+        increment = quat_normalize(quat_from_axis_angle(draws[:, axis : axis + 3], draws[:, axis + 3]))
         # The one true recurrence: each frame re-normalises the product.
         for k in range(1, n_frames):
             rotation[k] = quat_normalize(quat_multiply(rotation[k - 1], increment[k - 1]))
 
     translation = np.zeros((n_frames, 3))
     if cfg.trans_sigma > 0:
-        t = draws[:, len(sigmas) - 3 :]
-        translation[1:] = scale[:-1, None] * quat_rotate(rotation[:-1], t)
+        translation[1:] = scale[:-1, None] * quat_rotate(rotation[:-1], draws[:, -3:])
         translation = np.cumsum(translation, axis=0)
     return scale, rotation, translation
 
 
 def _draw_rows(rng, steps: int, sigmas: list[float], axis: int | None) -> np.ndarray:
     """`steps` rows of normal draws, column j scaled as `Generator.normal(0.0,
-    sigmas[j])` scales one draw (`0.0 + sigma * z`).
+    sigmas[j])` scales one draw (`0.0 + sigma * z`), inf where that overflows.
 
     Columns axis..axis+2 hold a rotation axis. An axis of exactly zero norm
     is drawn again from the next three draws, which moves every later draw
@@ -182,7 +183,8 @@ def _draw_rows(rng, steps: int, sigmas: list[float], axis: int | None) -> np.nda
             break
         start = zero[0] * k + axis
         flat = np.concatenate([flat[:start], flat[start + 3 :], rng.standard_normal(3)])
-    return 0.0 + np.array(sigmas) * flat.reshape(steps, k)
+    with np.errstate(over="ignore"):
+        return 0.0 + np.array(sigmas) * flat.reshape(steps, k)
 
 
 def _offsets(mids_t: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -193,15 +195,6 @@ def _offsets(mids_t: np.ndarray, t: np.ndarray) -> np.ndarray:
     for k in range(3):
         np.subtract(mids_t[k], t[:, k, None], out=rel[..., k])
     return rel
-
-
-def _distances(rel: np.ndarray) -> np.ndarray:
-    """`np.linalg.norm(rel, axis=-1)` bit for bit: it sums the squares in
-    this order, (x*x + y*y) + z*z. In place, to skip two temporaries."""
-    sq = rel[..., 0] * rel[..., 0]
-    sq += rel[..., 1] * rel[..., 1]
-    sq += rel[..., 2] * rel[..., 2]
-    return np.sqrt(sq, out=sq)
 
 
 def _visible(mids: np.ndarray, rotations: np.ndarray, positions: np.ndarray, max_range: float):
@@ -220,7 +213,7 @@ def _visible(mids: np.ndarray, rotations: np.ndarray, positions: np.ndarray, max
     - Its square then rounds to more than max_range**2 * (1 + 2**-20), or
       to inf if it overflows. That needs R*R to be a normal float, which
       is why nothing is skipped when max_range < 2**-500.
-    - `_distances` adds the other, non-negative squares to it, which
+    - `xyz_norms` adds the other, non-negative squares to it, which
       cannot round the sum below it, and the rounded square root of a sum
       above max_range**2 * (1 + 2**-20) is above max_range.
     A bound such as `lo_k - R` must not be precomputed instead: far from
@@ -239,7 +232,7 @@ def _visible(mids: np.ndarray, rotations: np.ndarray, positions: np.ndarray, max
                 far |= t[:, k].min() - mids_t[k] > reach
         near = np.flatnonzero(~far)
         rel = _offsets(mids_t[:, near], t)
-        in_range = _distances(rel) <= max_range
+        in_range = xyz_norms(rel[..., 0], rel[..., 1], rel[..., 2]) <= max_range
         forward = quat_rotate(rotations[lo : lo + _VISIBILITY_BLOCK], x_axis)
         facing = (rel @ forward[:, :, None])[..., 0] > 0.0
         f, c = np.nonzero(in_range & facing)
@@ -248,23 +241,12 @@ def _visible(mids: np.ndarray, rotations: np.ndarray, positions: np.ndarray, max
     return np.concatenate(frames), np.concatenate(cands)
 
 
-def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -> EstimatedMap:
-    """Run the observation model over every frame of the world trajectory.
-
-    Map points are created at the drifted (and optionally noisy) position
-    of the first detection and never re-triangulated; re-detections reuse
-    the existing id. The estimated trajectory is the ground truth with the
-    per-frame cumulative drift applied.
-    """
+def observe(world: World, obs_cfg: ObservationConfig):
+    """The drift-free stage: (true_points (n, 3), first_seen (n,), noise
+    (n, 3) or None, observations (m, 4)), a map point made at each endpoint's
+    first detection, as true position, frame and noise, and its detections."""
     gt = world.trajectory
     n_frames = len(gt)
-    scale, rotation, translation = drift_walk(drift_cfg, n_frames)
-    trajectory = Trajectory(
-        gt.timestamps,
-        scale[:, None] * quat_rotate(rotation, gt.positions) + translation,
-        quat_normalize(quat_multiply(rotation, gt.quaternions)),
-    )
-
     ends = world.endpoints
     long_enough = row_norms(ends[:, 1] - ends[:, 0]) >= obs_cfg.min_segment_length
     cand_segment = np.flatnonzero(long_enough)
@@ -300,7 +282,7 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
     unseen = np.ones(len(key_point), dtype=np.uint8)
     point_keys: list[int] = []
     point_frames: list[int] = []
-    noise: list[np.ndarray] = []
+    noise_blocks: list[np.ndarray] = []
     # Detection and endpoint noise share one generator: a frame draws its
     # detections, then the noise of the points it creates. Only a frame
     # with a visible candidate of an unseen key can create a point, so the
@@ -325,15 +307,9 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
             point_keys += fresh
             point_frames += [frame] * len(fresh)
             if sigma > 0:
-                noise.append(obs_rng.normal(0.0, sigma, (len(fresh), 3)))
+                noise_blocks.append(obs_rng.normal(0.0, sigma, (len(fresh), 3)))
     draw_detections(len(vis_cand))
 
-    first_seen = np.array(point_frames, dtype=np.int64)
-    points = scale[first_seen, None] * quat_rotate(
-        rotation[first_seen], key_point[point_keys].reshape(-1, 3)
-    ) + translation[first_seen]
-    if noise:
-        points = points + np.concatenate(noise)
     point_of_key = np.empty(len(key_point), dtype=np.int64)
     point_of_key[point_keys] = np.arange(len(point_keys))
     # Filled a column at a time, each a gather through the detected pairs,
@@ -345,4 +321,25 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
     del vis_frame, vis_cand
     observations[:, OBS_P1] = point_of_key[pair_keys[kept, 0]]
     observations[:, OBS_P2] = point_of_key[pair_keys[kept, 1]]
+    true_points = key_point[point_keys].reshape(-1, 3)
+    noise = np.concatenate(noise_blocks) if noise_blocks else None
+    return true_points, np.array(point_frames, dtype=np.int64), noise, observations
+
+
+def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -> EstimatedMap:
+    """`observe`'s map and the ground-truth poses, moved by `drift_walk`:
+    a pose by its frame's similarity, a point by that of its creation
+    frame, before its endpoint noise is added."""
+    gt = world.trajectory
+    scale, rotation, translation = drift_walk(drift_cfg, len(gt))
+
+    def drifted(k, x):  # frame k's drift similarity applied to x
+        return scale[k, None] * quat_rotate(rotation[k], x) + translation[k]
+
+    rotated = quat_normalize(quat_multiply(rotation, gt.quaternions))
+    trajectory = Trajectory(gt.timestamps, drifted(slice(None), gt.positions), rotated)
+    true_points, first_seen, noise, observations = observe(world, obs_cfg)
+    points = drifted(first_seen, true_points)
+    if noise is not None:  # -0.0 + 0.0 would flip a signed zero
+        points += noise
     return EstimatedMap(points, first_seen, observations, trajectory)

@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .geometry import (
-    BadRowError, Trajectory, check_int, check_real, quat_from_axis_angle, row_norms,
+    BadRowError, Trajectory, check_int, check_real, quat_from_axis_angle, quat_normalize,
 )
 
 FRAME_RATE_HZ = 30.0
@@ -87,7 +87,7 @@ class World:
         object.__setattr__(self, "endpoints", ends)
         object.__setattr__(self, "archetypes", archetypes)
         given = self.trajectory.quaternions
-        q = given / row_norms(given)[:, None]
+        q = quat_normalize(given)
         # A trajectory already normalised to the bit is kept, not checked again.
         if (q.view(np.int64) != given.view(np.int64)).any():
             object.__setattr__(self, "trajectory", replace(self.trajectory, quaternions=q))
@@ -95,10 +95,6 @@ class World:
     @property
     def n_frames(self) -> int:
         return len(self.trajectory)
-
-
-def _heading_quat(heading_rad: float) -> np.ndarray:
-    return quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), heading_rad)
 
 
 def generate_corridor(spec: WorldSpec) -> World:
@@ -153,6 +149,7 @@ def generate_corridor(spec: WorldSpec) -> World:
     step = WALK_SPEED_MPS * dt
     turn_step = np.deg2rad(TURN_RATE_DPS) * dt
     camera = np.array([0.0, 0.0, CAMERA_HEIGHT_M])
+    up = np.array([0.0, 0.0, 1.0])  # headings turn about it
     rotations: list[np.ndarray] = []
     translations: list[np.ndarray] = []
     heading = 0.0
@@ -160,13 +157,13 @@ def generate_corridor(spec: WorldSpec) -> World:
         origin, direction = leg_starts[leg], leg_dirs[leg]
         k = np.arange(int(np.floor(leg_len / step)))
         translations.append(origin + (k * step)[:, None] * direction + camera)
-        rotations.append(np.tile(_heading_quat(heading), (len(k), 1)))
+        rotations.append(np.tile(quat_from_axis_angle(up, heading), (len(k), 1)))
         if leg < n_legs - 1:
             n_turn = max(1, int(round(abs(turn_rad) / turn_step)))
             target = heading + turn_rad
             turn = heading + np.arange(1, n_turn + 1) * (target - heading) / n_turn
             translations.append(np.tile(leg_starts[leg + 1] + camera, (n_turn, 1)))
-            rotations.append(np.array([_heading_quat(h) for h in turn]))
+            rotations.append(quat_from_axis_angle(up, turn))
             heading = target
 
     n_frames = sum(len(r) for r in rotations)

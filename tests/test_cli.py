@@ -871,6 +871,34 @@ class TestUsage:
         assert "ate_rmse" in out.stdout
         assert lines[-1] == "[]"
 
+    def test_commands_run_with_scipy_unimportable(self, tmp_path):
+        # `sys.modules["scipy"] = None` makes every scipy import fail, so
+        # each command below exits 0 on numpy alone.
+        world, out = tmp_path / "world.json", tmp_path / "out"
+        config = world_file_config(tmp_path, world, out_dir=str(out), seeds=[0])
+        cell = out / "seg" / "seed0"
+        commands = [
+            ["gen-world", "--corridor-length", "12", "--out", str(world)],
+            ["run", "--config", str(config)],
+            ["eval", str(cell / "corrected.tum"), str(cell / "gt.tum"), "--interpolate-gt"],
+        ]
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import segdrift.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert segdrift.cli.main(argv) == 0, argv\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        modes = json.loads(config.read_text())["modes"]
+        assert modes == ["baseline", "seg"]
+        assert all((out / mode / "seed0" / "metrics.json").is_file() for mode in modes)
+
     def test_no_subcommand_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

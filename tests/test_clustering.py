@@ -14,10 +14,9 @@ from segdrift.clustering import (
     ClusterStore,
     DegenerateSegmentError,
     _norm,
-    _norms,
 )
 from segdrift.frontend import OBS_FRAME, OBS_P1, OBS_P2, EstimatedMap
-from segdrift.geometry import Trajectory
+from segdrift.geometry import Trajectory, xyz_norms
 
 
 # A member row with its edge's key in place of the edge id.
@@ -771,5 +770,5 @@ class TestNormForms:
         with np.errstate(over="ignore"):  # squares above 2^1024 are inf in every form
             for columns, x in cases:
                 want = reduced(x)
-                assert _norms(*columns).tobytes() == want.tobytes()
+                assert xyz_norms(*columns).tobytes() == want.tobytes()
                 assert [_norm(*row) for row in x.reshape(-1, 3).tolist()] == want.ravel().tolist()

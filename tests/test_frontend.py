@@ -19,10 +19,10 @@ from segdrift.frontend import (
     DriftConfig,
     EstimatedMap,
     ObservationConfig,
-    _distances,
     _offsets,
     _visible,
     drift_walk,
+    observe,
     simulate,
 )
 from segdrift.geometry import (
@@ -33,6 +33,7 @@ from segdrift.geometry import (
     quat_multiply,
     quat_rotate,
     row_norms,
+    xyz_norms,
 )
 from segdrift.worldgen import World, WorldSpec, generate_corridor
 
@@ -223,6 +224,23 @@ class TestDriftRandomWalk:
         cfg = DriftConfig(scale_sigma=50.0, rng_seed=3)
         with pytest.raises(ValueError, match="drift scale of frame 278 must be positive and finite, got inf"):
             simulate(make_world(corridor_length=12), cfg, ObservationConfig())
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("scale_sigma", "drift log-scale step of frame 13 must be finite, got -inf"),
+            ("rot_sigma", "drift rotation angle of frame 12 must be finite, got inf"),
+            ("trans_sigma", "drift translation step x of frame 5 must be finite, got -inf"),
+        ],
+    )
+    def test_overflowing_increment_rejected_without_warning(self, name, message):
+        # sigma * z overflows for |z| > 1.8; the walk names the first such
+        # draw, by frame and component, before it composes any increment.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                simulate(make_world(corridor_length=12), DriftConfig(**{name: 1e308}), ObservationConfig())
+        assert str(info.value) == message
 
     def test_wide_but_finite_walk_keeps_its_bits(self):
         cfg = DriftConfig(scale_sigma=5.0, rot_sigma=0.3, trans_sigma=1e-3, rng_seed=2)
@@ -430,6 +448,35 @@ class TestMatchesPerFrameLoop:
         assert len(np.unique(plain.first_seen)) == 158
 
 
+class TestTwoStages:
+    @settings(max_examples=30)
+    @given(
+        simulate_cases(),
+        st.builds(
+            DriftConfig,
+            scale_sigma=st.floats(0.0, 0.05),
+            rot_sigma=st.floats(0.0, 1.0),
+            trans_sigma=st.floats(0.0, 0.1),
+            rng_seed=st.integers(0, 2**32 - 1),
+        ),
+    )
+    def test_simulate_is_observe_then_drift(self, case, drift):
+        # The map `simulate` returns is `observe`'s, each true point moved by
+        # its creation frame's drift, one point at a time here, plus its noise.
+        spec, _, obs = case
+        world = generate_corridor(spec)
+        emap = simulate(world, drift, obs)
+        true_points, first_seen, noise, observations = observe(world, obs)
+        assert_same_bits((emap.observations, emap.first_seen), (observations, first_seen))
+        scale, rotation, translation = drift_walk(drift, world.n_frames)
+        drifted = [scale[f] * quat_rotate(rotation[f], x) + translation[f] for f, x in zip(first_seen, true_points)]
+        want = np.array(drifted).reshape(-1, 3)
+        assert (noise is None) == (obs.endpoint_noise_sigma == 0.0 or len(want) == 0)
+        if noise is not None:
+            want += noise
+        assert emap.points.tobytes() == want.tobytes()
+
+
 # Coordinates whose squares are subnormal (1e-160), overflow to inf
 # (1e155), or are signed zeros, among ordinary ones.
 scan_coords = st.one_of(
@@ -454,7 +501,7 @@ class TestVisibilityScan:
         # the facing matmul's input: the bytes of the broadcast subtraction
         assert rel.tobytes() == (mids - positions[:, None, :]).tobytes()
         with np.errstate(over="ignore"):  # squares above 2^1024 are inf in both forms
-            distances = _distances(rel)
+            distances = xyz_norms(rel[..., 0], rel[..., 1], rel[..., 2])
             for i in range(len(positions)):
                 want = np.linalg.norm(rel[i], axis=1)
                 assert distances[i].tobytes() == want.tobytes()
@@ -473,7 +520,7 @@ def reference_visible(mids, rotations, positions, max_range, block=_VISIBILITY_B
     mids_t = np.ascontiguousarray(mids.T)
     for lo in range(0, len(positions), block):
         rel = _offsets(mids_t, positions[lo : lo + block])
-        in_range = _distances(rel) <= max_range
+        in_range = xyz_norms(rel[..., 0], rel[..., 1], rel[..., 2]) <= max_range
         forward = quat_rotate(rotations[lo : lo + block], x_axis)
         facing = (rel @ forward[:, :, None])[..., 0] > 0.0
         f, c = np.divmod(np.flatnonzero(in_range & facing), len(mids))

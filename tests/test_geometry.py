@@ -45,6 +45,15 @@ unit_vectors = st.tuples(
     st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10)
 ).map(np.array)
 
+# Axis coordinates far enough from 0 that no square underflows, so an axis
+# has zero norm exactly when it is a zero row; and an angle per axis.
+axis_coords = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+axis_angle_rows = st.lists(
+    st.tuples(axis_coords, axis_coords, axis_coords, st.floats(-10.0, 10.0)).filter(lambda r: any(r[:3])),
+    min_size=1,
+    max_size=8,
+)
+
 
 class TestQuaternions:
     def test_identity_rotates_nothing(self):
@@ -184,6 +193,30 @@ class TestBroadcasting:
         )
         for a, b in zip(new, ops()):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=200)
+    @given(axis_angle_rows, st.data())
+    def test_axis_angle_stack_equals_one_vector_calls(self, rows, data):
+        # Row i of a stack, and of one axis broadcast over the angles, has
+        # the bits of the one-vector call, which normalises the axis by
+        # `np.linalg.norm`; one zero row fails the stack.
+        rows = np.array(rows)
+        axes, angles = rows[:, :3], rows[:, 3]
+        for stack, axis_of in (
+            (quat_from_axis_angle(axes, angles), lambda i: axes[i]),
+            (quat_from_axis_angle(axes[0], angles), lambda i: axes[0]),
+        ):
+            assert stack.shape == (len(rows), 4)
+            for i, angle in enumerate(angles.tolist()):
+                axis = axis_of(i)
+                one = quat_from_axis_angle(axis, angle)
+                assert stack[i].tobytes() == one.tobytes()
+                unit = np.sin(0.5 * angle) * axis / np.linalg.norm(axis)
+                assert one.tobytes() == np.array([np.cos(0.5 * angle), *unit]).tobytes()
+        row = data.draw(st.integers(0, len(rows)))
+        zero = data.draw(st.tuples(*[st.sampled_from([0.0, -0.0])] * 3))
+        with pytest.raises(ValueError, match="rotation axis must be nonzero"):
+            quat_from_axis_angle(np.insert(axes, row, zero, axis=0), np.insert(angles, row, 0.5))
 
     def test_pose_stack_matches_single_poses(self):
         q = rng.normal(size=(20, 4))
