@@ -8,11 +8,11 @@ be recomputed exactly after the optimizer moves endpoints.
 
 Observations arrive in batches (one solve interval at a time in the
 pipeline). Each distinct (p1, p2) point pair of a batch is scanned once
-against the centers at the batch start, and each cluster the batch
-creates is scanned against those pairs when it is created. The rows are
-then walked in order, rechecking a changed cluster only where it can
-still be joined, and the later rows of a pair certified to keep joining
-its own cluster only advance that cluster's mean; the result equals
+against the centers at the batch start, and a cluster the batch creates
+or moves too far is scanned against those pairs again. The rows are then
+walked in order, rechecking a changed cluster only where a scan found it
+near, and the later rows of a pair certified to keep joining its own
+cluster only advance that cluster's mean; the result equals
 assigning the observations one at a time, bit for bit (see
 `ClusterStore.assign_batch`). Each walked row looks its (cluster, p1, p2,
 sign) key up in the edge ids as soon as it is decided, a new key taking
@@ -46,7 +46,7 @@ E_CLUSTER, E_P1, E_P2, E_SIGN = range(len(EDGE_COLUMNS))
 # its near set, rest on norms and squares carrying a few ulps of relative
 # error. That holds while a norm's squares stay normal floats; a point pair
 # or cluster outside this band is a scan candidate for every partner, and a
-# changed cluster outside it is recomputed for every later row of its batch.
+# changed cluster outside it enters every pair's near set.
 _SAFE_NORMS = (2.0**-500, 2.0**500)
 _SCAN_BLOCK = 256  # point pairs per block of the batch scan, to bound its temporaries
 # Certified pair runs (see `ClusterStore.assign_batch`): a joining pair's
@@ -215,17 +215,17 @@ class ClusterStore:
         with a logged warning.
 
         Points do not move within a batch, so the rows sharing a (p1, p2)
-        pair share one vector. `_scan` scans each distinct pair once against
-        the centers as they stand at the batch start, and a cluster created
-        in the batch is scanned against the same pairs when it is created,
-        from its first center. Each scan keeps, per pair, the clusters
-        within twice their limit lim = rel_threshold * |c| of that center
-        (the pair's near set). Walking the rows, a cluster that has changed
-        is recomputed with the same expression when it lies in the row's
-        near set, or when it has moved more than lim / (2 (1 + rel)) from
-        the center it was scanned at, or its norm or limit lies outside
-        _SAFE_NORMS. Any other changed cluster had distance >= 2 lim and
-        moved by at most delta <= lim / (2 (1 + rel)), so its distance is
+        pair share one vector. Each distinct pair is scanned once against
+        the centers at the batch start (`_scan`), and a cluster is scanned
+        against the same pairs again when the batch creates it or a join
+        moves it more than lim / (2 (1 + rel)) from its latest scan. A scan
+        keeps, per pair, the clusters within twice their limit
+        lim = rel_threshold * |c| (the pair's near set); a cluster whose
+        norm or limit lies outside _SAFE_NORMS enters every near set when
+        it is created or first changes. A row recomputes a changed cluster,
+        with the same expression, only from its near set. Any other changed
+        cluster had distance >= 2 lim at its latest scan and has moved by
+        at most delta <= lim / (2 (1 + rel)) since, so its distance is
         still >= 2 lim - delta and its limit at most lim + rel delta, which
         is smaller. An unchanged cluster keeps its scanned distance, so the
         result equals assigning the observations one at a time, bit for bit.
@@ -246,8 +246,8 @@ class ClusterStore:
         distance to w stays at most d, below its limit of at least
         rel (|c| - d) by lim / 2; |c - w| < |c + w| keeps holding with a
         margin of 2 |c| / (1 + rel); and it moves at most d < B from where
-        it was scanned, so it never enters the recompute set. Rounding,
-        with u = 2^-53: every center of the run has norm below 1.5 |c|, and
+        it was scanned, so it is not scanned again. Rounding, with
+        u = 2^-53: every center of the run has norm below 1.5 |c|, and
         one step rounds three operations per coordinate, so it lands within
         (3 u + 4 u^2) 1.5 |c| < 4.6 u |c| of the exact mean of the previous
         center and w. The exact step contracts toward w, so after the K < k
@@ -256,20 +256,18 @@ class ClusterStore:
         leaves more than 2^-21 B of the 2^-20 B margin. That covers the
         rounding of d, of B and of math.dist (a few ulps each) and, since
         lim >= 2^-500 and rel <= 2^10 give B >= 2^-512, the at most 2^-536
-        by which squares that underflow can change a norm. So the moved
+        by which squares that underflow can change a norm. So the move
         test never fires, and the limit and sign tests keep their margins
         of about lim / 2 and 2 |c| / (1 + rel), far above rounding. A
         created cluster starts at v itself, d = 0, and the same E bounds
         its drift. Below rel = k / (2^28 - k), or above 2^10, a batch
         certifies nothing.
 
-        Two guards, checked in the walk, cover what the batch-start scan
-        cannot see. A cluster the batch creates that lands in the near set
-        of a pair other than its creator decertifies those pairs and the
-        creator. The first cluster entering the recompute set decertifies
-        every pair. Decertifying a pair applies its rows counted so far,
-        which come before the current row and touch only its own cluster,
-        and its later rows are walked.
+        One guard covers what the batch-start scan cannot see: a cluster
+        scanned in the walk that lands near a pair other than its row's, or
+        enters every near set, decertifies the pairs it lands near. Their
+        rows counted so far are applied (they come before the current row
+        and touch only their own cluster), and their later rows are walked.
 
         Raises ValueError, before changing the store, if an index is not an
         integer from 0 to len(emap.observations) - 1 (bools are not), the
@@ -308,7 +306,7 @@ class ClusterStore:
         )
         pair_vs = vs[first]
         pair_p1, pair_p2 = p1s[first].tolist(), p2s[first].tolist()
-        near, lim, skip_ok, certified = self._scan(pair_vs)
+        near, lim, safe, certified = self._scan(pair_vs)
         all_pairs = np.arange(len(first))
         centers, counts = self._centers, self._counts
         moved_scale = 1.0 / (2.0 * (1.0 + rel))
@@ -317,8 +315,7 @@ class ClusterStore:
         # written back to the arrays once, after the walk.
         current: dict[int, list[float]] = {}
         n_of: dict[int, int] = {}
-        start: dict[int, list[float]] = {}  # changed cluster -> the center it was scanned at
-        recompute: set[int] = set()  # clusters recomputed for every later row
+        start: dict[int, list[float]] = {}  # changed cluster -> the center of its latest scan
         edge_ids, n_edges = self._edge_ids, len(self._edge_ids)
         eids, new_edges = [], []  # each row's edge id; the keys of new edges
         vecs = pair_vs.tolist()
@@ -328,7 +325,6 @@ class ClusterStore:
             cert = certified.tolist()
         else:
             cert = [False] * len(first)
-        any_cert = any(cert)
         runs = [None] * len(first)
 
         def flush(r):
@@ -337,6 +333,24 @@ class ClusterStore:
                 c, s, p, _ = run
                 current[c] = _advance(current[c], n_of[c], vecs[r], s, p)
                 n_of[c] += p
+
+        def scan(c, center, u):  # `_scan` of cluster c at `center`, then the guard (assign_batch)
+            start[c] = center
+            norm = _norm(*center)
+            lim[c] = rel * norm
+            if _safe(norm, lim[c]):
+                cid = np.full(len(first), c)
+                hit = _near_append(near, all_pairs, cid, np.array(center), pair_vs, lim[c])[0].tolist()
+                if hit == [u]:
+                    return
+            else:  # in every near set, and never scanned again
+                lim[c] = math.inf
+                hit = all_pairs.tolist()
+                for r in hit:
+                    near[r].append((c, math.inf, 1))
+            for r in hit:
+                if cert[r]:
+                    flush(r)
 
         for u in pairs.tolist():
             run = runs[u]
@@ -347,11 +361,10 @@ class ClusterStore:
             v = vecs[u]
             vx, vy, vz = v
             best, best_d, sign = -1, math.inf, 1
-            check = [*recompute]  # plus the changed clusters in the near set
+            check = []  # the changed clusters in the near set
             for c, dc, s in near[u]:
                 if c in start:
-                    if c not in recompute:
-                        check.append(c)
+                    check.append(c)
                 elif dc < lim[c] and (dc < best_d or dc == best_d and c < best):
                     best, best_d, sign = c, dc, s
             # `_norm`, inlined: sqrt((x*x + y*y) + z*z) in the scan's order
@@ -370,30 +383,17 @@ class ClusterStore:
             if best < 0:
                 best, sign = self._n_clusters, 1
                 self._n_clusters += 1
-                current[best] = v
-                n_of[best] = 1
-                norm = _norm(vx, vy, vz)
-                lim_c = rel * norm
-                safe = bool(_safe(norm, lim_c))
-                lim.append(lim_c)
-                skip_ok.append(safe)
-                if safe:  # scan it against every pair, as `_scan` scans the batch start
-                    start[best] = v
-                    cid = np.full(len(first), best)
-                    hit = _near_append(near, all_pairs, cid, np.array(v), pair_vs, lim_c)[0]
-                    if any_cert and hit.tolist() != [u]:  # near a pair other than its creator
-                        for r in hit.tolist():
-                            if cert[r]:
-                                flush(r)
-                else:
-                    recompute.add(best)
+                current[best], n_of[best] = v, 1
+                lim.append(0.0)  # set by the scan
+                scan(best, v, u)
             else:
-                old = current.get(best)
-                if old is None:
-                    old, n = centers[best].tolist(), int(counts[best])
-                else:
-                    n = n_of[best]
-                x, y, z = old
+                if best not in current:  # its first change since the batch-start scan
+                    current[best], n_of[best] = centers[best].tolist(), int(counts[best])
+                    if safe[best]:
+                        start[best] = current[best]
+                    else:
+                        scan(best, current[best], u)
+                (x, y, z), n = current[best], n_of[best]
                 new = [
                     (x * n + sign * vx) / (n + 1),
                     (y * n + sign * vy) / (n + 1),
@@ -401,15 +401,8 @@ class ClusterStore:
                 ]
                 current[best] = new
                 n_of[best] = n + 1
-                if best not in recompute:
-                    first_center = start.setdefault(best, old)
-                    if not skip_ok[best] or math.dist(new, first_center) > lim[best] * moved_scale:
-                        recompute.add(best)
-            if recompute and any_cert:
-                for r in range(len(runs)):
-                    if cert[r]:
-                        flush(r)
-                any_cert = False
+                if math.dist(new, start[best]) > lim[best] * moved_scale:
+                    scan(best, new, u)
             # Rows sharing a (cluster, p1, p2, sign) key share an edge. Rows
             # are walked in order, so a new key's next id keeps edge ids in
             # order of first member.
@@ -421,9 +414,8 @@ class ClusterStore:
             eids.append(e)
             if cert[u]:  # its first row
                 runs[u] = [best, sign, 0, e]
-        for r, run in enumerate(runs):
-            if run is not None:
-                flush(r)
+        for r in range(len(runs)):
+            flush(r)
         centers[list(current)] = list(current.values())
         counts[list(n_of)] = list(n_of.values())
         if new_edges:

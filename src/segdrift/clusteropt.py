@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import E_CLUSTER, E_P1, E_P2, EDGE, FRAME, ClusterStore
 from .frontend import EstimatedMap
-from .geometry import check_int, check_real
+from .geometry import check_int, check_real, refuse_first
 
 DEFAULT_ANCHOR_WEIGHT = 1e-3
 DEFAULT_ITERATION_CAP = 10
@@ -63,13 +63,11 @@ class OptProblem:
         # solve's early exit needs a positive semi-definite Laplacian
         weight, sign = edges["weight"], edges["sign"]
         bad_weight = ~((weight >= 0) & (weight < math.inf))
-        if bad_weight.any():
-            i = bad_weight.argmax()
-            raise ValueError(f"edge {i} weight must be finite and non-negative, got {weight[i]}")
+        refuse_first(
+            bad_weight, lambda i: f"edge {i} weight must be finite and non-negative, got {weight[i]}"
+        )
         bad_sign = (sign != 1) & (sign != -1)
-        if bad_sign.any():
-            i = bad_sign.argmax()
-            raise ValueError(f"edge {i} sign must be 1 or -1, got {sign[i]}")
+        refuse_first(bad_sign, lambda i: f"edge {i} sign must be 1 or -1, got {sign[i]}")
         self.endpoint_rows = _endpoint_rows(self.point_ids, edges)
 
     @property

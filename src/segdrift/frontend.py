@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import (
     Trajectory, check_int, check_real, quat_from_axis_angle, quat_multiply, quat_normalize,
-    quat_rotate, row_norms, xyz_norms,
+    quat_rotate, refuse_first, row_norms, xyz_norms,
 )
 from .worldgen import World
 
@@ -108,11 +108,11 @@ class EstimatedMap:
         ends = self.observations[:, [OBS_P1, OBS_P2]]
         bad = (ends < 0).any(axis=1) | (ends >= len(self.points)).any(axis=1)
         bad |= ends[:, 0] == ends[:, 1]
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise ValueError(
-                f"observation {row} has unknown or coincident point ids {ends[row].tolist()}"
-            )
+        refuse_first(
+            bad, lambda i: f"observation {i} has unknown or coincident point ids {ends[i].tolist()}"
+        )
+        bad = ~np.isfinite(self.points).all(axis=1)
+        refuse_first(bad, lambda i: f"point {i} must be finite, got {self.points[i].tolist()}")
 
 
 def drift_walk(cfg: DriftConfig, n_frames: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,7 +123,8 @@ def drift_walk(cfg: DriftConfig, n_frames: int) -> tuple[np.ndarray, np.ndarray,
     log-normal scale, a rotation by a normal angle about a normal random
     axis, and a normal translation, each drawn only when its sigma is
     positive. Raises ValueError at the first non-finite increment, else
-    at the first scale that is not positive and finite.
+    at the first scale that is not positive and finite, else at the first
+    translation that is not finite.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     steps = max(n_frames - 1, 0)
@@ -146,10 +147,10 @@ def drift_walk(cfg: DriftConfig, n_frames: int) -> tuple[np.ndarray, np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, by frame
             scale[1:] = np.exp(draws[:, 0])
             scale = np.cumprod(scale)
-        bad = ~((scale > 0) & (scale < np.inf))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"drift scale of frame {k} must be positive and finite, got {scale[k]}")
+        refuse_first(
+            ~((scale > 0) & (scale < np.inf)),
+            lambda k: f"drift scale of frame {k} must be positive and finite, got {scale[k]}",
+        )
 
     rotation = np.zeros((n_frames, 4))
     rotation[:, 0] = 1.0
@@ -161,8 +162,13 @@ def drift_walk(cfg: DriftConfig, n_frames: int) -> tuple[np.ndarray, np.ndarray,
 
     translation = np.zeros((n_frames, 3))
     if cfg.trans_sigma > 0:
-        translation[1:] = scale[:-1, None] * quat_rotate(rotation[:-1], draws[:, -3:])
-        translation = np.cumsum(translation, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by frame
+            translation[1:] = scale[:-1, None] * quat_rotate(rotation[:-1], draws[:, -3:])
+            translation = np.cumsum(translation, axis=0)
+        refuse_first(
+            ~np.isfinite(translation).all(axis=1),
+            lambda k: f"drift translation of frame {k} must be finite, got {translation[k].tolist()}",
+        )
     return scale, rotation, translation
 
 
@@ -332,14 +338,14 @@ def simulate(world: World, drift_cfg: DriftConfig, obs_cfg: ObservationConfig) -
     frame, before its endpoint noise is added."""
     gt = world.trajectory
     scale, rotation, translation = drift_walk(drift_cfg, len(gt))
+    true_points, first_seen, noise, observations = observe(world, obs_cfg)
 
     def drifted(k, x):  # frame k's drift similarity applied to x
         return scale[k, None] * quat_rotate(rotation[k], x) + translation[k]
 
+    with np.errstate(over="ignore"):  # an overflow is refused by row, below
+        positions, points = drifted(slice(None), gt.positions), drifted(first_seen, true_points)
+        if noise is not None:  # -0.0 + 0.0 would flip a signed zero
+            points += noise
     rotated = quat_normalize(quat_multiply(rotation, gt.quaternions))
-    trajectory = Trajectory(gt.timestamps, drifted(slice(None), gt.positions), rotated)
-    true_points, first_seen, noise, observations = observe(world, obs_cfg)
-    points = drifted(first_seen, true_points)
-    if noise is not None:  # -0.0 + 0.0 would flip a signed zero
-        points += noise
-    return EstimatedMap(points, first_seen, observations, trajectory)
+    return EstimatedMap(points, first_seen, observations, Trajectory(gt.timestamps, positions, rotated))

@@ -43,6 +43,12 @@ def check_real(name: str, value, minimum=None, strict: bool = False) -> None:
         raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
 
 
+def refuse_first(bad: np.ndarray, message) -> None:
+    """Raise ValueError(message(i)) at the first index i where `bad` holds."""
+    if bad.any():
+        raise ValueError(message(int(np.argmax(bad))))
+
+
 def quat_identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
 

@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .geometry import (
-    BadRowError, Trajectory, check_int, check_real, quat_from_axis_angle, quat_normalize,
+    BadRowError, Trajectory, check_int, check_real, quat_from_axis_angle, quat_normalize, refuse_first,
 )
 
 FRAME_RATE_HZ = 30.0
@@ -76,11 +76,9 @@ class World:
             if array.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
         bad = ~np.isfinite(ends).all(axis=(1, 2))
-        if bad.any():
-            raise ValueError(f"segment {int(np.argmax(bad))} has a non-finite endpoint")
+        refuse_first(bad, lambda i: f"segment {i} has a non-finite endpoint")
         same = (ends[:, 0] == ends[:, 1]).all(axis=1)
-        if same.any():
-            raise ValueError(f"segment {int(np.argmax(same))} endpoints must differ")
+        refuse_first(same, lambda i: f"segment {i} endpoints must differ")
         if not (np.unique(archetypes, return_counts=True)[1] >= 2).any():
             raise ValueError("world must contain at least one repeated archetype")
         ends.flags.writeable = archetypes.flags.writeable = False

@@ -15,8 +15,9 @@ from segdrift.clustering import (
     DegenerateSegmentError,
     _norm,
 )
-from segdrift.frontend import OBS_FRAME, OBS_P1, OBS_P2, EstimatedMap
+from segdrift.frontend import OBS_FRAME, OBS_P1, OBS_P2, DriftConfig, EstimatedMap, ObservationConfig, simulate
 from segdrift.geometry import Trajectory, xyz_norms
+from segdrift.worldgen import WorldSpec, generate_corridor
 
 
 # A member row with its edge's key in place of the edge id.
@@ -254,10 +255,19 @@ class TestBatchedAssignment:
     # another pair (second) were applied before it
     @example((0.5, [[("vec", (0, 0, 2.0)), ("vec", (0, 0, 2.5))] + [("again", 0, False)] * 4 + [("vec", (0, 0, 3.3))]], [None]))
     @example((0.5, [[("vec", (0, 0, 2.0)), ("vec", (0, 0, 2.5))] + [("again", 1, False)] * 4 + [("vec", (0, 0, 1.2))]], [None]))
-    # a run cut by a cluster entering the recompute set: a far pair's run is
-    # flushed when the cluster is pulled beyond lim / (2 (1 + rel)) below; a
-    # pair outside 2 lim of its creation center then joins it four times, and
-    # the last row joins it only once those joins are applied
+    # a cluster created in the batch is pulled beyond lim / (2 (1 + rel))
+    # twice, and scanned again each time: the last row lies outside 2 lim of
+    # its first two scans and joins it
+    @example((0.5, [[("vec", (0, 0, v)) for v in (2.0, 2.9, 3.6, 3.9, 4.5, 4.95)]], [None]))
+    # clusters whose norm and limit lie below _SAFE_NORMS enter every pair's
+    # near set when the batch creates them or first changes them, so a last
+    # row outside 2 lim of their scanned center joins them
+    @example((0.5, [[("vec", (0, 0, v * 2.0**-505)) for v in (2.0, 2.9, 3.6, 3.9, 4.1)]], [None]))
+    @example((0.5, [[("vec", (0, 0, 2.0**-504))], [("vec", (0, 0, v * 2.0**-505)) for v in (2.9, 3.6, 3.9, 4.1)]], [None] * 2))
+    # a cluster pulled beyond lim / (2 (1 + rel)) is scanned again and lands
+    # far from a certified pair, whose run goes on; a pair outside 2 lim of
+    # its creation center then joins it four times, and the last row joins
+    # it only once those joins are applied
     @example((0.5, [
         [("vec", (0, 5.0, 0)), ("again", 0, False)]
         + [("vec", (0, 0, v)) for v in (2.0, 2.9, 3.6, 3.9, 4.1)]
@@ -366,15 +376,22 @@ class TestBatchedAssignment:
                 [("vec", (0, 0, 2.1)), ("again", 1, False), ("again", 1, False),
                  ("vec", (0, 2.2, 2.1)), ("again", 1, False), ("again", 4, False)],
             ], [1, 2, 3, 5], [2]),
-            # a certified pair counts one row, then the first cluster enters
-            # the recompute set: the row is applied and its later row walked
+            # a certified pair counts one row, then a join pulls a cluster
+            # beyond lim / (2 (1 + rel)), and its new scan lands near the
+            # pair: the row is applied and its later row walked
+            ([
+                [("vec", (0, 0.9, 0.2)), ("again", 0, False), ("vec", (0, 0, 2.0)),
+                 ("vec", (0, 0.9, 2.0)), ("again", 0, False)],
+            ], [0, 1, 4], [1]),
+            # the same for a cluster scanned again far from the pair: the
+            # run goes on, and both its later rows are applied at the end
             ([
                 [("vec", (0, 5.0, 0)), ("again", 0, False)]
                 + [("vec", (0, 0, v)) for v in (2.0, 2.9, 3.6, 3.9, 4.1)]
                 + [("again", 6, False)] * 4 + [("again", 0, False), ("vec", (0, 0, 5.2))]
-            ], [0, 1, 11], [1]),
+            ], [0, 1, 11], [2]),
         ],
-        ids=["created-cluster-near-pair", "recompute-set"],
+        ids=["created-cluster-near-pair", "rescanned-cluster-near-pair", "rescanned-cluster-far-from-pair"],
     )
     def test_flushed_run_keeps_its_edge_id(self, monkeypatch, frames, pair_rows, counted):
         emap, batches = stream_map(frames)
@@ -430,6 +447,40 @@ class TestBatchedAssignment:
         store = ClusterStore(rel_threshold=2.0**-6)
         store.assign_batch(range(3), emap)
         assert expanded_table(store)[:, CLUSTER].tolist() == [0, 1, 0]
+
+
+class TestWholeMapBatch:
+    """One `assign_batch` over a whole simulated map with clutter, as a
+    round of re-clustering a corrected map makes it."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return generate_corridor(WorldSpec(corridor_length=20.0, n_turns=1, extra_unique_segments=40))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("rel", [0.005, 0.04])
+    def test_matches_per_observation_reference(self, monkeypatch, world, seed, rel):
+        drift = DriftConfig(scale_sigma=1e-3, rng_seed=seed)
+        emap = simulate(world, drift, ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=seed))
+        counted = []
+        advance = clustering._advance
+
+        def spy(center, n, v, sign, rows):
+            counted.append(rows)
+            return advance(center, n, v, sign, rows)
+
+        monkeypatch.setattr(clustering, "_advance", spy)
+        rows = range(len(emap.observations))
+        store, ref = ClusterStore(rel), ReferenceStore()
+        store.assign_batch(rows, emap)
+        for i in rows:
+            ref.assign(i, emap, rel)
+        assert np.array_equal(expanded_table(store), ref.table)
+        assert np.array_equal(store.centers, ref.centers)
+        assert store.counts.tolist() == ref.counts
+        # A moved cluster decertifies only the pairs its new scan lands
+        # near, so most rows are counted in certified runs, not walked.
+        assert sum(counted) >= len(rows) / 2
 
 
 class TestAssignment:

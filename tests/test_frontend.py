@@ -1,5 +1,6 @@
 """Drifting front-end simulator."""
 
+import re
 import warnings
 from dataclasses import replace
 from unittest.mock import patch
@@ -241,6 +242,37 @@ class TestDriftRandomWalk:
             with pytest.raises(ValueError) as info:
                 simulate(make_world(corridor_length=12), DriftConfig(**{name: 1e308}), ObservationConfig())
         assert str(info.value) == message
+
+    def test_overflowing_translation_walk_rejected_without_warning(self):
+        # Every increment is finite, but their running sum overflows; the
+        # walk names the first frame whose translation is not finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                simulate(make_world(corridor_length=12), DriftConfig(trans_sigma=1e307), ObservationConfig())
+        assert str(info.value).startswith("drift translation of frame 222 must be finite, got [-inf, ")
+
+    @settings(max_examples=60)
+    @given(
+        *[st.just(0.0) | st.floats(1e-3, 1e308)] * 3,
+        st.integers(0, 2**32 - 1),
+    )
+    @example(1e308, 0.0, 0.0, 0)  # an increment overflows
+    @example(100.0, 0.0, 0.0, 0)  # the scale walk overflows
+    @example(0.0, 0.0, 1e307, 1)  # the translation walk overflows
+    @example(20.0, 0.0, 0.0, 1618)  # a drifted pose overflows
+    def test_any_drift_gives_finite_map_or_named_error(self, scale_sigma, rot_sigma, trans_sigma, seed):
+        cfg = DriftConfig(scale_sigma, rot_sigma, trans_sigma, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                emap = simulate(make_world(corridor_length=4), cfg, ObservationConfig())
+            except ValueError as error:
+                assert re.match(r"drift [a-z -]+ of frame \d+ |trajectory row \d+: |point \d+ ", str(error))
+                return
+        trajectory = emap.trajectory
+        assert np.isfinite(emap.points).all()
+        assert np.isfinite(trajectory.positions).all() and np.isfinite(trajectory.quaternions).all()
 
     def test_wide_but_finite_walk_keeps_its_bits(self):
         cfg = DriftConfig(scale_sigma=5.0, rot_sigma=0.3, trans_sigma=1e-3, rng_seed=2)
@@ -668,6 +700,13 @@ class TestEstimatedMap:
         # (4, 3) observation table as 3 rows.
         with pytest.raises(ValueError, match=message):
             EstimatedMap(points, first_seen, observations, identity_trajectory(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected_by_index(self, bad):
+        points = np.zeros((3, 3))
+        points[1, 2] = points[2, 0] = bad
+        with pytest.raises(ValueError, match=re.escape(f"point 1 must be finite, got [0.0, 0.0, {bad}]")):
+            EstimatedMap(points, [0, 0, 1], [], identity_trajectory(2))
 
     def test_zero_size_inputs_are_zero_rows(self):
         emap = EstimatedMap([], [], [], identity_trajectory(1))
