@@ -77,9 +77,10 @@ def _safe(*norms):
 
 
 def _near_append(near, rows, cids, centers, vs, lim):
-    """Append (cluster, distance, sign) to near[row] for each pair (row,
+    """Set near[row][cluster] = (distance, sign) for each pair (row,
     cluster) of `rows` and `cids` with min(|c - v|, |c + v|) < 2 lim, and
-    return those rows, clusters and distances as arrays.
+    return those rows, clusters and distances as arrays. A near set holds
+    each cluster once: a later scan of a cluster replaces its entry.
 
     `centers`, `vs` and `lim` broadcast against the pairs; the sign is +1
     when |c - v| <= |c + v|.
@@ -92,18 +93,18 @@ def _near_append(near, rows, cids, centers, vs, lim):
     rows, cids, d = rows[hit], cids[hit], d[hit]
     pos = (d_pos <= d_neg)[hit]
     for r, c, dc, p in zip(rows.tolist(), cids.tolist(), d.tolist(), pos.tolist()):
-        near[r].append((c, dc, 1 if p else -1))
+        near[r][c] = (dc, 1 if p else -1)
     return rows, cids, d
 
 
-def _advance(center, n: int, v, sign: int, rows: int) -> list[float]:
-    """`center` of a cluster of n members after `rows` more joins of the
+def _advance(center, n: int, v, sign: int, k: int) -> list[float]:
+    """`center` of a cluster of n members after k more joins of the
     vector sign * v, one incremental mean at a time: the walk's
     (x * n + sign * vx) / (n + 1), with n held as an exact float."""
     x, y, z = center
     vx, vy, vz = sign * v[0], sign * v[1], sign * v[2]
     m = float(n)
-    for _ in range(rows):
+    for _ in range(k):
         m1 = m + 1.0
         x = (x * m + vx) / m1
         y = (y * m + vy) / m1
@@ -347,7 +348,7 @@ class ClusterStore:
                 lim[c] = math.inf
                 hit = all_pairs.tolist()
                 for r in hit:
-                    near[r].append((c, math.inf, 1))
+                    near[r][c] = (math.inf, 1)
             for r in hit:
                 if cert[r]:
                     flush(r)
@@ -362,7 +363,7 @@ class ClusterStore:
             vx, vy, vz = v
             best, best_d, sign = -1, math.inf, 1
             check = []  # the changed clusters in the near set
-            for c, dc, s in near[u]:
+            for c, (dc, s) in near[u].items():
                 if c in start:
                     check.append(c)
                 elif dc < lim[c] and (dc < best_d or dc == best_d and c < best):
@@ -435,8 +436,8 @@ class ClusterStore:
         norm and limit lie in _SAFE_NORMS, and whether each row's pair is
         certified (a bool array; the rule is in `assign_batch`).
 
-        A near set lists (cluster, distance, sign) in ascending cluster id
-        for the clusters with min(|c - v|, |c + v|) < 2 lim0, lim0 = rel |c|.
+        A near set maps cluster -> (distance, sign), in ascending cluster
+        id, for the clusters with min(|c - v|, |c + v|) < 2 lim0, lim0 = rel |c|.
         Only candidate pairs get those two distances: with G = v . c, a pair
         is a candidate iff
 
@@ -464,17 +465,17 @@ class ClusterStore:
         row_term = keep * (vnorm * vnorm)
         col_term = keep * (norm0 * norm0) - 4.0 * (lim0 * lim0)
         twice = 2.0 * centers.T
-        rows, cols = [], []
+        row_blocks, col_blocks = [], []
         for a in range(0, len(vs), _SCAN_BLOCK):
             g = np.abs(vs[a : a + _SCAN_BLOCK] @ twice)
             cand = g > row_term[a : a + _SCAN_BLOCK, None] + col_term
             cand[~safe_rows[a : a + _SCAN_BLOCK]] = True
             cand[:, ~safe] = True
             r, c = np.nonzero(cand)
-            rows.append(r + a)
-            cols.append(c)
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        near = [[] for _ in range(len(vs))]
+            row_blocks.append(r + a)
+            col_blocks.append(c)
+        rows, cols = np.concatenate(row_blocks), np.concatenate(col_blocks)
+        near = [{} for _ in range(len(vs))]
         rows, cols, d = _near_append(near, rows, cols, centers[cols], vs[rows], lim0[cols])
         # The certification rule of assign_batch, on the near pairs
         per_row = np.bincount(rows, minlength=len(vs))

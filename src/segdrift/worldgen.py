@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -195,13 +194,12 @@ _SEGMENT_FIELDS = (("a", 3, False), ("b", 3, False), ("archetype", None, True))
 _POSE_FIELDS = (("t", None, False), ("q", 4, False), ("p", 3, False))
 
 
-def _convert(flat: list, width: int | None, integer: bool, label: str) -> np.ndarray:
-    """One field's numbers, a flat list of `width` per entry (one bare
-    number if width is None), as an (n,) or (n, width) array. Only JSON
-    numbers pass, and only integers for an integer field: a bool, a
-    numeric string or a float archetype is an error, as is an integer too
-    large for the dtype. An error names the first bad entry i as
-    `label % i`."""
+def _convert(flat: list, name: str, key: str, width: int | None, integer: bool) -> np.ndarray:
+    """Field `key` of section `name`, a flat list of `width` numbers per
+    entry (one bare number if width is None), as an (n,) or (n, width)
+    array. Only JSON numbers pass, and only integers for an integer field:
+    a bool, a numeric string or a float archetype is an error, as is an
+    integer too large for the dtype. An error names the first bad entry."""
     kinds = {int} if integer else {int, float}
     dtype = np.int64 if integer else float
     if set(map(type, flat)) <= kinds:
@@ -215,18 +213,21 @@ def _convert(flat: list, width: int | None, integer: bool, label: str) -> np.nda
     for i in range(len(flat) // w):
         value = flat[i * w : (i + 1) * w] if width else flat[i]
         numbers = value if width else [value]
+        label = f"{name} field '{key}' entry {i}"
         if not set(map(type, numbers)) <= kinds:
-            raise ValueError(f"{label % i} must be {what}, got {value!r}")
+            raise ValueError(f"{label} must be {what}, got {value!r}")
         try:
             np.array(numbers, dtype=dtype)
         except OverflowError:
-            raise ValueError(f"{label % i} holds a number out of range") from None
+            raise ValueError(f"{label} holds a number out of range") from None
     raise AssertionError("unreachable: some entry failed the checks above")
 
 
-def _columns(section: dict, name: str, fields) -> list[np.ndarray]:
-    """A section in the columnar layout: each field one flat list, every
+def _columns(section, name: str, fields) -> list[np.ndarray]:
+    """A section, an object holding each field as one flat list, every
     field holding the same number of entries."""
+    if type(section) is not dict:
+        raise ValueError(f"world file section '{name}' must be an object, got {type(section).__name__}")
     counts = []
     for key, width, _ in fields:
         if key not in section:
@@ -246,53 +247,12 @@ def _columns(section: dict, name: str, fields) -> list[np.ndarray]:
                 f"{name} field '{key}' has {n} entries, field '{first}' {counts[0]}: "
                 f"entry {min(n, counts[0])} has no '{lacking}'"
             )
-    return [
-        _convert(section[key], width, integer, f"{name} field '{key}' entry %d")
-        for key, width, integer in fields
-    ]
-
-
-def _rows(entries: list, where: str, key: str, width: int | None, integer: bool) -> np.ndarray:
-    """Field `key` of a section in the legacy row layout, one object per
-    entry. A missing field or a list of the wrong length names its entry,
-    unless an earlier entry holds a bad number."""
-    label = f"{where} %d field '{key}'"
-    try:
-        values = [e[key] for e in entries]
-    except (KeyError, TypeError):
-        values = None
-    if values is not None and (
-        width is None or set(map(type, values)) <= {list} and set(map(len, values)) <= {width}
-    ):
-        flat = values if width is None else list(chain.from_iterable(values))
-        return _convert(flat, width, integer, label)
-    for i, e in enumerate(entries):
-        if not isinstance(e, dict) or key not in e:
-            error = f"{where} {i} missing field '{key}'"
-        elif width is not None and (type(e[key]) is not list or len(e[key]) != width):
-            error = f"{label % i} must be {width} numbers, got {e[key]!r}"
-        else:
-            continue
-        _rows(entries[:i], where, key, width, integer)  # names an earlier bad number
-        raise ValueError(error)
-    raise AssertionError("unreachable: some entry failed the checks above")
-
-
-def _section(section, name: str, where: str, fields) -> list[np.ndarray]:
-    if type(section) is dict:
-        return _columns(section, name, fields)
-    if type(section) is list:
-        return [_rows(section, where, *field) for field in fields]
-    raise ValueError(
-        f"world file section '{name}' must be an object (columns) or a list (rows), "
-        f"got {type(section).__name__}"
-    )
+    return [_convert(section[key], name, key, width, integer) for key, width, integer in fields]
 
 
 def world_from_json(data: dict) -> World:
-    """A World from a world file's JSON document. Each section is read by
-    its type: an object as `world_to_json`'s columns, a list as the legacy
-    row layout (one object per segment or pose)."""
+    """A World from a world file's JSON document, laid out as
+    `world_to_json` writes it: each section an object of columns."""
     if not isinstance(data, dict):
         raise ValueError("world file must be a JSON object")
     for key in ("segments", "trajectory", "seed"):
@@ -300,8 +260,8 @@ def world_from_json(data: dict) -> World:
             raise ValueError(f"world file missing section '{key}'")
     if type(data["seed"]) is not int:
         raise ValueError(f"world file field 'seed' must be an integer, got {data['seed']!r}")
-    a, b, archetypes = _section(data["segments"], "segments", "segment", _SEGMENT_FIELDS)
-    t, q, p = _section(data["trajectory"], "trajectory", "trajectory entry", _POSE_FIELDS)
+    a, b, archetypes = _columns(data["segments"], "segments", _SEGMENT_FIELDS)
+    t, q, p = _columns(data["trajectory"], "trajectory", _POSE_FIELDS)
     try:
         trajectory = Trajectory(t, p, q)
     except BadRowError as exc:

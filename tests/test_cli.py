@@ -17,8 +17,6 @@ from segdrift.cli import AGGREGATE_HEADER, main
 from segdrift.metrics import Trajectory, write_tum
 from segdrift.worldgen import WorldSpec, generate_corridor, world_from_file, world_to_file
 
-from legacy_world import legacy_json, legacy_text
-
 
 def small_config(tmp_path, **overrides):
     cfg = {
@@ -439,25 +437,23 @@ class TestRun:
         assert sorted(os.listdir(tmp_path)) == ["config.json", "cwd"]
 
     @pytest.mark.parametrize(
-        "where, value, named",
+        "section, field, index, value, named",
         [
-            ("segments", float("nan"), "segment 4 has a non-finite endpoint"),
-            ("trajectory", float("inf"), "trajectory entry 4: non-finite position"),
+            ("segments", "a", 4 * 3, float("nan"), "segment 4 has a non-finite endpoint"),
+            ("segments", "b", 4 * 3 + 2, float("-inf"), "segment 4 has a non-finite endpoint"),
+            # the last of 300 timestamps, so they still increase
+            ("trajectory", "t", -1, float("inf"), "trajectory entry 299: non-finite timestamp"),
+            ("trajectory", "q", 4 * 4, float("nan"), "trajectory entry 4: non-finite quaternion"),
+            ("trajectory", "p", 4 * 3, float("inf"), "trajectory entry 4: non-finite position"),
         ],
     )
-    @pytest.mark.parametrize("layout", ["columns", "rows"])
     def test_non_finite_world_file_exits_1_before_any_output(
-        self, tmp_path, capsys, where, value, named, layout
+        self, tmp_path, capsys, section, field, index, value, named
     ):
         world_path = tmp_path / "world.json"
         assert main(["gen-world", "--corridor-length", "10", "--out", str(world_path)]) == 0
-        field = "a" if where == "segments" else "p"
-        if layout == "columns":
-            doc = json.loads(world_path.read_text())
-            doc[where][field][4 * 3] = value
-        else:
-            doc = legacy_json(world_from_file(world_path))
-            doc[where][4][field][0] = value
+        doc = json.loads(world_path.read_text())
+        doc[section][field][index] = value
         world_path.write_text(json.dumps(doc))
         cfg = json.loads(small_config(tmp_path).read_text())
         del cfg["world"]
@@ -471,22 +467,34 @@ class TestRun:
     @pytest.mark.parametrize(
         "damage, named",
         [
-            ("drop_y", "segment 0 field 'a' must be 3 numbers"),
+            ("drop_y", "segments field 'archetype' has 12 entries, field 'a' 8"),
             ("zero_length", "segment 4 endpoints must differ"),
+            ("one_object_per_segment", "world file section 'segments' must be an object, got list"),
+            ("one_object_per_pose", "world file section 'trajectory' must be an object, got list"),
         ],
     )
     def test_malformed_world_file_exits_1_before_any_output(self, tmp_path, capsys, damage, named):
-        # 8 m: 4 doors, 12 segments. With 2-D endpoints their 48 numbers
-        # would re-chunk into 8 three-D segments if only the total counted.
+        # 8 m: 4 doors, 12 segments. With 2-D endpoints the 24 numbers of
+        # 'a' and of 'b' would re-chunk into 8 three-D entries if only the
+        # count of numbers were checked.
         world_path = tmp_path / "world.json"
         assert main(["gen-world", "--corridor-length", "8", "--out", str(world_path)]) == 0
-        doc = legacy_json(world_from_file(world_path))
-        assert len(doc["segments"]) == 12
+        doc = json.loads(world_path.read_text())
+        seg = doc["segments"]
+        assert len(seg["archetype"]) == 12
         if damage == "drop_y":
-            for seg in doc["segments"]:  # keep x and z: no segment collapses
-                seg["a"], seg["b"] = seg["a"][::2], seg["b"][::2]
-        else:
-            doc["segments"][4]["b"] = doc["segments"][4]["a"]
+            for key in ("a", "b"):  # keep x and z: no segment collapses
+                seg[key] = [x for i, x in enumerate(seg[key]) if i % 3 != 1]
+        elif damage == "zero_length":
+            seg["b"][12:15] = seg["a"][12:15]
+        else:  # the layout of files written before the columnar one
+            world = world_from_file(world_path)
+            traj = world.trajectory
+            ends = zip(world.endpoints.tolist(), world.archetypes.tolist())
+            poses = zip(traj.timestamps.tolist(), traj.quaternions.tolist(), traj.positions.tolist())
+            doc["trajectory"] = [{"t": t, "q": q, "p": p} for t, q, p in poses]
+            if damage == "one_object_per_segment":
+                doc["segments"] = [{"a": a, "b": b, "archetype": k} for (a, b), k in ends]
         world_path.write_text(json.dumps(doc))
         cfg = json.loads(small_config(tmp_path).read_text())
         del cfg["world"]
@@ -630,19 +638,6 @@ class TestWorldJson:
         assert copied.pop("world.json") == compact
         assert canonical.pop("world.json") != compact
         assert copied == canonical
-
-    def test_legacy_world_file_copied_as_written(self, tmp_path, capsys):
-        world_path = tmp_path / "world_in.json"
-        assert main(["gen-world", "--corridor-length", "10", "--out", str(world_path)]) == 0
-        cfg = world_file_config(tmp_path, world_path)
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "columns")]) == 0
-        legacy = legacy_text(world_from_file(world_path)).encode()
-        world_path.write_bytes(legacy)
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "rows")]) == 0
-        columns, rows = tree_bytes(tmp_path / "columns"), tree_bytes(tmp_path / "rows")
-        assert rows.pop("world.json") == legacy
-        assert columns.pop("world.json") != legacy
-        assert rows == columns
 
     def test_rerun_from_its_own_world_json_leaves_it_alone(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -398,9 +398,9 @@ class TestBatchedAssignment:
         applied = []
         advance = clustering._advance
 
-        def spy(center, n, v, sign, rows):
-            applied.append(rows)
-            return advance(center, n, v, sign, rows)
+        def spy(center, n, v, sign, k):
+            applied.append(k)
+            return advance(center, n, v, sign, k)
 
         monkeypatch.setattr(clustering, "_advance", spy)
         store, ref = ClusterStore(0.5), ReferenceStore()
@@ -457,7 +457,7 @@ class TestWholeMapBatch:
     def world(self):
         return generate_corridor(WorldSpec(corridor_length=20.0, n_turns=1, extra_unique_segments=40))
 
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("rel", [0.005, 0.04])
     def test_matches_per_observation_reference(self, monkeypatch, world, seed, rel):
         drift = DriftConfig(scale_sigma=1e-3, rng_seed=seed)
@@ -465,22 +465,49 @@ class TestWholeMapBatch:
         counted = []
         advance = clustering._advance
 
-        def spy(center, n, v, sign, rows):
-            counted.append(rows)
-            return advance(center, n, v, sign, rows)
+        def spy(center, n, v, sign, k):
+            counted.append(k)
+            return advance(center, n, v, sign, k)
 
         monkeypatch.setattr(clustering, "_advance", spy)
-        rows = range(len(emap.observations))
+        batch = range(len(emap.observations))
         store, ref = ClusterStore(rel), ReferenceStore()
-        store.assign_batch(rows, emap)
-        for i in rows:
+        store.assign_batch(batch, emap)
+        for i in batch:
             ref.assign(i, emap, rel)
         assert np.array_equal(expanded_table(store), ref.table)
         assert np.array_equal(store.centers, ref.centers)
         assert store.counts.tolist() == ref.counts
         # A moved cluster decertifies only the pairs its new scan lands
         # near, so most rows are counted in certified runs, not walked.
-        assert sum(counted) >= len(rows) / 2
+        assert sum(counted) >= len(batch) / 2
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("rel", [0.005, 0.04])
+    def test_no_row_rechecks_a_cluster_twice(self, monkeypatch, world, seed, rel):
+        # A cluster scanned again lands near pairs whose near set may
+        # already hold it (seeds 0 and 2 have such pairs at both gates,
+        # seed 1 none); each near set names it once, so a row rechecks it
+        # once.
+        drift = DriftConfig(scale_sigma=1e-3, rng_seed=seed)
+        emap = simulate(world, drift, ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=seed))
+        hits = []
+        near_append = clustering._near_append
+
+        def spy(near, *args):
+            rows, cids, d = near_append(near, *args)
+            hits.append((near, rows.tolist(), cids.tolist()))
+            return rows, cids, d
+
+        monkeypatch.setattr(clustering, "_near_append", spy)
+        ClusterStore(rel).assign_batch(range(len(emap.observations)), emap)
+        near = hits[0][0]
+        named = [set() for _ in near]
+        for _, hit_rows, cids in hits:
+            for r, c in zip(hit_rows, cids):
+                named[r].add(c)
+        assert sum(len(cids) for _, _, cids in hits) > sum(map(len, named))  # some land again
+        assert [len(s) for s in near] == list(map(len, named))
 
 
 class TestAssignment:

@@ -196,24 +196,24 @@ class TestBroadcasting:
 
     @settings(max_examples=200)
     @given(axis_angle_rows, st.data())
-    def test_axis_angle_stack_equals_one_vector_calls(self, rows, data):
+    def test_axis_angle_stack_equals_one_vector_calls(self, drawn, data):
         # Row i of a stack, and of one axis broadcast over the angles, has
         # the bits of the one-vector call, which normalises the axis by
         # `np.linalg.norm`; one zero row fails the stack.
-        rows = np.array(rows)
-        axes, angles = rows[:, :3], rows[:, 3]
+        drawn = np.array(drawn)
+        axes, angles = drawn[:, :3], drawn[:, 3]
         for stack, axis_of in (
             (quat_from_axis_angle(axes, angles), lambda i: axes[i]),
             (quat_from_axis_angle(axes[0], angles), lambda i: axes[0]),
         ):
-            assert stack.shape == (len(rows), 4)
+            assert stack.shape == (len(angles), 4)
             for i, angle in enumerate(angles.tolist()):
                 axis = axis_of(i)
                 one = quat_from_axis_angle(axis, angle)
                 assert stack[i].tobytes() == one.tobytes()
                 unit = np.sin(0.5 * angle) * axis / np.linalg.norm(axis)
                 assert one.tobytes() == np.array([np.cos(0.5 * angle), *unit]).tobytes()
-        row = data.draw(st.integers(0, len(rows)))
+        row = data.draw(st.integers(0, len(angles)))
         zero = data.draw(st.tuples(*[st.sampled_from([0.0, -0.0])] * 3))
         with pytest.raises(ValueError, match="rotation axis must be nonzero"):
             quat_from_axis_angle(np.insert(axes, row, zero, axis=0), np.insert(angles, row, 0.5))

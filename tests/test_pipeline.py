@@ -179,9 +179,9 @@ class TestCertifiedRuns:
         )
         advance, advanced = clustering._advance, []
 
-        def spy(center, n, v, sign, rows):
-            advanced.append(rows)
-            return advance(center, n, v, sign, rows)
+        def spy(center, n, v, sign, k):
+            advanced.append(k)
+            return advance(center, n, v, sign, k)
 
         monkeypatch.setattr(clustering, "_advance", spy)
         a = run(world, *args)

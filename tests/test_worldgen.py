@@ -20,8 +20,6 @@ from segdrift.worldgen import (
     world_to_json,
 )
 
-from legacy_world import legacy_json, legacy_text
-
 
 def spec(**kw):
     base = dict(corridor_length=20, door_spacing=2)
@@ -139,8 +137,7 @@ class TestWorldValidation:
         with pytest.raises(ValueError):
             replace(w.trajectory, timestamps=bad_ts)
 
-    @pytest.mark.parametrize("layout", [world_to_json, legacy_json])
-    def test_first_non_increasing_timestamp_named(self, layout):
+    def test_first_non_increasing_timestamp_named(self):
         w = generate_corridor(spec())
         bad_ts = w.trajectory.timestamps.copy()
         bad_ts[7] = bad_ts[6]  # equal
@@ -150,12 +147,8 @@ class TestWorldValidation:
         with pytest.raises(ValueError, match="trajectory row " + reason):
             replace(w.trajectory, timestamps=bad_ts)
         message = "trajectory entry " + reason
-        doc = layout(w)
-        if layout is world_to_json:
-            doc["trajectory"]["t"] = bad_ts.tolist()
-        else:
-            for entry, t in zip(doc["trajectory"], bad_ts.tolist()):
-                entry["t"] = t
+        doc = world_to_json(w)
+        doc["trajectory"]["t"] = bad_ts.tolist()
         with pytest.raises(ValueError, match=message):
             world_from_json(doc)
 
@@ -167,19 +160,6 @@ class TestWorldValidation:
         ends[3, 0, 1] = bad
         with pytest.raises(ValueError, match="segment 3 has a non-finite endpoint"):
             replace(w, endpoints=ends)
-
-    @pytest.mark.parametrize("field", ["t", "q", "p"])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_trajectory_entry_rejected(self, field, bad):
-        doc = legacy_json(generate_corridor(spec()))
-        if field == "t":
-            doc["trajectory"][-1]["t"] = bad  # the last one, so timestamps still increase
-            entry, what = len(doc["trajectory"]) - 1, "timestamp"
-        else:
-            doc["trajectory"][7][field][2] = bad
-            entry, what = 7, {"q": "quaternion", "p": "position"}[field]
-        with pytest.raises(ValueError, match=f"trajectory entry {entry}: non-finite {what}"):
-            world_from_json(doc)
 
     @pytest.mark.parametrize("field, width", [("t", 1), ("q", 4), ("p", 3)])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -237,26 +217,16 @@ class TestWorldArrays:
         rotations[3] = [1e300, 0.0, 0.0, 1e300]
         with pytest.raises(ValueError, match="trajectory row 3: quaternion norm overflows"):
             replace(w.trajectory, quaternions=rotations)
-        message = "trajectory entry 3: quaternion norm overflows"
-        doc = legacy_json(w)
-        doc["trajectory"][3]["q"] = [1e300, 0.0, 0.0, 1e300]
-        with pytest.raises(ValueError, match=message):
-            world_from_json(doc)
         doc = world_to_json(w)
         doc["trajectory"]["q"][12:16] = [1e300, 0.0, 0.0, 1e300]
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="trajectory entry 3: quaternion norm overflows"):
             world_from_json(doc)
 
-    @pytest.mark.parametrize("layout", [world_to_json, legacy_json])
-    def test_first_bad_entry_of_several_named(self, layout):
+    def test_first_bad_entry_of_several_named(self):
         # a zero quaternion at entry 2, then a NaN position at entry 4
-        doc = layout(generate_corridor(spec()))
-        if layout is world_to_json:
-            doc["trajectory"]["q"][8:12] = [0.0] * 4
-            doc["trajectory"]["p"][13] = float("nan")
-        else:
-            doc["trajectory"][2]["q"] = [0.0] * 4
-            doc["trajectory"][4]["p"][1] = float("nan")
+        doc = world_to_json(generate_corridor(spec()))
+        doc["trajectory"]["q"][8:12] = [0.0] * 4
+        doc["trajectory"]["p"][13] = float("nan")
         with pytest.raises(ValueError, match="^trajectory entry 2: zero-norm quaternion$"):
             world_from_json(doc)
 
@@ -283,45 +253,6 @@ class TestWorldArrays:
 
 
 class TestWorldFileFields:
-    @pytest.mark.parametrize(
-        "section, field, value, named",
-        [
-            ("segments", "a", [1.0, 2.0], "segment 5 field 'a' must be 3 numbers"),
-            ("segments", "b", [1.0, 2.0, 3.0, 4.0], "segment 5 field 'b' must be 3 numbers"),
-            ("segments", "a", [1.0, "2.0", 3.0], "segment 5 field 'a' must be 3 numbers"),
-            ("segments", "b", [1.0, None, 3.0], "segment 5 field 'b' must be 3 numbers"),
-            ("segments", "a", 1.0, "segment 5 field 'a' must be 3 numbers"),
-            ("segments", "archetype", 0.7, "segment 5 field 'archetype' must be an integer"),
-            ("segments", "archetype", 1.0, "segment 5 field 'archetype' must be an integer"),
-            ("segments", "archetype", True, "segment 5 field 'archetype' must be an integer"),
-            ("trajectory", "q", [1.0, 0.0, 0.0], "trajectory entry 5 field 'q' must be 4 numbers"),
-            ("trajectory", "q", [True, 0, 0, 0], "trajectory entry 5 field 'q' must be 4 numbers"),
-            ("trajectory", "p", [0.0, 0.5, 1.5, 0.0], "trajectory entry 5 field 'p' must be 3 numbers"),
-            ("trajectory", "p", {"x": 0.0}, "trajectory entry 5 field 'p' must be 3 numbers"),
-            ("trajectory", "t", "0.5", "trajectory entry 5 field 't' must be a number"),
-            # JSON integers too large for int64 or float
-            ("segments", "archetype", 2**63, "segment 5 field 'archetype' holds a number out of range"),
-            ("segments", "archetype", -(2**63) - 1, "segment 5 field 'archetype' holds a number out of range"),
-            ("segments", "a", [0.0, 10**400, 1.0], "segment 5 field 'a' holds a number out of range"),
-            ("trajectory", "t", 10**400, "trajectory entry 5 field 't' holds a number out of range"),
-        ],
-    )
-    def test_bad_field_named(self, section, field, value, named):
-        doc = legacy_json(generate_corridor(spec()))
-        doc[section][5][field] = value
-        with pytest.raises(ValueError, match=named):
-            world_from_json(doc)
-
-    def test_first_bad_entry_named(self):
-        doc = legacy_json(generate_corridor(spec()))
-        doc["segments"][5]["a"] = [1.0, 2.0]  # wrong length, after
-        doc["segments"][3]["a"][1] = "2.0"  # a bad number
-        with pytest.raises(ValueError, match="segment 3 field 'a' must be 3 numbers"):
-            world_from_json(doc)
-        del doc["segments"][2]["a"]
-        with pytest.raises(ValueError, match="segment 2 missing field 'a'"):
-            world_from_json(doc)
-
     @pytest.mark.parametrize("seed", [0.7, 3.0, "3", True])
     def test_non_integer_seed_rejected(self, seed):
         doc = world_to_json(generate_corridor(spec()))
@@ -330,38 +261,36 @@ class TestWorldFileFields:
             world_from_json(doc)
 
     @pytest.mark.parametrize(
-        "doc, named",
+        "section, value, named",
         [
-            ([], "must be a JSON object"),
+            (None, [], "world file must be a JSON object"),
+            (None, None, "world file must be a JSON object"),
+            ("segments", None, "world file section 'segments' must be an object, got NoneType"),
+            ("trajectory", None, "world file section 'trajectory' must be an object, got NoneType"),
+            ("segments", True, "world file section 'segments' must be an object, got bool"),
+            ("trajectory", False, "world file section 'trajectory' must be an object, got bool"),
+            ("segments", 5, "world file section 'segments' must be an object, got int"),
+            ("trajectory", 5, "world file section 'trajectory' must be an object, got int"),
+            ("segments", 0.5, "world file section 'segments' must be an object, got float"),
+            ("trajectory", 0.5, "world file section 'trajectory' must be an object, got float"),
+            ("segments", "abc", "world file section 'segments' must be an object, got str"),
+            ("trajectory", "abc", "world file section 'trajectory' must be an object, got str"),
+            # the layout of files written before the columnar one: an object per segment or pose
             (
-                {"segments": 5, "trajectory": [], "seed": 0},
-                r"section 'segments' must be an object \(columns\) or a list \(rows\), got int",
+                "segments", [{"a": [0.0, 0.0, 0.0], "b": [0.0, 0.0, 2.0], "archetype": 0}],
+                "world file section 'segments' must be an object, got list",
             ),
             (
-                {"segments": [], "trajectory": "abc", "seed": 0},
-                r"section 'trajectory' must be an object \(columns\) or a list \(rows\), got str",
+                "trajectory", [{"t": 0.0, "q": [1.0, 0.0, 0.0, 0.0], "p": [0.0, 0.0, 1.5]}],
+                "world file section 'trajectory' must be an object, got list",
             ),
         ],
     )
-    def test_bad_section_named(self, doc, named):
-        with pytest.raises(ValueError, match=named):
-            world_from_json(doc)
-
-    def test_two_d_endpoints_rejected_not_rechunked(self):
-        doc = legacy_json(generate_corridor(spec(corridor_length=8)))
-        assert len(doc["segments"]) == 12
-        for seg in doc["segments"]:  # keep x and z: no segment collapses
-            seg["a"], seg["b"] = seg["a"][::2], seg["b"][::2]
-        with pytest.raises(ValueError, match="segment 0 field 'a' must be 3 numbers"):
-            world_from_json(doc)
-
-    def test_integer_coordinates_accepted(self):
-        doc = legacy_json(generate_corridor(spec()))
-        doc["segments"][0]["a"] = [int(x) for x in doc["segments"][0]["a"]]
-        doc["trajectory"][0]["t"] = 0
-        w = world_from_json(doc)
-        assert w.endpoints[0, 0].tolist() == doc["segments"][0]["a"]
-        assert w.trajectory.timestamps[0] == 0.0
+    def test_bad_section_named(self, tmp_path, section, value, named):
+        doc = value if section is None else {**columns(), section: value}
+        (tmp_path / "world.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            world_from_file(tmp_path / "world.json")
 
 
 def columns(**kw):
@@ -470,8 +399,11 @@ class TestWorldFileColumns:
         "section, field, value, named",
         [
             ("segments", "a", {"x": 0.0}, "segments field 'a' must be a list, got dict"),
-            ("trajectory", "p", 0.5, "trajectory field 'p' must be a list, got float"),
+            ("segments", "b", None, "segments field 'b' must be a list, got NoneType"),
             ("segments", "archetype", "0, 0, 1", "segments field 'archetype' must be a list, got str"),
+            ("trajectory", "t", 0, "trajectory field 't' must be a list, got int"),
+            ("trajectory", "q", True, "trajectory field 'q' must be a list, got bool"),
+            ("trajectory", "p", 0.5, "trajectory field 'p' must be a list, got float"),
         ],
     )
     def test_field_not_a_list_named(self, section, field, value, named):
@@ -480,7 +412,13 @@ class TestWorldFileColumns:
         with pytest.raises(ValueError, match=named):
             world_from_json(doc)
 
-    @pytest.mark.parametrize("section, field", [("segments", "b"), ("trajectory", "t")])
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ("segments", "a"), ("segments", "b"), ("segments", "archetype"),
+            ("trajectory", "t"), ("trajectory", "q"), ("trajectory", "p"),
+        ],
+    )
     def test_missing_field_named(self, section, field):
         doc = columns()
         del doc[section][field]
@@ -494,12 +432,6 @@ class TestWorldFileColumns:
         w = world_from_json(doc)
         assert w.endpoints[0, 0].tolist() == doc["segments"]["a"][:3]
         assert w.trajectory.timestamps[0] == 0.0
-
-    def test_layouts_mix_by_section(self):
-        w = generate_corridor(spec(n_turns=1))
-        rows, cols = legacy_json(w), world_to_json(w)
-        for doc in ({**cols, "segments": rows["segments"]}, {**cols, "trajectory": rows["trajectory"]}):
-            assert_same_world(world_from_json(doc), w)
 
 
 def odd_world():
@@ -591,11 +523,16 @@ class TestSerialization:
         world_to_file(w, tmp_path / "world.json")
         assert_same_world(world_from_file(tmp_path / "world.json"), w)
 
+    @pytest.mark.parametrize("style", [{"separators": (",", ":")}, {"indent": 2, "sort_keys": True}])
     @pytest.mark.parametrize("world", WORLDS)
-    def test_legacy_file_loads_to_identical_world(self, tmp_path, world):
+    def test_non_canonical_text_loads_to_identical_world(self, tmp_path, world, style):
+        # A file not in world_to_file's text, compact or re-indented with its
+        # keys reordered, reads to the same bits.
         w = world()
-        (tmp_path / "legacy.json").write_text(legacy_text(w))
-        assert_same_world(world_from_file(tmp_path / "legacy.json"), w)
+        text = json.dumps(world_to_json(w), **style)
+        assert text != per_field_json(w)
+        (tmp_path / "world.json").write_text(text)
+        assert_same_world(world_from_file(tmp_path / "world.json"), w)
 
     def test_loaded_world_keeps_the_trajectory_it_was_built_with(self, tmp_path, monkeypatch):
         # Written unit quaternions read back unit to the bit, so World keeps
@@ -635,10 +572,4 @@ class TestSerialization:
         doc = world_to_json(generate_corridor(spec()))
         del doc["segments"]
         with pytest.raises(ValueError, match="segments"):
-            world_from_json(doc)
-
-    def test_missing_field_rejected(self):
-        doc = legacy_json(generate_corridor(spec()))
-        del doc["segments"][0]["a"]
-        with pytest.raises(ValueError):
             world_from_json(doc)
