@@ -114,17 +114,12 @@ def _advance(center, n: int, v, sign: int, k: int) -> list[float]:
 
 
 def _index_array(obs_indices, n_obs: int) -> np.ndarray:
-    """A batch of observation indices as one int64 array: a range or a 1-D
-    integer array converts whole and is bounds-checked by its min and max,
-    any other iterable is checked element by element. Raises ValueError
-    naming the first index that is not an integer from 0 to n_obs - 1
-    (bools are not)."""
+    """A batch of observation indices as one int64 array: a 1-D integer
+    array converts whole and is bounds-checked by its min and max, any other
+    iterable (a range included) is checked element by element. Raises
+    ValueError naming the first index that is not an integer from 0 to
+    n_obs - 1 (bools are not)."""
     batch = obs_indices
-    if isinstance(batch, range):
-        try:
-            batch = np.arange(batch.start, batch.stop, batch.step, dtype=np.int64)
-        except OverflowError:  # beyond int64, so out of range: named below
-            pass
     if isinstance(batch, np.ndarray) and batch.ndim == 1 and batch.dtype.kind in "iu":
         if len(batch) and not 0 <= batch.min() <= batch.max() < n_obs:
             i = batch[np.argmax((batch < 0) | (batch >= n_obs))]

@@ -94,7 +94,6 @@ class OptReport:
     iterations: int
     objective_trace: list[float]
     diagnostics: list[str] = field(default_factory=list)
-    iterate_positions: list[np.ndarray] | None = None  # (n, 3) each
 
     def to_json(self) -> dict:
         return {
@@ -109,43 +108,36 @@ class OptReport:
 def build_problem(
     store: ClusterStore,
     emap: EstimatedMap,
-    frames: range | None = None,
+    frames: range,
     anchor_weight: float = DEFAULT_ANCHOR_WEIGHT,
     iteration_cap: int = DEFAULT_ITERATION_CAP,
 ) -> OptProblem:
-    """Build the optimization problem over cluster members in scope.
+    """Build the optimization problem over the cluster members in a window.
 
-    frames=None takes every member (global scope); a window range(lo, hi)
-    takes the members observed in frames lo to hi - 1, and any other value
-    (a set, or a range whose step is not 1) is a ValueError. The in-scope
+    The window range(lo, hi) takes the members observed in frames lo to
+    hi - 1; range(n_frames) takes every member. Any other value (None, a
+    set, or a range whose step is not 1) is a ValueError. The in-scope
     members of one store edge (equal cluster, p1, p2, sign) form one
     problem edge whose weight is their count. Edges are ordered by cluster
     id, then by first in-scope member; point ids by first appearance in
     that order. Centers are frozen at their current values; only endpoint
     positions are free.
 
-    Nothing sorts member rows: counts are a bincount over edge ids, and a
-    frame scope takes each edge's first in-scope row with np.minimum.at,
-    so only the edges in scope are sorted.
+    Nothing sorts member rows: counts are a bincount over edge ids, and
+    each edge's first in-scope row comes from np.minimum.at, so only the
+    edges in scope are sorted.
     """
+    if not isinstance(frames, range) or frames.step != 1:
+        raise ValueError(f"frames must be a range with step 1, got {frames!r}")
     store_edges, members = store.edge_table, store.member_table
-    if frames is None:
-        # edge ids already run in first-member order
-        picked = np.argsort(store_edges[:, E_CLUSTER], kind="stable")
-        counts = np.bincount(members[:, EDGE], minlength=len(store_edges))[picked]
-    else:
-        if not isinstance(frames, range) or frames.step != 1:
-            raise ValueError(f"frames must be None or a range with step 1, got {frames!r}")
-        frame_col = members[:, FRAME]
-        rows = np.flatnonzero((frame_col >= frames.start) & (frame_col < frames.stop))
-        scope_edges = members[rows, EDGE]
-        counts = np.bincount(scope_edges, minlength=len(store_edges))
-        first = np.full(len(store_edges), len(members))
-        np.minimum.at(first, scope_edges, rows)
-        scoped = np.flatnonzero(counts)
-        order = np.lexsort((first[scoped], store_edges[scoped, E_CLUSTER]))
-        picked = scoped[order]
-        counts = counts[picked]
+    frame_col = members[:, FRAME]
+    rows = np.flatnonzero((frame_col >= frames.start) & (frame_col < frames.stop))
+    scope_edges = members[rows, EDGE]
+    counts = np.bincount(scope_edges, minlength=len(store_edges))
+    first = np.full(len(store_edges), len(members))
+    np.minimum.at(first, scope_edges, rows)
+    scoped = np.flatnonzero(counts)
+    picked = scoped[np.lexsort((first[scoped], store_edges[scoped, E_CLUSTER]))]
     if not len(picked):
         return OptProblem([], np.zeros((0, 3)), [], anchor_weight, iteration_cap)
 
@@ -157,7 +149,7 @@ def build_problem(
     edges = np.empty(len(keys), dtype=EDGE_DTYPE)
     edges["cluster_id"], edges["p1_id"], edges["p2_id"], edges["sign"] = keys.T
     edges["center"] = store.centers[edges["cluster_id"]]
-    edges["weight"] = counts
+    edges["weight"] = counts[picked]
     return OptProblem(point_ids, emap.points[point_ids], edges, anchor_weight, iteration_cap)
 
 
@@ -178,17 +170,18 @@ def evaluate_objective(problem: OptProblem, positions: dict[int, np.ndarray]) ->
     return float(total)
 
 
-def solve(problem: OptProblem, record_iterates: bool = False):
+def solve(problem: OptProblem):
     """Levenberg-Marquardt minimization of the cluster objective.
 
     Returns (positions, report), positions the (n, 3) optimized coordinates
     in point_ids order. Steps are accepted only if the objective decreases;
-    damping is raised on rejection. With record_iterates=True the report
-    carries a position snapshot for every accepted iterate.
+    damping is raised on rejection. The loop is deterministic and the
+    iteration cap ends it right after the cap-th accepted step, so solving
+    the same problem with iteration_cap=k returns its iterate k.
     """
     n = problem.n_points
     lam = problem.anchor_weight
-    report = OptReport(0.0, 0.0, 0, [], iterate_positions=[] if record_iterates else None)
+    report = OptReport(0.0, 0.0, 0, [])
     edges = np.asarray(problem.edges)  # plain ndarray: field reads skip recarray's Python hooks
     if not len(edges):  # n > 0 whenever there are edges: every endpoint is a point id
         return problem.initial.copy(), report
@@ -236,8 +229,6 @@ def solve(problem: OptProblem, record_iterates: bool = False):
     f, r = objective(x)
     report.initial_objective = f
     report.objective_trace.append(f)
-    if record_iterates:
-        report.iterate_positions.append(x.copy())
 
     # Exact early exit. The normal matrix L + (lam + mu) I, L a Laplacian of
     # non-negative weights, has every row exceed its off-diagonal sum by
@@ -278,8 +269,6 @@ def solve(problem: OptProblem, record_iterates: bool = False):
             accepted += 1
             mu *= 0.5
             report.objective_trace.append(f)
-            if record_iterates:
-                report.iterate_positions.append(x.copy())
             if float(np.abs(delta).max()) < 1e-14:
                 break
             g = None

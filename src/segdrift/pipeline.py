@@ -24,6 +24,8 @@ from .worldgen import World
 
 MODES = ("baseline", "seg", "segglobal")
 MOVED_TOLERANCE = 1e-9
+MIN_MOVED = 3  # moved points a keyframe's fit group needs for a fit
+NEIGHBORHOOD = 15  # frames between a keyframe and its group's first sightings
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,6 @@ def propagate_to_poses(
     rotations: np.ndarray,
     translations: np.ndarray,
     keyframes: list[int],
-    min_moved: int = 3,
-    neighborhood: int = 15,
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Apply per-keyframe similarity corrections derived from map movement.
 
@@ -71,8 +71,8 @@ def propagate_to_poses(
     `rotations` (frames, 4) and `translations` (frames, 3) the poses to
     correct; returns the corrected rotations and translations and a log.
 
-    For each keyframe, the points first observed within `neighborhood`
-    frames of it form its fit group; if at least `min_moved` of them moved,
+    For each keyframe, the points first observed within NEIGHBORHOOD (15)
+    frames of it form its fit group; if at least MIN_MOVED (3) of them moved,
     the group gets a closed-form similarity fit applied to the keyframe
     pose, otherwise the keyframe carries an identity correction (logged).
     Keyframes with identity corrections carry no information of their own:
@@ -85,11 +85,11 @@ def propagate_to_poses(
 
     corrections: dict[int, Sim3] = {}
     for kf in sorted(keyframes):
-        group = np.flatnonzero(np.abs(first_seen - kf) <= neighborhood)
+        group = np.flatnonzero(np.abs(first_seen - kf) <= NEIGHBORHOOD)
         n_moved = int(np.count_nonzero(moved[group]))
         if n_moved == 0:
             continue
-        if n_moved < min_moved:
+        if n_moved < MIN_MOVED:
             plog.append(
                 f"keyframe {kf}: only {n_moved} moved points, identity correction"
             )
@@ -175,7 +175,7 @@ def run(
     # the previous one instead of compounding round-to-round fit noise.
     raw_points = emap.points.copy()
 
-    def solve_round(frames_in_scope: range | None) -> None:
+    def solve_round(frames_in_scope: range) -> None:
         problem = build_problem(
             store,
             emap,
@@ -194,8 +194,7 @@ def run(
         store.recompute_centers(emap, problem.point_ids[changed])
 
     def assign_frames(first: int, end: int) -> int:
-        batch = range(bounds[first], bounds[end])
-        return len(store.assign_batch(batch, emap))
+        return len(store.assign_batch(np.arange(bounds[first], bounds[end]), emap))
 
     # Points move only in solve rounds, and a batch assigns exactly as its
     # observations one at a time would, so each solve interval is one batch.
@@ -205,7 +204,7 @@ def run(
         done = frame + 1
         solve_round(range(max(0, frame - interval * schedule.local_window), frame + 1))
         if schedule.mode == "segglobal":
-            solve_round(None)
+            solve_round(range(frame + 1))  # every member assigned so far
     if done < n_frames:  # a one-frame world has no solve round
         discarded += assign_frames(done, n_frames)
 

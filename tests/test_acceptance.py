@@ -23,7 +23,7 @@ from segdrift.pipeline import ScheduleConfig, run
 from segdrift.worldgen import WorldSpec, generate_corridor
 
 from test_clustering import batch_center, map_from_vectors
-from test_clusteropt import by_id, edge_residuals, random_problem
+from test_clusteropt import by_id, edge_residuals, iterates, random_problem
 
 
 def test_criterion_1_external_trajectory_ingestion(tmp_path):
@@ -103,8 +103,7 @@ def test_criterion_4_objective_oracle_equivalence():
         rng = np.random.default_rng(seed)
         problem = random_problem(rng, max_edges=30,
                                  anchor_weight=float(rng.choice([0.0, 1e-3])))
-        _, report = solve(problem, record_iterates=True)
-        for pos, f in zip(report.iterate_positions, report.objective_trace):
+        for pos, f in iterates(problem):
             assert abs(evaluate_objective(problem, by_id(problem, pos)) - f) < 1e-12
 
 

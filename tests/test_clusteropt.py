@@ -2,6 +2,7 @@
 
 import re
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ def by_id(problem, positions):
     return dict(zip(problem.point_ids.tolist(), positions))
 
 
+def iterates(problem):
+    """(positions, reported objective) at the start and at every accepted
+    iterate k of solve(problem); iterate k is read as the solve capped at k
+    iterations, which TestSolve::test_capped_solve_is_a_prefix checks."""
+    _, report = solve(problem)
+    yield problem.initial, report.objective_trace[0]
+    for k in range(1, report.iterations + 1):
+        positions, _ = solve(replace(problem, iteration_cap=k))
+        yield positions, report.objective_trace[k]
+
+
 def edge_residuals(edges, positions):
     """Each edge's residual at positions keyed by point id, one edge at a time."""
     return [residual(e.center, e.sign, positions[e.p1_id], positions[e.p2_id]) for e in edges]
@@ -67,7 +79,7 @@ class TestObjective:
         store = ClusterStore()
         store.assign_batch(range(2), emap)
         assert len(store) == 1
-        problem = build_problem(store, emap, anchor_weight=0.0)
+        problem = build_problem(store, emap, range(1), anchor_weight=0.0)
         f0 = evaluate_objective(problem, dict(enumerate(emap.points)))
         assert f0 == pytest.approx(8e-6, rel=1e-9)
 
@@ -75,7 +87,7 @@ class TestObjective:
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
         store = ClusterStore()
         store.assign_batch(range(2), emap)
-        problem = build_problem(store, emap, anchor_weight=0.0)
+        problem = build_problem(store, emap, range(1), anchor_weight=0.0)
         assert evaluate_objective(problem, dict(enumerate(emap.points))) == 0.0
 
     def test_missing_position_raises(self):
@@ -156,9 +168,7 @@ class TestSolverOracle:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             problem = random_problem(rng, anchor_weight=float(rng.choice([0.0, 1e-3, 1e-1])))
-            _, report = solve(problem, record_iterates=True)
-            assert len(report.iterate_positions) == len(report.objective_trace)
-            for pos, f in zip(report.iterate_positions, report.objective_trace):
+            for pos, f in iterates(problem):
                 assert abs(evaluate_objective(problem, by_id(problem, pos)) - f) < 1e-12
 
     def test_accepted_iterations_never_increase_objective(self):
@@ -271,7 +281,7 @@ class TestSolve:
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
         store = ClusterStore()
         store.assign_batch(range(2), emap)
-        problem = build_problem(store, emap, anchor_weight=0.0)
+        problem = build_problem(store, emap, range(1), anchor_weight=0.0)
         positions, report = solve(problem)
         assert report.final_objective == 0.0
         assert report.iterations <= 1
@@ -314,12 +324,29 @@ class TestSolve:
         emap.observations[:, OBS_FRAME] = np.arange(3)
         store = ClusterStore()
         store.assign_batch(range(3), emap)
-        full = build_problem(store, emap)
+        full = build_problem(store, emap, frames=range(3))
         scoped = build_problem(store, emap, frames=range(2))
         assert len(full.edges) == 3
         assert len(scoped.edges) == 2
         in_scope = emap.observations[:2, [OBS_P1, OBS_P2]]
         assert {(e.p1_id, e.p2_id) for e in scoped.edges} == set(map(tuple, in_scope.tolist()))
+
+    @pytest.mark.parametrize("anchor_weight", [0.0, 1e-3])
+    def test_capped_solve_is_a_prefix(self, anchor_weight):
+        # Capped at k, the solve stops right after the uncapped run's k-th
+        # accepted step: its objective and trace are iterate k's, bit for
+        # bit, and at the last iterate so are its positions.
+        for seed in range(30):
+            problem = random_problem(np.random.default_rng(seed), anchor_weight=anchor_weight)
+            positions, report = solve(problem)
+            trace = report.objective_trace
+            for k in range(1, report.iterations + 1):
+                capped_positions, capped = solve(replace(problem, iteration_cap=k))
+                assert capped.iterations == k
+                assert capped.final_objective == trace[k]
+                assert capped.objective_trace == trace[: k + 1]
+                if k == report.iterations:
+                    assert capped_positions.tobytes() == positions.tobytes()
 
     def test_report_to_json(self):
         problem = random_problem(np.random.default_rng(9), anchor_weight=1e-3)
@@ -352,7 +379,8 @@ def reobserved_maps(draw):
     ))
     observations = [(2 * i + flip, 2 * i + 1 - flip, frame, i) for i, flip, frame in seen]
     emap = array_map(points, np.zeros(len(points)), observations, 5)
-    frames = draw(st.none() | st.builds(range, st.integers(-2, 5), st.integers(-1, 7)))
+    # the whole store, or any window
+    frames = draw(st.just(range(5)) | st.builds(range, st.integers(-2, 5), st.integers(-1, 7)))
     anchor_weight = draw(st.sampled_from([0.0, 1e-3, 1e-1]))
     return emap, frames, anchor_weight
 
@@ -364,7 +392,7 @@ def expanded_problem(store, emap, weighted, frames):
     edges = [
         (cid, p1, p2, sign, store.centers[cid], 1.0)
         for _, frame, cid, p1, p2, sign in by_cluster.tolist()
-        if frames is None or frame in frames
+        if frame in frames
     ]
     return OptProblem(weighted.point_ids, weighted.initial, edges, weighted.anchor_weight)
 
@@ -372,7 +400,7 @@ def expanded_problem(store, emap, weighted, frames):
 ClusterEdge = namedtuple("ClusterEdge", EDGE_DTYPE.names)
 
 
-def reference_build_problem(store, emap, frames=None):
+def reference_build_problem(store, emap, frames):
     """build_problem as one ClusterEdge object per weighted unique edge.
 
     Returns (point_ids, initial, edges) with point_ids a list of ints and
@@ -380,8 +408,7 @@ def reference_build_problem(store, emap, frames=None):
     arrays.
     """
     table = expanded_table(store)
-    if frames is not None:
-        table = table[np.isin(table[:, FRAME], np.fromiter(frames, dtype=np.int64))]
+    table = table[np.isin(table[:, FRAME], np.fromiter(frames, dtype=np.int64))]
     if not len(table):
         return [], np.zeros((0, 3)), []
 
@@ -480,16 +507,17 @@ class TestWeightedUniqueEdges:
         assert scoped.point_ids.tolist() == [0, 1]
         late = build_problem(store, emap, frames=range(2, 3))
         assert late.edges["weight"].tolist() == [1.0]
-        full = build_problem(store, emap)
+        full = build_problem(store, emap, frames=range(3))
         assert full.edges["weight"].tolist() == [3.0]
         assert len(build_problem(store, emap, frames=range(5, 6)).edges) == 0
 
-    @pytest.mark.parametrize("frames", [{0, 1}, [0, 1], range(0, 3, 2), range(2, 0, -1)])
+    @pytest.mark.parametrize("frames", [None, {0, 1}, [0, 1], range(0, 3, 2), range(2, 0, -1)])
     def test_scope_other_than_a_window_rejected(self, frames):
         emap = array_map([(0.0, 0.0, 0.0), (0.0, 0.0, 2.0)], [0, 0], [(0, 1, 0, 0)], 1)
         store = ClusterStore()
         store.assign_batch(range(1), emap)
-        with pytest.raises(ValueError, match="range with step 1"):
+        message = f"frames must be a range with step 1, got {frames!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             build_problem(store, emap, frames=frames)
 
 
@@ -531,13 +559,13 @@ class TestStoreEdgeTable:
         assert_edge_table_consistent(store)
 
 
-def reference_solve(problem, record_iterates=False):
+def reference_solve(problem):
     """solve as one np.add.at Laplacian and gradient, an np.eye damping term
     and a gradient recomputed on every iteration; solve must match it bit
     for bit."""
     n = problem.n_points
     lam = problem.anchor_weight
-    report = OptReport(0.0, 0.0, 0, [], iterate_positions=[] if record_iterates else None)
+    report = OptReport(0.0, 0.0, 0, [])
     edges = np.asarray(problem.edges)
     if not len(edges):
         return problem.initial.copy(), report
@@ -573,8 +601,6 @@ def reference_solve(problem, record_iterates=False):
     f = objective(x)
     report.initial_objective = f
     report.objective_trace.append(f)
-    if record_iterates:
-        report.iterate_positions.append(x.copy())
     mu = INITIAL_DAMPING
     accepted = rejects = 0
     while accepted < problem.iteration_cap:
@@ -591,8 +617,6 @@ def reference_solve(problem, record_iterates=False):
             accepted += 1
             mu *= 0.5
             report.objective_trace.append(f)
-            if record_iterates:
-                report.iterate_positions.append(x.copy())
             if float(np.abs(delta).max()) < 1e-14:
                 break
         else:
@@ -648,16 +672,13 @@ def dense_solve_counter(monkeypatch):
     return calls
 
 
-def assert_same_solve(result, reference, record_iterates=False):
+def assert_same_solve(result, reference):
     (positions, report), (ref_positions, ref_report) = result, reference
     assert positions.tobytes() == ref_positions.tobytes()
     assert (np.array(report.objective_trace).tobytes()
             == np.array(ref_report.objective_trace).tobytes())
     assert report.diagnostics == ref_report.diagnostics
     assert report.iterations == ref_report.iterations
-    if record_iterates:
-        assert (np.array(report.iterate_positions).tobytes()
-                == np.array(ref_report.iterate_positions).tobytes())
 
 
 @st.composite
@@ -682,20 +703,22 @@ def optimum_problem(anchor_weight=1e-3):
 
 class TestSolveMatchesReference:
     @settings(max_examples=150)
-    @given(lm_problems(), st.booleans())
-    @example(optimum_problem(), False)
+    @given(lm_problems())
+    @example(optimum_problem())
     # spacing(0) / 4 underflows to 0: the early exit must not fire
-    @example(at_optimum(with_zero_coordinate(random_problem(np.random.default_rng(3)))), False)
+    @example(at_optimum(with_zero_coordinate(random_problem(np.random.default_rng(3)))))
     # a step down from a power of two rounds to a neighbor half as far away
-    @example(at_optimum(at_powers_of_two(random_problem(np.random.default_rng(3)))), False)
-    @example(at_powers_of_two(random_problem(np.random.default_rng(4), anchor_weight=1e-3)), True)
-    @example(optimum_problem(anchor_weight=0.0), False)
-    @example(random_problem(np.random.default_rng(5), anchor_weight=0.0), True)
-    def test_same_bits_as_reference_lm_loop(self, problem, record_iterates):
-        assert_same_solve(
-            solve(problem, record_iterates), reference_solve(problem, record_iterates),
-            record_iterates,
-        )
+    @example(at_optimum(at_powers_of_two(random_problem(np.random.default_rng(3)))))
+    @example(at_powers_of_two(random_problem(np.random.default_rng(4), anchor_weight=1e-3)))
+    @example(optimum_problem(anchor_weight=0.0))
+    @example(random_problem(np.random.default_rng(5), anchor_weight=0.0))
+    def test_same_bits_as_reference_lm_loop(self, problem):
+        # the uncapped solves, then both capped at every earlier iterate
+        result = solve(problem)
+        assert_same_solve(result, reference_solve(problem))
+        for k in range(1, result[1].iterations):
+            capped = replace(problem, iteration_cap=k)
+            assert_same_solve(solve(capped), reference_solve(capped))
 
     def test_problem_at_its_optimum_reaches_the_damping_limit(self, monkeypatch):
         problem = optimum_problem()

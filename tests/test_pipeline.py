@@ -20,7 +20,9 @@ from segdrift.geometry import (
     umeyama_alignment,
 )
 from segdrift.metrics import ate
-from segdrift.pipeline import MOVED_TOLERANCE, ScheduleConfig, propagate_to_poses, run
+from segdrift.pipeline import (
+    MIN_MOVED, MOVED_TOLERANCE, NEIGHBORHOOD, ScheduleConfig, propagate_to_poses, run,
+)
 from segdrift.worldgen import WorldSpec, generate_corridor
 
 
@@ -261,8 +263,6 @@ def reference_propagate(
     first_seen: dict[int, int],
     poses: list[Sim3],
     keyframes: list[int],
-    min_moved: int = 3,
-    neighborhood: int = 15,
 ) -> tuple[list[Sim3], list[str]]:
     """The dict-and-pose loop that `propagate_to_poses` computes as arrays."""
     plog: list[str] = []
@@ -279,11 +279,11 @@ def reference_propagate(
 
     corrections: dict[int, Sim3] = {}
     for kf in kf_sorted:
-        pids = [pid for pid in shared if abs(first_seen[pid] - kf) <= neighborhood]
+        pids = [pid for pid in shared if abs(first_seen[pid] - kf) <= NEIGHBORHOOD]
         n_moved = sum(1 for p in pids if p in moved_set)
         if n_moved == 0:
             continue
-        if n_moved < min_moved:
+        if n_moved < MIN_MOVED:
             plog.append(
                 f"keyframe {kf}: only {n_moved} moved points, identity correction"
             )
@@ -375,32 +375,29 @@ def propagation_params(draw):
         draw(st.sampled_from(MOTIONS)),
         draw(st.sampled_from([0.0, 0.05, 0.3, 1.0, 1.0])),
         draw(st.lists(st.integers(-20, n_frames + 20), max_size=8)),
-        draw(st.integers(1, 4)),
-        draw(st.integers(0, 30)),
     )
 
 
 class TestPropagationEqualsReference:
     @settings(max_examples=200)
     @given(propagation_params())
-    # no moved point; fewer than min_moved; degenerate groups, also groups
-    # under 3 points with min_moved 1; pure rotation, scale and a twist
-    # interpolated across keyframes; keyframes outside the frame range
-    @example((1, 30, 40, "none", 1.0, [0, 10, 20, 30], 3, 15))
-    @example((2, 30, 40, "scale", 0.05, [0, 10, 20, 30], 3, 15))
-    @example((3, 30, 40, "coincident", 1.0, [0, 10, 20, 30], 3, 15))
-    @example((4, 6, 40, "scale", 1.0, [0, 10, 20, 30], 1, 2))
-    @example((5, 40, 60, "rotation", 1.0, [0, 15, 30, 45, 59], 3, 15))
-    @example((6, 40, 60, "scale", 1.0, [0, 15, 30, 45, 59], 3, 15))
-    @example((7, 40, 60, "twist", 1.0, [0, 10, 20, 30, 40, 50, 59], 3, 10))
-    @example((8, 40, 30, "similarity", 1.0, [-20, 5, 40, 45], 3, 20))
+    # no moved point; fewer than MIN_MOVED; degenerate groups; pure
+    # rotation, scale and a twist interpolated across keyframes; keyframes
+    # outside the frame range
+    @example((1, 30, 40, "none", 1.0, [0, 10, 20, 30]))
+    @example((2, 30, 40, "scale", 0.05, [0, 10, 20, 30]))
+    @example((3, 30, 40, "coincident", 1.0, [0, 10, 20, 30]))
+    @example((5, 40, 60, "rotation", 1.0, [0, 15, 30, 45, 59]))
+    @example((6, 40, 60, "scale", 1.0, [0, 15, 30, 45, 59]))
+    @example((7, 40, 60, "twist", 1.0, [0, 10, 20, 30, 40, 50, 59]))
+    @example((8, 40, 30, "similarity", 1.0, [-20, 5, 40, 45]))
     def test_arrays_equal_dict_loop(self, params):
-        seed, n_points, n_frames, motion, share, keyframes, min_moved, neighborhood = params
+        seed, n_points, n_frames, motion, share, keyframes = params
         pre, post, first_seen, poses = propagation_case(seed, n_points, n_frames, motion, share)
         rotations = np.array([p.rotation for p in poses])
         translations = np.array([p.translation for p in poses])
         rot, trans, plog = propagate_to_poses(
-            pre, post, first_seen, rotations, translations, keyframes, min_moved, neighborhood
+            pre, post, first_seen, rotations, translations, keyframes
         )
         ref_poses, ref_log = reference_propagate(
             dict(enumerate(pre)),
@@ -408,8 +405,6 @@ class TestPropagationEqualsReference:
             dict(enumerate(first_seen.tolist())),
             poses,
             keyframes,
-            min_moved,
-            neighborhood,
         )
         assert plog == ref_log
         assert rot.tobytes() == np.array([p.rotation for p in ref_poses]).tobytes()
@@ -426,7 +421,7 @@ class TestPropagation:
         self.translations = rng.uniform(-5, 5, size=(self.n_points, 3))
         self.keyframes = [0, 10, 20, 29]
 
-    def propagate(self, post, keyframes=None, **kw):
+    def propagate(self, post, keyframes=None):
         return propagate_to_poses(
             self.pre,
             post,
@@ -434,7 +429,6 @@ class TestPropagation:
             self.rotations,
             self.translations,
             self.keyframes if keyframes is None else keyframes,
-            **kw,
         )
 
     def test_unmoved_map_gives_identity(self):
@@ -455,7 +449,7 @@ class TestPropagation:
     def test_two_moved_points_logged_identity(self):
         post = self.pre.copy()
         post[:2] += 1.0
-        _, trans, plog = self.propagate(post, keyframes=[0], neighborhood=5)
+        _, trans, plog = self.propagate(post, keyframes=[0])
         assert any("only 2 moved points, identity correction" in e for e in plog)
         assert np.array_equal(trans, self.translations)
 
