@@ -105,13 +105,7 @@ class OptReport:
         }
 
 
-def build_problem(
-    store: ClusterStore,
-    emap: EstimatedMap,
-    frames: range,
-    anchor_weight: float = DEFAULT_ANCHOR_WEIGHT,
-    iteration_cap: int = DEFAULT_ITERATION_CAP,
-) -> OptProblem:
+def build_problem(store: ClusterStore, emap: EstimatedMap, frames: range) -> OptProblem:
     """Build the optimization problem over the cluster members in a window.
 
     The window range(lo, hi) takes the members observed in frames lo to
@@ -138,11 +132,7 @@ def build_problem(
     np.minimum.at(first, scope_edges, rows)
     scoped = np.flatnonzero(counts)
     picked = scoped[np.lexsort((first[scoped], store_edges[scoped, E_CLUSTER]))]
-    if not len(picked):
-        return OptProblem([], np.zeros((0, 3)), [], anchor_weight, iteration_cap)
-
     keys = store_edges[picked]
-
     ends = keys[:, [E_P1, E_P2]].ravel()
     _, first_end = np.unique(ends, return_index=True)
     point_ids = ends[np.sort(first_end)]
@@ -150,7 +140,7 @@ def build_problem(
     edges["cluster_id"], edges["p1_id"], edges["p2_id"], edges["sign"] = keys.T
     edges["center"] = store.centers[edges["cluster_id"]]
     edges["weight"] = counts[picked]
-    return OptProblem(point_ids, emap.points[point_ids], edges, anchor_weight, iteration_cap)
+    return OptProblem(point_ids, emap.points[point_ids], edges)
 
 
 def evaluate_objective(problem: OptProblem, positions: dict[int, np.ndarray]) -> float:

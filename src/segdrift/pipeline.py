@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterStore, DEFAULT_REL_THRESHOLD
-from .clusteropt import DEFAULT_ANCHOR_WEIGHT, DEFAULT_ITERATION_CAP, OptReport, build_problem, solve
+from .clusteropt import OptReport, build_problem, solve
 from .frontend import OBS_FRAME, DriftConfig, EstimatedMap, ObservationConfig, simulate
 from .geometry import (
     Sim3, Trajectory, check_int, check_real, quat_multiply, quat_normalize, quat_rotate,
@@ -26,23 +26,19 @@ MODES = ("baseline", "seg", "segglobal")
 MOVED_TOLERANCE = 1e-9
 MIN_MOVED = 3  # moved points a keyframe's fit group needs for a fit
 NEIGHBORHOOD = 15  # frames between a keyframe and its group's first sightings
+LOCAL_WINDOW = 5  # keyframe intervals a local solve round reaches back
 
 
 @dataclass(frozen=True)
 class ScheduleConfig:
     mode: str = "baseline"
     keyframe_interval: int = 10  # frames
-    local_window: int = 5  # keyframes
-    iteration_cap: int = DEFAULT_ITERATION_CAP
-    anchor_weight: float = DEFAULT_ANCHOR_WEIGHT
     rel_threshold: float = DEFAULT_REL_THRESHOLD
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("keyframe_interval", "local_window", "iteration_cap"):
-            check_int(name, getattr(self, name), 1)
-        check_real("anchor_weight", self.anchor_weight, 0)
+        check_int("keyframe_interval", self.keyframe_interval, 1)
         check_real("rel_threshold", self.rel_threshold, 0, strict=True)
 
 
@@ -176,13 +172,7 @@ def run(
     raw_points = emap.points.copy()
 
     def solve_round(frames_in_scope: range) -> None:
-        problem = build_problem(
-            store,
-            emap,
-            frames=frames_in_scope,
-            anchor_weight=schedule.anchor_weight,
-            iteration_cap=schedule.iteration_cap,
-        )
+        problem = build_problem(store, emap, frames_in_scope)
         if not len(problem.edges):
             return
         positions, report = solve(problem)
@@ -202,7 +192,7 @@ def run(
     for frame in round_frames:
         discarded += assign_frames(done, frame + 1)
         done = frame + 1
-        solve_round(range(max(0, frame - interval * schedule.local_window), frame + 1))
+        solve_round(range(max(0, frame - interval * LOCAL_WINDOW), frame + 1))
         if schedule.mode == "segglobal":
             solve_round(range(frame + 1))  # every member assigned so far
     if done < n_frames:  # a one-frame world has no solve round

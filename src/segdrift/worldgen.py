@@ -51,6 +51,20 @@ class WorldSpec:
             raise ValueError("door_spacing must be smaller than corridor_length")
         for name in ("n_turns", "extra_unique_segments", "rng_seed"):
             check_int(name, getattr(self, name), 0)
+        if self.doors_per_leg < 1:  # no door, so no repeated archetype
+            raise ValueError(
+                f"door_spacing {self.door_spacing} must fit a door in each leg: "
+                f"corridor_length {self.corridor_length} over n_turns {self.n_turns} + 1 legs "
+                f"gives legs of {self.leg_length} m"
+            )
+
+    @property
+    def leg_length(self) -> float:
+        return self.corridor_length / (self.n_turns + 1)
+
+    @property
+    def doors_per_leg(self) -> int:
+        return int(np.floor(self.leg_length / self.door_spacing))
 
 
 @dataclass(frozen=True)
@@ -98,7 +112,7 @@ def generate_corridor(spec: WorldSpec) -> World:
     rng = np.random.default_rng(spec.rng_seed)
 
     n_legs = spec.n_turns + 1
-    leg_len = spec.corridor_length / n_legs
+    leg_len = spec.leg_length
     turn_rad = np.deg2rad(spec.turn_angle)
 
     jamb_delta = _snap(np.array([0.0, 0.0, spec.door_height]))
@@ -120,7 +134,7 @@ def generate_corridor(spec: WorldSpec) -> World:
     for leg, (origin, direction) in enumerate(zip(leg_starts, leg_dirs)):
         left = np.array([-direction[1], direction[0], 0.0])
         lintel_delta = _snap(spec.door_width * direction)
-        k = np.arange(int(np.floor(leg_len / spec.door_spacing)))
+        k = np.arange(spec.doors_per_leg)
         jamb1 = _snap(origin + (k * spec.door_spacing)[:, None] * direction + WALL_OFFSET_M * left)
         jamb2 = jamb1 + lintel_delta  # exact: both on the dyadic grid
         top1, top2 = jamb1 + jamb_delta, jamb2 + jamb_delta

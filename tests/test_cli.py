@@ -1,9 +1,11 @@
 """CLI subcommands: exit codes, outputs, determinism."""
 
+import argparse
 import csv
 import filecmp
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -66,6 +68,17 @@ class TestGenWorld:
         ])
         assert code == 1
         assert "door_spacing" in capsys.readouterr().err
+
+    def test_spec_with_doorless_legs_exits_1_names_it(self, tmp_path, capsys):
+        out = tmp_path / "world.json"
+        code = main([
+            "gen-world", "--corridor-length", "10", "--n-turns", "4", "--door-spacing", "3",
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert all(name in err for name in ("door_spacing", "n_turns", "legs of 2.0 m"))
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, fields",
@@ -290,6 +303,10 @@ class TestRun:
             ("drift", {"scale_sigmaa": 1e-3}, "scale_sigmaa"),
             ("observation", {"detect_probability": 0.9}, "detect_probability"),
             ("schedule", {"window": 5}, "window"),
+            # settings the schedule no longer holds
+            ("schedule", {"local_window": 5}, "local_window"),
+            ("schedule", {"iteration_cap": 10}, "iteration_cap"),
+            ("schedule", {"anchor_weight": 1e-3}, "anchor_weight"),
             ("world", {"length": 12}, "length"),
         ],
     )
@@ -307,7 +324,7 @@ class TestRun:
             ("drift", {"scale_sigma": float("nan")}, "scale_sigma"),
             ("observation", {"endpoint_noise_sigma": float("nan")}, "endpoint_noise_sigma"),
             ("schedule", {"rel_threshold": -1}, "rel_threshold"),
-            ("schedule", {"iteration_cap": -3}, "iteration_cap"),
+            ("schedule", {"keyframe_interval": 0}, "keyframe_interval"),
             ("world", {"door_width": float("inf")}, "door_width"),
             # an int too large for a float
             ("schedule", {"rel_threshold": 10**400}, "rel_threshold"),
@@ -325,8 +342,6 @@ class TestRun:
         "overrides, named",
         [
             ({"schedule": {"keyframe_interval": 2.5}}, "keyframe_interval"),
-            ({"schedule": {"iteration_cap": 2.5}}, "iteration_cap"),
-            ({"schedule": {"local_window": True}}, "local_window"),
             ({"world": {"corridor_length": 12, "n_turns": 1.5}}, "n_turns"),
             ({"world": {"corridor_length": 12, "extra_unique_segments": 2.5}}, "extra_unique_segments"),
             ({"world": {"corridor_length": 12, "rng_seed": 0.5}}, "rng_seed"),
@@ -353,7 +368,6 @@ class TestRun:
             ("observation", "detect_prob"),
             ("observation", "max_range"),
             ("schedule", "rel_threshold"),
-            ("schedule", "anchor_weight"),
             ("world", "door_width"),
             ("world", "turn_angle"),
         ],
@@ -368,9 +382,9 @@ class TestRun:
 
     def test_schedule_value_checked_for_every_mode(self, tmp_path, capsys):
         # A baseline-only run never solves, yet its schedule is checked too.
-        cfg = small_config(tmp_path, modes=["baseline"], schedule={"anchor_weight": -1})
+        cfg = small_config(tmp_path, modes=["baseline"], schedule={"rel_threshold": -1})
         assert main(["run", "--config", str(cfg)]) == 1
-        assert "anchor_weight" in capsys.readouterr().err
+        assert "rel_threshold" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -842,6 +856,19 @@ class TestEval:
 
 
 class TestUsage:
+    def test_readme_configs_load(self, tmp_path):
+        # Every experiment config README shows (a JSON block with seeds)
+        # passes the checks `run` makes before its first write.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        configs = [b for b in re.findall(r"```json\n(.*?)```", readme, re.S) if '"seeds"' in b]
+        assert len(configs) >= 2  # experiment.json and the criterion-2 config
+        for i, text in enumerate(configs):
+            path = tmp_path / f"config{i}.json"
+            path.write_text(text)
+            out = tmp_path / f"out{i}"
+            segdrift.cli._load_experiment(argparse.Namespace(config=str(path), out=str(out)))
+            assert not out.exists()
+
     def test_import_leaves_scipy_unloaded(self, tmp_path):
         # The runtime needs numpy only: neither the import nor the spline of
         # `eval --interpolate-gt` loads scipy.

@@ -1,5 +1,6 @@
 """Cluster-consistency least-squares optimization."""
 
+import inspect
 import re
 from collections import namedtuple
 from dataclasses import replace
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from segdrift import pipeline
 from segdrift.clustering import EDGE, EDGE_COLUMNS, MEMBER_COLUMNS, ClusterStore
 from segdrift.clusteropt import (
+    DEFAULT_ANCHOR_WEIGHT,
+    DEFAULT_ITERATION_CAP,
     EDGE_DTYPE,
     INITIAL_DAMPING,
     OptProblem,
@@ -79,7 +82,7 @@ class TestObjective:
         store = ClusterStore()
         store.assign_batch(range(2), emap)
         assert len(store) == 1
-        problem = build_problem(store, emap, range(1), anchor_weight=0.0)
+        problem = replace(build_problem(store, emap, range(1)), anchor_weight=0.0)
         f0 = evaluate_objective(problem, dict(enumerate(emap.points)))
         assert f0 == pytest.approx(8e-6, rel=1e-9)
 
@@ -87,7 +90,7 @@ class TestObjective:
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
         store = ClusterStore()
         store.assign_batch(range(2), emap)
-        problem = build_problem(store, emap, range(1), anchor_weight=0.0)
+        problem = replace(build_problem(store, emap, range(1)), anchor_weight=0.0)
         assert evaluate_objective(problem, dict(enumerate(emap.points))) == 0.0
 
     def test_missing_position_raises(self):
@@ -281,7 +284,7 @@ class TestSolve:
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
         store = ClusterStore()
         store.assign_batch(range(2), emap)
-        problem = build_problem(store, emap, range(1), anchor_weight=0.0)
+        problem = replace(build_problem(store, emap, range(1)), anchor_weight=0.0)
         positions, report = solve(problem)
         assert report.final_objective == 0.0
         assert report.iterations <= 1
@@ -330,6 +333,17 @@ class TestSolve:
         assert len(scoped.edges) == 2
         in_scope = emap.observations[:2, [OBS_P1, OBS_P2]]
         assert {(e.p1_id, e.p2_id) for e in scoped.edges} == set(map(tuple, in_scope.tolist()))
+
+    def test_build_problem_takes_the_solver_defaults(self):
+        # a window is all build_problem is told; the solve settings are OptProblem's
+        assert list(inspect.signature(build_problem).parameters) == ["store", "emap", "frames"]
+        emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
+        store = ClusterStore()
+        store.assign_batch(range(2), emap)
+        problem = build_problem(store, emap, range(2))
+        assert len(problem.edges) == 2
+        assert problem.anchor_weight == DEFAULT_ANCHOR_WEIGHT
+        assert problem.iteration_cap == DEFAULT_ITERATION_CAP
 
     @pytest.mark.parametrize("anchor_weight", [0.0, 1e-3])
     def test_capped_solve_is_a_prefix(self, anchor_weight):
@@ -451,7 +465,7 @@ class TestEdgeTable:
         emap, frames, anchor_weight = case
         store = ClusterStore()
         store.assign_batch(range(len(emap.observations)), emap)
-        problem = build_problem(store, emap, frames=frames, anchor_weight=anchor_weight)
+        problem = replace(build_problem(store, emap, frames=frames), anchor_weight=anchor_weight)
         point_ids, initial, edges = reference_build_problem(store, emap, frames)
         assert problem.edges.dtype.names == EDGE_DTYPE.names
         assert len(problem.edges) == len(edges)
@@ -469,7 +483,7 @@ class TestWeightedUniqueEdges:
         emap, frames, anchor_weight = case
         store = ClusterStore()
         store.assign_batch(range(len(emap.observations)), emap)
-        weighted = build_problem(store, emap, frames=frames, anchor_weight=anchor_weight)
+        weighted = replace(build_problem(store, emap, frames=frames), anchor_weight=anchor_weight)
         expanded = expanded_problem(store, emap, weighted, frames)
         assert weighted.edges.weight.sum() == len(expanded.edges)
         assert len({(e.cluster_id, e.p1_id, e.p2_id, e.sign) for e in weighted.edges}) == len(
@@ -692,7 +706,7 @@ def lm_problems(draw):
         emap, frames, anchor_weight = draw(reobserved_maps())
         store = ClusterStore()
         store.assign_batch(range(len(emap.observations)), emap)
-        problem = build_problem(store, emap, frames=frames, anchor_weight=anchor_weight)
+        problem = replace(build_problem(store, emap, frames=frames), anchor_weight=anchor_weight)
     problem.iteration_cap = draw(st.integers(1, 12))
     return at_optimum(problem) if draw(st.booleans()) else problem
 

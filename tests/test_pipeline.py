@@ -1,6 +1,7 @@
 """End-to-end pipeline: scheduling, optimization rounds, pose propagation."""
 
 import copy
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from segdrift import clustering, pipeline
 from segdrift.clustering import ClusterStore
-from segdrift.clusteropt import build_problem
+from segdrift.clusteropt import DEFAULT_ANCHOR_WEIGHT, DEFAULT_ITERATION_CAP, build_problem
 from segdrift.frontend import OBS_FRAME, DriftConfig, ObservationConfig
 from segdrift.geometry import (
     Sim3,
@@ -21,7 +22,8 @@ from segdrift.geometry import (
 )
 from segdrift.metrics import ate
 from segdrift.pipeline import (
-    MIN_MOVED, MOVED_TOLERANCE, NEIGHBORHOOD, ScheduleConfig, propagate_to_poses, run,
+    LOCAL_WINDOW, MIN_MOVED, MOVED_TOLERANCE, NEIGHBORHOOD, ScheduleConfig, propagate_to_poses,
+    run,
 )
 from segdrift.worldgen import WorldSpec, generate_corridor
 
@@ -45,10 +47,7 @@ class TestScheduleConfig:
         "name, bad",
         [
             ("keyframe_interval", [float("nan"), float("inf"), 2.5, 10.0, True]),
-            ("local_window", [0, float("nan"), 1.5, True]),
-            ("iteration_cap", [-3, 0, float("nan"), float("inf"), 2.5, "10"]),
             ("rel_threshold", [-1.0, 0.0, float("nan"), float("inf"), "0.005", None, True, 10**400]),
-            ("anchor_weight", [-1e-3, float("nan"), float("inf"), "1e-3", None, True, -(10**400)]),
         ],
     )
     def test_non_finite_or_out_of_range_field_rejected(self, name, bad):
@@ -56,9 +55,12 @@ class TestScheduleConfig:
             with pytest.raises(ValueError, match=name):
                 ScheduleConfig(**{name: value})
 
-    def test_defaults_and_zero_anchor_accepted(self):
+    def test_defaults_accepted(self):
         ScheduleConfig()
-        ScheduleConfig(anchor_weight=0.0, iteration_cap=1)
+
+    def test_holds_only_what_a_mode_reads(self):
+        # the local window is LOCAL_WINDOW and the solve settings OptProblem's
+        assert [f.name for f in fields(ScheduleConfig)] == ["mode", "keyframe_interval", "rel_threshold"]
 
     @pytest.mark.parametrize("mode", ["baseline", "seg"])
     def test_store_holds_the_schedule_gate(self, mode):
@@ -233,6 +235,32 @@ class TestChangedPointsRecompute:
 
 
 class TestRounds:
+    @pytest.mark.parametrize("mode", ["seg", "segglobal"])
+    @pytest.mark.parametrize("interval", [7, 10])
+    def test_local_round_reaches_back_local_window_intervals(self, monkeypatch, mode, interval):
+        windows, solver = [], set()
+
+        def built(store, emap, frames):
+            problem = build_problem(store, emap, frames)
+            windows.append(frames)
+            solver.add((problem.anchor_weight, problem.iteration_cap))
+            return problem
+
+        monkeypatch.setattr(pipeline, "build_problem", built)
+        w = make_world()
+        run(w, DriftConfig(scale_sigma=1e-3, rng_seed=0), ObservationConfig(rng_seed=0),
+            ScheduleConfig(mode=mode, keyframe_interval=interval))
+        ends = list(range(interval, w.n_frames, interval))
+        if ends[-1] != w.n_frames - 1:
+            ends.append(w.n_frames - 1)
+        expected = []
+        for end in ends:
+            expected.append(range(max(0, end - interval * LOCAL_WINDOW), end + 1))
+            if mode == "segglobal":
+                expected.append(range(end + 1))
+        assert windows == expected
+        assert solver == {(DEFAULT_ANCHOR_WEIGHT, DEFAULT_ITERATION_CAP)}
+
     def test_rounds_never_worsen_objective(self):
         w = make_world()
         r = run(w, DriftConfig(scale_sigma=1e-3, rng_seed=5),

@@ -2,8 +2,10 @@
 
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
+from segdrift.clusteropt import OptProblem
 from segdrift.frontend import DriftConfig, ObservationConfig
 from segdrift.metrics import MetricsConfig
 from segdrift.pipeline import ScheduleConfig
@@ -28,3 +30,15 @@ def test_bad_value_named_at_construction_and_replace(cls, name, bad):
     with pytest.raises(ValueError, match=message):
         replace(cls(), **{name: bad})
 
+
+
+# The local solve's settings live on OptProblem alone; an empty problem
+# carries them as any other does.
+@pytest.mark.parametrize("name", ["anchor_weight", "iteration_cap"])
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=repr)
+def test_bad_solver_setting_named_at_construction_and_replace(name, bad):
+    message = f"^{name} must be"
+    with pytest.raises(ValueError, match=message):
+        OptProblem([], np.zeros((0, 3)), [], **{name: bad})
+    with pytest.raises(ValueError, match=message):
+        replace(OptProblem([], np.zeros((0, 3)), []), **{name: bad})

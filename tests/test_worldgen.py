@@ -37,6 +37,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             WorldSpec(corridor_length=2, door_spacing=5)
 
+    def test_spacing_must_fit_a_door_in_each_leg(self):
+        # 2 m legs hold no door 3 m apart, so no archetype would repeat
+        with pytest.raises(ValueError, match=r"door_spacing 3 .* n_turns 4 .* legs of 2\.0 m"):
+            WorldSpec(corridor_length=10, n_turns=4, door_spacing=3)
+        # a leg exactly one spacing long holds one door
+        assert WorldSpec(corridor_length=6, n_turns=2, door_spacing=2).doors_per_leg == 1
+
+    @pytest.mark.parametrize(
+        "length, turns, spacing", [(6, 2, 2), (10, 4, 2), (20, 0, 2), (20, 1, 3)]
+    )
+    def test_generator_places_doors_per_leg_in_each_leg(self, length, turns, spacing):
+        # the spec's check and the generator read the same door count
+        s = WorldSpec(corridor_length=length, n_turns=turns, door_spacing=spacing)
+        w = generate_corridor(s)
+        assert np.count_nonzero(w.archetypes == 0) == 2 * s.doors_per_leg * (turns + 1)
+        for leg in range(turns + 1):
+            assert np.count_nonzero(w.archetypes == 1 + leg) == s.doors_per_leg
+
     def test_positive_lengths(self):
         with pytest.raises(ValueError):
             WorldSpec(corridor_length=-1, door_spacing=2)
