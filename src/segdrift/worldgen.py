@@ -9,6 +9,7 @@ Generation is a pure function of the WorldSpec: same seed, same world.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +52,21 @@ class WorldSpec:
             raise ValueError("door_spacing must be smaller than corridor_length")
         for name in ("n_turns", "extra_unique_segments", "rng_seed"):
             check_int(name, getattr(self, name), 0)
+        try:
+            float(int(self.n_turns) + 1)
+        except OverflowError:
+            raise ValueError("n_turns is too large: its n_turns + 1 legs do not fit a float") from None
+        # Every snapped coordinate and count must be finite. corridor_length
+        # bounds each coordinate along the walk, and so each leg's frame count.
+        for name in ("corridor_length", "door_height", "door_width"):
+            value = getattr(self, name)
+            if not math.isfinite(float(value) / COORD_QUANTUM):
+                raise ValueError(f"{name} {value!r} is too large to snap to a {COORD_QUANTUM} m grid")
+        leg = float(self.leg_length)
+        if not math.isfinite(leg / float(self.door_spacing)):
+            raise ValueError(
+                f"door_spacing {self.door_spacing!r} is too small to count doors in legs of {leg} m"
+            )
         if self.doors_per_leg < 1:  # no door, so no repeated archetype
             raise ValueError(
                 f"door_spacing {self.door_spacing} must fit a door in each leg: "
@@ -60,7 +76,7 @@ class WorldSpec:
 
     @property
     def leg_length(self) -> float:
-        return self.corridor_length / (self.n_turns + 1)
+        return self.corridor_length / (int(self.n_turns) + 1)  # int: a numpy integer could wrap
 
     @property
     def doors_per_leg(self) -> int:

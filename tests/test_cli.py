@@ -9,6 +9,7 @@ import re
 import statistics
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import segdrift.cli
 from segdrift.cli import AGGREGATE_HEADER, main
 from segdrift.metrics import Trajectory, write_tum
 from segdrift.worldgen import WorldSpec, generate_corridor, world_from_file, world_to_file
+from test_worldgen import OVERFLOWING_SPECS
 
 
 def small_config(tmp_path, **overrides):
@@ -33,6 +35,15 @@ def small_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def main_without_warnings(argv) -> int:
+    """`main(argv)`'s exit code, asserting it raised no RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code
 
 
 def turning_trajectory(n=121):
@@ -78,6 +89,16 @@ class TestGenWorld:
         assert code == 1
         err = capsys.readouterr().err
         assert all(name in err for name in ("door_spacing", "n_turns", "legs of 2.0 m"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields, named", OVERFLOWING_SPECS)
+    def test_overflowing_spec_exits_1_before_any_output(self, tmp_path, capsys, fields, named):
+        out = tmp_path / "world.json"
+        flags = [x for k, v in fields.items() for x in ("--" + k.replace("_", "-"), str(v))]
+        assert main_without_warnings(["gen-world", *flags, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {named} " in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -336,6 +357,15 @@ class TestRun:
         cfg = small_config(tmp_path, **{section: fields})
         assert main(["run", "--config", str(cfg)]) == 1
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fields, named", OVERFLOWING_SPECS)
+    def test_overflowing_world_exits_1_before_any_output(self, tmp_path, capsys, fields, named):
+        cfg = small_config(tmp_path, world=fields)
+        assert main_without_warnings(["run", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {named} " in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -892,6 +922,20 @@ class TestUsage:
         assert lines[0] == "[]"
         assert "ate_rmse" in out.stdout
         assert lines[-1] == "[]"
+
+    def test_package_root_re_exports_nothing(self):
+        # Each name is imported from the module that owns it: loading one
+        # module loads only that module's imports, and the root has no `run`.
+        code = (
+            "import sys, segdrift.geometry\n"
+            "print('segdrift.pipeline' in sys.modules, hasattr(sys.modules['segdrift'], 'run'))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.split() == ["False", "False"]
 
     def test_commands_run_with_scipy_unimportable(self, tmp_path):
         # `sys.modules["scipy"] = None` makes every scipy import fail, so

@@ -1,7 +1,10 @@
 """Synthetic corridor world generation."""
 
 import json
+import math
 import re
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from segdrift import worldgen
 from segdrift.geometry import Trajectory, quat_rotate
 from segdrift.worldgen import (
+    COORD_QUANTUM,
     FRAME_RATE_HZ,
     World,
     WorldSpec,
@@ -32,7 +36,39 @@ def vectors(w):
     return w.endpoints[:, 1] - w.endpoints[:, 0]
 
 
+# Specs whose generation would overflow a float, each with the field it
+# names: a leg count, frame count or door count that is not finite, or a
+# coordinate that snaps to inf.
+OVERFLOWING_SPECS = [
+    ({"corridor_length": 40.0, "n_turns": 10**400}, "n_turns"),
+    ({"corridor_length": 40, "n_turns": 10**400}, "n_turns"),
+    ({"corridor_length": 1e308, "door_spacing": 1e307}, "corridor_length"),
+    ({"corridor_length": 1e303, "door_spacing": 1e302}, "corridor_length"),
+    ({"door_spacing": 1e-320}, "door_spacing"),
+    ({"door_height": 1e308}, "door_height"),
+    ({"door_width": 1e308}, "door_width"),
+]
+
+
 class TestSpecValidation:
+    @pytest.mark.parametrize("fields, named", OVERFLOWING_SPECS)
+    def test_overflowing_spec_refused_naming_its_field(self, fields, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{named} "):
+                WorldSpec(**fields)
+
+    def test_largest_snappable_door_height_generates(self):
+        # The snap divides by COORD_QUANTUM, a power of two: the largest
+        # height it keeps finite is accepted and one float above is not.
+        edge = sys.float_info.max * COORD_QUANTUM
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            world = generate_corridor(spec(door_height=edge))
+            with pytest.raises(ValueError, match="^door_height "):
+                spec(door_height=math.nextafter(edge, math.inf))
+        assert vectors(world)[0, 2] == edge
+
     def test_spacing_must_fit(self):
         with pytest.raises(ValueError):
             WorldSpec(corridor_length=2, door_spacing=5)
@@ -43,6 +79,9 @@ class TestSpecValidation:
             WorldSpec(corridor_length=10, n_turns=4, door_spacing=3)
         # a leg exactly one spacing long holds one door
         assert WorldSpec(corridor_length=6, n_turns=2, door_spacing=2).doors_per_leg == 1
+        # the largest int64 count of turns is a count of legs, not wrapped below 0
+        with pytest.raises(ValueError, match=r"^door_spacing .* legs of 4\.3\d*e-18 m"):
+            WorldSpec(n_turns=np.int64(2**63 - 1))
 
     @pytest.mark.parametrize(
         "length, turns, spacing", [(6, 2, 2), (10, 4, 2), (20, 0, 2), (20, 1, 3)]
