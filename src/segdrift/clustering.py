@@ -133,8 +133,8 @@ def _index_array(obs_indices, n_obs: int) -> np.ndarray:
 
 
 class ClusterStore:
-    """Clusters as arrays: a member table, a center matrix, per-cluster
-    member counts and an edge table.
+    """Clusters of the observations of one EstimatedMap, as arrays: a member
+    table, a center matrix, per-cluster member counts and an edge table.
 
     Cluster ids are dense and allocated in creation order, so row i of the
     center matrix and entry i of the counts belong to cluster id i. Every
@@ -145,9 +145,11 @@ class ClusterStore:
     edge table rather than every member row.
     """
 
-    def __init__(self, rel_threshold: float = DEFAULT_REL_THRESHOLD):
+    def __init__(self, emap: EstimatedMap, rel_threshold: float = DEFAULT_REL_THRESHOLD):
         check_real("rel_threshold", rel_threshold, 0, strict=True)
+        self._emap = emap
         self._rel = float(rel_threshold)
+        self._points = emap.points.copy()  # the positions the centers were last computed from
         self._centers = np.empty((0, 3))
         self._counts = np.empty(0, dtype=np.int64)
         self._n_clusters = 0
@@ -163,6 +165,11 @@ class ClusterStore:
 
     def __len__(self) -> int:
         return self._n_clusters
+
+    @property
+    def emap(self) -> EstimatedMap:
+        """The map whose observations the store clusters, fixed when it is built."""
+        return self._emap
 
     @property
     def rel_threshold(self) -> float:
@@ -190,16 +197,16 @@ class ClusterStore:
         """(clusters,) int64 member counts; entry i belongs to cluster id i."""
         return self._counts[: self._n_clusters]
 
-    def assign(self, index: int, emap: EstimatedMap) -> int:
+    def assign(self, index: int) -> int:
         """Place observation `index` into the store and return its cluster id.
 
         Raises DegenerateSegmentError if its endpoints coincide.
         """
-        if self.assign_batch([index], emap):
+        if self.assign_batch([index]):
             raise DegenerateSegmentError(f"observation {index} has coincident endpoints; discarded")
         return int(self._edges[E_CLUSTER, self._table[EDGE, self._n_members - 1]])
 
-    def assign_batch(self, obs_indices, emap: EstimatedMap) -> list[int]:
+    def assign_batch(self, obs_indices) -> list[int]:
         """Assign observations in order; return those discarded as degenerate.
 
         Each observation joins the cluster minimizing the two-sided distance
@@ -266,10 +273,10 @@ class ClusterStore:
         and touch only their own cluster), and their later rows are walked.
 
         Raises ValueError, before changing the store, if an index is not an
-        integer from 0 to len(emap.observations) - 1 (bools are not), the
+        integer from 0 to len(self.emap.observations) - 1 (bools are not), the
         batch repeats an observation or it holds one already assigned.
         """
-        batch = _index_array(obs_indices, len(emap.observations))
+        batch = _index_array(obs_indices, len(self._emap.observations))
         if not len(batch):
             return []
         if not (batch[1:] > batch[:-1]).all() and len(np.unique(batch)) < len(batch):
@@ -278,8 +285,8 @@ class ClusterStore:
             again = np.intersect1d(batch, self._table[OBS, : self._n_members])
             if len(again):
                 raise ValueError(f"observation {again[0]} already assigned")
-        observations = emap.observations[batch]
-        vs = emap.points[observations[:, OBS_P2]] - emap.points[observations[:, OBS_P1]]
+        observations, pos = self._emap.observations[batch], self._emap.points
+        vs = pos[observations[:, OBS_P2]] - pos[observations[:, OBS_P1]]
         degenerate = xyz_norms(*vs.T) == 0.0
         discarded = batch[degenerate].tolist()
         for i in discarded:
@@ -502,30 +509,28 @@ class ClusterStore:
             edges[:, : len(self._edge_ids)] = self._edges[:, : len(self._edge_ids)]
             self._edges = edges
 
-    def recompute_centers(self, emap: EstimatedMap, moved) -> None:
+    def recompute_centers(self) -> None:
         """Replace centers by the exact mean of current member vectors.
 
-        `moved` names the point ids whose coordinates changed any bit since
-        the last recompute (a superset does too; every point id redoes every
-        cluster). Only clusters with an edge on a moved point or a member
-        assigned since the last recompute are redone: every other center
-        already is the exact mean of vectors that did not change.
+        A point has moved when any bit of its position differs from where
+        the centers were last computed (0.0 against -0.0 counts). Only
+        clusters with an edge on a moved point or a member assigned since
+        the last recompute are redone: every other center already is the
+        exact mean of vectors that did not change.
 
         Members of one edge share one signed vector, computed once per edge;
         each redone cluster sums its members' vectors in table order, so its
         center has the bits of a sum over member rows.
         """
+        pos = self._emap.points
+        moved = (pos.view(np.int64) != self._points.view(np.int64)).any(axis=1)
+        self._points = pos.copy()
         n = self._n_clusters
-        if not n:
-            return
-        pos = emap.points
         ecid, p1, p2, sign = self.edge_table.T
         sign, d = sign.astype(float), pos[p2] - pos[p1]
         eids = self._table[EDGE, : self._n_members]  # edge of each member row
-        hit = np.zeros(len(pos), dtype=bool)
-        hit[moved] = True
         dirty = np.zeros(n, dtype=bool)
-        dirty[ecid[hit[p1] | hit[p2]]] = True
+        dirty[ecid[moved[p1] | moved[p2]]] = True
         dirty[ecid[eids[self._n_recomputed :]]] = True
         eids = eids[dirty[ecid][eids]]  # one gather through a per-edge mask
         redo = np.flatnonzero(dirty)

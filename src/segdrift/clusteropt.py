@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import E_CLUSTER, E_P1, E_P2, EDGE, FRAME, ClusterStore
-from .frontend import EstimatedMap
 from .geometry import check_int, check_real, refuse_first
 
 DEFAULT_ANCHOR_WEIGHT = 1e-3
@@ -105,7 +104,7 @@ class OptReport:
         }
 
 
-def build_problem(store: ClusterStore, emap: EstimatedMap, frames: range) -> OptProblem:
+def build_problem(store: ClusterStore, frames: range) -> OptProblem:
     """Build the optimization problem over the cluster members in a window.
 
     The window range(lo, hi) takes the members observed in frames lo to
@@ -115,7 +114,7 @@ def build_problem(store: ClusterStore, emap: EstimatedMap, frames: range) -> Opt
     problem edge whose weight is their count. Edges are ordered by cluster
     id, then by first in-scope member; point ids by first appearance in
     that order. Centers are frozen at their current values; only endpoint
-    positions are free.
+    positions, read from the store's map, are free.
 
     Nothing sorts member rows: counts are a bincount over edge ids, and
     each edge's first in-scope row comes from np.minimum.at, so only the
@@ -140,7 +139,7 @@ def build_problem(store: ClusterStore, emap: EstimatedMap, frames: range) -> Opt
     edges["cluster_id"], edges["p1_id"], edges["p2_id"], edges["sign"] = keys.T
     edges["center"] = store.centers[edges["cluster_id"]]
     edges["weight"] = counts[picked]
-    return OptProblem(point_ids, emap.points[point_ids], edges)
+    return OptProblem(point_ids, store.emap.points[point_ids], edges)
 
 
 def evaluate_objective(problem: OptProblem, positions: dict[int, np.ndarray]) -> float:

@@ -148,7 +148,7 @@ def run(
     emap = simulate(world, drift_cfg, obs_cfg)
     raw = emap.trajectory
 
-    store = ClusterStore(schedule.rel_threshold)
+    store = ClusterStore(emap, schedule.rel_threshold)
     reports: list[OptReport] = []
     plog: list[str] = []
     discarded = 0
@@ -172,19 +172,15 @@ def run(
     raw_points = emap.points.copy()
 
     def solve_round(frames_in_scope: range) -> None:
-        problem = build_problem(store, emap, frames_in_scope)
+        problem = build_problem(store, frames_in_scope)
         if not len(problem.edges):
             return
-        positions, report = solve(problem)
+        emap.points[problem.point_ids], report = solve(problem)
         reports.append(report)
-        emap.points[problem.point_ids] = positions
-        # Only a point whose coordinates changed bits can change a center.
-        # Comparing bits also covers -0.0 against 0.0 and NaNs.
-        changed = (positions.view(np.int64) != problem.initial.view(np.int64)).any(axis=1)
-        store.recompute_centers(emap, problem.point_ids[changed])
+        store.recompute_centers()
 
     def assign_frames(first: int, end: int) -> int:
-        return len(store.assign_batch(np.arange(bounds[first], bounds[end]), emap))
+        return len(store.assign_batch(np.arange(bounds[first], bounds[end])))
 
     # Points move only in solve rounds, and a batch assigns exactly as its
     # observations one at a time would, so each solve interval is one batch.

@@ -24,6 +24,10 @@ TURN_RATE_DPS = 90.0
 CAMERA_HEIGHT_M = 1.5
 WALL_OFFSET_M = 1.0
 
+# Generation allocates per leg, frame and segment: a spec whose world would
+# hold more of any of them is refused before anything is built.
+MAX_WORLD_SIZE = 10**6
+
 # Segment endpoints are snapped to this grid so that repeated elements are
 # bit-identical: dyadic coordinates with a common LSB add without rounding.
 COORD_QUANTUM = 2.0 ** -20
@@ -73,6 +77,19 @@ class WorldSpec:
                 f"corridor_length {self.corridor_length} over n_turns {self.n_turns} + 1 legs "
                 f"gives legs of {self.leg_length} m"
             )
+        legs = int(self.n_turns) + 1
+        walking, turning = legs * self.frames_per_leg, (legs - 1) * self.frames_per_turn
+        doors, extra = 3 * legs * self.doors_per_leg, int(self.extra_unique_segments)
+        for name, count, what in (
+            ("n_turns", legs, "legs"),
+            ("corridor_length" if walking >= turning else "turn_angle", walking + turning, "frames"),
+            ("door_spacing" if doors >= extra else "extra_unique_segments", doors + extra, "segments"),
+        ):
+            if count > MAX_WORLD_SIZE:
+                raise ValueError(
+                    f"{name} {getattr(self, name)!r} gives a world of {count} {what}, "
+                    f"over the budget of {MAX_WORLD_SIZE} {what}"
+                )
 
     @property
     def leg_length(self) -> float:
@@ -81,6 +98,15 @@ class WorldSpec:
     @property
     def doors_per_leg(self) -> int:
         return int(np.floor(self.leg_length / self.door_spacing))
+
+    @property
+    def frames_per_leg(self) -> int:
+        return int(np.floor(self.leg_length / (WALK_SPEED_MPS * (1.0 / FRAME_RATE_HZ))))
+
+    @property
+    def frames_per_turn(self) -> int:
+        turn_step = np.deg2rad(TURN_RATE_DPS) * (1.0 / FRAME_RATE_HZ)
+        return max(1, int(round(abs(np.deg2rad(self.turn_angle)) / turn_step)))
 
 
 @dataclass(frozen=True)
@@ -174,7 +200,6 @@ def generate_corridor(spec: WorldSpec) -> World:
     # Walk the centerline at constant speed; turn in place at each corner.
     dt = 1.0 / FRAME_RATE_HZ
     step = WALK_SPEED_MPS * dt
-    turn_step = np.deg2rad(TURN_RATE_DPS) * dt
     camera = np.array([0.0, 0.0, CAMERA_HEIGHT_M])
     up = np.array([0.0, 0.0, 1.0])  # headings turn about it
     rotations: list[np.ndarray] = []
@@ -182,11 +207,11 @@ def generate_corridor(spec: WorldSpec) -> World:
     heading = 0.0
     for leg in range(n_legs):
         origin, direction = leg_starts[leg], leg_dirs[leg]
-        k = np.arange(int(np.floor(leg_len / step)))
+        k = np.arange(spec.frames_per_leg)
         translations.append(origin + (k * step)[:, None] * direction + camera)
         rotations.append(np.tile(quat_from_axis_angle(up, heading), (len(k), 1)))
         if leg < n_legs - 1:
-            n_turn = max(1, int(round(abs(turn_rad) / turn_step)))
+            n_turn = spec.frames_per_turn
             target = heading + turn_rad
             turn = heading + np.arange(1, n_turn + 1) * (target - heading) / n_turn
             translations.append(np.tile(leg_starts[leg + 1] + camera, (n_turn, 1)))

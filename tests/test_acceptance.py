@@ -157,17 +157,17 @@ def test_criterion_6_clustering_oracle():
                 v = -v
             vectors.append(v)
         emap = map_from_vectors(vectors)
-        store = ClusterStore()
-        store.assign_batch(range(len(vectors)), emap)
+        store = ClusterStore(emap)
+        store.assign_batch(range(len(vectors)))
         for cid, center in enumerate(store.centers):
             assert np.linalg.norm(center - batch_center(store, emap, cid)) < 1e-9
 
     # boundary: dyadic values make the distance exactly tau * |center|
     tau = 2.0**-8
     emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 2.0**-7]])
-    store = ClusterStore(rel_threshold=tau)
-    store.assign(0, emap)
-    assert store.assign(1, emap) == 1
+    store = ClusterStore(emap, rel_threshold=tau)
+    store.assign(0)
+    assert store.assign(1) == 1
 
 
 def test_criterion_7_lm_behavior():

@@ -19,7 +19,7 @@ import segdrift.cli
 from segdrift.cli import AGGREGATE_HEADER, main
 from segdrift.metrics import Trajectory, write_tum
 from segdrift.worldgen import WorldSpec, generate_corridor, world_from_file, world_to_file
-from test_worldgen import OVERFLOWING_SPECS
+from test_worldgen import HUGE_SPECS, OVERFLOWING_SPECS
 
 
 def small_config(tmp_path, **overrides):
@@ -44,6 +44,10 @@ def main_without_warnings(argv) -> int:
         code = main(argv)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     return code
+
+
+def refuse_to_generate(spec):
+    raise AssertionError(f"generated a world the spec check should have refused: {spec}")
 
 
 def turning_trajectory(n=121):
@@ -91,8 +95,9 @@ class TestGenWorld:
         assert all(name in err for name in ("door_spacing", "n_turns", "legs of 2.0 m"))
         assert not out.exists()
 
-    @pytest.mark.parametrize("fields, named", OVERFLOWING_SPECS)
-    def test_overflowing_spec_exits_1_before_any_output(self, tmp_path, capsys, fields, named):
+    @pytest.mark.parametrize("fields, named", OVERFLOWING_SPECS + HUGE_SPECS)
+    def test_overflowing_spec_exits_1_before_any_output(self, tmp_path, capsys, monkeypatch, fields, named):
+        monkeypatch.setattr(segdrift.cli, "generate_corridor", refuse_to_generate)
         out = tmp_path / "world.json"
         flags = [x for k, v in fields.items() for x in ("--" + k.replace("_", "-"), str(v))]
         assert main_without_warnings(["gen-world", *flags, "--out", str(out)]) == 1
@@ -359,8 +364,9 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("fields, named", OVERFLOWING_SPECS)
-    def test_overflowing_world_exits_1_before_any_output(self, tmp_path, capsys, fields, named):
+    @pytest.mark.parametrize("fields, named", OVERFLOWING_SPECS + HUGE_SPECS)
+    def test_overflowing_world_exits_1_before_any_output(self, tmp_path, capsys, monkeypatch, fields, named):
+        monkeypatch.setattr(segdrift.cli, "generate_corridor", refuse_to_generate)
         cfg = small_config(tmp_path, world=fields)
         assert main_without_warnings(["run", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Incremental segment-vector clustering."""
 
+import inspect
 import re
 
 import numpy as np
@@ -307,34 +308,32 @@ class TestBatchedAssignment:
     def test_matches_per_observation_reference(self, case):
         rel, frames, moves = case
         emap, batches = stream_map(frames)
-        store, single, ref = ClusterStore(rel), ClusterStore(rel), ReferenceStore()
+        store, single, ref = ClusterStore(emap, rel), ClusterStore(emap, rel), ReferenceStore()
         # one batch per move interval: every frame up to the next move, or the end
-        interval, pending, pending_discarded = ClusterStore(rel), [], 0
+        interval, pending, pending_discarded = ClusterStore(emap, rel), [], 0
         for f, (batch, move) in enumerate(zip(batches, moves)):
             expected = [ref.assign(i, emap, rel) for i in batch]
-            assert len(store.assign_batch(batch, emap)) == expected.count(None)
+            assert len(store.assign_batch(batch)) == expected.count(None)
             for i, cid in zip(batch, expected):
                 if cid is None:
                     with pytest.raises(DegenerateSegmentError):
-                        single.assign(i, emap)
+                        single.assign(i)
                 else:
-                    assert single.assign(i, emap) == cid
+                    assert single.assign(i) == cid
             pending += batch
             pending_discarded += expected.count(None)
             flush = move is not None or f == len(batches) - 1
             if flush:
-                assert len(interval.assign_batch(pending, emap)) == pending_discarded
+                assert len(interval.assign_batch(pending)) == pending_discarded
                 pending, pending_discarded = [], 0
             if move is not None:
                 rng = np.random.default_rng(move)
-                listed = np.flatnonzero(rng.random(len(emap.points)) < 0.5)
-                # as after a solve, some listed points keep their bits: they
-                # are left out of `moved`, and only `interval` is told of them
-                moved = listed[rng.random(len(listed)) < 0.7]
+                # as after a solve, some points keep their bits; each store
+                # finds the moved ones itself and redoes only their clusters
+                moved = np.flatnonzero(rng.random(len(emap.points)) < 0.35)
                 emap.points[moved] += rng.normal(0, 1e-3, size=(len(moved), 3))
-                store.recompute_centers(emap, moved)  # only the clusters it dirtied
-                interval.recompute_centers(emap, listed)
-                single.recompute_centers(emap, np.arange(len(emap.points)))  # every cluster
+                for s in (store, single, interval):
+                    s.recompute_centers()
                 ref.recompute_centers(emap)
             # edge ids run in order of first member
             keys = list(dict.fromkeys(map(tuple, ref.table[:, CLUSTER:].tolist())))
@@ -356,8 +355,8 @@ class TestBatchedAssignment:
             return scan(self, vs)
 
         monkeypatch.setattr(ClusterStore, "_scan", spy)
-        store, ref = ClusterStore(), ReferenceStore()
-        store.assign_batch(batch, emap)
+        store, ref = ClusterStore(emap), ReferenceStore()
+        store.assign_batch(batch)
         for i in batch:
             ref.assign(i, emap, DEFAULT_REL_THRESHOLD)
         assert len(batch) == 9
@@ -403,9 +402,9 @@ class TestBatchedAssignment:
             return advance(center, n, v, sign, k)
 
         monkeypatch.setattr(clustering, "_advance", spy)
-        store, ref = ClusterStore(0.5), ReferenceStore()
+        store, ref = ClusterStore(emap, 0.5), ReferenceStore()
         for batch in batches:
-            store.assign_batch(batch, emap)
+            store.assign_batch(batch)
             for i in batch:
                 ref.assign(i, emap, 0.5)
         assert applied == counted  # the guard applied the run's counted rows
@@ -429,9 +428,9 @@ class TestBatchedAssignment:
             ("again", 1, False),
         ]
         emap, batches = stream_map([[("vec", (1.0, 0.0, 0.0))], specs])
-        store, ref = ClusterStore(), ReferenceStore()
+        store, ref = ClusterStore(emap), ReferenceStore()
         for batch in batches:
-            store.assign_batch(batch, emap)
+            store.assign_batch(batch)
             for i in batch:
                 ref.assign(i, emap, DEFAULT_REL_THRESHOLD)
         assert np.array_equal(expanded_table(store), ref.table)
@@ -444,8 +443,8 @@ class TestBatchedAssignment:
 
     def test_equal_distance_lowest_id_wins(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 2.0**-5], [0.0, 0.0, 2.0 + 2.0**-6]])
-        store = ClusterStore(rel_threshold=2.0**-6)
-        store.assign_batch(range(3), emap)
+        store = ClusterStore(emap, rel_threshold=2.0**-6)
+        store.assign_batch(range(3))
         assert expanded_table(store)[:, CLUSTER].tolist() == [0, 1, 0]
 
 
@@ -471,8 +470,8 @@ class TestWholeMapBatch:
 
         monkeypatch.setattr(clustering, "_advance", spy)
         batch = range(len(emap.observations))
-        store, ref = ClusterStore(rel), ReferenceStore()
-        store.assign_batch(batch, emap)
+        store, ref = ClusterStore(emap, rel), ReferenceStore()
+        store.assign_batch(batch)
         for i in batch:
             ref.assign(i, emap, rel)
         assert np.array_equal(expanded_table(store), ref.table)
@@ -500,7 +499,7 @@ class TestWholeMapBatch:
             return rows, cids, d
 
         monkeypatch.setattr(clustering, "_near_append", spy)
-        ClusterStore(rel).assign_batch(range(len(emap.observations)), emap)
+        ClusterStore(emap, rel).assign_batch(range(len(emap.observations)))
         near = hits[0][0]
         named = [set() for _ in near]
         for _, hit_rows, cids in hits:
@@ -513,25 +512,25 @@ class TestWholeMapBatch:
 class TestAssignment:
     def test_first_observation_seeds_cluster(self):
         emap = map_from_vectors([[1.0, 0.0, 0.0]])
-        store = ClusterStore()
-        assert store.assign(0, emap) == 0
+        store = ClusterStore(emap)
+        assert store.assign(0) == 0
         assert len(store) == 1
         assert np.array_equal(store.centers, [[1.0, 0.0, 0.0]])
         assert store.counts.tolist() == [1]
 
     def test_identical_vectors_merge(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0]] * 5)
-        store = ClusterStore()
+        store = ClusterStore(emap)
         for i in range(5):
-            store.assign(i, emap)
+            store.assign(i)
         assert len(store) == 1
         assert store.counts.tolist() == [5]
 
     def test_opposite_orientation_merges_with_negative_sign(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0]])
-        store = ClusterStore()
-        store.assign(0, emap)
-        cid = store.assign(1, emap)
+        store = ClusterStore(emap)
+        store.assign(0)
+        cid = store.assign(1)
         assert cid == 0
         table = expanded_table(store)
         assert table[:, [OBS, CLUSTER, SIGN]].tolist() == [[0, 0, 1], [1, 0, -1]]
@@ -539,9 +538,9 @@ class TestAssignment:
 
     def test_distinct_lengths_separate(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.5]])
-        store = ClusterStore()
-        store.assign(0, emap)
-        assert store.assign(1, emap) == 1
+        store = ClusterStore(emap)
+        store.assign(0)
+        assert store.assign(1) == 1
         assert len(store) == 2
 
     def test_strict_inequality_at_exact_boundary(self):
@@ -551,40 +550,40 @@ class TestAssignment:
         # cluster.
         tau = 2.0**-8
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 2.0**-7]])
-        store = ClusterStore(rel_threshold=tau)
-        store.assign(0, emap)
-        assert store.assign(1, emap) == 1
+        store = ClusterStore(emap, rel_threshold=tau)
+        store.assign(0)
+        assert store.assign(1) == 1
         assert len(store) == 2
 
     def test_just_inside_boundary_merges(self):
         tau = 2.0**-8
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0 + 2.0**-7 - 2.0**-20]])
-        store = ClusterStore(rel_threshold=tau)
-        store.assign(0, emap)
-        assert store.assign(1, emap) == 0
+        store = ClusterStore(emap, rel_threshold=tau)
+        store.assign(0)
+        assert store.assign(1) == 0
 
     def test_nearest_cluster_wins(self):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [1.004, 0.0, 0.0], [1.0024, 0.0, 0.0]])
-        store = ClusterStore(rel_threshold=0.0025)
-        store.assign(0, emap)
-        store.assign(1, emap)
+        store = ClusterStore(emap, rel_threshold=0.0025)
+        store.assign(0)
+        store.assign(1)
         assert len(store) == 2
         # 1.0024 is within threshold of both centers; cluster 1 (center
         # 1.004) is nearer.
-        assert store.assign(2, emap) == 1
+        assert store.assign(2) == 1
 
     def test_degenerate_segment_raises(self):
         emap = map_from_vectors([[0.0, 0.0, 0.0]])
-        store = ClusterStore()
+        store = ClusterStore(emap)
         with pytest.raises(DegenerateSegmentError):
-            store.assign(0, emap)
+            store.assign(0)
         assert len(store.member_table) == 0
 
     def test_assign_batch_discards_and_logs_degenerate(self, caplog):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        store = ClusterStore()
+        store = ClusterStore(emap)
         with caplog.at_level("WARNING", logger="segdrift.clustering"):
-            discarded = store.assign_batch(range(3), emap)
+            discarded = store.assign_batch(range(3))
         assert discarded == [1]
         assert caplog.messages == ["observation 1 has coincident endpoints; discarded"]
         assert len(store) == 1
@@ -593,10 +592,10 @@ class TestAssignment:
 
     def test_double_assignment_rejected(self):
         emap = map_from_vectors([[1.0, 0.0, 0.0]])
-        store = ClusterStore()
-        store.assign(0, emap)
+        store = ClusterStore(emap)
+        store.assign(0)
         with pytest.raises(ValueError):
-            store.assign(0, emap)
+            store.assign(0)
 
 
 class TestBatchRejection:
@@ -629,8 +628,8 @@ class TestBatchRejection:
     @staticmethod
     def assigned_store(first):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-        store = ClusterStore()
-        store.assign_batch(first, emap)
+        store = ClusterStore(emap)
+        store.assign_batch(first)
         return store, emap
 
     @pytest.mark.parametrize("first, batch", [(first, batch) for first, batch, _ in CASES])
@@ -638,7 +637,7 @@ class TestBatchRejection:
         store, emap = self.assigned_store(first)
         before = self.snapshot(store)
         with pytest.raises(ValueError):
-            store.assign_batch(batch, emap)
+            store.assign_batch(batch)
         for a, b in zip(before, self.snapshot(store)):
             assert np.array_equal(a, b)
 
@@ -646,7 +645,7 @@ class TestBatchRejection:
     def test_rejection_names_the_fault(self, first, batch, message):
         store, emap = self.assigned_store(first)
         with pytest.raises(ValueError, match=message):
-            store.assign_batch(batch, emap)
+            store.assign_batch(batch)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32])
     @pytest.mark.parametrize(
@@ -656,7 +655,7 @@ class TestBatchRejection:
         store, emap = self.assigned_store(first)
         before = self.snapshot(store)
         with pytest.raises(ValueError, match=message):
-            store.assign_batch(np.array(batch, dtype=dtype), emap)
+            store.assign_batch(np.array(batch, dtype=dtype))
         for a, b in zip(before, self.snapshot(store)):
             assert np.array_equal(a, b)
 
@@ -672,7 +671,7 @@ class TestBatchRejection:
     def test_range_rejected_alike(self, first, batch, message):
         store, emap = self.assigned_store(first)
         with pytest.raises(ValueError, match=message):
-            store.assign_batch(batch, emap)
+            store.assign_batch(batch)
 
     @pytest.mark.parametrize(
         "batch",
@@ -689,9 +688,9 @@ class TestBatchRejection:
     )
     def test_batch_forms_assign_alike(self, batch):
         reference, emap = self.assigned_store([])
-        reference.assign_batch(list(map(int, batch)), emap)
-        store = ClusterStore()
-        store.assign_batch(batch, emap)
+        reference.assign_batch(list(map(int, batch)))
+        store = ClusterStore(emap)
+        store.assign_batch(batch)
         for a, b in zip(self.snapshot(reference), self.snapshot(store)):
             assert a.tobytes() == b.tobytes()
 
@@ -710,25 +709,35 @@ class TestBatchRejection:
 
     @pytest.mark.parametrize("rel, message", REL_CASES)
     def test_bad_rel_threshold_rejected_when_store_built(self, rel, message):
+        emap = map_from_vectors([[1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match=re.escape(message)):
-            ClusterStore(rel)
+            ClusterStore(emap, rel)
         with pytest.raises(ValueError, match=re.escape(message)):
-            ClusterStore(rel_threshold=rel)
+            ClusterStore(emap, rel_threshold=rel)
 
     @pytest.mark.parametrize("rel", [1, np.float32(0.5), 0.005])
     def test_gate_kept_as_float(self, rel):
-        store = ClusterStore(rel)
+        emap = map_from_vectors([[1.0, 0.0, 0.0]])
+        store = ClusterStore(emap, rel)
         assert type(store.rel_threshold) is float
         assert store.rel_threshold == float(rel)
-        assert ClusterStore().rel_threshold == DEFAULT_REL_THRESHOLD
+        assert ClusterStore(emap).rel_threshold == DEFAULT_REL_THRESHOLD
 
     def test_unassigned_lower_index_accepted(self):
         emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
-        store = ClusterStore()
-        store.assign_batch([2], emap)
-        assert store.assign_batch([1, 0], emap) == []
+        store = ClusterStore(emap)
+        store.assign_batch([2])
+        assert store.assign_batch([1, 0]) == []
         assert expanded_table(store)[:, OBS].tolist() == [2, 1, 0]
         assert store.counts.tolist() == [2, 1]
+
+
+def redone_clusters(store):
+    """The clusters the next `recompute_centers()` redoes: every center is
+    first replaced by a stand-in, which only a redone cluster overwrites."""
+    store.centers[:] = -7.0
+    store.recompute_centers()
+    return np.flatnonzero((store.centers != -7.0).any(axis=1)).tolist()
 
 
 class TestCenters:
@@ -745,8 +754,8 @@ class TestCenters:
                     v = -v
                 vectors.append(v)
             emap = map_from_vectors(vectors)
-            store = ClusterStore()
-            store.assign_batch(range(len(vectors)), emap)
+            store = ClusterStore(emap)
+            store.assign_batch(range(len(vectors)))
             for cid, center in enumerate(store.centers):
                 assert np.linalg.norm(center - batch_center(store, emap, cid)) < 1e-9
 
@@ -754,10 +763,10 @@ class TestCenters:
         rng = np.random.default_rng(7)
         vectors = rng.uniform(-2, 2, size=(30, 3))
         emap = map_from_vectors(vectors)
-        store = ClusterStore()
-        store.assign_batch(range(30), emap)
+        store = ClusterStore(emap)
+        store.assign_batch(range(30))
         emap.points += rng.normal(0, 0.1, size=emap.points.shape)
-        store.recompute_centers(emap, np.arange(len(emap.points)))
+        store.recompute_centers()
         for cid, center in enumerate(store.centers):
             assert np.linalg.norm(center - batch_center(store, emap, cid)) < 1e-12
 
@@ -766,21 +775,74 @@ class TestCenters:
         # center is an incremental mean until the next one.
         vectors = [[0.0, 0.0, z] for z in (2.0, 2.001, 2.002, 1.999)]
         emap = map_from_vectors(vectors)
-        store = ClusterStore()
-        store.assign_batch([0], emap)
-        store.recompute_centers(emap, [])
-        store.assign_batch([1, 2, 3], emap)
+        store = ClusterStore(emap)
+        store.assign_batch([0])
+        store.recompute_centers()
+        store.assign_batch([1, 2, 3])
         exact = (2.0 + 2.001 + 2.002 + 1.999) / 4  # summed in table order
         assert store.counts.tolist() == [4]
         assert store.centers[0].tolist() == [0.0, 0.0, 2.0005] != [0.0, 0.0, exact]
-        store.recompute_centers(emap, [])
+        store.recompute_centers()
         assert store.centers[0].tolist() == [0.0, 0.0, exact]
 
+    def test_recompute_with_nothing_moved_or_joined_keeps_centers(self):
+        # obs 0 and 2 share cluster 0, obs 1 is cluster 1
+        emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.001, 0.0, 0.0]])
+        store = ClusterStore(emap)
+        store.assign_batch(range(3))
+        store.recompute_centers()
+        exact = store.centers.copy()
+        store.recompute_centers()
+        assert store.centers.view(np.int64).tolist() == exact.view(np.int64).tolist()
+        assert redone_clusters(store) == []
+
+    def test_point_written_back_to_its_own_bits_is_not_moved(self):
+        emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.001, 0.0, 0.0]])
+        store = ClusterStore(emap)
+        store.assign_batch(range(3))
+        assert redone_clusters(store) == [0, 1]  # both have members joined since
+        emap.points[:] = emap.points.copy()
+        emap.points[3] = [0.0, 2.0, 0.0]  # obs 1's second point, as it was
+        assert redone_clusters(store) == []
+        emap.points[3, 1] = 2.5
+        assert redone_clusters(store) == [1]
+        assert store.centers[1].tolist() == [0.0, 2.5, 0.0]
+
+    def test_signed_zero_flip_counts_as_moved(self):
+        emap = map_from_vectors([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.001, 0.0, 0.0]])
+        store = ClusterStore(emap)
+        store.assign_batch(range(3))
+        store.recompute_centers()
+        exact = store.centers.copy()
+        emap.points[0, 1] = -0.0  # obs 0's first point: its vector keeps its value
+        assert redone_clusters(store) == [0]
+        emap.points[0, 1] = 0.0
+        assert redone_clusters(store) == [0]
+        assert store.centers[0].tolist() == exact[0].tolist()
+
     def test_recompute_centers_empty_store(self):
-        store = ClusterStore()
         emap = map_from_vectors([[1.0, 0.0, 0.0]])
-        store.recompute_centers(emap, np.arange(len(emap.points)))
+        store = ClusterStore(emap)
+        store.recompute_centers()
         assert len(store) == 0
+
+
+class TestBoundMap:
+    def test_no_store_call_takes_the_map(self):
+        def parameters(f):
+            return list(inspect.signature(f).parameters)
+
+        assert parameters(ClusterStore.__init__) == ["self", "emap", "rel_threshold"]
+        assert parameters(ClusterStore.assign) == ["self", "index"]
+        assert parameters(ClusterStore.assign_batch) == ["self", "obs_indices"]
+        assert parameters(ClusterStore.recompute_centers) == ["self"]
+
+    def test_store_keeps_the_map_it_was_built_on(self):
+        emap = map_from_vectors([[1.0, 0.0, 0.0]])
+        store = ClusterStore(emap)
+        assert store.emap is emap
+        with pytest.raises(AttributeError):
+            store.emap = map_from_vectors([[1.0, 0.0, 0.0]])
 
 
 class TestMemberTable:
@@ -789,9 +851,9 @@ class TestMemberTable:
             [[0.0, 0.0, 2.0], [0.0, 0.0, -2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.004], [1.0, 0.0, 0.0]]
         )
         emap.observations[:, OBS_FRAME] = 7 - np.arange(len(emap.observations))
-        store = ClusterStore()
+        store = ClusterStore(emap)
         order = [3, 0, 4, 1, 2]
-        store.assign_batch(order, emap)
+        store.assign_batch(order)
 
         assert store.member_table.dtype == np.int64
         assert store.member_table.shape == (len(order), len(MEMBER_COLUMNS))

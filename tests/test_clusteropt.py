@@ -79,18 +79,18 @@ class TestObjective:
         # Vectors (0,0,2) and (0,0,2.004): center (0,0,2.002), residuals
         # (0,0,±0.002), objective 2 * 0.002^2 = 8e-6.
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.004]])
-        store = ClusterStore()
-        store.assign_batch(range(2), emap)
+        store = ClusterStore(emap)
+        store.assign_batch(range(2))
         assert len(store) == 1
-        problem = replace(build_problem(store, emap, range(1)), anchor_weight=0.0)
+        problem = replace(build_problem(store, range(1)), anchor_weight=0.0)
         f0 = evaluate_objective(problem, dict(enumerate(emap.points)))
         assert f0 == pytest.approx(8e-6, rel=1e-9)
 
     def test_zero_residual_configuration(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
-        store = ClusterStore()
-        store.assign_batch(range(2), emap)
-        problem = replace(build_problem(store, emap, range(1)), anchor_weight=0.0)
+        store = ClusterStore(emap)
+        store.assign_batch(range(2))
+        problem = replace(build_problem(store, range(1)), anchor_weight=0.0)
         assert evaluate_objective(problem, dict(enumerate(emap.points))) == 0.0
 
     def test_missing_position_raises(self):
@@ -282,9 +282,9 @@ class TestInvariance:
 class TestSolve:
     def test_zero_residual_fixed_point(self):
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
-        store = ClusterStore()
-        store.assign_batch(range(2), emap)
-        problem = replace(build_problem(store, emap, range(1)), anchor_weight=0.0)
+        store = ClusterStore(emap)
+        store.assign_batch(range(2))
+        problem = replace(build_problem(store, range(1)), anchor_weight=0.0)
         positions, report = solve(problem)
         assert report.final_objective == 0.0
         assert report.iterations <= 1
@@ -325,10 +325,10 @@ class TestSolve:
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
         # Reframe observations: frames 0, 1, 2.
         emap.observations[:, OBS_FRAME] = np.arange(3)
-        store = ClusterStore()
-        store.assign_batch(range(3), emap)
-        full = build_problem(store, emap, frames=range(3))
-        scoped = build_problem(store, emap, frames=range(2))
+        store = ClusterStore(emap)
+        store.assign_batch(range(3))
+        full = build_problem(store, frames=range(3))
+        scoped = build_problem(store, frames=range(2))
         assert len(full.edges) == 3
         assert len(scoped.edges) == 2
         in_scope = emap.observations[:2, [OBS_P1, OBS_P2]]
@@ -336,11 +336,11 @@ class TestSolve:
 
     def test_build_problem_takes_the_solver_defaults(self):
         # a window is all build_problem is told; the solve settings are OptProblem's
-        assert list(inspect.signature(build_problem).parameters) == ["store", "emap", "frames"]
+        assert list(inspect.signature(build_problem).parameters) == ["store", "frames"]
         emap = map_from_vectors([[0.0, 0.0, 2.0], [0.0, 0.0, 2.0]])
-        store = ClusterStore()
-        store.assign_batch(range(2), emap)
-        problem = build_problem(store, emap, range(2))
+        store = ClusterStore(emap)
+        store.assign_batch(range(2))
+        problem = build_problem(store, range(2))
         assert len(problem.edges) == 2
         assert problem.anchor_weight == DEFAULT_ANCHOR_WEIGHT
         assert problem.iteration_cap == DEFAULT_ITERATION_CAP
@@ -463,9 +463,9 @@ class TestEdgeTable:
     @example((older_edge_again_map(), range(-3, 2), 1e-1))  # negative frames
     def test_matches_the_object_build_bit_for_bit(self, case):
         emap, frames, anchor_weight = case
-        store = ClusterStore()
-        store.assign_batch(range(len(emap.observations)), emap)
-        problem = replace(build_problem(store, emap, frames=frames), anchor_weight=anchor_weight)
+        store = ClusterStore(emap)
+        store.assign_batch(range(len(emap.observations)))
+        problem = replace(build_problem(store, frames=frames), anchor_weight=anchor_weight)
         point_ids, initial, edges = reference_build_problem(store, emap, frames)
         assert problem.edges.dtype.names == EDGE_DTYPE.names
         assert len(problem.edges) == len(edges)
@@ -481,9 +481,9 @@ class TestWeightedUniqueEdges:
     @given(reobserved_maps())
     def test_matches_one_edge_per_observation(self, case):
         emap, frames, anchor_weight = case
-        store = ClusterStore()
-        store.assign_batch(range(len(emap.observations)), emap)
-        weighted = replace(build_problem(store, emap, frames=frames), anchor_weight=anchor_weight)
+        store = ClusterStore(emap)
+        store.assign_batch(range(len(emap.observations)))
+        weighted = replace(build_problem(store, frames=frames), anchor_weight=anchor_weight)
         expanded = expanded_problem(store, emap, weighted, frames)
         assert weighted.edges.weight.sum() == len(expanded.edges)
         assert len({(e.cluster_id, e.p1_id, e.p2_id, e.sign) for e in weighted.edges}) == len(
@@ -513,26 +513,26 @@ class TestWeightedUniqueEdges:
         points = [(0.0, 0.0, 0.0), (0.0, 0.0, 2.0)]
         observations = [(0, 1, frame, 0) for frame in range(3)]
         emap = array_map(points, [0, 0], observations, 3)
-        store = ClusterStore()
-        store.assign_batch(range(3), emap)
+        store = ClusterStore(emap)
+        store.assign_batch(range(3))
 
-        scoped = build_problem(store, emap, frames=range(2))
+        scoped = build_problem(store, frames=range(2))
         assert scoped.edges["weight"].tolist() == [2.0]
         assert scoped.point_ids.tolist() == [0, 1]
-        late = build_problem(store, emap, frames=range(2, 3))
+        late = build_problem(store, frames=range(2, 3))
         assert late.edges["weight"].tolist() == [1.0]
-        full = build_problem(store, emap, frames=range(3))
+        full = build_problem(store, frames=range(3))
         assert full.edges["weight"].tolist() == [3.0]
-        assert len(build_problem(store, emap, frames=range(5, 6)).edges) == 0
+        assert len(build_problem(store, frames=range(5, 6)).edges) == 0
 
     @pytest.mark.parametrize("frames", [None, {0, 1}, [0, 1], range(0, 3, 2), range(2, 0, -1)])
     def test_scope_other_than_a_window_rejected(self, frames):
         emap = array_map([(0.0, 0.0, 0.0), (0.0, 0.0, 2.0)], [0, 0], [(0, 1, 0, 0)], 1)
-        store = ClusterStore()
-        store.assign_batch(range(1), emap)
+        store = ClusterStore(emap)
+        store.assign_batch(range(1))
         message = f"frames must be a range with step 1, got {frames!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            build_problem(store, emap, frames=frames)
+            build_problem(store, frames=frames)
 
 
 def assert_edge_table_consistent(store):
@@ -553,9 +553,9 @@ class TestStoreEdgeTable:
     def test_edges_match_member_rows(self, case, split):
         emap = case[0]
         n = len(emap.observations)
-        store = ClusterStore()
-        store.assign_batch(range(min(split, n)), emap)
-        store.assign_batch(range(min(split, n), n), emap)
+        store = ClusterStore(emap)
+        store.assign_batch(range(min(split, n)))
+        store.assign_batch(range(min(split, n), n))
         assert_edge_table_consistent(store)
 
     def test_edges_match_member_rows_on_a_simulated_map(self):
@@ -566,9 +566,9 @@ class TestStoreEdgeTable:
             ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=0),
         )
         frames = emap.observations[:, OBS_FRAME]
-        store = ClusterStore()
+        store = ClusterStore(emap)
         for frame in range(len(emap.trajectory)):
-            store.assign_batch(np.flatnonzero(frames == frame), emap)
+            store.assign_batch(np.flatnonzero(frames == frame))
         assert len(store.edge_table) < len(store.member_table)  # keys repeat
         assert_edge_table_consistent(store)
 
@@ -704,9 +704,9 @@ def lm_problems(draw):
         problem = random_problem(rng, anchor_weight=draw(st.sampled_from([0.0, 1e-3, 1e-1])))
     else:
         emap, frames, anchor_weight = draw(reobserved_maps())
-        store = ClusterStore()
-        store.assign_batch(range(len(emap.observations)), emap)
-        problem = replace(build_problem(store, emap, frames=frames), anchor_weight=anchor_weight)
+        store = ClusterStore(emap)
+        store.assign_batch(range(len(emap.observations)))
+        problem = replace(build_problem(store, frames=frames), anchor_weight=anchor_weight)
     problem.iteration_cap = draw(st.integers(1, 12))
     return at_optimum(problem) if draw(st.booleans()) else problem
 

@@ -1,6 +1,5 @@
 """End-to-end pipeline: scheduling, optimization rounds, pose propagation."""
 
-import copy
 from dataclasses import fields
 
 import numpy as np
@@ -22,7 +21,7 @@ from segdrift.geometry import (
 )
 from segdrift.metrics import ate
 from segdrift.pipeline import (
-    LOCAL_WINDOW, MIN_MOVED, MOVED_TOLERANCE, NEIGHBORHOOD, ScheduleConfig, propagate_to_poses,
+    LOCAL_WINDOW, MIN_MOVED, MODES, MOVED_TOLERANCE, NEIGHBORHOOD, ScheduleConfig, propagate_to_poses,
     run,
 )
 from segdrift.worldgen import WorldSpec, generate_corridor
@@ -91,6 +90,13 @@ class TestTrajectoriesShared:
                 ScheduleConfig(mode=mode))
         assert (r.corrected_trajectory is r.emap.trajectory) == (mode == "baseline")
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_store_is_bound_to_the_runs_map(self, mode):
+        w = make_world()
+        r = run(w, DriftConfig(scale_sigma=1e-3, rng_seed=2), ObservationConfig(rng_seed=2),
+                ScheduleConfig(mode=mode))
+        assert r.store.emap is r.emap
+
 
 class TestZeroDrift:
     def test_corrections_numerically_null(self):
@@ -141,16 +147,16 @@ class TestIntervalBatches:
         batches = []
         assign_batch = ClusterStore.assign_batch
 
-        def recorded(store, obs_indices, emap):
-            batches.append(emap.observations[list(obs_indices), OBS_FRAME])
-            return assign_batch(store, obs_indices, emap)
+        def recorded(store, obs_indices):
+            batches.append(store.emap.observations[list(obs_indices), OBS_FRAME])
+            return assign_batch(store, obs_indices)
 
-        def by_frame(store, obs_indices, emap):
-            frames = emap.observations[list(obs_indices), OBS_FRAME]
+        def by_frame(store, obs_indices):
+            frames = store.emap.observations[list(obs_indices), OBS_FRAME]
             return [
                 i
                 for f in np.unique(frames)
-                for i in assign_batch(store, np.asarray(obs_indices)[frames == f], emap)
+                for i in assign_batch(store, np.asarray(obs_indices)[frames == f])
             ]
 
         monkeypatch.setattr(ClusterStore, "assign_batch", recorded)
@@ -205,20 +211,28 @@ class TestChangedPointsRecompute:
     @pytest.mark.parametrize("mode", ["seg", "segglobal"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_centers_equal_full_recompute_after_every_round(self, monkeypatch, mode, seed):
-        # Each round names only the points whose coordinates changed bits;
-        # the centers must still be those a full recompute gives.
+        # Each round redoes only the clusters on points whose coordinates
+        # changed bits; the centers must still be those a full recompute gives.
         recompute = ClusterStore.recompute_centers
-        n_points, n_moved = [], []
+        problems, n_points, n_moved = [], [], []
 
-        def checked(store, emap, moved):
-            recompute(store, emap, moved)
-            full = copy.deepcopy(store)
-            recompute(full, emap, np.arange(len(emap.points)))
-            assert np.array_equal(store.centers.view(np.int64), full.centers.view(np.int64))
-            n_moved.append(len(moved))
+        def checked(store):
+            problem = problems[-1]  # the round's problem, just solved
+            after = store.emap.points[problem.point_ids]
+            moved = (after.view(np.int64) != problem.initial.view(np.int64)).any(axis=1)
+            recompute(store)
+            # every cluster's mean over its member rows, in table order
+            pos, keys = store.emap.points, store.edge_table[store.member_table[:, clustering.EDGE]]
+            cid, p1, p2, sign = keys.T
+            vs = sign.astype(float)[:, None] * (pos[p2] - pos[p1])
+            sums = [np.bincount(cid, weights=vs[:, a], minlength=len(store)) for a in range(3)]
+            full = np.column_stack(sums) / store.counts[:, None]
+            assert np.array_equal(store.centers.view(np.int64), full.view(np.int64))
+            n_moved.append(np.count_nonzero(moved))
 
         def built(*args, **kwargs):
             problem = build_problem(*args, **kwargs)
+            problems.append(problem)
             n_points.append(problem.n_points)
             return problem
 
@@ -240,8 +254,8 @@ class TestRounds:
     def test_local_round_reaches_back_local_window_intervals(self, monkeypatch, mode, interval):
         windows, solver = [], set()
 
-        def built(store, emap, frames):
-            problem = build_problem(store, emap, frames)
+        def built(store, frames):
+            problem = build_problem(store, frames)
             windows.append(frames)
             solver.add((problem.anchor_weight, problem.iteration_cap))
             return problem

@@ -102,11 +102,11 @@ def test_assign_hook_counts_joins(tracing):
     observations = [(2 * i, 2 * i + 1, 0, i) for i in range(len(vectors))]
     trajectory = Trajectory([0.0], np.zeros((1, 3)), [[1.0, 0.0, 0.0, 0.0]])
     emap = EstimatedMap(points, np.zeros(len(points)), observations, trajectory)
-    store = ClusterStore()
+    store = ClusterStore(emap)
     tracer = tracing.Tracer()
     with tracer.install():
         tracer.begin_cell(0)
-        cids = [store.assign(i, emap) for i in range(len(vectors))]
+        cids = [store.assign(i) for i in range(len(vectors))]
         counts = tracer.end_cell()
     assert tracer.missing == []
     assert cids == [0, 0, 1, 0, 1]

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import time
 import warnings
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from segdrift.geometry import Trajectory, quat_rotate
 from segdrift.worldgen import (
     COORD_QUANTUM,
     FRAME_RATE_HZ,
+    MAX_WORLD_SIZE,
     World,
     WorldSpec,
     generate_corridor,
@@ -49,6 +51,16 @@ OVERFLOWING_SPECS = [
     ({"door_width": 1e308}, "door_width"),
 ]
 
+# Finite specs whose world would hold more legs, frames or segments than
+# MAX_WORLD_SIZE, each with the field it names. Generating any of them
+# would take gigabytes or hours, so they are only ever refused.
+HUGE_SPECS = [
+    ({"corridor_length": 1e9}, "corridor_length"),  # 3e10 frames
+    ({"corridor_length": 40.0, "door_spacing": 1e-6}, "door_spacing"),  # 4e7 doors per leg
+    ({"corridor_length": 1e7, "n_turns": 10**6}, "n_turns"),
+    ({"extra_unique_segments": 10**9}, "extra_unique_segments"),
+]
+
 
 class TestSpecValidation:
     @pytest.mark.parametrize("fields, named", OVERFLOWING_SPECS)
@@ -57,6 +69,37 @@ class TestSpecValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^{named} "):
                 WorldSpec(**fields)
+
+    @pytest.mark.parametrize("fields, named", HUGE_SPECS)
+    def test_huge_spec_refused_naming_its_field(self, fields, named):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^{named} .* over the budget of {MAX_WORLD_SIZE} "):
+            WorldSpec(**fields)
+        assert time.perf_counter() - start < 0.5
+
+    def test_world_at_the_budget_accepted(self):
+        # the default spec has 20 doors of 3 segments; the budget counts them
+        at_budget = MAX_WORLD_SIZE - 60
+        assert WorldSpec(extra_unique_segments=at_budget).extra_unique_segments == at_budget
+        with pytest.raises(ValueError, match=rf"^extra_unique_segments .* {MAX_WORLD_SIZE + 1} segments"):
+            WorldSpec(extra_unique_segments=at_budget + 1)
+        with pytest.raises(ValueError, match=r"^turn_angle .* frames"):
+            WorldSpec(n_turns=3, turn_angle=1e9)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"n_turns": 3, "turn_angle": 45.0},
+            {"corridor_length": 60.0, "n_turns": 2, "turn_angle": -135.0, "extra_unique_segments": 7},
+        ],
+    )
+    def test_budget_counts_what_the_generator_builds(self, fields):
+        s = WorldSpec(**fields)
+        w = generate_corridor(s)
+        legs = s.n_turns + 1
+        assert w.n_frames == legs * s.frames_per_leg + s.n_turns * s.frames_per_turn
+        assert len(w.endpoints) == 3 * legs * s.doors_per_leg + s.extra_unique_segments
 
     def test_largest_snappable_door_height_generates(self):
         # The snap divides by COORD_QUANTUM, a power of two: the largest
