@@ -1,12 +1,13 @@
 """Simulated SLAM front end in two stages: observation, then drift.
 
 `observe` replaces image-domain segment detection with a geometric
-observation model: a world segment is detected when it is in range, in
-front of the camera and long enough, with a configurable detection
-probability. Endpoint data association is given by the simulator. The
-drift stage, `drift_walk`, is a per-frame similarity random walk, and
-`simulate` moves the poses and each point's true position by it, then
-adds the optional endpoint noise drawn at creation time.
+observation model: a world segment is detected when it is within
+MAX_RANGE_M, in front of the camera and at least MIN_SEGMENT_LENGTH_M
+long, with a configurable detection probability. Endpoint data
+association is given by the simulator. The drift stage, `drift_walk`, is
+a per-frame similarity random walk, and `simulate` moves the poses and
+each point's true position by it, then adds the optional endpoint noise
+drawn at creation time.
 
 The whole trajectory is simulated as arrays, with every float operation
 and every random draw in the order of a frame-by-frame loop, so the map
@@ -28,15 +29,16 @@ from .worldgen import World
 OBSERVATION_COLUMNS = ("p1", "p2", "frame", "segment")
 OBS_P1, OBS_P2, OBS_FRAME, OBS_SEGMENT = range(len(OBSERVATION_COLUMNS))
 
+MAX_RANGE_M = 8.0  # the camera sees a segment whose midpoint is this close
+MIN_SEGMENT_LENGTH_M = 0.3  # shorter world segments are never detected
+
 # Frames per block of the visibility scan; bounds its (frames, candidates, 3)
 # temporaries to a few MiB.
 _VISIBILITY_BLOCK = 256
-# A candidate farther than max_range * (1 + _RANGE_MARGIN) from a block's
-# bounding box on some axis is out of range of all its frames; below
-# _MIN_SKIP_RANGE that bound could underflow, so no candidate is skipped
-# (proof in `_visible`).
+# A candidate farther than MAX_RANGE_M * (1 + _RANGE_MARGIN) from a block's
+# bounding box on some axis is out of range of all its frames (proof in
+# `_visible`).
 _RANGE_MARGIN = 2.0**-20
-_MIN_SKIP_RANGE = 2.0**-500
 # Visible (frame, candidate) pairs read per look-ahead for the next frame
 # that can create a map point: a wider look-ahead reads more keys per step,
 # a narrower one takes more steps; 256 was about the fastest on the three
@@ -61,8 +63,6 @@ class DriftConfig:
 class ObservationConfig:
     detect_prob: float = 1.0
     endpoint_noise_sigma: float = 0.0  # meters, isotropic, at point creation
-    max_range: float = 8.0
-    min_segment_length: float = 0.3
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -70,8 +70,6 @@ class ObservationConfig:
         if not self.detect_prob <= 1:
             raise ValueError(f"detect_prob must be <= 1, got {self.detect_prob!r}")
         check_real("endpoint_noise_sigma", self.endpoint_noise_sigma, 0)
-        check_real("max_range", self.max_range, 0, strict=True)
-        check_real("min_segment_length", self.min_segment_length, 0)
         check_int("rng_seed", self.rng_seed, 0)
 
 
@@ -203,44 +201,42 @@ def _offsets(mids_t: np.ndarray, t: np.ndarray) -> np.ndarray:
     return rel
 
 
-def _visible(mids: np.ndarray, rotations: np.ndarray, positions: np.ndarray, max_range: float):
-    """(frame, candidate) index pairs of every in-range, forward-facing
-    candidate midpoint, in frame order, then candidate order.
+def _visible(mids: np.ndarray, rotations: np.ndarray, positions: np.ndarray):
+    """(frame, candidate) index pairs of every forward-facing candidate
+    midpoint within MAX_RANGE_M, in frame order, then candidate order.
 
     Each block of frames tests only the candidates near it, with the same
     float operations per pair as a test of every pair. With lo_k and hi_k
     the block's least and greatest camera coordinate on axis k and
-    R = max_range * (1 + 2**-20), a candidate m is skipped when
+    R = MAX_RANGE_M * (1 + 2**-20), a candidate m is skipped when
     `m_k - hi_k > R` or `lo_k - m_k > R` on some axis, each one rounded
     subtraction. No skipped pair would have been in range:
     - Rounding is monotone and symmetric, and every frame t of the block
       has lo_k <= t_k <= hi_k, so its offset rel_k = fl(m_k - t_k) has
-      |rel_k| > R >= max_range * (1 + 2**-20) * (1 - 2**-53).
-    - Its square then rounds to more than max_range**2 * (1 + 2**-20), or
-      to inf if it overflows. That needs R*R to be a normal float, which
-      is why nothing is skipped when max_range < 2**-500.
+      |rel_k| > R >= MAX_RANGE_M * (1 + 2**-20) * (1 - 2**-53).
+    - Its square then rounds to more than MAX_RANGE_M**2 * (1 + 2**-20),
+      or to inf if it overflows.
     - `xyz_norms` adds the other, non-negative squares to it, which
       cannot round the sum below it, and the rounded square root of a sum
-      above max_range**2 * (1 + 2**-20) is above max_range.
+      above MAX_RANGE_M**2 * (1 + 2**-20) is above MAX_RANGE_M.
     A bound such as `lo_k - R` must not be precomputed instead: far from
     the origin its rounding error exceeds the 2**-20 margin.
     """
     frames, cands = [], []
-    x_axis = np.array([1.0, 0.0, 0.0])
     mids_t = np.ascontiguousarray(mids.T)
-    reach = max_range * (1.0 + _RANGE_MARGIN)
+    reach = MAX_RANGE_M * (1.0 + _RANGE_MARGIN)
+    # Elementwise, so a block's rows are the bits of a call on that block.
+    forward = quat_rotate(rotations, np.array([1.0, 0.0, 0.0]))
     for lo in range(0, len(positions), _VISIBILITY_BLOCK):
         t = positions[lo : lo + _VISIBILITY_BLOCK]
         far = np.zeros(len(mids), dtype=bool)
-        if max_range >= _MIN_SKIP_RANGE:
-            for k in range(3):
-                far |= mids_t[k] - t[:, k].max() > reach
-                far |= t[:, k].min() - mids_t[k] > reach
+        for k in range(3):
+            far |= mids_t[k] - t[:, k].max() > reach
+            far |= t[:, k].min() - mids_t[k] > reach
         near = np.flatnonzero(~far)
         rel = _offsets(mids_t[:, near], t)
-        in_range = xyz_norms(rel[..., 0], rel[..., 1], rel[..., 2]) <= max_range
-        forward = quat_rotate(rotations[lo : lo + _VISIBILITY_BLOCK], x_axis)
-        facing = (rel @ forward[:, :, None])[..., 0] > 0.0
+        in_range = xyz_norms(rel[..., 0], rel[..., 1], rel[..., 2]) <= MAX_RANGE_M
+        facing = (rel @ forward[lo : lo + _VISIBILITY_BLOCK, :, None])[..., 0] > 0.0
         f, c = np.nonzero(in_range & facing)
         frames.append(f + lo)
         cands.append(near[c])
@@ -254,7 +250,7 @@ def observe(world: World, obs_cfg: ObservationConfig):
     gt = world.trajectory
     n_frames = len(gt)
     ends = world.endpoints
-    long_enough = row_norms(ends[:, 1] - ends[:, 0]) >= obs_cfg.min_segment_length
+    long_enough = row_norms(ends[:, 1] - ends[:, 0]) >= MIN_SEGMENT_LENGTH_M
     cand_segment = np.flatnonzero(long_enough)
     ends = ends[cand_segment]
     # Endpoint identity is keyed by the bits of the true world coordinates,
@@ -268,7 +264,7 @@ def observe(world: World, obs_cfg: ObservationConfig):
     vis_frame = vis_cand = np.zeros(0, dtype=np.int64)
     if len(ends) and n_frames:
         mids = 0.5 * (ends[:, 0] + ends[:, 1])
-        vis_frame, vis_cand = _visible(mids, gt.quaternions, gt.positions, obs_cfg.max_range)
+        vis_frame, vis_cand = _visible(mids, gt.quaternions, gt.positions)
 
     obs_rng = np.random.default_rng(obs_cfg.rng_seed)
     sigma = obs_cfg.endpoint_noise_sigma

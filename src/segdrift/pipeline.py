@@ -17,7 +17,7 @@ from .clustering import ClusterStore, DEFAULT_REL_THRESHOLD
 from .clusteropt import OptReport, build_problem, solve
 from .frontend import OBS_FRAME, DriftConfig, EstimatedMap, ObservationConfig, simulate
 from .geometry import (
-    Sim3, Trajectory, check_int, check_real, quat_multiply, quat_normalize, quat_rotate,
+    Sim3, Trajectory, check_real, quat_multiply, quat_normalize, quat_rotate,
     quat_slerp, row_norms, umeyama_alignment,
 )
 from .worldgen import World
@@ -26,19 +26,18 @@ MODES = ("baseline", "seg", "segglobal")
 MOVED_TOLERANCE = 1e-9
 MIN_MOVED = 3  # moved points a keyframe's fit group needs for a fit
 NEIGHBORHOOD = 15  # frames between a keyframe and its group's first sightings
+KEYFRAME_INTERVAL = 10  # frames between solve rounds
 LOCAL_WINDOW = 5  # keyframe intervals a local solve round reaches back
 
 
 @dataclass(frozen=True)
 class ScheduleConfig:
     mode: str = "baseline"
-    keyframe_interval: int = 10  # frames
     rel_threshold: float = DEFAULT_REL_THRESHOLD
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        check_int("keyframe_interval", self.keyframe_interval, 1)
         check_real("rel_threshold", self.rel_threshold, 0, strict=True)
 
 
@@ -159,9 +158,7 @@ def run(
     n_frames = len(raw)
     # Observations are in frame order: frame f's rows are bounds[f]..bounds[f+1].
     bounds = np.searchsorted(emap.observations[:, OBS_FRAME], np.arange(n_frames + 1)).tolist()
-    interval = schedule.keyframe_interval
-
-    round_frames = [f for f in range(n_frames) if f > 0 and f % interval == 0]
+    round_frames = list(range(KEYFRAME_INTERVAL, n_frames, KEYFRAME_INTERVAL))
     if n_frames - 1 not in round_frames and n_frames > 1:
         round_frames.append(n_frames - 1)
 
@@ -188,7 +185,7 @@ def run(
     for frame in round_frames:
         discarded += assign_frames(done, frame + 1)
         done = frame + 1
-        solve_round(range(max(0, frame - interval * LOCAL_WINDOW), frame + 1))
+        solve_round(range(max(0, frame - KEYFRAME_INTERVAL * LOCAL_WINDOW), frame + 1))
         if schedule.mode == "segglobal":
             solve_round(range(frame + 1))  # every member assigned so far
     if done < n_frames:  # a one-frame world has no solve round

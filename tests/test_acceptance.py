@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segdrift.cli import main as cli_main
+from segdrift.cli import OBS_SEED_OFFSET, main as cli_main
 from segdrift.clustering import ClusterStore
 from segdrift.clusteropt import EDGE_DTYPE, evaluate_objective, residual, solve
 from segdrift.frontend import DriftConfig, ObservationConfig
@@ -63,7 +63,7 @@ def test_criterion_2_directional_improvement():
     for seed in range(20):
         drift = DriftConfig(scale_sigma=1e-3, rng_seed=seed)
         obs = ObservationConfig(
-            detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=seed + 1_000_000
+            detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=seed + OBS_SEED_OFFSET
         )
         for mode in ates:
             r = run(world, drift, obs, ScheduleConfig(mode=mode))

@@ -333,6 +333,10 @@ class TestRun:
             ("schedule", {"local_window": 5}, "local_window"),
             ("schedule", {"iteration_cap": 10}, "iteration_cap"),
             ("schedule", {"anchor_weight": 1e-3}, "anchor_weight"),
+            # fixed simulator choices, now module constants
+            ("observation", {"max_range": 8.0}, "'max_range'"),
+            ("observation", {"min_segment_length": 0.3}, "'min_segment_length'"),
+            ("schedule", {"keyframe_interval": 10}, "'keyframe_interval'"),
             ("world", {"length": 12}, "length"),
         ],
     )
@@ -350,7 +354,6 @@ class TestRun:
             ("drift", {"scale_sigma": float("nan")}, "scale_sigma"),
             ("observation", {"endpoint_noise_sigma": float("nan")}, "endpoint_noise_sigma"),
             ("schedule", {"rel_threshold": -1}, "rel_threshold"),
-            ("schedule", {"keyframe_interval": 0}, "keyframe_interval"),
             ("world", {"door_width": float("inf")}, "door_width"),
             # an int too large for a float
             ("schedule", {"rel_threshold": 10**400}, "rel_threshold"),
@@ -377,7 +380,6 @@ class TestRun:
     @pytest.mark.parametrize(
         "overrides, named",
         [
-            ({"schedule": {"keyframe_interval": 2.5}}, "keyframe_interval"),
             ({"world": {"corridor_length": 12, "n_turns": 1.5}}, "n_turns"),
             ({"world": {"corridor_length": 12, "extra_unique_segments": 2.5}}, "extra_unique_segments"),
             ({"world": {"corridor_length": 12, "rng_seed": 0.5}}, "rng_seed"),
@@ -402,7 +404,7 @@ class TestRun:
         [
             ("drift", "scale_sigma"),
             ("observation", "detect_prob"),
-            ("observation", "max_range"),
+            ("observation", "endpoint_noise_sigma"),
             ("schedule", "rel_threshold"),
             ("world", "door_width"),
             ("world", "turn_angle"),

@@ -2,7 +2,7 @@
 
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest.mock import patch
 
 import numpy as np
@@ -11,8 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segdrift import frontend
+from segdrift.cli import OBS_SEED_OFFSET
 from segdrift.frontend import (
     _VISIBILITY_BLOCK,
+    MAX_RANGE_M,
+    MIN_SEGMENT_LENGTH_M,
     OBS_FRAME,
     OBS_P1,
     OBS_P2,
@@ -104,7 +107,7 @@ def reference_simulate(world, drift_cfg, obs_cfg):
     candidates = [
         (i, (a, b))
         for i, (a, b) in enumerate(world.endpoints)
-        if np.linalg.norm(b - a) >= obs_cfg.min_segment_length
+        if np.linalg.norm(b - a) >= MIN_SEGMENT_LENGTH_M
     ]
     cand_mids = np.array([0.5 * (a + b) for _, (a, b) in candidates]).reshape(-1, 3)
 
@@ -117,7 +120,7 @@ def reference_simulate(world, drift_cfg, obs_cfg):
         if not candidates:
             continue
         rel = cand_mids - translation
-        in_range = np.linalg.norm(rel, axis=1) <= obs_cfg.max_range
+        in_range = np.linalg.norm(rel, axis=1) <= MAX_RANGE_M
         facing = rel @ quat_rotate(rotation, np.array([1.0, 0.0, 0.0])) > 0.0
         visible = np.flatnonzero(in_range & facing)
         if obs_cfg.detect_prob < 1.0 and len(visible):
@@ -326,6 +329,9 @@ def simulate_cases(draw):
         n_turns=draw(st.integers(0, 2)),
         turn_angle=draw(st.sampled_from([90.0, -60.0, 135.0])),
         extra_unique_segments=draw(st.sampled_from([0, 8])),
+        # at 0.2 m each lintel is shorter than MIN_SEGMENT_LENGTH_M and dropped,
+        # while the jambs that share its endpoints are kept
+        door_width=draw(st.sampled_from([0.9, 0.2])),
         rng_seed=draw(st.integers(0, 100)),
     )
     drift = DriftConfig(
@@ -337,8 +343,6 @@ def simulate_cases(draw):
     obs = ObservationConfig(
         detect_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
         endpoint_noise_sigma=draw(st.sampled_from([0.0, 0.01])),
-        max_range=draw(st.sampled_from([2.0, 8.0])),
-        min_segment_length=draw(st.sampled_from([0.0, 0.3, 1.0, 1e3])),  # 1e3 drops all
         rng_seed=draw(st.integers(0, 2**32 - 1)),
     )
     return spec, drift, obs
@@ -353,7 +357,15 @@ class TestMatchesPerFrameLoop:
         (
             WorldSpec(corridor_length=30, door_spacing=2, n_turns=2, extra_unique_segments=20),
             DriftConfig(scale_sigma=1e-3, rot_sigma=1e-4, trans_sigma=1e-3, rng_seed=2),
-            ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=1_000_002),
+            ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=OBS_SEED_OFFSET + 2),
+        )
+    )
+    # every lintel dropped, its jambs and their shared endpoints kept
+    @example(
+        (
+            WorldSpec(corridor_length=12, door_spacing=1, n_turns=1, door_width=0.2),
+            DriftConfig(scale_sigma=1e-3, rot_sigma=1e-4, trans_sigma=1e-3, rng_seed=4),
+            ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=5),
         )
     )
     # many detection blocks: at detect_prob 0.05 keys stay unseen over many
@@ -449,7 +461,7 @@ class TestMatchesPerFrameLoop:
         # candidate, and the benchmark's settings make 189 `random` calls.
         world = generate_corridor(WorldSpec(corridor_length=120, n_turns=3))
         drift = DriftConfig(scale_sigma=1e-3, rng_seed=0)
-        obs = ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=1_000_000)
+        obs = ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=OBS_SEED_OFFSET)
         plain = simulate(world, drift, obs)
         default_rng = np.random.default_rng
         generators = []
@@ -471,8 +483,8 @@ class TestMatchesPerFrameLoop:
         counted = simulate(world, drift, obs)
         assert counted.observations.tobytes() == plain.observations.tobytes()
         assert counted.points.tobytes() == plain.points.tobytes()
-        ends = world.endpoints[row_norms(world.endpoints[:, 1] - world.endpoints[:, 0]) >= 0.3]
-        vis_frame, _ = _visible(0.5 * (ends[:, 0] + ends[:, 1]), *gt_poses(world), 8.0)
+        ends = world.endpoints[row_norms(world.endpoints[:, 1] - world.endpoints[:, 0]) >= MIN_SEGMENT_LENGTH_M]
+        vis_frame, _ = _visible(0.5 * (ends[:, 0] + ends[:, 1]), *gt_poses(world))
         assert len(np.unique(vis_frame)) == 3566
         assert [g.random_calls for g in generators] == [0, 189]  # drift, then observation
         # every call but the last steps one frame; each of the 158 frames
@@ -517,6 +529,17 @@ scan_coords = st.one_of(
 )
 
 
+# (axis, side, quaternion) of a camera facing `side` along `axis`
+HEADINGS = [
+    (0, 1.0, [1.0, 0.0, 0.0, 0.0]),
+    (0, -1.0, [0.0, 0.0, 0.0, 1.0]),  # half a turn about z
+    (1, 1.0, [0.5**0.5, 0.0, 0.0, 0.5**0.5]),  # a quarter turn about z
+    (1, -1.0, [0.5**0.5, 0.0, 0.0, -(0.5**0.5)]),
+    (2, 1.0, [0.5**0.5, 0.0, -(0.5**0.5), 0.0]),  # a quarter turn about -y
+    (2, -1.0, [0.5**0.5, 0.0, 0.5**0.5, 0.0]),
+]
+
+
 class TestVisibilityScan:
     @settings(max_examples=200)
     @given(
@@ -524,10 +547,10 @@ class TestVisibilityScan:
         st.lists(st.tuples(scan_coords, scan_coords, scan_coords), min_size=1, max_size=4),
         st.sampled_from([2.0, 5.0, 8.0]),
     )
-    # a midpoint exactly max_range away: sqrt(3*3 + 4*4) == 5.0
+    # a midpoint exactly at the limit: sqrt(3*3 + 4*4) == 5.0
     @example([(3.0, 4.0, 0.0), (-0.0, -4.0, 3.0)], [(0.0, 0.0, 0.0)], 5.0)
     @example([(1e-160, -0.0, 2e-160), (1e155, 0.0, 0.0)], [(-0.0, 1e-160, 0.0), (0.0, -0.0, -0.0)], 2.0)
-    def test_column_scan_equals_per_frame_norm(self, mids, positions, max_range):
+    def test_column_scan_equals_per_frame_norm(self, mids, positions, limit):
         mids, positions = np.array(mids), np.array(positions)
         rel = _offsets(np.ascontiguousarray(mids.T), positions)
         # the facing matmul's input: the bytes of the broadcast subtraction
@@ -537,22 +560,30 @@ class TestVisibilityScan:
             for i in range(len(positions)):
                 want = np.linalg.norm(rel[i], axis=1)
                 assert distances[i].tobytes() == want.tobytes()
-                assert np.array_equal(distances[i] <= max_range, want <= max_range)
+                assert np.array_equal(distances[i] <= limit, want <= limit)
 
-    def test_exact_max_range_is_in_range(self):
-        identity = np.array([[1.0, 0.0, 0.0, 0.0]])
-        frames, cands = _visible(np.array([[3.0, 4.0, 0.0]]), identity, np.zeros((1, 3)), 5.0)
-        assert (frames.tolist(), cands.tolist()) == ([0], [0])
+    @pytest.mark.parametrize("axis, side, quaternion", HEADINGS, ids=["+x", "-x", "+y", "-y", "+z", "-z"])
+    def test_exact_max_range_is_in_range(self, axis, side, quaternion):
+        # A camera at the origin facing `side` along `axis` sees candidates
+        # MAX_RANGE_M ahead and on a diagonal with the next axis, where
+        # sqrt(a*a + b*b) == MAX_RANGE_M for a = 0.6 and b = 0.8 of it, but
+        # not one a float beyond.
+        a, b = 0.6 * MAX_RANGE_M, 0.8 * MAX_RANGE_M
+        mids = np.zeros((3, 3))
+        mids[:, axis] = side * np.array([MAX_RANGE_M, a, np.nextafter(MAX_RANGE_M, np.inf)])
+        mids[1, (axis + 1) % 3] = b
+        frames, cands = _visible(mids, np.array([quaternion]), np.zeros((1, 3)))
+        assert (frames.tolist(), cands.tolist()) == ([0, 0], [0, 1])
 
 
-def reference_visible(mids, rotations, positions, max_range, block=_VISIBILITY_BLOCK):
+def reference_visible(mids, rotations, positions, block=_VISIBILITY_BLOCK):
     """The dense scan that `_visible` prunes: every candidate of every block."""
     frames, cands = [], []
     x_axis = np.array([1.0, 0.0, 0.0])
     mids_t = np.ascontiguousarray(mids.T)
     for lo in range(0, len(positions), block):
         rel = _offsets(mids_t, positions[lo : lo + block])
-        in_range = xyz_norms(rel[..., 0], rel[..., 1], rel[..., 2]) <= max_range
+        in_range = xyz_norms(rel[..., 0], rel[..., 1], rel[..., 2]) <= MAX_RANGE_M
         forward = quat_rotate(rotations[lo : lo + block], x_axis)
         facing = (rel @ forward[:, :, None])[..., 0] > 0.0
         f, c = np.divmod(np.flatnonzero(in_range & facing), len(mids))
@@ -561,23 +592,20 @@ def reference_visible(mids, rotations, positions, max_range, block=_VISIBILITY_B
     return np.concatenate(frames), np.concatenate(cands)
 
 
-FLOAT_MAX = np.finfo(float).max
 IDENTITY = np.array([[1.0, 0.0, 0.0, 0.0]])
 
 
 @st.composite
 def scan_cases(draw):
-    """(mids, rotations, positions, max_range, block) of a turning walk.
+    """(mids, rotations, positions, block) of a turning walk.
 
-    The geometry is drawn in units of max_range / 4, then scaled (clipped
-    to the finite floats) and, for x and y, offset far from the origin; z
-    keeps signed zeros. Small blocks leave many blocks with no candidate
-    near them. Candidates exactly max_range, and one float either side of
-    it, beyond the extreme frame on some axis sit on a block's box edge,
-    and so does one just beyond the skip rule's margin: below 2**-500 its
-    square can round down into range.
+    The geometry is drawn in units of MAX_RANGE_M / 4 and, for x and y,
+    offset far from the origin; z keeps signed zeros. Small blocks leave
+    many blocks with no candidate near them. Candidates exactly
+    MAX_RANGE_M, and one float either side of it, beyond the extreme frame
+    on some axis sit on a block's box edge, and so does one just beyond
+    the skip rule's margin.
     """
-    max_range = draw(st.sampled_from([2.0, 5.0, 8.0, 2.0**-501, 1e-160, 1e-170, 1e308, FLOAT_MAX]))
     block = draw(st.sampled_from([1, 2, 5, _VISIBILITY_BLOCK]))
     n = draw(st.integers(1, 24))
     unit_steps = st.floats(0.0, 1.5)
@@ -603,53 +631,48 @@ def scan_cases(draw):
     )
     mids = np.array([positions[i] + (dx, dy, 0.0) for i, dx, dy, _ in rows])
     mids[:, 2] = [dz for *_, dz in rows]
-    unit, offset = max_range / 4, draw(st.sampled_from([0.0, 1e6, -1e9, 1e12]))
-    with np.errstate(over="ignore"):
-        positions, mids = (np.clip(a * unit, -FLOAT_MAX, FLOAT_MAX) for a in (positions, mids))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e9, 1e12]))
+    positions, mids = positions * (MAX_RANGE_M / 4), mids * (MAX_RANGE_M / 4)
     if offset:
         positions[:, :2] += offset
         mids[:, :2] += offset
     axis, side = draw(st.integers(0, 2)), draw(st.sampled_from([-1.0, 1.0]))
     beyond = draw(st.sampled_from([1 + 2**-19, 1 + 2**-16, 1.001]))
     edges = np.tile(positions[np.argmax(side * positions[:, axis])], (4, 1))
-    with np.errstate(over="ignore"):
-        edges[:3, axis] += side * max_range
-        edges[1:3, axis] = np.nextafter(edges[0, axis], [np.inf, -np.inf])
-        edges[3, axis] += side * max_range * beyond
-    mids = np.vstack([mids, edges[np.isfinite(edges).all(axis=1)]])
+    edges[:3, axis] += side * MAX_RANGE_M
+    edges[1:3, axis] = np.nextafter(edges[0, axis], [np.inf, -np.inf])
+    edges[3, axis] += side * MAX_RANGE_M * beyond
+    mids = np.vstack([mids, edges])
     order = draw(st.permutations(range(len(mids))))
-    return mids[order], rotations, positions, max_range, block
+    return mids[order], rotations, positions, block
 
 
 class TestPrunedScan:
     @settings(max_examples=300, deadline=None)
     @given(scan_cases())
-    # beyond the margin, yet in range: its square underflows, and
-    # sqrt(fl(x*x)) is 9.99994e-161
-    @example((np.array([[1e-160 * (1 + 2**-19), 0.0, 0.0]]), IDENTITY, np.zeros((1, 3)), 1e-160, 256))
-    # exactly max_range beyond the block's largest x, at 1e12
+    # exactly MAX_RANGE_M beyond the block's largest x, at 1e12
     @example(
         (
-            np.array([[1e12 + 7.0, 0.0, -0.0]]),
+            np.array([[1e12 + 2.0 + MAX_RANGE_M, 0.0, -0.0]]),
             np.tile(IDENTITY, (2, 1)),
             np.array([[1e12 + 2.0, 0.0, -0.0], [1e12, 0.0, 0.0]]),
-            5.0,
             256,
         )
     )
     def test_equals_dense_scan(self, case):
-        mids, rotations, positions, max_range, block = case
-        with patch.object(frontend, "_VISIBILITY_BLOCK", block), np.errstate(over="ignore", invalid="ignore"):
-            frames, cands = _visible(mids, rotations, positions, max_range)
-            want_frames, want_cands = reference_visible(mids, rotations, positions, max_range, block)
+        mids, rotations, positions, block = case
+        with patch.object(frontend, "_VISIBILITY_BLOCK", block):
+            frames, cands = _visible(mids, rotations, positions)
+            want_frames, want_cands = reference_visible(mids, rotations, positions, block)
         assert frames.dtype == want_frames.dtype and cands.dtype == want_cands.dtype
         assert np.array_equal(frames, want_frames) and np.array_equal(cands, want_cands)
 
     def test_kept_pairs_below_a_quarter_of_dense(self, monkeypatch):
         # On the 120 m, 3-turn world the dense scan tests 3690 frames x 180
-        # candidates; the pruned one keeps about 22 % of those pairs.
+        # candidates; the pruned one keeps about 22 % of those pairs, and
+        # finds the same ones.
         world = generate_corridor(WorldSpec(corridor_length=120, n_turns=3))
-        ends = world.endpoints[row_norms(world.endpoints[:, 1] - world.endpoints[:, 0]) >= 0.3]
+        ends = world.endpoints[row_norms(world.endpoints[:, 1] - world.endpoints[:, 0]) >= MIN_SEGMENT_LENGTH_M]
         mids = 0.5 * (ends[:, 0] + ends[:, 1])
         widths = []
         offsets = frontend._offsets
@@ -659,10 +682,12 @@ class TestPrunedScan:
             return offsets(mids_t, t)
 
         monkeypatch.setattr(frontend, "_offsets", spy)
-        _visible(mids, *gt_poses(world), 8.0)
+        frames, cands = _visible(mids, *gt_poses(world))
         dense = world.n_frames * len(mids)
         assert dense == 664_200
         assert sum(widths) < 0.25 * dense
+        want_frames, want_cands = reference_visible(mids, *gt_poses(world))
+        assert np.array_equal(frames, want_frames) and np.array_equal(cands, want_cands)
 
 
 class TestEstimatedMap:
@@ -782,11 +807,31 @@ class TestSimulate:
         # Mean norm of a 3D gaussian with per-axis sigma 0.01 is ~0.016.
         assert 0.005 < np.mean(deltas) < 0.05
 
+    @staticmethod
+    def facing_world(endpoints, n_frames=3):
+        """Segments seen from `n_frames` poses at the origin facing +x."""
+        identity = np.tile([1.0, 0.0, 0.0, 0.0], (n_frames, 1))
+        trajectory = Trajectory(np.arange(n_frames) / 30.0, np.zeros((n_frames, 3)), identity)
+        return World(endpoints, np.zeros(len(endpoints), dtype=np.int64), trajectory, 0)
+
     def test_max_range_limits_visibility(self):
-        w = make_world()
-        near = simulate(w, DriftConfig(rng_seed=0), ObservationConfig(max_range=2.0, rng_seed=0))
-        far = simulate(w, DriftConfig(rng_seed=0), ObservationConfig(max_range=10.0, rng_seed=0))
-        assert len(near.observations) < len(far.observations)
+        # midpoints at MAX_RANGE_M and one float beyond, ahead of every pose
+        x = [MAX_RANGE_M, np.nextafter(MAX_RANGE_M, np.inf), 0.5 * MAX_RANGE_M]
+        world = self.facing_world([([d, -0.5, 0.0], [d, 0.5, 0.0]) for d in x])
+        emap = simulate(world, DriftConfig(rng_seed=0), ObservationConfig(rng_seed=0))
+        assert sorted(set(emap.observations[:, OBS_SEGMENT].tolist())) == [0, 2]
+        assert len(emap.observations) == 2 * world.n_frames
+
+    def test_short_segments_dropped(self):
+        short = np.nextafter(MIN_SEGMENT_LENGTH_M, 0.0)
+        lengths = [MIN_SEGMENT_LENGTH_M, short, 1.0]
+        world = self.facing_world([([2.0, 0.0, 0.0], [2.0, length, 0.0]) for length in lengths])
+        emap = simulate(world, DriftConfig(rng_seed=0), ObservationConfig(rng_seed=0))
+        assert sorted(set(emap.observations[:, OBS_SEGMENT].tolist())) == [0, 2]
+        # a world of short segments only has no candidate at all
+        only_short = self.facing_world([([x, 0.0, 0.0], [x, short, 0.0]) for x in (2.0, 3.0)])
+        true_points, first_seen, noise, observations = observe(only_short, ObservationConfig(detect_prob=0.5))
+        assert (true_points.shape, first_seen.shape, noise, observations.shape) == ((0, 3), (0,), None, (0, 4))
 
     def test_observation_frames_in_range(self):
         w = make_world()
@@ -797,6 +842,14 @@ class TestSimulate:
         assert np.all(emap.first_seen[emap.observations[:, [OBS_P1, OBS_P2]]] <= frames[:, None])
         assert emap.observations[:, OBS_SEGMENT].max() < len(w.endpoints)
 
+    def test_holds_only_what_a_camera_reads(self):
+        # the range is MAX_RANGE_M and the shortest segment MIN_SEGMENT_LENGTH_M
+        assert [f.name for f in fields(ObservationConfig)] == [
+            "detect_prob",
+            "endpoint_noise_sigma",
+            "rng_seed",
+        ]
+
     def test_invalid_detect_prob_rejected(self):
         with pytest.raises(ValueError):
             ObservationConfig(detect_prob=1.5)
@@ -806,8 +859,6 @@ class TestSimulate:
         [
             ("detect_prob", [float("nan"), float("inf")]),
             ("endpoint_noise_sigma", [float("nan"), float("inf"), -0.1]),
-            ("max_range", [float("nan"), float("inf"), 0.0]),
-            ("min_segment_length", [float("nan"), float("inf"), -0.1]),
             ("rng_seed", [0.5, -1, True, "3"]),
         ],
     )

@@ -13,6 +13,7 @@ from segdrift.clusteropt import DEFAULT_ANCHOR_WEIGHT, DEFAULT_ITERATION_CAP, bu
 from segdrift.frontend import OBS_FRAME, DriftConfig, ObservationConfig
 from segdrift.geometry import (
     Sim3,
+    Trajectory,
     quat_from_axis_angle,
     quat_multiply,
     quat_normalize,
@@ -21,10 +22,10 @@ from segdrift.geometry import (
 )
 from segdrift.metrics import ate
 from segdrift.pipeline import (
-    LOCAL_WINDOW, MIN_MOVED, MODES, MOVED_TOLERANCE, NEIGHBORHOOD, ScheduleConfig, propagate_to_poses,
+    KEYFRAME_INTERVAL, LOCAL_WINDOW, MIN_MOVED, MODES, MOVED_TOLERANCE, NEIGHBORHOOD, ScheduleConfig, propagate_to_poses,
     run,
 )
-from segdrift.worldgen import WorldSpec, generate_corridor
+from segdrift.worldgen import World, WorldSpec, generate_corridor
 
 
 def make_world(**kw):
@@ -38,14 +39,9 @@ class TestScheduleConfig:
         with pytest.raises(ValueError):
             ScheduleConfig(mode="turbo")
 
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(keyframe_interval=0)
-
     @pytest.mark.parametrize(
         "name, bad",
         [
-            ("keyframe_interval", [float("nan"), float("inf"), 2.5, 10.0, True]),
             ("rel_threshold", [-1.0, 0.0, float("nan"), float("inf"), "0.005", None, True, 10**400]),
         ],
     )
@@ -58,8 +54,9 @@ class TestScheduleConfig:
         ScheduleConfig()
 
     def test_holds_only_what_a_mode_reads(self):
-        # the local window is LOCAL_WINDOW and the solve settings OptProblem's
-        assert [f.name for f in fields(ScheduleConfig)] == ["mode", "keyframe_interval", "rel_threshold"]
+        # the round spacing is KEYFRAME_INTERVAL, the local window
+        # LOCAL_WINDOW and the solve settings OptProblem's
+        assert [f.name for f in fields(ScheduleConfig)] == ["mode", "rel_threshold"]
 
     @pytest.mark.parametrize("mode", ["baseline", "seg"])
     def test_store_holds_the_schedule_gate(self, mode):
@@ -142,7 +139,7 @@ class TestIntervalBatches:
         args = (
             DriftConfig(scale_sigma=1e-3, rng_seed=seed),
             ObservationConfig(endpoint_noise_sigma=0.01, detect_prob=0.8, rng_seed=seed),
-            ScheduleConfig(mode=mode, keyframe_interval=7),
+            ScheduleConfig(mode=mode),
         )
         batches = []
         assign_batch = ClusterStore.assign_batch
@@ -165,7 +162,7 @@ class TestIntervalBatches:
         b = run(w, *args)
 
         n_frames = w.n_frames
-        ends = list(range(7, n_frames, 7))
+        ends = list(range(KEYFRAME_INTERVAL, n_frames, KEYFRAME_INTERVAL))
         if ends[-1] != n_frames - 1:
             ends.append(n_frames - 1)
         assert len(batches) == len(ends)
@@ -250,8 +247,14 @@ class TestChangedPointsRecompute:
 
 class TestRounds:
     @pytest.mark.parametrize("mode", ["seg", "segglobal"])
-    @pytest.mark.parametrize("interval", [7, 10])
-    def test_local_round_reaches_back_local_window_intervals(self, monkeypatch, mode, interval):
+    # the whole corridor, then its first frames: no round, one round at the
+    # last frame, one at the interval's end, and one either side of it
+    @pytest.mark.parametrize(
+        "n_frames",
+        [None, 1, 2, KEYFRAME_INTERVAL, KEYFRAME_INTERVAL + 1, KEYFRAME_INTERVAL + 2],
+        ids=["whole", "1", "2", "interval", "interval+1", "interval+2"],
+    )
+    def test_local_round_reaches_back_local_window_intervals(self, monkeypatch, mode, n_frames):
         windows, solver = [], set()
 
         def built(store, frames):
@@ -262,18 +265,21 @@ class TestRounds:
 
         monkeypatch.setattr(pipeline, "build_problem", built)
         w = make_world()
+        if n_frames is not None:
+            gt = w.trajectory
+            first = Trajectory(gt.timestamps[:n_frames], gt.positions[:n_frames], gt.quaternions[:n_frames])
+            w = World(w.endpoints, w.archetypes, first, w.rng_seed)
         run(w, DriftConfig(scale_sigma=1e-3, rng_seed=0), ObservationConfig(rng_seed=0),
-            ScheduleConfig(mode=mode, keyframe_interval=interval))
-        ends = list(range(interval, w.n_frames, interval))
-        if ends[-1] != w.n_frames - 1:
-            ends.append(w.n_frames - 1)
+            ScheduleConfig(mode=mode))
+        # a round every KEYFRAME_INTERVAL frames, and one at the last frame
+        ends = [f for f in range(1, w.n_frames) if f % KEYFRAME_INTERVAL == 0 or f == w.n_frames - 1]
         expected = []
         for end in ends:
-            expected.append(range(max(0, end - interval * LOCAL_WINDOW), end + 1))
+            expected.append(range(max(0, end - KEYFRAME_INTERVAL * LOCAL_WINDOW), end + 1))
             if mode == "segglobal":
                 expected.append(range(end + 1))
         assert windows == expected
-        assert solver == {(DEFAULT_ANCHOR_WEIGHT, DEFAULT_ITERATION_CAP)}
+        assert solver == ({(DEFAULT_ANCHOR_WEIGHT, DEFAULT_ITERATION_CAP)} if ends else set())
 
     def test_rounds_never_worsen_objective(self):
         w = make_world()
