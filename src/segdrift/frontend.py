@@ -279,7 +279,7 @@ def observe(world: World, obs_cfg: ObservationConfig):
 
     # Each visible pair's two keys, a before b, and each frame's visible
     # pairs [frame_start[f], frame_start[f + 1]).
-    pair_keys = cand_keys[vis_cand]
+    pair_keys = np.take(cand_keys, vis_cand, axis=0)
     frame_start = np.searchsorted(vis_frame, np.arange(n_frames + 1)).tolist()
     unseen = np.ones(len(key_point), dtype=np.uint8)
     point_keys: list[int] = []
@@ -321,8 +321,10 @@ def observe(world: World, obs_cfg: ObservationConfig):
     observations[:, OBS_FRAME] = vis_frame[kept]
     observations[:, OBS_SEGMENT] = cand_segment[vis_cand[kept]]
     del vis_frame, vis_cand
-    observations[:, OBS_P1] = point_of_key[pair_keys[kept, 0]]
-    observations[:, OBS_P2] = point_of_key[pair_keys[kept, 1]]
+    kept_keys = np.take(pair_keys, kept, axis=0)
+    del pair_keys
+    observations[:, OBS_P1] = point_of_key[kept_keys[:, 0]]
+    observations[:, OBS_P2] = point_of_key[kept_keys[:, 1]]
     true_points = key_point[point_keys].reshape(-1, 3)
     noise = np.concatenate(noise_blocks) if noise_blocks else None
     return true_points, np.array(point_frames, dtype=np.int64), noise, observations

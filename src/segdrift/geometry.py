@@ -276,8 +276,12 @@ class Trajectory:
 
     def pose(self, i) -> Sim3:
         """Pose i, the rigid transform taking camera to world coordinates;
-        an index array gives the stack of those poses."""
-        return Sim3(1.0, self.quaternions[i], self.positions[i])
+        an integer index array gives the stack of those poses. The rows are
+        gathered by `np.take`, which reads a boolean mask as rows 0 and 1,
+        so a mask is refused."""
+        if np.asarray(i).dtype == bool:
+            raise ValueError("pose index must be an int or an integer index array, got a boolean index")
+        return Sim3(1.0, np.take(self.quaternions, i, axis=0), np.take(self.positions, i, axis=0))
 
 
 def _first_bad_row(ts: np.ndarray, ps: np.ndarray, qs: np.ndarray) -> BadRowError:

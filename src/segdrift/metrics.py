@@ -44,13 +44,35 @@ class MetricsConfig:
             )
 
 
-def write_tum(traj: Trajectory, path) -> str:
-    """TUM format: `timestamp tx ty tz qx qy qz qw`, 9 significant digits.
-    Returns the text written, for writing the same trajectory elsewhere."""
+def tum_columns(traj: Trajectory, reference=None) -> list[tuple[np.ndarray, list[str]]]:
+    """The eight TUM columns of `traj`, `timestamp tx ty tz qx qy qz qw`, as
+    (values, fields) pairs; each field is its value in `%.9g` and the
+    separator after it. Given `reference`, the columns of another
+    trajectory, a column whose float bits equal the reference's column at
+    the same place takes its fields, and only the others are formatted."""
     q = traj.quaternions
-    columns = [traj.timestamps, *traj.positions.T, *q[:, 1:].T, q[:, 0]]
-    fields = [_column_fields(c, "%.9g ") for c in columns[:-1]]
-    fields.append(_column_fields(columns[-1], "%.9g\n"))
+    values = [traj.timestamps, *traj.positions.T, *q[:, 1:].T, q[:, 0]]
+    columns = []
+    for k, column in enumerate(values):
+        if reference is not None and _same_bits(column, reference[k][0]):
+            columns.append(reference[k])
+        else:
+            template = "%.9g\n" if k == len(values) - 1 else "%.9g "
+            columns.append((column, _column_fields(column, template)))
+    return columns
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal float bits, so -0.0 and 0.0 differ, as `%.9g` writes them."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def write_tum(traj: Trajectory, path, reference=None) -> str:
+    """TUM format: `timestamp tx ty tz qx qy qz qw`, 9 significant digits.
+    `reference`, another trajectory's `tum_columns`, lends the fields of
+    every column it shares bit for bit. Returns the text written, for
+    writing the same trajectory elsewhere."""
+    fields = [f for _, f in tum_columns(traj, reference)]
     text = "".join(chain.from_iterable(zip(*fields)))
     with open(path, "w") as f:
         f.write(text)
@@ -192,7 +214,8 @@ def _align(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, mode
         return Sim3.identity()
     if len(ei) < 3:
         raise ValueError(f"need at least 3 matched pose pairs to align, got {len(ei)}")
-    return umeyama_alignment(est.positions[ei], gt.positions[gi], with_scale=(mode == "similarity"))
+    src, dst = np.take(est.positions, ei, axis=0), np.take(gt.positions, gi, axis=0)
+    return umeyama_alignment(src, dst, with_scale=(mode == "similarity"))
 
 
 def _rmse(errs: np.ndarray) -> float:
@@ -202,7 +225,8 @@ def _rmse(errs: np.ndarray) -> float:
 def _ate(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, t: Sim3) -> float:
     if not len(ei):
         raise ValueError("no matched pose pairs")
-    return _rmse(row_norms(gt.positions[gi] - t.apply(est.positions[ei])))
+    moved = t.apply(np.take(est.positions, ei, axis=0))
+    return _rmse(row_norms(np.take(gt.positions, gi, axis=0) - moved))
 
 
 def _rpe(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, delta: int) -> float:
@@ -213,8 +237,9 @@ def _rpe(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, delta:
     # Stacks of poses through the same Sim3 chain as one pair at a time.
     rel_gt = gt.pose(gi[:-delta]).inverse().compose(gt.pose(gi[delta:]))
     rel_est = est.pose(ei[:-delta]).inverse().compose(est.pose(ei[delta:]))
-    err = rel_gt.inverse().compose(rel_est)
-    return _rmse(row_norms(err.translation))
+    # The translation of `rel_gt.inverse().compose(rel_est)`, the one part
+    # scored, by the expression `compose` forms it with, and no rotation.
+    return _rmse(row_norms(rel_gt.inverse().apply(rel_est.translation)))
 
 
 def ate(

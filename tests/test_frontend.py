@@ -3,6 +3,7 @@
 import re
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -574,6 +575,43 @@ class TestVisibilityScan:
         mids[1, (axis + 1) % 3] = b
         frames, cands = _visible(mids, np.array([quaternion]), np.zeros((1, 3)))
         assert (frames.tolist(), cands.tolist()) == ([0, 0], [0, 1])
+
+    @pytest.mark.parametrize(
+        "spec, n_near",
+        [
+            (WorldSpec(corridor_length=40.0, door_spacing=2.0), 20),
+            (WorldSpec(corridor_length=60.0, n_turns=2, extra_unique_segments=150), 78),
+            (WorldSpec(corridor_length=120.0, n_turns=3), 155),
+        ],
+        ids=["corridor40", "clutter60", "corridor120"],
+    )
+    def test_facing_equals_exact_dot_on_benchmark_worlds(self, spec, n_near):
+        # `_visible` decides facing by a BLAS matmul, whose rounding the
+        # build chooses. On the benchmark's worlds every in-range pair gets
+        # the decision of the exact dot product: a pair whose dot rounds
+        # below 1e-12 in size is decided with fractions, any other by the
+        # sign of a plain float dot, which is at most 1e-14 off for
+        # offsets within MAX_RANGE_M.
+        world = generate_corridor(spec)
+        ends = world.endpoints[row_norms(world.endpoints[:, 1] - world.endpoints[:, 0]) >= MIN_SEGMENT_LENGTH_M]
+        mids = 0.5 * (ends[:, 0] + ends[:, 1])
+        rotations, positions = gt_poses(world)
+        forward = quat_rotate(rotations, np.array([1.0, 0.0, 0.0]))
+        rel = _offsets(np.ascontiguousarray(mids.T), positions)
+        in_range = xyz_norms(rel[..., 0], rel[..., 1], rel[..., 2]) <= MAX_RANGE_M
+        dot = sum(rel[..., k] * forward[:, None, k] for k in range(3))
+        facing = dot > 0.0
+        near = np.argwhere(in_range & (np.abs(dot) < 1e-12))
+        assert len(near) == n_near
+        for f, c in near.tolist():
+            exact = sum(Fraction(r) * Fraction(v) for r, v in zip(rel[f, c].tolist(), forward[f].tolist()))
+            facing[f, c] = exact > 0
+        frames, cands = _visible(mids, rotations, positions)
+        seen = set(zip(frames.tolist(), cands.tolist()))
+        wrong = [(f, c) for f, c in near.tolist() if ((f, c) in seen) != facing[f, c]]
+        assert not wrong, f"(frame, candidate) pairs decided against the exact dot: {wrong}"
+        want_frames, want_cands = np.nonzero(in_range & facing)
+        assert np.array_equal(frames, want_frames) and np.array_equal(cands, want_cands)
 
 
 def reference_visible(mids, rotations, positions, block=_VISIBILITY_BLOCK):

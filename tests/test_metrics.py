@@ -232,6 +232,19 @@ class TestTrajectory:
         with pytest.raises(ValueError, match=f"{path}:6: timestamps must be strictly increasing"):
             read_tum(path)
 
+    def test_pose_gathers_integer_indices(self):
+        t = straight_trajectory(n=6)
+        for i in (2, -1, np.int64(4), [5, 0, 5], np.array([3, -2])):
+            pose = t.pose(i)
+            assert np.array_equal(pose.translation, t.positions[i])
+            assert np.array_equal(pose.rotation, t.quaternions[i])
+
+    @pytest.mark.parametrize("mask", [True, np.bool_(False), [True, False], np.ones(6, dtype=bool)])
+    def test_pose_refuses_boolean_index(self, mask):
+        # np.take reads True and False as rows 1 and 0, not as a mask
+        with pytest.raises(ValueError, match="pose index must be an int or an integer index array"):
+            straight_trajectory(n=6).pose(mask)
+
     def test_length_mismatch_rejected(self):
         unit = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
         with pytest.raises(ValueError, match=r"positions must have shape \(1, 3\), got \(2, 3\)"):
@@ -887,6 +900,38 @@ class TestTumIO:
         assert path.read_text() == text
         if not len(traj):
             assert text == ""
+
+    @pytest.mark.parametrize(
+        "make_pair, shared",
+        [
+            # raw poses under scale drift: the ground truth's times and orientations
+            (lambda: corridor120_baseline(), [True, False, False, False, True, True, True, True]),
+            (
+                lambda: (
+                    Trajectory(np.arange(4.0) + 0.5, np.full((4, 3), 2.0), np.full((4, 4), 0.5)),
+                    Trajectory(np.arange(4.0), np.ones((4, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))),
+                ),
+                [False] * 8,
+            ),
+            # qy and qz equal the reference's in value, but hold -0.0 for 0.0
+            (
+                lambda: (
+                    Trajectory(np.arange(4.0), np.ones((4, 3)), np.tile([1.0, 0.0, -0.0, -0.0], (4, 1))),
+                    Trajectory(np.arange(4.0), np.ones((4, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))),
+                ),
+                [True, True, True, True, True, False, False, True],
+            ),
+        ],
+        ids=["shared-times-and-quaternions", "shared-nothing", "signed-zeros"],
+    )
+    def test_reference_columns_change_no_byte(self, tmp_path, make_pair, shared):
+        traj, ref = make_pair()
+        ref_columns = metrics.tum_columns(ref)
+        columns = metrics.tum_columns(traj, ref_columns)
+        assert [c is r for c, r in zip(columns, ref_columns)] == shared
+        text = write_tum(traj, tmp_path / "with.tum", ref_columns)
+        assert text == write_tum(traj, tmp_path / "without.tum")
+        assert (tmp_path / "with.tum").read_text() == text
 
     @pytest.mark.parametrize(
         "row, message",
