@@ -10,10 +10,10 @@ from itertools import chain
 import numpy as np
 
 from .geometry import (
-    BadRowError, Sim3, Trajectory, check_int, check_real, quat_slerp, row_norms, umeyama_alignment,
+    BadRowError, Sim3, Trajectory, check_int, quat_slerp, row_norms, umeyama_alignment,
 )
 
-DEFAULT_MATCH_TOLERANCE_S = 0.01
+MATCH_TOLERANCE_S = 0.01
 ALIGN_MODES = ("similarity", "rigid", "none")
 
 
@@ -131,11 +131,9 @@ def read_tum(path) -> Trajectory:
         raise ValueError(f"{path}:{linenos[exc.row]}: {exc.reason}") from None
 
 
-def associate(
-    est: Trajectory, gt: Trajectory, tolerance: float = DEFAULT_MATCH_TOLERANCE_S
-) -> list[tuple[int, int]]:
+def associate(est: Trajectory, gt: Trajectory) -> list[tuple[int, int]]:
     """Greedy one-to-one nearest-timestamp matching in time order."""
-    ei, gi = _match(est, gt, tolerance)
+    ei, gi = _match(est, gt)
     return list(zip(ei.tolist(), gi.tolist()))
 
 
@@ -145,60 +143,33 @@ def associate(
 # wrappers that match for themselves.
 
 
-def _match(est: Trajectory, gt: Trajectory, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+def _match(est: Trajectory, gt: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """`associate` as two index arrays, est rows then gt rows.
 
-    `associate` is a greedy walk: a pointer j into gt starts at row 0; for
-    each est time t it steps on while the next row is no farther from t,
-    and on a match (distance <= tolerance) it pairs (i, j) and moves past j.
-    With d(j) = |g[j] - t| as computed in floats, the walk is answered with
-    array operations whenever they can prove where it stops:
-
-    - With G gt rows, let k = searchsorted(g, t, "right") - 1, clipped to
-      [0, G - 2], and the landing L = k + 1 if d(k + 1) <= d(k), else k.
-      For j < k, g[j] < g[j + 1] <= t, and rounding is monotone, so
-      d(j) >= d(j + 1): a walk that starts at or before L passes to L.
-    - It stops at L if L is the last row or d(L + 1) > d(L) (no rounding
-      plateau after L); for L = k that holds by the choice of L.
-    - If the landings strictly increase from one est row to the next, the
-      pointer after row i (L_i, or L_i + 1 on a match) is at or before
-      L_{i + 1}, and only the last est row can land on the last gt row, so
-      the walk's early exit skips no row. The pointer then equals the
-      landing on every row, and a row matches when d(L) <= tolerance.
-
-    Any other input (a dense estimate, a one-row gt, est times before or
-    after all of gt, timestamps so large that neighbouring distances round
-    equal) runs the walk itself, `_match_walk`. An empty gt, which the
-    walk cannot start on, is a ValueError.
+    Trajectories on equal timestamps pair row for row: that is the walk's
+    answer, since each row is at distance 0 and the next gt row is strictly
+    farther. Any other input runs the walk, `_match_walk`. An empty gt,
+    which the walk cannot start on, is a ValueError.
     """
-    check_real("tolerance", tolerance, 0)
-    te, tg = est.timestamps, gt.timestamps
-    if not len(tg):
+    if not len(gt):
         raise ValueError("ground truth trajectory is empty: no poses to match")
-    if len(tg) >= 2:
-        last = len(tg) - 1
-        k = np.clip(np.searchsorted(tg, te, "right") - 1, 0, last - 1)
-        near, far = np.abs(tg[k] - te), np.abs(tg[k + 1] - te)
-        landing = k + (far <= near)
-        dist = np.minimum(near, far)
-        after = np.abs(tg[np.minimum(landing + 1, last)] - te)
-        if ((landing == last) | (after > dist)).all() and (landing[1:] > landing[:-1]).all():
-            hit = dist <= tolerance
-            return np.flatnonzero(hit), landing[hit]
-    return _match_walk(te.tolist(), tg.tolist(), tolerance)
+    if np.array_equal(est.timestamps, gt.timestamps):
+        rows = np.arange(len(gt), dtype=np.intp)
+        return rows, rows
+    return _match_walk(est.timestamps.tolist(), gt.timestamps.tolist())
 
 
-def _match_walk(
-    est_times: list[float], gt_times: list[float], tolerance: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The greedy walk of `_match`, one est row at a time."""
+def _match_walk(est_times: list[float], gt_times: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy walk: a pointer j into gt starts at row 0; for each est
+    time t it steps on while the next row is no farther from t, and on a
+    match (distance <= MATCH_TOLERANCE_S) it pairs (i, j) and moves past j."""
     ei: list[int] = []
     gi: list[int] = []
     j = 0
     for i, t in enumerate(est_times):
         while j + 1 < len(gt_times) and abs(gt_times[j + 1] - t) <= abs(gt_times[j] - t):
             j += 1
-        if abs(gt_times[j] - t) <= tolerance:
+        if abs(gt_times[j] - t) <= MATCH_TOLERANCE_S:
             ei.append(i)
             gi.append(j)
             j += 1
@@ -242,28 +213,18 @@ def _rpe(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, delta:
     return _rmse(row_norms(rel_gt.inverse().apply(rel_est.translation)))
 
 
-def ate(
-    est: Trajectory,
-    gt: Trajectory,
-    mode: str = "similarity",
-    tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
-) -> float:
+def ate(est: Trajectory, gt: Trajectory, mode: str = "similarity") -> float:
     """RMSE of aligned position differences over matched pairs (meters)."""
     MetricsConfig(align_mode=mode)  # checks the mode
-    ei, gi = _match(est, gt, tolerance)
+    ei, gi = _match(est, gt)
     return _ate(est, gt, ei, gi, _align(est, gt, ei, gi, mode))
 
 
-def rpe(
-    est: Trajectory,
-    gt: Trajectory,
-    delta: int = MetricsConfig.rpe_delta,
-    tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
-) -> float:
+def rpe(est: Trajectory, gt: Trajectory, delta: int = MetricsConfig.rpe_delta) -> float:
     """RMSE of the translational magnitude of relative-pose discrepancies
     over a fixed frame delta (meters)."""
     MetricsConfig(rpe_delta=delta)  # checks the delta
-    return _rpe(est, gt, *_match(est, gt, tolerance), delta)
+    return _rpe(est, gt, *_match(est, gt), delta)
 
 
 def _spans(times: np.ndarray, query_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,13 +313,10 @@ class MetricsReport:
 
 
 def evaluate(
-    est: Trajectory,
-    gt: Trajectory,
-    config: MetricsConfig = MetricsConfig(),
-    tolerance: float = DEFAULT_MATCH_TOLERANCE_S,
+    est: Trajectory, gt: Trajectory, config: MetricsConfig = MetricsConfig()
 ) -> MetricsReport:
     """ATE and RPE under `config` from one association and one alignment."""
-    ei, gi = _match(est, gt, tolerance)
+    ei, gi = _match(est, gt)
     t = _align(est, gt, ei, gi, config.align_mode)
     return MetricsReport(
         ate_rmse=_ate(est, gt, ei, gi, t),

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import segdrift.cli
+import segdrift.metrics
 from segdrift.cli import AGGREGATE_HEADER, main
 from segdrift.metrics import Trajectory, write_tum
 from segdrift.worldgen import WorldSpec, generate_corridor, world_from_file, world_to_file
@@ -875,6 +876,33 @@ class TestEval:
         assert main(["eval", str(est), str(gt), "--interpolate-gt"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ate_rmse"] >= 0.0
+
+    @pytest.mark.parametrize("mode", ["baseline", "seg", "segglobal"])
+    def test_run_files_pair_row_for_row(self, tmp_path, capsys, monkeypatch, mode):
+        # A cell's TUM files keep the timestamps' bits, so `eval` of its own
+        # files, and of an interpolated gt, matches every frame without the walk.
+        cfg = small_config(tmp_path, modes=[mode], seeds=[0])
+        assert main(["run", "--config", str(cfg)]) == 0
+        cell = tmp_path / "out" / mode / "seed0"
+        gt_lines = (cell / "gt.tum").read_text().splitlines(keepends=True)
+        n_frames = len(gt_lines)
+        # every third gt row, the last included: interpolation does not extrapolate
+        sparse = tmp_path / "sparse_gt.tum"
+        keep = sorted({*range(0, n_frames, 3), n_frames - 1})
+        sparse.write_text("".join(gt_lines[k] for k in keep))
+
+        def walk(*args):
+            raise AssertionError("the greedy walk ran")
+
+        monkeypatch.setattr(segdrift.metrics, "_match_walk", walk)
+        capsys.readouterr()
+        for argv in (
+            [str(cell / "raw.tum"), str(cell / "gt.tum")],
+            [str(cell / "corrected.tum"), str(cell / "gt.tum")],
+            [str(cell / "corrected.tum"), str(sparse), "--interpolate-gt"],
+        ):
+            assert main(["eval", *argv]) == 0
+            assert json.loads(capsys.readouterr().out)["n_matched"] == n_frames
 
     @pytest.mark.parametrize("stride, bound", [(1, 1e-9), (5, 1e-3)])
     def test_eval_interpolate_gt_follows_turning_orientation(self, tmp_path, capsys, stride, bound):

@@ -22,7 +22,7 @@ from segdrift.geometry import (
 )
 from segdrift.metrics import (
     ALIGN_MODES,
-    DEFAULT_MATCH_TOLERANCE_S,
+    MATCH_TOLERANCE_S,
     MetricsConfig,
     Trajectory,
     associate,
@@ -76,13 +76,13 @@ def random_sim3(rng):
 # oracle: `ate`, `rpe` and `evaluate` must equal them bit for bit.
 
 
-def reference_associate(est, gt, tolerance=DEFAULT_MATCH_TOLERANCE_S):
+def reference_associate(est, gt):
     pairs = []
     j = 0
     for i, t in enumerate(est.timestamps):
         while j + 1 < len(gt) and abs(gt.timestamps[j + 1] - t) <= abs(gt.timestamps[j] - t):
             j += 1
-        if abs(gt.timestamps[j] - t) <= tolerance:
+        if abs(gt.timestamps[j] - t) <= MATCH_TOLERANCE_S:
             pairs.append((i, j))
             j += 1
             if j >= len(gt):
@@ -90,12 +90,12 @@ def reference_associate(est, gt, tolerance=DEFAULT_MATCH_TOLERANCE_S):
     return pairs
 
 
-def reference_align(est, gt, mode, tolerance=DEFAULT_MATCH_TOLERANCE_S):
+def reference_align(est, gt, mode):
     if mode not in ALIGN_MODES:
         raise ValueError(f"align_mode must be one of {ALIGN_MODES}, got {mode!r}")
     if mode == "none":
         return Sim3.identity()
-    pairs = reference_associate(est, gt, tolerance)
+    pairs = reference_associate(est, gt)
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 matched pose pairs to align, got {len(pairs)}")
     ei = np.array([i for i, _ in pairs])
@@ -103,19 +103,19 @@ def reference_align(est, gt, mode, tolerance=DEFAULT_MATCH_TOLERANCE_S):
     return umeyama_alignment(est.positions[ei], gt.positions[gi], with_scale=(mode == "similarity"))
 
 
-def reference_ate(est, gt, mode="similarity", tolerance=DEFAULT_MATCH_TOLERANCE_S):
-    t = reference_align(est, gt, mode, tolerance)
-    pairs = reference_associate(est, gt, tolerance)
+def reference_ate(est, gt, mode="similarity"):
+    t = reference_align(est, gt, mode)
+    pairs = reference_associate(est, gt)
     if not pairs:
         raise ValueError("no matched pose pairs")
     errs = [np.linalg.norm(gt.positions[j] - t.apply(est.positions[i])) for i, j in pairs]
     return float(np.sqrt(np.mean(np.square(errs))))
 
 
-def reference_rpe(est, gt, delta=30, tolerance=DEFAULT_MATCH_TOLERANCE_S):
+def reference_rpe(est, gt, delta=30):
     if delta < 1:
         raise ValueError(f"rpe_delta must be an integer >= 1, got {delta!r}")
-    pairs = reference_associate(est, gt, tolerance)
+    pairs = reference_associate(est, gt)
     if len(pairs) < 2:
         raise ValueError(f"need at least 2 matched poses for RPE, got {len(pairs)}")
     errs = []
@@ -145,11 +145,11 @@ def report_fields(rep):
             tuple(a.translation))
 
 
-def reference_report_fields(est, gt, mode, delta, tolerance):
-    ate_rmse = reference_ate(est, gt, mode, tolerance)
-    rpe_rmse = reference_rpe(est, gt, delta, tolerance)
-    a = reference_align(est, gt, mode, tolerance)
-    return (ate_rmse, rpe_rmse, len(reference_associate(est, gt, tolerance)), a.scale,
+def reference_report_fields(est, gt, mode, delta):
+    ate_rmse = reference_ate(est, gt, mode)
+    rpe_rmse = reference_rpe(est, gt, delta)
+    a = reference_align(est, gt, mode)
+    return (ate_rmse, rpe_rmse, len(reference_associate(est, gt)), a.scale,
             tuple(a.rotation), tuple(a.translation))
 
 
@@ -321,24 +321,82 @@ class TestFirstBadRow:
                 held[0] = 1.0
 
 
+def tolerance_edge(g, sign):
+    """The time farthest from `g` on the `sign` side that is still within
+    MATCH_TOLERANCE_S of it, and the next float past it."""
+    away = sign * math.inf
+    t = g + sign * MATCH_TOLERANCE_S
+    while abs(t - g) > MATCH_TOLERANCE_S:
+        t = math.nextafter(t, g)
+    while abs(math.nextafter(t, away) - g) <= MATCH_TOLERANCE_S:
+        t = math.nextafter(t, away)
+    return t, math.nextafter(t, away)
+
+
+def edge_ground_truth():
+    """40 poses 1 s apart on mixed-sign times, at scattered positions: far
+    enough apart in time that each est row's nearest gt row is its own."""
+    rng = np.random.default_rng(38)
+    return Trajectory(np.arange(-20.0, 20.0), rng.normal(size=(40, 3)),
+                      np.tile([1.0, 0.0, 0.0, 0.0], (40, 1)))
+
+
 class TestAssociate:
     def test_identical_timestamps_full_match(self):
         t = straight_trajectory()
         assert associate(t, t) == [(i, i) for i in range(len(t))]
 
-    def test_tolerance_excludes_far_timestamps(self):
-        a = straight_trajectory()
-        b = Trajectory(a.timestamps + 0.5, a.positions, a.quaternions)
-        assert associate(a, b, tolerance=0.01) == []
+    def test_match_tolerance_is_inclusive(self):
+        gt = stamped([0.0])
+        assert associate(stamped([MATCH_TOLERANCE_S]), gt) == [(0, 0)]
+        assert associate(stamped([np.nextafter(MATCH_TOLERANCE_S, 1.0)]), gt) == []
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["est-after-gt", "est-before-gt"])
+    @pytest.mark.parametrize("score", [associate, ate, rpe, evaluate])
+    def test_every_score_matches_to_the_tolerance_edge(self, score, sign):
+        # Each est row at the last float within the tolerance of its gt row
+        # matches it, so the score equals that on the gt's own timestamps.
+        gt = edge_ground_truth()
+        positions = gt.positions + np.random.default_rng(39).normal(scale=0.1, size=(len(gt), 3))
+        est = Trajectory([tolerance_edge(g, sign)[0] for g in gt.timestamps.tolist()],
+                         positions, gt.quaternions)
+        same_times = Trajectory(gt.timestamps, positions, gt.quaternions)
+        if score is associate:
+            assert associate(est, gt) == [(k, k) for k in range(len(gt))]
+        elif score is evaluate:
+            assert report_fields(evaluate(est, gt)) == report_fields(evaluate(same_times, gt))
+        else:
+            assert score(est, gt) == score(same_times, gt)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["est-after-gt", "est-before-gt"])
+    @pytest.mark.parametrize(
+        "score, message",
+        [
+            (associate, None),
+            (ate, "need at least 3 matched pose pairs to align, got 0"),
+            (rpe, "need at least 2 matched poses for RPE, got 0"),
+            (evaluate, "need at least 3 matched pose pairs to align, got 0"),
+        ],
+        ids=["associate", "ate", "rpe", "evaluate"],
+    )
+    def test_every_score_matches_nothing_past_the_edge(self, score, message, sign):
+        gt = edge_ground_truth()
+        est = Trajectory([tolerance_edge(g, sign)[1] for g in gt.timestamps.tolist()],
+                         gt.positions, gt.quaternions)
+        if message is None:
+            assert score(est, gt) == []
+        else:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                score(est, gt)
 
     def test_one_to_one(self):
-        a = straight_trajectory(n=20)
-        b = straight_trajectory(n=10, step=2.0)
-        pairs = associate(a, b, tolerance=0.6)
+        # 20 est rows against the first 10 of them, spaced 1/0.6 tolerances apart
+        spacing = MATCH_TOLERANCE_S / 0.6
+        pairs = associate(stamped(spacing * np.arange(20)), stamped(spacing * np.arange(10)))
         assert len(pairs) == len({j for _, j in pairs})
 
 
-def list_associate(est, gt, tolerance):
+def list_associate(est, gt):
     """The list-of-tuples loop `associate` ran before it matched into index arrays."""
     gts = gt.timestamps.tolist()
     pairs = []
@@ -346,7 +404,7 @@ def list_associate(est, gt, tolerance):
     for i, t in enumerate(est.timestamps.tolist()):
         while j + 1 < len(gts) and abs(gts[j + 1] - t) <= abs(gts[j] - t):
             j += 1
-        if abs(gts[j] - t) <= tolerance:
+        if abs(gts[j] - t) <= MATCH_TOLERANCE_S:
             pairs.append((i, j))
             j += 1
             if j >= len(gts):
@@ -362,55 +420,63 @@ def stamped(timestamps):
 @st.composite
 def timestamp_pairs(draw):
     """gt and est timestamps, mixed-sign; est is either drawn on its own or
-    a subset of gt shifted by a little, and the tolerance may be 0."""
+    a subset of gt shifted by an offset inside, at or beyond the match
+    tolerance."""
     stamps = st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=30, unique=True).map(sorted)
     gt = draw(stamps)
     if draw(st.booleans()):
-        shift = draw(st.sampled_from([0.0, 1e-9, -0.004, 0.005, 0.01, -0.5]))
+        shift = MATCH_TOLERANCE_S * draw(st.sampled_from([0.0, 1e-7, -0.4, 0.5, 1.0, -1.0, 2.0, -50.0]))
         est = sorted({t + shift for t in draw(st.lists(st.sampled_from(gt), min_size=1))})
     else:
         est = draw(stamps)
-    tolerance = draw(st.sampled_from([0.0, 0.005, DEFAULT_MATCH_TOLERANCE_S, 0.5]))
-    return stamped(est), stamped(gt), tolerance
+    return stamped(est), stamped(gt)
 
 
 HZ30 = np.arange(90) / 30.0
+UNIT = MATCH_TOLERANCE_S / 1.5
 
 
 class TestMatchIndices:
     @settings(max_examples=300)
     @given(timestamp_pairs())
-    @example((stamped(HZ30), stamped(HZ30), DEFAULT_MATCH_TOLERANCE_S))
-    @example((stamped(np.arange(180) / 60.0), stamped(HZ30), DEFAULT_MATCH_TOLERANCE_S))
-    @example((stamped([-3.0, -2.0, -1.0]), stamped([0.0, 1.0, 2.0]), 1.5))  # est before gt
-    @example((stamped([3.0, 4.0, 5.0]), stamped([0.0, 1.0, 2.0]), 1.5))  # est after gt
-    @example((stamped([0.5, 1.0, 1.5]), stamped([1.0]), 0.5))  # one-row gt
-    # Distances from -2**54 round to 2**54, 2**54, 2**54 + 4: the walk steps
-    # onto row 1 through the rounding plateau and stops there.
-    @example((stamped([-(2.0**54)]), stamped([1.0, 2.0, 3.0]), 2.0**55))
-    # From -2**56 the first eight distances round equal: only the walk
-    # knows that it stops on row 7.
-    @example((stamped([-(2.0**56)]), stamped(np.arange(1.0, 12.0)), 2.0**57))
-    @example((stamped(HZ30[::2] + 1e-9), stamped(HZ30), 0.0))
-    @example((stamped(HZ30[::2]), stamped(HZ30), 0.0))
+    @example((stamped(HZ30), stamped(HZ30)))
+    @example((stamped(np.arange(180) / 60.0), stamped(HZ30)))
+    # Times in units of MATCH_TOLERANCE_S / 1.5: the last est row matches
+    # the first gt row, the first est row the last gt row.
+    @example((stamped(UNIT * np.array([-3.0, -2.0, -1.0])), stamped(UNIT * np.array([0.0, 1.0, 2.0]))))
+    @example((stamped(UNIT * np.array([3.0, 4.0, 5.0])), stamped(UNIT * np.array([0.0, 1.0, 2.0]))))
+    # one-row gt, matched by the first est row at exactly the tolerance
+    @example((stamped(MATCH_TOLERANCE_S * np.array([1.0, 2.0, 3.0])), stamped([2 * MATCH_TOLERANCE_S])))
+    # Distances from -2**-8 round to 2**-8, 2**-8, 2**-8 + 2**-60: the walk
+    # steps onto row 1 through the rounding plateau and stops there.
+    @example((stamped([-(2.0**-8)]), stamped(2.0**-62 * np.array([1.0, 2.0, 3.0]))))
+    # From -2**-8 the first eight distances round equal: the walk stops on row 7.
+    @example((stamped([-(2.0**-8)]), stamped(2.0**-64 * np.arange(1.0, 12.0))))
+    @example((stamped(HZ30[::2] + MATCH_TOLERANCE_S + 1e-9), stamped(HZ30)))
+    @example((stamped(HZ30[::2]), stamped(HZ30)))
+    # Equal in value, so paired row for row, though one zero is negative.
+    @example((stamped([-0.0, 1.0, 2.0]), stamped([0.0, 1.0, 2.0])))
+    @example((stamped(HZ30[:45]), stamped(HZ30)))  # est a strict prefix of gt
+    @example((stamped(HZ30), stamped(HZ30[:45])))  # gt a strict prefix of est
     def test_equals_list_of_tuples_loop(self, case):
-        est, gt, tolerance = case
-        expected = list_associate(est, gt, tolerance)
-        ei, gi = metrics._match(est, gt, tolerance)
+        est, gt = case
+        expected = list_associate(est, gt)
+        walks = []
+        walk = metrics._match_walk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_match_walk", lambda *args: walks.append(1) or walk(*args))
+            ei, gi = metrics._match(est, gt)
+        # Trajectories on equal timestamps pair row for row; any other input walks.
+        assert bool(walks) != np.array_equal(est.timestamps, gt.timestamps)
         assert ei.dtype == gi.dtype == np.intp
         assert list(zip(ei.tolist(), gi.tolist())) == expected
-        assert associate(est, gt, tolerance) == expected
+        assert associate(est, gt) == expected
 
-    def test_exact_matches_at_zero_tolerance(self):
-        gt = stamped([-1.0, -0.5, 0.0, 0.5])
-        est = stamped([-0.5, 0.25, 0.5])
-        assert associate(est, gt, tolerance=0.0) == [(0, 1), (2, 3)]
-
-    def test_benchmark_run_takes_the_array_path(self, monkeypatch):
-        """A run cell scores one pose per frame against the ground truth:
-        the array answer covers it without the walk."""
+    def test_benchmark_run_pairs_row_for_row(self, monkeypatch):
+        """A run cell scores one pose per frame against the ground truth, on
+        the same timestamps: they pair row for row without the walk."""
         est, gt = corridor120_baseline()
-        expected = list_associate(est, gt, DEFAULT_MATCH_TOLERANCE_S)
+        expected = list_associate(est, gt)
         assert len(expected) == len(gt)
 
         def walk(*args):
@@ -422,25 +488,9 @@ class TestMatchIndices:
 
 
 class TestBadScoringArguments:
-    """Bad tolerance and delta values raise ValueError naming the value
-    before any matching or scoring: the trajectory's coincident positions
-    would fail the alignment."""
-
-    @pytest.mark.parametrize("score", [associate, ate, rpe, evaluate])
-    @pytest.mark.parametrize(
-        "tolerance, message",
-        [
-            (float("nan"), "tolerance must be a finite number, got nan"),
-            (float("inf"), "tolerance must be a finite number, got inf"),
-            (True, "tolerance must be a finite number, got True"),
-            ("0.01", "tolerance must be a finite number, got '0.01'"),
-            (-1.0, "tolerance must be >= 0, got -1.0"),
-        ],
-    )
-    def test_bad_tolerance(self, score, tolerance, message):
-        t = stamped(np.arange(50.0))
-        with pytest.raises(ValueError, match=re.escape(message)):
-            score(t, t, tolerance=tolerance)
+    """Bad delta values raise ValueError naming the value before any
+    matching or scoring: the trajectory's coincident positions would fail
+    the alignment. An empty ground truth is refused before matching."""
 
     @pytest.mark.parametrize(
         "score",
@@ -513,19 +563,18 @@ class TestBatchedScoringEqualsReference:
     bit for bit, errors included."""
 
     @given(trajectory_pairs(), st.sampled_from(ALIGN_MODES),
-           st.one_of(st.integers(1, 8), st.integers(1, 64)), st.sampled_from([0.01, 0.005]))
-    def test_equal_to_per_pair_loops(self, pair, mode, delta, tolerance):
+           st.one_of(st.integers(1, 8), st.integers(1, 64)),
+           st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    def test_equal_to_per_pair_loops(self, pair, mode, delta, offset):
+        # est times moved by an offset inside, at or beyond the tolerance
         est, gt = pair
-        assert associate(est, gt, tolerance) == reference_associate(est, gt, tolerance)
-        assert outcome(ate, est, gt, mode, tolerance) == outcome(
-            reference_ate, est, gt, mode, tolerance
-        )
-        assert outcome(rpe, est, gt, delta, tolerance) == outcome(
-            reference_rpe, est, gt, delta, tolerance
-        )
+        est = Trajectory(est.timestamps + offset * MATCH_TOLERANCE_S, est.positions, est.quaternions)
+        assert associate(est, gt) == reference_associate(est, gt)
+        assert outcome(ate, est, gt, mode) == outcome(reference_ate, est, gt, mode)
+        assert outcome(rpe, est, gt, delta) == outcome(reference_rpe, est, gt, delta)
         config = MetricsConfig(mode, delta)
-        assert outcome(lambda: report_fields(evaluate(est, gt, config, tolerance))) == (
-            outcome(reference_report_fields, est, gt, mode, delta, tolerance)
+        assert outcome(lambda: report_fields(evaluate(est, gt, config))) == (
+            outcome(reference_report_fields, est, gt, mode, delta)
         )
 
     def test_delta_past_pair_count_raises_same_message(self):
@@ -846,6 +895,39 @@ class TestTumIO:
         for orig, got in ((traj.timestamps, back.timestamps), (traj.positions, back.positions),
                           (traj.quaternions, back.quaternions)):
             np.testing.assert_allclose(got, orig, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "est_times, gt_times",
+        [
+            (HZ30, HZ30),
+            (HZ30 - 1.5, HZ30 - 1.5),
+            # 1e4 + k/30 rounds to 9 digits when written
+            (1e4 + HZ30, 1e4 + HZ30),
+            (np.sort(np.random.default_rng(12).uniform(-20.0, 20.0, 60)),) * 2,
+            # "-0" and "0" read back equal in value
+            ([-0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]),
+        ],
+        ids=["30hz", "mixed-sign", "rounded", "irregular", "signed-zero"],
+    )
+    def test_shared_timestamps_pair_row_for_row_after_round_trip(
+        self, tmp_path, monkeypatch, est_times, gt_times
+    ):
+        # est and gt on the same timestamps, each written to its own file and
+        # read back, still pair row for row without the walk: `%.9g` writes
+        # both timestamp columns alike, and they parse back equal.
+        rng = np.random.default_rng(13)
+        n = len(gt_times)
+        quats = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
+        write_tum(Trajectory(est_times, rng.normal(size=(n, 3)), quats), tmp_path / "est.tum")
+        write_tum(Trajectory(gt_times, rng.normal(size=(n, 3)), quats), tmp_path / "gt.tum")
+        est, gt = read_tum(tmp_path / "est.tum"), read_tum(tmp_path / "gt.tum")
+
+        def walk(*args):
+            raise AssertionError("the greedy walk ran")
+
+        monkeypatch.setattr(metrics, "_match_walk", walk)
+        ei, gi = metrics._match(est, gt)
+        assert ei.tolist() == gi.tolist() == list(range(n))
 
     def test_row_format_matches_per_field_formatting(self, tmp_path):
         rng = np.random.default_rng(11)
