@@ -6,6 +6,8 @@ Subcommands:
   eval       score an estimated TUM trajectory against a ground truth one
 
 Exit codes: 0 success, 1 usage/configuration error, 2 runtime failure.
+Every command runs with numpy overflow, invalid and divide errors raised,
+so arithmetic that overflows fails its command, or its `run` cell, by name.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import sys
 from contextlib import suppress
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from . import metrics as met
 from .frontend import DriftConfig, ObservationConfig
@@ -269,7 +273,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except ValueError as exc:
         print(f"segdrift: error: {exc}", file=sys.stderr)
         return 1

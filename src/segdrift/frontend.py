@@ -121,8 +121,9 @@ def drift_walk(cfg: DriftConfig, n_frames: int) -> tuple[np.ndarray, np.ndarray,
     log-normal scale, a rotation by a normal angle about a normal random
     axis, and a normal translation, each drawn only when its sigma is
     positive. Raises ValueError at the first non-finite increment, else
-    at the first scale that is not positive and finite, else at the first
-    translation that is not finite.
+    at the first scale that is not positive and finite, else at a
+    rotation axis of zero norm, else at the first translation that is not
+    finite.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     steps = max(n_frames - 1, 0)
@@ -134,7 +135,11 @@ def drift_walk(cfg: DriftConfig, n_frames: int) -> tuple[np.ndarray, np.ndarray,
         columns += [("rotation axis", 1.0)] * 3 + [("rotation angle", cfg.rot_sigma)]
     if cfg.trans_sigma > 0:
         columns += [(f"translation step {c}", cfg.trans_sigma) for c in "xyz"]
-    draws = _draw_rows(rng, steps, [sigma for _, sigma in columns], axis)
+    # Each column scaled as `Generator.normal(0.0, sigma)` scales one draw,
+    # `0.0 + sigma * z`, inf where that overflows.
+    sigmas = np.array([sigma for _, sigma in columns])
+    with np.errstate(over="ignore"):
+        draws = 0.0 + sigmas * rng.standard_normal((steps, len(columns)))
     bad = ~np.isfinite(draws)
     if bad.any():
         k, j = divmod(int(np.argmax(bad)), len(columns))
@@ -168,27 +173,6 @@ def drift_walk(cfg: DriftConfig, n_frames: int) -> tuple[np.ndarray, np.ndarray,
             lambda k: f"drift translation of frame {k} must be finite, got {translation[k].tolist()}",
         )
     return scale, rotation, translation
-
-
-def _draw_rows(rng, steps: int, sigmas: list[float], axis: int | None) -> np.ndarray:
-    """`steps` rows of normal draws, column j scaled as `Generator.normal(0.0,
-    sigmas[j])` scales one draw (`0.0 + sigma * z`), inf where that overflows.
-
-    Columns axis..axis+2 hold a rotation axis. An axis of exactly zero norm
-    is drawn again from the next three draws, which moves every later draw
-    back three places, as a frame-by-frame loop would. (A zero axis needs
-    three standard normals of exactly 0.0, each with chance 2^-52.)
-    """
-    k = len(sigmas)
-    flat = rng.standard_normal(steps * k)
-    while axis is not None:
-        zero = np.flatnonzero(row_norms(flat.reshape(steps, k)[:, axis : axis + 3]) == 0.0)
-        if not len(zero):
-            break
-        start = zero[0] * k + axis
-        flat = np.concatenate([flat[:start], flat[start + 3 :], rng.standard_normal(3)])
-    with np.errstate(over="ignore"):
-        return 0.0 + np.array(sigmas) * flat.reshape(steps, k)
 
 
 def _offsets(mids_t: np.ndarray, t: np.ndarray) -> np.ndarray:

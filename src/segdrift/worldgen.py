@@ -56,10 +56,17 @@ class WorldSpec:
             raise ValueError("door_spacing must be smaller than corridor_length")
         for name in ("n_turns", "extra_unique_segments", "rng_seed"):
             check_int(name, getattr(self, name), 0)
-        try:
-            float(int(self.n_turns) + 1)
-        except OverflowError:
-            raise ValueError("n_turns is too large: its n_turns + 1 legs do not fit a float") from None
+
+        def check_budget(name: str, count: int, what: str) -> None:
+            if count > MAX_WORLD_SIZE:
+                raise ValueError(
+                    f"{name} {getattr(self, name)!r} gives a world of {count} {what}, "
+                    f"over the budget of {MAX_WORLD_SIZE} {what}"
+                )
+
+        # Counted before anything divides by it: a Python int, so any count fits.
+        legs = int(self.n_turns) + 1
+        check_budget("n_turns", legs, "legs")
         # Every snapped coordinate and count must be finite. corridor_length
         # bounds each coordinate along the walk, and so each leg's frame count.
         for name in ("corridor_length", "door_height", "door_width"):
@@ -77,19 +84,10 @@ class WorldSpec:
                 f"corridor_length {self.corridor_length} over n_turns {self.n_turns} + 1 legs "
                 f"gives legs of {self.leg_length} m"
             )
-        legs = int(self.n_turns) + 1
         walking, turning = legs * self.frames_per_leg, (legs - 1) * self.frames_per_turn
         doors, extra = 3 * legs * self.doors_per_leg, int(self.extra_unique_segments)
-        for name, count, what in (
-            ("n_turns", legs, "legs"),
-            ("corridor_length" if walking >= turning else "turn_angle", walking + turning, "frames"),
-            ("door_spacing" if doors >= extra else "extra_unique_segments", doors + extra, "segments"),
-        ):
-            if count > MAX_WORLD_SIZE:
-                raise ValueError(
-                    f"{name} {getattr(self, name)!r} gives a world of {count} {what}, "
-                    f"over the budget of {MAX_WORLD_SIZE} {what}"
-                )
+        check_budget("corridor_length" if walking >= turning else "turn_angle", walking + turning, "frames")
+        check_budget("door_spacing" if doors >= extra else "extra_unique_segments", doors + extra, "segments")
 
     @property
     def leg_length(self) -> float:
@@ -151,8 +149,6 @@ class World:
 
 
 def generate_corridor(spec: WorldSpec) -> World:
-    rng = np.random.default_rng(spec.rng_seed)
-
     n_legs = spec.n_turns + 1
     leg_len = spec.leg_length
     turn_rad = np.deg2rad(spec.turn_angle)
@@ -183,6 +179,8 @@ def generate_corridor(spec: WorldSpec) -> World:
         ends.append(np.stack([jamb1, top1, jamb2, top2, top1, top2], axis=1).reshape(-1, 2, 3))
         archetypes.append(np.tile([0, 0, 1 + leg], len(k)))
 
+    # Only clutter draws, so a plain corridor neither seeds nor imports a generator.
+    rng = np.random.default_rng(spec.rng_seed) if spec.extra_unique_segments else None
     for j in range(spec.extra_unique_segments):
         leg = int(rng.integers(n_legs))
         along = rng.uniform(0.0, leg_len)

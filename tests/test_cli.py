@@ -262,6 +262,22 @@ class TestRun:
             wins = sum(ates[("seg", s)] < ates[("baseline", s)] for s in both)
             assert summary["modes"]["seg"]["win_rate_vs_baseline"] == wins / len(both)
 
+    @pytest.mark.parametrize(
+        "section", [{"observation": {"endpoint_noise_sigma": 1e300}}, {"schedule": {"rel_threshold": 1e300}}]
+    )
+    def test_overflowing_cell_fails_by_name(self, tmp_path, capsys, section):
+        # Outside pytest the warning filter is "default": an overflow would
+        # only warn, and the cell would write nonsense. It fails instead.
+        overrides = {"world": {"corridor_length": 10, "door_spacing": 2}, "observation": {}, **section}
+        cfg = small_config(tmp_path, modes=["seg"], seeds=[0], **overrides)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert main(["run", "--config", str(cfg)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["errors"] == [{"mode": "seg", "seed": 0, "error": "overflow encountered in multiply"}]
+        assert capsys.readouterr().err == ""
+
     def test_cell_configs_built_once_per_cell(self, tmp_path, monkeypatch, capsys):
         calls = []
         real = segdrift.cli._cell_configs
@@ -958,6 +974,28 @@ class TestUsage:
         assert lines[0] == "[]"
         assert "ate_rmse" in out.stdout
         assert lines[-1] == "[]"
+
+    def test_plain_corridor_leaves_numpy_random_unloaded(self):
+        # Only clutter draws from a generator, so generating a plain corridor
+        # loads no `numpy.random` that importing numpy did not.
+        code = (
+            "import sys\n"
+            "from segdrift.worldgen import WorldSpec, generate_corridor\n"
+            "def loaded(): return 'numpy.random' in sys.modules\n"
+            "before = loaded()\n"
+            "generate_corridor(WorldSpec())\n"
+            "plain = loaded()\n"
+            "generate_corridor(WorldSpec(extra_unique_segments=3))\n"
+            "print(before, plain, loaded())\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        before, plain, clutter = out.stdout.split()
+        assert plain == before
+        assert clutter == "True"
 
     def test_package_root_re_exports_nothing(self):
         # Each name is imported from the module that owns it: loading one

@@ -39,8 +39,9 @@ def vectors(w):
 
 
 # Specs whose generation would overflow a float, each with the field it
-# names: a leg count, frame count or door count that is not finite, or a
-# coordinate that snaps to inf.
+# names: a leg count too large for a float (refused by the leg budget), a
+# frame count or door count that is not finite, or a coordinate that snaps
+# to inf.
 OVERFLOWING_SPECS = [
     ({"corridor_length": 40.0, "n_turns": 10**400}, "n_turns"),
     ({"corridor_length": 40, "n_turns": 10**400}, "n_turns"),
@@ -69,6 +70,12 @@ class TestSpecValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^{named} "):
                 WorldSpec(**fields)
+
+    @pytest.mark.parametrize("fields", [fields for fields, named in OVERFLOWING_SPECS if named == "n_turns"])
+    def test_leg_count_beyond_a_float_is_over_the_budget(self, fields):
+        legs = fields["n_turns"] + 1
+        with pytest.raises(ValueError, match=rf"^n_turns \d+ gives a world of {legs} legs, over the budget "):
+            WorldSpec(**fields)
 
     @pytest.mark.parametrize("fields, named", HUGE_SPECS)
     def test_huge_spec_refused_naming_its_field(self, fields, named):
@@ -123,7 +130,7 @@ class TestSpecValidation:
         # a leg exactly one spacing long holds one door
         assert WorldSpec(corridor_length=6, n_turns=2, door_spacing=2).doors_per_leg == 1
         # the largest int64 count of turns is a count of legs, not wrapped below 0
-        with pytest.raises(ValueError, match=r"^door_spacing .* legs of 4\.3\d*e-18 m"):
+        with pytest.raises(ValueError, match=rf"^n_turns .* gives a world of {2**63} legs, over the budget "):
             WorldSpec(n_turns=np.int64(2**63 - 1))
 
     @pytest.mark.parametrize(
