@@ -229,9 +229,12 @@ def cmd_eval(args) -> int:
     scoring = met.MetricsConfig(args.align, args.rpe_delta)
     est = met.read_tum(args.est)
     gt = met.read_tum(args.gt)
-    if args.interpolate_gt:
-        gt = met.interpolate_trajectory(gt, est.timestamps)
-    report = met.evaluate(est, gt, scoring)
+    try:
+        if args.interpolate_gt:
+            gt = met.interpolate_trajectory(gt, est.timestamps)
+        report = met.evaluate(est, gt, scoring)
+    except FloatingPointError as exc:  # finite input beyond `main`'s errstate
+        raise ValueError(f"cannot score {args.est} against {args.gt}: {exc}") from None
     payload = json.dumps(report.to_json(), indent=1)
     print(payload)
     if args.out is not None:

@@ -131,20 +131,9 @@ def read_tum(path) -> Trajectory:
         raise ValueError(f"{path}:{linenos[exc.row]}: {exc.reason}") from None
 
 
-def associate(est: Trajectory, gt: Trajectory) -> list[tuple[int, int]]:
-    """Greedy one-to-one nearest-timestamp matching in time order."""
-    ei, gi = _match(est, gt)
-    return list(zip(ei.tolist(), gi.tolist()))
-
-
-# Scoring runs on matched index arrays: `ei[k]`, `gi[k]` are the est and gt
-# rows of the k-th associated pair. `evaluate` matches once and hands the
-# same arrays to all three helpers; the public `ate` and `rpe` are thin
-# wrappers that match for themselves.
-
-
-def _match(est: Trajectory, gt: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """`associate` as two index arrays, est rows then gt rows.
+def associate(est: Trajectory, gt: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy one-to-one nearest-timestamp matching in time order, as two
+    index arrays: `ei[k]`, `gi[k]` are the est and gt rows of the k-th pair.
 
     Trajectories on equal timestamps pair row for row: that is the walk's
     answer, since each row is at distance 0 and the next gt row is strictly
@@ -193,14 +182,18 @@ def _rmse(errs: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(errs))))
 
 
-def _ate(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, t: Sim3) -> float:
+def ate(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, alignment: Sim3) -> float:
+    """RMSE of matched position differences after `alignment` (meters)."""
     if not len(ei):
         raise ValueError("no matched pose pairs")
-    moved = t.apply(np.take(est.positions, ei, axis=0))
+    moved = alignment.apply(np.take(est.positions, ei, axis=0))
     return _rmse(row_norms(np.take(gt.positions, gi, axis=0) - moved))
 
 
-def _rpe(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, delta: int) -> float:
+def rpe(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, delta: int) -> float:
+    """RMSE of the translational magnitude of relative-pose discrepancies
+    between matched rows `delta` pairs apart (meters)."""
+    check_int("rpe_delta", delta, 1)
     if len(ei) < 2:
         raise ValueError(f"need at least 2 matched poses for RPE, got {len(ei)}")
     if len(ei) <= delta:
@@ -211,20 +204,6 @@ def _rpe(est: Trajectory, gt: Trajectory, ei: np.ndarray, gi: np.ndarray, delta:
     # The translation of `rel_gt.inverse().compose(rel_est)`, the one part
     # scored, by the expression `compose` forms it with, and no rotation.
     return _rmse(row_norms(rel_gt.inverse().apply(rel_est.translation)))
-
-
-def ate(est: Trajectory, gt: Trajectory, mode: str = "similarity") -> float:
-    """RMSE of aligned position differences over matched pairs (meters)."""
-    MetricsConfig(align_mode=mode)  # checks the mode
-    ei, gi = _match(est, gt)
-    return _ate(est, gt, ei, gi, _align(est, gt, ei, gi, mode))
-
-
-def rpe(est: Trajectory, gt: Trajectory, delta: int = MetricsConfig.rpe_delta) -> float:
-    """RMSE of the translational magnitude of relative-pose discrepancies
-    over a fixed frame delta (meters)."""
-    MetricsConfig(rpe_delta=delta)  # checks the delta
-    return _rpe(est, gt, *_match(est, gt), delta)
 
 
 def _spans(times: np.ndarray, query_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,11 +295,11 @@ def evaluate(
     est: Trajectory, gt: Trajectory, config: MetricsConfig = MetricsConfig()
 ) -> MetricsReport:
     """ATE and RPE under `config` from one association and one alignment."""
-    ei, gi = _match(est, gt)
+    ei, gi = associate(est, gt)
     t = _align(est, gt, ei, gi, config.align_mode)
     return MetricsReport(
-        ate_rmse=_ate(est, gt, ei, gi, t),
-        rpe_rmse=_rpe(est, gt, ei, gi, config.rpe_delta),
+        ate_rmse=ate(est, gt, ei, gi, t),
+        rpe_rmse=rpe(est, gt, ei, gi, config.rpe_delta),
         config=config,
         n_matched=len(ei),
         alignment=t,

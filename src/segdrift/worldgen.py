@@ -60,7 +60,7 @@ class WorldSpec:
         def check_budget(name: str, count: int, what: str) -> None:
             if count > MAX_WORLD_SIZE:
                 raise ValueError(
-                    f"{name} {getattr(self, name)!r} gives a world of {count} {what}, "
+                    f"{name} {getattr(self, name)} gives a world of {count} {what}, "
                     f"over the budget of {MAX_WORLD_SIZE} {what}"
                 )
 
@@ -72,11 +72,11 @@ class WorldSpec:
         for name in ("corridor_length", "door_height", "door_width"):
             value = getattr(self, name)
             if not math.isfinite(float(value) / COORD_QUANTUM):
-                raise ValueError(f"{name} {value!r} is too large to snap to a {COORD_QUANTUM} m grid")
+                raise ValueError(f"{name} {value} is too large to snap to a {COORD_QUANTUM} m grid")
         leg = float(self.leg_length)
         if not math.isfinite(leg / float(self.door_spacing)):
             raise ValueError(
-                f"door_spacing {self.door_spacing!r} is too small to count doors in legs of {leg} m"
+                f"door_spacing {self.door_spacing} is too small to count doors in legs of {leg} m"
             )
         if self.doors_per_leg < 1:  # no door, so no repeated archetype
             raise ValueError(

@@ -18,7 +18,7 @@ from segdrift.clustering import ClusterStore
 from segdrift.clusteropt import EDGE_DTYPE, evaluate_objective, residual, solve
 from segdrift.frontend import DriftConfig, ObservationConfig
 from segdrift.geometry import Sim3, quat_from_axis_angle, quat_rotate, umeyama_alignment
-from segdrift.metrics import Trajectory, ate, read_tum, rpe, spline_interpolate, write_tum
+from segdrift.metrics import MetricsConfig, Trajectory, evaluate, read_tum, spline_interpolate, write_tum
 from segdrift.pipeline import ScheduleConfig, run
 from segdrift.worldgen import WorldSpec, generate_corridor
 
@@ -67,7 +67,7 @@ def test_criterion_2_directional_improvement():
         )
         for mode in ates:
             r = run(world, drift, obs, ScheduleConfig(mode=mode))
-            ates[mode].append(ate(r.corrected_trajectory, world.trajectory))
+            ates[mode].append(evaluate(r.corrected_trajectory, world.trajectory).ate_rmse)
     elapsed = time.monotonic() - start
 
     medians = {m: float(np.median(v)) for m, v in ates.items()}
@@ -90,7 +90,7 @@ def test_criterion_3_noiseless_exactness():
     for mode in ("baseline", "seg", "segglobal"):
         r = run(world, DriftConfig(rng_seed=0), ObservationConfig(rng_seed=0),
                 ScheduleConfig(mode=mode))
-        assert ate(r.corrected_trajectory, world.trajectory, mode="none") < 1e-9
+        assert evaluate(r.corrected_trajectory, world.trajectory, MetricsConfig("none")).ate_rmse < 1e-9
         if mode != "baseline":
             assert len(r.store) == n_archetypes
 
@@ -222,7 +222,9 @@ def test_criterion_8_metrics_validation():
     quats = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
     gt = Trajectory(ts, np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]), quats)
     est = Trajectory(ts, np.array([[0.0, 0, 0], [1.0, 0, 0], [2.3, 0, 0]]), quats)
-    assert ate(est, gt, mode="none") == pytest.approx(np.sqrt(0.09 / 3), abs=1e-12)
+    assert evaluate(est, gt, MetricsConfig("none", rpe_delta=1)).ate_rmse == pytest.approx(
+        np.sqrt(0.09 / 3), abs=1e-12
+    )
 
     # RPE vs brute-force accumulation on a scale-inflated straight line
     n, eps = 30, 0.02
@@ -234,7 +236,7 @@ def test_criterion_8_metrics_validation():
     est_line = Trajectory(ts, (1 + eps) * line, quats)
     errs = [np.linalg.norm((1 + eps) * (line[k + 1] - line[k]) - (line[k + 1] - line[k]))
             for k in range(n - 1)]
-    assert rpe(est_line, gt_line, delta=1) == pytest.approx(
+    assert evaluate(est_line, gt_line, MetricsConfig("none", rpe_delta=1)).rpe_rmse == pytest.approx(
         float(np.sqrt(np.mean(np.square(errs)))), abs=1e-12
     )
 

@@ -861,6 +861,24 @@ class TestEval:
         assert captured.out == ""
         assert not (tmp_path / "metrics.json").exists()
 
+    @pytest.mark.parametrize("align", segdrift.metrics.ALIGN_MODES)
+    def test_eval_overflow_exits_1_naming_both_files(self, tmp_path, capsys, align):
+        # Positions near 1e300 m read as finite, but their squares overflow:
+        # in the alignment, or in the ATE's row norms when unaligned.
+        est, gt = self.run_small(tmp_path)
+        traj = segdrift.metrics.read_tum(est)
+        huge = tmp_path / "huge.tum"
+        write_tum(Trajectory(traj.timestamps, 1e300 * (traj.positions + 1.0), traj.quaternions), huge)
+        out_path = tmp_path / "metrics.json"
+        capsys.readouterr()
+        assert main(["eval", str(huge), str(gt), "--align", align, "--out", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"segdrift: error: cannot score {huge} against {gt}: overflow encountered in "
+        )
+        assert captured.out == ""
+        assert not out_path.exists()
+
     def test_eval_names_first_bad_line_of_several(self, tmp_path, capsys):
         # a NaN quaternion on line 3, then a NaN timestamp on line 5
         est, gt = self.run_small(tmp_path)

@@ -72,8 +72,35 @@ def random_sim3(rng):
     return Sim3(float(rng.uniform(0.3, 3.0)), q, rng.uniform(-5, 5, size=3))
 
 
+def matched_pairs(est, gt):
+    """`associate`'s index arrays as a list of (est row, gt row) pairs."""
+    ei, gi = associate(est, gt)
+    return list(zip(ei.tolist(), gi.tolist()))
+
+
+def ate_steps(est, gt, mode="similarity"):
+    """ATE by `evaluate`'s own steps: associate, align, then `ate`."""
+    ei, gi = associate(est, gt)
+    return ate(est, gt, ei, gi, metrics._align(est, gt, ei, gi, mode))
+
+
+def rpe_steps(est, gt, delta=MetricsConfig.rpe_delta):
+    """RPE by `evaluate`'s own steps: associate, then `rpe`."""
+    return rpe(est, gt, *associate(est, gt), delta)
+
+
+def ate_of(est, gt, mode="similarity"):
+    """The ATE `evaluate` reports under `mode`."""
+    return evaluate(est, gt, MetricsConfig(mode, rpe_delta=1)).ate_rmse
+
+
+def rpe_of(est, gt, delta):
+    """The RPE `evaluate` reports at `delta`, on unaligned trajectories."""
+    return evaluate(est, gt, MetricsConfig("none", delta)).rpe_rmse
+
+
 # The per-pair scoring loops the array implementation replaced. They are the
-# oracle: `ate`, `rpe` and `evaluate` must equal them bit for bit.
+# oracle: `associate`, `ate`, `rpe` and `evaluate` must equal them bit for bit.
 
 
 def reference_associate(est, gt):
@@ -344,15 +371,16 @@ def edge_ground_truth():
 class TestAssociate:
     def test_identical_timestamps_full_match(self):
         t = straight_trajectory()
-        assert associate(t, t) == [(i, i) for i in range(len(t))]
+        assert matched_pairs(t, t) == [(i, i) for i in range(len(t))]
 
     def test_match_tolerance_is_inclusive(self):
         gt = stamped([0.0])
-        assert associate(stamped([MATCH_TOLERANCE_S]), gt) == [(0, 0)]
-        assert associate(stamped([np.nextafter(MATCH_TOLERANCE_S, 1.0)]), gt) == []
+        assert matched_pairs(stamped([MATCH_TOLERANCE_S]), gt) == [(0, 0)]
+        assert matched_pairs(stamped([np.nextafter(MATCH_TOLERANCE_S, 1.0)]), gt) == []
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["est-after-gt", "est-before-gt"])
-    @pytest.mark.parametrize("score", [associate, ate, rpe, evaluate])
+    @pytest.mark.parametrize("score", [matched_pairs, ate_steps, rpe_steps, evaluate],
+                             ids=["associate", "ate", "rpe", "evaluate"])
     def test_every_score_matches_to_the_tolerance_edge(self, score, sign):
         # Each est row at the last float within the tolerance of its gt row
         # matches it, so the score equals that on the gt's own timestamps.
@@ -361,8 +389,8 @@ class TestAssociate:
         est = Trajectory([tolerance_edge(g, sign)[0] for g in gt.timestamps.tolist()],
                          positions, gt.quaternions)
         same_times = Trajectory(gt.timestamps, positions, gt.quaternions)
-        if score is associate:
-            assert associate(est, gt) == [(k, k) for k in range(len(gt))]
+        if score is matched_pairs:
+            assert matched_pairs(est, gt) == [(k, k) for k in range(len(gt))]
         elif score is evaluate:
             assert report_fields(evaluate(est, gt)) == report_fields(evaluate(same_times, gt))
         else:
@@ -372,9 +400,9 @@ class TestAssociate:
     @pytest.mark.parametrize(
         "score, message",
         [
-            (associate, None),
-            (ate, "need at least 3 matched pose pairs to align, got 0"),
-            (rpe, "need at least 2 matched poses for RPE, got 0"),
+            (matched_pairs, None),
+            (ate_steps, "need at least 3 matched pose pairs to align, got 0"),
+            (rpe_steps, "need at least 2 matched poses for RPE, got 0"),
             (evaluate, "need at least 3 matched pose pairs to align, got 0"),
         ],
         ids=["associate", "ate", "rpe", "evaluate"],
@@ -392,8 +420,8 @@ class TestAssociate:
     def test_one_to_one(self):
         # 20 est rows against the first 10 of them, spaced 1/0.6 tolerances apart
         spacing = MATCH_TOLERANCE_S / 0.6
-        pairs = associate(stamped(spacing * np.arange(20)), stamped(spacing * np.arange(10)))
-        assert len(pairs) == len({j for _, j in pairs})
+        ei, gi = associate(stamped(spacing * np.arange(20)), stamped(spacing * np.arange(10)))
+        assert len(gi) == len(set(gi.tolist()))
 
 
 def list_associate(est, gt):
@@ -465,12 +493,11 @@ class TestMatchIndices:
         walk = metrics._match_walk
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_match_walk", lambda *args: walks.append(1) or walk(*args))
-            ei, gi = metrics._match(est, gt)
+            ei, gi = associate(est, gt)
         # Trajectories on equal timestamps pair row for row; any other input walks.
         assert bool(walks) != np.array_equal(est.timestamps, gt.timestamps)
         assert ei.dtype == gi.dtype == np.intp
         assert list(zip(ei.tolist(), gi.tolist())) == expected
-        assert associate(est, gt) == expected
 
     def test_benchmark_run_pairs_row_for_row(self, monkeypatch):
         """A run cell scores one pose per frame against the ground truth, on
@@ -483,19 +510,19 @@ class TestMatchIndices:
             raise AssertionError("the greedy walk ran")
 
         monkeypatch.setattr(metrics, "_match_walk", walk)
-        assert associate(est, gt) == expected
+        assert matched_pairs(est, gt) == expected
         assert evaluate(est, gt).n_matched == len(gt)
 
 
 class TestBadScoringArguments:
     """Bad delta values raise ValueError naming the value before any
-    matching or scoring: the trajectory's coincident positions would fail
-    the alignment. An empty ground truth is refused before matching."""
+    scoring: the trajectory's coincident positions would fail the
+    alignment. An empty ground truth is refused before matching."""
 
     @pytest.mark.parametrize(
         "score",
         [
-            rpe,
+            pytest.param(rpe_steps, id="rpe"),
             # evaluate takes a MetricsConfig, which refuses the delta when built
             pytest.param(lambda est, gt, delta: evaluate(est, gt, MetricsConfig(rpe_delta=delta)),
                          id="evaluate"),
@@ -508,7 +535,8 @@ class TestBadScoringArguments:
         with pytest.raises(ValueError, match=re.escape(message)):
             score(t, t, delta=delta)
 
-    @pytest.mark.parametrize("score", [associate, ate, rpe, evaluate])
+    @pytest.mark.parametrize("score", [associate, ate_steps, rpe_steps, evaluate],
+                             ids=["associate", "ate", "rpe", "evaluate"])
     def test_empty_ground_truth(self, score):
         with pytest.raises(ValueError, match="ground truth trajectory is empty"):
             score(stamped(np.arange(5.0)), stamped([]))
@@ -555,11 +583,11 @@ class TestAlign:
         with pytest.raises(ValueError, match=re.escape(message)):
             alignment(t, t, mode="affine")
         with pytest.raises(ValueError, match=re.escape(message)):
-            ate(t, t, mode="affine")
+            MetricsConfig(align_mode="affine")
 
 
 class TestBatchedScoringEqualsReference:
-    """ATE, RPE and evaluate on index arrays equal the per-pair loops
+    """Each step on index arrays, and evaluate, equal the per-pair loops
     bit for bit, errors included."""
 
     @given(trajectory_pairs(), st.sampled_from(ALIGN_MODES),
@@ -569,9 +597,9 @@ class TestBatchedScoringEqualsReference:
         # est times moved by an offset inside, at or beyond the tolerance
         est, gt = pair
         est = Trajectory(est.timestamps + offset * MATCH_TOLERANCE_S, est.positions, est.quaternions)
-        assert associate(est, gt) == reference_associate(est, gt)
-        assert outcome(ate, est, gt, mode) == outcome(reference_ate, est, gt, mode)
-        assert outcome(rpe, est, gt, delta) == outcome(reference_rpe, est, gt, delta)
+        assert matched_pairs(est, gt) == reference_associate(est, gt)
+        assert outcome(ate_steps, est, gt, mode) == outcome(reference_ate, est, gt, mode)
+        assert outcome(rpe_steps, est, gt, delta) == outcome(reference_rpe, est, gt, delta)
         config = MetricsConfig(mode, delta)
         assert outcome(lambda: report_fields(evaluate(est, gt, config))) == (
             outcome(reference_report_fields, est, gt, mode, delta)
@@ -580,13 +608,13 @@ class TestBatchedScoringEqualsReference:
     def test_delta_past_pair_count_raises_same_message(self):
         t = straight_trajectory(n=5)
         with pytest.raises(ValueError, match="no index pairs at delta=5"):
-            rpe(t, t, delta=5)
+            rpe_steps(t, t, delta=5)
         with pytest.raises(ValueError, match="no index pairs at delta=5"):
             evaluate(t, t, MetricsConfig(rpe_delta=5))
 
     def test_one_association_and_alignment_per_evaluate(self, monkeypatch):
-        # `_match` is the association `evaluate` calls; `associate` wraps it.
-        calls = {"_match": 0, "umeyama_alignment": 0}
+        # Each step once, under the name a caller (or a tracer) looks up.
+        calls = {"associate": 0, "ate": 0, "rpe": 0, "umeyama_alignment": 0}
         for name in calls:
             original = getattr(metrics, name)
 
@@ -598,7 +626,7 @@ class TestBatchedScoringEqualsReference:
         gt = straight_trajectory(n=40)
         est = Trajectory(gt.timestamps, 1.1 * gt.positions, gt.quaternions)
         evaluate(est, gt, MetricsConfig("similarity", 5))
-        assert calls == {"_match": 1, "umeyama_alignment": 1}
+        assert calls == {"associate": 1, "ate": 1, "rpe": 1, "umeyama_alignment": 1}
 
 
 class TestUmeyamaRecovery:
@@ -618,12 +646,12 @@ class TestUmeyamaRecovery:
 class TestATE:
     def test_equal_trajectories_zero(self):
         t = straight_trajectory()
-        assert ate(t, t) < 1e-12
+        assert ate_of(t, t) < 1e-12
 
     def test_translation_absorbed_by_rigid_alignment(self):
         gt = straight_trajectory()
         est = Trajectory(gt.timestamps, gt.positions + [1.0, 0.0, 0.0], gt.quaternions)
-        assert ate(est, gt, mode="rigid") < 1e-9
+        assert ate_of(est, gt, mode="rigid") < 1e-9
 
     def test_hand_computed_three_point_case(self):
         # gt (0,0,0), (1,0,0), (2,0,0); est pre-aligned with a single
@@ -633,35 +661,35 @@ class TestATE:
         quats = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
         gt = Trajectory(ts, np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]), quats)
         est = Trajectory(ts, np.array([[0.0, 0, 0], [1.0, 0, 0], [2.3, 0, 0]]), quats)
-        assert ate(est, gt, mode="none") == pytest.approx(np.sqrt(0.09 / 3), abs=1e-12)
+        assert ate_of(est, gt, mode="none") == pytest.approx(np.sqrt(0.09 / 3), abs=1e-12)
 
     def test_similarity_ate_invariant_to_sim3_pretransform(self):
         rng = np.random.default_rng(5)
         gt = straight_trajectory(n=20)
         est = Trajectory(gt.timestamps, gt.positions + rng.normal(0, 0.1, (20, 3)),
                          gt.quaternions)
-        base = ate(est, gt, mode="similarity")
+        base = ate_of(est, gt, mode="similarity")
         for _ in range(10):
             warped = transformed(est, random_sim3(rng))
-            assert abs(ate(warped, gt, mode="similarity") - base) < 1e-9
+            assert abs(ate_of(warped, gt, mode="similarity") - base) < 1e-9
 
     def test_similarity_residual_not_above_rigid(self):
         rng = np.random.default_rng(6)
         gt = straight_trajectory(n=20)
         est = Trajectory(gt.timestamps, 1.2 * gt.positions + rng.normal(0, 0.05, (20, 3)),
                          gt.quaternions)
-        assert ate(est, gt, mode="similarity") <= ate(est, gt, mode="rigid") + 1e-12
+        assert ate_of(est, gt, mode="similarity") <= ate_of(est, gt, mode="rigid") + 1e-12
 
 
 class TestRPE:
     def test_equal_trajectories_zero(self):
         t = straight_trajectory()
-        assert rpe(t, t, delta=1) < 1e-12
+        assert rpe_of(t, t, delta=1) < 1e-12
 
     def test_global_offset_invisible(self):
         gt = straight_trajectory()
         est = Trajectory(gt.timestamps, gt.positions + [3.0, -2.0, 1.0], gt.quaternions)
-        assert rpe(est, gt, delta=1) < 1e-12
+        assert rpe_of(est, gt, delta=1) < 1e-12
 
     def test_scale_inflation_matches_brute_force_oracle(self):
         # Straight line, 1 m steps, est positions inflated by (1 + eps):
@@ -676,22 +704,22 @@ class TestRPE:
                 rel_est = est.positions[k + delta] - est.positions[k]
                 errs.append(np.linalg.norm(rel_est - rel_gt))
             oracle = float(np.sqrt(np.mean(np.square(errs))))
-            assert rpe(est, gt, delta=delta) == pytest.approx(oracle, abs=1e-12)
+            assert rpe_of(est, gt, delta=delta) == pytest.approx(oracle, abs=1e-12)
 
     def test_rigid_transform_invariance(self):
         rng = np.random.default_rng(8)
         gt = straight_trajectory(n=25)
         est = Trajectory(gt.timestamps, gt.positions + rng.normal(0, 0.05, (25, 3)),
                          gt.quaternions)
-        base = rpe(est, gt, delta=3)
+        base = rpe_of(est, gt, delta=3)
         t = random_sim3(rng)
         rigid = Sim3(1.0, t.rotation, t.translation)
-        assert abs(rpe(transformed(est, rigid), gt, delta=3) - base) < 1e-9
+        assert abs(rpe_of(transformed(est, rigid), gt, delta=3) - base) < 1e-9
 
     def test_bad_delta_raises(self):
         t = straight_trajectory()
         with pytest.raises(ValueError):
-            rpe(t, t, delta=0)
+            rpe_steps(t, t, delta=0)
 
 
 class TestFramesFitScoring:
@@ -926,7 +954,7 @@ class TestTumIO:
             raise AssertionError("the greedy walk ran")
 
         monkeypatch.setattr(metrics, "_match_walk", walk)
-        ei, gi = metrics._match(est, gt)
+        ei, gi = associate(est, gt)
         assert ei.tolist() == gi.tolist() == list(range(n))
 
     def test_row_format_matches_per_field_formatting(self, tmp_path):
@@ -1058,8 +1086,8 @@ class TestEvaluate:
         est = Trajectory(gt.timestamps, gt.positions + rng.normal(0, 0.02, (40, 3)),
                          gt.quaternions)
         rep = evaluate(est, gt, MetricsConfig("similarity", 5))
-        assert rep.ate_rmse == pytest.approx(ate(est, gt, mode="similarity"))
-        assert rep.rpe_rmse == pytest.approx(rpe(est, gt, delta=5))
+        assert rep.ate_rmse == pytest.approx(ate_steps(est, gt, mode="similarity"))
+        assert rep.rpe_rmse == pytest.approx(rpe_steps(est, gt, delta=5))
         assert rep.n_matched == 40
         assert rep.config == MetricsConfig("similarity", 5)
         out = rep.to_json()

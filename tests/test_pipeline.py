@@ -20,7 +20,7 @@ from segdrift.geometry import (
     quat_rotate,
     umeyama_alignment,
 )
-from segdrift.metrics import ate
+from segdrift.metrics import MetricsConfig, evaluate
 from segdrift.pipeline import (
     KEYFRAME_INTERVAL, LOCAL_WINDOW, MIN_MOVED, MODES, MOVED_TOLERANCE, NEIGHBORHOOD, ScheduleConfig, propagate_to_poses,
     run,
@@ -103,7 +103,7 @@ class TestZeroDrift:
                     ScheduleConfig(mode=mode))
             # Objective is already zero, so nothing moves and the
             # trajectory stays on the ground truth.
-            assert ate(r.corrected_trajectory, w.trajectory, mode="none") < 1e-9
+            assert evaluate(r.corrected_trajectory, w.trajectory, MetricsConfig("none")).ate_rmse < 1e-9
             for rep in r.reports:
                 assert rep.final_objective < 1e-18
 

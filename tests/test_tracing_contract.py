@@ -57,6 +57,16 @@ def test_counts_match_the_cell_manifest(tracing, tmp_path):
     assert counts["clustering.clusters"] == manifest["n_clusters"]
     assert counts["clusteropt.solve.calls"] == len(manifest["objective_traces"])
 
+    # Every traced cell name is on the path such a cell takes, so a step that
+    # its caller reaches under another name shows here, not as a metric of 0.
+    # Not reached: `ClusterStore.assign`, which the batched assignment
+    # bypasses, and `world_from_file`, since the world comes from `world`.
+    # Set-up spans are timed where the benchmark generates its world.
+    spans = {tracer.names[span[0]] for span in tracer.spans}
+    unreached = {"clustering.assign", "worldgen.world_from_file"}
+    assert set(tracing.SPAN_NAMES) - set(tracing.SETUP_SPANS) - spans == unreached
+    assert counts["metrics.associate.calls"] == 1
+
     # The simulate hook alone, on the cell's own simulate result.
     drift, obs, _ = cli._cell_configs(cfg, "seg", 3)
     emap = simulate(world_from_file(tmp_path / "out" / "world.json"), drift, obs)

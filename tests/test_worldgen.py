@@ -77,6 +77,27 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=rf"^n_turns \d+ gives a world of {legs} legs, over the budget "):
             WorldSpec(**fields)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"n_turns": 2**63 - 1},
+            {"corridor_length": 1e9},
+            {"corridor_length": 40.0, "door_spacing": 1e-6},
+            {"extra_unique_segments": 10**9},
+            {"door_height": 1e308},
+            {"door_spacing": 5e-324},
+        ],
+        ids=["legs", "frames", "doors", "extra-segments", "snap", "door-count"],
+    )
+    def test_numpy_scalar_message_equals_python_number_message(self, fields):
+        twin = {k: np.int64(v) if isinstance(v, int) else np.float64(v) for k, v in fields.items()}
+        messages = []
+        for spec_fields in (fields, twin):
+            with pytest.raises(ValueError) as refused:
+                WorldSpec(**spec_fields)
+            messages.append(str(refused.value))
+        assert messages[1] == messages[0]
+
     @pytest.mark.parametrize("fields, named", HUGE_SPECS)
     def test_huge_spec_refused_naming_its_field(self, fields, named):
         start = time.perf_counter()
