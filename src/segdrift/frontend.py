@@ -77,8 +77,8 @@ class ObservationConfig:
 class EstimatedMap:
     """The front end's output as arrays.
 
-    `points` row i is the estimated position of map point i (mutable by
-    optimization), first created in frame `first_seen[i]`. Each row of
+    `points` row i is the estimated position of map point i (a correction
+    solves on a copy), first created in frame `first_seen[i]`. Each row of
     `observations` is one detected segment, columns OBSERVATION_COLUMNS:
     its two point ids, its frame and the index of the world segment it
     came from (simulation bookkeeping, hidden from the method); rows are in

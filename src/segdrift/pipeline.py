@@ -9,7 +9,7 @@ and applied to the pose, with interpolation between keyframes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,8 +44,8 @@ class ScheduleConfig:
 @dataclass
 class RunResult:
     corrected_trajectory: Trajectory  # emap.trajectory itself in baseline mode
-    emap: EstimatedMap  # final (post-optimization) map; its trajectory is the raw, drifted one
-    store: ClusterStore
+    emap: EstimatedMap  # the map as simulated, unchanged: raw points and drifted trajectory
+    store: ClusterStore  # store.emap is the corrected map (emap itself in baseline mode)
     reports: list[OptReport]
     discarded_observations: int
     propagation_log: list[str]
@@ -144,17 +144,22 @@ def run(
     schedule: ScheduleConfig,
 ) -> RunResult:
     """Process the whole world under the chosen optimization schedule."""
-    emap = simulate(world, drift_cfg, obs_cfg)
-    raw = emap.trajectory
+    return correct(simulate(world, drift_cfg, obs_cfg), schedule)
 
-    store = ClusterStore(emap, schedule.rel_threshold)
+
+def correct(emap: EstimatedMap, schedule: ScheduleConfig) -> RunResult:
+    """Correct a simulated map under the chosen schedule; `emap` stays as it
+    was, as `seg` and `segglobal` solve on a copy of it held by `store.emap`."""
+    raw = emap.trajectory
     reports: list[OptReport] = []
     plog: list[str] = []
     discarded = 0
 
     if schedule.mode == "baseline":
-        return RunResult(raw, emap, store, reports, 0, plog)
+        return RunResult(raw, emap, ClusterStore(emap, schedule.rel_threshold), reports, 0, plog)
 
+    moved = replace(emap, points=emap.points.copy())  # the solves write here
+    store = ClusterStore(moved, schedule.rel_threshold)
     n_frames = len(raw)
     # Observations are in frame order: frame f's rows are bounds[f]..bounds[f+1].
     bounds = np.searchsorted(emap.observations[:, OBS_FRAME], np.arange(n_frames + 1)).tolist()
@@ -162,17 +167,11 @@ def run(
     if n_frames - 1 not in round_frames and n_frames > 1:
         round_frames.append(n_frames - 1)
 
-    # Snapshot of every point's position before any optimization touched
-    # it. Pose corrections are always refit against this baseline and
-    # applied to the raw trajectory, so each round's propagation replaces
-    # the previous one instead of compounding round-to-round fit noise.
-    raw_points = emap.points.copy()
-
     def solve_round(frames_in_scope: range) -> None:
         problem = build_problem(store, frames_in_scope)
         if not len(problem.edges):
             return
-        emap.points[problem.point_ids], report = solve(problem)
+        moved.points[problem.point_ids], report = solve(problem)
         reports.append(report)
         store.recompute_centers()
 
@@ -191,14 +190,15 @@ def run(
     if done < n_frames:  # a one-frame world has no solve round
         discarded += assign_frames(done, n_frames)
 
-    # Pose corrections are refit against the pre-optimization map, so the
-    # final fit subsumes every earlier round; propagating once at the end
-    # yields the same trajectory as propagating after each round.
+    # Pose corrections are refit against the simulated map and applied to
+    # the raw trajectory, so the final fit subsumes every earlier round;
+    # propagating once at the end yields the same trajectory as propagating
+    # after each round, without compounding round-to-round fit noise.
     corrected = raw
     if reports:
         rotations, translations, entries = propagate_to_poses(
-            raw_points,
             emap.points,
+            moved.points,
             emap.first_seen,
             raw.quaternions,
             raw.positions,

@@ -629,6 +629,39 @@ class TestBatchedScoringEqualsReference:
         assert calls == {"associate": 1, "ate": 1, "rpe": 1, "umeyama_alignment": 1}
 
 
+class TestTimestampShift:
+    """Scores read time only through the matching, which compares
+    differences of timestamps: one shift of both clocks changes nothing."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 60),
+           st.one_of(st.just(0.0), st.floats(-0.9, -0.01), st.floats(0.01, 0.9)),
+           st.floats(-2e9, 2e9), st.sampled_from(ALIGN_MODES), st.integers(1, 8))
+    @example(0, 40, 0.0, 1.3e9, "similarity", 5)
+    @example(0, 40, 0.9, 1.3e9, "similarity", 5)
+    def test_scores_unchanged(self, seed, n, offset, shift, mode, delta):
+        # est on gt's own timestamps (offset 0, the row-for-row path), or a
+        # subset of them moved by `offset` of the tolerance (the walk); gt
+        # rows 0.03 s or more apart, so each est time stays nearest its own
+        # gt row under any rounding of the shift
+        rng = np.random.default_rng(seed)
+        ts = np.cumsum(rng.uniform(0.03, 0.1, size=n))
+        gt = Trajectory(ts, np.cumsum(rng.normal(size=(n, 3)), axis=0), rng.normal(size=(n, 4)))
+        keep = rng.uniform(size=n) >= (0.0 if offset == 0.0 else 0.2)
+        noise = rng.normal(0.0, 0.1, size=(int(keep.sum()), 3))
+        est = Trajectory(ts[keep] + offset * MATCH_TOLERANCE_S, 1.1 * gt.positions[keep] + noise,
+                         gt.quaternions[keep])
+        config = MetricsConfig(mode, delta)
+
+        def scores(dt):
+            e = Trajectory(est.timestamps + dt, est.positions, est.quaternions)
+            g = Trajectory(gt.timestamps + dt, gt.positions, gt.quaternions)
+            assert np.array_equal(e.timestamps, g.timestamps) == (offset == 0.0)
+            rep = evaluate(e, g, config)
+            return rep.ate_rmse, rep.rpe_rmse, rep.n_matched
+
+        assert outcome(scores, 0.0) == outcome(scores, shift)
+
+
 class TestUmeyamaRecovery:
     def test_recovers_random_sim3_500_trials(self):
         # Generate-and-recover: a noiseless Sim3-transformed cloud must

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from segdrift import clustering, pipeline
 from segdrift.clustering import ClusterStore
 from segdrift.clusteropt import DEFAULT_ANCHOR_WEIGHT, DEFAULT_ITERATION_CAP, build_problem
-from segdrift.frontend import OBS_FRAME, DriftConfig, ObservationConfig
+from segdrift.cli import OBS_SEED_OFFSET
+from segdrift.frontend import OBS_FRAME, DriftConfig, ObservationConfig, simulate
 from segdrift.geometry import (
     Sim3,
     Trajectory,
@@ -22,8 +23,8 @@ from segdrift.geometry import (
 )
 from segdrift.metrics import MetricsConfig, evaluate
 from segdrift.pipeline import (
-    KEYFRAME_INTERVAL, LOCAL_WINDOW, MIN_MOVED, MODES, MOVED_TOLERANCE, NEIGHBORHOOD, ScheduleConfig, propagate_to_poses,
-    run,
+    KEYFRAME_INTERVAL, LOCAL_WINDOW, MIN_MOVED, MODES, MOVED_TOLERANCE, NEIGHBORHOOD, ScheduleConfig, correct,
+    propagate_to_poses, run,
 )
 from segdrift.worldgen import World, WorldSpec, generate_corridor
 
@@ -89,10 +90,67 @@ class TestTrajectoriesShared:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_store_is_bound_to_the_runs_map(self, mode):
+        # baseline binds its empty store to the simulated map; a solving run
+        # binds it to a copy, whose points the solves move and the poses follow
         w = make_world()
-        r = run(w, DriftConfig(scale_sigma=1e-3, rng_seed=2), ObservationConfig(rng_seed=2),
-                ScheduleConfig(mode=mode))
-        assert r.store.emap is r.emap
+        drift, obs = DriftConfig(scale_sigma=1e-3, rng_seed=2), ObservationConfig(rng_seed=2)
+        r = run(w, drift, obs, ScheduleConfig(mode=mode))
+        assert r.emap.points.tobytes() == simulate(w, drift, obs).points.tobytes()
+        if mode == "baseline":
+            assert r.store.emap is r.emap
+            return
+        moved = r.store.emap
+        assert moved is not r.emap and r.reports
+        assert not np.array_equal(moved.points, r.emap.points)
+        for name in ("first_seen", "observations", "trajectory"):
+            assert getattr(moved, name) is getattr(r.emap, name)
+        rounds = [f for f in range(1, w.n_frames) if f % KEYFRAME_INTERVAL == 0 or f == w.n_frames - 1]
+        raw = r.emap.trajectory
+        rotations, translations, _ = propagate_to_poses(
+            r.emap.points, moved.points, r.emap.first_seen, raw.quaternions, raw.positions, [0, *rounds]
+        )
+        assert translations.tobytes() == r.corrected_trajectory.positions.tobytes()
+        assert rotations.tobytes() == r.corrected_trajectory.quaternions.tobytes()
+
+
+def map_bytes(emap):
+    traj = emap.trajectory
+    arrays = (emap.points, emap.first_seen, emap.observations, traj.timestamps, traj.positions, traj.quaternions)
+    return [a.tobytes() for a in arrays]
+
+
+def result_bytes(r):
+    """Everything a correction decides, as bytes and plain values."""
+    traj = r.corrected_trajectory
+    return (
+        [a.tobytes() for a in (traj.timestamps, traj.positions, traj.quaternions)],
+        [a.tobytes() for a in (r.store.member_table, r.store.edge_table, r.store.centers, r.store.counts)],
+        map_bytes(r.store.emap),
+        [rep.objective_trace for rep in r.reports],
+        r.discarded_observations,
+        r.propagation_log,
+    )
+
+
+class TestCorrect:
+    """Every mode corrects one simulated map as its own run would, and
+    leaves that map as it was."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_modes_on_one_map_equal_their_runs(self, seed):
+        # the criterion-2 grid: 40 m corridor, doors every 2 m
+        w = make_world(corridor_length=40.0, door_spacing=2.0)
+        drift = DriftConfig(scale_sigma=1e-3, rng_seed=seed)
+        obs = ObservationConfig(detect_prob=0.8, endpoint_noise_sigma=0.01, rng_seed=seed + OBS_SEED_OFFSET)
+        emap = simulate(w, drift, obs)
+        before = map_bytes(emap)
+        for mode in MODES:
+            c = correct(emap, ScheduleConfig(mode=mode))
+            assert c.emap is emap
+            assert map_bytes(emap) == before
+            r = run(w, drift, obs, ScheduleConfig(mode=mode))
+            assert map_bytes(r.emap) == before
+            assert result_bytes(c) == result_bytes(r)
 
 
 class TestZeroDrift:
