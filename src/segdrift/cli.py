@@ -162,25 +162,20 @@ def cmd_run(args) -> int:
             shutil.copyfile(cfg["world_file"], out_dir / "world.json")
 
     records = []  # one (mode, seed, report or the exception it raised) per cell
-    # Each distinct TUM text, and each ground-truth column, is formatted
-    # once per run: the ground truth depends only on the world, and every
-    # trajectory shares its timestamps.
-    gt_columns = met.tum_columns(world.trajectory)
-    gt_tum = None
+    # The first cell whose pipeline runs formats the ground truth's fields;
+    # every later trajectory, on the same timestamps, is lent them.
+    gt_columns = None
     for mode, seed, configs in cells:
         cell_dir = out_dir / mode / f"seed{seed}"
         cell_dir.mkdir(parents=True, exist_ok=True)
         try:
             rr = run_pipeline(world, *configs)
-            raw_tum = met.write_tum(rr.emap.trajectory, cell_dir / "raw.tum", gt_columns)
+            gt_columns = met.write_tum(world.trajectory, cell_dir / "gt.tum", gt_columns)
+            met.write_tum(rr.emap.trajectory, cell_dir / "raw.tum", gt_columns)
             if rr.corrected_trajectory is rr.emap.trajectory:
-                (cell_dir / "corrected.tum").write_text(raw_tum)
+                shutil.copyfile(cell_dir / "raw.tum", cell_dir / "corrected.tum")
             else:
                 met.write_tum(rr.corrected_trajectory, cell_dir / "corrected.tum", gt_columns)
-            if gt_tum is None:
-                gt_tum = met.write_tum(world.trajectory, cell_dir / "gt.tum", gt_columns)
-            else:
-                (cell_dir / "gt.tum").write_text(gt_tum)
             report = met.evaluate(rr.corrected_trajectory, world.trajectory, scoring)
             manifest = {
                 "mode": mode,

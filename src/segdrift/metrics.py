@@ -44,12 +44,22 @@ class MetricsConfig:
             )
 
 
-def tum_columns(traj: Trajectory, reference=None) -> list[tuple[np.ndarray, list[str]]]:
-    """The eight TUM columns of `traj`, `timestamp tx ty tz qx qy qz qw`, as
-    (values, fields) pairs; each field is its value in `%.9g` and the
-    separator after it. Given `reference`, the columns of another
-    trajectory, a column whose float bits equal the reference's column at
-    the same place takes its fields, and only the others are formatted."""
+def write_tum(traj: Trajectory, path, reference=None) -> list[tuple[np.ndarray, list[str]]]:
+    """TUM format: `timestamp tx ty tz qx qy qz qw`, 9 significant digits.
+    Returns the columns written, as (values, fields) pairs; passed back as
+    `reference` to write another trajectory, they lend the fields of every
+    column it shares bit for bit."""
+    columns = _tum_columns(traj, reference)
+    with open(path, "w") as f:
+        f.write("".join(chain.from_iterable(zip(*(fields for _, fields in columns)))))
+    return columns
+
+
+def _tum_columns(traj: Trajectory, reference=None) -> list[tuple[np.ndarray, list[str]]]:
+    """The eight TUM columns of `traj` as (values, fields) pairs; each field
+    is its value in `%.9g` and the separator after it. A column whose float
+    bits equal the `reference` column at the same place takes its fields,
+    and only the others are formatted."""
     q = traj.quaternions
     values = [traj.timestamps, *traj.positions.T, *q[:, 1:].T, q[:, 0]]
     columns = []
@@ -65,18 +75,6 @@ def tum_columns(traj: Trajectory, reference=None) -> list[tuple[np.ndarray, list
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal float bits, so -0.0 and 0.0 differ, as `%.9g` writes them."""
     return np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-def write_tum(traj: Trajectory, path, reference=None) -> str:
-    """TUM format: `timestamp tx ty tz qx qy qz qw`, 9 significant digits.
-    `reference`, another trajectory's `tum_columns`, lends the fields of
-    every column it shares bit for bit. Returns the text written, for
-    writing the same trajectory elsewhere."""
-    fields = [f for _, f in tum_columns(traj, reference)]
-    text = "".join(chain.from_iterable(zip(*fields)))
-    with open(path, "w") as f:
-        f.write(text)
-    return text
 
 
 def _column_fields(values: np.ndarray, template: str) -> list[str]:

@@ -184,12 +184,13 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
         world = world_from_file(out / "world.json")
-        fresh = write_tum(world.trajectory, tmp_path / "gt.tum")
+        write_tum(world.trajectory, tmp_path / "gt.tum")
+        fresh = (tmp_path / "gt.tum").read_bytes()
         solved = 0
         for mode in ("baseline", "seg", "segglobal"):
             for seed in (0, 1, 2):
                 cell = out / mode / f"seed{seed}"
-                assert (cell / "gt.tum").read_text() == fresh
+                assert (cell / "gt.tum").read_bytes() == fresh
                 raw, corrected = (cell / "raw.tum").read_bytes(), (cell / "corrected.tum").read_bytes()
                 if mode == "baseline":
                     assert corrected == raw
@@ -197,6 +198,27 @@ class TestRun:
                     assert corrected != raw  # a solving cell writes its own correction
                     solved += 1
         assert solved
+
+    def test_gt_tum_after_a_failed_first_cell(self, tmp_path, monkeypatch, capsys):
+        # The first cell raises before it writes any TUM file, so the
+        # second formats the ground truth itself.
+        real = segdrift.cli.run_pipeline
+        calls = []
+
+        def fails_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("no map")
+            return real(*args)
+
+        monkeypatch.setattr(segdrift.cli, "run_pipeline", fails_once)
+        assert main(["run", "--config", str(small_config(tmp_path, modes=["seg"]))]) == 2
+        out = tmp_path / "out"
+        write_tum(world_from_file(out / "world.json").trajectory, tmp_path / "gt.tum")
+        assert (out / "seg" / "seed1" / "gt.tum").read_bytes() == (tmp_path / "gt.tum").read_bytes()
+        assert list((out / "seg" / "seed0").iterdir()) == []
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["errors"] == [{"mode": "seg", "seed": 0, "error": "no map"}]
 
     def test_zero_drift_baseline_ate_zero(self, tmp_path, capsys):
         cfg = small_config(

@@ -1036,11 +1036,13 @@ class TestTumIO:
     def test_text_equals_per_row_join(self, tmp_path, make_trajectory):
         traj = make_trajectory()
         path = tmp_path / "traj.txt"
-        text = write_tum(traj, path)
+        columns = write_tum(traj, path)
+        text = path.read_text()
         q = traj.quaternions
         rows = np.column_stack([traj.timestamps, traj.positions, q[:, 1:], q[:, :1]]).tolist()
         assert text == "".join(TUM_ROW % tuple(row) for row in rows)
-        assert path.read_text() == text
+        # The columns returned are the ones written, row by row.
+        assert text == "".join("".join(row) for row in zip(*(fields for _, fields in columns)))
         if not len(traj):
             assert text == ""
 
@@ -1069,12 +1071,27 @@ class TestTumIO:
     )
     def test_reference_columns_change_no_byte(self, tmp_path, make_pair, shared):
         traj, ref = make_pair()
-        ref_columns = metrics.tum_columns(ref)
-        columns = metrics.tum_columns(traj, ref_columns)
+        ref_columns = metrics._tum_columns(ref)
+        columns = write_tum(traj, tmp_path / "with.tum", ref_columns)
         assert [c is r for c, r in zip(columns, ref_columns)] == shared
-        text = write_tum(traj, tmp_path / "with.tum", ref_columns)
-        assert text == write_tum(traj, tmp_path / "without.tum")
-        assert (tmp_path / "with.tum").read_text() == text
+        write_tum(traj, tmp_path / "without.tum")
+        assert (tmp_path / "with.tum").read_bytes() == (tmp_path / "without.tum").read_bytes()
+
+    def test_returned_columns_lend_all_eight(self, tmp_path, monkeypatch):
+        _, gt = corridor120_baseline()
+        columns = write_tum(gt, tmp_path / "first.tum")
+        calls = []
+        real = metrics._column_fields
+
+        def counted(values, template):
+            calls.append(template)
+            return real(values, template)
+
+        monkeypatch.setattr(metrics, "_column_fields", counted)
+        again = write_tum(gt, tmp_path / "second.tum", columns)
+        assert calls == []
+        assert [c is r for c, r in zip(again, columns, strict=True)] == [True] * 8
+        assert (tmp_path / "second.tum").read_bytes() == (tmp_path / "first.tum").read_bytes()
 
     @pytest.mark.parametrize(
         "row, message",

@@ -66,6 +66,8 @@ def test_counts_match_the_cell_manifest(tracing, tmp_path):
     unreached = {"clustering.assign", "worldgen.world_from_file"}
     assert set(tracing.SPAN_NAMES) - set(tracing.SETUP_SPANS) - spans == unreached
     assert counts["metrics.associate.calls"] == 1
+    # gt.tum, raw.tum and corrected.tum each go through the traced writer.
+    assert [tracer.names[span[0]] for span in tracer.spans].count("metrics.write_tum") == 3
 
     # The simulate hook alone, on the cell's own simulate result.
     drift, obs, _ = cli._cell_configs(cfg, "seg", 3)
@@ -98,6 +100,8 @@ def test_world_file_run_loads_and_copies(tracing, tmp_path):
     spans = [tracer.names[span[0]] for span in tracer.spans]
     assert spans.count("worldgen.world_from_file") == 1
     assert "worldgen.world_to_file" not in spans
+    # gt.tum and raw.tum; a baseline cell's corrected.tum copies raw.tum.
+    assert spans.count("metrics.write_tum") == 2
     manifest = json.loads((tmp_path / "out" / "baseline" / "seed1" / "manifest.json").read_text())
     assert counts["frontend.points"] == manifest["n_map_points"] > 0
     assert counts["frontend.observations"] == manifest["n_observations"] > 0
